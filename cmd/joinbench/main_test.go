@@ -11,7 +11,7 @@ import (
 
 // captureRun invokes run on experiment exp at test scale with stdout
 // captured, failing on a non-zero exit.
-func captureRun(t *testing.T, exp string, opcache, sortcache, prune bool) string {
+func captureRun(t *testing.T, exp string, opcache, prune bool) string {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -21,7 +21,7 @@ func captureRun(t *testing.T, exp string, opcache, sortcache, prune bool) string
 	os.Stdout = w
 	code := run(context.Background(), config{
 		exp: exp, m: 64, b: 8, scale: 1, seed: 42, par: 1,
-		opcache: opcache, sortcache: sortcache, prune: prune,
+		opcache: opcache, prune: prune,
 	})
 	w.Close()
 	os.Stdout = old
@@ -48,7 +48,7 @@ func captureVerify(t *testing.T, shards int, strategy string) string {
 	code := run(context.Background(), config{
 		m: 64, b: 8, scale: 1, seed: 42, par: 1, verify: 1,
 		shards: shards, strategy: strategy,
-		opcache: true, sortcache: true, prune: true,
+		opcache: true, prune: true,
 	})
 	w.Close()
 	os.Stdout = old
@@ -84,25 +84,22 @@ func TestVerifyShardAndStrategyEnvPrecedence(t *testing.T) {
 	}
 }
 
-// The -opcache/-sortcache alias pair and -prune all carry a byte-identity
-// contract: every combination must render the same table. This pins the
-// alias resolution (either memo flag off disables the memo, matching the
-// deprecated core.Options.SortCache semantics) and the pruning claim that
+// -opcache and -prune both carry a byte-identity contract: every
+// combination must render the same table. This pins the memo claim (replay
+// charges exactly what the real operator would) and the pruning claim that
 // experiment tables only report figures pruning provably does not change.
 func TestMemoAndPruneFlagMatrixTablesIdentical(t *testing.T) {
 	for _, exp := range []string{"E4", "E25"} {
-		ref := captureRun(t, exp, true, true, true)
+		ref := captureRun(t, exp, true, true)
 		if len(ref) == 0 {
 			t.Fatalf("%s rendered empty", exp)
 		}
-		for _, memo := range []struct{ op, sc bool }{
-			{true, true}, {false, true}, {true, false}, {false, false},
-		} {
+		for _, memo := range []bool{true, false} {
 			for _, prune := range []bool{true, false} {
-				got := captureRun(t, exp, memo.op, memo.sc, prune)
+				got := captureRun(t, exp, memo, prune)
 				if got != ref {
-					t.Fatalf("%s with -opcache=%v -sortcache=%v -prune=%v differs:\n%s\nwant:\n%s",
-						exp, memo.op, memo.sc, prune, got, ref)
+					t.Fatalf("%s with -opcache=%v -prune=%v differs:\n%s\nwant:\n%s",
+						exp, memo, prune, got, ref)
 				}
 			}
 		}

@@ -129,21 +129,10 @@ type Options struct {
 	// the zero value is unbounded. Eviction only costs recomputation on a
 	// later miss — simulated counters stay bit-identical under any limits.
 	MemoLimits opcache.Limits
-	// SortCache is the historical name for Memo, from when only sorts were
-	// memoized; it now switches the whole operator memo. The memo is off
-	// when EITHER field is off.
-	//
-	// Deprecated: set Memo instead.
-	SortCache SortCacheMode
 }
 
 // MemoMode switches the charge-replay operator memo. The zero value is on.
 type MemoMode int
-
-// SortCacheMode is the historical name for MemoMode.
-//
-// Deprecated: use MemoMode.
-type SortCacheMode = MemoMode
 
 const (
 	// MemoOn attaches an operator memo to the run's disk (keeping an
@@ -153,20 +142,12 @@ const (
 	MemoOff
 )
 
-// Historical names for the memo modes.
-//
-// Deprecated: use MemoOn and MemoOff.
-const (
-	SortCacheOn  = MemoOn
-	SortCacheOff = MemoOff
-)
-
 // applyMemo attaches or detaches the operator memo on d per opts.
 func applyMemo(d *extmem.Disk, opts Options) {
 	if d == nil {
 		return
 	}
-	if opts.Memo == MemoOff || opts.SortCache == MemoOff {
+	if opts.Memo == MemoOff {
 		opcache.Disable(d)
 	} else if opcache.Of(d) == nil {
 		opcache.EnableLimited(d, opts.MemoLimits)

@@ -33,15 +33,15 @@ func runMemoL5(t *testing.T, opts Options) (*Result, []string, opcache.Stats) {
 	return r, rows, cs
 }
 
-// Every memo configuration — on, bounded, shared across parallel branch
-// workers, and the deprecated SortCache spelling of off — must reproduce the
-// memo-off exhaustive run exactly: Result, stats, and the emitted rows in
-// their emission order. The comparison pins NoPrune: a replayed tape charges
-// its segments in recorded read/write order while a real run interleaves
-// them, so a budget abort mid-operator can land on a different point of the
-// read/write split (the IOs total is clamped identically either way). Full
-// TotalStats equality across memo modes is therefore an unpruned contract;
-// the pruned-mode counterpart (IOs()-level equality) lives in prune_test.go.
+// Every memo configuration — on, bounded, and shared across parallel branch
+// workers — must reproduce the memo-off exhaustive run exactly: Result,
+// stats, and the emitted rows in their emission order. The comparison pins
+// NoPrune: a replayed tape charges its segments in recorded read/write order
+// while a real run interleaves them, so a budget abort mid-operator can land
+// on a different point of the read/write split (the IOs total is clamped
+// identically either way). Full TotalStats equality across memo modes is
+// therefore an unpruned contract; the pruned-mode counterpart (IOs()-level
+// equality) lives in prune_test.go.
 func TestMemoModesBitIdentical(t *testing.T) {
 	ref, refRows, _ := runMemoL5(t, Options{Strategy: StrategyExhaustive, Memo: MemoOff, NoPrune: true})
 	if ref.Branches < 4 {
@@ -57,7 +57,6 @@ func TestMemoModesBitIdentical(t *testing.T) {
 		{"tuple-bounded", Options{Strategy: StrategyExhaustive, Memo: MemoOn, NoPrune: true,
 			MemoLimits: opcache.Limits{MaxTuples: 64}}},
 		{"parallel", Options{Strategy: StrategyExhaustive, Memo: MemoOn, NoPrune: true, Parallelism: 4}},
-		{"deprecated-off", Options{Strategy: StrategyExhaustive, SortCache: SortCacheOff, NoPrune: true}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -68,15 +67,8 @@ func TestMemoModesBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(rows, refRows) {
 				t.Fatalf("emitted rows diverge (%d vs %d)", len(rows), len(refRows))
 			}
-			switch c.name {
-			case "bounded", "tuple-bounded":
-				if cs.Evictions == 0 {
-					t.Errorf("bounded memo never evicted: %+v", cs)
-				}
-			case "deprecated-off":
-				if cs != (opcache.Stats{}) {
-					t.Errorf("SortCacheOff left the memo attached: %+v", cs)
-				}
+			if c.opts.MemoLimits != (opcache.Limits{}) && cs.Evictions == 0 {
+				t.Errorf("bounded memo never evicted: %+v", cs)
 			}
 		})
 	}
@@ -145,42 +137,5 @@ func TestBranchPrefixReuse(t *testing.T) {
 	}
 	if cs.Evictions != 0 {
 		t.Fatalf("unbounded memo evicted %d entries", cs.Evictions)
-	}
-}
-
-// The deprecated SortCache field aliases Memo with OR-off resolution: the
-// memo is attached if and only if BOTH fields are on. The matrix pins that
-// documented behavior for every combination and checks no combination
-// changes the run itself.
-func TestDeprecatedSortCacheAliasMatrix(t *testing.T) {
-	ref, refRows, _ := runMemoL5(t, Options{Strategy: StrategyExhaustive, Memo: MemoOff, NoPrune: true})
-	cases := []struct {
-		name string
-		memo MemoMode
-		sc   SortCacheMode
-		want bool // memo attached
-	}{
-		{"memo-on/cache-on", MemoOn, SortCacheOn, true},
-		{"memo-on/cache-off", MemoOn, SortCacheOff, false},
-		{"memo-off/cache-on", MemoOff, SortCacheOn, false},
-		{"memo-off/cache-off", MemoOff, SortCacheOff, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			r, rows, cs := runMemoL5(t, Options{
-				Strategy: StrategyExhaustive, Memo: c.memo, SortCache: c.sc, NoPrune: true})
-			if attached := cs != (opcache.Stats{}); attached != c.want {
-				t.Fatalf("memo attached = %v (%+v), want %v", attached, cs, c.want)
-			}
-			if c.want && cs.Hits == 0 {
-				t.Errorf("attached memo saw no hits on a multi-branch subject: %+v", cs)
-			}
-			if !reflect.DeepEqual(r, ref) {
-				t.Fatalf("alias combination changed the Result: %+v, want %+v", r, ref)
-			}
-			if !reflect.DeepEqual(rows, refRows) {
-				t.Fatalf("alias combination changed the emitted rows (%d vs %d)", len(rows), len(refRows))
-			}
-		})
 	}
 }

@@ -138,9 +138,9 @@ type DeviceStats struct {
 	VerifiedCells int64
 	// Async-pipeline telemetry (all zero in synchronous device mode). Unlike
 	// every counter above, these four measure how much device work overlapped
-	// compute, which depends on host timing: they are reported through
-	// BENCH_backend.json and the CLIs' telemetry lines but deliberately kept
-	// out of the deterministic experiment tables.
+	// compute, which depends on host timing: they are reported through the
+	// CLIs' telemetry lines and the bench/ per-layer metrics but deliberately
+	// kept out of the deterministic experiment tables.
 	OverlappedWrites  int64 // writeback segments whose pwrite completed with no drainer waiting
 	FlushQueueHiWater int64 // peak depth of the writeback segment queue
 	PrefetchInFlight  int64 // peak number of frames being loaded from the device concurrently

@@ -61,6 +61,29 @@ func Open(dir string, cfg extmem.Config, syncDev bool, plan extmem.DeviceFaultPl
 	return &Backend{Engine: eng, dev: fd}, nil
 }
 
+// OpenBackend opens the file storage engine the way every caller selects it:
+// with a fault device injecting per plan when plan is non-nil and enabled,
+// otherwise the plain engine. syncDev pins the synchronous device path;
+// false leaves the choice to ACYCLICJOIN_SYNC_DEVICE, as diskfile.Open does.
+func OpenBackend(dir string, cfg extmem.Config, syncDev bool, plan *extmem.DeviceFaultPlan) (extmem.Backend, error) {
+	if plan != nil && plan.Enabled() {
+		b, err := Open(dir, cfg, syncDev || diskfile.SyncFromEnv(), *plan)
+		if err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	open := diskfile.Open
+	if syncDev {
+		open = diskfile.OpenSync
+	}
+	eng, err := open(dir, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
+
 // DeviceFaultStats implements extmem.DeviceFaultReporter: the injection-side
 // counters from the fault device plus the recovery-side counters from the
 // engine.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/extmem/faultbackend"
 )
 
@@ -25,23 +24,15 @@ func newBackendDisk(p Params, cfg extmem.Config) *extmem.Disk {
 	case "", "sim":
 		return extmem.NewDisk(cfg)
 	case "file":
+		var plan *extmem.DeviceFaultPlan
 		if p.DevFaultRate > 0 {
-			plan := extmem.DeviceFaultPlan{Seed: p.DevFaultSeed, Rate: p.DevFaultRate}
-			b, err := faultbackend.Open(p.DataDir, cfg, p.SyncDevice || diskfile.SyncFromEnv(), plan)
-			if err != nil {
-				panic(fmt.Sprintf("harness: open file backend: %v", err))
-			}
-			return extmem.NewDiskWithBackend(cfg, b)
+			plan = &extmem.DeviceFaultPlan{Seed: p.DevFaultSeed, Rate: p.DevFaultRate}
 		}
-		open := diskfile.Open // async unless ACYCLICJOIN_SYNC_DEVICE is set
-		if p.SyncDevice {
-			open = diskfile.OpenSync
-		}
-		eng, err := open(p.DataDir, cfg)
+		b, err := faultbackend.OpenBackend(p.DataDir, cfg, p.SyncDevice, plan)
 		if err != nil {
 			panic(fmt.Sprintf("harness: open file backend: %v", err))
 		}
-		return extmem.NewDiskWithBackend(cfg, eng)
+		return extmem.NewDiskWithBackend(cfg, b)
 	default:
 		panic(fmt.Sprintf("harness: unknown backend %q (want \"sim\" or \"file\")", p.Backend))
 	}

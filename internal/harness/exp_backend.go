@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"time"
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/tuple"
 )
 
@@ -22,8 +20,8 @@ func init() {
 }
 
 // backendRun is one workload evaluation on one backend: the core result, the
-// emitted-row fingerprint, the full charged stats, the seam ledger, the
-// engine telemetry, and the host wall-clock.
+// emitted-row fingerprint, the full charged stats, the seam ledger, and the
+// engine telemetry.
 type backendRun struct {
 	res  *core.Result
 	hash uint64
@@ -31,7 +29,6 @@ type backendRun struct {
 	full extmem.Stats
 	xfer extmem.XferStats
 	dev  extmem.DeviceStats
-	wall time.Duration
 }
 
 // backendArm evaluates memo workload w with the exhaustive strategy on the
@@ -51,12 +48,10 @@ func backendArm(p Params, w int, backend string, par int) (*backendRun, error) {
 	d.ResetStats()
 	var n int64
 	h := fnv.New64a()
-	start := time.Now()
 	r, err := core.Run(g, in, func(a tuple.Assignment) {
 		n++
 		fmt.Fprint(h, a.String())
 	}, core.Options{Strategy: core.StrategyExhaustive, Parallelism: par})
-	wall := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +59,7 @@ func backendArm(p Params, w int, backend string, par int) (*backendRun, error) {
 		return nil, fmt.Errorf("backend arm (%s, workload %d) leaked %d child disks", backend, w, leaked)
 	}
 	out := &backendRun{res: r, hash: h.Sum64(), rows: n,
-		full: d.Stats(), xfer: d.Transfers(), dev: d.DeviceStats(), wall: wall}
+		full: d.Stats(), xfer: d.Transfers(), dev: d.DeviceStats()}
 	if out.full.Reads != out.xfer.TotalReads() || out.full.Writes != out.xfer.TotalWrites() {
 		return nil, fmt.Errorf("backend arm (%s, workload %d): seam parity broken: stats %v vs transfers %+v",
 			backend, w, out.full, out.xfer)
@@ -104,9 +99,8 @@ func compareBackendRuns(name string, sim, file *backendRun) error {
 
 // runE27 runs every memo workload on both backends sequentially and reports
 // the differential outcome plus the file engine's device telemetry. All
-// printed columns are deterministic (wall-clock lives in BENCH_backend.json):
-// the sequential schedule fixes the device access sequence, so even syscall
-// and cache counters reproduce exactly.
+// printed columns are deterministic: the sequential schedule fixes the device
+// access sequence, so even syscall and cache counters reproduce exactly.
 func runE27(p Params) (*Table, error) {
 	p = p.WithDefaults()
 	t := &Table{
@@ -139,108 +133,4 @@ func runE27(p Params) (*Table, error) {
 		"preads/pwrites are real syscalls; write batching coalesces contiguous frames, the block cache (M/B frames) absorbs re-reads, sequential scans prefetch ahead",
 		"every charged read on the file engine is byte-verified against the in-memory image: a torn or corrupt block panics at the exact transfer that broke")
 	return t, nil
-}
-
-// BackendBenchResult is the machine-readable differential record written by
-// joinbench -backendjson (committed as BENCH_backend.json).
-type BackendBenchResult struct {
-	M, B, Scale int
-	Seed        int64
-	// SyncDevice records which device path the file arms ran: true is the
-	// synchronous inline path, false the asynchronous pipeline.
-	SyncDevice bool
-	Workloads  []BackendBenchRow
-}
-
-// BackendBenchRow reports one workload's sim-vs-file differential outcome.
-type BackendBenchRow struct {
-	Name           string
-	Rows           int64
-	IOs            int64 // full charged I/Os (identical across backends)
-	XferReads      int64 // performed transfers at the seam
-	XferWrites     int64
-	ReplayedReads  int64 // memo-replay transfers at the seam
-	ReplayedWrites int64
-	ReadCalls      int64 // file engine syscalls
-	WriteCalls     int64
-	CacheHits      int64
-	Prefetched     int64
-	PrefetchHits   int64 // prefetched frames a demand read found still cached
-	PrefetchWasted int64 // prefetched frames evicted or overwritten untouched
-	Evictions      int64
-	VerifiedCells  int64
-	// Async-pipeline telemetry (zero on the synchronous device path); these
-	// four are timing-dependent and live only here, never in the
-	// deterministic experiment tables.
-	OverlappedWrites  int64
-	FlushQueueHiWater int64
-	PrefetchInFlight  int64
-	DemandWaits       int64
-	Parity            bool // stats == transfers on both backends; engine billed == performed
-	Identical         bool // rows, policy, exec stats, full stats, ledger bit-identical
-	WallNanosSim      int64
-	WallNanosFile     int64
-	Slowdown          float64 // file wall / sim wall
-}
-
-// BackendBench runs the E27 differential on every memo workload and returns
-// the machine-readable record, wall-clock included. Wall clocks are
-// best-of-3 per arm (the GreedyBench convention): the runs are deterministic,
-// so repetitions change nothing but scheduler noise, and every repetition
-// still passes the full differential contract.
-func BackendBench(p Params) (*BackendBenchResult, error) {
-	p = p.WithDefaults()
-	res := &BackendBenchResult{M: p.M, B: p.B, Scale: p.Scale, Seed: p.Seed,
-		SyncDevice: p.SyncDevice || diskfile.SyncFromEnv()}
-	const reps = 3
-	for w := range memoWorkloads {
-		name := memoWorkloads[w].name
-		var sim, file *backendRun
-		var cmpErr error
-		for i := 0; i < reps; i++ {
-			s, err := backendArm(p, w, "sim", 0)
-			if err != nil {
-				return nil, err
-			}
-			f, err := backendArm(p, w, "file", 0)
-			if err != nil {
-				return nil, err
-			}
-			if err := compareBackendRuns(name, s, f); err != nil {
-				cmpErr = err
-			}
-			if sim == nil || s.wall < sim.wall {
-				sim = s
-			}
-			if file == nil || f.wall < file.wall {
-				file = f
-			}
-		}
-		row := BackendBenchRow{
-			Name: name, Rows: file.rows, IOs: file.full.IOs(),
-			XferReads: file.xfer.Reads, XferWrites: file.xfer.Writes,
-			ReplayedReads: file.xfer.ReplayedReads, ReplayedWrites: file.xfer.ReplayedWrites,
-			ReadCalls: file.dev.ReadCalls, WriteCalls: file.dev.WriteCalls,
-			CacheHits: file.dev.CacheHits, Prefetched: file.dev.Prefetched,
-			PrefetchHits: file.dev.PrefetchHits, PrefetchWasted: file.dev.PrefetchWasted,
-			Evictions:         file.dev.Evictions,
-			VerifiedCells:     file.dev.VerifiedCells,
-			OverlappedWrites:  file.dev.OverlappedWrites,
-			FlushQueueHiWater: file.dev.FlushQueueHiWater,
-			PrefetchInFlight:  file.dev.PrefetchInFlight,
-			DemandWaits:       file.dev.DemandWaits,
-			Parity:            cmpErr == nil,
-			Identical:         cmpErr == nil,
-			WallNanosSim:      sim.wall.Nanoseconds(),
-			WallNanosFile:     file.wall.Nanoseconds(),
-		}
-		if sim.wall > 0 {
-			row.Slowdown = float64(file.wall) / float64(sim.wall)
-		}
-		if cmpErr != nil {
-			return nil, cmpErr
-		}
-		res.Workloads = append(res.Workloads, row)
-	}
-	return res, nil
 }

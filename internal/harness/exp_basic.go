@@ -18,7 +18,7 @@ import (
 
 func newDisk(p Params) *extmem.Disk {
 	d := newBackendDisk(p, extmem.Config{M: p.M, B: p.B})
-	if !p.NoMemo && !p.NoSortCache {
+	if !p.NoMemo {
 		opcache.Enable(d)
 	}
 	return d

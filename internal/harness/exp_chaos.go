@@ -129,67 +129,3 @@ func runE26(p Params) (*Table, error) {
 		"permanent and cancel arms abort with typed errors at the next charged I/O; the child-disk registry is asserted empty on every path")
 	return t, nil
 }
-
-// ChaosBenchResult is the machine-readable chaos record written by
-// joinbench -chaosjson (committed as BENCH_chaos.json).
-type ChaosBenchResult struct {
-	M, B, Scale int
-	Seed        int64
-	Workloads   []ChaosBenchRow
-}
-
-// ChaosBenchRow reports one workload × rate × workers chaos arm.
-type ChaosBenchRow struct {
-	Name            string
-	Rate            float64
-	Workers         int
-	Rows            int64
-	ExecIOs         int64
-	Identical       bool  // rows+order, exec stats, policy match fault-free
-	Transient       int64 // sequential arms only; 0 under workers
-	BoundaryRetries int64
-	RetryIOs        int64
-	BackoffIOs      int64
-}
-
-// ChaosBench runs the E26 transient sweep and returns the machine-readable
-// record. All simulated figures are deterministic; the telemetry columns
-// are recorded only for the sequential arms (see runE26).
-func ChaosBench(p Params) (*ChaosBenchResult, error) {
-	p = p.WithDefaults()
-	res := &ChaosBenchResult{M: p.M, B: p.B, Scale: p.Scale, Seed: p.Seed}
-	nw := 2
-	if nw > len(memoWorkloads) {
-		nw = len(memoWorkloads)
-	}
-	for w := 0; w < nw; w++ {
-		base, baseHash, baseRows, _, err := chaosArm(p, w, nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, rate := range chaosRates {
-			for _, par := range chaosWorkers {
-				plan := &extmem.FaultPlan{Seed: p.Seed + 101, TransientRate: rate, MaxAttempts: 1 << 20}
-				r, hash, rows, fs, err := chaosArm(p, w, plan, par)
-				if err != nil {
-					return nil, err
-				}
-				row := ChaosBenchRow{
-					Name: memoWorkloads[w].name, Rate: rate, Workers: par,
-					Rows: rows, ExecIOs: r.ExecStats.IOs(),
-					Identical: rows == baseRows && hash == baseHash &&
-						r.ExecStats == base.ExecStats &&
-						fmt.Sprint(r.Policy) == fmt.Sprint(base.Policy),
-				}
-				if par == 0 {
-					row.Transient = fs.Transient
-					row.BoundaryRetries = fs.BoundaryRetries
-					row.RetryIOs = fs.RetryReads + fs.RetryWrites
-					row.BackoffIOs = fs.BackoffIOs
-				}
-				res.Workloads = append(res.Workloads, row)
-			}
-		}
-	}
-	return res, nil
-}

@@ -8,7 +8,6 @@ import (
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/extmem/faultbackend"
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/opcache"
@@ -44,27 +43,13 @@ var devChaosRates = []float64{0.02, 0.05, 0.2}
 // closed and the child-disk registry asserted empty on every path.
 func devChaosArm(p Params, w int, plan *extmem.DeviceFaultPlan, syncDev bool) (*core.Result, uint64, int64, extmem.FaultStats, error) {
 	cfg := extmem.Config{M: p.M, B: p.B}
-	var d *extmem.Disk
-	if plan != nil {
-		b, err := faultbackend.Open(p.DataDir, cfg, syncDev, *plan)
-		if err != nil {
-			return nil, 0, 0, extmem.FaultStats{}, fmt.Errorf("device chaos arm: open: %w", err)
-		}
-		defer b.Close()
-		d = extmem.NewDiskWithBackend(cfg, b)
-	} else {
-		open := diskfile.Open
-		if syncDev {
-			open = diskfile.OpenSync
-		}
-		eng, err := open(p.DataDir, cfg)
-		if err != nil {
-			return nil, 0, 0, extmem.FaultStats{}, fmt.Errorf("device chaos arm: open: %w", err)
-		}
-		defer eng.Close()
-		d = extmem.NewDiskWithBackend(cfg, eng)
+	b, err := faultbackend.OpenBackend(p.DataDir, cfg, syncDev, plan)
+	if err != nil {
+		return nil, 0, 0, extmem.FaultStats{}, fmt.Errorf("device chaos arm: open: %w", err)
 	}
-	if !p.NoMemo && !p.NoSortCache {
+	defer b.Close()
+	d := extmem.NewDiskWithBackend(cfg, b)
+	if !p.NoMemo {
 		opcache.Enable(d)
 	}
 	rng := rand.New(rand.NewSource(p.Seed + int64(w)))
@@ -179,77 +164,4 @@ func runE30(p Params) (*Table, error) {
 		"telemetry columns print only on sync-device arms; the async pipeline's syscall interleaving makes the injection split timing-dependent",
 		"ENOSPC and dead-device arms abort with typed errors (ErrNoSpace, ErrDevice), engines closed, child-disk registry empty on every path")
 	return t, nil
-}
-
-// DevChaosBenchResult is the machine-readable device-chaos record written by
-// joinbench -devchaosjson (committed as BENCH_devchaos.json).
-type DevChaosBenchResult struct {
-	M, B, Scale int
-	Seed        int64
-	Workloads   []DevChaosBenchRow
-}
-
-// DevChaosBenchRow reports one workload × rate × device-mode chaos arm.
-type DevChaosBenchRow struct {
-	Name      string
-	Rate      float64
-	TornRate  float64
-	Mode      string // "sync" or "async"
-	Rows      int64
-	ExecIOs   int64
-	Identical bool // rows+order, exec stats, policy match the fault-free file run
-	// Injection/recovery telemetry; recorded only for sync arms (the async
-	// pipeline's syscall interleaving is timing-dependent).
-	InjectedReads, InjectedWrites int64
-	TornWrites, Repairs           int64
-	Retries, BackoffIOs           int64
-}
-
-// DevChaosBench runs the E30 transient/torn sweep and returns the
-// machine-readable record. All simulated figures are deterministic; the
-// telemetry columns are recorded only for the sync-device arms (see runE30).
-func DevChaosBench(p Params) (*DevChaosBenchResult, error) {
-	p = p.WithDefaults()
-	res := &DevChaosBenchResult{M: p.M, B: p.B, Scale: p.Scale, Seed: p.Seed}
-	nw := 2
-	if nw > len(memoWorkloads) {
-		nw = len(memoWorkloads)
-	}
-	for w := 0; w < nw; w++ {
-		base, baseHash, baseRows, _, err := devChaosArm(p, w, nil, true)
-		if err != nil {
-			return nil, err
-		}
-		for _, rate := range devChaosRates {
-			for _, syncDev := range []bool{true, false} {
-				mode := "async"
-				if syncDev {
-					mode = "sync"
-				}
-				plan := &extmem.DeviceFaultPlan{Seed: p.Seed + 211, Rate: rate, TornRate: rate / 2}
-				r, hash, rows, fs, err := devChaosArm(p, w, plan, syncDev)
-				if err != nil {
-					return nil, err
-				}
-				row := DevChaosBenchRow{
-					Name: memoWorkloads[w].name, Rate: rate, TornRate: rate / 2, Mode: mode,
-					Rows: rows, ExecIOs: r.ExecStats.IOs(),
-					Identical: rows == baseRows && hash == baseHash &&
-						r.ExecStats == base.ExecStats &&
-						fmt.Sprint(r.Policy) == fmt.Sprint(base.Policy),
-				}
-				if syncDev {
-					dev := fs.Device
-					row.InjectedReads = dev.InjectedReads
-					row.InjectedWrites = dev.InjectedWrites
-					row.TornWrites = dev.TornWrites
-					row.Repairs = dev.Repairs
-					row.Retries = dev.Retries
-					row.BackoffIOs = dev.BackoffIOs
-				}
-				res.Workloads = append(res.Workloads, row)
-			}
-		}
-	}
-	return res, nil
 }

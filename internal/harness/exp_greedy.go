@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"time"
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/tuple"
@@ -20,17 +19,15 @@ func init() {
 }
 
 // greedyArm is one strategy's measurement on a memo workload: the core
-// Result, the emitted row count, an order-insensitive fingerprint of the
-// emitted rows, and host wall-clock time. Rows are fingerprinted rather than
-// collected so the comparison stays O(1) memory at benchmark scale; the
-// fingerprint is a wrap-around sum of per-row FNV-1a hashes, which is
-// insensitive to emission order (the two strategies may interleave chunks
-// differently).
+// Result, the emitted row count, and an order-insensitive fingerprint of the
+// emitted rows. Rows are fingerprinted rather than collected so the
+// comparison stays O(1) memory at any scale; the fingerprint is a
+// wrap-around sum of per-row FNV-1a hashes, which is insensitive to emission
+// order (the two strategies may interleave chunks differently).
 type greedyArm struct {
 	res  *core.Result
 	rows int64
 	fp   uint64
-	wall time.Duration
 }
 
 // runGreedyArm runs one sequential evaluation of memo workload w under the
@@ -44,14 +41,12 @@ func runGreedyArm(p Params, w int, strategy core.Strategy) (greedyArm, error) {
 	restore()
 	d.ResetStats()
 	var arm greedyArm
-	start := time.Now()
 	r, err := core.Run(g, in, func(a tuple.Assignment) {
 		h := fnv.New64a()
 		h.Write([]byte(a.String()))
 		arm.fp += h.Sum64()
 		arm.rows++
 	}, core.Options{Strategy: strategy})
-	arm.wall = time.Since(start)
 	arm.res = r
 	return arm, err
 }
@@ -102,76 +97,4 @@ func runE28(p Params) (*Table, error) {
 		"quality = greedy-plan execution I/Os / exhaustive winner's execution I/Os (1.00 means greedy picked the optimal branch)",
 		"rows equal = emitted multisets match via order-insensitive per-row FNV fingerprint; a mismatch aborts with an error")
 	return t, nil
-}
-
-// GreedyBenchResult is the machine-readable greedy benchmark record written
-// by joinbench -greedyjson (committed as BENCH_greedy.json).
-type GreedyBenchResult struct {
-	M, B, Scale int
-	Seed        int64
-	Workloads   []GreedyBenchRow
-}
-
-// GreedyBenchRow reports one workload's greedy-vs-exhaustive measurement.
-type GreedyBenchRow struct {
-	Name                  string
-	WallNanosGreedy       int64
-	WallNanosExhaustive   int64
-	Speedup               float64 // exhaustive/greedy wall-clock ratio
-	Branches              int     // branches the exhaustive oracle explored
-	PlanningIOsGreedy     int64   // probe charges
-	PlanningIOsExhaustive int64   // dry-run sweep charges (pruned)
-	PlanningFraction      float64 // greedy / exhaustive planning I/Os
-	ExecIOsGreedy         int64
-	ExecIOsBest           int64   // the exhaustive winner's execution I/Os
-	QualityRatio          float64 // greedy exec / best exec (1.0 = optimal plan)
-	RowsEqual             bool    // emitted multisets match (fingerprint + count)
-}
-
-// GreedyBench runs the E28 workloads with host timing and returns the
-// machine-readable record. Wall-clock numbers are best-of-3 per arm; all
-// simulated figures are deterministic (sequential arms).
-func GreedyBench(p Params) (*GreedyBenchResult, error) {
-	p = p.WithDefaults()
-	res := &GreedyBenchResult{M: p.M, B: p.B, Scale: p.Scale, Seed: p.Seed}
-	for w := range memoWorkloads {
-		row := GreedyBenchRow{Name: memoWorkloads[w].name}
-		var gr, ex greedyArm
-		for rep := 0; rep < 3; rep++ {
-			a, err := runGreedyArm(p, w, core.StrategyGreedy)
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || a.wall.Nanoseconds() < row.WallNanosGreedy {
-				row.WallNanosGreedy = a.wall.Nanoseconds()
-			}
-			gr = a
-
-			a, err = runGreedyArm(p, w, core.StrategyExhaustive)
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || a.wall.Nanoseconds() < row.WallNanosExhaustive {
-				row.WallNanosExhaustive = a.wall.Nanoseconds()
-			}
-			ex = a
-		}
-		row.Branches = ex.res.Branches
-		row.PlanningIOsGreedy = planningIOs(gr.res)
-		row.PlanningIOsExhaustive = planningIOs(ex.res)
-		if row.PlanningIOsExhaustive > 0 {
-			row.PlanningFraction = float64(row.PlanningIOsGreedy) / float64(row.PlanningIOsExhaustive)
-		}
-		row.ExecIOsGreedy = gr.res.ExecStats.IOs()
-		row.ExecIOsBest = ex.res.ExecStats.IOs()
-		if row.ExecIOsBest > 0 {
-			row.QualityRatio = float64(row.ExecIOsGreedy) / float64(row.ExecIOsBest)
-		}
-		row.RowsEqual = gr.rows == ex.rows && gr.fp == ex.fp
-		if row.WallNanosGreedy > 0 {
-			row.Speedup = float64(row.WallNanosExhaustive) / float64(row.WallNanosGreedy)
-		}
-		res.Workloads = append(res.Workloads, row)
-	}
-	return res, nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
@@ -56,9 +55,9 @@ type memoArm struct {
 }
 
 // runMemoArm runs one exhaustive-strategy evaluation of memo workload w
-// under the given arm, returning the run's I/O stats, result count, memo
-// counters, and host wall-clock time.
-func runMemoArm(p Params, w int, arm memoArm) (extmem.Stats, int64, opcache.Stats, time.Duration, error) {
+// under the given arm, returning the run's I/O stats, result count, and memo
+// counters.
+func runMemoArm(p Params, w int, arm memoArm) (extmem.Stats, int64, opcache.Stats, error) {
 	ap := p
 	ap.NoMemo = arm.mode == core.MemoOff
 	d := newBackendDisk(ap, extmem.Config{M: ap.M, B: ap.B})
@@ -71,7 +70,6 @@ func runMemoArm(p Params, w int, arm memoArm) (extmem.Stats, int64, opcache.Stat
 	restore()
 	d.ResetStats()
 	var n int64
-	start := time.Now()
 	_, err := core.Run(g, in, countEmit(&n), core.Options{
 		Strategy:    core.StrategyExhaustive,
 		Parallelism: arm.parallelism,
@@ -82,12 +80,11 @@ func runMemoArm(p Params, w int, arm memoArm) (extmem.Stats, int64, opcache.Stat
 		// its parallel arm) stays exact.
 		NoPrune: true,
 	})
-	elapsed := time.Since(start)
 	var cs opcache.Stats
 	if m := opcache.Of(d); m != nil {
 		cs = m.Stats()
 	}
-	return d.Stats(), n, cs, elapsed, err
+	return d.Stats(), n, cs, err
 }
 
 // e24BoundedLimits is the deliberately tight budget of E24's bounded arm:
@@ -111,13 +108,13 @@ func runE24(p Params) (*Table, error) {
 		{"parallel", memoArm{mode: core.MemoOn, parallelism: 4}},
 	}
 	for w := range memoWorkloads {
-		ref, nRef, _, _, err := runMemoArm(p, w, memoArm{mode: core.MemoOff})
+		ref, nRef, _, err := runMemoArm(p, w, memoArm{mode: core.MemoOff})
 		if err != nil {
 			return nil, err
 		}
 		var onStats, boundedStats opcache.Stats
 		for _, a := range arms {
-			st, n, cs, _, err := runMemoArm(p, w, a.arm)
+			st, n, cs, err := runMemoArm(p, w, a.arm)
 			if err != nil {
 				return nil, fmt.Errorf("E24 %s arm %s: %w", memoWorkloads[w].name, a.name, err)
 			}
@@ -140,82 +137,4 @@ func runE24(p Params) (*Table, error) {
 		"bounded arm caps the memo at 4 entries (LRU): evictions cost recomputation only, never a counter",
 		"parallel arm explores 4 dry-run branches concurrently on child disks sharing one memo")
 	return t, nil
-}
-
-// OpMemoBenchResult is the machine-readable operator-memo benchmark record
-// written by joinbench -benchjson (committed as BENCH_opcache.json).
-type OpMemoBenchResult struct {
-	M, B, Scale int
-	Seed        int64
-	Workloads   []OpMemoBenchRow
-}
-
-// OpMemoBenchRow reports one workload's A/B measurement.
-type OpMemoBenchRow struct {
-	Name             string
-	WallNanosMemoOn  int64
-	WallNanosMemoOff int64
-	Speedup          float64 // off/on wall-clock ratio
-	IOs              int64   // identical in every arm by construction
-	IOsPerResult     float64
-	Results          int64
-	Identical        bool // simulated stats and result counts match exactly
-	Hits, Misses     int64
-	HitRate          float64
-	BytesReplayed    int64
-	BoundedEvictions int64 // evictions under the E24 bounded budget
-	BoundedIdentical bool
-}
-
-// OpMemoBench runs the E24 workloads with host timing and returns the
-// machine-readable record. Wall-clock numbers are best-of-3 per arm to damp
-// scheduler noise; all simulated figures are deterministic.
-func OpMemoBench(p Params) (*OpMemoBenchResult, error) {
-	p = p.WithDefaults()
-	res := &OpMemoBenchResult{M: p.M, B: p.B, Scale: p.Scale, Seed: p.Seed}
-	for w := range memoWorkloads {
-		row := OpMemoBenchRow{Name: memoWorkloads[w].name}
-		var on, off extmem.Stats
-		var nOn, nOff int64
-		for rep := 0; rep < 3; rep++ {
-			st, n, cs, el, err := runMemoArm(p, w, memoArm{mode: core.MemoOn})
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || el.Nanoseconds() < row.WallNanosMemoOn {
-				row.WallNanosMemoOn = el.Nanoseconds()
-			}
-			on, nOn = st, n
-			row.Hits, row.Misses, row.BytesReplayed = cs.Hits, cs.Misses, cs.BytesReplayed
-
-			st, n, _, el, err = runMemoArm(p, w, memoArm{mode: core.MemoOff})
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || el.Nanoseconds() < row.WallNanosMemoOff {
-				row.WallNanosMemoOff = el.Nanoseconds()
-			}
-			off, nOff = st, n
-		}
-		bst, bn, bcs, _, err := runMemoArm(p, w, memoArm{mode: core.MemoOn, limits: e24BoundedLimits})
-		if err != nil {
-			return nil, err
-		}
-		row.IOs = on.IOs()
-		row.Results = nOn
-		if nOn > 0 {
-			row.IOsPerResult = float64(on.IOs()) / float64(nOn)
-		}
-		row.Identical = on == off && nOn == nOff
-		row.BoundedEvictions = bcs.Evictions
-		row.BoundedIdentical = bst == off && bn == nOff
-		if row.WallNanosMemoOn > 0 {
-			row.Speedup = float64(row.WallNanosMemoOff) / float64(row.WallNanosMemoOn)
-		}
-		if lk := row.Hits + row.Misses; lk > 0 {
-			row.HitRate = float64(row.Hits) / float64(lk)
-		}
-		res.Workloads = append(res.Workloads, row)
-	}
-	return res, nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
@@ -20,10 +19,10 @@ func init() {
 
 // runPruneArm runs one sequential exhaustive evaluation of memo workload w
 // with pruning on or off, returning the core Result, the run's I/O delta,
-// the result count, and host wall-clock time. Sequential on purpose: both
-// arms are then fully deterministic, so the E25 table reproduces byte for
-// byte at any harness parallelism.
-func runPruneArm(p Params, w int, noPrune bool) (*core.Result, extmem.Stats, int64, time.Duration, error) {
+// and the result count. Sequential on purpose: both arms are then fully
+// deterministic, so the E25 table reproduces byte for byte at any harness
+// parallelism.
+func runPruneArm(p Params, w int, noPrune bool) (*core.Result, extmem.Stats, int64, error) {
 	d := newDisk(p)
 	rng := rand.New(rand.NewSource(p.Seed + int64(w)))
 	restore := d.Suspend()
@@ -31,13 +30,11 @@ func runPruneArm(p Params, w int, noPrune bool) (*core.Result, extmem.Stats, int
 	restore()
 	d.ResetStats()
 	var n int64
-	start := time.Now()
 	r, err := core.Run(g, in, countEmit(&n), core.Options{
 		Strategy: core.StrategyExhaustive,
 		NoPrune:  noPrune,
 	})
-	elapsed := time.Since(start)
-	return r, d.Stats(), n, elapsed, err
+	return r, d.Stats(), n, err
 }
 
 func runE25(p Params) (*Table, error) {
@@ -48,11 +45,11 @@ func runE25(p Params) (*Table, error) {
 			"planning IOs (full)", "saved %", "winner pinned"},
 	}
 	for w := range memoWorkloads {
-		pr, prStats, nPr, _, err := runPruneArm(p, w, false)
+		pr, prStats, nPr, err := runPruneArm(p, w, false)
 		if err != nil {
 			return nil, err
 		}
-		full, fullStats, nFull, _, err := runPruneArm(p, w, true)
+		full, fullStats, nFull, err := runPruneArm(p, w, true)
 		if err != nil {
 			return nil, err
 		}
@@ -78,75 +75,4 @@ func runE25(p Params) (*Table, error) {
 		"winner pinned = emitted rows, execution I/Os, and the winning policy match the unpruned run exactly (checked, not assumed)",
 		"saved % understates at test scale: branch costs cluster, so aborts come late; the gap widens with branch count and skew")
 	return t, nil
-}
-
-// PruneBenchResult is the machine-readable pruning benchmark record written
-// by joinbench -prunejson (committed as BENCH_prune.json).
-type PruneBenchResult struct {
-	M, B, Scale int
-	Seed        int64
-	Workloads   []PruneBenchRow
-}
-
-// PruneBenchRow reports one workload's pruned-vs-unpruned measurement.
-type PruneBenchRow struct {
-	Name                string
-	WallNanosPruned     int64
-	WallNanosUnpruned   int64
-	Speedup             float64 // unpruned/pruned wall-clock ratio
-	Branches            int
-	BranchesPruned      int
-	ExecIOs             int64
-	PlanningIOsPruned   int64
-	PlanningIOsUnpruned int64
-	SavedIOsFraction    float64 // (unpruned - pruned) / unpruned planning I/Os
-	WinnerPinned        bool    // rows, exec stats, and policy match the unpruned run
-}
-
-// PruneBench runs the E25 workloads with host timing and returns the
-// machine-readable record. Wall-clock numbers are best-of-3 per arm; all
-// simulated figures are deterministic (sequential arms).
-func PruneBench(p Params) (*PruneBenchResult, error) {
-	p = p.WithDefaults()
-	res := &PruneBenchResult{M: p.M, B: p.B, Scale: p.Scale, Seed: p.Seed}
-	for w := range memoWorkloads {
-		row := PruneBenchRow{Name: memoWorkloads[w].name}
-		var pr, full *core.Result
-		var prStats, fullStats extmem.Stats
-		var nPr, nFull int64
-		for rep := 0; rep < 3; rep++ {
-			r, st, n, el, err := runPruneArm(p, w, false)
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || el.Nanoseconds() < row.WallNanosPruned {
-				row.WallNanosPruned = el.Nanoseconds()
-			}
-			pr, prStats, nPr = r, st, n
-
-			r, st, n, el, err = runPruneArm(p, w, true)
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || el.Nanoseconds() < row.WallNanosUnpruned {
-				row.WallNanosUnpruned = el.Nanoseconds()
-			}
-			full, fullStats, nFull = r, st, n
-		}
-		row.Branches = pr.Branches
-		row.BranchesPruned = pr.Prune.Pruned
-		row.ExecIOs = pr.ExecStats.IOs()
-		row.PlanningIOsPruned = prStats.IOs()
-		row.PlanningIOsUnpruned = fullStats.IOs()
-		if fullStats.IOs() > 0 {
-			row.SavedIOsFraction = float64(fullStats.IOs()-prStats.IOs()) / float64(fullStats.IOs())
-		}
-		row.WinnerPinned = nPr == nFull && pr.ExecStats == full.ExecStats &&
-			fmt.Sprint(pr.Policy) == fmt.Sprint(full.Policy)
-		if row.WallNanosPruned > 0 {
-			row.Speedup = float64(row.WallNanosUnpruned) / float64(row.WallNanosPruned)
-		}
-		res.Workloads = append(res.Workloads, row)
-	}
-	return res, nil
 }

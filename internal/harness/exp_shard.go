@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"time"
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
@@ -24,7 +23,7 @@ func init() {
 	})
 }
 
-// shardWorkload is one E29/ShardBench input family. Every generator is
+// shardWorkload is one E29 input family. Every generator is
 // deterministic in (Params, seed), so the table reproduces byte for byte.
 type shardWorkload struct {
 	name string
@@ -64,7 +63,6 @@ type shardArm struct {
 	res  *shard.Result
 	rows int64
 	fp   uint64
-	wall time.Duration
 }
 
 func runShardArm(p Params, wl shardWorkload, seed int64, shards int, noSplit bool) (shardArm, error) {
@@ -75,14 +73,12 @@ func runShardArm(p Params, wl shardWorkload, seed int64, shards int, noSplit boo
 	restore()
 	d.ResetStats()
 	var arm shardArm
-	start := time.Now()
 	r, err := shard.Run(g, in, func(a tuple.Assignment) {
 		h := fnv.New64a()
 		h.Write([]byte(a.String()))
 		arm.fp += h.Sum64()
 		arm.rows++
 	}, shard.Options{Shards: shards, Core: core.Options{Strategy: core.StrategySmallest}, NoHeavySplit: noSplit})
-	arm.wall = time.Since(start)
 	arm.res = r
 	return arm, err
 }
@@ -97,14 +93,12 @@ func runShardBase(p Params, wl shardWorkload, seed int64) (shardArm, error) {
 	restore()
 	d.ResetStats()
 	var arm shardArm
-	start := time.Now()
 	_, err := core.Run(g, in, func(a tuple.Assignment) {
 		h := fnv.New64a()
 		h.Write([]byte(a.String()))
 		arm.fp += h.Sum64()
 		arm.rows++
 	}, core.Options{Strategy: core.StrategySmallest})
-	arm.wall = time.Since(start)
 	return arm, err
 }
 
@@ -156,122 +150,4 @@ func runE29(p Params) (*Table, error) {
 		"compute max/bound = slowest server's charged block I/Os over the perfect p-way split of the actually performed work",
 		"identical = emitted multiset matches the unsharded run via order-insensitive per-row FNV fingerprint; a mismatch aborts with an error")
 	return t, nil
-}
-
-// ShardBenchResult is the machine-readable sharding benchmark written by
-// joinbench -shardjson (committed as BENCH_shards.json).
-type ShardBenchResult struct {
-	M, B, Scale int
-	Seed        int64
-	Backend     string
-	Workloads   []ShardBenchRow
-}
-
-// ShardBenchRow reports one (workload, shard count) measurement.
-type ShardBenchRow struct {
-	Name          string
-	Shards        int
-	Rows          int64   // join results emitted
-	InputTuples   int64   // N
-	MaxLoad       int64   // distribute-round maximum per-server load
-	Bound         int64   // instance-optimal ceil(N/p)
-	LoadRatio     float64 // MaxLoad / Bound
-	Replication   float64 // tuples received across servers / N
-	HeavyValues   int     // join values split by the heavy-hitter machinery
-	ComputeIOs    int64   // total charged block I/Os across servers (incl. distribution)
-	WallNanos     int64   // best-of-3 sharded wall clock
-	WallNanosBase int64   // best-of-3 unsharded (core.Run) wall clock
-	Speedup       float64 // base / sharded
-	Identical     bool    // fingerprint + count match the unsharded run
-}
-
-// shardBenchWorkloads are benchmark-scale inputs (relations well past M) where
-// per-server fragments drop whole external-sort merge passes, so sharding
-// wins wall-clock on one core; ShardBench runs them on Params.Backend — the
-// committed BENCH_shards.json uses the file backend, where every charged
-// transfer is physically performed.
-var shardBenchWorkloads = []shardWorkload{
-	{"L2 uniform n=16*M*scale", func(p Params, d *extmem.Disk, rng *rand.Rand) (*hypergraph.Graph, relation.Instance) {
-		n := p.M * 16 * p.Scale
-		g := hypergraph.Line(2)
-		return g, relation.Instance{
-			0: workload.UniformPairs(d, rng, 0, 1, n, n, n),
-			1: workload.UniformPairs(d, rng, 1, 2, n, n, n),
-		}
-	}},
-	{"flower6 uniform n=16*M*scale", func(p Params, d *extmem.Disk, rng *rand.Rand) (*hypergraph.Graph, relation.Instance) {
-		// Six relations R_i(0, i+1) all sharing join attribute 0, so every
-		// relation hash-shards (replication 1.0) and each server's six
-		// fragments sort with fewer external merge passes than the whole.
-		n := p.M * 16 * p.Scale
-		var edges []*hypergraph.Edge
-		in := relation.Instance{}
-		for i := 0; i < 6; i++ {
-			edges = append(edges, &hypergraph.Edge{ID: i, Name: fmt.Sprintf("R%d", i+1),
-				Attrs: []hypergraph.Attr{0, hypergraph.Attr(i + 1)}})
-		}
-		g := hypergraph.MustNew(edges)
-		for i := 0; i < 6; i++ {
-			in[i] = workload.UniformPairs(d, rng, 0, hypergraph.Attr(i+1), n, n, n)
-		}
-		return g, in
-	}},
-}
-
-var shardBenchCounts = []int{1, 2, 4, 8}
-
-// ShardBench measures the sharding experiment with host timing: per workload,
-// an unsharded baseline plus every shard count, best-of-3 wall clock, with
-// the load accounting and the order-insensitive result fingerprint. All
-// simulated figures are deterministic; only the wall-clock columns vary.
-func ShardBench(p Params) (*ShardBenchResult, error) {
-	p = p.WithDefaults()
-	res := &ShardBenchResult{M: p.M, B: p.B, Scale: p.Scale, Seed: p.Seed, Backend: p.Backend}
-	for w, wl := range shardBenchWorkloads {
-		var baseWall int64
-		var base shardArm
-		for rep := 0; rep < 3; rep++ {
-			a, err := runShardBase(p, wl, 100+int64(w))
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || a.wall.Nanoseconds() < baseWall {
-				baseWall = a.wall.Nanoseconds()
-			}
-			base = a
-		}
-		for _, shards := range shardBenchCounts {
-			row := ShardBenchRow{Name: wl.name, Shards: shards, WallNanosBase: baseWall}
-			var arm shardArm
-			for rep := 0; rep < 3; rep++ {
-				a, err := runShardArm(p, wl, 100+int64(w), shards, false)
-				if err != nil {
-					return nil, err
-				}
-				if rep == 0 || a.wall.Nanoseconds() < row.WallNanos {
-					row.WallNanos = a.wall.Nanoseconds()
-				}
-				arm = a
-			}
-			dist := arm.res.Load.Rounds[0]
-			row.Rows = arm.rows
-			row.InputTuples = arm.res.Load.InputTuples
-			row.MaxLoad = dist.Max()
-			row.Bound = dist.Bound
-			row.LoadRatio = dist.Ratio()
-			row.Replication = arm.res.Load.Replication
-			row.HeavyValues = arm.res.Load.HeavyValues
-			row.ComputeIOs = arm.res.TotalStats.IOs()
-			row.Identical = arm.rows == base.rows && arm.fp == base.fp
-			if !row.Identical {
-				return nil, fmt.Errorf("shard bench %s x%d: emitted %d rows (fp %x), unsharded %d (fp %x)",
-					row.Name, shards, arm.rows, arm.fp, base.rows, base.fp)
-			}
-			if row.WallNanos > 0 {
-				row.Speedup = float64(row.WallNanosBase) / float64(row.WallNanos)
-			}
-			res.Workloads = append(res.Workloads, row)
-		}
-	}
-	return res, nil
 }

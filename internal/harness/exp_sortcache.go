@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
@@ -42,9 +41,9 @@ var sortCacheWorkloads = []struct {
 }
 
 // runSortCacheArm runs one exhaustive-strategy evaluation of workload w with
-// the memo on or off, returning the run's I/O stats, result count, memo
-// counters, and host wall-clock time.
-func runSortCacheArm(p Params, w int, cached bool) (extmem.Stats, int64, opcache.Stats, time.Duration, error) {
+// the memo on or off, returning the run's I/O stats, result count, and memo
+// counters.
+func runSortCacheArm(p Params, w int, cached bool) (extmem.Stats, int64, opcache.Stats, error) {
 	arm := p
 	arm.NoMemo = !cached
 	d := newDisk(arm)
@@ -58,7 +57,6 @@ func runSortCacheArm(p Params, w int, cached bool) (extmem.Stats, int64, opcache
 		mode = core.MemoOff
 	}
 	var n int64
-	start := time.Now()
 	_, err := core.Run(g, in, countEmit(&n), core.Options{
 		Strategy: core.StrategyExhaustive,
 		Memo:     mode,
@@ -69,12 +67,11 @@ func runSortCacheArm(p Params, w int, cached bool) (extmem.Stats, int64, opcache
 		// either way). E25 covers the pruned side.
 		NoPrune: true,
 	})
-	elapsed := time.Since(start)
 	var cs opcache.Stats
 	if m := opcache.Of(d); m != nil {
 		cs = m.Stats()
 	}
-	return d.Stats(), n, cs, elapsed, err
+	return d.Stats(), n, cs, err
 }
 
 func runE23(p Params) (*Table, error) {
@@ -85,11 +82,11 @@ func runE23(p Params) (*Table, error) {
 			"hits", "misses", "KB replayed"},
 	}
 	for w := range sortCacheWorkloads {
-		on, nOn, cs, _, err := runSortCacheArm(p, w, true)
+		on, nOn, cs, err := runSortCacheArm(p, w, true)
 		if err != nil {
 			return nil, err
 		}
-		off, nOff, _, _, err := runSortCacheArm(p, w, false)
+		off, nOff, _, err := runSortCacheArm(p, w, false)
 		if err != nil {
 			return nil, err
 		}

@@ -31,11 +31,6 @@ type Params struct {
 	// charges exactly what the real operator would); the switch exists
 	// for A/B timing and for proving that claim (E23, E24).
 	NoMemo bool
-	// NoSortCache is the former name of NoMemo; either flag disables the
-	// memo.
-	//
-	// Deprecated: set NoMemo instead.
-	NoSortCache bool
 	// NoPrune disables branch-and-bound pruning of exhaustive-strategy dry
 	// runs in the experiments that honor it. Experiment tables report
 	// execution-cost figures that pruning provably does not change, so every

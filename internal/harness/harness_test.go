@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"acyclicjoin/internal/core"
-	"acyclicjoin/internal/opcache"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -178,25 +177,6 @@ func TestE28Thresholds(t *testing.T) {
 		if gr.rows != ex.rows || gr.fp != ex.fp {
 			t.Errorf("%s: rows diverge: %d (fp %x) vs %d (fp %x)",
 				memoWorkloads[w].name, gr.rows, gr.fp, ex.rows, ex.fp)
-		}
-	}
-}
-
-// NoSortCache is the deprecated alias of NoMemo: newDisk attaches the
-// operator memo only when BOTH are false (mirroring the core Options
-// resolution, where the memo is off when either field is off).
-func TestNoSortCacheAliasMatrix(t *testing.T) {
-	cases := []struct{ noMemo, noSortCache, want bool }{
-		{false, false, true},
-		{true, false, false},
-		{false, true, false},
-		{true, true, false},
-	}
-	for _, c := range cases {
-		d := newDisk(Params{M: 64, B: 8, NoMemo: c.noMemo, NoSortCache: c.noSortCache})
-		if got := opcache.Of(d) != nil; got != c.want {
-			t.Errorf("NoMemo=%v NoSortCache=%v: memo attached = %v, want %v",
-				c.noMemo, c.noSortCache, got, c.want)
 		}
 	}
 }

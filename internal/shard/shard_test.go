@@ -120,6 +120,18 @@ var testShapes = []struct {
 	{"star2", hypergraph.StarQuery(2), 80, 8},
 	{"star3", hypergraph.StarQuery(3), 50, 8},
 	{"lollipop4", hypergraph.Lollipop(4), 25, 10},
+	{"flower4", flower(4), 60, 15},
+}
+
+// flower builds k binary relations R_i(0, i+1) that all share join attribute
+// 0, so every relation hash-shards on it and none is broadcast.
+func flower(k int) *hypergraph.Graph {
+	var edges []*hypergraph.Edge
+	for i := 0; i < k; i++ {
+		edges = append(edges, &hypergraph.Edge{ID: i, Name: fmt.Sprintf("R%d", i+1),
+			Attrs: []hypergraph.Attr{0, hypergraph.Attr(i + 1)}})
+	}
+	return hypergraph.MustNew(edges)
 }
 
 // The tentpole differential: at every shard count the emitted row multiset is

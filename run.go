@@ -8,7 +8,6 @@ import (
 	"acyclicjoin/internal/cli"
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/extmem/faultbackend"
 	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/reducer"
@@ -115,12 +114,6 @@ type Options struct {
 	// later repeat; it never changes any simulated counter.
 	MemoMaxEntries int
 	MemoMaxTuples  int64
-	// SortCache is the former name of Memo, kept so existing callers keep
-	// compiling; the memo now covers all deterministic operators, not just
-	// sorts. The memo is off when EITHER field is set to off.
-	//
-	// Deprecated: set Memo instead.
-	SortCache SortCacheMode
 	// Backend selects the storage engine behind the simulated disk: "sim"
 	// (or empty — the default) counts block transfers in memory; "file" runs
 	// every charged transfer against a real os.File through an aligned block
@@ -194,25 +187,11 @@ type Options struct {
 // MemoMode switches the charge-replay operator memo; the zero value is on.
 type MemoMode = core.MemoMode
 
-// SortCacheMode is the former name of MemoMode.
-//
-// Deprecated: use MemoMode.
-type SortCacheMode = core.SortCacheMode
-
 const (
 	// MemoOn (the default) reuses recorded operator runs via charge replay.
 	MemoOn = core.MemoOn
 	// MemoOff runs every operator for real.
 	MemoOff = core.MemoOff
-
-	// SortCacheOn is the former name of MemoOn.
-	//
-	// Deprecated: use MemoOn.
-	SortCacheOn = core.SortCacheOn
-	// SortCacheOff is the former name of MemoOff.
-	//
-	// Deprecated: use MemoOff.
-	SortCacheOff = core.SortCacheOff
 )
 
 func (o Options) withDefaults() Options {
@@ -281,10 +260,6 @@ type Result struct {
 	// may miss on the same operator before either stores it). All zero
 	// when the memo is off.
 	Memo MemoStats
-	// SortCache mirrors Memo under its former name.
-	//
-	// Deprecated: read Memo instead.
-	SortCache SortCacheStats
 	// Faults reports fault-injection telemetry when Options.Faults was set:
 	// transient/permanent faults seen, inline and boundary retries, the I/O
 	// re-charged by retries, and the simulated backoff cost. All zero when
@@ -352,11 +327,6 @@ type GreedyDecision = core.GreedyDecision
 
 // GreedyScore is one candidate's scoring record within a GreedyDecision.
 type GreedyScore = core.GreedyScore
-
-// SortCacheStats is the former name of MemoStats.
-//
-// Deprecated: use MemoStats.
-type SortCacheStats = MemoStats
 
 // Run evaluates the join, calling emit (if non-nil) once per result. The
 // Row passed to emit is freshly allocated per call; for counting-only runs
@@ -478,7 +448,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 		}
 	}()
 	memoLimits := opcache.Limits{MaxEntries: opts.MemoMaxEntries, MaxTuples: opts.MemoMaxTuples}
-	if opts.Memo != MemoOff && opts.SortCache != SortCacheOff {
+	if opts.Memo != MemoOff {
 		// Attach before the reduction so its operator runs are recorded too.
 		opcache.EnableLimited(disk, memoLimits)
 	}
@@ -542,7 +512,6 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 		NoPrune:       opts.NoPrune,
 		Memo:          opts.Memo,
 		MemoLimits:    memoLimits,
-		SortCache:     opts.SortCache,
 	}
 	if shards > 1 {
 		r, serr := shard.Run(q.graph, work, coreEmit, shard.Options{Shards: shards, Core: copts})
@@ -608,7 +577,6 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 	res.Device = disk.DeviceStats()
 	if m := opcache.Of(disk); m != nil {
 		res.Memo = m.Stats()
-		res.SortCache = res.Memo
 	}
 	return res, nil
 }
@@ -620,22 +588,11 @@ func newBackendDisk(cfg extmem.Config, opts Options) (*extmem.Disk, func(), erro
 	case "sim":
 		return extmem.NewDisk(cfg), func() {}, nil
 	case "file":
-		if p := opts.DeviceFaults; p != nil && p.Enabled() {
-			b, err := faultbackend.Open(opts.DataDir, cfg, opts.SyncDevice || diskfile.SyncFromEnv(), *p)
-			if err != nil {
-				return nil, nil, fmt.Errorf("acyclicjoin: open file backend: %w", err)
-			}
-			return extmem.NewDiskWithBackend(cfg, b), func() { b.Close() }, nil
-		}
-		open := diskfile.Open // async unless ACYCLICJOIN_SYNC_DEVICE is set
-		if opts.SyncDevice {
-			open = diskfile.OpenSync
-		}
-		eng, err := open(opts.DataDir, cfg)
+		b, err := faultbackend.OpenBackend(opts.DataDir, cfg, opts.SyncDevice, opts.DeviceFaults)
 		if err != nil {
 			return nil, nil, fmt.Errorf("acyclicjoin: open file backend: %w", err)
 		}
-		return extmem.NewDiskWithBackend(cfg, eng), func() { eng.Close() }, nil
+		return extmem.NewDiskWithBackend(cfg, b), func() { b.Close() }, nil
 	default:
 		return nil, nil, fmt.Errorf("acyclicjoin: unknown backend %q (want \"sim\" or \"file\")", opts.Backend)
 	}
