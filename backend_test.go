@@ -54,12 +54,9 @@ func checkTransferParity(t *testing.T, label string, res *Result) {
 
 // TestDifferentialBackendsPublicAPI runs random acyclic queries through the
 // public API on the counting simulator and the os.File engine, across memo
-// modes, pruning modes, and worker counts. The rows (in emission order),
-// Count, the executed branch's Stats, and the plan must be bit-identical
-// across backends in every configuration; PlanningStats and the transfer
-// ledger are additionally bit-identical whenever they are deterministic
-// (pruning off or sequential — under pruning with workers the planning split
-// depends on timing on BOTH backends, so only per-run parity is checked).
+// and pruning modes. The rows (in emission order), Count, Stats,
+// PlanningStats, the transfer ledger, and the plan must be bit-identical
+// across backends in every configuration.
 func TestDifferentialBackendsPublicAPI(t *testing.T) {
 	configs := []struct {
 		name string
@@ -68,10 +65,7 @@ func TestDifferentialBackendsPublicAPI(t *testing.T) {
 		{"seq", Options{}},
 		{"seq-noprune", Options{NoPrune: true}},
 		{"seq-nomemo", Options{Memo: MemoOff}},
-		{"par2-noprune", Options{Parallelism: 2, NoPrune: true}},
-		{"par4-noprune", Options{Parallelism: 4, NoPrune: true}},
-		{"par4-pruned", Options{Parallelism: 4}},
-		{"par4-nomemo", Options{Parallelism: 4, NoPrune: true, Memo: MemoOff}},
+		{"seq-noprune-nomemo", Options{NoPrune: true, Memo: MemoOff}},
 	}
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
@@ -104,8 +98,7 @@ func TestDifferentialBackendsPublicAPI(t *testing.T) {
 				simRes.Plan != fileRes.Plan || simRes.Branches != fileRes.Branches {
 				t.Fatalf("%s: results diverge:\nsim  %+v\nfile %+v", label, simRes, fileRes)
 			}
-			deterministic := simOpts.NoPrune || simOpts.Parallelism == 0
-			if deterministic && (simRes.PlanningStats != fileRes.PlanningStats || simRes.Transfers != fileRes.Transfers) {
+			if simRes.PlanningStats != fileRes.PlanningStats || simRes.Transfers != fileRes.Transfers {
 				t.Fatalf("%s: planning accounting diverges:\nsim  planning %+v transfers %+v\nfile planning %+v transfers %+v",
 					label, simRes.PlanningStats, simRes.Transfers, fileRes.PlanningStats, fileRes.Transfers)
 			}

@@ -108,53 +108,6 @@ func BenchmarkPublicAPIRun(b *testing.B) {
 	b.ReportMetric(float64(ios), "ios/op")
 }
 
-// BenchmarkExhaustiveParallelism measures the public API's exhaustive
-// planner at several worker counts on a multi-branch L4 (line specialization
-// disabled so Algorithm 2's branch exploration is exercised). Runs with
-// NoPrune so PlanningStats is comparable across worker counts — under
-// pruning (the default elsewhere) parallel abort points depend on worker
-// timing. Results are identical at every setting; wall clock improves with
-// GOMAXPROCS.
-func BenchmarkExhaustiveParallelism(b *testing.B) {
-	q, err := NewQuery().
-		Relation("R1", "a", "b").
-		Relation("R2", "b", "c").
-		Relation("R3", "c", "d").
-		Relation("R4", "d", "e").
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	inst := q.NewInstance()
-	for i := 0; i < 3000; i++ {
-		for r := 1; r <= 4; r++ {
-			inst.MustAdd(fmt.Sprintf("R%d", r), rng.Intn(200), rng.Intn(200))
-		}
-	}
-	var refCount, refIOs int64 = -1, -1
-	for _, p := range []int{0, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := Count(q, inst, Options{
-					Memory: 512, Block: 32, NoLineSpecialization: true, Parallelism: p,
-					NoPrune: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if refCount < 0 {
-					refCount, refIOs = res.Count, res.PlanningStats.IOs
-				} else if res.Count != refCount || res.PlanningStats.IOs != refIOs {
-					b.Fatalf("P=%d diverged: count=%d ios=%d, want %d/%d",
-						p, res.Count, res.PlanningStats.IOs, refCount, refIOs)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStrategies compares the peeling strategies' execution I/O on one
 // fixed L4 instance (the planning overhead of exhaustive shows up in wall
 // time; its execution I/O matches the best deterministic branch).

@@ -32,8 +32,7 @@ func main() {
 		limit     = flag.Int("limit", 20, "max rows to print (0 = unlimited)")
 		strat     = flag.String("strategy", "", "peeling strategy: exhaustive|first|smallest|greedy; empty falls back to $ACYCLICJOIN_STRATEGY, then exhaustive")
 		explain   = flag.Bool("explain", false, "print the planning report (plan, branch counters, I/O split, greedy score rationale) to stderr after the run")
-		par       = flag.Int("parallel", 0, "concurrent dry-run branches for the exhaustive strategy (0 = sequential; results and the winning plan are identical at any setting)")
-		prune     = flag.Bool("prune", true, "abort dry-run branches once they exceed the best completed branch's cost; results and plan are unaffected, but the planning I/O read/write split can shift (pass -prune=false to pin the I/O line across -parallel settings)")
+		prune     = flag.Bool("prune", true, "abort dry-run branches once they exceed the best completed branch's cost; results and plan are unaffected, but planning I/O counts only the charges made before each abort (pass -prune=false for the full sum over branches)")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit); the partial telemetry gathered so far is printed")
 		faultRate = flag.Float64("faultrate", 0, "inject transient I/O faults at this per-I/O probability (deterministic per -faultseed); retries keep results and I/O figures bit-identical, retry cost is reported separately")
 		faultSeed = flag.Int64("faultseed", 1, "seed for the injected fault schedule")
@@ -78,7 +77,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loaded %s: %d distinct tuples\n", l.rel, inst.Size(l.rel))
 	}
 
-	opts := acyclicjoin.Options{Memory: *m, Block: *b, Parallelism: *par, NoPrune: !*prune,
+	opts := acyclicjoin.Options{Memory: *m, Block: *b, NoPrune: !*prune,
 		Backend: *backend, DataDir: *datadir, SyncDevice: *syncDev, Shards: *shards}
 	if *faultRate > 0 {
 		opts.Faults = &acyclicjoin.FaultPlan{Seed: *faultSeed, TransientRate: *faultRate}

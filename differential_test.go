@@ -107,7 +107,7 @@ func canonRow(q *Query, row Row) string {
 }
 
 // TestDifferentialAgainstGenericJoin cross-checks the public Run — every
-// strategy, plus the concurrent exhaustive path — against the independent
+// strategy, exhaustive with and without pruning — against the independent
 // GenericJoin oracle on ~100 random acyclic queries and instances. Counts
 // and the emitted row multisets must agree exactly.
 func TestDifferentialAgainstGenericJoin(t *testing.T) {
@@ -121,7 +121,6 @@ func TestDifferentialAgainstGenericJoin(t *testing.T) {
 		{"greedy", Options{Strategy: StrategyGreedy}},
 		{"exhaustive", Options{Strategy: StrategyExhaustive}},
 		{"exhaustive-noprune", Options{Strategy: StrategyExhaustive, NoPrune: true}},
-		{"exhaustive-par4", Options{Strategy: StrategyExhaustive, Parallelism: 4}},
 	}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -165,8 +164,8 @@ func TestDifferentialAgainstGenericJoin(t *testing.T) {
 }
 
 // TestCrossStrategyGreedyDifferential grades the greedy planner against the
-// exhaustive oracle on a randomized corpus, across exhaustive worker counts
-// and both storage backends: the emitted row multiset and Count must match
+// exhaustive oracle on a randomized corpus, across both storage backends:
+// the emitted row multiset and Count must match
 // exactly, greedy must report a single branch with zero chooser clamps, and
 // on every workload where the oracle actually explored alternatives its
 // planning overhead (PlanningStats beyond Stats) must be strictly above
@@ -199,37 +198,32 @@ func TestCrossStrategyGreedyDifferential(t *testing.T) {
 					t.Fatalf("trial %d: greedy clamped %d choices", trial, gr.ClampedChoices)
 				}
 				sort.Strings(gotG)
-				for _, workers := range []int{0, 2, 4} {
-					var gotE []string
-					ex, err := Run(q, inst, Options{Memory: 64, Block: 8, Strategy: StrategyExhaustive,
-						Parallelism: workers, Backend: backend, Shards: 1}, func(row Row) {
-						gotE = append(gotE, canonRow(q, row))
-					})
-					if err != nil {
-						t.Fatalf("trial %d exhaustive P=%d: %v", trial, workers, err)
+				var gotE []string
+				ex, err := Run(q, inst, Options{Memory: 64, Block: 8, Strategy: StrategyExhaustive,
+					Backend: backend, Shards: 1}, func(row Row) {
+					gotE = append(gotE, canonRow(q, row))
+				})
+				if err != nil {
+					t.Fatalf("trial %d exhaustive: %v", trial, err)
+				}
+				if gr.Count != ex.Count {
+					t.Fatalf("trial %d: greedy Count %d, exhaustive %d", trial, gr.Count, ex.Count)
+				}
+				sort.Strings(gotE)
+				if len(gotG) != len(gotE) {
+					t.Fatalf("trial %d: greedy %d rows, exhaustive %d", trial, len(gotG), len(gotE))
+				}
+				for i := range gotE {
+					if gotG[i] != gotE[i] {
+						t.Fatalf("trial %d: row %d = %q, exhaustive %q", trial, i, gotG[i], gotE[i])
 					}
-					if gr.Count != ex.Count {
-						t.Fatalf("trial %d P=%d: greedy Count %d, exhaustive %d",
-							trial, workers, gr.Count, ex.Count)
-					}
-					sort.Strings(gotE)
-					if len(gotG) != len(gotE) {
-						t.Fatalf("trial %d P=%d: greedy %d rows, exhaustive %d",
-							trial, workers, len(gotG), len(gotE))
-					}
-					for i := range gotE {
-						if gotG[i] != gotE[i] {
-							t.Fatalf("trial %d P=%d: row %d = %q, exhaustive %q",
-								trial, workers, i, gotG[i], gotE[i])
-						}
-					}
-					if ex.Branches > 1 {
-						planG := gr.PlanningStats.IOs - gr.Stats.IOs
-						planE := ex.PlanningStats.IOs - ex.Stats.IOs
-						if planG >= planE {
-							t.Fatalf("trial %d P=%d: greedy planning %d I/Os not below exhaustive %d (%d branches)",
-								trial, workers, planG, planE, ex.Branches)
-						}
+				}
+				if ex.Branches > 1 {
+					planG := gr.PlanningStats.IOs - gr.Stats.IOs
+					planE := ex.PlanningStats.IOs - ex.Stats.IOs
+					if planG >= planE {
+						t.Fatalf("trial %d: greedy planning %d I/Os not below exhaustive %d (%d branches)",
+							trial, planG, planE, ex.Branches)
 					}
 				}
 			}
@@ -247,14 +241,12 @@ func TestDifferentialCountOnly(t *testing.T) {
 		inst := q.NewInstance()
 		fillRandom(rng, q, inst, false)
 		want := oracleRows(t, q, inst)
-		for _, p := range []int{0, 4} {
-			res, err := Count(q, inst, Options{Memory: 64, Block: 8, Parallelism: p})
-			if err != nil {
-				t.Fatalf("trial %d P=%d: %v", trial, p, err)
-			}
-			if res.Count != int64(len(want)) {
-				t.Fatalf("trial %d P=%d: Count = %d, oracle = %d", trial, p, res.Count, len(want))
-			}
+		res, err := Count(q, inst, Options{Memory: 64, Block: 8})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if res.Count != int64(len(want)) {
+			t.Fatalf("trial %d: Count = %d, oracle = %d", trial, res.Count, len(want))
 		}
 	}
 }

@@ -95,16 +95,6 @@ type Options struct {
 	// neighbours are re-semijoined per chunk). Correct, but on skewed data
 	// it loses the factor the heavy-value restriction views save.
 	DisableHeavySplit bool
-	// Parallelism bounds how many dry-run branches StrategyExhaustive may
-	// explore concurrently, each on its own child disk (extmem.Disk.NewChild).
-	// Values <= 0 use the sequential odometer reference path; any value >= 1
-	// uses the worker-pool path with that many workers. With NoPrune set both
-	// paths produce bit-identical Results — see runExhaustiveParallel for why.
-	// Under pruning (the default) the pinned fields — Emitted, ExecStats,
-	// Policy — are still bit-identical at every setting, but TotalStats,
-	// Prune, and (via truncated discovery) Branches depend on worker timing.
-	// Ignored by the other strategies, which explore a single branch.
-	Parallelism int
 	// NoPrune disables branch-and-bound pruning of dry-run branches under
 	// StrategyExhaustive. With pruning on (the default), a dry run is aborted
 	// the moment its charged I/O reaches the best completed branch's cost:
@@ -114,8 +104,8 @@ type Options struct {
 	// What pruning does change is TotalStats, which then counts only the
 	// charges made before each abort instead of the paper's full "Σ branches"
 	// round-robin accounting. Set NoPrune to restore the paper's TotalStats
-	// semantics — and fully deterministic TotalStats/Prune/Branches under
-	// Parallelism >= 1.
+	// semantics. Either way the whole Result is deterministic: branches run
+	// one after another in odometer order.
 	NoPrune bool
 	// Memo controls the charge-replay operator memo (internal/opcache)
 	// attached to the instance's disk. On (the default), identical operator
@@ -123,7 +113,7 @@ type Options struct {
 	// same way on every dry-run branch — are answered by replaying recorded
 	// charge tapes instead of redoing the work. Every simulated counter stays
 	// bit-identical to an unmemoized run; only host time changes. Child disks
-	// share the parent's memo, so branches explored in parallel benefit too.
+	// share the parent's memo.
 	Memo MemoMode
 	// MemoLimits bounds the memo (entry count and retained snapshot tuples);
 	// the zero value is unbounded. Eviction only costs recomputation on a
@@ -173,10 +163,8 @@ type Result struct {
 	// winning branch peeled. Diagnostic.
 	Policy map[string]int
 	// Prune reports branch-and-bound telemetry for the exhaustive strategy
-	// (Started equals Branches; Pruned is zero under Options.NoPrune). On the
-	// sequential path the split is deterministic; under Parallelism >= 1 the
-	// Pruned/Completed split and ChargedBeforeAbort depend on worker timing
-	// and vary run to run.
+	// (Started equals Branches; Pruned is zero under Options.NoPrune). Like
+	// the rest of the Result it is deterministic.
 	Prune PruneStats
 	// ClampedChoices counts chooser fallbacks: a recorded decision index met
 	// a subquery offering fewer peelable leaves than when the decision was
@@ -274,9 +262,6 @@ func runStrategy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Opti
 
 	if branchFree(g, opts.DisableHeavySplit) {
 		return runExhaustiveSingle(g, in, emit, opts, disk, res)
-	}
-	if opts.Parallelism >= 1 {
-		return runExhaustiveParallel(g, in, emit, opts, disk, res)
 	}
 	return runExhaustiveSeq(g, in, emit, opts, disk, res)
 }
@@ -433,9 +418,6 @@ func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts
 				best = &branchOutcome{cost: delta.IOs(), policy: odo.snapshot()}
 			}
 		}
-		if trailHook != nil {
-			trailHook(odo.trail())
-		}
 		if !odo.advance() {
 			break
 		}
@@ -447,16 +429,9 @@ func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts
 	return finishExhaustive(g, in, emit, opts, disk, res, grand, best.policy)
 }
 
-// trailHook, when non-nil, receives each explored branch's decision trail —
-// structure keys and chosen leaf indices in discovery order — in DFS
-// (odometer) order. Test-only instrumentation: the odometer property tests
-// use it to prove the parallel scheduler enumerates exactly the sequential
-// branch set.
-var trailHook func(keys []string, choices []int)
-
 // finishExhaustive re-runs the winning policy with emission on the shared
-// disk and assembles the Result; common tail of both exhaustive paths. The
-// wet re-run never carries a charge budget: the winner must execute in full.
+// disk and assembles the Result. The wet re-run never carries a charge
+// budget: the winner must execute in full.
 func finishExhaustive(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, grand extmem.Stats, fixed map[string]int) (*Result, error) {
 	ex := &executor{
 		emit:   emit,
@@ -547,16 +522,6 @@ func (o *odometer) choose(_ *hypergraph.Graph, key string, leaves []*hypergraph.
 	o.radix[key] = len(leaves)
 	o.order = append(o.order, key)
 	return 0
-}
-
-// trail returns the current branch's decision points in discovery order.
-func (o *odometer) trail() (keys []string, choices []int) {
-	keys = append([]string(nil), o.order...)
-	choices = make([]int, len(keys))
-	for i, k := range keys {
-		choices[i] = o.decisions[k]
-	}
-	return keys, choices
 }
 
 // advance bumps to the next policy; false when exhausted.

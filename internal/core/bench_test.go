@@ -86,18 +86,13 @@ func BenchmarkAcyclicJoinL5(b *testing.B) {
 	b.ReportMetric(float64(ios), "ios/op")
 }
 
-// BenchmarkExhaustiveBranches compares sequential and concurrent branch
-// exploration on a 16-branch L5 at harness Scale 4 (the line experiments use
-// 512*Scale rows per relation). All arms run with branch-and-bound pruning on
-// (the default), so /seq tracks the pruning speedup against the committed
-// baseline. Every sub-benchmark asserts the pinned pruning contract against
-// the sequential reference: emitted rows, execution stats, and the winning
-// policy are bit-identical; only wall-clock time, the prune telemetry, and
-// the planning-phase read/write split may differ (see prune_test.go).
-// The dry runs are CPU-bound, so the speedup tracks GOMAXPROCS: on a single
-// core par* matches seq (showing the scheduler's overhead is in the noise),
-// on N >= 2 cores the par* variants win roughly min(N, wave width)-fold on
-// the planning portion.
+// BenchmarkExhaustiveBranches measures branch exploration on a 16-branch L5
+// at harness Scale 4 (the line experiments use 512*Scale rows per relation),
+// with the operator memo on (/seq) and off (/seq-nomemo). Both arms run with
+// branch-and-bound pruning on (the default), so /seq tracks the pruning
+// speedup against the committed baseline. Every sub-benchmark asserts the
+// pinned contract against the reference run: emitted rows, execution stats,
+// and the winning policy are bit-identical.
 func BenchmarkExhaustiveBranches(b *testing.B) {
 	mk := func() (*extmem.Disk, *Result) {
 		d := extmem.NewDisk(extmem.Config{M: 512, B: 32})
@@ -115,14 +110,10 @@ func BenchmarkExhaustiveBranches(b *testing.B) {
 	}
 	cases := []struct {
 		name string
-		par  int
 		memo MemoMode
 	}{
-		{"seq", 0, MemoOn},
-		{"seq-nomemo", 0, MemoOff},
-		{"par2", 2, MemoOn},
-		{"par4", 4, MemoOn},
-		{"par8", 8, MemoOn},
+		{"seq", MemoOn},
+		{"seq-nomemo", MemoOff},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -134,7 +125,7 @@ func BenchmarkExhaustiveBranches(b *testing.B) {
 			var pruned int
 			for i := 0; i < b.N; i++ {
 				r, err := Run(g, in, func(tuple.Assignment) {},
-					Options{Strategy: StrategyExhaustive, Parallelism: c.par, Memo: c.memo})
+					Options{Strategy: StrategyExhaustive, Memo: c.memo})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -132,9 +132,9 @@ func isSandwichCover(x []int) bool {
 //
 // The dispatcher itself commits to a single plan up front — it explores no
 // dry-run branches — but opts flows through to every nested Run call (the
-// PlanAcyclic route and the inner plans of chunked composites), so
-// Options.Parallelism still applies wherever Algorithm 2's exhaustive
-// strategy is reached from here.
+// PlanAcyclic route and the inner plans of chunked composites), so the
+// strategy, pruning and memo options still apply wherever Algorithm 2 is
+// reached from here, and its Result stays deterministic.
 func RunLine(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) (*LinePlan, error) {
 	order, ok := g.AsLine()
 	if !ok {

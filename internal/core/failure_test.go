@@ -18,9 +18,8 @@ import (
 
 // assertNoLeaks panics (failing the test loudly wherever it is called from)
 // if the run left child disks in the registry or grew the goroutine count.
-// Goroutines are given a grace window to drain: runWave joins its workers
-// before returning, but the runtime may briefly keep exited goroutines
-// visible to NumGoroutine.
+// Goroutines are given a grace window to drain: the runtime may briefly keep
+// exited goroutines visible to NumGoroutine.
 func assertNoLeaks(d *extmem.Disk, goroutinesBefore int, ctx string) {
 	if n := d.LiveChildren(); n != 0 {
 		panic(fmt.Sprintf("leak check (%s): %d child disks alive after run", ctx, n))
@@ -47,31 +46,28 @@ func failureBuilder(seed int64) builder {
 // TestTransientFaultsBitIdentical is the chaos contract at the core layer:
 // with every fault transient-and-retried, the Result, the emitted rows and
 // their order, and the final disk stats are bit-identical to the fault-free
-// run — at several fault rates and worker counts.
+// run — at several fault rates.
 func TestTransientFaultsBitIdentical(t *testing.T) {
 	build := failureBuilder(21)
-	wantRes, wantRows, wantDisk, err := engineRunOpts(build,
-		Options{Strategy: StrategyExhaustive, NoPrune: true})
+	opts := Options{Strategy: StrategyExhaustive, NoPrune: true}
+	wantRes, wantRows, wantDisk, err := engineRunOpts(build, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rate := range []float64{0.01, 0.05, 0.2} {
-		for _, par := range []int{0, 2, 4} {
-			plan := &extmem.FaultPlan{Seed: 7, TransientRate: rate, MaxAttempts: 100000}
-			gotRes, gotRows, gotDisk, err := engineRunFaults(build,
-				Options{Strategy: StrategyExhaustive, Parallelism: par, NoPrune: true}, plan)
-			if err != nil {
-				t.Fatalf("rate=%v P=%d: %v", rate, par, err)
-			}
-			if !reflect.DeepEqual(gotRes, wantRes) {
-				t.Errorf("rate=%v P=%d: Result = %+v, want %+v", rate, par, gotRes, wantRes)
-			}
-			if !reflect.DeepEqual(gotRows, wantRows) {
-				t.Errorf("rate=%v P=%d: emitted rows differ", rate, par)
-			}
-			if gotDisk != wantDisk {
-				t.Errorf("rate=%v P=%d: disk stats = %+v, want %+v", rate, par, gotDisk, wantDisk)
-			}
+		plan := &extmem.FaultPlan{Seed: 7, TransientRate: rate, MaxAttempts: 100000}
+		gotRes, gotRows, gotDisk, err := engineRunFaults(build, opts, plan)
+		if err != nil {
+			t.Fatalf("rate=%v: %v", rate, err)
+		}
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("rate=%v: Result = %+v, want %+v", rate, gotRes, wantRes)
+		}
+		if !reflect.DeepEqual(gotRows, wantRows) {
+			t.Errorf("rate=%v: emitted rows differ", rate)
+		}
+		if gotDisk != wantDisk {
+			t.Errorf("rate=%v: disk stats = %+v, want %+v", rate, gotDisk, wantDisk)
 		}
 	}
 }
@@ -98,35 +94,27 @@ func TestTransientFaultsPrunedPinnedFields(t *testing.T) {
 	}
 }
 
-// A permanent fault aborts the run with a typed *extmem.FaultError at every
-// worker count, with no leaked children (checked inside engineRunFaults).
+// A permanent fault aborts the run with a typed *extmem.FaultError, with no
+// leaked children (checked inside engineRunFaults).
 func TestPermanentFaultTypedError(t *testing.T) {
-	build := failureBuilder(23)
-	for _, par := range []int{0, 1, 4} {
-		plan := &extmem.FaultPlan{PermanentAt: 40}
-		_, _, _, err := engineRunFaults(build,
-			Options{Strategy: StrategyExhaustive, Parallelism: par}, plan)
-		var fe *extmem.FaultError
-		if !errors.As(err, &fe) {
-			t.Fatalf("P=%d: err = %v, want *extmem.FaultError", par, err)
-		}
-		if fe.Kind != extmem.FaultPermanent {
-			t.Errorf("P=%d: fault kind = %v, want permanent", par, fe.Kind)
-		}
+	plan := &extmem.FaultPlan{PermanentAt: 40}
+	_, _, _, err := engineRunFaults(failureBuilder(23), Options{Strategy: StrategyExhaustive}, plan)
+	var fe *extmem.FaultError
+	if !errors.As(err, &fe) {
+		t.Fatalf("err = %v, want *extmem.FaultError", err)
+	}
+	if fe.Kind != extmem.FaultPermanent {
+		t.Errorf("fault kind = %v, want permanent", fe.Kind)
 	}
 }
 
-// Cancellation mid-branch unwinds sequential and parallel exploration with
-// an error wrapping ErrCancelled and zero leaked children/goroutines.
+// Cancellation mid-branch unwinds exploration with an error wrapping
+// ErrCancelled and zero leaked children/goroutines.
 func TestCancelMidBranchUnwinds(t *testing.T) {
-	build := failureBuilder(24)
-	for _, par := range []int{0, 1, 4} {
-		plan := &extmem.FaultPlan{CancelAt: 60}
-		_, _, _, err := engineRunFaults(build,
-			Options{Strategy: StrategyExhaustive, Parallelism: par}, plan)
-		if !errors.Is(err, extmem.ErrCancelled) {
-			t.Fatalf("P=%d: err = %v, want ErrCancelled", par, err)
-		}
+	plan := &extmem.FaultPlan{CancelAt: 60}
+	_, _, _, err := engineRunFaults(failureBuilder(24), Options{Strategy: StrategyExhaustive}, plan)
+	if !errors.Is(err, extmem.ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
 }
 

@@ -17,19 +17,18 @@ import (
 
 // FuzzPruneOracle is the differential oracle for branch-and-bound pruning:
 // a fuzz-chosen acyclic query and instance run under the exhaustive strategy
-// with pruning on (at a fuzz-chosen worker count) must reproduce the
-// unpruned sequential run's pinned fields exactly — the emitted rows in
-// emission order, the winning branch's ExecStats, and the winning Policy.
-// Prune telemetry must stay internally consistent and the defensive chooser
-// clamp must never fire. TotalStats and the Prune split are deliberately
-// not compared: aborting dry runs changes what the planning phase charges
-// (that is the point), and under parallelism the split is timing-dependent.
+// with pruning on must reproduce the unpruned run's pinned fields exactly —
+// the emitted rows in emission order, the winning branch's ExecStats, and
+// the winning Policy. Prune telemetry must stay internally consistent and
+// the defensive chooser clamp must never fire. TotalStats and the Prune
+// split are deliberately not compared: aborting dry runs changes what the
+// planning phase charges (that is the point).
 func FuzzPruneOracle(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(0))
-	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(4))
-	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(2))
-	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(8))
-	f.Fuzz(func(t *testing.T, shape, size, rows, dom, par uint8) {
+	f.Add(uint8(0), uint8(3), uint8(20), uint8(1))
+	f.Add(uint8(1), uint8(2), uint8(25), uint8(2))
+	f.Add(uint8(2), uint8(1), uint8(12), uint8(0))
+	f.Add(uint8(3), uint8(0), uint8(30), uint8(1))
+	f.Fuzz(func(t *testing.T, shape, size, rows, dom uint8) {
 		var g *hypergraph.Graph
 		switch shape % 4 {
 		case 0:
@@ -47,8 +46,7 @@ func FuzzPruneOracle(f *testing.F) {
 		}
 		ref, refRows, _, refErr := engineRunOpts(build,
 			Options{Strategy: StrategyExhaustive, NoPrune: true})
-		pr, prRows, _, prErr := engineRunOpts(build,
-			Options{Strategy: StrategyExhaustive, Parallelism: int(par) % 5})
+		pr, prRows, _, prErr := engineRunOpts(build, Options{Strategy: StrategyExhaustive})
 		if (refErr == nil) != (prErr == nil) {
 			t.Fatalf("errors diverge: unpruned %v, pruned %v", refErr, prErr)
 		}
@@ -81,19 +79,19 @@ func FuzzPruneOracle(f *testing.F) {
 }
 
 // FuzzFaultOracle is the differential oracle for the failure model: a
-// fuzz-chosen acyclic query, instance, worker count, and memo mode run
-// under a fuzz-chosen transient fault schedule must either reproduce the
-// fault-free run's pinned fields exactly (rows in emission order,
-// ExecStats, Policy — every transient retried to bit-identity) or, when
-// the retry cap ends the run early, fail with a typed *FaultError. A
-// fuzz-chosen permanent fault must always fail typed. Child-disk and
-// goroutine leak checks run inside engineRunFaults on every arm.
+// fuzz-chosen acyclic query, instance, and memo mode run under a
+// fuzz-chosen transient fault schedule must either reproduce the fault-free
+// run's pinned fields exactly (rows in emission order, ExecStats, Policy —
+// every transient retried to bit-identity) or, when the retry cap ends the
+// run early, fail with a typed *FaultError. A fuzz-chosen permanent fault
+// must always fail typed. Child-disk and goroutine leak checks run inside
+// engineRunFaults on every arm.
 func FuzzFaultOracle(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(0), uint8(10), uint8(0), uint8(60))
-	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(4), uint8(40), uint8(1), uint8(0))
-	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(2), uint8(120), uint8(0), uint8(33))
-	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(8), uint8(200), uint8(1), uint8(90))
-	f.Fuzz(func(t *testing.T, shape, size, rows, dom, par, rate, memoOff, permAt uint8) {
+	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(10), uint8(0), uint8(60))
+	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(40), uint8(1), uint8(0))
+	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(120), uint8(0), uint8(33))
+	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(200), uint8(1), uint8(90))
+	f.Fuzz(func(t *testing.T, shape, size, rows, dom, rate, memoOff, permAt uint8) {
 		var g *hypergraph.Graph
 		switch shape % 4 {
 		case 0:
@@ -109,7 +107,7 @@ func FuzzFaultOracle(f *testing.F) {
 			rng := rand.New(rand.NewSource(int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)))
 			return g, randCoreInstance(d, rng, g, 5+int(rows)%28, 2+int(dom)%3)
 		}
-		opts := Options{Strategy: StrategyExhaustive, Parallelism: int(par) % 5}
+		opts := Options{Strategy: StrategyExhaustive}
 		if memoOff%2 == 1 {
 			opts.Memo = MemoOff
 		}
@@ -200,9 +198,8 @@ func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*R
 		panic(fmt.Sprintf("seam parity broken: stats %+v vs transfers %+v", st, xfer))
 	}
 	// Engine-vs-ledger reconciliation, meaningful only on clean completion:
-	// an aborted run discards the failed wave's child disks, whose ledger
-	// entries are dropped while the shared engine already billed their
-	// transfers. On a clean fault-free run the engine's billed counters equal
+	// an aborted run unwinds mid-operator, after the engine may already have
+	// billed transfers the ledger never settles. On a clean fault-free run the engine's billed counters equal
 	// the performed side of the ledger exactly. On a clean run WITH a fault
 	// plan, operator-boundary retries rewind the ledger (the attempt's
 	// charges move to the FaultStats side-channel) while the engine already
@@ -222,21 +219,21 @@ func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*R
 }
 
 // FuzzBackendOracle is the differential oracle for storage backends: a
-// fuzz-chosen acyclic query, instance, worker count, and memo mode evaluated
-// on the os.File-backed engine must reproduce the counting simulator's run
-// bit for bit — the emitted rows in emission order, the full Result stats,
-// the winning Policy, and the final disk Stats. Both arms run unpruned so
-// complete-Result identity is the contract (mirroring engineRun). The file
+// fuzz-chosen acyclic query, instance, and memo mode evaluated on the
+// os.File-backed engine must reproduce the counting simulator's run bit for
+// bit — the emitted rows in emission order, the full Result stats, the
+// winning Policy, and the final disk Stats. Both arms run unpruned so
+// complete-Result identity is the contract. The file
 // arm additionally byte-verifies every billed read against the in-memory
 // image and checks the seam parity invariant inside engineRunBackend. Two
 // fault arms then drive the same workload through the asynchronous device
 // pipeline under injected transient and permanent faults.
 func FuzzBackendOracle(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(4), uint8(1))
-	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(2), uint8(0))
-	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(8), uint8(1))
-	f.Fuzz(func(t *testing.T, shape, size, rows, dom, par, memoOff uint8) {
+	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(0))
+	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(1))
+	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, shape, size, rows, dom, memoOff uint8) {
 		var g *hypergraph.Graph
 		switch shape % 4 {
 		case 0:
@@ -252,7 +249,7 @@ func FuzzBackendOracle(f *testing.F) {
 			rng := rand.New(rand.NewSource(int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)))
 			return g, randCoreInstance(d, rng, g, 5+int(rows)%28, 2+int(dom)%3)
 		}
-		opts := Options{Strategy: StrategyExhaustive, Parallelism: int(par) % 5, NoPrune: true}
+		opts := Options{Strategy: StrategyExhaustive, NoPrune: true}
 		if memoOff%2 == 1 {
 			opts.Memo = MemoOff
 		}

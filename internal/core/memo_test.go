@@ -33,8 +33,8 @@ func runMemoL5(t *testing.T, opts Options) (*Result, []string, opcache.Stats) {
 	return r, rows, cs
 }
 
-// Every memo configuration — on, bounded, and shared across parallel branch
-// workers — must reproduce the memo-off exhaustive run exactly: Result,
+// Every memo configuration — on, entry-bounded, and tuple-bounded — must
+// reproduce the memo-off exhaustive run exactly: Result,
 // stats, and the emitted rows in their emission order. The comparison pins
 // NoPrune: a replayed tape charges its segments in recorded read/write order
 // while a real run interleaves them, so a budget abort mid-operator can land
@@ -56,7 +56,6 @@ func TestMemoModesBitIdentical(t *testing.T) {
 			MemoLimits: opcache.Limits{MaxEntries: 3}}},
 		{"tuple-bounded", Options{Strategy: StrategyExhaustive, Memo: MemoOn, NoPrune: true,
 			MemoLimits: opcache.Limits{MaxTuples: 64}}},
-		{"parallel", Options{Strategy: StrategyExhaustive, Memo: MemoOn, NoPrune: true, Parallelism: 4}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,15 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-	"reflect"
 	"testing"
 
-	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
-	"acyclicjoin/internal/relation"
-	"acyclicjoin/internal/workload"
 )
 
 func leafSet(n int) []*hypergraph.Edge {
@@ -91,58 +85,6 @@ func TestOdometerSnapshotIsolated(t *testing.T) {
 	}
 	if o.decisions["a"] != 1 {
 		t.Fatalf("advance lost: %v", o.decisions)
-	}
-}
-
-// captureTrails runs the exhaustive strategy over build with the given
-// options and records, via trailHook, every explored branch's decision trail
-// in the order the engine reports them (DFS order on both paths).
-func captureTrails(t *testing.T, build builder, opts Options) []string {
-	t.Helper()
-	var trails []string
-	trailHook = func(keys []string, choices []int) {
-		trails = append(trails, fmt.Sprintf("%v=%v", keys, choices))
-	}
-	defer func() { trailHook = nil }()
-	if _, _, _, err := engineRunOpts(build, opts); err != nil {
-		t.Fatal(err)
-	}
-	return trails
-}
-
-// The parallel trail scheduler must enumerate EXACTLY the sequential
-// odometer's branch set — the same decision trails (keys and choices), in
-// the same DFS order — not merely the same count and winner. Random deeper-
-// decision queries (longer lines, random stars) exercise dependent decision
-// points where branch k+1's policy hinges on branch k's discoveries. Runs
-// with NoPrune: pruned branches truncate their trails at the abort point, so
-// trail-set equality is the unpruned contract (the pruned counterpart —
-// pinned winner and rows — is TestPruneBitIdenticalPinnedFields).
-func TestParallelTrailSetMatchesOdometer(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		build := func(d *extmem.Disk) (*hypergraph.Graph, relation.Instance) {
-			rng := rand.New(rand.NewSource(seed))
-			switch seed % 3 {
-			case 0:
-				return workload.LineUniform(d, rng, 5, 60+5*int(seed), 6)
-			case 1:
-				g := hypergraph.StarQuery(3)
-				return g, randCoreInstance(d, rng, g, 30+int(seed), 4)
-			default:
-				g := hypergraph.Line(4)
-				return g, randCoreInstance(d, rng, g, 25+int(seed), 4)
-			}
-		}
-		seq := captureTrails(t, build, Options{Strategy: StrategyExhaustive, NoPrune: true})
-		if len(seq) < 2 {
-			continue // single-branch draw: nothing to compare
-		}
-		for _, par := range []int{1, 4, 8} {
-			got := captureTrails(t, build, Options{Strategy: StrategyExhaustive, NoPrune: true, Parallelism: par})
-			if !reflect.DeepEqual(got, seq) {
-				t.Errorf("seed %d P=%d: trail set diverges\n got %v\nwant %v", seed, par, got, seq)
-			}
-		}
 	}
 }
 

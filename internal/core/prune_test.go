@@ -12,8 +12,7 @@ import (
 )
 
 // pruneSubjects are multi-branch workloads used by the pruning contract
-// tests. They deliberately overlap with TestParallelBitIdentical's cases so
-// the pruned and unpruned contracts are pinned on the same inputs.
+// tests.
 func pruneSubjects() []struct {
 	name  string
 	build builder
@@ -43,11 +42,11 @@ func pruneSubjects() []struct {
 	}
 }
 
-// TestPruneBitIdenticalPinnedFields is the tentpole's contract: branch-and-
-// bound pruning — sequential or at any worker count — changes neither the
-// emitted rows and their order, nor ExecStats, nor the winning Policy,
-// compared to the unpruned sequential reference. (TotalStats and the
-// Prune split legitimately differ: that is the point of pruning.)
+// TestPruneBitIdenticalPinnedFields is the pruning contract: branch-and-
+// bound pruning changes neither the emitted rows and their order, nor
+// ExecStats, nor the winning Policy, compared to the unpruned reference.
+// (TotalStats and the Prune split legitimately differ: that is the point of
+// pruning.)
 func TestPruneBitIdenticalPinnedFields(t *testing.T) {
 	for _, tc := range pruneSubjects() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,35 +57,33 @@ func TestPruneBitIdenticalPinnedFields(t *testing.T) {
 			if ref.Branches < 2 {
 				t.Skipf("single-branch subject (%d)", ref.Branches)
 			}
-			for _, par := range []int{0, 1, 2, 4, 8} {
-				got, rows, _, err := engineRunOpts(tc.build, Options{Strategy: StrategyExhaustive, Parallelism: par})
-				if err != nil {
-					t.Fatalf("P=%d: %v", par, err)
-				}
-				if got.Emitted != ref.Emitted {
-					t.Errorf("P=%d pruned Emitted = %d, want %d", par, got.Emitted, ref.Emitted)
-				}
-				if got.ExecStats != ref.ExecStats {
-					t.Errorf("P=%d pruned ExecStats = %+v, want %+v", par, got.ExecStats, ref.ExecStats)
-				}
-				if !reflect.DeepEqual(got.Policy, ref.Policy) {
-					t.Errorf("P=%d pruned Policy = %v, want %v", par, got.Policy, ref.Policy)
-				}
-				if !reflect.DeepEqual(rows, refRows) {
-					t.Errorf("P=%d pruned emitted rows diverge (%d vs %d, or order)", par, len(rows), len(refRows))
-				}
-				if got.ClampedChoices != 0 {
-					t.Errorf("P=%d ClampedChoices = %d, want 0", par, got.ClampedChoices)
-				}
-				if got.Prune.Started != got.Prune.Pruned+got.Prune.Completed {
-					t.Errorf("P=%d Prune split inconsistent: %+v", par, got.Prune)
-				}
-				if got.Prune.Completed < 1 {
-					t.Errorf("P=%d no branch completed: %+v", par, got.Prune)
-				}
-				if got.TotalStats.IOs() > ref.TotalStats.IOs() {
-					t.Errorf("P=%d pruned TotalStats %d exceeds unpruned %d", par, got.TotalStats.IOs(), ref.TotalStats.IOs())
-				}
+			got, rows, _, err := engineRunOpts(tc.build, Options{Strategy: StrategyExhaustive})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Emitted != ref.Emitted {
+				t.Errorf("pruned Emitted = %d, want %d", got.Emitted, ref.Emitted)
+			}
+			if got.ExecStats != ref.ExecStats {
+				t.Errorf("pruned ExecStats = %+v, want %+v", got.ExecStats, ref.ExecStats)
+			}
+			if !reflect.DeepEqual(got.Policy, ref.Policy) {
+				t.Errorf("pruned Policy = %v, want %v", got.Policy, ref.Policy)
+			}
+			if !reflect.DeepEqual(rows, refRows) {
+				t.Errorf("pruned emitted rows diverge (%d vs %d, or order)", len(rows), len(refRows))
+			}
+			if got.ClampedChoices != 0 {
+				t.Errorf("ClampedChoices = %d, want 0", got.ClampedChoices)
+			}
+			if got.Prune.Started != got.Prune.Pruned+got.Prune.Completed {
+				t.Errorf("Prune split inconsistent: %+v", got.Prune)
+			}
+			if got.Prune.Completed < 1 {
+				t.Errorf("no branch completed: %+v", got.Prune)
+			}
+			if got.TotalStats.IOs() > ref.TotalStats.IOs() {
+				t.Errorf("pruned TotalStats %d exceeds unpruned %d", got.TotalStats.IOs(), ref.TotalStats.IOs())
 			}
 		})
 	}

@@ -76,27 +76,6 @@ func TestBudgetCompletesUnderLimit(t *testing.T) {
 	}
 }
 
-func TestTightenChargeBudgetMonotone(t *testing.T) {
-	d := testDisk(t, 100, 10)
-	d.TightenChargeBudget(10) // arms an unarmed budget
-	if lim, armed := d.ChargeBudget(); !armed || lim != 10 {
-		t.Fatalf("budget = (%d, %v), want (10, true)", lim, armed)
-	}
-	d.TightenChargeBudget(20) // looser: ignored
-	if lim, _ := d.ChargeBudget(); lim != 10 {
-		t.Fatalf("loosening took effect: %d", lim)
-	}
-	d.TightenChargeBudget(4) // tighter: applies
-	if lim, _ := d.ChargeBudget(); lim != 4 {
-		t.Fatalf("tightening ignored: %d", lim)
-	}
-	d.ClearChargeBudget()
-	if _, armed := d.ChargeBudget(); armed {
-		t.Fatal("clear left the budget armed")
-	}
-	writeBlocks(d, 10) // no panic after clear
-}
-
 func TestBudgetTightenedBelowChargedAbortsNextCharge(t *testing.T) {
 	d := testDisk(t, 100, 10)
 	writeBlocks(d, 6)

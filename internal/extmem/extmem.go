@@ -130,20 +130,17 @@ type Disk struct {
 	phaseStats map[string]Stats
 	// opMemo is an opaque slot for the opcache operator memo. The disk only
 	// stores and hands it back; opcache owns the concrete type. Children
-	// inherit the slot so concurrent branches share one memo.
+	// inherit the slot so concurrent children share one memo.
 	opMemo any
 	// recorders is the stack of active charge-tape recorders (see StartTape).
 	recorders []*tapeRecorder
 	// memPeaks is the stack of active interval peak watches (StartMemPeak).
 	memPeaks []*int
 	// budget holds the armed charge-budget watermark, encoded as limit+1 so
-	// the zero value means "no budget". It is the one atomically accessed
-	// field of an otherwise goroutine-confined Disk: a branch-and-bound
-	// scheduler may tighten another goroutine's budget mid-run (see
-	// TightenChargeBudget), and tightening is monotone, so a charge racing a
-	// store only ever reads a too-lenient limit — never an unsound one.
-	// (Cancel is the second cross-goroutine entry point; see cancelErr.)
-	budget atomic.Int64
+	// the zero value means "no budget". Like the rest of the Disk it is
+	// goroutine-confined; Cancel is the only cross-goroutine entry point
+	// (see cancelErr).
+	budget int64
 	// faults is the armed fault injector, nil when no FaultPlan is set (see
 	// fault.go). Children derive fresh injectors from the same plan.
 	faults *faultInjector
@@ -309,15 +306,14 @@ func (d *Disk) chargeWrite(blocks int64) {
 // ErrBudgetExceeded. Otherwise it returns blocks unchanged for the caller to
 // apply.
 func (d *Disk) budgetAllowance(blocks int64) int64 {
-	lim := d.budget.Load()
-	if lim == 0 {
+	if d.budget == 0 {
 		return blocks
 	}
-	limit := lim - 1
+	limit := d.budget - 1
 	if d.stats.IOs()+blocks < limit {
 		return blocks
 	}
-	return limit - d.stats.IOs() // may be <= 0 when the budget was tightened below the total already charged
+	return limit - d.stats.IOs() // may be <= 0 when the budget was set below the total already charged
 }
 
 func (d *Disk) applyRead(blocks int64) {
@@ -330,7 +326,7 @@ func (d *Disk) applyRead(blocks int64) {
 		}
 		d.recordCharge(blocks, 0)
 	}
-	if lim := d.budget.Load(); lim != 0 && d.stats.IOs() >= lim-1 {
+	if d.budget != 0 && d.stats.IOs() >= d.budget-1 {
 		panic(ErrBudgetExceeded)
 	}
 }
@@ -345,7 +341,7 @@ func (d *Disk) applyWrite(blocks int64) {
 		}
 		d.recordCharge(0, blocks)
 	}
-	if lim := d.budget.Load(); lim != 0 && d.stats.IOs() >= lim-1 {
+	if d.budget != 0 && d.stats.IOs() >= d.budget-1 {
 		panic(ErrBudgetExceeded)
 	}
 }
@@ -422,39 +418,18 @@ func (d *Disk) SetChargeBudget(limit int64) {
 	if limit < 0 {
 		limit = 0
 	}
-	d.budget.Store(limit + 1)
-}
-
-// TightenChargeBudget lowers the budget to limit, arming it if it was not
-// armed. Unlike every other Disk method it may be called from another
-// goroutine: tightening is monotone (the watermark only ever decreases), so
-// the owning goroutine's charges racing the store read, at worst, the old and
-// more lenient limit — the abort then simply happens a charge later.
-func (d *Disk) TightenChargeBudget(limit int64) {
-	if limit < 0 {
-		limit = 0
-	}
-	for {
-		cur := d.budget.Load()
-		if cur != 0 && cur <= limit+1 {
-			return
-		}
-		if d.budget.CompareAndSwap(cur, limit+1) {
-			return
-		}
-	}
+	d.budget = limit + 1
 }
 
 // ClearChargeBudget disarms the charge budget.
-func (d *Disk) ClearChargeBudget() { d.budget.Store(0) }
+func (d *Disk) ClearChargeBudget() { d.budget = 0 }
 
 // ChargeBudget returns the armed watermark, if any.
 func (d *Disk) ChargeBudget() (limit int64, armed bool) {
-	lim := d.budget.Load()
-	if lim == 0 {
+	if d.budget == 0 {
 		return 0, false
 	}
-	return lim - 1, true
+	return d.budget - 1, true
 }
 
 // CatchBudgetExceeded runs fn, converting a charge-budget abort into a clean
@@ -632,7 +607,7 @@ func (d *Disk) NewChild() *Disk {
 // breakdowns merge (phases the child saw but d did not are created). The
 // child must be quiescent; it is not reset and may be inspected afterwards.
 // Absorbing the same children in any order yields the same parent state —
-// addition and max are commutative — which is what makes concurrent branch
+// addition and max are commutative — which is what makes concurrent child
 // accounting deterministic.
 func (d *Disk) Absorb(child *Disk) {
 	d.stats.Reads += child.stats.Reads

@@ -465,8 +465,7 @@ func (d *Disk) tryOp(fn func() error) (fault *FaultError, err error) {
 // lineage) cancelled with the given cause; the next non-suspended charge on
 // any of those disks panics with an error wrapping ErrCancelled, unwound by
 // CatchAbort. The first cause wins; later calls are no-ops. Safe to call from
-// any goroutine — this and TightenChargeBudget are the only cross-goroutine
-// entry points of a Disk.
+// any goroutine — the only cross-goroutine entry point of a Disk.
 func (d *Disk) Cancel(cause error) {
 	var err error
 	switch {
@@ -573,8 +572,8 @@ func (d *Disk) CatchAbort(fn func() error) (pruned bool, err error) {
 	return false, fn()
 }
 
-// Discard retires a child disk that will never be absorbed (e.g. a branch
-// abandoned by an error elsewhere in its wave), removing it from the live
+// Discard retires a child disk that will never be absorbed (e.g. a shard
+// server whose input distribution aborted), removing it from the live
 // children count. Absorb retires the child implicitly; Discard is for the
 // paths that drop a child without folding its counters. Discarding twice, or
 // discarding after Absorb, is a no-op.

@@ -36,7 +36,7 @@ type backendRun struct {
 // measuring the run proper, exactly like the other experiment arms. It
 // verifies the seam invariant — charged stats equal performed plus replayed
 // transfers — before returning.
-func backendArm(p Params, w int, backend string, par int) (*backendRun, error) {
+func backendArm(p Params, w int, backend string) (*backendRun, error) {
 	ap := p
 	ap.Backend = backend
 	d := newDisk(ap)
@@ -51,7 +51,7 @@ func backendArm(p Params, w int, backend string, par int) (*backendRun, error) {
 	r, err := core.Run(g, in, func(a tuple.Assignment) {
 		n++
 		fmt.Fprint(h, a.String())
-	}, core.Options{Strategy: core.StrategyExhaustive, Parallelism: par})
+	}, core.Options{Strategy: core.StrategyExhaustive})
 	if err != nil {
 		return nil, err
 	}
@@ -110,11 +110,11 @@ func runE27(p Params) (*Table, error) {
 	}
 	for w := range memoWorkloads {
 		name := memoWorkloads[w].name
-		sim, err := backendArm(p, w, "sim", 0)
+		sim, err := backendArm(p, w, "sim")
 		if err != nil {
 			return nil, err
 		}
-		file, err := backendArm(p, w, "file", 0)
+		file, err := backendArm(p, w, "file")
 		if err != nil {
 			return nil, err
 		}

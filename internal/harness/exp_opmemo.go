@@ -16,7 +16,7 @@ func init() {
 	Register(&Experiment{
 		ID:       "E24",
 		Artifact: "operator memo with branch-prefix reuse (implementation artifact)",
-		Title:    "Memo A/B across operator-diverse workloads: off vs on vs bounded vs parallel, all bit-identical",
+		Title:    "Memo A/B across operator-diverse workloads: off vs on vs bounded, all bit-identical",
 		Run:      runE24,
 	})
 }
@@ -49,9 +49,8 @@ var memoWorkloads = []struct {
 
 // memoArm selects one configuration of a memo A/B run.
 type memoArm struct {
-	mode        core.MemoMode
-	limits      opcache.Limits
-	parallelism int
+	mode   core.MemoMode
+	limits opcache.Limits
 }
 
 // runMemoArm runs one exhaustive-strategy evaluation of memo workload w
@@ -71,13 +70,12 @@ func runMemoArm(p Params, w int, arm memoArm) (extmem.Stats, int64, opcache.Stat
 	d.ResetStats()
 	var n int64
 	_, err := core.Run(g, in, countEmit(&n), core.Options{
-		Strategy:    core.StrategyExhaustive,
-		Parallelism: arm.parallelism,
-		Memo:        arm.mode,
-		MemoLimits:  arm.limits,
+		Strategy:   core.StrategyExhaustive,
+		Memo:       arm.mode,
+		MemoLimits: arm.limits,
 		// Full-stats bit-identity across memo modes is an unpruned contract:
-		// see runSortCacheArm. Pinned here so E24's cross-arm comparison (and
-		// its parallel arm) stays exact.
+		// see runSortCacheArm. Pinned here so E24's cross-arm comparison
+		// stays exact.
 		NoPrune: true,
 	})
 	var cs opcache.Stats
@@ -95,7 +93,7 @@ var e24BoundedLimits = opcache.Limits{MaxEntries: 4}
 func runE24(p Params) (*Table, error) {
 	p = p.WithDefaults()
 	t := &Table{
-		Title: "E24: operator memo A/B (exhaustive strategy): off vs on vs bounded(4 entries) vs parallel(4)",
+		Title: "E24: operator memo A/B (exhaustive strategy): off vs on vs bounded(4 entries)",
 		Header: []string{"workload", "IOs", "identical", "hits", "misses",
 			"KB replayed", "evictions (bounded)"},
 	}
@@ -105,7 +103,6 @@ func runE24(p Params) (*Table, error) {
 	}{
 		{"on", memoArm{mode: core.MemoOn}},
 		{"bounded", memoArm{mode: core.MemoOn, limits: e24BoundedLimits}},
-		{"parallel", memoArm{mode: core.MemoOn, parallelism: 4}},
 	}
 	for w := range memoWorkloads {
 		ref, nRef, _, err := runMemoArm(p, w, memoArm{mode: core.MemoOff})
@@ -134,7 +131,6 @@ func runE24(p Params) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"identical = reads, writes, hi-water, and result counts match the memo-off reference bit for bit in every arm",
-		"bounded arm caps the memo at 4 entries (LRU): evictions cost recomputation only, never a counter",
-		"parallel arm explores 4 dry-run branches concurrently on child disks sharing one memo")
+		"bounded arm caps the memo at 4 entries (LRU): evictions cost recomputation only, never a counter")
 	return t, nil
 }

@@ -136,7 +136,7 @@ func TestVerifySweepScoped(t *testing.T) {
 	if len(sweep) != 1 || sweep[0].Strategy != core.StrategyGreedy || variant != core.StrategyGreedy {
 		t.Fatalf("greedy sweep = %+v, variant %v", sweep, variant)
 	}
-	if sweep, _, err = strategySweep(Params{Strategy: "exhaustive"}); err != nil || len(sweep) != 3 {
+	if sweep, _, err = strategySweep(Params{Strategy: "exhaustive"}); err != nil || len(sweep) != 2 {
 		t.Fatalf("exhaustive sweep = %+v, err %v", sweep, err)
 	}
 	if _, _, err = strategySweep(Params{Strategy: "bogus"}); err == nil {

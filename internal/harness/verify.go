@@ -68,8 +68,7 @@ func VerifySweep(p Params, trials int) (*Table, error) {
 			if int64(len(want)) > maxOut {
 				maxOut = int64(len(want))
 			}
-			// All strategies on the raw instance, including the concurrent
-			// exhaustive path (which must match the sequential one exactly).
+			// All strategies on the raw instance.
 			sweep, variant, err := strategySweep(p)
 			if err != nil {
 				return nil, err
@@ -77,10 +76,10 @@ func VerifySweep(p Params, trials int) (*Table, error) {
 			for _, o := range sweep {
 				got, err := runSet(g, in, o)
 				if err != nil {
-					return nil, fmt.Errorf("%s trial %d strategy %v (parallelism %d): %w", cfg.name, trial, o.Strategy, o.Parallelism, err)
+					return nil, fmt.Errorf("%s trial %d strategy %v (noprune %v): %w", cfg.name, trial, o.Strategy, o.NoPrune, err)
 				}
 				if err := sameSet(got, want); err != nil {
-					return nil, fmt.Errorf("%s trial %d strategy %v (parallelism %d) on %v: %w", cfg.name, trial, o.Strategy, o.Parallelism, g, err)
+					return nil, fmt.Errorf("%s trial %d strategy %v (noprune %v) on %v: %w", cfg.name, trial, o.Strategy, o.NoPrune, g, err)
 				}
 			}
 			// Ablation variant.
@@ -144,7 +143,6 @@ func strategySweep(p Params) ([]core.Options, core.Strategy, error) {
 		{Strategy: core.StrategyGreedy},
 		{Strategy: core.StrategyExhaustive},
 		{Strategy: core.StrategyExhaustive, NoPrune: true},
-		{Strategy: core.StrategyExhaustive, Parallelism: 4},
 	}
 	if p.Strategy == "" {
 		return all, core.StrategySmallest, nil

@@ -63,7 +63,7 @@ import (
 // diagnostics only — they never feed back into simulated I/O. Concurrent
 // lookups of the same logical operator singleflight on its content hash (the
 // second requester waits for the first compute, then replays), so the
-// hit/miss split is deterministic even under concurrent branch exploration:
+// hit/miss split is deterministic even across concurrent shard servers:
 // one miss per distinct operator, a hit for every other request.
 type Stats struct {
 	// Hits and Misses count lookups on memoized operator paths.
@@ -126,8 +126,8 @@ type entry struct {
 }
 
 // Memo is a charge-replay operator memo, safe for concurrent use by the child
-// disks of one exhaustive run. Attach it to a disk with Enable; child disks
-// inherit the attachment.
+// disks of one run (the servers of a sharded run). Attach it to a disk with
+// Enable; child disks inherit the attachment.
 type Memo struct {
 	mu     sync.Mutex
 	lim    Limits
@@ -135,10 +135,10 @@ type Memo struct {
 	byHash map[uint64][]*entry
 	// inflight singleflights concurrent misses by content hash: the first
 	// requester computes, later requesters wait on the flight and then replay
-	// the stored entry. Without it, two branches racing to the same logical
+	// the stored entry. Without it, two servers racing to the same logical
 	// operator would both compute, and the performed/replayed transfer split
-	// would depend on worker timing instead of being a pure function of the
-	// branch set.
+	// would depend on goroutine timing instead of being a pure function of
+	// the work.
 	inflight map[uint64]*flight
 	lru      *list.List // front = most recently used; values are *entry
 	tuples   int64
@@ -348,7 +348,7 @@ func (m *Memo) store(d *extmem.Disk, op Op, id string, hash uint64, outs []*extm
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.byID[id]; dup {
-		return // a concurrent branch raced the same operator in first
+		return // a concurrent server raced the same operator in first
 	}
 	m.byID[id] = e
 	m.byHash[hash] = append(m.byHash[hash], e)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
 )
 
@@ -18,18 +17,6 @@ func (in Instance) Clone() Instance {
 	out := make(Instance, len(in))
 	for k, v := range in {
 		out[k] = v
-	}
-	return out
-}
-
-// Rebind returns an instance whose relations charge their I/O and memory to
-// disk d instead (see Relation.WithDisk). Contents are shared read-only; the
-// rebased instance is what a dry-run branch executes against so that its
-// accounting is confined to d and can be merged back deterministically.
-func (in Instance) Rebind(d *extmem.Disk) Instance {
-	out := make(Instance, len(in))
-	for k, v := range in {
-		out[k] = v.WithDisk(d)
 	}
 	return out
 }

@@ -109,19 +109,6 @@ func (r *Relation) Blocks() int64 {
 	return (int64(r.n) + b - 1) / b
 }
 
-// WithDisk returns a view of r whose I/O and memory are charged to disk d
-// (typically a child disk; see extmem.Disk.NewChild). The tuple data is
-// shared read-only, so the view is only sound while nothing appends to r —
-// which holds for the join algorithms here, whose inputs are frozen and
-// whose derived relations live in fresh files. Relations derived from the
-// view (sorts, semijoins, restrictions) are created on d, so an entire
-// branch of work rebased this way is confined to d.
-func (r *Relation) WithDisk(d *extmem.Disk) *Relation {
-	out := *r
-	out.file = r.file.CloneTo(d)
-	return &out
-}
-
 // View returns the sub-view of tuples [lo, lo+n) of r (relative indices),
 // inheriting sortedness.
 func (r *Relation) View(lo, n int) *Relation {

@@ -51,8 +51,7 @@
 // themselves reduced, so servers never assume reducedness. Results are
 // buffered per server and replayed in server order — deterministic, and
 // order-insensitive as a multiset — while the children's counters fold back
-// into the parent with extmem.Disk.Absorb in the same fixed order, the exact
-// merge discipline of internal/core's parallel branch explorer.
+// into the parent with extmem.Disk.Absorb in the same fixed order.
 package shard
 
 import (
@@ -283,8 +282,7 @@ func Run(g *hypergraph.Graph, in relation.Instance, emit core.Emit, opts Options
 		return nil, err
 	}
 
-	// Children are created serially while the parent is quiescent, exactly
-	// like the parallel branch explorer.
+	// Children are created serially while the parent is quiescent.
 	children := make([]*extmem.Disk, p)
 	for s := range children {
 		children[s] = parent.NewChild()

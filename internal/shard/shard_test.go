@@ -18,8 +18,7 @@ import (
 	"acyclicjoin/internal/tuple"
 )
 
-// checkLeaks asserts a run left no child disks and no extra goroutines,
-// mirroring the parallel-branch test discipline.
+// checkLeaks asserts a run left no child disks and no extra goroutines.
 func checkLeaks(t *testing.T, d *extmem.Disk, goroutinesBefore int) {
 	t.Helper()
 	if n := d.LiveChildren(); n != 0 {
@@ -169,7 +168,7 @@ func TestShardMatchesUnsharded(t *testing.T) {
 }
 
 // Sharded runs must also agree with the unsharded run when each server plans
-// with a different strategy or explores branches in parallel.
+// with a different strategy.
 func TestShardAcrossStrategiesAndWorkers(t *testing.T) {
 	g := hypergraph.StarQuery(3)
 	rng := rand.New(rand.NewSource(11))
@@ -177,7 +176,6 @@ func TestShardAcrossStrategiesAndWorkers(t *testing.T) {
 	ref := reference(t, g, rows, core.Options{})
 	for _, copts := range []core.Options{
 		{Strategy: core.StrategyExhaustive},
-		{Strategy: core.StrategyExhaustive, Parallelism: 3},
 		{Strategy: core.StrategyExhaustive, NoPrune: true},
 		{Strategy: core.StrategyFirst},
 		{Strategy: core.StrategySmallest},

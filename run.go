@@ -76,15 +76,7 @@ type Options struct {
 	// Section 6 dispatcher (Algorithms 1/4/5 and the L6/L8 compositions);
 	// Algorithm 2 is used unconditionally instead.
 	NoLineSpecialization bool
-	// Parallelism bounds how many dry-run branches StrategyExhaustive may
-	// explore concurrently, each on a thread-confined child view of the
-	// simulated disk. 0 (the default) uses the sequential reference path;
-	// any N >= 1 uses a worker pool of N goroutines. The fields the paper's
-	// guarantee is about — Count, Stats, the winning plan, and the emitted
-	// rows and their order — are bit-identical at every setting. With
-	// NoPrune set, the entire Result (PlanningStats and Prune included) is
-	// bit-identical too; under pruning those two depend on worker timing.
-	// Other strategies explore a single branch and ignore this knob.
+	// Deprecated: ignored; exhaustive branches are always explored sequentially.
 	Parallelism int
 	// NoPrune disables branch-and-bound pruning of the exhaustive strategy's
 	// dry-run branches. With pruning on (the default), a dry run is aborted
@@ -246,8 +238,8 @@ type Result struct {
 	// and the I/Os the pruned branches charged before aborting. Zero when
 	// Options.NoPrune is set (Pruned only), for single-branch strategies,
 	// and for line queries routed through the Section 6 dispatcher (whose
-	// nested searches are not surfaced here). Under Parallelism >= 1 the
-	// split varies run to run with worker timing.
+	// nested searches are not surfaced here). Like the rest of the Result it
+	// is deterministic.
 	Prune PruneStats
 	// ClampedChoices counts defensive chooser clamps in the exhaustive
 	// planner — a recorded decision meeting a subquery with fewer peelable
@@ -255,10 +247,8 @@ type Result struct {
 	// the test suite can assert it stays zero.
 	ClampedChoices int64
 	// Memo reports operator-memo effectiveness. The counters are host-side
-	// diagnostics: they never feed into the simulated Stats, and under
-	// Parallelism > 1 the hit/miss split can vary run to run (two branches
-	// may miss on the same operator before either stores it). All zero
-	// when the memo is off.
+	// diagnostics: they never feed into the simulated Stats. All zero when
+	// the memo is off.
 	Memo MemoStats
 	// Faults reports fault-injection telemetry when Options.Faults was set:
 	// transient/permanent faults seen, inline and boundary retries, the I/O
@@ -508,7 +498,6 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 	copts := core.Options{
 		Strategy:      opts.Strategy,
 		AssumeReduced: !opts.SkipReduce,
-		Parallelism:   opts.Parallelism,
 		NoPrune:       opts.NoPrune,
 		Memo:          opts.Memo,
 		MemoLimits:    memoLimits,
