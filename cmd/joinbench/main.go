@@ -6,7 +6,7 @@
 // Usage:
 //
 //	joinbench [-exp E4] [-m 256] [-b 16] [-scale 1] [-seed 42] [-parallel 4] [-list]
-//	          [-opcache=false] [-prune=false] [-backend file] [-syncdevice]
+//	          [-opcache=false] [-prune=false] [-backend file]
 //	          [-strategy greedy] [-shards 4] [-timeout 10m] [-devfaultrate 0.02]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
@@ -34,7 +34,6 @@ type config struct {
 	verify, par, shards        int
 	opcache, prune             bool
 	backend, datadir, strategy string
-	syncdevice                 bool
 	devfaultrate               float64
 	devfaultseed               int64
 	cpuprof, memprof           string
@@ -54,7 +53,6 @@ func main() {
 	flag.BoolVar(&c.prune, "prune", true, "branch-and-bound pruning of exhaustive dry runs (tables are byte-identical either way; off restores the paper's full Σ-branches accounting in the experiments that honor it)")
 	flag.StringVar(&c.backend, "backend", "", "storage engine for every experiment: sim (counting simulator, default) or file (real os.File-backed disk; all tables stay byte-identical); empty falls back to $ACYCLICJOIN_BACKEND")
 	flag.StringVar(&c.datadir, "datadir", "", "directory for the file backend's backing files (default $ACYCLICJOIN_DATADIR, then unlinked temp files)")
-	flag.BoolVar(&c.syncdevice, "syncdevice", false, "force the file backend's synchronous device path (inline pread/pwrite, no overlap workers); default async unless $ACYCLICJOIN_SYNC_DEVICE is set; all tables are byte-identical either way")
 	flag.IntVar(&c.shards, "shards", 0, "add a shard-parallel differential arm at this many simulated MPC servers to the -verify sweep; 0 falls back to $ACYCLICJOIN_SHARDS, then 1 (no shard arm); experiments pin their shard counts and ignore this")
 	flag.StringVar(&c.strategy, "strategy", "", "restrict the -verify sweep to one peeling strategy: exhaustive, first, smallest, or greedy; empty falls back to $ACYCLICJOIN_STRATEGY, then the full sweep")
 	flag.Float64Var(&c.devfaultrate, "devfaultrate", 0, "inject transient device-level syscall faults at this per-call probability on every file-backend experiment machine (deterministic per -devfaultseed; tables stay byte-identical, recovery is reported separately); 0 falls back to $ACYCLICJOIN_DEVFAULTRATE; no-op on the sim backend")
@@ -125,7 +123,7 @@ func run(ctx context.Context, c config) int {
 
 	p := harness.Params{M: c.m, B: c.b, Scale: c.scale, Seed: c.seed,
 		NoMemo: !c.opcache, NoPrune: !c.prune,
-		Backend: c.backend, DataDir: c.datadir, SyncDevice: c.syncdevice,
+		Backend: c.backend, DataDir: c.datadir,
 		Strategy: c.strategy, Shards: c.shards,
 		DevFaultRate: c.devfaultrate, DevFaultSeed: c.devfaultseed}
 

@@ -38,7 +38,6 @@ func main() {
 		faultSeed = flag.Int64("faultseed", 1, "seed for the injected fault schedule")
 		backend   = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk with block cache; results and I/O figures are bit-identical, charged transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
 		datadir   = flag.String("datadir", "", "directory for the file backend's backing file (default $ACYCLICJOIN_DATADIR, then an unlinked temp file)")
-		syncDev   = flag.Bool("syncdevice", false, "force the file backend's synchronous device path (inline pread/pwrite, no overlap workers); default async unless $ACYCLICJOIN_SYNC_DEVICE is set; results and I/O figures are bit-identical either way")
 		shards    = flag.Int("shards", 0, "execute across this many simulated MPC servers, hash-sharding the input with heavy-hitter splitting (the result multiset is identical at any count; row order is server-major); 0 falls back to $ACYCLICJOIN_SHARDS, then 1 (unsharded)")
 		devRate   = flag.Float64("devfaultrate", 0, "inject transient device-level syscall faults on the file backend at this per-call probability (deterministic per -devfaultseed); the engine retries below the backend seam, so results and I/O figures stay bit-identical and recovery cost is reported separately; 0 falls back to $ACYCLICJOIN_DEVFAULTRATE; no-op on the sim backend")
 		devSeed   = flag.Int64("devfaultseed", 0, "seed for the injected device fault schedule; 0 falls back to $ACYCLICJOIN_DEVFAULTSEED, then 1")
@@ -78,7 +77,7 @@ func main() {
 	}
 
 	opts := acyclicjoin.Options{Memory: *m, Block: *b, NoPrune: !*prune,
-		Backend: *backend, DataDir: *datadir, SyncDevice: *syncDev, Shards: *shards}
+		Backend: *backend, DataDir: *datadir, Shards: *shards}
 	if *faultRate > 0 {
 		opts.Faults = &acyclicjoin.FaultPlan{Seed: *faultSeed, TransientRate: *faultRate}
 	}
@@ -144,8 +143,6 @@ func main() {
 			res.Transfers.ReplayedReads+res.Transfers.ReplayedWrites,
 			d.ReadCalls, d.WriteCalls, d.CacheHits, d.Prefetched,
 			d.PrefetchHits, d.PrefetchWasted, d.Evictions)
-		fmt.Fprintf(os.Stderr, "device pipeline: overlapped writes=%d queue hi-water=%d inflight hi-water=%d demand waits=%d\n",
-			d.OverlappedWrites, d.FlushQueueHiWater, d.PrefetchInFlight, d.DemandWaits)
 	}
 	if s := res.Shards; s != nil && len(s.Rounds) > 0 {
 		d := s.Rounds[0]

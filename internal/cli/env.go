@@ -43,11 +43,6 @@ func stringOr(flag, env string) string {
 	return os.Getenv(env)
 }
 
-// Shards resolves a -shards selection: the flag value when nonzero, else
-// $ACYCLICJOIN_SHARDS, else 1 (unsharded). The flag value passes through
-// untouched — the library range-checks it — but an environment value that is
-// set must parse as a positive integer. Errors carry no package prefix so
-// callers can wrap them under their own name.
 // ShardsRequested reports whether a shard count was explicitly selected —
 // by flag/Options field or by $ACYCLICJOIN_SHARDS. The library uses it to
 // decide whether a resolved count of 1 means "nobody asked" (no shard
@@ -56,6 +51,11 @@ func ShardsRequested(flag int) bool {
 	return flag != 0 || os.Getenv(EnvShards) != ""
 }
 
+// Shards resolves a -shards selection: the flag value when nonzero, else
+// $ACYCLICJOIN_SHARDS, else 1 (unsharded). The flag value passes through
+// untouched — the library range-checks it — but an environment value that is
+// set must parse as a positive integer. Errors carry no package prefix so
+// callers can wrap them under their own name.
 func Shards(flag int) (int, error) {
 	if flag != 0 {
 		return flag, nil

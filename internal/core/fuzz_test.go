@@ -174,7 +174,7 @@ func engineRunBackend(b builder, opts Options) (*Result, []string, extmem.Stats,
 
 // engineRunBackendFaults is engineRunBackend with a fault plan attached after
 // the instance is loaded, mirroring engineRunFaults: injected faults must
-// deliver deterministically through the asynchronous device pipeline, and
+// deliver deterministically through the file engine's device path, and
 // rollback-and-retry must leave the seam ledger and the engine's billed
 // counters in exact parity.
 func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*Result, []string, extmem.Stats, error) {
@@ -226,8 +226,8 @@ func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*R
 // complete-Result identity is the contract. The file
 // arm additionally byte-verifies every billed read against the in-memory
 // image and checks the seam parity invariant inside engineRunBackend. Two
-// fault arms then drive the same workload through the asynchronous device
-// pipeline under injected transient and permanent faults.
+// fault arms then drive the same workload through the file engine's device
+// path under injected transient and permanent faults.
 func FuzzBackendOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(0))
 	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(1))
@@ -278,7 +278,7 @@ func FuzzBackendOracle(f *testing.F) {
 			t.Fatalf("final disk stats diverge: file %+v vs sim %+v", fbStats, refStats)
 		}
 
-		// Fault arms through the async device pipeline, mirroring
+		// Fault arms through the file engine's device path, mirroring
 		// FuzzFaultOracle. Their parameters derive from the existing inputs so
 		// the checked-in corpus keeps working. Transient faults must retry to
 		// bit-identity with the fault-free reference (or escalate typed);

@@ -136,15 +136,14 @@ type DeviceStats struct {
 	// VerifiedCells counts cells byte-compared against the image on billed
 	// reads — the always-on torn-block check.
 	VerifiedCells int64
-	// Async-pipeline telemetry (all zero in synchronous device mode). Unlike
-	// every counter above, these four measure how much device work overlapped
-	// compute, which depends on host timing: they are reported through the
-	// CLIs' telemetry lines and the bench/ per-layer metrics but deliberately
-	// kept out of the deterministic experiment tables.
-	OverlappedWrites  int64 // writeback segments whose pwrite completed with no drainer waiting
-	FlushQueueHiWater int64 // peak depth of the writeback segment queue
-	PrefetchInFlight  int64 // peak number of frames being loaded from the device concurrently
-	DemandWaits       int64 // charged operations that blocked on an in-flight load or queued writeback
+	// Deprecated: always zero; device I/O is synchronous.
+	OverlappedWrites int64
+	// Deprecated: always zero; device I/O is synchronous.
+	FlushQueueHiWater int64
+	// Deprecated: always zero; device I/O is synchronous.
+	PrefetchInFlight int64
+	// Deprecated: always zero; device I/O is synchronous.
+	DemandWaits int64
 }
 
 // NewDiskWithBackend creates a simulated disk whose transfer commands are

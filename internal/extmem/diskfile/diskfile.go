@@ -15,18 +15,13 @@
 // counted at the seam, and the cache only changes the syscall telemetry
 // reported through DeviceStats.
 //
-// Device I/O is asynchronous by default: no pread or pwrite executes while
-// holding the engine mutex. Writeback forms coalesced segments at the charged
-// operation (allocating device offsets in deterministic (phys, frame) order)
-// and hands them to a dedicated flusher goroutine over a bounded FIFO queue;
-// sequential read-ahead is performed by a prefetch worker that loads pinned
-// frames marked with a per-frame in-flight latch. Every cache-state decision
-// and every deterministic DeviceStats counter is made under the mutex at the
-// charged operation, so the sync and async pipelines report bit-identical
-// telemetry on a sequential schedule; only the four overlap counters
-// (OverlappedWrites, FlushQueueHiWater, PrefetchInFlight, DemandWaits) are
-// timing-dependent. OpenSync — or the ACYCLICJOIN_SYNC_DEVICE environment
-// variable — forces the old inline path for debugging.
+// Device I/O is synchronous: every pread and pwrite executes inline, under
+// the engine mutex, at the charged operation that needs it. Writeback forms
+// coalesced segments in deterministic (phys, frame) allocation order, and
+// read-ahead groups offset-contiguous frames into single preads, so every
+// DeviceStats counter is a pure function of the charged schedule, and a failed
+// syscall surfaces at the charged operation that issued it. The engine starts
+// no goroutines.
 package diskfile
 
 import (
@@ -39,7 +34,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"syscall"
 
 	"acyclicjoin/internal/extmem"
@@ -48,60 +42,35 @@ import (
 // Device is the raw syscall surface beneath the engine: positioned reads and
 // writes against the backing storage. The default device is the backing
 // os.File itself; OpenWithDevice lets a wrapper interpose (fault injection,
-// tracing) underneath every engine syscall — including the ones issued by the
-// async flusher and prefetch workers, which never cross the Backend seam.
-// Implementations must be safe for concurrent use, like *os.File.
+// tracing) underneath every engine syscall. The engine issues every call
+// under its own mutex.
 type Device interface {
 	io.ReaderAt
 	io.WriterAt
 }
 
-// EnvSyncDevice, when set to anything other than "", "0", or "false", makes
-// Open build the engine in synchronous device mode: every pread/pwrite
-// executes inline under the engine mutex at the charged operation, exactly as
-// before the async pipeline. Charged counters, verification, and results are
-// bit-identical either way.
-const EnvSyncDevice = "ACYCLICJOIN_SYNC_DEVICE"
-
-// maxQueuedSegs bounds the writeback queue: once this many coalesced segments
-// are waiting on the flusher, the next flush blocks (releasing the mutex)
-// until the device catches up, so a fast producer cannot buffer the whole
-// workload in memory. Deep enough that a producer in a flush burst rarely
-// stalls (a segment is at most batchFrames frames, so the buffered ceiling
-// stays a few hundred KB), shallow enough to stay a real bound.
-const maxQueuedSegs = 32
-
 // Engine is an extmem.Backend that mirrors the simulated disk onto one
 // backing os.File. It is safe for concurrent use: a disk tree's children may
-// run on distinct goroutines, and all engine state is guarded by one mutex.
-//
-// Engine is a small handle around the actual engine state: the worker
-// goroutines reference only the inner struct, so an abandoned handle still
-// becomes unreachable and its finalizer can shut the workers down and release
-// the descriptor.
-type Engine struct{ *engine }
-
-type engine struct {
-	mu      sync.Mutex
-	ioCond  *sync.Cond // broadcast on every worker completion and queue change
-	cfg     extmem.Config
-	f       *os.File
-	dev     Device // syscall surface; e.f unless OpenWithDevice interposed
-	path    string // retained file path; "" when unlinked at creation
-	closed  bool
-	closing bool // a Close is in progress (it releases mu while draining)
-	syncDev bool // inline device I/O under mu; no worker goroutines
+// run on distinct goroutines, and all engine state — and every device
+// syscall — is guarded by one mutex.
+type Engine struct {
+	mu     sync.Mutex
+	cfg    extmem.Config
+	f      *os.File
+	dev    Device // syscall surface; e.f unless OpenWithDevice interposed
+	path   string // retained file path; "" when unlinked at creation
+	closed bool
 
 	// Device-fault recovery state. maxRetries bounds the inline retry loop
 	// per failed syscall; repairable gates torn-frame repair (set only when a
 	// fault device is interposed — with the real device, a verify mismatch is
 	// an engine bug and must surface as ErrCorruption, not be papered over).
-	// dead latches a device declared permanently failed; it is atomic because
-	// the retry helpers run with the mutex released on async paths. rec and
-	// repairs are guarded by mu like the rest of the engine state.
+	// dead latches a device declared permanently failed; ioErr latches the
+	// first failed syscall, which every later charged operation re-raises.
 	maxRetries int
 	repairable bool
-	dead       atomic.Bool
+	dead       bool
+	ioErr      error
 	rec        extmem.DeviceFaultStats // recovery-side telemetry
 	repairs    map[frameKey]int        // consecutive repairs per frame
 
@@ -120,46 +89,11 @@ type engine struct {
 	batchFrames int // dirty frames buffered before a coalescing flush
 	readAhead   int // frames prefetched ahead of a sequential scan
 
-	stats   extmem.DeviceStats
-	scratch []byte // sync-mode staging; async paths use pooled per-segment buffers
-
-	// Async pipeline state (unused in sync mode). Everything is guarded by mu;
-	// the workers take work out under mu, perform the syscall unlocked, and
-	// publish completion under mu via ioCond.
-	wbQueue     []*wbSeg         // FIFO of formed segments awaiting pwrite
-	wbActive    bool             // flusher is between dequeue and completion
-	wbWaiters   int              // drainers blocked in drainWritebackLocked
-	wbPending   map[frameKey]int // queued or in-flight writeback copies per frame
-	physPending map[uint64]int   // same, aggregated per physical file
-	pfQueue     []*loadReq       // FIFO of prefetch loads awaiting the worker
-	loading     int              // frames currently marked in-flight
-	ioErr       error            // first async syscall failure; surfaces at the next charged op
-	quit        bool
-	workersUp   bool
-	wbDone      chan struct{}
-	pfDone      chan struct{}
+	stats extmem.DeviceStats
 }
 
-// wbSeg is one coalesced writeback segment: the encoded bytes of one or more
-// offset-contiguous frames, snapshotted at flush time so later mutations of
-// the cache frames cannot race the in-flight pwrite.
-type wbSeg struct {
-	off  int64
-	buf  []byte
-	keys []frameKey // frames encoded into buf, in device-offset order
-}
-
-// loadReq is one queued prefetch: a contiguous run of frames, already in the
-// cache and latched loading, with counters charged at enqueue time. The run
-// maps to a single pread — grouping is decided at formation, under the mutex,
-// so the ReadCalls telemetry stays deterministic.
-type loadReq struct {
-	frs   []*frame
-	off   int64
-	cells []int // device cells per frame, snapshotted at enqueue
-}
-
-// segPool recycles writeback and load buffers across the engine's lifetime.
+// segPool recycles the byte staging buffers of writeback segments and group
+// preads across engines.
 var segPool sync.Pool
 
 func getBuf(n int) []byte {
@@ -205,41 +139,63 @@ type frameKey struct {
 // [idx*B, (idx+1)*B) of its file, possibly ahead of the device copy (dirty).
 // prefetched marks a frame brought in by read-ahead that no demand read has
 // touched yet; its resolution feeds the PrefetchHits/PrefetchWasted telemetry.
-// loading is the in-flight latch: the frame is pinned while a worker (or a
-// demand read on another goroutine) preads into it, and every path that would
-// read, overwrite, or evict it waits on the latch first — a frame is never
-// double-read and never observed half-filled.
 type frame struct {
 	key        frameKey
 	pf         *pfile // owning file (saves a files-map lookup on hot paths)
 	cells      []int64
 	dirty      bool
 	prefetched bool
-	loading    bool
 	elem       *list.Element
 }
 
-// Open creates a file-backed engine for the given machine configuration, in
-// asynchronous device mode unless ACYCLICJOIN_SYNC_DEVICE is set. The backing
-// file is created under dir; an empty dir means the system temp directory
-// with the file unlinked immediately (it exists only as an open descriptor
-// and can never be leaked on disk). A non-empty dir retains the file until
-// Close. A finalizer backstops Close so an abandoned engine cannot leak the
-// descriptor or its worker goroutines.
+// Open creates a file-backed engine for the given machine configuration. The
+// backing file is created under dir; an empty dir means the system temp
+// directory with the file unlinked immediately (it exists only as an open
+// descriptor and can never be leaked on disk). A non-empty dir retains the
+// file until Close. A finalizer backstops Close so an abandoned engine cannot
+// leak the descriptor.
 func Open(dir string, cfg extmem.Config) (*Engine, error) {
-	return open(dir, cfg, SyncFromEnv())
-}
-
-// OpenSync is Open pinned to synchronous device mode: no worker goroutines,
-// every syscall inline under the engine mutex (the pre-pipeline behaviour).
-func OpenSync(dir string, cfg extmem.Config) (*Engine, error) {
-	return open(dir, cfg, true)
-}
-
-// OpenAsync is Open pinned to asynchronous device mode, ignoring the
-// environment (used by A/B benchmarks).
-func OpenAsync(dir string, cfg extmem.Config) (*Engine, error) {
-	return open(dir, cfg, false)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	unlink := dir == ""
+	if dir == "" {
+		dir = os.TempDir()
+	}
+	f, err := os.CreateTemp(dir, "acyclicjoin-disk-*.dat")
+	if err != nil {
+		return nil, fmt.Errorf("diskfile: create backing file: %w", err)
+	}
+	e := &Engine{
+		cfg:        cfg,
+		f:          f,
+		dev:        f,
+		path:       f.Name(),
+		nextPhys:   1,
+		files:      map[uint64]*pfile{},
+		lru:        list.New(),
+		dirty:      map[frameKey]*frame{},
+		free:       map[int64][]int64{},
+		maxRetries: extmem.DefaultMaxDeviceRetries,
+	}
+	if e.capFrames = cfg.M / cfg.B; e.capFrames < 2 {
+		e.capFrames = 2
+	}
+	if e.batchFrames = e.capFrames / 4; e.batchFrames < 4 {
+		e.batchFrames = 4
+	}
+	e.readAhead = 4
+	if unlink {
+		// Anonymous mode: the name disappears now; the descriptor keeps the
+		// storage alive until Close.
+		if err := os.Remove(e.path); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("diskfile: unlink backing file: %w", err)
+		}
+		e.path = ""
+	}
+	runtime.SetFinalizer(e, (*Engine).Close)
+	return e, nil
 }
 
 // OpenWithDevice is Open with a device wrapper interposed beneath every engine
@@ -250,8 +206,8 @@ func OpenAsync(dir string, cfg extmem.Config) (*Engine, error) {
 // corruption, because a wrapped device is expected to lie. maxRetries bounds
 // the inline retry loop per failed syscall (0 means
 // extmem.DefaultMaxDeviceRetries). Used by internal/extmem/faultbackend.
-func OpenWithDevice(dir string, cfg extmem.Config, syncDev bool, maxRetries int, wrap func(Device) Device) (*Engine, error) {
-	e, err := open(dir, cfg, syncDev)
+func OpenWithDevice(dir string, cfg extmem.Config, maxRetries int, wrap func(Device) Device) (*Engine, error) {
+	e, err := Open(dir, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -266,89 +222,15 @@ func OpenWithDevice(dir string, cfg extmem.Config, syncDev bool, maxRetries int,
 	return e, nil
 }
 
-// SyncFromEnv reports whether ACYCLICJOIN_SYNC_DEVICE currently forces the
-// synchronous device path (any value other than "", "0", or "false"); it is
-// what Open consults. Exposed so telemetry writers can record which mode an
-// env-configured run actually used.
-func SyncFromEnv() bool {
-	switch os.Getenv(EnvSyncDevice) {
-	case "", "0", "false":
-		return false
-	}
-	return true
-}
-
-func open(dir string, cfg extmem.Config, syncDev bool) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	unlink := dir == ""
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	f, err := os.CreateTemp(dir, "acyclicjoin-disk-*.dat")
-	if err != nil {
-		return nil, fmt.Errorf("diskfile: create backing file: %w", err)
-	}
-	in := &engine{
-		cfg:        cfg,
-		f:          f,
-		dev:        f,
-		path:       f.Name(),
-		syncDev:    syncDev,
-		nextPhys:   1,
-		files:      map[uint64]*pfile{},
-		lru:        list.New(),
-		dirty:      map[frameKey]*frame{},
-		free:       map[int64][]int64{},
-		maxRetries: extmem.DefaultMaxDeviceRetries,
-	}
-	in.ioCond = sync.NewCond(&in.mu)
-	if in.capFrames = cfg.M / cfg.B; in.capFrames < 2 {
-		in.capFrames = 2
-	}
-	if in.batchFrames = in.capFrames / 4; in.batchFrames < 4 {
-		in.batchFrames = 4
-	}
-	in.readAhead = 4
-	if unlink {
-		// Anonymous mode: the name disappears now; the descriptor keeps the
-		// storage alive until Close.
-		if err := os.Remove(in.path); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("diskfile: unlink backing file: %w", err)
-		}
-		in.path = ""
-	}
-	if !syncDev {
-		// Workers start eagerly so goroutine accounting is stable from Open:
-		// one flusher draining the writeback queue, one prefetch worker
-		// draining the read-ahead queue.
-		in.wbPending = map[frameKey]int{}
-		in.physPending = map[uint64]int{}
-		in.wbDone = make(chan struct{})
-		in.pfDone = make(chan struct{})
-		in.workersUp = true
-		go in.writebackWorker()
-		go in.prefetchWorker()
-	}
-	e := &Engine{in}
-	runtime.SetFinalizer(e, func(e *Engine) { e.engine.Close() })
-	return e, nil
-}
-
 // Name implements extmem.Backend.
-func (e *engine) Name() string { return "file" }
+func (e *Engine) Name() string { return "file" }
 
 // Path returns the backing file's path, or "" when it was unlinked at
 // creation (anonymous mode).
-func (e *engine) Path() string { return e.path }
-
-// SyncDevice reports whether the engine runs in synchronous device mode.
-func (e *engine) SyncDevice() bool { return e.syncDev }
+func (e *Engine) Path() string { return e.path }
 
 // CreateFile implements extmem.Backend.
-func (e *engine) CreateFile(arity int) uint64 {
+func (e *Engine) CreateFile(arity int) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	slot := arity
@@ -366,7 +248,7 @@ func (e *engine) CreateFile(arity int) uint64 {
 	return phys
 }
 
-func (e *engine) pfileOf(phys uint64) *pfile {
+func (e *Engine) pfileOf(phys uint64) *pfile {
 	if phys == e.lastPhys && e.lastPf != nil {
 		return e.lastPf
 	}
@@ -378,42 +260,32 @@ func (e *engine) pfileOf(phys uint64) *pfile {
 	return pf
 }
 
-// failAsync records the first deferred syscall failure (async worker, or a
-// sync-mode flush reached from Flush/Close where a panic has no catcher). It
-// is surfaced as a typed-error panic at the next charged operation — unwound
-// by extmem.CatchAbort into a clean error return — and as an error from
-// Flush/Close, with the failing transfer identified in the message.
-func (e *engine) failAsync(err error) {
+// latchErr records the first failed syscall. A failure inside a charged
+// operation also panics there; one reached from Flush or Close, where a panic
+// has no catcher, is returned instead. Either way every later charged
+// operation re-raises it (checkErr), and Flush/Close return it.
+func (e *Engine) latchErr(err error) {
 	if e.ioErr == nil {
 		e.ioErr = err
 	}
 }
 
-// checkAsyncErr surfaces a recorded deferred failure on the calling charged
-// operation. The panic value is the typed error itself (wrapping ErrDevice,
-// ErrNoSpace, or ErrCorruption), so the abort unwinds through CatchAbort.
-func (e *engine) checkAsyncErr() {
+// checkErr surfaces a latched failure on the calling charged operation. The
+// panic value is the typed error itself (wrapping ErrDevice, ErrNoSpace, or
+// ErrCorruption), so the abort unwinds through extmem.CatchAbort into a clean
+// error return.
+func (e *Engine) checkErr() {
 	if e.ioErr != nil {
 		panic(e.ioErr)
 	}
 }
 
-// devOutcome is one device syscall's result under the bounded-retry protocol:
-// how many re-issues it took, the simulated backoff billed for them, and the
-// final classified error (nil on success). The helpers below do not touch
-// engine state — async callers run them with the mutex released — so the
-// tallies are folded into the recovery telemetry by foldDev, under the mutex.
-type devOutcome struct {
-	retries int64
-	backoff int64
-	err     error
-}
-
 // devReadAt preads into buf at off, retrying transient failures up to
-// maxRetries times with exponential backoff. ENOSPC is never retried (it
-// cannot apply to reads, but classification is shared with writes); exhausted
-// retries latch the device dead and classify as ErrDevice.
-func (e *engine) devReadAt(buf []byte, off int64) devOutcome {
+// maxRetries times with exponential backoff; the retries and backoff are
+// billed to the recovery telemetry. ENOSPC is never retried (it cannot apply
+// to reads, but classification is shared with writes); exhausted retries
+// latch the device dead and classify as ErrDevice.
+func (e *Engine) devReadAt(buf []byte, off int64) error {
 	return e.devCall(opRead, off, len(buf), func() error {
 		_, err := e.dev.ReadAt(buf, off)
 		return err
@@ -421,7 +293,7 @@ func (e *engine) devReadAt(buf []byte, off int64) devOutcome {
 }
 
 // devWriteAt pwrites buf at off under the same retry protocol as devReadAt.
-func (e *engine) devWriteAt(buf []byte, off int64) devOutcome {
+func (e *Engine) devWriteAt(buf []byte, off int64) error {
 	return e.devCall(opWrite, off, len(buf), func() error {
 		_, err := e.dev.WriteAt(buf, off)
 		return err
@@ -433,30 +305,32 @@ const (
 	opWrite = "pwrite"
 )
 
-func (e *engine) devCall(op string, off int64, n int, call func() error) devOutcome {
-	var out devOutcome
-	if e.dead.Load() {
-		out.err = fmt.Errorf("diskfile: %s %d bytes at %d: device declared dead: %w", op, n, off, extmem.ErrDevice)
-		return out
+func (e *Engine) devCall(op string, off int64, n int, call func() error) error {
+	if e.dead {
+		return fmt.Errorf("diskfile: %s %d bytes at %d: device declared dead: %w", op, n, off, extmem.ErrDevice)
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
 		if err = call(); err == nil {
-			return out
+			return nil
 		}
 		if isNoSpace(err) {
-			out.err = fmt.Errorf("diskfile: %s %d bytes at %d: %w (%v)", op, n, off, extmem.ErrNoSpace, err)
-			return out
+			return fmt.Errorf("diskfile: %s %d bytes at %d: %w (%v)", op, n, off, extmem.ErrNoSpace, err)
 		}
 		if attempt >= e.maxRetries {
 			break
 		}
-		out.retries++
-		out.backoff += int64(1) << uint(min(attempt, 20))
+		e.rec.Retries++
+		if op == opWrite {
+			e.rec.RetriedWrites++
+		} else {
+			e.rec.RetriedReads++
+		}
+		e.rec.BackoffIOs += int64(1) << uint(min(attempt, 20))
 	}
-	e.dead.Store(true)
-	out.err = fmt.Errorf("diskfile: %s %d bytes at %d: retries exhausted: %w (%v)", op, n, off, extmem.ErrDevice, err)
-	return out
+	e.dead = true
+	e.rec.DeviceDead = 1
+	return fmt.Errorf("diskfile: %s %d bytes at %d: retries exhausted: %w (%v)", op, n, off, extmem.ErrDevice, err)
 }
 
 // isNoSpace recognizes space exhaustion: the real syscall error, or an
@@ -465,83 +339,28 @@ func isNoSpace(err error) bool {
 	return errors.Is(err, syscall.ENOSPC) || errors.Is(err, extmem.ErrNoSpace)
 }
 
-// foldDev folds one syscall's retry outcome into the recovery telemetry.
-// Callers must hold mu.
-func (e *engine) foldDev(op string, out devOutcome) {
-	e.rec.Retries += out.retries
-	if op == opWrite {
-		e.rec.RetriedWrites += out.retries
-	} else {
-		e.rec.RetriedReads += out.retries
-	}
-	e.rec.BackoffIOs += out.backoff
-	if out.err != nil && errors.Is(out.err, extmem.ErrDevice) {
-		e.rec.DeviceDead = 1
-	}
-}
-
 // DeviceFaultRecovery returns the engine's recovery-side fault telemetry:
 // syscall retries, backoff, torn-frame repairs, and the dead-device latch.
 // The injection-side counters live in the fault device wrapper; the
 // faultbackend package merges the two views.
-func (e *engine) DeviceFaultRecovery() extmem.DeviceFaultStats {
+func (e *Engine) DeviceFaultRecovery() extmem.DeviceFaultStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.rec
-}
-
-// frameSettled returns the resident frame for (pf, k) with any in-flight load
-// completed, or nil when the slot is empty. Waiting releases the mutex, and a
-// concurrent charged operation may evict the waited-on frame — and reuse its
-// shell for a different key — before the waiter reacquires the lock, so the
-// lookup revalidates the slot after every wait and only returns a frame that
-// is both settled and still the slot's current occupant. steal lets a demand
-// reader claim the frame's queued prefetch group instead of blocking behind
-// the worker's schedule.
-func (e *engine) frameSettled(pf *pfile, k int, steal bool) *frame {
-	for {
-		fr := pf.frame(k)
-		if fr == nil || !fr.loading {
-			return fr
-		}
-		if steal && e.stealQueuedLoad(fr) {
-			e.checkAsyncErr()
-		} else {
-			e.waitFrameLoaded(fr)
-		}
-		if pf.frame(k) == fr {
-			return fr
-		}
-	}
-}
-
-// waitFrameLoaded blocks until fr's in-flight load (if any) completes. Callers
-// on the charged path come through here before reading, overwriting, or
-// evicting a latched frame, and must revalidate any slot lookup afterwards
-// (see frameSettled) — the frame may no longer be the slot's occupant.
-func (e *engine) waitFrameLoaded(fr *frame) {
-	if !fr.loading {
-		return
-	}
-	e.stats.DemandWaits++
-	for fr.loading {
-		e.ioCond.Wait()
-	}
-	e.checkAsyncErr()
 }
 
 // WriteRange implements extmem.Backend: cells become the contents of tuples
 // [off, off+n) of phys. off is frame-aligned and windows only ever grow a
 // file, so every touched frame is overwritten from its first cell — no
 // read-modify-write is needed and the cache frame can be replaced outright.
-func (e *engine) WriteRange(phys uint64, off int, cells []int64, billed bool) {
+func (e *Engine) WriteRange(phys uint64, off int, cells []int64, billed bool) {
 	if len(cells) == 0 {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ensureOpen()
-	e.checkAsyncErr()
+	e.checkErr()
 	if billed {
 		e.stats.BilledWrites++
 	} else {
@@ -553,7 +372,7 @@ func (e *engine) WriteRange(phys uint64, off int, cells []int64, billed bool) {
 		if n > pf.frameCells {
 			n = pf.frameCells
 		}
-		fr := e.frameSettled(pf, k, false)
+		fr := pf.frame(k)
 		if fr == nil {
 			fr = e.insertFrame(pf, frameKey{phys, k})
 		} else {
@@ -583,14 +402,14 @@ func (e *engine) WriteRange(phys uint64, off int, cells []int64, billed bool) {
 // ReadRange implements extmem.Backend: fetch tuples [off, off+n) of phys —
 // from the cache, the device, or (when no device copy exists yet) rebuilt
 // from the image — and byte-verify the result against want.
-func (e *engine) ReadRange(phys uint64, off int, want []int64) {
+func (e *Engine) ReadRange(phys uint64, off int, want []int64) {
 	if len(want) == 0 {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ensureOpen()
-	e.checkAsyncErr()
+	e.checkErr()
 	e.stats.BilledReads++
 	pf := e.pfileOf(phys)
 	served := "cache"
@@ -601,7 +420,7 @@ func (e *engine) ReadRange(phys uint64, off int, want []int64) {
 		}
 		part := want[:n]
 		want = want[n:]
-		fr := e.frameSettled(pf, k, true)
+		fr := pf.frame(k)
 		switch {
 		case fr != nil:
 			e.lru.MoveToFront(fr.elem)
@@ -665,7 +484,7 @@ const maxFrameRepairs = 4
 // Repairs are bounded per frame; past the bound, or with the real device
 // underneath (where a mismatch means an engine bug, never an injected torn
 // write), the mismatch panics with a typed error wrapping ErrCorruption.
-func (e *engine) verify(fr *frame, want []int64) {
+func (e *Engine) verify(fr *frame, want []int64) {
 	got := fr.cells
 	n := len(got)
 	if len(want) < n {
@@ -685,7 +504,7 @@ func (e *engine) verify(fr *frame, want []int64) {
 }
 
 // repairFrame handles one verify mismatch at cell i; see verify.
-func (e *engine) repairFrame(fr *frame, want []int64, i int, got, exp int64) {
+func (e *Engine) repairFrame(fr *frame, want []int64, i int, got, exp int64) {
 	err := fmt.Errorf("diskfile: %w: phys %d frame %d cell %d: device has %d, image has %d",
 		extmem.ErrCorruption, fr.key.phys, fr.key.idx, i, got, exp)
 	if !e.repairable {
@@ -704,31 +523,12 @@ func (e *engine) repairFrame(fr *frame, want []int64, i int, got, exp int64) {
 }
 
 // Truncate implements extmem.Backend: drop every cached frame of phys and
-// return its device frames to the free list. In async mode the file's queued
-// writebacks and in-flight loads are drained first, so a freed offset can
-// never be reallocated while a stale pwrite for it is still in the queue.
-func (e *engine) Truncate(phys uint64) {
+// return its device frames to the free list.
+func (e *Engine) Truncate(phys uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.checkAsyncErr()
+	e.checkErr()
 	pf := e.pfileOf(phys)
-	for {
-		var inFlight *frame
-		for _, fr := range pf.frames {
-			if fr != nil && fr.loading {
-				inFlight = fr
-				break
-			}
-		}
-		if inFlight == nil && e.physPending[phys] == 0 {
-			break
-		}
-		if inFlight != nil {
-			e.waitFrameLoaded(inFlight)
-		} else {
-			e.ioCond.Wait()
-		}
-	}
 	for _, off := range pf.offs {
 		if off >= 0 {
 			e.free[pf.frameBytes] = append(e.free[pf.frameBytes], off)
@@ -747,48 +547,28 @@ func (e *engine) Truncate(phys uint64) {
 	pf.lastSeq = -2
 }
 
-// Flush implements extmem.Backend: drain the dirty-frame batch to the device
-// and wait for the flusher to land every queued segment. A deferred async
-// failure is returned here (it also panics at the next charged operation).
-func (e *engine) Flush() error {
+// Flush implements extmem.Backend: drain the dirty-frame batch to the device.
+// A latched syscall failure — this flush's or an earlier one's — is returned.
+func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil
 	}
-	e.flushLocked() // a sync-mode failure is recorded in ioErr
-	e.drainWritebackLocked()
+	e.flushLocked() // a failure is latched in ioErr
 	return e.ioErr
 }
 
-// Close implements extmem.Backend: flush, drain both workers, release the
-// descriptor, and remove a retained backing file. Idempotent — including
-// against a concurrent Close: the drain below releases the mutex, and the
-// handle finalizer may fire mid-call (the *Engine becomes unreachable the
-// moment a promoted method call extracts the inner engine), so a second
-// caller must bail on the closing latch, not just on closed.
-func (e *engine) Close() error {
+// Close implements extmem.Backend: flush, release the descriptor, and remove
+// a retained backing file. Idempotent.
+func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed || e.closing {
+	if e.closed {
 		return nil
 	}
-	e.closing = true
-	e.flushLocked() // a sync-mode failure is recorded in ioErr
-	e.drainWritebackLocked()
-	for len(e.pfQueue) > 0 || e.loading > 0 {
-		e.ioCond.Wait()
-	}
 	e.closed = true
-	if e.workersUp {
-		e.quit = true
-		e.ioCond.Broadcast()
-		e.mu.Unlock()
-		<-e.wbDone
-		<-e.pfDone
-		e.mu.Lock()
-		e.workersUp = false
-	}
+	e.flushLocked() // a failure is latched in ioErr
 	err := e.ioErr
 	if cerr := e.f.Close(); err == nil {
 		err = cerr
@@ -802,20 +582,20 @@ func (e *engine) Close() error {
 }
 
 // DeviceStats implements extmem.Backend.
-func (e *engine) DeviceStats() extmem.DeviceStats {
+func (e *Engine) DeviceStats() extmem.DeviceStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats
 }
 
 // CachedFrames returns the number of frames currently resident (for tests).
-func (e *engine) CachedFrames() int {
+func (e *Engine) CachedFrames() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.nFrames
 }
 
-func (e *engine) ensureOpen() {
+func (e *Engine) ensureOpen() {
 	if e.closed {
 		panic("diskfile: engine used after Close")
 	}
@@ -824,7 +604,7 @@ func (e *engine) ensureOpen() {
 // insertFrame adds an empty frame for key at the front of the LRU, reusing an
 // evicted shell (and its cells capacity) when one is free: the steady-state
 // evict-and-refetch churn of a scan larger than the cache allocates nothing.
-func (e *engine) insertFrame(pf *pfile, key frameKey) *frame {
+func (e *Engine) insertFrame(pf *pfile, key frameKey) *frame {
 	var fr *frame
 	if n := len(e.frameFree); n > 0 {
 		fr = e.frameFree[n-1]
@@ -842,7 +622,7 @@ func (e *engine) insertFrame(pf *pfile, key frameKey) *frame {
 	return fr
 }
 
-func (e *engine) dropFrame(fr *frame) {
+func (e *Engine) dropFrame(fr *frame) {
 	if fr.prefetched {
 		fr.prefetched = false
 		e.stats.PrefetchWasted++
@@ -851,22 +631,16 @@ func (e *engine) dropFrame(fr *frame) {
 	fr.pf.frames[fr.key.idx] = nil
 	e.nFrames--
 	delete(e.dirty, fr.key)
-	fr.pf, fr.elem, fr.dirty, fr.loading = nil, nil, false, false
+	fr.pf, fr.elem, fr.dirty = nil, nil, false
 	e.frameFree = append(e.frameFree, fr)
 }
 
 // evictLocked enforces the M/B-frame cache capacity. Evicting a dirty victim
 // drains the whole dirty batch first — the victim leaves clean, and the batch
-// gets its coalescing shot at the same time. A latched victim is waited for,
-// never skipped: the LRU's deterministic victim choice is part of the
-// telemetry contract.
-func (e *engine) evictLocked() {
+// gets its coalescing shot at the same time.
+func (e *Engine) evictLocked() {
 	for e.nFrames > e.capFrames {
 		victim := e.lru.Back().Value.(*frame)
-		if victim.loading {
-			e.waitFrameLoaded(victim)
-			continue
-		}
 		if victim.dirty {
 			if err := e.flushLocked(); err != nil {
 				panic(err)
@@ -878,109 +652,22 @@ func (e *engine) evictLocked() {
 	}
 }
 
-// fetchFrame demand-reads one frame from the device into the cache. The
-// telemetry and cache decisions happen here, under the mutex, at the charged
-// operation; in async mode the pread itself runs with the mutex released.
-func (e *engine) fetchFrame(pf *pfile, phys uint64, k int) *frame {
+// fetchFrame demand-reads one frame from the device into the cache, as a
+// one-frame group.
+func (e *Engine) fetchFrame(pf *pfile, phys uint64, k int) *frame {
 	fr := e.insertFrame(pf, frameKey{phys, k})
 	e.stats.BlockReads++
 	e.stats.ReadCalls++
-	if e.syncDev {
-		fr.cells = e.pread(pf.offs[k], pf.devCells[k], fr.cells)
-		return fr
-	}
-	fr.loading = true
-	e.noteLoading()
-	e.loadGroup([]*frame{fr}, pf.offs[k], []int{pf.devCells[k]}, true)
-	e.checkAsyncErr()
+	e.preadGroup([]*frame{fr}, pf.offs[k], []int{pf.devCells[k]})
 	return fr
-}
-
-// noteLoading tracks the in-flight load count and its high-water telemetry.
-func (e *engine) noteLoading() {
-	e.loading++
-	if n := int64(e.loading); n > e.stats.PrefetchInFlight {
-		e.stats.PrefetchInFlight = n
-	}
-}
-
-// loadGroup performs one latched group load — a single pread covering a
-// contiguous run of frames — releasing the mutex across the syscall. The
-// caller (demand read, steal, or the prefetch worker) must already have set
-// every frame's loading latch and charged the counters. Queued writebacks of
-// the frames are waited out first — the device copy must be current before it
-// is read back.
-func (e *engine) loadGroup(frs []*frame, off int64, cells []int, demand bool) {
-	for _, fr := range frs {
-		if e.wbPending[fr.key] > 0 {
-			if demand {
-				e.stats.DemandWaits++
-				demand = false
-			}
-			for e.wbPending[fr.key] > 0 {
-				e.ioCond.Wait()
-			}
-		}
-	}
-	fb := int(frs[0].pf.frameBytes)
-	nbytes := fb*(len(frs)-1) + cells[len(frs)-1]*8
-	buf := getBuf(nbytes)
-	e.mu.Unlock()
-	out := e.devReadAt(buf, off)
-	e.mu.Lock()
-	e.foldDev(opRead, out)
-	if out.err != nil {
-		k := frs[0].key
-		e.failAsync(fmt.Errorf("%w (phys %d frame %d, %d frames)", out.err, k.phys, k.idx, len(frs)))
-	} else {
-		for i, fr := range frs {
-			n := cells[i]
-			if cap(fr.cells) < n {
-				fr.cells = make([]int64, n)
-			}
-			fr.cells = fr.cells[:n]
-			b := buf[i*fb:]
-			for j := range fr.cells {
-				fr.cells[j] = int64(binary.LittleEndian.Uint64(b[j*8:]))
-			}
-		}
-	}
-	putBuf(buf)
-	for _, fr := range frs {
-		fr.loading = false
-	}
-	e.loading -= len(frs)
-	e.ioCond.Broadcast()
-}
-
-// stealQueuedLoad claims the queued prefetch group containing fr (if the
-// worker has not yet dequeued it) and performs the load on the calling
-// (demand) goroutine: a scanner outpacing the worker fetches for itself
-// instead of blocking behind the worker's schedule. Counters are untouched —
-// the load was fully charged at enqueue time — so the steal is invisible to
-// the deterministic telemetry.
-func (e *engine) stealQueuedLoad(fr *frame) bool {
-	for i, req := range e.pfQueue {
-		for _, qf := range req.frs {
-			if qf == fr {
-				e.pfQueue = append(e.pfQueue[:i], e.pfQueue[i+1:]...)
-				e.loadGroup(req.frs, req.off, req.cells, true)
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // prefetch pulls up to readAhead device-resident frames following a detected
 // sequential scan into the cache ahead of their demand, coalescing
 // offset-contiguous runs into single preads — the read-side mirror of the
-// write batcher. Grouping is decided here, under the mutex, at the charged
-// operation, so the ReadCalls telemetry is deterministic and identical across
-// the sync and async pipelines; in async mode the frames are inserted and
-// latched here (so the cache-hit accounting of later reads is unchanged) and
-// the preads happen on the worker.
-func (e *engine) prefetch(pf *pfile, phys uint64, from int) {
+// write batcher. Grouping is decided at the charged operation, so the
+// ReadCalls telemetry is deterministic.
+func (e *Engine) prefetch(pf *pfile, phys uint64, from int) {
 	var (
 		frs   []*frame
 		cells []int
@@ -991,15 +678,7 @@ func (e *engine) prefetch(pf *pfile, phys uint64, from int) {
 			return
 		}
 		e.stats.ReadCalls++
-		if e.syncDev {
-			e.preadGroup(frs, off, cells)
-		} else {
-			for _, fr := range frs {
-				fr.loading = true
-				e.noteLoading()
-			}
-			e.pfQueue = append(e.pfQueue, &loadReq{frs: frs, off: off, cells: cells})
-		}
+		e.preadGroup(frs, off, cells)
 		frs, cells = nil, nil
 	}
 	for k := from; k < from+e.readAhead; k++ {
@@ -1024,49 +703,16 @@ func (e *engine) prefetch(pf *pfile, phys uint64, from int) {
 		cells = append(cells, pf.devCells[k])
 	}
 	flush()
-	if !e.syncDev {
-		e.ioCond.Broadcast()
-	}
-}
-
-// prefetchWorker drains the read-ahead queue, one latched group load at a
-// time.
-func (e *engine) prefetchWorker() {
-	e.mu.Lock()
-	for {
-		for len(e.pfQueue) == 0 && !e.quit {
-			e.ioCond.Wait()
-		}
-		if len(e.pfQueue) == 0 {
-			break
-		}
-		req := e.pfQueue[0]
-		e.pfQueue = e.pfQueue[1:]
-		e.loadGroup(req.frs, req.off, req.cells, false)
-	}
-	e.mu.Unlock()
-	close(e.pfDone)
 }
 
 // flushLocked forms every dirty frame into coalesced segments — allocating
-// device space in deterministic (phys, frame) order — and either writes them
-// inline (sync mode) or enqueues them for the flusher. Formation is identical
-// in both modes, so the WriteCalls/BlockWrites telemetry is too. Backpressure
-// applies before formation: if the queue is full we wait (releasing the
-// mutex) for the flusher, then re-check the dirty set, since formation plus
-// enqueue must be atomic under the mutex to keep same-frame segments in FIFO
-// order.
+// device space in deterministic (phys, frame) order — and pwrites each
+// segment inline.
 //
-// A sync-mode device failure is returned (typed, and recorded via failAsync —
-// exactly the async semantics): charged callers panic with it so the abort
-// unwinds through CatchAbort, while Flush and Close — where a panic has no
-// catcher — return it as an error.
-func (e *engine) flushLocked() error {
-	if !e.syncDev {
-		for len(e.wbQueue) >= maxQueuedSegs {
-			e.ioCond.Wait()
-		}
-	}
+// A device failure is returned typed and latched (latchErr): charged callers
+// panic with it so the abort unwinds through CatchAbort, while Flush and
+// Close — where a panic has no catcher — return it as an error.
+func (e *Engine) flushLocked() error {
 	if len(e.dirty) == 0 {
 		return nil
 	}
@@ -1103,125 +749,31 @@ func (e *engine) flushLocked() error {
 			next += int64(len(fr.cells)) * 8
 			j++
 		}
-		seg := &wbSeg{off: runOff, buf: getBuf(int(next - runOff))[:0], keys: make([]frameKey, 0, j-i)}
+		e.stats.WriteCalls++
+		e.stats.BlockWrites += int64(j - i)
+		buf := getBuf(int(next - runOff))[:0]
 		for ; i < j; i++ {
 			fr := frames[i]
-			fpf := fr.pf
 			for _, c := range fr.cells {
-				seg.buf = binary.LittleEndian.AppendUint64(seg.buf, uint64(c))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
 			}
-			fpf.devCells[fr.key.idx] = len(fr.cells)
+			fr.pf.devCells[fr.key.idx] = len(fr.cells)
 			fr.dirty = false
 			delete(e.dirty, fr.key)
-			seg.keys = append(seg.keys, fr.key)
 		}
-		e.stats.WriteCalls++
-		e.stats.BlockWrites += int64(len(seg.keys))
-		if e.syncDev {
-			out := e.devWriteAt(seg.buf, seg.off)
-			e.foldDev(opWrite, out)
-			putBuf(seg.buf)
-			if out.err != nil {
-				e.failAsync(out.err)
-				return out.err
-			}
-			continue
+		err := e.devWriteAt(buf, runOff)
+		putBuf(buf)
+		if err != nil {
+			e.latchErr(err)
+			return err
 		}
-		for _, k := range seg.keys {
-			e.wbPending[k]++
-			e.physPending[k.phys]++
-		}
-		e.wbQueue = append(e.wbQueue, seg)
-		if n := int64(len(e.wbQueue)); n > e.stats.FlushQueueHiWater {
-			e.stats.FlushQueueHiWater = n
-		}
-	}
-	if !e.syncDev {
-		e.ioCond.Broadcast()
 	}
 	return nil
 }
 
-// writebackWorker is the flusher: it claims the whole queued backlog in FIFO
-// order, pwrites the segments with the mutex released, and publishes every
-// completion in one wakeup — draining in batches keeps the lock/wakeup cost
-// per segment negligible, so a producer in a flush burst rarely hits
-// backpressure. FIFO matters — two queued segments may target the same frame
-// (re-dirtied between flushes) or a freed-and-reused device offset, and queue
-// order is the order the device must observe.
-func (e *engine) writebackWorker() {
-	e.mu.Lock()
-	for {
-		for len(e.wbQueue) == 0 && !e.quit {
-			e.ioCond.Wait()
-		}
-		if len(e.wbQueue) == 0 {
-			break
-		}
-		batch := e.wbQueue
-		e.wbQueue = nil
-		overlapped := e.wbWaiters == 0
-		e.wbActive = true
-		e.mu.Unlock()
-		var firstErr error
-		var outs devOutcome
-		for _, seg := range batch {
-			if firstErr == nil {
-				if out := e.devWriteAt(seg.buf, seg.off); out.err != nil {
-					k := seg.keys[0]
-					firstErr = fmt.Errorf("%w (phys %d frame %d, %d frames)",
-						out.err, k.phys, k.idx, len(seg.keys))
-					outs.retries += out.retries
-					outs.backoff += out.backoff
-					outs.err = out.err
-				} else {
-					outs.retries += out.retries
-					outs.backoff += out.backoff
-				}
-			}
-			putBuf(seg.buf)
-		}
-		e.mu.Lock()
-		e.wbActive = false
-		e.foldDev(opWrite, outs)
-		if firstErr != nil {
-			e.failAsync(firstErr)
-		}
-		if overlapped {
-			e.stats.OverlappedWrites += int64(len(batch))
-		}
-		for _, seg := range batch {
-			for _, k := range seg.keys {
-				if e.wbPending[k]--; e.wbPending[k] == 0 {
-					delete(e.wbPending, k)
-				}
-				if e.physPending[k.phys]--; e.physPending[k.phys] == 0 {
-					delete(e.physPending, k.phys)
-				}
-			}
-		}
-		e.ioCond.Broadcast()
-	}
-	e.mu.Unlock()
-	close(e.wbDone)
-}
-
-// drainWritebackLocked blocks until the flusher has landed every queued
-// segment. No-op in sync mode.
-func (e *engine) drainWritebackLocked() {
-	if e.syncDev {
-		return
-	}
-	e.wbWaiters++
-	for len(e.wbQueue) > 0 || e.wbActive {
-		e.ioCond.Wait()
-	}
-	e.wbWaiters--
-}
-
 // ensureAlloc gives frame k of pf a device offset, reusing freed frames of
 // the same size class before growing the file.
-func (e *engine) ensureAlloc(pf *pfile, k int) {
+func (e *Engine) ensureAlloc(pf *pfile, k int) {
 	for len(pf.offs) <= k {
 		pf.offs = append(pf.offs, -1)
 		pf.devCells = append(pf.devCells, 0)
@@ -1238,23 +790,18 @@ func (e *engine) ensureAlloc(pf *pfile, k int) {
 	e.devEnd += pf.frameBytes
 }
 
-// preadGroup reads one contiguous run of frames with a single pread, inline
-// under the mutex (sync mode). The byte layout matches loadGroup: frame i of
-// the run starts at off + i*frameBytes, and only the final frame may be
-// partial on the device (a mid-run gap is always backed by the later frames'
-// written bytes, so the single pread never crosses EOF).
-func (e *engine) preadGroup(frs []*frame, off int64, cells []int) {
+// preadGroup reads one contiguous run of frames with a single pread, staged
+// through a pooled buffer. Frame i of the run starts at off + i*frameBytes,
+// and only the final frame may be partial on the device (a mid-run gap is
+// always backed by the later frames' written bytes, so the single pread never
+// crosses EOF). A failed read is latched and panics at the charged operation.
+func (e *Engine) preadGroup(frs []*frame, off int64, cells []int) {
 	fb := int(frs[0].pf.frameBytes)
-	nbytes := fb*(len(frs)-1) + cells[len(frs)-1]*8
-	if cap(e.scratch) < nbytes {
-		e.scratch = make([]byte, nbytes)
-	}
-	buf := e.scratch[:nbytes]
-	out := e.devReadAt(buf, off)
-	e.foldDev(opRead, out)
-	if out.err != nil {
-		e.failAsync(out.err)
-		panic(out.err)
+	buf := getBuf(fb*(len(frs)-1) + cells[len(frs)-1]*8)
+	if err := e.devReadAt(buf, off); err != nil {
+		putBuf(buf)
+		e.latchErr(err)
+		panic(err)
 	}
 	for i, fr := range frs {
 		n := cells[i]
@@ -1267,28 +814,5 @@ func (e *engine) preadGroup(frs []*frame, off int64, cells []int) {
 			fr.cells[j] = int64(binary.LittleEndian.Uint64(b[j*8:]))
 		}
 	}
-}
-
-// pread reads cells cells at a device offset into dst (reused if possible);
-// sync mode only — the mutex is held across the syscall by design there.
-func (e *engine) pread(off int64, cells int, dst []int64) []int64 {
-	nbytes := cells * 8
-	if cap(e.scratch) < nbytes {
-		e.scratch = make([]byte, nbytes)
-	}
-	buf := e.scratch[:nbytes]
-	out := e.devReadAt(buf, off)
-	e.foldDev(opRead, out)
-	if out.err != nil {
-		e.failAsync(out.err)
-		panic(out.err)
-	}
-	if cap(dst) < cells {
-		dst = make([]int64, cells)
-	}
-	dst = dst[:cells]
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return dst
+	putBuf(buf)
 }

@@ -473,21 +473,21 @@ func scanSum(f *extmem.File) (n int, sum int64) {
 	return n, sum
 }
 
-// TestTransientFaultsAsyncPathIdentical drives the same workload — bulk load,
-// external sort, full scan — through the asynchronous device pipeline with and
-// without injected transient faults. Inline retries must keep the charged
-// stats, the emitted cells, and the seam ledger bit-identical; the engine may
-// only run ahead of the ledger by the retried transfers.
-func TestTransientFaultsAsyncPathIdentical(t *testing.T) {
+// TestTransientFaultsPathIdentical drives the same workload — bulk load,
+// external sort, full scan — through the file engine with and without
+// injected transient faults. Inline retries must keep the charged stats, the
+// emitted cells, and the seam ledger bit-identical; the engine may only run
+// ahead of the ledger by the retried transfers.
+func TestTransientFaultsPathIdentical(t *testing.T) {
 	type outcome struct {
 		n     int
 		sum   int64
 		stats extmem.Stats
 	}
 	run := func(plan *extmem.FaultPlan) (outcome, *extmem.Disk, *diskfile.Engine) {
-		eng, err := diskfile.OpenAsync("", cfg)
+		eng, err := diskfile.Open("", cfg)
 		if err != nil {
-			t.Fatalf("OpenAsync: %v", err)
+			t.Fatalf("Open: %v", err)
 		}
 		t.Cleanup(func() { eng.Close() })
 		d := extmem.NewDiskWithBackend(cfg, eng)
@@ -521,19 +521,16 @@ func TestTransientFaultsAsyncPathIdentical(t *testing.T) {
 		t.Fatalf("engine billed %d/%d, ledger performed %d/%d, retries %d/%d",
 			ds.BilledReads, ds.BilledWrites, x.Reads, x.Writes, fs.RetryReads, fs.RetryWrites)
 	}
-	if eng.SyncDevice() {
-		t.Fatal("test meant to exercise the async pipeline ran in sync mode")
-	}
 }
 
-// TestPermanentFaultAsyncPathSurfacesTyped injects an unrecoverable fault
-// mid-workload on the async pipeline: CatchAbort must hand back the typed
+// TestPermanentFaultPathSurfacesTyped injects an unrecoverable fault
+// mid-workload on the file engine: CatchAbort must hand back the typed
 // *FaultError, and the engine must come out consistent — the pre-fault data
 // scans back fully verified and the engine flushes and closes clean.
-func TestPermanentFaultAsyncPathSurfacesTyped(t *testing.T) {
-	eng, err := diskfile.OpenAsync("", cfg)
+func TestPermanentFaultPathSurfacesTyped(t *testing.T) {
+	eng, err := diskfile.Open("", cfg)
 	if err != nil {
-		t.Fatalf("OpenAsync: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	d := extmem.NewDiskWithBackend(cfg, eng)
 	f := d.NewFile(2)
@@ -567,68 +564,20 @@ func TestPermanentFaultAsyncPathSurfacesTyped(t *testing.T) {
 	}
 }
 
-// TestAsyncPipelineOverlapsAndDrains pins the two sides of the tentpole
-// contract at once: the async engine demonstrably overlaps device writes with
-// the charged workload (OverlappedWrites > 0 — guaranteed, not timing-luck,
-// because a 256-block load overruns the bounded writeback queue and forces
-// the flusher to run while the load continues), while every deterministic
-// counter stays bit-identical to the synchronous path.
-func TestAsyncPipelineOverlapsAndDrains(t *testing.T) {
-	run := func(open func(string, extmem.Config) (*diskfile.Engine, error)) (extmem.DeviceStats, extmem.Stats) {
-		eng, err := open("", cfg)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		t.Cleanup(func() { eng.Close() })
-		d := extmem.NewDiskWithBackend(cfg, eng)
-		f := d.NewFile(2)
-		fill(f, 256*cfg.B, 16)
-		g := d.NewFile(2)
-		fill(g, 32*cfg.B, 17)
-		if n, _ := scanSum(f); n != f.Len() {
-			t.Fatalf("scan saw %d of %d tuples", n, f.Len())
-		}
-		if err := eng.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		assertParity(t, d)
-		return eng.DeviceStats(), d.Stats()
-	}
-	async, asyncStats := run(diskfile.OpenAsync)
-	sync, syncStats := run(diskfile.OpenSync)
-	if async.OverlappedWrites == 0 {
-		t.Fatalf("async pipeline never overlapped a write: %+v", async)
-	}
-	if sync.OverlappedWrites != 0 || sync.FlushQueueHiWater != 0 || sync.PrefetchInFlight != 0 || sync.DemandWaits != 0 {
-		t.Fatalf("sync path reported async telemetry: %+v", sync)
-	}
-	if asyncStats != syncStats {
-		t.Fatalf("charged stats diverge across device modes: async %v, sync %v", asyncStats, syncStats)
-	}
-	// Segment formation is shared code run under the mutex in both modes, so
-	// every deterministic device counter must match exactly; only the four
-	// timing-dependent pipeline counters may differ.
-	async.OverlappedWrites, async.FlushQueueHiWater, async.PrefetchInFlight, async.DemandWaits = 0, 0, 0, 0
-	sync.OverlappedWrites, sync.FlushQueueHiWater, sync.PrefetchInFlight, sync.DemandWaits = 0, 0, 0, 0
-	if async != sync {
-		t.Fatalf("deterministic device telemetry diverges:\n  async: %+v\n  sync:  %+v", async, sync)
-	}
-}
-
-// TestAsyncDeviceErrorSurfaces makes a background pread fail for real (the
-// backing file is truncated behind the engine's back) and checks the failure
-// surfaces as a panic at a charged operation, naming the failed transfer.
-func TestAsyncDeviceErrorSurfaces(t *testing.T) {
+// TestDeviceErrorSurfaces makes a pread fail for real (the backing file is
+// truncated behind the engine's back) and checks the failure surfaces as a
+// panic at the charged read, naming the failed transfer.
+func TestDeviceErrorSurfaces(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := diskfile.OpenAsync(dir, cfg)
+	eng, err := diskfile.Open(dir, cfg)
 	if err != nil {
-		t.Fatalf("OpenAsync: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { eng.Close() })
 	d := extmem.NewDiskWithBackend(cfg, eng)
 	f := d.NewFile(2)
 	fill(f, 32*cfg.B, 18)
-	// Evict f's frames, then land everything so no queued writeback can
+	// Evict f's frames, then land everything so no pending writeback can
 	// re-extend the file after the truncation below.
 	g := d.NewFile(2)
 	fill(g, 64*cfg.B, 19)
@@ -652,62 +601,50 @@ func TestAsyncDeviceErrorSurfaces(t *testing.T) {
 	}
 }
 
-// benchEngines runs fn once per device mode, so every engine benchmark
-// reports a sync arm and an async arm side by side.
-func benchEngines(b *testing.B, fn func(b *testing.B, open func(string, extmem.Config) (*diskfile.Engine, error))) {
-	b.Run("sync", func(b *testing.B) { fn(b, diskfile.OpenSync) })
-	b.Run("async", func(b *testing.B) { fn(b, diskfile.OpenAsync) })
-}
-
 // BenchmarkEngineWriteRange measures the charged write path end to end: one
-// 256-block sequential load, flushed to the device, per iteration. The async
-// arm overlaps the pwrites with formation; the charged schedule is identical.
+// 256-block sequential load, flushed to the device, per iteration.
 func BenchmarkEngineWriteRange(b *testing.B) {
-	benchEngines(b, func(b *testing.B, open func(string, extmem.Config) (*diskfile.Engine, error)) {
-		for i := 0; i < b.N; i++ {
-			eng, err := open("", cfg)
-			if err != nil {
-				b.Fatalf("open: %v", err)
-			}
-			d := extmem.NewDiskWithBackend(cfg, eng)
-			f := d.NewFile(2)
-			fill(f, 256*cfg.B, 20)
-			if err := eng.Flush(); err != nil {
-				b.Fatalf("Flush: %v", err)
-			}
-			if err := eng.Close(); err != nil {
-				b.Fatalf("Close: %v", err)
-			}
+	for i := 0; i < b.N; i++ {
+		eng, err := diskfile.Open("", cfg)
+		if err != nil {
+			b.Fatalf("Open: %v", err)
 		}
-	})
+		d := extmem.NewDiskWithBackend(cfg, eng)
+		f := d.NewFile(2)
+		fill(f, 256*cfg.B, 20)
+		if err := eng.Flush(); err != nil {
+			b.Fatalf("Flush: %v", err)
+		}
+		if err := eng.Close(); err != nil {
+			b.Fatalf("Close: %v", err)
+		}
+	}
 }
 
 // BenchmarkEngineReadRangeSeq measures sequential charged scans that miss the
 // cache: the scanned file is 8x the frame budget, so every pass re-fetches
-// from the device (read-ahead active on the async arm).
+// from the device, with read-ahead active.
 func BenchmarkEngineReadRangeSeq(b *testing.B) {
-	benchEngines(b, func(b *testing.B, open func(string, extmem.Config) (*diskfile.Engine, error)) {
-		eng, err := open("", cfg)
-		if err != nil {
-			b.Fatalf("open: %v", err)
+	eng, err := diskfile.Open("", cfg)
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	d := extmem.NewDiskWithBackend(cfg, eng)
+	f := d.NewFile(2)
+	fill(f, 128*cfg.B, 21)
+	if err := eng.Flush(); err != nil {
+		b.Fatalf("Flush: %v", err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := f.NewReader()
+		for tup := r.Next(); tup != nil; tup = r.Next() {
 		}
-		d := extmem.NewDiskWithBackend(cfg, eng)
-		f := d.NewFile(2)
-		fill(f, 128*cfg.B, 21)
-		if err := eng.Flush(); err != nil {
-			b.Fatalf("Flush: %v", err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := f.NewReader()
-			for tup := r.Next(); tup != nil; tup = r.Next() {
-			}
-		}
-		b.StopTimer()
-		if err := eng.Close(); err != nil {
-			b.Fatalf("Close: %v", err)
-		}
-	})
+	}
+	b.StopTimer()
+	if err := eng.Close(); err != nil {
+		b.Fatalf("Close: %v", err)
+	}
 }
 
 func TestAnonymousBackingFileHasNoPath(t *testing.T) {

@@ -1,10 +1,9 @@
 // Package faultbackend wraps the os.File storage engine with deterministic,
 // seeded syscall-level fault injection: the chaos rig for the layer the
 // charged I/O model actually ships on. It interposes a fault device beneath
-// internal/extmem/diskfile — under every pread and pwrite, including the ones
-// issued by the async flusher and prefetch workers, which never cross the
-// Backend seam — and injects four failure classes from an
-// extmem.DeviceFaultPlan:
+// internal/extmem/diskfile — under every pread and pwrite, including the
+// writeback and read-ahead syscalls that no charged window maps to one for
+// one — and injects four failure classes from an extmem.DeviceFaultPlan:
 //
 //   - transient EIO on reads and writes, cleared by the engine's bounded
 //     retry with exponential backoff;
@@ -20,11 +19,14 @@
 // Transient and torn draws are decided per syscall index but burned per
 // (operation, offset): an offset that faulted once never faults again, so the
 // engine's bounded retry provably terminates — the device-level mirror of the
-// model-level burned-index rule in extmem's FaultPlan. Because every injected
-// fault is either absorbed below the Backend seam or unwound as a typed
-// abort, charged Stats, results, and every deterministic experiment table
-// stay bit-identical to the fault-free run; the injection and recovery work
-// is reported through the DeviceFaultStats side channel instead.
+// model-level burned-index rule in extmem's FaultPlan. The engine issues
+// every syscall inline at a charged operation, so on a sequential charged
+// schedule the syscall index — and with it the whole injection schedule — is
+// a pure function of the plan. Because every injected fault is either
+// absorbed below the Backend seam or unwound as a typed abort, charged Stats,
+// results, and every deterministic experiment table stay bit-identical to the
+// fault-free run; the injection and recovery work is reported through the
+// DeviceFaultStats side channel instead.
 package faultbackend
 
 import (
@@ -47,11 +49,11 @@ type Backend struct {
 }
 
 // Open builds a file engine for cfg with a fault device injecting per plan.
-// dir and syncDev mean what they mean for diskfile.Open; plan.MaxRetries
-// bounds the engine's inline retry loop.
-func Open(dir string, cfg extmem.Config, syncDev bool, plan extmem.DeviceFaultPlan) (*Backend, error) {
+// dir means what it means for diskfile.Open; plan.MaxRetries bounds the
+// engine's inline retry loop.
+func Open(dir string, cfg extmem.Config, plan extmem.DeviceFaultPlan) (*Backend, error) {
 	var fd *faultDevice
-	eng, err := diskfile.OpenWithDevice(dir, cfg, syncDev, plan.MaxRetries, func(d diskfile.Device) diskfile.Device {
+	eng, err := diskfile.OpenWithDevice(dir, cfg, plan.MaxRetries, func(d diskfile.Device) diskfile.Device {
 		fd = &faultDevice{inner: d, plan: plan, burned: map[burnKey]bool{}}
 		return fd
 	})
@@ -63,21 +65,16 @@ func Open(dir string, cfg extmem.Config, syncDev bool, plan extmem.DeviceFaultPl
 
 // OpenBackend opens the file storage engine the way every caller selects it:
 // with a fault device injecting per plan when plan is non-nil and enabled,
-// otherwise the plain engine. syncDev pins the synchronous device path;
-// false leaves the choice to ACYCLICJOIN_SYNC_DEVICE, as diskfile.Open does.
-func OpenBackend(dir string, cfg extmem.Config, syncDev bool, plan *extmem.DeviceFaultPlan) (extmem.Backend, error) {
+// otherwise the plain engine.
+func OpenBackend(dir string, cfg extmem.Config, plan *extmem.DeviceFaultPlan) (extmem.Backend, error) {
 	if plan != nil && plan.Enabled() {
-		b, err := Open(dir, cfg, syncDev || diskfile.SyncFromEnv(), *plan)
+		b, err := Open(dir, cfg, *plan)
 		if err != nil {
 			return nil, err
 		}
 		return b, nil
 	}
-	open := diskfile.Open
-	if syncDev {
-		open = diskfile.OpenSync
-	}
-	eng, err := open(dir, cfg)
+	eng, err := diskfile.Open(dir, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -100,9 +97,9 @@ type burnKey struct {
 }
 
 // faultDevice decides, per syscall, whether to fail, corrupt, or delegate.
-// It must be safe for concurrent use (the async workers and charged
-// operations overlap), so its decision state sits behind its own mutex —
-// never held across the delegated syscall.
+// The engine calls it under the engine mutex, but DeviceFaultStats may read
+// the counters from another goroutine, so its decision state sits behind its
+// own mutex — never held across the delegated syscall.
 type faultDevice struct {
 	inner  diskfile.Device
 	plan   extmem.DeviceFaultPlan

@@ -15,9 +15,9 @@ var cfg = extmem.Config{M: 64, B: 4}
 // newFaultDisk opens a fault-injecting engine over a fresh anonymous arena
 // and wraps it in a disk; the engine is closed at test end (Close after an
 // explicit Close is a no-op, so tests may also close early).
-func newFaultDisk(t *testing.T, syncDev bool, plan extmem.DeviceFaultPlan) (*extmem.Disk, *faultbackend.Backend) {
+func newFaultDisk(t *testing.T, plan extmem.DeviceFaultPlan) (*extmem.Disk, *faultbackend.Backend) {
 	t.Helper()
-	b, err := faultbackend.Open("", cfg, syncDev, plan)
+	b, err := faultbackend.Open("", cfg, plan)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -56,7 +56,7 @@ func readSum(f *extmem.File) int64 {
 // transfer counts match a fault-free engine exactly.
 func TestTransientRetryTerminatesAndIsInvisible(t *testing.T) {
 	const n, seed = 203, int64(11)
-	clean, cleanEng := newFaultDisk(t, true, extmem.DeviceFaultPlan{})
+	clean, cleanEng := newFaultDisk(t, extmem.DeviceFaultPlan{})
 	cf := clean.NewFile(2)
 	want := fill(cf, n, seed)
 	if got := readSum(cf); got != want {
@@ -64,7 +64,7 @@ func TestTransientRetryTerminatesAndIsInvisible(t *testing.T) {
 	}
 	_ = cleanEng
 
-	d, b := newFaultDisk(t, true, extmem.DeviceFaultPlan{Seed: 3, Rate: 0.9})
+	d, b := newFaultDisk(t, extmem.DeviceFaultPlan{Seed: 3, Rate: 0.9})
 	f := d.NewFile(2)
 	if got := fill(f, n, seed); got != want {
 		t.Fatalf("faulted fill: sum %d, want %d", got, want)
@@ -96,11 +96,11 @@ func TestTransientRetryTerminatesAndIsInvisible(t *testing.T) {
 // caller. Repairs land in the side channel.
 func TestTornWriteRepairedFromImage(t *testing.T) {
 	const n, seed = 407, int64(21)
-	clean, _ := newFaultDisk(t, true, extmem.DeviceFaultPlan{})
+	clean, _ := newFaultDisk(t, extmem.DeviceFaultPlan{})
 	cf := clean.NewFile(2)
 	want := fill(cf, n, seed)
 
-	d, b := newFaultDisk(t, true, extmem.DeviceFaultPlan{Seed: 5, TornRate: 0.9})
+	d, b := newFaultDisk(t, extmem.DeviceFaultPlan{Seed: 5, TornRate: 0.9})
 	f := d.NewFile(2)
 	fill(f, n, seed)
 	// Two full scans: the first faces frames evicted during the fill (torn
@@ -129,7 +129,7 @@ func TestTornWriteRepairedFromImage(t *testing.T) {
 // typed abort wrapping ErrNoSpace with zero retries, and the engine stays
 // safely closable afterwards — Flush and Close return errors, never panic.
 func TestNoSpaceTypedAndClosable(t *testing.T) {
-	d, b := newFaultDisk(t, true, extmem.DeviceFaultPlan{NoSpaceAfter: 256})
+	d, b := newFaultDisk(t, extmem.DeviceFaultPlan{NoSpaceAfter: 256})
 	f := d.NewFile(2)
 	_, err := d.CatchAbort(func() error {
 		fill(f, 500, 1)
@@ -152,39 +152,36 @@ func TestNoSpaceTypedAndClosable(t *testing.T) {
 }
 
 // A dead device exhausts the bounded retry budget into ErrDevice; afterwards
-// every path — more charged traffic, Flush, and concurrent explicit Closes
-// racing the async workers' deferred failures — stays panic-free, and Close
-// is idempotent.
+// every path — more charged traffic, Flush, and concurrent explicit Closes —
+// stays panic-free, and Close is idempotent.
 func TestDeadDeviceCloseIdempotentUnderConcurrency(t *testing.T) {
-	for _, syncDev := range []bool{true, false} {
-		d, b := newFaultDisk(t, syncDev, extmem.DeviceFaultPlan{DeadAt: 30})
-		f := d.NewFile(2)
-		_, err := d.CatchAbort(func() error {
-			for i := 0; i < 50; i++ {
-				fill(f, 100, int64(i))
-				readSum(f)
-			}
-			return nil
-		})
-		if !errors.Is(err, extmem.ErrDevice) {
-			t.Fatalf("sync=%v: err = %v, want ErrDevice", syncDev, err)
+	d, b := newFaultDisk(t, extmem.DeviceFaultPlan{DeadAt: 30})
+	f := d.NewFile(2)
+	_, err := d.CatchAbort(func() error {
+		for i := 0; i < 50; i++ {
+			fill(f, 100, int64(i))
+			readSum(f)
 		}
-		if fs := b.DeviceFaultStats(); fs.DeviceDead != 1 {
-			t.Fatalf("sync=%v: DeviceDead = %d, want 1", syncDev, fs.DeviceDead)
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Errors are expected (the device is dead); panics are not.
-				b.Close()
-			}()
-		}
-		wg.Wait()
-		if cerr := b.Close(); cerr != nil && !errors.Is(cerr, extmem.ErrDevice) {
-			t.Fatalf("sync=%v: re-Close after close: %v", syncDev, cerr)
-		}
+		return nil
+	})
+	if !errors.Is(err, extmem.ErrDevice) {
+		t.Fatalf("err = %v, want ErrDevice", err)
+	}
+	if fs := b.DeviceFaultStats(); fs.DeviceDead != 1 {
+		t.Fatalf("DeviceDead = %d, want 1", fs.DeviceDead)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Errors are expected (the device is dead); panics are not.
+			b.Close()
+		}()
+	}
+	wg.Wait()
+	if cerr := b.Close(); cerr != nil && !errors.Is(cerr, extmem.ErrDevice) {
+		t.Fatalf("re-Close after close: %v", cerr)
 	}
 }
 
@@ -193,7 +190,7 @@ func TestDeadDeviceCloseIdempotentUnderConcurrency(t *testing.T) {
 // telemetry, and a reopened engine replays the same faults.
 func TestInjectionDeterministic(t *testing.T) {
 	run := func() extmem.DeviceFaultStats {
-		d, b := newFaultDisk(t, true, extmem.DeviceFaultPlan{Seed: 9, Rate: 0.3, TornRate: 0.2})
+		d, b := newFaultDisk(t, extmem.DeviceFaultPlan{Seed: 9, Rate: 0.3, TornRate: 0.2})
 		f := d.NewFile(2)
 		fill(f, 203, 7)
 		readSum(f)

@@ -28,7 +28,7 @@ func newBackendDisk(p Params, cfg extmem.Config) *extmem.Disk {
 		if p.DevFaultRate > 0 {
 			plan = &extmem.DeviceFaultPlan{Seed: p.DevFaultSeed, Rate: p.DevFaultRate}
 		}
-		b, err := faultbackend.OpenBackend(p.DataDir, cfg, p.SyncDevice, plan)
+		b, err := faultbackend.OpenBackend(p.DataDir, cfg, plan)
 		if err != nil {
 			panic(fmt.Sprintf("harness: open file backend: %v", err))
 		}

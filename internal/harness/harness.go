@@ -53,12 +53,6 @@ type Params struct {
 	// the ACYCLICJOIN_DATADIR environment variable, then the system temp
 	// directory with files unlinked at creation.
 	DataDir string
-	// SyncDevice forces the file backend's synchronous device path (inline
-	// pwrite/pread, no background writeback or prefetch workers). False uses
-	// the asynchronous pipeline unless ACYCLICJOIN_SYNC_DEVICE overrides.
-	// Every table is byte-identical either way — the knob trades only
-	// wall-clock overlap. Ignored by the sim backend.
-	SyncDevice bool
 	// Shards, when >= 2, adds a shard-parallel arm to the verification
 	// sweep: every trial is re-run across that many simulated MPC servers —
 	// with and without heavy-hitter splitting — and checked against the

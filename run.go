@@ -122,16 +122,6 @@ type Options struct {
 	// lives only as an open descriptor and is reclaimed even on a crash).
 	// Ignored by the sim backend.
 	DataDir string
-	// SyncDevice forces the file backend's synchronous device path: charged
-	// writes pwrite inline and demand misses pread before the charged
-	// operation returns, with no background writeback or prefetch workers.
-	// Off (the default) uses the asynchronous device pipeline; the
-	// ACYCLICJOIN_SYNC_DEVICE environment variable also forces the
-	// synchronous path when this field is false. Every charged counter,
-	// verification, and emitted row is bit-identical either way — the knob
-	// trades only wall-clock overlap and exists as an escape hatch and for
-	// A/B benchmarking. Ignored by the sim backend.
-	SyncDevice bool
 	// Shards is p, the number of simulated MPC servers the join executes
 	// across (internal/shard): after the full reduction the input is
 	// hash-partitioned on a join attribute — heavy hitters split across
@@ -158,9 +148,9 @@ type Options struct {
 	Faults *FaultPlan
 	// DeviceFaults attaches a deterministic, seeded schedule of syscall-level
 	// faults to the file backend's storage engine (see
-	// internal/extmem/faultbackend): transient EIO on preads/pwrites — on the
-	// charged path and on the async flusher/prefetch workers alike — torn
-	// writes that corrupt a device frame, ENOSPC on arena growth, and a
+	// internal/extmem/faultbackend): transient EIO on preads/pwrites — demand
+	// reads, read-ahead, and writeback alike — torn writes that corrupt a
+	// device frame, ENOSPC on arena growth, and a
 	// dead-device trigger. The engine recovers below the Backend seam
 	// (bounded retry with backoff; torn frames repaired from the
 	// authoritative in-memory image), so rows, Count, Stats, the plan, and
@@ -401,7 +391,6 @@ func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, 
 	fopts := opts
 	fopts.Backend = "sim"
 	fopts.DataDir = ""
-	fopts.SyncDevice = false
 	fopts.DeviceFaults = nil
 	res2, err2 := runOnce(ctx, q, inst, fopts, shards, cfg, emit)
 	if err2 != nil {
@@ -577,7 +566,7 @@ func newBackendDisk(cfg extmem.Config, opts Options) (*extmem.Disk, func(), erro
 	case "sim":
 		return extmem.NewDisk(cfg), func() {}, nil
 	case "file":
-		b, err := faultbackend.OpenBackend(opts.DataDir, cfg, opts.SyncDevice, opts.DeviceFaults)
+		b, err := faultbackend.OpenBackend(opts.DataDir, cfg, opts.DeviceFaults)
 		if err != nil {
 			return nil, nil, fmt.Errorf("acyclicjoin: open file backend: %w", err)
 		}
