@@ -183,14 +183,11 @@ func TestRunLineSpecialization(t *testing.T) {
 		return in
 	}
 	in := mk()
-	// Pinned unsharded: the plan-name contrast below is about the line
-	// dispatcher, which a sharded run (e.g. the $ACYCLICJOIN_SHARDS CI
-	// sweep) legitimately routes around.
-	specialized, err := Count(q, in, Options{Memory: 16, Block: 4, Shards: 1})
+	specialized, err := Count(q, in, Options{Memory: 16, Block: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	general, err := Count(q, in, Options{Memory: 16, Block: 4, Shards: 1, NoLineSpecialization: true})
+	general, err := Count(q, in, Options{Memory: 16, Block: 4, NoLineSpecialization: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,6 @@ func BenchmarkE25PruningAB(b *testing.B)           { benchExperiment(b, "E25", b
 func BenchmarkE26ChaosSweep(b *testing.B)          { benchExperiment(b, "E26", benchParams) }
 func BenchmarkE27BackendDifferential(b *testing.B) { benchExperiment(b, "E27", benchParams) }
 func BenchmarkE28GreedyPlanner(b *testing.B)       { benchExperiment(b, "E28", benchParams) }
-func BenchmarkE29ShardParallel(b *testing.B)       { benchExperiment(b, "E29", benchParams) }
 func BenchmarkE30DeviceChaos(b *testing.B)         { benchExperiment(b, "E30", benchParams) }
 
 // BenchmarkPublicAPIRun measures the end-to-end public API on a skewed

@@ -1,13 +1,13 @@
 // Command joinbench regenerates the paper's tables and figures as measured
 // experiments on the simulated external-memory machine. Without flags it
-// runs the full registry (E1-E30, see DESIGN.md for the mapping to paper
+// runs the full registry (E1-E28 and E30, see DESIGN.md for the mapping to paper
 // artifacts); -exp selects a single experiment.
 //
 // Usage:
 //
 //	joinbench [-exp E4] [-m 256] [-b 16] [-scale 1] [-seed 42] [-parallel 4] [-list]
 //	          [-opcache=false] [-prune=false] [-backend file]
-//	          [-strategy greedy] [-shards 4] [-timeout 10m] [-devfaultrate 0.02]
+//	          [-strategy greedy] [-timeout 10m] [-devfaultrate 0.02]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
@@ -31,7 +31,7 @@ type config struct {
 	m, b, scale                int
 	seed                       int64
 	list                       bool
-	verify, par, shards        int
+	verify, par                int
 	opcache, prune             bool
 	backend, datadir, strategy string
 	devfaultrate               float64
@@ -53,7 +53,6 @@ func main() {
 	flag.BoolVar(&c.prune, "prune", true, "branch-and-bound pruning of exhaustive dry runs (tables are byte-identical either way; off restores the paper's full Σ-branches accounting in the experiments that honor it)")
 	flag.StringVar(&c.backend, "backend", "", "storage engine for every experiment: sim (counting simulator, default) or file (real os.File-backed disk; all tables stay byte-identical); empty falls back to $ACYCLICJOIN_BACKEND")
 	flag.StringVar(&c.datadir, "datadir", "", "directory for the file backend's backing files (default $ACYCLICJOIN_DATADIR, then unlinked temp files)")
-	flag.IntVar(&c.shards, "shards", 0, "add a shard-parallel differential arm at this many simulated MPC servers to the -verify sweep; 0 falls back to $ACYCLICJOIN_SHARDS, then 1 (no shard arm); experiments pin their shard counts and ignore this")
 	flag.StringVar(&c.strategy, "strategy", "", "restrict the -verify sweep to one peeling strategy: exhaustive, first, smallest, or greedy; empty falls back to $ACYCLICJOIN_STRATEGY, then the full sweep")
 	flag.Float64Var(&c.devfaultrate, "devfaultrate", 0, "inject transient device-level syscall faults at this per-call probability on every file-backend experiment machine (deterministic per -devfaultseed; tables stay byte-identical, recovery is reported separately); 0 falls back to $ACYCLICJOIN_DEVFAULTRATE; no-op on the sim backend")
 	flag.Int64Var(&c.devfaultseed, "devfaultseed", 0, "seed for the injected device fault schedule; 0 falls back to $ACYCLICJOIN_DEVFAULTSEED, then 1")
@@ -124,7 +123,7 @@ func run(ctx context.Context, c config) int {
 	p := harness.Params{M: c.m, B: c.b, Scale: c.scale, Seed: c.seed,
 		NoMemo: !c.opcache, NoPrune: !c.prune,
 		Backend: c.backend, DataDir: c.datadir,
-		Strategy: c.strategy, Shards: c.shards,
+		Strategy:     c.strategy,
 		DevFaultRate: c.devfaultrate, DevFaultSeed: c.devfaultseed}
 
 	if c.verify > 0 {

@@ -35,9 +35,9 @@ func captureRun(t *testing.T, exp string, opcache, prune bool) string {
 	return buf.String()
 }
 
-// captureVerify invokes run as a -verify sweep with the given -shards and
-// -strategy flag values, returning the rendered table.
-func captureVerify(t *testing.T, shards int, strategy string) string {
+// captureVerify invokes run as a -verify sweep with the given -strategy flag
+// value, returning the rendered table.
+func captureVerify(t *testing.T, strategy string) string {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -47,8 +47,7 @@ func captureVerify(t *testing.T, shards int, strategy string) string {
 	os.Stdout = w
 	code := run(context.Background(), config{
 		m: 64, b: 8, scale: 1, seed: 42, par: 1, verify: 1,
-		shards: shards, strategy: strategy,
-		opcache: true, prune: true,
+		strategy: strategy, opcache: true, prune: true,
 	})
 	w.Close()
 	os.Stdout = old
@@ -57,30 +56,28 @@ func captureVerify(t *testing.T, shards int, strategy string) string {
 		t.Fatal(err)
 	}
 	if code != 0 {
-		t.Fatalf("run(-verify 1 -shards %d) exited %d:\n%s", shards, code, buf.String())
+		t.Fatalf("run(-verify 1 -strategy %q) exited %d:\n%s", strategy, code, buf.String())
 	}
 	return buf.String()
 }
 
-// The -shards and -strategy flags resolve against $ACYCLICJOIN_SHARDS and
-// $ACYCLICJOIN_STRATEGY with flag-beats-env precedence, and the resolved
-// values surface in the verify sweep's scope line.
-func TestVerifyShardAndStrategyEnvPrecedence(t *testing.T) {
-	t.Setenv("ACYCLICJOIN_SHARDS", "")
+// The -strategy flag resolves against $ACYCLICJOIN_STRATEGY with
+// flag-beats-env precedence, and the resolved value surfaces in the verify
+// sweep's scope line.
+func TestVerifyStrategyEnvPrecedence(t *testing.T) {
 	t.Setenv("ACYCLICJOIN_STRATEGY", "")
-	if out := captureVerify(t, 0, ""); strings.Contains(out, "shard arm") {
-		t.Errorf("unset shards still added a shard arm:\n%s", out)
+	if out := captureVerify(t, ""); !strings.Contains(out, "all strategies") {
+		t.Errorf("unset strategy did not sweep all strategies:\n%s", out)
 	}
-	if out := captureVerify(t, 2, "smallest"); !strings.Contains(out, "strategy smallest + 2-shard arm") {
-		t.Errorf("flags not honored:\n%s", out)
+	if out := captureVerify(t, "smallest"); !strings.Contains(out, "strategy smallest vs oracle") {
+		t.Errorf("flag not honored:\n%s", out)
 	}
-	t.Setenv("ACYCLICJOIN_SHARDS", "3")
 	t.Setenv("ACYCLICJOIN_STRATEGY", "first")
-	if out := captureVerify(t, 0, ""); !strings.Contains(out, "strategy first + 3-shard arm") {
+	if out := captureVerify(t, ""); !strings.Contains(out, "strategy first vs oracle") {
 		t.Errorf("env fallback not honored:\n%s", out)
 	}
-	if out := captureVerify(t, 2, "smallest"); !strings.Contains(out, "strategy smallest + 2-shard arm") {
-		t.Errorf("flags must beat the environment:\n%s", out)
+	if out := captureVerify(t, "smallest"); !strings.Contains(out, "strategy smallest vs oracle") {
+		t.Errorf("flag must beat the environment:\n%s", out)
 	}
 }
 

@@ -38,7 +38,6 @@ func main() {
 		faultSeed = flag.Int64("faultseed", 1, "seed for the injected fault schedule")
 		backend   = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk with block cache; results and I/O figures are bit-identical, charged transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
 		datadir   = flag.String("datadir", "", "directory for the file backend's backing file (default $ACYCLICJOIN_DATADIR, then an unlinked temp file)")
-		shards    = flag.Int("shards", 0, "execute across this many simulated MPC servers, hash-sharding the input with heavy-hitter splitting (the result multiset is identical at any count; row order is server-major); 0 falls back to $ACYCLICJOIN_SHARDS, then 1 (unsharded)")
 		devRate   = flag.Float64("devfaultrate", 0, "inject transient device-level syscall faults on the file backend at this per-call probability (deterministic per -devfaultseed); the engine retries below the backend seam, so results and I/O figures stay bit-identical and recovery cost is reported separately; 0 falls back to $ACYCLICJOIN_DEVFAULTRATE; no-op on the sim backend")
 		devSeed   = flag.Int64("devfaultseed", 0, "seed for the injected device fault schedule; 0 falls back to $ACYCLICJOIN_DEVFAULTSEED, then 1")
 	)
@@ -77,7 +76,7 @@ func main() {
 	}
 
 	opts := acyclicjoin.Options{Memory: *m, Block: *b, NoPrune: !*prune,
-		Backend: *backend, DataDir: *datadir, Shards: *shards}
+		Backend: *backend, DataDir: *datadir}
 	if *faultRate > 0 {
 		opts.Faults = &acyclicjoin.FaultPlan{Seed: *faultSeed, TransientRate: *faultRate}
 	}
@@ -143,15 +142,6 @@ func main() {
 			res.Transfers.ReplayedReads+res.Transfers.ReplayedWrites,
 			d.ReadCalls, d.WriteCalls, d.CacheHits, d.Prefetched,
 			d.PrefetchHits, d.PrefetchWasted, d.Evictions)
-	}
-	if s := res.Shards; s != nil && len(s.Rounds) > 0 {
-		d := s.Rounds[0]
-		note := ""
-		if s.Bypass {
-			note = " (bypass: distribution machinery skipped)"
-		}
-		fmt.Fprintf(os.Stderr, "shards: %d servers%s, max load %d vs bound %d (%.2fx), replication %.2fx, %d heavy values split\n",
-			s.Shards, note, d.Max(), d.Bound, d.Ratio(), s.Replication, s.HeavyValues)
 	}
 	if res.Degraded {
 		fmt.Fprintln(os.Stderr, "degraded: device declared dead; results recomputed on the counting simulator")

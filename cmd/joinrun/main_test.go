@@ -36,47 +36,10 @@ func writeCSV(t *testing.T, dir string) string {
 	return path
 }
 
-// TestJoinrunShardEnvPrecedence drives the built binary end to end: the
-// -shards flag and $ACYCLICJOIN_SHARDS must resolve with flag-beats-env
-// precedence, the shard report must land on stderr, and a junk environment
-// value must fail loudly when no flag overrides it.
-func TestJoinrunShardEnvPrecedence(t *testing.T) {
-	bin := buildJoinrun(t)
-	csv := writeCSV(t, t.TempDir())
-	spec := []string{"R:src,mid=" + csv, "S:mid,dst=" + csv}
-
-	run := func(env []string, args ...string) (string, error) {
-		cmd := exec.Command(bin, append(append([]string{"-m", "64", "-b", "8", "-count"}, args...), spec...)...)
-		cmd.Env = append(os.Environ(), env...)
-		out, err := cmd.CombinedOutput()
-		return string(out), err
-	}
-
-	out, err := run([]string{"ACYCLICJOIN_SHARDS=3"})
-	if err != nil || !strings.Contains(out, "shards: 3 servers") {
-		t.Fatalf("env fallback: err=%v output:\n%s", err, out)
-	}
-	out, err = run([]string{"ACYCLICJOIN_SHARDS=7"}, "-shards", "2")
-	if err != nil || !strings.Contains(out, "shards: 2 servers") {
-		t.Fatalf("flag must beat env: err=%v output:\n%s", err, out)
-	}
-	out, err = run([]string{"ACYCLICJOIN_SHARDS="})
-	if err != nil || strings.Contains(out, "shards:") {
-		t.Fatalf("unsharded run printed a shard report: err=%v output:\n%s", err, out)
-	}
-	out, err = run([]string{"ACYCLICJOIN_SHARDS=banana"})
-	if err == nil || !strings.Contains(out, "ACYCLICJOIN_SHARDS") {
-		t.Fatalf("junk env accepted: err=%v output:\n%s", err, out)
-	}
-	out, err = run([]string{"ACYCLICJOIN_SHARDS=banana"}, "-shards", "2")
-	if err != nil || !strings.Contains(out, "shards: 2 servers") {
-		t.Fatalf("flag should shadow junk env: err=%v output:\n%s", err, out)
-	}
-}
-
-// TestJoinrunShardedCountMatches checks the sharded and unsharded binaries
-// agree on the result count.
-func TestJoinrunShardedCountMatches(t *testing.T) {
+// TestJoinrunCountMatchesAcrossBackends drives the built binary end to end
+// and checks that both storage engines and every strategy agree on the
+// result count.
+func TestJoinrunCountMatchesAcrossBackends(t *testing.T) {
 	bin := buildJoinrun(t)
 	csv := writeCSV(t, t.TempDir())
 	spec := []string{"R:src,mid=" + csv, "S:mid,dst=" + csv}
@@ -94,10 +57,14 @@ func TestJoinrunShardedCountMatches(t *testing.T) {
 		t.Fatalf("no results line:\n%s", out)
 		return ""
 	}
-	want := count()
-	for _, p := range []string{"2", "4"} {
-		if got := count("-shards", p); got != want {
-			t.Errorf("-shards %s: %q, unsharded %q", p, got, want)
+	want := count("-backend", "sim")
+	for _, args := range [][]string{
+		{"-backend", "file"},
+		{"-backend", "file", "-strategy", "greedy"},
+		{"-backend", "sim", "-strategy", "first"},
+	} {
+		if got := count(args...); got != want {
+			t.Errorf("%v: %q, sim %q", args, got, want)
 		}
 	}
 }

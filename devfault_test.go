@@ -17,10 +17,10 @@ var devFaultDifferentialRates = []float64{0.02, 0.05, 0.20}
 // TestDeviceFaultDifferentialRates is the PR's differential proof: random
 // acyclic queries through the public API with device-level faults injected
 // under the file engine — transient EIO plus torn writes — at every sweep
-// rate and shard count, compared against the fault-free file run and the
-// counting simulator. The full public Result (rows in emission order, Count,
-// Stats, Plan, the shard load table) is bit-identical; all retry and repair
-// traffic lands in the Faults.Device side channel, never the main Stats.
+// rate, compared against the fault-free file run and the counting simulator.
+// The full public Result (rows in emission order, Count, Stats, Plan) is
+// bit-identical; all retry and repair traffic lands in the Faults.Device side
+// channel, never the main Stats.
 func TestDeviceFaultDifferentialRates(t *testing.T) {
 	var injected int64
 	for trial := 0; trial < 6; trial++ {
@@ -28,46 +28,39 @@ func TestDeviceFaultDifferentialRates(t *testing.T) {
 		q := randomTreeQuery(rng)
 		inst := q.NewInstance()
 		fillRandom(rng, q, inst, trial%3 == 0)
-		for _, shards := range []int{1, 3} {
-			base := Options{Memory: 64, Block: 8, Shards: shards}
-			simOpts := base
-			simOpts.Backend = "sim"
-			fileOpts := base
-			fileOpts.Backend = "file"
-			simRes, simRows := backendRunRows(t, q, inst, simOpts)
-			fileRes, fileRows := backendRunRows(t, q, inst, fileOpts)
-			for _, rate := range devFaultDifferentialRates {
-				label := fmt.Sprintf("trial %d shards %d rate %v", trial, shards, rate)
-				faultOpts := fileOpts
-				faultOpts.DeviceFaults = &DeviceFaultPlan{
-					Seed: int64(trial)*31 + 9, Rate: rate, TornRate: rate / 2}
-				faultRes, faultRows := backendRunRows(t, q, inst, faultOpts)
-				if len(faultRows) != len(fileRows) {
-					t.Fatalf("%s: emitted %d rows faulted, %d fault-free", label, len(faultRows), len(fileRows))
+		base := Options{Memory: 64, Block: 8}
+		simOpts := base
+		simOpts.Backend = "sim"
+		fileOpts := base
+		fileOpts.Backend = "file"
+		simRes, simRows := backendRunRows(t, q, inst, simOpts)
+		fileRes, fileRows := backendRunRows(t, q, inst, fileOpts)
+		for _, rate := range devFaultDifferentialRates {
+			label := fmt.Sprintf("trial %d rate %v", trial, rate)
+			faultOpts := fileOpts
+			faultOpts.DeviceFaults = &DeviceFaultPlan{
+				Seed: int64(trial)*31 + 9, Rate: rate, TornRate: rate / 2}
+			faultRes, faultRows := backendRunRows(t, q, inst, faultOpts)
+			if len(faultRows) != len(fileRows) {
+				t.Fatalf("%s: emitted %d rows faulted, %d fault-free", label, len(faultRows), len(fileRows))
+			}
+			for i := range fileRows {
+				if faultRows[i] != fileRows[i] {
+					t.Fatalf("%s: row %d diverges: faulted %q, fault-free %q", label, i, faultRows[i], fileRows[i])
 				}
-				for i := range fileRows {
-					if faultRows[i] != fileRows[i] {
-						t.Fatalf("%s: row %d diverges: faulted %q, fault-free %q", label, i, faultRows[i], fileRows[i])
-					}
-					if simRows[i] != fileRows[i] {
-						t.Fatalf("%s: row %d diverges across backends: sim %q, file %q", label, i, simRows[i], fileRows[i])
-					}
+				if simRows[i] != fileRows[i] {
+					t.Fatalf("%s: row %d diverges across backends: sim %q, file %q", label, i, simRows[i], fileRows[i])
 				}
-				if faultRes.Count != fileRes.Count || faultRes.Stats != fileRes.Stats ||
-					faultRes.Plan != fileRes.Plan || faultRes.Stats != simRes.Stats {
-					t.Fatalf("%s: results diverge:\nfaulted    %+v\nfault-free %+v", label, faultRes, fileRes)
-				}
-				if fs, ws := faultRes.Shards, fileRes.Shards; (fs == nil) != (ws == nil) {
-					t.Fatalf("%s: shard telemetry presence diverges", label)
-				} else if fs != nil && fmt.Sprint(fs.Rounds) != fmt.Sprint(ws.Rounds) {
-					t.Fatalf("%s: shard load table diverges:\nfaulted    %+v\nfault-free %+v", label, fs.Rounds, ws.Rounds)
-				}
-				checkTransferParity(t, label, faultRes)
-				dev := faultRes.Faults.Device
-				injected += dev.InjectedReads + dev.InjectedWrites + dev.TornWrites
-				if dev.NoSpace != 0 || dev.DeviceDead != 0 || dev.Degraded != 0 {
-					t.Fatalf("%s: transient plan reported terminal telemetry: %+v", label, dev)
-				}
+			}
+			if faultRes.Count != fileRes.Count || faultRes.Stats != fileRes.Stats ||
+				faultRes.Plan != fileRes.Plan || faultRes.Stats != simRes.Stats {
+				t.Fatalf("%s: results diverge:\nfaulted    %+v\nfault-free %+v", label, faultRes, fileRes)
+			}
+			checkTransferParity(t, label, faultRes)
+			dev := faultRes.Faults.Device
+			injected += dev.InjectedReads + dev.InjectedWrites + dev.TornWrites
+			if dev.NoSpace != 0 || dev.DeviceDead != 0 || dev.Degraded != 0 {
+				t.Fatalf("%s: transient plan reported terminal telemetry: %+v", label, dev)
 			}
 		}
 	}
@@ -229,10 +222,12 @@ func TestDeviceFaultEnvFallback(t *testing.T) {
 }
 
 // FuzzDevFaultOracle is the randomized arm of the differential proof: a
-// random acyclic query, a random device fault schedule, a random shard count
-// and memo mode — the faulted file run must match the fault-free file run and
-// the counting simulator on the full public Result, with all recovery in the
-// side channel. Corpus seeds cover each rate tier, sharding, and MemoOff.
+// random acyclic query, a random device fault schedule and memo mode — the
+// faulted file run must match the fault-free file run and the counting
+// simulator on the full public Result, with all recovery in the side channel.
+// Corpus seeds cover each rate tier and MemoOff. mode bit 1 selects MemoOff
+// and bit 2 skewed data; bit 0 is unused, kept so existing inputs decode
+// unchanged.
 func FuzzDevFaultOracle(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0))
 	f.Add(int64(42), uint8(20), uint8(1))
@@ -244,7 +239,7 @@ func FuzzDevFaultOracle(f *testing.F) {
 		q := randomTreeQuery(rng)
 		inst := q.NewInstance()
 		fillRandom(rng, q, inst, mode&4 != 0)
-		opts := Options{Memory: 64, Block: 8, Shards: int(mode%2)*2 + 1}
+		opts := Options{Memory: 64, Block: 8}
 		if mode&2 != 0 {
 			opts.Memo = MemoOff
 		}
@@ -268,13 +263,7 @@ func FuzzDevFaultOracle(f *testing.F) {
 		if simRes.Count != faultRes.Count || simRes.Stats != faultRes.Stats || simRes.Plan != faultRes.Plan {
 			t.Fatalf("results diverge:\nsim     %+v\nfaulted %+v", simRes, faultRes)
 		}
-		// The performed/replayed transfer split is timing-dependent when
-		// shard servers run concurrently against the shared operator memo
-		// (on both arms — nothing to do with faults), so the ledger identity
-		// is asserted only on the sequential path, mirroring the
-		// deterministic gate in TestDifferentialBackendsPublicAPI.
-		if opts.Shards == 1 &&
-			(fileRes.Transfers != faultRes.Transfers || fileRes.PlanningStats != faultRes.PlanningStats) {
+		if fileRes.Transfers != faultRes.Transfers || fileRes.PlanningStats != faultRes.PlanningStats {
 			t.Fatalf("charged accounting diverges under faults:\nfault-free %+v %+v\nfaulted    %+v %+v",
 				fileRes.PlanningStats, fileRes.Transfers, faultRes.PlanningStats, faultRes.Transfers)
 		}

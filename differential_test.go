@@ -181,11 +181,8 @@ func TestCrossStrategyGreedyDifferential(t *testing.T) {
 				inst := q.NewInstance()
 				fillRandom(rng, q, inst, trial%4 == 0)
 				var gotG []string
-				// Pinned unsharded: the branch counts and planning-I/O
-				// comparisons below are per-planner figures that a sharded
-				// run aggregates across servers.
 				gr, err := Run(q, inst, Options{Memory: 64, Block: 8, Strategy: StrategyGreedy,
-					Backend: backend, Shards: 1}, func(row Row) {
+					Backend: backend}, func(row Row) {
 					gotG = append(gotG, canonRow(q, row))
 				})
 				if err != nil {
@@ -200,7 +197,7 @@ func TestCrossStrategyGreedyDifferential(t *testing.T) {
 				sort.Strings(gotG)
 				var gotE []string
 				ex, err := Run(q, inst, Options{Memory: 64, Block: 8, Strategy: StrategyExhaustive,
-					Backend: backend, Shards: 1}, func(row Row) {
+					Backend: backend}, func(row Row) {
 					gotE = append(gotE, canonRow(q, row))
 				})
 				if err != nil {

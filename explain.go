@@ -122,26 +122,6 @@ func (r *Result) ExplainString() string {
 		fmt.Fprintf(&b, "pruning: %d branches started, %d pruned, %d completed (%d I/Os charged before aborts)\n",
 			r.Prune.Started, r.Prune.Pruned, r.Prune.Completed, r.Prune.ChargedBeforeAbort)
 	}
-	if s := r.Shards; s != nil {
-		if s.Bypass {
-			fmt.Fprintf(&b, "sharding: 1 server (bypass: distribution machinery skipped), replication %.2fx\n",
-				s.Replication)
-		} else if s.PartitionAttr >= 0 {
-			fmt.Fprintf(&b, "sharding: %d servers, hashed on attr %d (%d hashed, %d broadcast relations), replication %.2fx\n",
-				s.Shards, s.PartitionAttr, s.HashedRelations, s.BroadcastRelations, s.Replication)
-		} else {
-			fmt.Fprintf(&b, "sharding: %d servers, anchor mode on relation %d (%d broadcast relations), replication %.2fx\n",
-				s.Shards, s.AnchorEdge, s.BroadcastRelations, s.Replication)
-		}
-		if s.HeavyValues > 0 {
-			fmt.Fprintf(&b, "heavy hitters: %d values split (%d tuples dealt round-robin, %d co-partner tuples replicated)\n",
-				s.HeavyValues, s.SplitTuples, s.HeavyBroadcastTuples)
-		}
-		for _, rd := range s.Rounds {
-			fmt.Fprintf(&b, "round %-11s max=%d median=%d total=%d bound=%d ratio=%.2f\n",
-				rd.Name+":", rd.Max(), rd.Median(), rd.Total(), rd.Bound, rd.Ratio())
-		}
-	}
 	for i, d := range r.Greedy {
 		fmt.Fprintf(&b, "greedy decision %d (structure %s), probe cost %d I/Os:\n%s",
 			i+1, d.Key, d.ProbeStats.IOs(), d.Rationale())

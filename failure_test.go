@@ -69,11 +69,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	q, inst := chaosQuery(t, 3)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	boom := errors.New("operator pulled the plug")
-	// Pinned unsharded: the abort relies on charged I/O following the
-	// cancelling emit, and a sharded run emits only after all servers have
-	// finished their I/O.
 	opts := smallOpts()
-	opts.Shards = 1
 	var seen int64
 	res, err := RunContext(ctx, q, inst, opts, func(Row) {
 		seen++

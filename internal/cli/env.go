@@ -15,8 +15,6 @@ const (
 	EnvBackend = "ACYCLICJOIN_BACKEND"
 	// EnvDataDir locates the file backend's backing file.
 	EnvDataDir = "ACYCLICJOIN_DATADIR"
-	// EnvShards sets the MPC server count for shard-parallel execution.
-	EnvShards = "ACYCLICJOIN_SHARDS"
 	// EnvDevFaultRate sets the per-syscall transient fault probability for
 	// the file backend's device-level chaos rig (internal/extmem/faultbackend).
 	EnvDevFaultRate = "ACYCLICJOIN_DEVFAULTRATE"
@@ -41,34 +39,6 @@ func stringOr(flag, env string) string {
 		return flag
 	}
 	return os.Getenv(env)
-}
-
-// ShardsRequested reports whether a shard count was explicitly selected —
-// by flag/Options field or by $ACYCLICJOIN_SHARDS. The library uses it to
-// decide whether a resolved count of 1 means "nobody asked" (no shard
-// telemetry) or "the 1-server bypass was requested" (report it).
-func ShardsRequested(flag int) bool {
-	return flag != 0 || os.Getenv(EnvShards) != ""
-}
-
-// Shards resolves a -shards selection: the flag value when nonzero, else
-// $ACYCLICJOIN_SHARDS, else 1 (unsharded). The flag value passes through
-// untouched — the library range-checks it — but an environment value that is
-// set must parse as a positive integer. Errors carry no package prefix so
-// callers can wrap them under their own name.
-func Shards(flag int) (int, error) {
-	if flag != 0 {
-		return flag, nil
-	}
-	s := os.Getenv(EnvShards)
-	if s == "" {
-		return 1, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("bad %s=%q (want a positive integer)", EnvShards, s)
-	}
-	return n, nil
 }
 
 // DevFaultRate resolves a -devfaultrate selection: the flag value when

@@ -38,43 +38,6 @@ func TestStringEnvFallbacks(t *testing.T) {
 	}
 }
 
-func TestShardsResolution(t *testing.T) {
-	t.Setenv(EnvShards, "")
-	if n, err := Shards(0); n != 1 || err != nil {
-		t.Errorf("both unset: got (%d, %v), want (1, nil)", n, err)
-	}
-	if n, err := Shards(4); n != 4 || err != nil {
-		t.Errorf("flag only: got (%d, %v), want (4, nil)", n, err)
-	}
-	t.Setenv(EnvShards, "8")
-	if n, err := Shards(0); n != 8 || err != nil {
-		t.Errorf("env only: got (%d, %v), want (8, nil)", n, err)
-	}
-	if n, err := Shards(2); n != 2 || err != nil {
-		t.Errorf("flag beats env: got (%d, %v), want (2, nil)", n, err)
-	}
-	// A set flag short-circuits before the environment is parsed at all, and
-	// out-of-range flag values pass through for the library's range check.
-	t.Setenv(EnvShards, "banana")
-	if n, err := Shards(3); n != 3 || err != nil {
-		t.Errorf("flag with junk env: got (%d, %v), want (3, nil)", n, err)
-	}
-	if n, err := Shards(-5); n != -5 || err != nil {
-		t.Errorf("negative flag passes through: got (%d, %v), want (-5, nil)", n, err)
-	}
-	for _, bad := range []string{"banana", "0", "-3", "2.5", " 4"} {
-		t.Setenv(EnvShards, bad)
-		n, err := Shards(0)
-		if err == nil {
-			t.Errorf("env %q: got (%d, nil), want error", bad, n)
-			continue
-		}
-		if !strings.Contains(err.Error(), EnvShards) || !strings.Contains(err.Error(), bad) {
-			t.Errorf("env %q: error %q should name the variable and the value", bad, err)
-		}
-	}
-}
-
 func TestDevFaultRateResolution(t *testing.T) {
 	t.Setenv(EnvDevFaultRate, "")
 	if r, err := DevFaultRate(0); r != 0 || err != nil {

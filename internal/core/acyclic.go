@@ -112,8 +112,7 @@ type Options struct {
 	// runs — the same relation sorted, semijoined, split, or pair-joined the
 	// same way on every dry-run branch — are answered by replaying recorded
 	// charge tapes instead of redoing the work. Every simulated counter stays
-	// bit-identical to an unmemoized run; only host time changes. Child disks
-	// share the parent's memo.
+	// bit-identical to an unmemoized run; only host time changes.
 	Memo MemoMode
 	// MemoLimits bounds the memo (entry count and retained snapshot tuples);
 	// the zero value is unbounded. Eviction only costs recomputation on a

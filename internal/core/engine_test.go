@@ -26,8 +26,8 @@ func engineRunOpts(b builder, opts Options) (*Result, []string, extmem.Stats, er
 // engineRunFaults is engineRunOpts with a fault plan attached to the disk
 // after the instance is loaded (so loading itself never faults). Every run
 // through here — i.e. every engine invocation in this package's tests — is
-// bracketed by leak checks: zero live child disks and no goroutine growth,
-// regardless of how the run ended.
+// bracketed by a leak check: no goroutine growth, regardless of how the run
+// ended.
 func engineRunFaults(b builder, opts Options, plan *extmem.FaultPlan) (*Result, []string, extmem.Stats, error) {
 	d := extmem.NewDisk(extmem.Config{M: 64, B: 4})
 	g, in := b(d)
@@ -37,7 +37,7 @@ func engineRunFaults(b builder, opts Options, plan *extmem.FaultPlan) (*Result, 
 	r, err := Run(g, in, func(a tuple.Assignment) {
 		emitted = append(emitted, a.String())
 	}, opts)
-	assertNoLeaks(d, goroutines, fmt.Sprintf("opts=%+v plan=%+v err=%v", opts, plan, err))
+	assertNoLeaks(goroutines, fmt.Sprintf("opts=%+v plan=%+v err=%v", opts, plan, err))
 	return r, emitted, d.Stats(), err
 }
 

@@ -17,13 +17,10 @@ import (
 )
 
 // assertNoLeaks panics (failing the test loudly wherever it is called from)
-// if the run left child disks in the registry or grew the goroutine count.
+// if the run grew the goroutine count.
 // Goroutines are given a grace window to drain: the runtime may briefly keep
 // exited goroutines visible to NumGoroutine.
-func assertNoLeaks(d *extmem.Disk, goroutinesBefore int, ctx string) {
-	if n := d.LiveChildren(); n != 0 {
-		panic(fmt.Sprintf("leak check (%s): %d child disks alive after run", ctx, n))
-	}
+func assertNoLeaks(goroutinesBefore int, ctx string) {
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > goroutinesBefore {
 		if time.Now().After(deadline) {
@@ -95,7 +92,7 @@ func TestTransientFaultsPrunedPinnedFields(t *testing.T) {
 }
 
 // A permanent fault aborts the run with a typed *extmem.FaultError, with no
-// leaked children (checked inside engineRunFaults).
+// leaked goroutines (checked inside engineRunFaults).
 func TestPermanentFaultTypedError(t *testing.T) {
 	plan := &extmem.FaultPlan{PermanentAt: 40}
 	_, _, _, err := engineRunFaults(failureBuilder(23), Options{Strategy: StrategyExhaustive}, plan)
@@ -109,7 +106,7 @@ func TestPermanentFaultTypedError(t *testing.T) {
 }
 
 // Cancellation mid-branch unwinds exploration with an error wrapping
-// ErrCancelled and zero leaked children/goroutines.
+// ErrCancelled and zero leaked goroutines.
 func TestCancelMidBranchUnwinds(t *testing.T) {
 	plan := &extmem.FaultPlan{CancelAt: 60}
 	_, _, _, err := engineRunFaults(failureBuilder(24), Options{Strategy: StrategyExhaustive}, plan)
@@ -139,9 +136,6 @@ func TestFaultOnNonExhaustivePaths(t *testing.T) {
 	var fe *extmem.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("RunLine: err = %v, want *extmem.FaultError", err)
-	}
-	if n := d.LiveChildren(); n != 0 {
-		t.Errorf("RunLine leaked %d child disks", n)
 	}
 }
 

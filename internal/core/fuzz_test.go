@@ -192,7 +192,7 @@ func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*R
 	r, runErr := Run(g, in, func(a tuple.Assignment) {
 		emitted = append(emitted, a.String())
 	}, opts)
-	assertNoLeaks(d, goroutines, fmt.Sprintf("backend=file opts=%+v err=%v", opts, runErr))
+	assertNoLeaks(goroutines, fmt.Sprintf("backend=file opts=%+v err=%v", opts, runErr))
 	st, xfer, dev := d.Stats(), d.Transfers(), d.DeviceStats()
 	if st.Reads != xfer.TotalReads() || st.Writes != xfer.TotalWrites() {
 		panic(fmt.Sprintf("seam parity broken: stats %+v vs transfers %+v", st, xfer))

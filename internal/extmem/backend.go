@@ -1,5 +1,5 @@
 // Storage backends. The simulated machine's accounting — charges, budgets,
-// fault injection, tapes, the operator memo, child disks — all lives in Disk
+// fault injection, tapes, the operator memo — all lives in Disk
 // and is backend-independent. Below it sits a narrow seam: every applied block
 // charge corresponds to exactly one transfer command observed here, and a
 // Backend implementation may turn those commands into real device I/O.
@@ -18,9 +18,10 @@ package extmem
 
 // Backend receives the transfer commands behind the charging seam. All offsets
 // are in tuples and all payloads are flat cell slices (File.slot cells per
-// tuple); off is always aligned to the configured block size B. A Backend is
-// shared by a Disk and all its children, which may run on distinct goroutines
-// concurrently, so implementations must be safe for concurrent use.
+// tuple); off is always aligned to the configured block size B. A Backend
+// serves one Disk, whose charging path is goroutine-confined; telemetry
+// (DeviceStats) may be read from another goroutine, so implementations must
+// be safe for concurrent use.
 type Backend interface {
 	// Name identifies the backend ("file"); the nil backend reports as "sim".
 	Name() string
@@ -75,15 +76,6 @@ func (x XferStats) TotalReads() int64 { return x.Reads + x.ReplayedReads }
 // TotalWrites returns performed plus replayed write transfers.
 func (x XferStats) TotalWrites() int64 { return x.Writes + x.ReplayedWrites }
 
-// Add returns the component-wise sum.
-func (x XferStats) Add(o XferStats) XferStats {
-	x.Reads += o.Reads
-	x.Writes += o.Writes
-	x.ReplayedReads += o.ReplayedReads
-	x.ReplayedWrites += o.ReplayedWrites
-	return x
-}
-
 // Sub returns the component-wise difference.
 func (x XferStats) Sub(o XferStats) XferStats {
 	x.Reads -= o.Reads
@@ -100,7 +92,7 @@ func (x XferStats) Sub(o XferStats) XferStats {
 // seam, not at the syscall layer. The nil (sim) backend reports all zeros.
 type DeviceStats struct {
 	// BilledReads and BilledWrites count charged windows that reached the
-	// engine; on a run without faults they equal the disk tree's folded
+	// engine; on a run without faults they equal the disk's
 	// XferStats.Reads/Writes.
 	BilledReads  int64
 	BilledWrites int64
@@ -148,8 +140,7 @@ type DeviceStats struct {
 
 // NewDiskWithBackend creates a simulated disk whose transfer commands are
 // executed by b (nil means the counting simulator, exactly as NewDisk). The
-// backend is shared with every child disk created via NewChild. The caller
-// owns b's lifecycle: Close it after the disk tree is done.
+// caller owns b's lifecycle: Close it after the disk is done.
 func NewDiskWithBackend(cfg Config, b Backend) *Disk {
 	d := NewDisk(cfg)
 	d.backend = b
@@ -168,14 +159,13 @@ func (d *Disk) BackendName() string {
 	return d.backend.Name()
 }
 
-// Transfers returns this disk's seam-transfer ledger. Like Stats it is
-// per-disk: Absorb folds a child's ledger into the parent, so after a run the
-// root's ledger covers the whole tree.
+// Transfers returns this disk's seam-transfer ledger; like Stats it covers
+// every charge made on the disk.
 func (d *Disk) Transfers() XferStats { return d.xfer }
 
 // DeviceStats returns the backend's device telemetry (zeros for the sim
-// backend). Unlike Stats/Transfers it is engine-global, not per-disk: the
-// device and its cache are shared by the whole disk tree.
+// backend). Unlike Stats/Transfers it is the engine's own telemetry:
+// ResetStats does not zero it.
 func (d *Disk) DeviceStats() DeviceStats {
 	if d.backend == nil {
 		return DeviceStats{}

@@ -94,8 +94,7 @@ func (p DeviceFaultPlan) Enabled() bool {
 // Stats: a run whose device faults were all absorbed keeps charged I/O
 // bit-identical to the fault-free run, while the recovery cost stays reported.
 // The injection counters are incremented by the fault device, the recovery
-// counters by the engine; both sides are engine-global (the device is shared
-// by the whole disk tree) and reported once, on the root disk.
+// counters by the engine.
 type DeviceFaultStats struct {
 	// InjectedReads and InjectedWrites count transient EIOs injected on
 	// pread/pwrite syscalls.
@@ -158,60 +157,16 @@ func (s DeviceFaultStats) String() string {
 // DeviceFaultReporter is the optional backend interface through which the disk
 // collects device-fault telemetry. A backend that injects or recovers from
 // device faults (internal/extmem/faultbackend) implements it; FaultStats fills
-// its Device field from here at read time. The counters are engine-global, so
-// only the root disk of a tree reports them — children return them zeroed to
-// keep Absorb from double-counting.
+// its Device field from here at read time.
 type DeviceFaultReporter interface {
 	DeviceFaultStats() DeviceFaultStats
 }
 
 // DeviceFaultStats returns the device-fault telemetry of the attached backend,
-// or zeros when the backend does not inject faults. Engine-global (like
-// DeviceStats), and reported only on non-child disks.
+// or zeros when the backend does not inject faults.
 func (d *Disk) DeviceFaultStats() DeviceFaultStats {
-	if d.isChild {
-		return DeviceFaultStats{}
-	}
 	if r, ok := d.backend.(DeviceFaultReporter); ok {
 		return r.DeviceFaultStats()
 	}
 	return DeviceFaultStats{}
-}
-
-// DisarmFaults removes the model-level fault injector from d without touching
-// the tree-shared cancellation latch. This is the knob for replacement disks:
-// a shard server restarted after a permanent fault must not replay the
-// deterministic fault schedule that killed its predecessor (the same charges
-// would fault the same way forever), and — unlike SetFaultPlan(nil) — a
-// sibling's concurrent Cancel must survive the disarm.
-func (d *Disk) DisarmFaults() { d.faults = nil }
-
-// AddFaultStats folds s into d's recovery side channel, the fault telemetry
-// accumulated on behalf of disks that were never absorbed (a shard server
-// discarded after a permanent fault bills its charges here before the restart
-// re-runs them). The Device field is dropped: device counters are
-// engine-global and already reported once at the root.
-func (d *Disk) AddFaultStats(s FaultStats) {
-	s.Device = DeviceFaultStats{}
-	d.recovery = d.recovery.Add(s)
-}
-
-// AddServerRestart records one shard-server restart in the side channel.
-func (d *Disk) AddServerRestart() { d.recovery.ServerRestarts++ }
-
-// RecoveryScope runs fn — a deterministic re-derivation of lost state, such as
-// re-scanning the inputs to rebuild a dead shard server's fragment — and bills
-// every I/O fn charged on d to the retry side channel instead of the main
-// accountant, restoring d's full accounting to its entry state. The rewind
-// reuses the operator-boundary rollback machinery, so recorders, peak watches,
-// and phase breakdowns survive untouched. fn's mutations of files are kept;
-// only the accounting is rolled back.
-func (d *Disk) RecoveryScope(fn func() error) error {
-	snap := d.snapshotOp()
-	defer func() {
-		d.recovery.RetryReads += d.stats.Reads - snap.stats.Reads
-		d.recovery.RetryWrites += d.stats.Writes - snap.stats.Writes
-		d.restoreOp(snap)
-	}()
-	return fn()
 }

@@ -50,9 +50,9 @@ type Device interface {
 }
 
 // Engine is an extmem.Backend that mirrors the simulated disk onto one
-// backing os.File. It is safe for concurrent use: a disk tree's children may
-// run on distinct goroutines, and all engine state — and every device
-// syscall — is guarded by one mutex.
+// backing os.File. It is safe for concurrent use: all engine state — and
+// every device syscall — is guarded by one mutex, so telemetry can be read
+// from another goroutine than the charging one.
 type Engine struct {
 	mu     sync.Mutex
 	cfg    extmem.Config

@@ -104,12 +104,10 @@ var ErrMemoryExceeded = errors.New("extmem: memory allowance exceeded")
 // with CatchBudgetExceeded, which unwinds the run cleanly.
 var ErrBudgetExceeded = errors.New("extmem: charge budget exceeded")
 
-// Disk is a simulated disk plus the memory accountant. A single Disk is not
-// safe for concurrent use — each instance is confined to one goroutine, as
-// the simulated machine is sequential. Concurrency is expressed with child
-// disks instead: NewChild hands out an independent accounting view per
-// goroutine and Absorb deterministically folds the children's counters back
-// into the parent.
+// Disk is a simulated disk plus the memory accountant. A Disk is not safe for
+// concurrent use — each instance is confined to one goroutine, as the
+// simulated machine is sequential. Cancel is the one exception (see
+// cancelErr).
 type Disk struct {
 	cfg      Config
 	stats    Stats
@@ -129,8 +127,7 @@ type Disk struct {
 	phaseDepth int
 	phaseStats map[string]Stats
 	// opMemo is an opaque slot for the opcache operator memo. The disk only
-	// stores and hands it back; opcache owns the concrete type. Children
-	// inherit the slot so concurrent children share one memo.
+	// stores and hands it back; opcache owns the concrete type.
 	opMemo any
 	// recorders is the stack of active charge-tape recorders (see StartTape).
 	recorders []*tapeRecorder
@@ -142,35 +139,22 @@ type Disk struct {
 	// (see cancelErr).
 	budget int64
 	// faults is the armed fault injector, nil when no FaultPlan is set (see
-	// fault.go). Children derive fresh injectors from the same plan.
+	// fault.go).
 	faults *faultInjector
 	// opBoundary counts the OperatorBoundary scopes currently open: inside
 	// one, transient faults panic for the boundary to catch and retry;
 	// outside, the device clears them inline.
 	opBoundary int
-	// cancelErr is the tree-wide cancellation mark, shared by the root disk
-	// and all its children so one Cancel stops every branch. Non-nil pointer
-	// to an atomic slot; the slot holds nil until cancelled.
-	cancelErr *atomic.Pointer[error]
-	// reg counts the tree's live (created, not yet absorbed or discarded)
-	// child disks, shared across the tree like cancelErr. isChild/retired
-	// track this disk's own membership.
-	reg     *atomic.Int64
-	isChild bool
-	retired bool
+	// cancelErr is the cancellation mark: an atomic slot holding nil until
+	// cancelled, so WatchContext can cancel from its watcher goroutine.
+	cancelErr atomic.Pointer[error]
 	// backend executes the transfer commands behind the charging seam; nil is
-	// the pure counting simulator (see backend.go). Shared by the whole disk
-	// tree: NewChild propagates the pointer.
+	// the pure counting simulator (see backend.go).
 	backend Backend
 	// xfer is the per-disk seam-transfer ledger mirroring stats — see
-	// XferStats for the invariant tying the two together. Absorb folds it,
-	// ResetStats zeroes it, fault rollback restores it.
+	// XferStats for the invariant tying the two together. ResetStats zeroes
+	// it, fault rollback restores it.
 	xfer XferStats
-	// recovery is the fault telemetry accumulated on behalf of disks that
-	// were never absorbed: a shard server discarded after a permanent fault
-	// bills its charges here (AddFaultStats) before a restart re-runs them,
-	// and RecoveryScope bills re-derivation I/O here. Folded into FaultStats.
-	recovery FaultStats
 }
 
 // DefaultPhase is the label for I/Os charged outside any WithPhase scope.
@@ -186,8 +170,7 @@ func NewDisk(cfg Config) *Disk {
 	if f == 0 {
 		f = DefaultMemFactor
 	}
-	return &Disk{cfg: cfg, memCap: f * cfg.M,
-		cancelErr: &atomic.Pointer[error]{}, reg: &atomic.Int64{}}
+	return &Disk{cfg: cfg, memCap: f * cfg.M}
 }
 
 // Config returns the machine parameters.
@@ -411,9 +394,8 @@ func (d *Disk) IsSuspended() bool { return d.suspended > 0 }
 // aborted run deterministic regardless of how its charges were batched.
 // Suspended charges bypass the budget like they bypass the counters.
 //
-// The budget is transient accounting state: it is not inherited by NewChild
-// and not folded by Absorb. Callers arm it around one measured run and clear
-// it afterwards.
+// The budget is transient accounting state: callers arm it around one
+// measured run and clear it afterwards.
 func (d *Disk) SetChargeBudget(limit int64) {
 	if limit < 0 {
 		limit = 0
@@ -573,70 +555,6 @@ func (d *Disk) ReplayTape(t ChargeTape) error {
 	return nil
 }
 
-// NewChild returns a thread-confined accounting view of d: the same machine
-// parameters and memory cap, fresh I/O counters, and memory accounting seeded
-// from d's current in-use count (so a child's hi-water mark is exactly what
-// the parent's would have been had the same work run there). Per-phase
-// accounting is enabled on the child iff it is enabled on the parent.
-//
-// A child is an independent Disk: it must be used from a single goroutine,
-// like any Disk, but distinct children may run concurrently. Files created on
-// a child charge the child; files of the parent can be shared read-only with
-// a child via File.CloneTo. When the child's work is done, fold its counters
-// back with Absorb. NewChild does not mutate d, so several children may be
-// created (and run) while the parent is quiescent.
-func (d *Disk) NewChild() *Disk {
-	c := &Disk{cfg: d.cfg, memCap: d.memCap, memInUse: d.memInUse, opMemo: d.opMemo,
-		cancelErr: d.cancelErr, reg: d.reg, isChild: true, backend: d.backend}
-	c.stats.MemHiWater = d.memInUse
-	if d.phaseStats != nil {
-		c.phaseStats = map[string]Stats{}
-	}
-	if d.faults != nil {
-		// A fresh injector from the same plan: the child's fault schedule is
-		// keyed on its own I/O indexes, so every branch faults
-		// deterministically no matter how branches are scheduled.
-		c.faults = newFaultInjector(d.faults.plan.FaultPlan)
-	}
-	d.reg.Add(1)
-	return c
-}
-
-// Absorb folds a child's accumulated accounting into d, deterministically:
-// I/O counters add, the memory hi-water mark takes the max, and per-phase
-// breakdowns merge (phases the child saw but d did not are created). The
-// child must be quiescent; it is not reset and may be inspected afterwards.
-// Absorbing the same children in any order yields the same parent state —
-// addition and max are commutative — which is what makes concurrent child
-// accounting deterministic.
-func (d *Disk) Absorb(child *Disk) {
-	d.stats.Reads += child.stats.Reads
-	d.stats.Writes += child.stats.Writes
-	d.xfer = d.xfer.Add(child.xfer)
-	if child.stats.MemHiWater > d.stats.MemHiWater {
-		d.stats.MemHiWater = child.stats.MemHiWater
-	}
-	if child.faults != nil && d.faults != nil {
-		d.faults.stats = d.faults.stats.Add(child.faults.stats)
-	}
-	d.recovery = d.recovery.Add(child.recovery)
-	if child.isChild && !child.retired && child.reg == d.reg {
-		child.retired = true
-		d.reg.Add(-1)
-	}
-	if len(child.phaseStats) > 0 {
-		// A child may carry phase breakdowns the parent never enabled (e.g.
-		// EnablePhases called on the child directly); allocating the parent map
-		// here keeps those counters instead of silently dropping them.
-		if d.phaseStats == nil {
-			d.phaseStats = map[string]Stats{}
-		}
-		for k, v := range child.phaseStats {
-			d.phaseStats[k] = d.phaseStats[k].Add(v)
-		}
-	}
-}
-
 // File is a sequence of fixed-arity tuples stored on the simulated disk.
 // The backing slice is the "disk contents"; algorithm code must only touch it
 // through Reader, Writer, and ReadBlock so that I/Os are charged.
@@ -663,7 +581,7 @@ type File struct {
 }
 
 // contentIDs is the process-global content-identity counter. Atomic because
-// distinct disks (and child disks) may create files concurrently.
+// distinct disks (on distinct goroutines) may create files concurrently.
 var contentIDs atomic.Uint64
 
 // NewFile creates an empty file of the given tuple arity (number of columns).
@@ -682,7 +600,8 @@ func (d *Disk) NewFile(arity int) *File {
 }
 
 // CloneTo returns a handle to f's contents that charges its I/O to disk d
-// instead (typically a child of f's disk; see Disk.NewChild). The tuple data
+// (the operator memo clones recorded outputs back onto the run's disk). The
+// tuple data
 // is shared, not copied, so the clone is a read-only view: the capacity of
 // the shared slice is pinned, making a stray append through the clone
 // reallocate rather than clobber the original, but callers must still treat

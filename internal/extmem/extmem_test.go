@@ -386,3 +386,80 @@ func TestBlocksCount(t *testing.T) {
 		t.Fatalf("blocks = %d, want 3", f.Blocks())
 	}
 }
+
+// Sub keeps the receiver's hi-water mark (a cumulative quantity), and Add
+// takes the max from either side — the two laws the exhaustive planner's
+// stat assembly depends on.
+func TestStatsSubKeepsReceiverHiWater(t *testing.T) {
+	a := Stats{Reads: 10, Writes: 5, MemHiWater: 42}
+	b := Stats{Reads: 4, Writes: 1, MemHiWater: 99}
+	d := a.Sub(b)
+	if d.Reads != 6 || d.Writes != 4 {
+		t.Errorf("Sub I/O = %+v", d)
+	}
+	if d.MemHiWater != 42 {
+		t.Errorf("Sub hi-water = %d, want receiver's 42", d.MemHiWater)
+	}
+	if x, y := a.Add(b).MemHiWater, b.Add(a).MemHiWater; x != 99 || y != 99 {
+		t.Errorf("Add hi-water not a symmetric max: %d / %d", x, y)
+	}
+}
+
+// CloneTo onto the same disk — the operator memo's replay path — shares the
+// original's tuples and content identity, and a scan of the clone charges the
+// disk exactly like a scan of the original.
+func TestCloneToSameDiskSharesContent(t *testing.T) {
+	d := NewDisk(Config{M: 8, B: 2})
+	f := d.NewFile(2)
+	w := f.NewWriter()
+	for i := 0; i < 6; i++ {
+		w.Append([]int64{int64(i), int64(i)})
+	}
+	w.Close()
+	wrote := d.Stats()
+
+	cf := f.CloneTo(d)
+	if cf.Len() != f.Len() || cf.Arity() != f.Arity() {
+		t.Fatalf("clone shape %d/%d, want %d/%d", cf.Len(), cf.Arity(), f.Len(), f.Arity())
+	}
+	if cf.ContentID() != f.ContentID() || cf.Version() != f.Version() {
+		t.Errorf("clone identity (%d,%d), want (%d,%d)", cf.ContentID(), cf.Version(), f.ContentID(), f.Version())
+	}
+	if d.Stats() != wrote {
+		t.Errorf("CloneTo charged I/O: %+v, want %+v", d.Stats(), wrote)
+	}
+	r := cf.NewReader()
+	n := 0
+	for t := r.Next(); t != nil; t = r.Next() {
+		if t[0] != int64(n) {
+			break
+		}
+		n++
+	}
+	if n != 6 {
+		t.Fatalf("clone scan saw %d tuples, want 6", n)
+	}
+	if got := d.Stats().Reads - wrote.Reads; got != 3 {
+		t.Errorf("clone scan reads = %d, want 3", got)
+	}
+}
+
+// A stray append through a clone must not clobber the original's storage:
+// CloneTo pins the shared slice's capacity so growth reallocates.
+func TestCloneToAppendDoesNotCorruptOriginal(t *testing.T) {
+	d := NewDisk(Config{M: 8, B: 2})
+	f := d.NewFile(1)
+	w := f.NewWriter()
+	w.Append([]int64{1})
+	w.Close()
+	cf := f.CloneTo(d)
+	cw := cf.NewWriter()
+	cw.Append([]int64{99})
+	cw.Close()
+	if f.Len() != 1 || f.At(0)[0] != 1 {
+		t.Errorf("original mutated: len=%d first=%v", f.Len(), f.At(0))
+	}
+	if cf.Len() != 2 || cf.At(1)[0] != 99 {
+		t.Errorf("clone append lost: len=%d", cf.Len())
+	}
+}

@@ -16,9 +16,9 @@
 //     after MaxAttempts boundary retries). The typed *FaultError unwinds the
 //     run; CatchAbort converts it into an error return.
 //   - Cancellation: Cancel (usually driven by WatchContext observing a
-//     context.Context) marks the disk tree; the next non-suspended charge on
-//     any disk of the tree panics with an error wrapping ErrCancelled, which
-//     CatchAbort likewise converts into an error return.
+//     context.Context) marks the disk; its next non-suspended charge panics
+//     with an error wrapping ErrCancelled, which CatchAbort likewise converts
+//     into an error return.
 package extmem
 
 import (
@@ -81,10 +81,6 @@ const DefaultMaxFaultAttempts = 64
 // nothing. Faults are decided per block charge, keyed on the disk's
 // accumulated I/O index, so the schedule is a pure function of the plan and
 // the charge sequence — the same run faults the same way every time.
-//
-// Plans are not inherited as state: each child disk derives a fresh injector
-// from the same plan, keyed on the child's own I/O indexes, keeping every
-// branch's schedule deterministic regardless of scheduling.
 type FaultPlan struct {
 	// Seed keys the transient-fault hash.
 	Seed int64
@@ -140,9 +136,6 @@ type FaultStats struct {
 	// BackoffIOs totals the simulated exponential-backoff cost charged per
 	// boundary retry (2^(attempt-1) block-times per retry, capped).
 	BackoffIOs int64
-	// ServerRestarts counts shard servers replayed on a fresh child disk
-	// after a permanent device failure (see internal/shard).
-	ServerRestarts int64
 	// Device is the syscall-layer fault telemetry of the storage engine (see
 	// DeviceFaultStats). Filled at read time from the backend by FaultStats —
 	// the counters are engine-global, so they are never stored per-disk.
@@ -152,27 +145,9 @@ type FaultStats struct {
 // Any reports whether any fault activity was recorded.
 func (s FaultStats) Any() bool { return s != FaultStats{} }
 
-// Add returns the component-wise sum of two FaultStats.
-func (s FaultStats) Add(o FaultStats) FaultStats {
-	s.Transient += o.Transient
-	s.Permanent += o.Permanent
-	s.Retries += o.Retries
-	s.BoundaryRetries += o.BoundaryRetries
-	s.Escalated += o.Escalated
-	s.RetryReads += o.RetryReads
-	s.RetryWrites += o.RetryWrites
-	s.BackoffIOs += o.BackoffIOs
-	s.ServerRestarts += o.ServerRestarts
-	s.Device = s.Device.Add(o.Device)
-	return s
-}
-
 func (s FaultStats) String() string {
 	out := fmt.Sprintf("transient=%d permanent=%d retries=%d boundaryRetries=%d escalated=%d retryReads=%d retryWrites=%d backoffIOs=%d",
 		s.Transient, s.Permanent, s.Retries, s.BoundaryRetries, s.Escalated, s.RetryReads, s.RetryWrites, s.BackoffIOs)
-	if s.ServerRestarts > 0 {
-		out += fmt.Sprintf(" serverRestarts=%d", s.ServerRestarts)
-	}
 	if s.Device.Any() {
 		out += " device{" + s.Device.String() + "}"
 	}
@@ -180,8 +155,7 @@ func (s FaultStats) String() string {
 }
 
 // faultInjector holds one disk's fault-injection state. Like the rest of the
-// Disk it is goroutine-confined; children get a fresh injector built from the
-// same plan.
+// Disk it is goroutine-confined.
 type faultInjector struct {
 	plan        faultPlanCompiled
 	fired       map[int64]bool // transient indexes already faulted (burned)
@@ -209,10 +183,8 @@ func newFaultInjector(p FaultPlan) *faultInjector {
 // and clears the cancellation latch — changing the plan starts a new fault
 // experiment, so an abort a previous plan triggered (a CancelAt firing, or
 // an external Cancel) must not poison the next run on the same disk.
-// Child disks created afterwards derive fresh injectors from the same plan.
 func (d *Disk) SetFaultPlan(p *FaultPlan) {
 	d.cancelErr.Store(nil)
-	d.recovery = FaultStats{}
 	if p == nil || !p.Enabled() {
 		d.faults = nil
 		return
@@ -221,16 +193,14 @@ func (d *Disk) SetFaultPlan(p *FaultPlan) {
 }
 
 // FaultStats returns the fault/retry telemetry accumulated on d: the armed
-// injector's counters (children fold theirs in at Absorb), the recovery side
-// channel (work billed on behalf of discarded disks — shard-server restarts),
-// and, on a root disk with a fault-injecting backend, the engine-global
-// device-fault telemetry.
+// injector's counters plus, with a fault-injecting backend, the device-fault
+// telemetry.
 func (d *Disk) FaultStats() FaultStats {
-	s := d.recovery
+	var s FaultStats
 	if d.faults != nil {
-		s = s.Add(d.faults.stats)
+		s = d.faults.stats
 	}
-	s.Device = s.Device.Add(d.DeviceFaultStats())
+	s.Device = d.DeviceFaultStats()
 	return s
 }
 
@@ -461,9 +431,8 @@ func (d *Disk) tryOp(fn func() error) (fault *FaultError, err error) {
 	return nil, fn()
 }
 
-// Cancel marks the whole disk tree (the root and every child sharing its
-// lineage) cancelled with the given cause; the next non-suspended charge on
-// any of those disks panics with an error wrapping ErrCancelled, unwound by
+// Cancel marks the disk cancelled with the given cause; the next
+// non-suspended charge panics with an error wrapping ErrCancelled, unwound by
 // CatchAbort. The first cause wins; later calls are no-ops. Safe to call from
 // any goroutine — the only cross-goroutine entry point of a Disk.
 func (d *Disk) Cancel(cause error) {
@@ -479,7 +448,7 @@ func (d *Disk) Cancel(cause error) {
 	d.cancelErr.CompareAndSwap(nil, &err)
 }
 
-// Cancelled returns the cancellation error marking this disk tree, or nil.
+// Cancelled returns the cancellation error marking this disk, or nil.
 func (d *Disk) Cancelled() error {
 	if p := d.cancelErr.Load(); p != nil {
 		return *p
@@ -487,7 +456,7 @@ func (d *Disk) Cancelled() error {
 	return nil
 }
 
-// WatchContext cancels the disk tree when ctx is done. It returns a stop
+// WatchContext cancels the disk when ctx is done. It returns a stop
 // function that releases the watcher; call it (e.g. via defer) once the run
 // is over. The watcher goroutine exits on whichever of ctx.Done and stop
 // comes first, so no goroutine outlives the run. A context that can never be
@@ -571,20 +540,3 @@ func (d *Disk) CatchAbort(fn func() error) (pruned bool, err error) {
 	}()
 	return false, fn()
 }
-
-// Discard retires a child disk that will never be absorbed (e.g. a shard
-// server whose input distribution aborted), removing it from the live
-// children count. Absorb retires the child implicitly; Discard is for the
-// paths that drop a child without folding its counters. Discarding twice, or
-// discarding after Absorb, is a no-op.
-func (d *Disk) Discard() {
-	if d.isChild && !d.retired {
-		d.retired = true
-		d.reg.Add(-1)
-	}
-}
-
-// LiveChildren returns the number of child disks in this disk's tree that
-// have been created but neither absorbed nor discarded. A clean run always
-// returns to zero; tests assert it to prove no branch leaks its disk.
-func (d *Disk) LiveChildren() int64 { return d.reg.Load() }

@@ -244,27 +244,26 @@ func TestCancelAtUnwinds(t *testing.T) {
 	}
 }
 
-func TestCancelReachesChildren(t *testing.T) {
+// Cancel wraps its cause under ErrCancelled, stops the very next charge, and
+// keeps the first cause when called again.
+func TestCancelWrapsFirstCause(t *testing.T) {
 	d := testDisk(t, 100, 10)
-	c := d.NewChild()
 	cause := errors.New("operator asked")
 	d.Cancel(cause)
-	pruned, err := c.CatchAbort(func() error {
-		chargeMix(c, 1)
+	pruned, err := d.CatchAbort(func() error {
+		chargeMix(d, 1)
 		return nil
 	})
 	if pruned || !errors.Is(err, ErrCancelled) || !errors.Is(err, cause) {
-		t.Fatalf("child abort = (%v, %v), want cancellation wrapping the cause", pruned, err)
+		t.Fatalf("abort = (%v, %v), want cancellation wrapping the cause", pruned, err)
 	}
-	if got := c.Stats().IOs(); got != 0 {
-		t.Fatalf("child charged %d I/Os after cancellation", got)
+	if got := d.Stats().IOs(); got != 0 {
+		t.Fatalf("charged %d I/Os after cancellation", got)
 	}
-	// First cause wins.
 	d.Cancel(errors.New("latecomer"))
 	if !errors.Is(d.Cancelled(), cause) {
 		t.Fatalf("cancellation cause overwritten: %v", d.Cancelled())
 	}
-	d.Absorb(c)
 }
 
 func TestCancelSkipsSuspendedCharges(t *testing.T) {
@@ -338,54 +337,6 @@ func TestCatchAbortPropagatesUnknownPanicsAndErrors(t *testing.T) {
 		}
 	}()
 	d.CatchAbort(func() error { panic("unrelated") })
-}
-
-func TestAbsorbFoldsFaultStats(t *testing.T) {
-	d := testDisk(t, 100, 10)
-	d.SetFaultPlan(&FaultPlan{Seed: 9, TransientRate: 0.5})
-	c := d.NewChild()
-	if c.faults == nil {
-		t.Fatal("child did not derive an injector")
-	}
-	chargeMix(c, 20)
-	cfs := c.FaultStats()
-	if cfs.Transient == 0 {
-		t.Fatalf("child never faulted: %v", cfs)
-	}
-	d.Absorb(c)
-	if got := d.FaultStats(); got != cfs {
-		t.Fatalf("parent fault stats = %v, want child's %v", got, cfs)
-	}
-}
-
-func TestLiveChildrenRegistry(t *testing.T) {
-	d := testDisk(t, 100, 10)
-	c1, c2, c3 := d.NewChild(), d.NewChild(), d.NewChild()
-	if got := d.LiveChildren(); got != 3 {
-		t.Fatalf("live = %d, want 3", got)
-	}
-	// Grandchildren count against the same tree-wide registry.
-	g := c1.NewChild()
-	if got := d.LiveChildren(); got != 4 {
-		t.Fatalf("live = %d, want 4", got)
-	}
-	c1.Absorb(g)
-	d.Absorb(c1)
-	c2.Discard()
-	c2.Discard() // double discard is a no-op
-	d.Absorb(c2) // absorb after discard must not double-retire
-	if got := d.LiveChildren(); got != 1 {
-		t.Fatalf("live = %d, want just c3", got)
-	}
-	d.Absorb(c3)
-	d.Absorb(c3) // double absorb must not underflow
-	if got := d.LiveChildren(); got != 0 {
-		t.Fatalf("live = %d, want 0", got)
-	}
-	d.Discard() // the root is not a child; no-op
-	if got := d.LiveChildren(); got != 0 {
-		t.Fatalf("live after root discard = %d", got)
-	}
 }
 
 // An armed fault plan that never fires must leave every counter untouched —

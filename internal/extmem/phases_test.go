@@ -108,3 +108,34 @@ func TestSuspendSkipsPhases(t *testing.T) {
 		t.Fatal("suspended I/O leaked into phases")
 	}
 }
+
+func TestWithPhaseThreeLevelNesting(t *testing.T) {
+	d := NewDisk(Config{M: 16, B: 1})
+	d.EnablePhases()
+	f := d.NewFile(1)
+	w := f.NewWriter()
+	for i := 0; i < 4; i++ {
+		w.Append([]int64{int64(i)})
+	}
+	w.Close()
+	d.ResetPhases()
+	scan := func() {
+		r := f.NewReader()
+		for r.Next() != nil {
+		}
+	}
+	d.WithPhase("a", func() {
+		d.WithPhase("b", func() {
+			d.WithPhase("c", scan)
+			scan() // back to b
+		})
+		scan() // back to a
+	})
+	scan() // back to the default phase
+	ps := d.PhaseStats()
+	for _, name := range []string{"a", "b", "c", DefaultPhase} {
+		if ps[name].Reads != 4 {
+			t.Errorf("phase %q reads = %d, want 4 (all: %v)", name, ps[name].Reads, ps)
+		}
+	}
+}

@@ -173,39 +173,3 @@ func TestStopTapeWithoutStartPanics(t *testing.T) {
 	}()
 	NewDisk(Config{M: 64, B: 4}).StopTape()
 }
-
-// Regression: absorbing a child that carries phase breakdowns into a parent
-// whose phase map is nil must allocate the parent map and merge, not drop the
-// child's per-phase stats.
-func TestAbsorbAllocatesParentPhaseMap(t *testing.T) {
-	parent := NewDisk(Config{M: 64, B: 4})
-	child := parent.NewChild()
-	child.EnablePhases() // parent never enabled phases
-	child.WithPhase("sort", func() {
-		scanFile(child, 8)
-	})
-	if parent.PhaseStats() != nil {
-		t.Fatal("precondition: parent phase map should be nil")
-	}
-	parent.Absorb(child)
-	ph := parent.PhaseStats()
-	if ph == nil {
-		t.Fatal("child phase breakdowns dropped: parent map still nil after Absorb")
-	}
-	want := child.PhaseStats()["sort"]
-	if got := ph["sort"]; got != want {
-		t.Fatalf("absorbed phase stats = %+v, want %+v", got, want)
-	}
-}
-
-// Absorbing a child with phases enabled but no phase charges must not flip
-// phase accounting on for the parent.
-func TestAbsorbEmptyChildPhasesNoSideEffect(t *testing.T) {
-	parent := NewDisk(Config{M: 64, B: 4})
-	child := parent.NewChild()
-	child.EnablePhases()
-	parent.Absorb(child)
-	if parent.PhaseStats() != nil {
-		t.Fatal("absorbing an empty phase map enabled phases on the parent")
-	}
-}

@@ -201,8 +201,7 @@ func TestMemoHitAcrossClones(t *testing.T) {
 	if _, err := SortCols(f, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	child := d.NewChild()
-	clone := f.CloneTo(child)
+	clone := f.CloneTo(d)
 	if clone.ContentID() != f.ContentID() || clone.Version() != f.Version() {
 		t.Fatal("clone does not preserve content identity")
 	}
@@ -211,7 +210,7 @@ func TestMemoHitAcrossClones(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1 (clone should hit the parent's entry)", st.Hits)
+		t.Fatalf("hits = %d, want 1 (clone should hit the original's entry)", st.Hits)
 	}
 	if got := drain(s); got[0][0] != 1 || got[2][0] != 3 {
 		t.Fatalf("clone sort output: %v", got)

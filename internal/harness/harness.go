@@ -53,13 +53,6 @@ type Params struct {
 	// the ACYCLICJOIN_DATADIR environment variable, then the system temp
 	// directory with files unlinked at creation.
 	DataDir string
-	// Shards, when >= 2, adds a shard-parallel arm to the verification
-	// sweep: every trial is re-run across that many simulated MPC servers —
-	// with and without heavy-hitter splitting — and checked against the
-	// enumeration oracle. 0 falls back to the ACYCLICJOIN_SHARDS environment
-	// variable, then to 1 (no shard arm). Experiments pin their shard counts
-	// per measurement and ignore this knob.
-	Shards int
 	// Strategy, when non-empty, restricts the verification sweep to one
 	// peeling strategy ("exhaustive", "first", "smallest", "greedy") instead
 	// of sweeping them all — the hook that lets CI re-run the whole
@@ -105,18 +98,9 @@ func (p Params) WithDefaults() Params {
 	if p.Strategy == "" {
 		p.Strategy = os.Getenv("ACYCLICJOIN_STRATEGY")
 	}
-	if p.Shards == 0 {
-		// Lenient: a malformed ACYCLICJOIN_SHARDS is rejected with an error
-		// by the library's RunContext; here it just means no shard arm.
-		if n, err := cli.Shards(0); err == nil {
-			p.Shards = n
-		} else {
-			p.Shards = 1
-		}
-	}
 	if p.DevFaultRate == 0 {
-		// Lenient like Shards: a malformed env value means no device faults
-		// here; RunContext is where it errors.
+		// Lenient: a malformed env value means no device faults here;
+		// RunContext is where it errors.
 		if r, err := cli.DevFaultRate(0); err == nil {
 			p.DevFaultRate = r
 		}

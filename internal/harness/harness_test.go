@@ -12,7 +12,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
 		"E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18",
 		"E19", "E20", "E21", "E22", "E23", "E24", "E25", "E26", "E27", "E28",
-		"E29", "E30"}
+		"E30"}
 	for _, id := range want {
 		if Get(id) == nil {
 			t.Errorf("experiment %s not registered", id)

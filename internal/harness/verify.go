@@ -11,7 +11,6 @@ import (
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/reducer"
 	"acyclicjoin/internal/relation"
-	"acyclicjoin/internal/shard"
 	"acyclicjoin/internal/tuple"
 )
 
@@ -25,9 +24,6 @@ func VerifySweep(p Params, trials int) (*Table, error) {
 	scope := "all strategies"
 	if p.Strategy != "" {
 		scope = "strategy " + p.Strategy
-	}
-	if p.Shards > 1 {
-		scope += fmt.Sprintf(" + %d-shard arm", p.Shards)
 	}
 	t := &Table{
 		Title:  fmt.Sprintf("verify: %d random instances per configuration, %s vs oracle", trials, scope),
@@ -89,21 +85,6 @@ func VerifySweep(p Params, trials int) (*Table, error) {
 			}
 			if err := sameSet(got, want); err != nil {
 				return nil, fmt.Errorf("%s trial %d no-split on %v: %w", cfg.name, trial, g, err)
-			}
-			// Shard-parallel arm: the same trial across p.Shards simulated
-			// MPC servers, with and without heavy-hitter splitting, must
-			// still match the oracle exactly.
-			if p.Shards > 1 {
-				for _, noSplit := range []bool{false, true} {
-					got, err := shardSet(g, in, shard.Options{
-						Shards: p.Shards, Core: core.Options{Strategy: variant}, NoHeavySplit: noSplit})
-					if err != nil {
-						return nil, fmt.Errorf("%s trial %d sharded x%d (nosplit=%v): %w", cfg.name, trial, p.Shards, noSplit, err)
-					}
-					if err := sameSet(got, want); err != nil {
-						return nil, fmt.Errorf("%s trial %d sharded x%d (nosplit=%v) on %v: %w", cfg.name, trial, p.Shards, noSplit, g, err)
-					}
-				}
 			}
 			// Reduced path + line dispatcher where applicable.
 			red, err := reducer.FullReduce(g, in)
@@ -179,13 +160,6 @@ func oracleSet(g *hypergraph.Graph, in relation.Instance) ([]string, error) {
 func runSet(g *hypergraph.Graph, in relation.Instance, opts core.Options) ([]string, error) {
 	var out []string
 	_, err := core.Run(g, in, func(a tuple.Assignment) { out = append(out, a.String()) }, opts)
-	sort.Strings(out)
-	return out, err
-}
-
-func shardSet(g *hypergraph.Graph, in relation.Instance, opts shard.Options) ([]string, error) {
-	var out []string
-	_, err := shard.Run(g, in, func(a tuple.Assignment) { out = append(out, a.String()) }, opts)
 	sort.Strings(out)
 	return out, err
 }

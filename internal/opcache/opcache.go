@@ -19,8 +19,8 @@
 // Entries are found two ways. The fast path keys on each input window's
 // (ContentID, Version, Off, N) — content identity survives CloneTo, so the
 // same relation processed on every branch hits from the second branch on,
-// even though each branch works through its own child-disk clone. The slow
-// path hashes the input windows' contents and byte-verifies against the
+// even when a branch reads it through a clone an earlier replay returned. The
+// slow path hashes the input windows' contents and byte-verifies against the
 // candidate's pinned snapshots, catching files rebuilt with identical
 // contents on every branch (restriction copies, semijoin outputs); a verified
 // slow hit registers the new identity alias so repeats take the fast path.
@@ -60,11 +60,7 @@ import (
 )
 
 // Stats reports memo effectiveness counters. The counters are host-side
-// diagnostics only — they never feed back into simulated I/O. Concurrent
-// lookups of the same logical operator singleflight on its content hash (the
-// second requester waits for the first compute, then replays), so the
-// hit/miss split is deterministic even across concurrent shard servers:
-// one miss per distinct operator, a hit for every other request.
+// diagnostics only — they never feed back into simulated I/O.
 type Stats struct {
 	// Hits and Misses count lookups on memoized operator paths.
 	Hits, Misses int64
@@ -125,40 +121,27 @@ type entry struct {
 	elem   *list.Element
 }
 
-// Memo is a charge-replay operator memo, safe for concurrent use by the child
-// disks of one run (the servers of a sharded run). Attach it to a disk with
-// Enable; child disks inherit the attachment.
+// Memo is a charge-replay operator memo. Attach it to a disk with Enable.
+// It is used from the disk's goroutine; mu lets Stats and Retained be read
+// from any goroutine.
 type Memo struct {
 	mu     sync.Mutex
 	lim    Limits
 	byID   map[string]*entry
 	byHash map[uint64][]*entry
-	// inflight singleflights concurrent misses by content hash: the first
-	// requester computes, later requesters wait on the flight and then replay
-	// the stored entry. Without it, two servers racing to the same logical
-	// operator would both compute, and the performed/replayed transfer split
-	// would depend on goroutine timing instead of being a pure function of
-	// the work.
-	inflight map[uint64]*flight
-	lru      *list.List // front = most recently used; values are *entry
-	tuples   int64
-	stats    Stats
-}
-
-// flight is one in-progress compute; done is closed when it finishes (stored,
-// failed, or aborted — waiters re-check the memo and recompute if needed).
-type flight struct {
-	done chan struct{}
+	lru    *list.List // front = most recently used; values are *entry
+	tuples int64
+	stats  Stats
 }
 
 // New returns an empty memo with the given limits (zero-value = unbounded).
 func New(lim Limits) *Memo {
 	return &Memo{lim: lim, byID: map[string]*entry{}, byHash: map[uint64][]*entry{},
-		inflight: map[uint64]*flight{}, lru: list.New()}
+		lru: list.New()}
 }
 
 // Enable attaches a fresh unbounded memo to d (replacing any previous one)
-// and returns it. Children created from d afterwards share the attachment.
+// and returns it.
 func Enable(d *extmem.Disk) *Memo { return EnableLimited(d, Limits{}) }
 
 // EnableLimited attaches a fresh bounded memo to d and returns it.
@@ -231,56 +214,31 @@ func Do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, error)) ([]*
 func (m *Memo) do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, error)) ([]*extmem.File, []int64, error) {
 	id := idString(d, op)
 	m.mu.Lock()
-	var h uint64
-	haveHash := false
-	for {
-		e, ok := m.byID[id]
-		if ok && !equalData(e.aux, op.Aux) {
-			// The aux hash folded into the id collided; treat as a miss.
-			e, ok = nil, false
-		}
-		if !ok {
-			// Slow path: find by content hash and byte-verify.
-			if !haveHash {
-				h = hashOp(d, op)
-				haveHash = true
-			}
-			for _, cand := range m.byHash[h] {
-				if verify(cand, op) {
-					cand.ids = append(cand.ids, id)
-					m.byID[id] = cand // alias: future runs take the fast path
-					e, ok = cand, true
-					break
-				}
-			}
-		}
-		if ok {
-			m.touch(e)
-			m.mu.Unlock()
-			return m.replay(d, e)
-		}
-		// Singleflight: if another goroutine is computing this content hash,
-		// wait it out and re-check — its stored entry turns this miss into a
-		// replay. A flight that fails or aborts stores nothing; the loop then
-		// claims the flight itself.
-		c := m.inflight[h]
-		if c == nil {
-			break
-		}
-		m.mu.Unlock()
-		<-c.done
-		m.mu.Lock()
+	e, ok := m.byID[id]
+	if ok && !equalData(e.aux, op.Aux) {
+		// The aux hash folded into the id collided; treat as a miss.
+		e, ok = nil, false
 	}
-	c := &flight{done: make(chan struct{})}
-	m.inflight[h] = c
+	var h uint64
+	if !ok {
+		// Slow path: find by content hash and byte-verify.
+		h = hashOp(d, op)
+		for _, cand := range m.byHash[h] {
+			if verify(cand, op) {
+				cand.ids = append(cand.ids, id)
+				m.byID[id] = cand // alias: future runs take the fast path
+				e, ok = cand, true
+				break
+			}
+		}
+	}
+	if ok {
+		m.touch(e)
+		m.mu.Unlock()
+		return m.replay(d, e)
+	}
 	m.stats.Misses++
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.inflight, h)
-		m.mu.Unlock()
-		close(c.done)
-	}()
 
 	d.StartTape()
 	taping := true
@@ -348,7 +306,7 @@ func (m *Memo) store(d *extmem.Disk, op Op, id string, hash uint64, outs []*extm
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.byID[id]; dup {
-		return // a concurrent server raced the same operator in first
+		return // an aux-hash collision: the entry already under id stays
 	}
 	m.byID[id] = e
 	m.byHash[hash] = append(m.byHash[hash], e)

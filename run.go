@@ -12,7 +12,6 @@ import (
 	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/reducer"
 	"acyclicjoin/internal/relation"
-	"acyclicjoin/internal/shard"
 	"acyclicjoin/internal/tuple"
 )
 
@@ -122,22 +121,7 @@ type Options struct {
 	// lives only as an open descriptor and is reclaimed even on a crash).
 	// Ignored by the sim backend.
 	DataDir string
-	// Shards is p, the number of simulated MPC servers the join executes
-	// across (internal/shard): after the full reduction the input is
-	// hash-partitioned on a join attribute — heavy hitters split across
-	// servers, small relations broadcast — and each server evaluates the
-	// query on its own child disk, concurrently, with deterministic
-	// server-order merging. Result.Shards then reports the per-round load
-	// accounting. 0 (the default) falls back to the ACYCLICJOIN_SHARDS
-	// environment variable, and failing that to 1; at 1 the shard machinery
-	// is bypassed entirely and the run is the classic single-server
-	// execution — when sharding was explicitly requested (field or env set),
-	// Result.Shards still reports the bypass via LoadStats.Bypass. The
-	// emitted row MULTISET is bit-identical at every shard
-	// count (on both backends, all memo modes); the emission order is
-	// server-major, so it differs from the unsharded order. Sharded runs
-	// always use Algorithm 2 — the Section 6 line dispatcher is a
-	// single-server plan — and report Greedy == nil.
+	// Deprecated: ignored; queries always run on one simulated machine.
 	Shards int
 	// Faults attaches a deterministic, seeded fault-injection plan to the
 	// simulated disk: transient faults are retried at operator boundaries
@@ -153,9 +137,9 @@ type Options struct {
 	// device frame, ENOSPC on arena growth, and a
 	// dead-device trigger. The engine recovers below the Backend seam
 	// (bounded retry with backoff; torn frames repaired from the
-	// authoritative in-memory image), so rows, Count, Stats, the plan, and
-	// the shard load table stay bit-identical to the fault-free run; all
-	// injection and recovery work is billed to Result.Faults.Device instead.
+	// authoritative in-memory image), so rows, Count, Stats, and the plan
+	// stay bit-identical to the fault-free run; all injection and recovery
+	// work is billed to Result.Faults.Device instead.
 	// Failures the engine cannot absorb abort with a typed error (ErrDevice,
 	// ErrNoSpace, ErrCorruption) and a partial Result — or, with
 	// DeviceFaultPlan.Degrade set, a dead device transparently re-runs the
@@ -245,11 +229,6 @@ type Result struct {
 	// re-charged by retries, and the simulated backoff cost. All zero when
 	// no plan was attached or the plan never fired.
 	Faults FaultStats
-	// Shards is the MPC load accounting of a shard-parallel run (resolved
-	// Options.Shards > 1): server count, partition attribute, replication
-	// overhead, heavy-hitter telemetry, and per-round maximum/median load
-	// against the instance-optimal bound ceil(N/p). nil for unsharded runs.
-	Shards *LoadStats
 	// Greedy records, for StrategyGreedy, every multi-leaf decision the
 	// planner scored: candidates with block counts, fan-outs, probed
 	// survival estimates and scores, and the chosen branch, in first-
@@ -291,16 +270,6 @@ type DeviceStats = extmem.DeviceStats
 // PruneStats is the branch-and-bound telemetry of the exhaustive planner.
 type PruneStats = core.PruneStats
 
-// LoadStats is the MPC load accounting of a shard-parallel run; see the
-// shard package for field semantics.
-type LoadStats = shard.LoadStats
-
-// RoundLoad is one MPC round's per-server load within LoadStats.
-type RoundLoad = shard.RoundLoad
-
-// MaxShards bounds Options.Shards.
-const MaxShards = shard.MaxShards
-
 // GreedyDecision is one scored decision point of a StrategyGreedy run; see
 // the core package for field semantics.
 type GreedyDecision = core.GreedyDecision
@@ -334,13 +303,6 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shards, err := cli.Shards(opts.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("acyclicjoin: %w", err)
-	}
-	if shards < 1 || shards > shard.MaxShards {
-		return nil, fmt.Errorf("acyclicjoin: shard count %d out of range [1, %d]", shards, shard.MaxShards)
-	}
 	if opts.DeviceFaults == nil {
 		rate, rerr := cli.DevFaultRate(0)
 		if rerr != nil {
@@ -361,9 +323,9 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, context.Cause(ctx))
 	}
 	if p := opts.DeviceFaults; p != nil && p.Degrade && p.Enabled() && opts.Backend == "file" {
-		return runDegradable(ctx, q, inst, opts, shards, cfg, emit)
+		return runDegradable(ctx, q, inst, opts, cfg, emit)
 	}
-	return runOnce(ctx, q, inst, opts, shards, cfg, emit)
+	return runOnce(ctx, q, inst, opts, cfg, emit)
 }
 
 // runDegradable runs the query on the (fault-injected) file backend and, when
@@ -372,13 +334,13 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 // their typed aborts — transparently re-runs it on the counting simulator.
 // First-attempt emissions are buffered so the caller sees the rows of exactly
 // one successful run, never a partial prefix followed by a fallback replay.
-func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, shards int, cfg extmem.Config, emit func(Row)) (*Result, error) {
+func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, cfg extmem.Config, emit func(Row)) (*Result, error) {
 	var buf []Row
 	bufEmit := emit
 	if emit != nil {
 		bufEmit = func(r Row) { buf = append(buf, r) }
 	}
-	res, err := runOnce(ctx, q, inst, opts, shards, cfg, bufEmit)
+	res, err := runOnce(ctx, q, inst, opts, cfg, bufEmit)
 	if err == nil {
 		for _, r := range buf {
 			emit(r)
@@ -392,7 +354,7 @@ func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, 
 	fopts.Backend = "sim"
 	fopts.DataDir = ""
 	fopts.DeviceFaults = nil
-	res2, err2 := runOnce(ctx, q, inst, fopts, shards, cfg, emit)
+	res2, err2 := runOnce(ctx, q, inst, fopts, cfg, emit)
 	if err2 != nil {
 		return res2, err2
 	}
@@ -408,7 +370,7 @@ func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, 
 
 // runOnce executes one attempt of the query on one backend disk; RunContext
 // owns validation and the degraded-mode retry policy above it.
-func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards int, cfg extmem.Config, emit func(Row)) (res *Result, err error) {
+func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg extmem.Config, emit func(Row)) (res *Result, err error) {
 	disk, closeBackend, err := newBackendDisk(cfg, opts)
 	if err != nil {
 		return nil, err
@@ -455,17 +417,6 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 		work = red
 	}
 
-	// An explicit shards=1 request takes the unsharded executor below (the
-	// bypass) but still reports Result.Shards; capture N now, while the
-	// reduced relations are untouched (Len is charge-free).
-	shardBypass := shards == 1 && cli.ShardsRequested(opts.Shards)
-	var shardInputN int64
-	if shardBypass {
-		for _, id := range relation.SortedEdgeIDs(q.graph) {
-			shardInputN += int64(work[id].Len())
-		}
-	}
-
 	// Emit adapter: decode assignments into Rows.
 	attrOrder := make([]string, len(q.attrNames))
 	copy(attrOrder, q.attrNames)
@@ -491,26 +442,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 		Memo:          opts.Memo,
 		MemoLimits:    memoLimits,
 	}
-	if shards > 1 {
-		r, serr := shard.Run(q.graph, work, coreEmit, shard.Options{Shards: shards, Core: copts})
-		if serr != nil {
-			return abortResult(disk, count, serr)
-		}
-		res.Plan = fmt.Sprintf("acyclic-join (Algorithm 2), strategy %s, sharded MPC x%d", opts.Strategy, shards)
-		res.Branches = r.Branches
-		res.Prune = r.Prune
-		res.ClampedChoices = r.ClampedChoices
-		load := r.Load
-		res.Shards = &load
-		// Execution stats: reduction + distribution + every server's winning
-		// branch. Planning adds the servers' dry runs.
-		execFull := disk.Stats().Sub(r.TotalStats.Sub(r.ExecStats))
-		res.Stats = fromExtmem(execFull)
-		res.PlanningStats = fromExtmem(disk.Stats())
-		if emit == nil {
-			count = r.Emitted
-		}
-	} else if !opts.NoLineSpecialization && q.IsLine() && q.graph.NumEdges() >= 3 {
+	if !opts.NoLineSpecialization && q.IsLine() && q.graph.NumEdges() >= 3 {
 		plan, lerr := core.RunLine(q.graph, work, coreEmit, copts)
 		if lerr != nil {
 			return abortResult(disk, count, lerr)
@@ -543,10 +475,6 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 		if emit == nil {
 			count = r.Emitted
 		}
-	}
-	if shardBypass {
-		load := shard.BypassLoad(shardInputN, disk.Stats().IOs())
-		res.Shards = &load
 	}
 	res.Count = count
 	res.Faults = disk.FaultStats()
