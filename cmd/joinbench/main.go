@@ -7,7 +7,7 @@
 //
 //	joinbench [-exp E4] [-m 256] [-b 16] [-scale 1] [-seed 42] [-parallel 4] [-list]
 //	          [-opcache=false] [-prune=false] [-backend file]
-//	          [-strategy greedy] [-timeout 10m] [-devfaultrate 0.02]
+//	          [-strategy greedy] [-timeout 10m]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
@@ -34,8 +34,6 @@ type config struct {
 	verify, par                int
 	opcache, prune             bool
 	backend, datadir, strategy string
-	devfaultrate               float64
-	devfaultseed               int64
 	cpuprof, memprof           string
 }
 
@@ -54,8 +52,6 @@ func main() {
 	flag.StringVar(&c.backend, "backend", "", "storage engine for every experiment: sim (counting simulator, default) or file (real os.File-backed disk; all tables stay byte-identical); empty falls back to $ACYCLICJOIN_BACKEND")
 	flag.StringVar(&c.datadir, "datadir", "", "directory for the file backend's backing files (default $ACYCLICJOIN_DATADIR, then unlinked temp files)")
 	flag.StringVar(&c.strategy, "strategy", "", "restrict the -verify sweep to one peeling strategy: exhaustive, first, smallest, or greedy; empty falls back to $ACYCLICJOIN_STRATEGY, then the full sweep")
-	flag.Float64Var(&c.devfaultrate, "devfaultrate", 0, "inject transient device-level syscall faults at this per-call probability on every file-backend experiment machine (deterministic per -devfaultseed; tables stay byte-identical, recovery is reported separately); 0 falls back to $ACYCLICJOIN_DEVFAULTRATE; no-op on the sim backend")
-	flag.Int64Var(&c.devfaultseed, "devfaultseed", 0, "seed for the injected device fault schedule; 0 falls back to $ACYCLICJOIN_DEVFAULTSEED, then 1")
 	flag.StringVar(&c.cpuprof, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&c.memprof, "memprofile", "", "write a heap profile to this file on exit")
 	timeout := flag.Duration("timeout", 0, "stop starting new experiments after this long (0 = no limit); completed tables are still printed")
@@ -123,8 +119,7 @@ func run(ctx context.Context, c config) int {
 	p := harness.Params{M: c.m, B: c.b, Scale: c.scale, Seed: c.seed,
 		NoMemo: !c.opcache, NoPrune: !c.prune,
 		Backend: c.backend, DataDir: c.datadir,
-		Strategy:     c.strategy,
-		DevFaultRate: c.devfaultrate, DevFaultSeed: c.devfaultseed}
+		Strategy: c.strategy}
 
 	if c.verify > 0 {
 		tab, err := harness.VerifySweep(p, c.verify)

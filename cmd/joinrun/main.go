@@ -38,8 +38,6 @@ func main() {
 		faultSeed = flag.Int64("faultseed", 1, "seed for the injected fault schedule")
 		backend   = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk with block cache; results and I/O figures are bit-identical, charged transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
 		datadir   = flag.String("datadir", "", "directory for the file backend's backing file (default $ACYCLICJOIN_DATADIR, then an unlinked temp file)")
-		devRate   = flag.Float64("devfaultrate", 0, "inject transient device-level syscall faults on the file backend at this per-call probability (deterministic per -devfaultseed); the engine retries below the backend seam, so results and I/O figures stay bit-identical and recovery cost is reported separately; 0 falls back to $ACYCLICJOIN_DEVFAULTRATE; no-op on the sim backend")
-		devSeed   = flag.Int64("devfaultseed", 0, "seed for the injected device fault schedule; 0 falls back to $ACYCLICJOIN_DEVFAULTSEED, then 1")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -78,20 +76,7 @@ func main() {
 	opts := acyclicjoin.Options{Memory: *m, Block: *b, NoPrune: !*prune,
 		Backend: *backend, DataDir: *datadir}
 	if *faultRate > 0 {
-		opts.Faults = &acyclicjoin.FaultPlan{Seed: *faultSeed, TransientRate: *faultRate}
-	}
-	if *devRate > 0 || *devSeed != 0 {
-		rate, rerr := cli.DevFaultRate(*devRate)
-		if rerr != nil {
-			fatal("%v", rerr)
-		}
-		seed, serr := cli.DevFaultSeed(*devSeed)
-		if serr != nil {
-			fatal("%v", serr)
-		}
-		if rate > 0 {
-			opts.DeviceFaults = &acyclicjoin.DeviceFaultPlan{Seed: seed, Rate: rate}
-		}
+		opts.Faults = &acyclicjoin.FaultPlan{Seed: *faultSeed, Rate: *faultRate}
 	}
 	opts.Strategy, err = acyclicjoin.ParseStrategy(cli.StrategyName(*strat))
 	if err != nil {
@@ -142,9 +127,6 @@ func main() {
 			res.Transfers.ReplayedReads+res.Transfers.ReplayedWrites,
 			d.ReadCalls, d.WriteCalls, d.CacheHits, d.Prefetched,
 			d.PrefetchHits, d.PrefetchWasted, d.Evictions)
-	}
-	if res.Degraded {
-		fmt.Fprintln(os.Stderr, "degraded: device declared dead; results recomputed on the counting simulator")
 	}
 	if res.Faults.Any() {
 		fmt.Fprintf(os.Stderr, "faults: %s\n", res.Faults)

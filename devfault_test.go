@@ -19,8 +19,8 @@ var devFaultDifferentialRates = []float64{0.02, 0.05, 0.20}
 // under the file engine — transient EIO plus torn writes — at every sweep
 // rate, compared against the fault-free file run and the counting simulator.
 // The full public Result (rows in emission order, Count, Stats, Plan) is
-// bit-identical; all retry and repair traffic lands in the Faults.Device side
-// channel, never the main Stats.
+// bit-identical; all retry and repair traffic lands in the Faults ledger,
+// never the main Stats.
 func TestDeviceFaultDifferentialRates(t *testing.T) {
 	var injected int64
 	for trial := 0; trial < 6; trial++ {
@@ -38,7 +38,7 @@ func TestDeviceFaultDifferentialRates(t *testing.T) {
 		for _, rate := range devFaultDifferentialRates {
 			label := fmt.Sprintf("trial %d rate %v", trial, rate)
 			faultOpts := fileOpts
-			faultOpts.DeviceFaults = &DeviceFaultPlan{
+			faultOpts.Faults = &FaultPlan{Layer: LayerDevice,
 				Seed: int64(trial)*31 + 9, Rate: rate, TornRate: rate / 2}
 			faultRes, faultRows := backendRunRows(t, q, inst, faultOpts)
 			if len(faultRows) != len(fileRows) {
@@ -57,10 +57,10 @@ func TestDeviceFaultDifferentialRates(t *testing.T) {
 				t.Fatalf("%s: results diverge:\nfaulted    %+v\nfault-free %+v", label, faultRes, fileRes)
 			}
 			checkTransferParity(t, label, faultRes)
-			dev := faultRes.Faults.Device
-			injected += dev.InjectedReads + dev.InjectedWrites + dev.TornWrites
-			if dev.NoSpace != 0 || dev.DeviceDead != 0 || dev.Degraded != 0 {
-				t.Fatalf("%s: transient plan reported terminal telemetry: %+v", label, dev)
+			fs := faultRes.Faults
+			injected += fs.Transient + fs.Torn
+			if fs.NoSpace != 0 || fs.Permanent != 0 {
+				t.Fatalf("%s: transient plan reported terminal telemetry: %+v", label, fs)
 			}
 		}
 	}
@@ -70,24 +70,24 @@ func TestDeviceFaultDifferentialRates(t *testing.T) {
 }
 
 // TestDeviceFaultNoSpaceTyped exhausts the arena growth cap: the run aborts
-// with a typed ErrNoSpace — no panic — and a partial Result whose device
-// telemetry records the space failure. ENOSPC is never retried.
+// with a typed ErrNoSpace — no panic — and a partial Result whose fault
+// ledger records the space failure. ENOSPC is never retried.
 func TestDeviceFaultNoSpaceTyped(t *testing.T) {
 	q, inst := buildTinyQuery(t)
 	res, err := Run(q, inst, Options{Memory: 64, Block: 8, Backend: "file",
-		DeviceFaults: &DeviceFaultPlan{NoSpaceAfter: 512}}, nil)
+		Faults: &FaultPlan{Layer: LayerDevice, NoSpaceAfter: 512}}, nil)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
 	if res == nil {
 		t.Fatal("no partial Result returned with the typed error")
 	}
-	dev := res.Faults.Device
-	if dev.NoSpace < 1 {
-		t.Fatalf("NoSpace = %d, want >= 1", dev.NoSpace)
+	fs := res.Faults
+	if fs.NoSpace < 1 {
+		t.Fatalf("NoSpace = %d, want >= 1", fs.NoSpace)
 	}
-	if dev.Retries != 0 {
-		t.Fatalf("space exhaustion was retried %d times; ENOSPC is permanent", dev.Retries)
+	if fs.Retries != 0 {
+		t.Fatalf("space exhaustion was retried %d times; ENOSPC is permanent", fs.Retries)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestDeviceFaultDataDirHygiene(t *testing.T) {
 	dir := t.TempDir()
 	q, inst := buildTinyQuery(t)
 	_, err := Run(q, inst, Options{Memory: 64, Block: 8, Backend: "file", DataDir: dir,
-		DeviceFaults: &DeviceFaultPlan{NoSpaceAfter: 512}}, nil)
+		Faults: &FaultPlan{Layer: LayerDevice, NoSpaceAfter: 512}}, nil)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
@@ -122,64 +122,28 @@ func TestDeviceFaultDataDirHygiene(t *testing.T) {
 func TestDeviceFaultDeadDeviceTyped(t *testing.T) {
 	q, inst := buildTinyQuery(t)
 	res, err := Run(q, inst, Options{Memory: 64, Block: 8, Backend: "file",
-		DeviceFaults: &DeviceFaultPlan{DeadAt: 10}}, nil)
+		Faults: &FaultPlan{Layer: LayerDevice, PermanentAt: 10}}, nil)
 	if !errors.Is(err, ErrDevice) {
 		t.Fatalf("err = %v, want ErrDevice", err)
 	}
 	if res == nil {
 		t.Fatal("no partial Result returned with the typed error")
 	}
-	if res.Faults.Device.DeviceDead != 1 {
-		t.Fatalf("DeviceDead = %d, want 1", res.Faults.Device.DeviceDead)
+	if res.Faults.Permanent != 1 {
+		t.Fatalf("Permanent = %d, want 1", res.Faults.Permanent)
 	}
 }
 
-// TestDeviceFaultDegradedFallback sets Degrade on a dead-device plan: instead
-// of the typed error, the run transparently re-executes on the counting
-// simulator and succeeds, reporting Degraded on the Result and in the device
-// telemetry. The recomputed figures match a fault-free sim run exactly.
-func TestDeviceFaultDegradedFallback(t *testing.T) {
-	q, inst := buildTinyQuery(t)
-	wantRes, wantRows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8, Backend: "sim"})
-	var rows []string
-	res, err := Run(q, inst, Options{Memory: 64, Block: 8, Backend: "file",
-		DeviceFaults: &DeviceFaultPlan{DeadAt: 10, Degrade: true}},
-		func(row Row) { rows = append(rows, canonRow(q, row)) })
-	if err != nil {
-		t.Fatalf("degraded run: %v", err)
-	}
-	if !res.Degraded {
-		t.Fatal("Result.Degraded not set")
-	}
-	if res.Backend != "sim" {
-		t.Fatalf("Backend = %q, want sim after degradation", res.Backend)
-	}
-	if res.Faults.Device.Degraded != 1 {
-		t.Fatalf("Device.Degraded = %d, want 1", res.Faults.Device.Degraded)
-	}
-	if len(rows) != len(wantRows) {
-		t.Fatalf("emitted %d rows degraded, %d fault-free", len(rows), len(wantRows))
-	}
-	for i := range rows {
-		if rows[i] != wantRows[i] {
-			t.Fatalf("row %d diverges: degraded %q, fault-free %q", i, rows[i], wantRows[i])
-		}
-	}
-	if res.Count != wantRes.Count || res.Stats != wantRes.Stats || res.Plan != wantRes.Plan {
-		t.Fatalf("degraded result diverges:\ndegraded   %+v\nfault-free %+v", res, wantRes)
-	}
-}
-
-// TestDeviceFaultSimBackendNoop pins the documented scoping: a DeviceFaults
+// TestDeviceFaultSimBackendNoop pins the documented scoping: a device-layer
 // plan on the sim backend is a no-op — there are no syscalls to fault — and
-// the run matches a plan-free run exactly, with zero device telemetry.
+// the run matches a plan-free run exactly, with an empty fault ledger.
 func TestDeviceFaultSimBackendNoop(t *testing.T) {
 	q, inst := buildTinyQuery(t)
 	wantRes, wantRows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8, Backend: "sim"})
 	gotRes, gotRows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8, Backend: "sim",
-		DeviceFaults: &DeviceFaultPlan{Rate: 0.5, TornRate: 0.5, DeadAt: 3}})
-	if gotRes.Faults.Device != (DeviceFaultStats{}) {
-		t.Fatalf("sim backend reported device-fault telemetry: %+v", gotRes.Faults.Device)
+		Faults: &FaultPlan{Layer: LayerDevice, Rate: 0.5, TornRate: 0.5, PermanentAt: 3}})
+	if gotRes.Faults.Any() {
+		t.Fatalf("sim backend reported device-fault telemetry: %+v", gotRes.Faults)
 	}
 	if gotRes.Count != wantRes.Count || gotRes.Stats != wantRes.Stats ||
 		len(gotRows) != len(wantRows) {
@@ -187,27 +151,25 @@ func TestDeviceFaultSimBackendNoop(t *testing.T) {
 	}
 }
 
-// TestDeviceFaultEnvFallback proves the $ACYCLICJOIN_DEVFAULT* variables arm
-// a default-options run — the hook the CI chaos-device job uses to re-run the
-// whole suite faulted without code changes — and that RunContext rejects a
-// malformed value with a typed, named error instead of silently ignoring it.
+// TestDeviceFaultEnvFallback proves $ACYCLICJOIN_DEVFAULTRATE arms a
+// default-options run — the hook the CI chaos-device job uses to re-run the
+// whole suite faulted without code changes — that an explicit Options.Faults
+// shadows it, and that RunContext rejects a malformed value with a named
+// error instead of silently ignoring it.
 func TestDeviceFaultEnvFallback(t *testing.T) {
 	t.Setenv("ACYCLICJOIN_BACKEND", "file")
 	t.Setenv("ACYCLICJOIN_DEVFAULTRATE", "0.5")
-	t.Setenv("ACYCLICJOIN_DEVFAULTSEED", "9")
 	q, inst := buildTinyQuery(t)
-	want, wantRows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8, DeviceFaults: &DeviceFaultPlan{}})
+	want, wantRows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8, Faults: &FaultPlan{}})
 	res, rows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8})
 	if res.Backend != "file" {
 		t.Fatalf("Backend = %q, want file via env", res.Backend)
 	}
-	dev := res.Faults.Device
-	if dev.InjectedReads+dev.InjectedWrites == 0 {
-		t.Fatalf("env-armed plan injected nothing: %+v", dev)
+	if fs := res.Faults; fs.Transient == 0 || fs.RetryReads+fs.RetryWrites != fs.Transient {
+		t.Fatalf("env-armed plan: want injected transients, each retried once: %+v", fs)
 	}
-	// An explicit (if empty) plan in Options must shadow the env knobs.
-	if want.Faults.Device != (DeviceFaultStats{}) {
-		t.Fatalf("explicit plan did not shadow the env: %+v", want.Faults.Device)
+	if want.Faults.Any() {
+		t.Fatalf("explicit plan did not shadow the env: %+v", want.Faults)
 	}
 	if res.Count != want.Count || res.Stats != want.Stats || len(rows) != len(wantRows) {
 		t.Fatalf("faulted env run diverges:\nfaulted    %+v\nfault-free %+v", res, want)
@@ -221,13 +183,14 @@ func TestDeviceFaultEnvFallback(t *testing.T) {
 	}
 }
 
-// FuzzDevFaultOracle is the randomized arm of the differential proof: a
-// random acyclic query, a random device fault schedule and memo mode — the
-// faulted file run must match the fault-free file run and the counting
-// simulator on the full public Result, with all recovery in the side channel.
-// Corpus seeds cover each rate tier and MemoOff. mode bit 1 selects MemoOff
-// and bit 2 skewed data; bit 0 is unused, kept so existing inputs decode
-// unchanged.
+// FuzzDevFaultOracle is the randomized arm of the differential proof through
+// the public API: a random acyclic query, a random device-layer fault
+// schedule and memo mode — the faulted file run must match the fault-free
+// file run and the counting simulator on the full public Result, with all
+// recovery in the Faults ledger. Corpus seeds cover each rate tier and
+// MemoOff. mode bit 1 selects MemoOff and bit 2 string-valued data; bit 0 is
+// unused, kept so existing inputs decode unchanged. core's FuzzFaultOracle
+// runs the same device arm below the public API.
 func FuzzDevFaultOracle(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0))
 	f.Add(int64(42), uint8(20), uint8(1))
@@ -248,7 +211,7 @@ func FuzzDevFaultOracle(f *testing.F) {
 		fileOpts := opts
 		fileOpts.Backend = "file"
 		faultOpts := fileOpts
-		faultOpts.DeviceFaults = &DeviceFaultPlan{Seed: seed ^ 0x5eed, Rate: rate, TornRate: rate / 2}
+		faultOpts.Faults = &FaultPlan{Layer: LayerDevice, Seed: seed ^ 0x5eed, Rate: rate, TornRate: rate / 2}
 		simRes, simRows := backendRunRows(t, q, inst, simOpts)
 		fileRes, fileRows := backendRunRows(t, q, inst, fileOpts)
 		faultRes, faultRows := backendRunRows(t, q, inst, faultOpts)
@@ -268,9 +231,8 @@ func FuzzDevFaultOracle(f *testing.F) {
 				fileRes.PlanningStats, fileRes.Transfers, faultRes.PlanningStats, faultRes.Transfers)
 		}
 		checkTransferParity(t, "fuzz faulted", faultRes)
-		dev := faultRes.Faults.Device
-		if dev.NoSpace != 0 || dev.DeviceDead != 0 || dev.Degraded != 0 {
-			t.Fatalf("transient plan reported terminal telemetry: %+v", dev)
+		if fs := faultRes.Faults; fs.NoSpace != 0 || fs.Permanent != 0 {
+			t.Fatalf("transient plan reported terminal telemetry: %+v", fs)
 		}
 	})
 }

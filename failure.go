@@ -14,31 +14,31 @@ import (
 	"acyclicjoin/internal/extmem"
 )
 
-// FaultPlan is a deterministic, seeded schedule of injected I/O faults for
-// the simulated disk; attach one via Options.Faults. See extmem.FaultPlan
-// for field semantics.
+// FaultPlan is a deterministic, seeded schedule of injected I/O faults,
+// on charged blocks or under the file backend's syscalls; attach one via
+// Options.Faults. See extmem.FaultPlan for field semantics.
 type FaultPlan = extmem.FaultPlan
 
-// FaultStats is retry/fault telemetry accumulated by an injected FaultPlan,
-// reported on Result.Faults. Retry charges are tracked here, never on the
-// main Stats — a run whose faults were all transient-and-retried reports
-// Stats bit-identical to the fault-free run.
+// FaultLayer selects where a FaultPlan injects.
+type FaultLayer = extmem.FaultLayer
+
+// Fault layers; see extmem.FaultLayer.
+const (
+	// LayerModel (the zero value) injects per charged block I/O.
+	LayerModel = extmem.LayerModel
+	// LayerDevice injects per syscall under the file backend's engine.
+	LayerDevice = extmem.LayerDevice
+)
+
+// FaultStats is the recovery ledger of an injected FaultPlan, reported on
+// Result.Faults. Retry and repair work is tracked here, never on the main
+// Stats — a run whose faults were all absorbed reports Stats bit-identical
+// to the fault-free run.
 type FaultStats = extmem.FaultStats
 
 // FaultError is the typed error carried by ErrFault-classified failures; it
 // records the faulted operation, its I/O index, and the phase.
 type FaultError = extmem.FaultError
-
-// DeviceFaultPlan is a deterministic, seeded schedule of syscall-level faults
-// for the file backend's storage engine; attach one via Options.DeviceFaults.
-// See extmem.DeviceFaultPlan for field semantics.
-type DeviceFaultPlan = extmem.DeviceFaultPlan
-
-// DeviceFaultStats is the device-fault side channel reported on
-// Result.Faults.Device: injected syscall failures, torn writes, the engine's
-// retries/repairs, and the degraded-fallback flag. Like FaultStats, it never
-// touches the main Stats.
-type DeviceFaultStats = extmem.DeviceFaultStats
 
 // Typed failure sentinels. Errors returned by RunContext satisfy
 // errors.Is against exactly one of these when the run was aborted:
@@ -51,9 +51,7 @@ type DeviceFaultStats = extmem.DeviceFaultStats
 //   - ErrBudget: a charge-budget watermark escaped its catcher — an
 //     internal invariant violation surfaced instead of hidden.
 //   - ErrDevice: the file backend's device failed permanently (a syscall
-//     kept failing after the engine's bounded retries). With
-//     DeviceFaultPlan.Degrade set the run is transparently re-run on the
-//     counting simulator instead; see Options.DeviceFaults.
+//     kept failing after the engine's bounded retries).
 //   - ErrNoSpace: the file backend's device ran out of space growing the
 //     backing arena.
 //   - ErrCorruption: a device frame disagreed with the authoritative
@@ -114,19 +112,19 @@ func isAbortErr(err error) bool {
 // partialResult assembles the telemetry-only Result returned alongside an
 // abort error: rows emitted before the abort, every I/O charged so far
 // (dry-run branches included — there is no winning branch to separate), and
-// the fault counters.
-func partialResult(d *extmem.Disk, count int64) *Result {
+// the fault ledger.
+func partialResult(d *extmem.Disk, count int64, faults FaultStats) *Result {
 	s := fromExtmem(d.Stats())
-	return &Result{Count: count, Stats: s, PlanningStats: s, Faults: d.FaultStats(),
+	return &Result{Count: count, Stats: s, PlanningStats: s, Faults: faults,
 		Backend: d.BackendName(), Transfers: d.Transfers(), Device: d.DeviceStats()}
 }
 
 // abortResult routes an engine error to the caller: aborts pair a typed
 // error with a partial Result, ordinary errors return nil as before.
-func abortResult(d *extmem.Disk, count int64, err error) (*Result, error) {
+func abortResult(partial func() *Result, err error) (*Result, error) {
 	c := classifyErr(err)
 	if isAbortErr(c) {
-		return partialResult(d, count), c
+		return partial(), c
 	}
 	return nil, c
 }

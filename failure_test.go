@@ -101,25 +101,24 @@ func TestRunContextCancelMidRun(t *testing.T) {
 // to the fault-free run; the retries show up only on Result.Faults.
 func TestRunTransientFaultsBitIdentical(t *testing.T) {
 	q, inst := chaosQuery(t, 4)
-	// An explicit (disabled) device plan shadows $ACYCLICJOIN_DEVFAULTRATE:
-	// this test asserts a *fault-free* baseline, which CI's chaos-device job
-	// would otherwise perturb with device-level injection.
-	base := smallOpts()
-	base.DeviceFaults = &DeviceFaultPlan{}
-	want, err := Run(q, inst, base, nil)
-	if err != nil {
-		t.Fatal(err)
+	run := func(rate float64) *Result {
+		// Every arm sets Options.Faults, which shadows
+		// $ACYCLICJOIN_DEVFAULTRATE: the rate-0 arm is a fault-free
+		// baseline even under device-fault injection from the environment.
+		opts := smallOpts()
+		opts.Faults = &FaultPlan{Seed: 11, Rate: rate, MaxAttempts: 100000}
+		res, err := Run(q, inst, opts, nil)
+		if err != nil {
+			t.Fatalf("rate %v: %v", rate, err)
+		}
+		return res
 	}
+	want := run(0)
 	if want.Faults.Any() {
 		t.Fatalf("fault-free run reports faults: %+v", want.Faults)
 	}
 	for _, rate := range []float64{0.01, 0.1} {
-		opts := base
-		opts.Faults = &FaultPlan{Seed: 11, TransientRate: rate, MaxAttempts: 100000}
-		got, err := Run(q, inst, opts, nil)
-		if err != nil {
-			t.Fatalf("rate %v: %v", rate, err)
-		}
+		got := run(rate)
 		if got.Count != want.Count || got.Stats != want.Stats ||
 			got.PlanningStats != want.PlanningStats || got.Branches != want.Branches {
 			t.Errorf("rate %v: result diverged: got %+v, want %+v", rate, got, want)
@@ -154,7 +153,7 @@ func TestRunPermanentFaultTyped(t *testing.T) {
 func TestRunTransientEscalatesAtMaxAttempts(t *testing.T) {
 	q, inst := chaosQuery(t, 6)
 	opts := smallOpts()
-	opts.Faults = &FaultPlan{Seed: 1, TransientRate: 1.0, MaxAttempts: 2}
+	opts.Faults = &FaultPlan{Seed: 1, Rate: 1.0, MaxAttempts: 2}
 	res, err := Run(q, inst, opts, nil)
 	if err == nil {
 		t.Skip("rate-1.0 faults were all absorbed inline; no boundary reached")
@@ -190,9 +189,27 @@ func TestValidationErrorsUnclassified(t *testing.T) {
 	if err == nil {
 		t.Fatal("foreign instance accepted")
 	}
-	for _, sentinel := range []error{ErrCancelled, ErrFault, ErrBudget, ErrInternal} {
-		if errors.Is(err, sentinel) {
-			t.Errorf("validation error matches %v", sentinel)
+	errs := []error{err}
+	// A plan setting a field of the other layer is a validation error too.
+	for _, plan := range []*FaultPlan{
+		{Rate: 0.1, TornRate: 0.1},
+		{NoSpaceAfter: 512},
+		{Layer: LayerDevice, CancelAt: 5},
+		{Layer: LayerDevice, Phase: "reduce"},
+	} {
+		q3, inst3 := chaosQuery(t, 8)
+		res, perr := Run(q3, inst3, Options{Faults: plan}, nil)
+		if perr == nil || res != nil {
+			t.Errorf("layer-mismatched plan %+v accepted: res %v err %v", *plan, res, perr)
+		}
+		errs = append(errs, perr)
+	}
+	for _, err := range errs {
+		for _, sentinel := range []error{ErrCancelled, ErrFault, ErrBudget, ErrInternal,
+			ErrDevice, ErrNoSpace, ErrCorruption} {
+			if errors.Is(err, sentinel) {
+				t.Errorf("validation error %v matches %v", err, sentinel)
+			}
 		}
 	}
 }

@@ -84,8 +84,11 @@ func FuzzPruneOracle(f *testing.F) {
 // run's pinned fields exactly (rows in emission order, ExecStats, Policy —
 // every transient retried to bit-identity) or, when the retry cap ends the
 // run early, fail with a typed *FaultError. A fuzz-chosen permanent fault
-// must always fail typed. Child-disk and goroutine leak checks run inside
-// engineRunFaults on every arm.
+// must always fail typed. A device arm runs the same inputs on the file
+// engine under a device-layer plan at the same rate (torn writes at half of
+// it): the engine absorbs every fault below the seam, so the run must match
+// the fault-free file run and the sim reference exactly. Goroutine leak
+// checks run inside the engine helpers on every arm.
 func FuzzFaultOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(10), uint8(0), uint8(60))
 	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(40), uint8(1), uint8(0))
@@ -111,17 +114,18 @@ func FuzzFaultOracle(f *testing.F) {
 		if memoOff%2 == 1 {
 			opts.Memo = MemoOff
 		}
-		ref, refRows, _, refErr := engineRunOpts(build, opts)
+		ref, refRows, refStats, refErr := engineRunOpts(build, opts)
 		if refErr != nil {
 			t.Skipf("fault-free run failed: %v", refErr)
 		}
 
 		// Transient arm: bit-identical or a typed escalation.
 		plan := &extmem.FaultPlan{
-			Seed:          int64(rate) + 1,
-			TransientRate: float64(rate%100) / 200, // 0 .. 0.495
-			MaxAttempts:   64,
+			Seed:        int64(rate) + 1,
+			Rate:        float64(rate%100) / 200, // 0 .. 0.495
+			MaxAttempts: 64,
 		}
+		deviceArm(t, build, opts, ref, refRows, refStats, plan.Seed, plan.Rate)
 		fr, frRows, _, frErr := engineRunFaults(build, opts, plan)
 		if frErr != nil {
 			var fe *extmem.FaultError
@@ -162,28 +166,68 @@ func FuzzFaultOracle(f *testing.F) {
 	})
 }
 
+// deviceArm is FuzzFaultOracle's device arm: a fault-free file run must
+// reproduce the sim reference, and the same run under a device-layer plan
+// must reproduce the fault-free file run, on rows in emission order,
+// ExecStats, Policy, the final disk Stats, and the Transfers ledger.
+func deviceArm(t *testing.T, build builder, opts Options, ref *Result, refRows []string, refStats extmem.Stats, seed int64, rate float64) {
+	t.Helper()
+	file, fileRows, fileStats, fileXfer, err := engineRunBackend(build, opts)
+	if err != nil {
+		t.Fatalf("fault-free file run failed where sim succeeded: %v", err)
+	}
+	plan := &extmem.FaultPlan{Seed: seed, Layer: extmem.LayerDevice, Rate: rate, TornRate: rate / 2}
+	dev, devRows, devStats, devXfer, err := engineRunBackendFaults(build, opts, plan)
+	if err != nil {
+		t.Fatalf("device arm failed; every device transient must be absorbed: %v", err)
+	}
+	for _, arm := range []struct {
+		name  string
+		r     *Result
+		rows  []string
+		stats extmem.Stats
+	}{{"file", file, fileRows, fileStats}, {"device", dev, devRows, devStats}} {
+		if !reflect.DeepEqual(arm.rows, refRows) {
+			t.Fatalf("%s arm rows diverge: %d vs %d", arm.name, len(arm.rows), len(refRows))
+		}
+		if arm.r.ExecStats != ref.ExecStats || !reflect.DeepEqual(arm.r.Policy, ref.Policy) {
+			t.Fatalf("%s arm diverges: exec %+v/%+v policy %v/%v",
+				arm.name, arm.r.ExecStats, ref.ExecStats, arm.r.Policy, ref.Policy)
+		}
+		if arm.stats != refStats {
+			t.Fatalf("%s arm disk stats diverge: %+v vs %+v", arm.name, arm.stats, refStats)
+		}
+	}
+	if devXfer != fileXfer {
+		t.Fatalf("device arm transfer ledger diverges: %+v vs %+v", devXfer, fileXfer)
+	}
+}
+
 // engineRunBackend is engineRunOpts on the os.File-backed storage engine:
 // the disk mirrors every charged transfer onto a real (anonymous, unlinked)
 // backing file through the diskfile block cache, byte-verifying each billed
 // read against the in-memory image. Beyond the usual leak checks it asserts
 // the seam parity invariant — charged Stats equal performed plus replayed
 // transfers — and that the engine observed exactly the performed side.
-func engineRunBackend(b builder, opts Options) (*Result, []string, extmem.Stats, error) {
+// It also returns the run's seam ledger.
+func engineRunBackend(b builder, opts Options) (*Result, []string, extmem.Stats, extmem.XferStats, error) {
 	return engineRunBackendFaults(b, opts, nil)
 }
 
-// engineRunBackendFaults is engineRunBackend with a fault plan attached after
-// the instance is loaded, mirroring engineRunFaults: injected faults must
-// deliver deterministically through the file engine's device path, and
-// rollback-and-retry must leave the seam ledger and the engine's billed
-// counters in exact parity.
-func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*Result, []string, extmem.Stats, error) {
+// engineRunBackendFaults is engineRunBackend with a fault plan. A model-layer
+// plan is attached to the disk after the instance is loaded, mirroring
+// engineRunFaults; a device-layer plan is armed on the engine right after
+// Open, so the load's writeback is faulted too. Injected faults must deliver
+// deterministically through the file engine's device path, and recovery must
+// leave the seam ledger and the engine's billed counters in exact parity.
+func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*Result, []string, extmem.Stats, extmem.XferStats, error) {
 	cfg := extmem.Config{M: 64, B: 4}
 	eng, err := diskfile.Open("", cfg)
 	if err != nil {
 		panic(fmt.Sprintf("open diskfile engine: %v", err))
 	}
 	defer eng.Close()
+	eng.SetFaultPlan(plan)
 	d := extmem.NewDiskWithBackend(cfg, eng)
 	g, in := b(d)
 	d.SetFaultPlan(plan)
@@ -206,7 +250,8 @@ func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*R
 	// executed the rolled-back transfers — so the engine may only run AHEAD
 	// of the ledger, by at most the retried I/O (RetryReads/RetryWrites also
 	// count inline retries, which re-issue without an extra engine command,
-	// hence the inequality).
+	// hence the inequality). Device-layer retries happen below the seam and
+	// never reach the disk's ledger, so there the match stays exact.
 	if runErr == nil {
 		fs := d.FaultStats()
 		excessR, excessW := dev.BilledReads-xfer.Reads, dev.BilledWrites-xfer.Writes
@@ -215,7 +260,7 @@ func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*R
 				dev.BilledReads, dev.BilledWrites, xfer.Reads, xfer.Writes, fs.RetryReads, fs.RetryWrites))
 		}
 	}
-	return r, emitted, st, runErr
+	return r, emitted, st, xfer, runErr
 }
 
 // FuzzBackendOracle is the differential oracle for storage backends: a
@@ -254,7 +299,7 @@ func FuzzBackendOracle(f *testing.F) {
 			opts.Memo = MemoOff
 		}
 		ref, refRows, refStats, refErr := engineRunOpts(build, opts)
-		fb, fbRows, fbStats, fbErr := engineRunBackend(build, opts)
+		fb, fbRows, fbStats, _, fbErr := engineRunBackend(build, opts)
 		if (refErr == nil) != (fbErr == nil) {
 			t.Fatalf("errors diverge: sim %v, file %v", refErr, fbErr)
 		}
@@ -285,11 +330,11 @@ func FuzzBackendOracle(f *testing.F) {
 		// engineRunBackendFaults re-checks seam parity and the engine's billed
 		// counters on every arm, fault unwinds included.
 		plan := &extmem.FaultPlan{
-			Seed:          int64(rows) + 1,
-			TransientRate: float64((int(rows)*7+int(size))%100) / 200, // 0 .. 0.495
-			MaxAttempts:   64,
+			Seed:        int64(rows) + 1,
+			Rate:        float64((int(rows)*7+int(size))%100) / 200, // 0 .. 0.495
+			MaxAttempts: 64,
 		}
-		ft, ftRows, _, ftErr := engineRunBackendFaults(build, opts, plan)
+		ft, ftRows, _, _, ftErr := engineRunBackendFaults(build, opts, plan)
 		if ftErr != nil {
 			var fe *extmem.FaultError
 			if !errors.As(ftErr, &fe) {
@@ -312,7 +357,7 @@ func FuzzBackendOracle(f *testing.F) {
 		// must come back consistent (parity is re-checked inside the helper
 		// even though the run aborts mid-flight).
 		permAt := int64(dom)%37 + 3
-		_, _, _, perr := engineRunBackendFaults(build, opts, &extmem.FaultPlan{PermanentAt: permAt})
+		_, _, _, _, perr := engineRunBackendFaults(build, opts, &extmem.FaultPlan{PermanentAt: permAt})
 		if perr != nil {
 			var fe *extmem.FaultError
 			if !errors.As(perr, &fe) {

@@ -22,6 +22,9 @@
 // DeviceStats counter is a pure function of the charged schedule, and a failed
 // syscall surfaces at the charged operation that issued it. The engine starts
 // no goroutines.
+//
+// A device-layer extmem.FaultPlan (SetFaultPlan) interposes a fault device
+// under every engine syscall; see fault.go.
 package diskfile
 
 import (
@@ -39,12 +42,11 @@ import (
 	"acyclicjoin/internal/extmem"
 )
 
-// Device is the raw syscall surface beneath the engine: positioned reads and
-// writes against the backing storage. The default device is the backing
-// os.File itself; OpenWithDevice lets a wrapper interpose (fault injection,
-// tracing) underneath every engine syscall. The engine issues every call
+// device is the raw syscall surface beneath the engine: positioned reads and
+// writes against the backing storage. It is the backing os.File itself
+// unless SetFaultPlan interposed a fault device. The engine issues every call
 // under its own mutex.
-type Device interface {
+type device interface {
 	io.ReaderAt
 	io.WriterAt
 }
@@ -57,22 +59,22 @@ type Engine struct {
 	mu     sync.Mutex
 	cfg    extmem.Config
 	f      *os.File
-	dev    Device // syscall surface; e.f unless OpenWithDevice interposed
+	dev    device // syscall surface; e.f unless SetFaultPlan interposed
 	path   string // retained file path; "" when unlinked at creation
 	closed bool
 
-	// Device-fault recovery state. maxRetries bounds the inline retry loop
-	// per failed syscall; repairable gates torn-frame repair (set only when a
-	// fault device is interposed — with the real device, a verify mismatch is
-	// an engine bug and must surface as ErrCorruption, not be papered over).
-	// dead latches a device declared permanently failed; ioErr latches the
-	// first failed syscall, which every later charged operation re-raises.
+	// Device-fault state. maxRetries bounds the inline retry loop per failed
+	// syscall. repairs counts consecutive repairs per frame; it is non-nil
+	// only when a fault device is interposed, which is what arms torn-frame
+	// repair — with the real device, a verify mismatch is an engine bug and
+	// must surface as ErrCorruption, not be papered over. dead latches a
+	// device declared permanently failed; ioErr latches the first failed
+	// syscall, which every later charged operation re-raises.
 	maxRetries int
-	repairable bool
+	repairs    map[frameKey]int
 	dead       bool
 	ioErr      error
-	rec        extmem.DeviceFaultStats // recovery-side telemetry
-	repairs    map[frameKey]int        // consecutive repairs per frame
+	faults     extmem.FaultStats // injection and recovery ledger
 
 	nextPhys  uint64
 	files     map[uint64]*pfile
@@ -176,7 +178,7 @@ func Open(dir string, cfg extmem.Config) (*Engine, error) {
 		lru:        list.New(),
 		dirty:      map[frameKey]*frame{},
 		free:       map[int64][]int64{},
-		maxRetries: extmem.DefaultMaxDeviceRetries,
+		maxRetries: extmem.DefaultMaxDeviceAttempts,
 	}
 	if e.capFrames = cfg.M / cfg.B; e.capFrames < 2 {
 		e.capFrames = 2
@@ -195,30 +197,6 @@ func Open(dir string, cfg extmem.Config) (*Engine, error) {
 		e.path = ""
 	}
 	runtime.SetFinalizer(e, (*Engine).Close)
-	return e, nil
-}
-
-// OpenWithDevice is Open with a device wrapper interposed beneath every engine
-// syscall: wrap receives the backing os.File and returns the Device the engine
-// will issue its preads and pwrites against. Installing a wrapper also arms
-// the engine's self-healing: verify mismatches are repaired from the
-// authoritative image (counted in DeviceFaultRecovery) instead of surfacing as
-// corruption, because a wrapped device is expected to lie. maxRetries bounds
-// the inline retry loop per failed syscall (0 means
-// extmem.DefaultMaxDeviceRetries). Used by internal/extmem/faultbackend.
-func OpenWithDevice(dir string, cfg extmem.Config, maxRetries int, wrap func(Device) Device) (*Engine, error) {
-	e, err := Open(dir, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if wrap != nil {
-		e.dev = wrap(e.f)
-		e.repairable = true
-		e.repairs = map[frameKey]int{}
-	}
-	if maxRetries > 0 {
-		e.maxRetries = maxRetries
-	}
 	return e, nil
 }
 
@@ -282,7 +260,7 @@ func (e *Engine) checkErr() {
 
 // devReadAt preads into buf at off, retrying transient failures up to
 // maxRetries times with exponential backoff; the retries and backoff are
-// billed to the recovery telemetry. ENOSPC is never retried (it cannot apply
+// billed to the fault ledger. ENOSPC is never retried (it cannot apply
 // to reads, but classification is shared with writes); exhausted retries
 // latch the device dead and classify as ErrDevice.
 func (e *Engine) devReadAt(buf []byte, off int64) error {
@@ -320,16 +298,16 @@ func (e *Engine) devCall(op string, off int64, n int, call func() error) error {
 		if attempt >= e.maxRetries {
 			break
 		}
-		e.rec.Retries++
+		e.faults.Retries++
 		if op == opWrite {
-			e.rec.RetriedWrites++
+			e.faults.RetryWrites++
 		} else {
-			e.rec.RetriedReads++
+			e.faults.RetryReads++
 		}
-		e.rec.BackoffIOs += int64(1) << uint(min(attempt, 20))
+		e.faults.BackoffIOs += int64(1) << uint(min(attempt, 20))
 	}
 	e.dead = true
-	e.rec.DeviceDead = 1
+	e.faults.Permanent = 1
 	return fmt.Errorf("diskfile: %s %d bytes at %d: retries exhausted: %w (%v)", op, n, off, extmem.ErrDevice, err)
 }
 
@@ -337,16 +315,6 @@ func (e *Engine) devCall(op string, off int64, n int, call func() error) error {
 // injected error wrapping the extmem sentinel.
 func isNoSpace(err error) bool {
 	return errors.Is(err, syscall.ENOSPC) || errors.Is(err, extmem.ErrNoSpace)
-}
-
-// DeviceFaultRecovery returns the engine's recovery-side fault telemetry:
-// syscall retries, backoff, torn-frame repairs, and the dead-device latch.
-// The injection-side counters live in the fault device wrapper; the
-// faultbackend package merges the two views.
-func (e *Engine) DeviceFaultRecovery() extmem.DeviceFaultStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rec
 }
 
 // WriteRange implements extmem.Backend: cells become the contents of tuples
@@ -478,7 +446,7 @@ func (e *Engine) ReadRange(phys uint64, off int, want []int64) {
 const maxFrameRepairs = 4
 
 // verify byte-compares a frame against the authoritative image window want.
-// With a fault device installed (repairable), a mismatch is repaired: the
+// With a fault device installed, a mismatch is repaired: the
 // image window — authoritative by construction — overwrites the frame, which
 // is marked dirty so the next flush re-lands the good bytes on the device.
 // Repairs are bounded per frame; past the bound, or with the real device
@@ -497,7 +465,7 @@ func (e *Engine) verify(fr *frame, want []int64) {
 			return
 		}
 	}
-	if e.repairable && len(e.repairs) > 0 {
+	if len(e.repairs) > 0 {
 		delete(e.repairs, fr.key) // clean verify resets the consecutive count
 	}
 	e.stats.VerifiedCells += int64(n)
@@ -507,7 +475,7 @@ func (e *Engine) verify(fr *frame, want []int64) {
 func (e *Engine) repairFrame(fr *frame, want []int64, i int, got, exp int64) {
 	err := fmt.Errorf("diskfile: %w: phys %d frame %d cell %d: device has %d, image has %d",
 		extmem.ErrCorruption, fr.key.phys, fr.key.idx, i, got, exp)
-	if !e.repairable {
+	if e.repairs == nil {
 		panic(err)
 	}
 	if e.repairs[fr.key]++; e.repairs[fr.key] > maxFrameRepairs {
@@ -519,7 +487,7 @@ func (e *Engine) repairFrame(fr *frame, want []int64, i int, got, exp int64) {
 		e.dirty[fr.key] = fr
 	}
 	fr.prefetched = false
-	e.rec.Repairs++
+	e.faults.Repairs++
 }
 
 // Truncate implements extmem.Backend: drop every cached frame of phys and

@@ -500,7 +500,7 @@ func TestTransientFaultsPathIdentical(t *testing.T) {
 		return outcome{n: n, sum: sum, stats: d.Stats()}, d, eng
 	}
 	ref, _, _ := run(nil)
-	plan := &extmem.FaultPlan{Seed: 99, TransientRate: 0.05, MaxAttempts: 64}
+	plan := &extmem.FaultPlan{Seed: 99, Rate: 0.05, MaxAttempts: 64}
 	got, d, eng := run(plan)
 	if got != ref {
 		t.Fatalf("faulted run diverged: %+v vs %+v", got, ref)

@@ -138,8 +138,8 @@ type Disk struct {
 	// goroutine-confined; Cancel is the only cross-goroutine entry point
 	// (see cancelErr).
 	budget int64
-	// faults is the armed fault injector, nil when no FaultPlan is set (see
-	// fault.go).
+	// faults is the armed model-layer fault injector, nil when no such plan
+	// is set (see fault.go).
 	faults *faultInjector
 	// opBoundary counts the OperatorBoundary scopes currently open: inside
 	// one, transient faults panic for the boundary to catch and retry;

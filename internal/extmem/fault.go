@@ -1,24 +1,34 @@
-// Fault injection, cancellation, and abort unwinding for the simulated disk.
+// Fault injection, cancellation, and abort unwinding.
 //
-// The failure model mirrors the charge-budget watermark machinery: faults are
-// decided on the charging path, keyed on the disk's accumulated I/O index, so
-// a given FaultPlan produces a deterministic fault schedule for a given charge
-// sequence. Three failure classes exist:
+// One FaultPlan describes every injected failure. Its Layer picks where the
+// plan fires:
 //
-//   - Transient faults: a block transfer fails but the device (or the
-//     enclosing operator boundary) retries it. Retried work is rolled back
-//     from the main accountant and charged to the side-channel FaultStats
-//     instead, so a run in which every fault is transient-and-retried keeps
-//     Stats bit-identical to the fault-free run while the retry cost stays
-//     visible and honest.
-//   - Permanent faults: a block transfer fails unrecoverably (either injected
-//     directly via FaultPlan.PermanentAt, or by a transient fault escalating
-//     after MaxAttempts boundary retries). The typed *FaultError unwinds the
-//     run; CatchAbort converts it into an error return.
+//   - LayerModel (the zero value) decides faults on the charging path of the
+//     simulated disk, keyed on the disk's accumulated I/O index (preCharge),
+//     so a plan yields a deterministic fault schedule for a given charge
+//     sequence. Recovery is operator-boundary rollback-and-rerun, or an
+//     inline re-issue outside any boundary.
+//   - LayerDevice decides faults per pread/pwrite under the file engine's
+//     syscalls (internal/extmem/diskfile arms it). The engine recovers below
+//     the Backend seam: bounded retry for transient errors, and re-flushing
+//     the authoritative in-memory image to repair a torn frame. The sim
+//     backend has no syscalls, so there a device plan is a no-op.
+//
+// Both layers draw from FaultDraw, burn each fault once it fires (so every
+// retry terminates), and bill all recovery work to the same FaultStats
+// ledger, never the main Stats: a run whose faults were all absorbed keeps
+// Stats bit-identical to the fault-free run while the recovery cost stays
+// visible. Failures neither layer can absorb unwind as typed errors:
+//
+//   - Permanent faults: a model-layer *FaultError (injected directly via
+//     PermanentAt, or a transient fault escalating after MaxAttempts
+//     boundary retries), or a device failure wrapping ErrDevice, ErrNoSpace
+//     or ErrCorruption.
 //   - Cancellation: Cancel (usually driven by WatchContext observing a
 //     context.Context) marks the disk; its next non-suspended charge panics
-//     with an error wrapping ErrCancelled, which CatchAbort likewise converts
-//     into an error return.
+//     with an error wrapping ErrCancelled.
+//
+// CatchAbort converts every one of them into an error return.
 package extmem
 
 import (
@@ -31,6 +41,28 @@ import (
 // unwound by Cancel/WatchContext returns an error satisfying
 // errors.Is(err, ErrCancelled).
 var ErrCancelled = errors.New("extmem: run cancelled")
+
+// ErrDevice is the sentinel wrapped by every unrecoverable device failure: a
+// syscall that kept failing after the engine's bounded retries, or any
+// operation attempted after the device was declared dead.
+var ErrDevice = errors.New("extmem: permanent device failure")
+
+// ErrNoSpace is the sentinel wrapped when the device runs out of space while
+// growing the backing arena. Space exhaustion is never retried — repeating the
+// allocation cannot help — so it aborts the run with a partial Result.
+var ErrNoSpace = errors.New("extmem: device out of space")
+
+// ErrCorruption is the sentinel wrapped when a device frame disagrees with the
+// authoritative in-memory image and could not be repaired (or, with no device
+// plan armed, as soon as the mismatch is detected — silent repair would mask
+// a real engine bug).
+var ErrCorruption = errors.New("extmem: device corruption")
+
+// IsDeviceFailure reports whether err is any of the device-failure sentinels
+// (ErrDevice, ErrNoSpace, ErrCorruption).
+func IsDeviceFailure(err error) bool {
+	return errors.Is(err, ErrDevice) || errors.Is(err, ErrNoSpace) || errors.Is(err, ErrCorruption)
+}
 
 // FaultKind classifies an injected I/O fault.
 type FaultKind int
@@ -55,8 +87,9 @@ func (k FaultKind) String() string {
 }
 
 // FaultError is the typed error thrown (as a panic) by the charging path when
-// an injected fault fires. Transient faults are caught and retried by the
-// innermost operator boundary; permanent faults unwind to CatchAbort.
+// an injected model-layer fault fires. Transient faults are caught and
+// retried by the innermost operator boundary; permanent faults unwind to
+// CatchAbort.
 type FaultError struct {
 	// Kind says whether a retry can clear the fault.
 	Kind FaultKind
@@ -73,144 +106,194 @@ func (e *FaultError) Error() string {
 	return fmt.Sprintf("extmem: injected %s %s fault at I/O %d (phase %q)", e.Kind, e.Op, e.Index, e.Phase)
 }
 
-// DefaultMaxFaultAttempts bounds how often an operator boundary retries before
-// escalating a transient fault to permanent.
-const DefaultMaxFaultAttempts = 64
+// FaultLayer selects where a FaultPlan injects.
+type FaultLayer int
+
+const (
+	// LayerModel injects per charged block on the simulated disk.
+	LayerModel FaultLayer = iota
+	// LayerDevice injects per syscall under the file engine.
+	LayerDevice
+)
+
+// Default retry caps, per layer: how often an operator boundary retries
+// before escalating a transient fault to permanent, and how often the file
+// engine re-issues one failed syscall before declaring the device dead.
+// Device transients are burned per (operation, offset) and clear on the first
+// retry; the low device cap exists so a genuinely stuck device (PermanentAt,
+// or real hardware) fails over to ErrDevice quickly.
+const (
+	DefaultMaxFaultAttempts  = 64
+	DefaultMaxDeviceAttempts = 8
+)
 
 // FaultPlan is a deterministic, seeded fault schedule. The zero value injects
-// nothing. Faults are decided per block charge, keyed on the disk's
-// accumulated I/O index, so the schedule is a pure function of the plan and
-// the charge sequence — the same run faults the same way every time.
+// nothing. Faults are decided per block charge (LayerModel) or per device
+// syscall (LayerDevice), keyed on that layer's own running index, so the
+// schedule is a pure function of the plan and the charge sequence — the same
+// run faults the same way every time. Some fields apply to one layer only;
+// acyclicjoin.RunContext rejects a plan that sets a field of the other layer.
 type FaultPlan struct {
-	// Seed keys the transient-fault hash.
+	// Seed keys the fault hash.
 	Seed int64
-	// TransientRate is the per-block-charge probability of a transient fault,
-	// in [0, 1]. Each I/O index draws independently (and at most once: a
-	// retried index never faults again, so retries always terminate).
-	TransientRate float64
-	// PermanentAt, if positive, injects one permanent fault at the first
-	// charge that would be I/O number PermanentAt (1 = the very first charge).
+	// Layer selects the injection point; the zero value is LayerModel.
+	Layer FaultLayer
+	// Rate is the per-charge (model) or per-syscall (device) probability of
+	// a transient fault, in [0, 1]. Each index draws independently, and a
+	// fault burns its site (the I/O index, or the device operation and
+	// offset), so a retried transfer never faults again and retries always
+	// terminate.
+	Rate float64
+	// TornRate (device only) is the per-pwrite probability that the call
+	// reports success but corrupts part of the written frame. The engine
+	// detects the mismatch on the next verified read and repairs the frame
+	// from the in-memory image.
+	TornRate float64
+	// PermanentAt, if positive, fails permanently from I/O number PermanentAt
+	// on (1 = the very first). On the model layer that is one permanent
+	// *FaultError at that charge; on the device layer the device is dead from
+	// that syscall on, modelling a pulled disk.
 	PermanentAt int64
-	// CancelAt, if positive, cancels the disk at the first charge that would
-	// be I/O number CancelAt — a deterministic stand-in for an external
-	// context cancellation arriving mid-run.
+	// CancelAt (model only), if positive, cancels the disk at the first
+	// charge that would be I/O number CancelAt — a deterministic stand-in for
+	// an external context cancellation arriving mid-run.
 	CancelAt int64
-	// Phase, if non-empty, restricts transient and permanent injection to
-	// charges carrying that phase label.
+	// NoSpaceAfter (device only), if positive, injects ENOSPC once the
+	// backing arena would grow beyond this many bytes.
+	NoSpaceAfter int64
+	// Phase (model only), if non-empty, restricts transient and permanent
+	// injection to charges carrying that phase label.
 	Phase string
-	// MaxAttempts caps operator-boundary retries per operator run before a
-	// transient fault escalates to permanent. Zero means
-	// DefaultMaxFaultAttempts.
+	// MaxAttempts caps retries before a fault is declared permanent: per
+	// operator run on the model layer, per failed syscall on the device
+	// layer. Zero means the layer's default (DefaultMaxFaultAttempts or
+	// DefaultMaxDeviceAttempts).
 	MaxAttempts int
 }
 
 // Enabled reports whether the plan injects or cancels anything.
 func (p FaultPlan) Enabled() bool {
-	return p.TransientRate > 0 || p.PermanentAt > 0 || p.CancelAt > 0
+	return p.Rate > 0 || p.TornRate > 0 || p.PermanentAt > 0 || p.CancelAt > 0 || p.NoSpaceAfter > 0
 }
 
-// FaultStats is the side-channel accounting of injected faults and retries.
-// Retry I/O never touches the main Stats — that is what keeps a fully
-// transient-and-retried run bit-identical to the fault-free run — but it is
-// charged here, so the full cost of failure recovery stays reported.
+// Attempts is MaxAttempts with the layer's default resolved.
+func (p FaultPlan) Attempts() int {
+	switch {
+	case p.MaxAttempts > 0:
+		return p.MaxAttempts
+	case p.Layer == LayerDevice:
+		return DefaultMaxDeviceAttempts
+	default:
+		return DefaultMaxFaultAttempts
+	}
+}
+
+// Validate rejects a plan that sets a field its layer never reads.
+func (p FaultPlan) Validate() error {
+	switch p.Layer {
+	case LayerModel:
+		if p.TornRate != 0 || p.NoSpaceAfter != 0 {
+			return errors.New("fault plan: TornRate and NoSpaceAfter apply to the device layer only")
+		}
+	case LayerDevice:
+		if p.CancelAt != 0 || p.Phase != "" {
+			return errors.New("fault plan: CancelAt and Phase apply to the model layer only")
+		}
+	default:
+		return fmt.Errorf("fault plan: unknown layer %d", int(p.Layer))
+	}
+	return nil
+}
+
+// FaultDraw maps (seed, idx) onto a uniform [0,1) draw: a splitmix64-style
+// mix whose top 53 bits make the fraction. Both layers test their rates
+// against it.
+func FaultDraw(seed, idx int64) float64 {
+	z := uint64(seed)*0x9e3779b97f4a7c15 + uint64(idx)*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
+}
+
+// FaultStats is the recovery ledger of one fault plan. Retry I/O never
+// touches the main Stats — that is what keeps a fully absorbed run
+// bit-identical to the fault-free run — but it is counted here, so the full
+// cost of failure recovery stays reported.
 type FaultStats struct {
-	// Transient and Permanent count injected faults by kind (Permanent counts
-	// direct injections, not escalations).
+	// Transient counts injected transient faults (charges or syscalls).
 	Transient int64
+	// Permanent counts direct permanent injections on the model layer
+	// (escalations are counted in Escalated), and is 1 once the device has
+	// been declared dead on the device layer.
 	Permanent int64
-	// Retries counts device-level inline retries: transient faults outside
-	// any operator boundary, cleared by re-issuing the single failed
+	// Torn counts pwrites that reported success but corrupted the frame, and
+	// Repairs the torn frames rebuilt from the in-memory image.
+	Torn    int64
+	Repairs int64
+	// NoSpace counts injected ENOSPC failures on arena growth.
+	NoSpace int64
+	// Retries counts inline retries: a model transient outside any operator
+	// boundary, or a failed syscall, cleared by re-issuing the single failed
 	// transfer.
 	Retries int64
-	// BoundaryRetries counts operator-boundary retries: transient faults
+	// BoundaryRetries counts operator-boundary retries: model transients
 	// inside an operator boundary, cleared by rolling the operator back and
 	// re-running it.
 	BoundaryRetries int64
-	// Escalated counts transient faults promoted to permanent after
+	// Escalated counts model transients promoted to permanent after
 	// MaxAttempts boundary retries.
 	Escalated int64
-	// RetryReads and RetryWrites total the block transfers discarded and
-	// re-issued by retries (the honest I/O cost of recovery).
+	// RetryReads and RetryWrites total the block transfers (model) or
+	// syscalls (device) discarded and re-issued by retries — the honest I/O
+	// cost of recovery.
 	RetryReads  int64
 	RetryWrites int64
 	// BackoffIOs totals the simulated exponential-backoff cost charged per
-	// boundary retry (2^(attempt-1) block-times per retry, capped).
+	// retry (2^(attempt-1) block-times per retry, capped).
 	BackoffIOs int64
-	// Device is the syscall-layer fault telemetry of the storage engine (see
-	// DeviceFaultStats). Filled at read time from the backend by FaultStats —
-	// the counters are engine-global, so they are never stored per-disk.
-	Device DeviceFaultStats
 }
 
 // Any reports whether any fault activity was recorded.
 func (s FaultStats) Any() bool { return s != FaultStats{} }
 
 func (s FaultStats) String() string {
-	out := fmt.Sprintf("transient=%d permanent=%d retries=%d boundaryRetries=%d escalated=%d retryReads=%d retryWrites=%d backoffIOs=%d",
-		s.Transient, s.Permanent, s.Retries, s.BoundaryRetries, s.Escalated, s.RetryReads, s.RetryWrites, s.BackoffIOs)
-	if s.Device.Any() {
-		out += " device{" + s.Device.String() + "}"
-	}
-	return out
+	return fmt.Sprintf("transient=%d permanent=%d torn=%d repairs=%d noSpace=%d retries=%d boundaryRetries=%d escalated=%d retryReads=%d retryWrites=%d backoffIOs=%d",
+		s.Transient, s.Permanent, s.Torn, s.Repairs, s.NoSpace, s.Retries, s.BoundaryRetries, s.Escalated,
+		s.RetryReads, s.RetryWrites, s.BackoffIOs)
 }
 
-// faultInjector holds one disk's fault-injection state. Like the rest of the
-// Disk it is goroutine-confined.
+// faultInjector holds one disk's model-layer fault state. Like the rest of
+// the Disk it is goroutine-confined.
 type faultInjector struct {
-	plan        faultPlanCompiled
+	plan        FaultPlan
 	fired       map[int64]bool // transient indexes already faulted (burned)
 	permanent   bool           // the PermanentAt fault already fired
 	cancelFired bool           // the CancelAt trigger already fired
 	stats       FaultStats
 }
 
-// faultPlanCompiled is a FaultPlan with defaults resolved.
-type faultPlanCompiled struct {
-	FaultPlan
-	maxAttempts int
-}
-
-func newFaultInjector(p FaultPlan) *faultInjector {
-	c := faultPlanCompiled{FaultPlan: p, maxAttempts: p.MaxAttempts}
-	if c.maxAttempts <= 0 {
-		c.maxAttempts = DefaultMaxFaultAttempts
-	}
-	return &faultInjector{plan: c, fired: map[int64]bool{}}
-}
-
-// SetFaultPlan arms (or, with nil or a disabled plan, disarms) fault
-// injection on d. Arming resets any previous injector state and telemetry,
+// SetFaultPlan arms (or, with nil or a disabled plan, disarms) model-layer
+// fault injection on d; a device-layer plan arms nothing here (the file
+// engine takes it). Arming resets any previous injector state and ledger,
 // and clears the cancellation latch — changing the plan starts a new fault
 // experiment, so an abort a previous plan triggered (a CancelAt firing, or
 // an external Cancel) must not poison the next run on the same disk.
 func (d *Disk) SetFaultPlan(p *FaultPlan) {
 	d.cancelErr.Store(nil)
-	if p == nil || !p.Enabled() {
+	if p == nil || p.Layer != LayerModel || !p.Enabled() {
 		d.faults = nil
 		return
 	}
-	d.faults = newFaultInjector(*p)
+	d.faults = &faultInjector{plan: *p, fired: map[int64]bool{}}
 }
 
-// FaultStats returns the fault/retry telemetry accumulated on d: the armed
-// injector's counters plus, with a fault-injecting backend, the device-fault
-// telemetry.
+// FaultStats returns the model-layer fault ledger accumulated on d.
 func (d *Disk) FaultStats() FaultStats {
-	var s FaultStats
-	if d.faults != nil {
-		s = d.faults.stats
+	if d.faults == nil {
+		return FaultStats{}
 	}
-	s.Device = d.DeviceFaultStats()
-	return s
-}
-
-// faultHash is a splitmix64-style mix of (seed, index) onto 64 bits; the top
-// 53 bits make the uniform [0,1) draw for the transient-rate test.
-func faultHash(seed, idx int64) uint64 {
-	z := uint64(seed)*0x9e3779b97f4a7c15 + uint64(idx)*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return d.faults.stats
 }
 
 // preCharge runs the cancellation and fault checks guarding one block charge.
@@ -241,10 +324,7 @@ func (inj *faultInjector) check(d *Disk, op string, idx int64) {
 		inj.stats.Permanent++
 		panic(&FaultError{Kind: FaultPermanent, Op: op, Index: idx, Phase: d.phaseLabel()})
 	}
-	if plan.TransientRate <= 0 || inj.fired[idx] {
-		return
-	}
-	if float64(faultHash(plan.Seed, idx)>>11)/(1<<53) >= plan.TransientRate {
+	if plan.Rate <= 0 || inj.fired[idx] || FaultDraw(plan.Seed, idx) >= plan.Rate {
 		return
 	}
 	// The draw fires. Burn the index so the retry of this same transfer
@@ -286,7 +366,6 @@ type opSnapshot struct {
 	phaseStats map[string]Stats
 	peaks      []int
 	recs       []recSnap
-	faultSet   bool // d.faults was non-nil (sanity: plans are not swapped mid-boundary)
 }
 
 // recSnap pins one open tape recorder's interior: rolling back truncates the
@@ -306,7 +385,6 @@ func (d *Disk) snapshotOp() opSnapshot {
 		phase:      d.phase,
 		phaseDepth: d.phaseDepth,
 		suspended:  d.suspended,
-		faultSet:   d.faults != nil,
 	}
 	if d.phaseStats != nil {
 		s.phaseStats = make(map[string]Stats, len(d.phaseStats))
@@ -391,7 +469,7 @@ func (d *Disk) restoreOp(s opSnapshot) {
 // call of fn.
 func (d *Disk) OperatorBoundary(fn func() error) error {
 	inj := d.faults
-	if inj == nil || inj.plan.TransientRate <= 0 {
+	if inj == nil || inj.plan.Rate <= 0 {
 		return fn()
 	}
 	snap := d.snapshotOp()
@@ -405,7 +483,7 @@ func (d *Disk) OperatorBoundary(fn func() error) error {
 		inj.stats.RetryWrites += d.stats.Writes - snap.stats.Writes
 		inj.stats.BackoffIOs += int64(1) << uint(min(attempt-1, 20))
 		d.restoreOp(snap)
-		if attempt >= inj.plan.maxAttempts {
+		if attempt >= inj.plan.Attempts() {
 			inj.stats.Escalated++
 			panic(&FaultError{Kind: FaultPermanent, Op: fault.Op, Index: fault.Index, Phase: fault.Phase})
 		}

@@ -45,7 +45,7 @@ func TestInlineRetryKeepsStatsIdentical(t *testing.T) {
 
 	d := testDisk(t, 100, 10)
 	d.EnablePhases()
-	d.SetFaultPlan(&FaultPlan{Seed: 7, TransientRate: 0.5})
+	d.SetFaultPlan(&FaultPlan{Seed: 7, Rate: 0.5})
 	d.WithPhase("mix", func() { chargeMix(d, 20) })
 	if d.Stats() != base.Stats() {
 		t.Fatalf("stats diverged under inline retries: %v vs %v", d.Stats(), base.Stats())
@@ -66,7 +66,7 @@ func TestInlineRetryKeepsStatsIdentical(t *testing.T) {
 func TestFaultScheduleDeterministic(t *testing.T) {
 	run := func(seed int64) FaultStats {
 		d := testDisk(t, 100, 10)
-		d.SetFaultPlan(&FaultPlan{Seed: seed, TransientRate: 0.3})
+		d.SetFaultPlan(&FaultPlan{Seed: seed, Rate: 0.3})
 		chargeMix(d, 30)
 		return d.FaultStats()
 	}
@@ -101,7 +101,7 @@ func TestOperatorBoundaryRollbackBitIdentical(t *testing.T) {
 		return d, d.StopTape()
 	}
 	base, baseTape := runOnce(nil)
-	d, tape := runOnce(&FaultPlan{Seed: 3, TransientRate: 0.4, MaxAttempts: 10000})
+	d, tape := runOnce(&FaultPlan{Seed: 3, Rate: 0.4, MaxAttempts: 10000})
 
 	if d.Stats() != base.Stats() {
 		t.Fatalf("stats diverged: %v vs %v", d.Stats(), base.Stats())
@@ -136,7 +136,7 @@ func TestOperatorBoundaryTerminatesAtRateOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := testDisk(t, 100, 10)
-	d.SetFaultPlan(&FaultPlan{Seed: 1, TransientRate: 1.0, MaxAttempts: 10000})
+	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0, MaxAttempts: 10000})
 	if err := d.OperatorBoundary(func() error { chargeMix(d, 5); return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestOperatorBoundaryTerminatesAtRateOne(t *testing.T) {
 
 func TestOperatorBoundaryEscalatesToPermanent(t *testing.T) {
 	d := testDisk(t, 100, 10)
-	d.SetFaultPlan(&FaultPlan{Seed: 1, TransientRate: 1.0, MaxAttempts: 1})
+	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0, MaxAttempts: 1})
 	pruned, err := d.CatchAbort(func() error {
 		return d.OperatorBoundary(func() error { chargeMix(d, 5); return nil })
 	})
@@ -215,7 +215,7 @@ func TestPermanentFaultUnwindsWithTypedError(t *testing.T) {
 func TestPhaseTargetedFaults(t *testing.T) {
 	d := testDisk(t, 100, 10)
 	d.EnablePhases()
-	d.SetFaultPlan(&FaultPlan{Seed: 5, TransientRate: 1.0, Phase: "target"})
+	d.SetFaultPlan(&FaultPlan{Seed: 5, Rate: 1.0, Phase: "target"})
 	chargeMix(d, 5) // ambient: must not fault
 	if fs := d.FaultStats(); fs.Transient != 0 {
 		t.Fatalf("ambient charges faulted despite phase filter: %v", fs)
@@ -349,7 +349,7 @@ func TestArmedButSilentPlanIsInvisible(t *testing.T) {
 
 	d := testDisk(t, 100, 10)
 	d.EnablePhases()
-	d.SetFaultPlan(&FaultPlan{Seed: 1, TransientRate: 0, PermanentAt: 10_000, CancelAt: 0})
+	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 0, PermanentAt: 10_000, CancelAt: 0})
 	chargeMix(d, 10)
 	if d.Stats() != base.Stats() {
 		t.Fatalf("silent plan changed stats: %v vs %v", d.Stats(), base.Stats())

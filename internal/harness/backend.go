@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/faultbackend"
+	"acyclicjoin/internal/extmem/diskfile"
 )
 
 // newBackendDisk builds one experiment machine on the storage engine selected
@@ -24,15 +24,12 @@ func newBackendDisk(p Params, cfg extmem.Config) *extmem.Disk {
 	case "", "sim":
 		return extmem.NewDisk(cfg)
 	case "file":
-		var plan *extmem.DeviceFaultPlan
-		if p.DevFaultRate > 0 {
-			plan = &extmem.DeviceFaultPlan{Seed: p.DevFaultSeed, Rate: p.DevFaultRate}
-		}
-		b, err := faultbackend.OpenBackend(p.DataDir, cfg, plan)
+		eng, err := diskfile.Open(p.DataDir, cfg)
 		if err != nil {
 			panic(fmt.Sprintf("harness: open file backend: %v", err))
 		}
-		return extmem.NewDiskWithBackend(cfg, b)
+		eng.SetFaultPlan(&extmem.FaultPlan{Seed: 1, Layer: extmem.LayerDevice, Rate: p.DevFaultRate})
+		return extmem.NewDiskWithBackend(cfg, eng)
 	default:
 		panic(fmt.Sprintf("harness: unknown backend %q (want \"sim\" or \"file\")", p.Backend))
 	}

@@ -71,7 +71,7 @@ func runE26(p Params) (*Table, error) {
 		}
 		t.AddRow(name, "fault-free", baseRows, base.ExecStats.IOs(), "baseline", "-", "-", "-")
 		for _, rate := range chaosRates {
-			plan := &extmem.FaultPlan{Seed: p.Seed + 101, TransientRate: rate, MaxAttempts: 1 << 20}
+			plan := &extmem.FaultPlan{Seed: p.Seed + 101, Rate: rate, MaxAttempts: 1 << 20}
 			r, hash, rows, fs, err := chaosArm(p, w, plan)
 			if err != nil {
 				return nil, fmt.Errorf("E26 %s rate %v: %w", name, rate, err)
@@ -102,6 +102,6 @@ func runE26(p Params) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"identical = emitted rows and order (FNV fingerprint), exec stats, and winning policy match the fault-free baseline (checked, not assumed)",
 		"retry I/O is charged to the fault telemetry side-channel, never the main stats: honest accounting without perturbing the paper's figures",
-		"permanent and cancel arms abort with typed errors at the next charged I/O; the child-disk registry is asserted empty on every path")
+		"permanent and cancel arms abort with typed errors at the next charged I/O, never a panic; under a file backend with device faults armed, both layers inject at once")
 	return t, nil
 }

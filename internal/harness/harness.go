@@ -61,18 +61,16 @@ type Params struct {
 	// variable, then to the full sweep. Experiments pin their strategies
 	// per measurement and ignore this knob.
 	Strategy string
-	// DevFaultRate, when > 0 and Backend is "file", wraps every experiment
-	// machine's storage engine with the device-level chaos rig
-	// (internal/extmem/faultbackend) injecting transient syscall faults at
-	// this per-call probability, seeded by DevFaultSeed. The engine absorbs
-	// every transient below the backend seam, so tables stay byte-identical
-	// — the hook that lets CI re-run the whole registry under device chaos
-	// with zero code changes. 0 falls back to the ACYCLICJOIN_DEVFAULTRATE /
-	// ACYCLICJOIN_DEVFAULTSEED environment variables. Ignored by the sim
+	// DevFaultRate, when > 0 and Backend is "file", arms a device-layer
+	// fault plan (seed 1) on every experiment machine's storage engine,
+	// injecting transient syscall faults at this per-call probability. The
+	// engine absorbs every transient below the backend seam, so tables stay
+	// byte-identical — the hook that lets CI re-run the whole registry under
+	// device chaos with zero code changes. 0 falls back to the
+	// ACYCLICJOIN_DEVFAULTRATE environment variable. Ignored by the sim
 	// backend (no syscalls to fault); experiments that measure specific
 	// fault schedules (E30) pin their plans and ignore this knob.
 	DevFaultRate float64
-	DevFaultSeed int64
 }
 
 // WithDefaults fills zero fields.
@@ -101,15 +99,8 @@ func (p Params) WithDefaults() Params {
 	if p.DevFaultRate == 0 {
 		// Lenient: a malformed env value means no device faults here;
 		// RunContext is where it errors.
-		if r, err := cli.DevFaultRate(0); err == nil {
+		if r, err := cli.DevFaultRate(); err == nil {
 			p.DevFaultRate = r
-		}
-	}
-	if p.DevFaultSeed == 0 {
-		if s, err := cli.DevFaultSeed(0); err == nil {
-			p.DevFaultSeed = s
-		} else {
-			p.DevFaultSeed = 1
 		}
 	}
 	return p

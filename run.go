@@ -2,13 +2,12 @@ package acyclicjoin
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"acyclicjoin/internal/cli"
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/faultbackend"
+	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/reducer"
 	"acyclicjoin/internal/relation"
@@ -123,31 +122,22 @@ type Options struct {
 	DataDir string
 	// Deprecated: ignored; queries always run on one simulated machine.
 	Shards int
-	// Faults attaches a deterministic, seeded fault-injection plan to the
-	// simulated disk: transient faults are retried at operator boundaries
-	// (retry I/O charged separately on Result.Faults, so the main Stats stay
-	// bit-identical to a fault-free run), permanent faults abort the run
-	// with an error wrapping ErrFault. nil — the default — leaves the fault
-	// layer disabled; the charge path then costs one nil check.
+	// Faults attaches a deterministic, seeded fault-injection plan. On the
+	// model layer (the zero FaultPlan.Layer) faults fire on charged block
+	// I/Os: transients are retried at operator boundaries, permanent faults
+	// abort with an error wrapping ErrFault. On the device layer they fire
+	// under the file backend's syscalls — transient EIO, torn writes, ENOSPC,
+	// a dead device — and the engine recovers below the Backend seam (bounded
+	// retry; torn frames repaired from the authoritative in-memory image);
+	// failures it cannot absorb abort with ErrDevice, ErrNoSpace or
+	// ErrCorruption and a partial Result. Either way rows, Count, Stats and
+	// the plan of an absorbed run are bit-identical to the fault-free run,
+	// and all recovery work is billed to Result.Faults instead. A device plan
+	// on the sim backend is a no-op: there are no syscalls to fault. A plan
+	// setting a field of the other layer is rejected. nil falls back to the
+	// ACYCLICJOIN_DEVFAULTRATE environment variable (a device plan at that
+	// rate, seed 1); with neither, the charge path costs one nil check.
 	Faults *FaultPlan
-	// DeviceFaults attaches a deterministic, seeded schedule of syscall-level
-	// faults to the file backend's storage engine (see
-	// internal/extmem/faultbackend): transient EIO on preads/pwrites — demand
-	// reads, read-ahead, and writeback alike — torn writes that corrupt a
-	// device frame, ENOSPC on arena growth, and a
-	// dead-device trigger. The engine recovers below the Backend seam
-	// (bounded retry with backoff; torn frames repaired from the
-	// authoritative in-memory image), so rows, Count, Stats, and the plan
-	// stay bit-identical to the fault-free run; all injection and recovery
-	// work is billed to Result.Faults.Device instead.
-	// Failures the engine cannot absorb abort with a typed error (ErrDevice,
-	// ErrNoSpace, ErrCorruption) and a partial Result — or, with
-	// DeviceFaultPlan.Degrade set, a dead device transparently re-runs the
-	// query on the counting simulator (Result.Degraded reports it). nil falls
-	// back to the ACYCLICJOIN_DEVFAULTRATE / ACYCLICJOIN_DEVFAULTSEED
-	// environment variables; a plan (or env rate) on the sim backend is a
-	// documented no-op — there are no syscalls to fault.
-	DeviceFaults *DeviceFaultPlan
 }
 
 // MemoMode switches the charge-replay operator memo; the zero value is on.
@@ -224,10 +214,10 @@ type Result struct {
 	// diagnostics: they never feed into the simulated Stats. All zero when
 	// the memo is off.
 	Memo MemoStats
-	// Faults reports fault-injection telemetry when Options.Faults was set:
-	// transient/permanent faults seen, inline and boundary retries, the I/O
-	// re-charged by retries, and the simulated backoff cost. All zero when
-	// no plan was attached or the plan never fired.
+	// Faults is the recovery ledger of the run's fault plan: faults seen,
+	// inline and boundary retries, torn-frame repairs, the I/O re-issued by
+	// retries, and the simulated backoff cost. All zero when no plan was
+	// attached or the plan never fired.
 	Faults FaultStats
 	// Greedy records, for StrategyGreedy, every multi-leaf decision the
 	// planner scored: candidates with block counts, fan-outs, probed
@@ -249,13 +239,6 @@ type Result struct {
 	// Device is the file engine's syscall-level telemetry (cache hits,
 	// coalesced writes, prefetches); all zero on the sim backend.
 	Device DeviceStats
-	// Degraded reports that the file backend's device died mid-run and the
-	// results came from the degraded-mode fallback: a clean re-run on the
-	// counting simulator (Options.DeviceFaults.Degrade). Backend then names
-	// the engine that produced the results ("sim"), and
-	// Faults.Device carries the dead device's fault telemetry with
-	// Degraded set.
-	Degraded bool
 }
 
 // MemoStats counts memo hits, misses, evictions, and bytes served by replay.
@@ -289,7 +272,8 @@ func Run(q *Query, inst *Instance, opts Options, emit func(Row)) (*Result, error
 // aborted at the next charged block I/O, every unwind path restores the
 // simulated disk, and the returned error wraps ErrCancelled (carrying
 // context.Cause). On an abort — cancellation, a permanent injected fault
-// (ErrFault), or a leaked charge budget (ErrBudget) — the returned *Result
+// (ErrFault), a device failure (ErrDevice, ErrNoSpace, ErrCorruption), or a
+// leaked charge budget (ErrBudget) — the returned *Result
 // is non-nil alongside the error, carrying partial telemetry: rows emitted
 // so far, I/Os charged so far, and Result.Faults. Check the error before
 // trusting any other Result field. RunContext never panics: internal
@@ -303,18 +287,16 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.DeviceFaults == nil {
-		rate, rerr := cli.DevFaultRate(0)
+	if opts.Faults == nil {
+		rate, rerr := cli.DevFaultRate()
 		if rerr != nil {
 			return nil, fmt.Errorf("acyclicjoin: %w", rerr)
 		}
-		seed, serr := cli.DevFaultSeed(0)
-		if serr != nil {
-			return nil, fmt.Errorf("acyclicjoin: %w", serr)
-		}
 		if rate > 0 {
-			opts.DeviceFaults = &DeviceFaultPlan{Seed: seed, Rate: rate}
+			opts.Faults = &FaultPlan{Seed: 1, Layer: LayerDevice, Rate: rate}
 		}
+	} else if err := opts.Faults.Validate(); err != nil {
+		return nil, fmt.Errorf("acyclicjoin: %w", err)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -322,70 +304,36 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 	if ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, context.Cause(ctx))
 	}
-	if p := opts.DeviceFaults; p != nil && p.Degrade && p.Enabled() && opts.Backend == "file" {
-		return runDegradable(ctx, q, inst, opts, cfg, emit)
-	}
 	return runOnce(ctx, q, inst, opts, cfg, emit)
 }
 
-// runDegradable runs the query on the (fault-injected) file backend and, when
-// the device is declared dead — errors.Is(err, ErrDevice), and only that
-// class: cancellation, ENOSPC, corruption, and injected model faults keep
-// their typed aborts — transparently re-runs it on the counting simulator.
-// First-attempt emissions are buffered so the caller sees the rows of exactly
-// one successful run, never a partial prefix followed by a fallback replay.
-func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, cfg extmem.Config, emit func(Row)) (*Result, error) {
-	var buf []Row
-	bufEmit := emit
-	if emit != nil {
-		bufEmit = func(r Row) { buf = append(buf, r) }
-	}
-	res, err := runOnce(ctx, q, inst, opts, cfg, bufEmit)
-	if err == nil {
-		for _, r := range buf {
-			emit(r)
-		}
-		return res, nil
-	}
-	if !errors.Is(err, ErrDevice) {
-		return res, err
-	}
-	fopts := opts
-	fopts.Backend = "sim"
-	fopts.DataDir = ""
-	fopts.DeviceFaults = nil
-	res2, err2 := runOnce(ctx, q, inst, fopts, cfg, emit)
-	if err2 != nil {
-		return res2, err2
-	}
-	res2.Degraded = true
-	var dev DeviceFaultStats
-	if res != nil {
-		dev = res.Faults.Device
-	}
-	dev.Degraded = 1
-	res2.Faults.Device = dev
-	return res2, nil
-}
-
-// runOnce executes one attempt of the query on one backend disk; RunContext
-// owns validation and the degraded-mode retry policy above it.
+// runOnce executes the query on one backend disk; RunContext owns
+// validation above it.
 func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg extmem.Config, emit func(Row)) (res *Result, err error) {
-	disk, closeBackend, err := newBackendDisk(cfg, opts)
+	disk, eng, err := newBackendDisk(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer closeBackend()
+	// The one plan arms one layer, and that layer's ledger reports it.
+	faults := disk.FaultStats
+	if eng != nil {
+		defer eng.Close()
+		eng.SetFaultPlan(opts.Faults)
+		if opts.Faults != nil && opts.Faults.Layer == LayerDevice {
+			faults = eng.FaultStats
+		}
+	}
 	disk.SetFaultPlan(opts.Faults)
 	stop := disk.WatchContext(ctx)
 	defer stop()
 	var count int64
+	partial := func() *Result { return partialResult(disk, count, faults()) }
 	// Last-resort conversion: loading and full reduction run outside
 	// internal/core's catchers, so an abort there still travels as a panic
 	// when it reaches this frame.
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = partialResult(disk, count), classifyAbort(r)
+			res, err = partial(), classifyAbort(r)
 		}
 	}()
 	memoLimits := opcache.Limits{MaxEntries: opts.MemoMaxEntries, MaxTuples: opts.MemoMaxTuples}
@@ -412,7 +360,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	if !opts.SkipReduce {
 		red, rerr := reducer.FullReduce(q.graph, in)
 		if rerr != nil {
-			return abortResult(disk, count, rerr)
+			return abortResult(partial, rerr)
 		}
 		work = red
 	}
@@ -445,7 +393,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	if !opts.NoLineSpecialization && q.IsLine() && q.graph.NumEdges() >= 3 {
 		plan, lerr := core.RunLine(q.graph, work, coreEmit, copts)
 		if lerr != nil {
-			return abortResult(disk, count, lerr)
+			return abortResult(partial, lerr)
 		}
 		res.Plan = plan.Kind.String() + ": " + plan.Reason
 		// The dispatcher commits to one plan up front: no dry-run branches,
@@ -456,7 +404,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	} else {
 		r, cerr := core.Run(q.graph, work, coreEmit, copts)
 		if cerr != nil {
-			return abortResult(disk, count, cerr)
+			return abortResult(partial, cerr)
 		}
 		res.Plan = "acyclic-join (Algorithm 2), strategy " + opts.Strategy.String()
 		res.Branches = r.Branches
@@ -477,7 +425,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		}
 	}
 	res.Count = count
-	res.Faults = disk.FaultStats()
+	res.Faults = faults()
 	res.Backend = disk.BackendName()
 	res.Transfers = disk.Transfers()
 	res.Device = disk.DeviceStats()
@@ -487,18 +435,19 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	return res, nil
 }
 
-// newBackendDisk builds the simulated disk on the configured storage engine
-// and returns a release function for the engine's resources.
-func newBackendDisk(cfg extmem.Config, opts Options) (*extmem.Disk, func(), error) {
+// newBackendDisk builds the simulated disk on the configured storage engine,
+// returning the file engine (nil on the sim backend) for the caller to arm
+// and close.
+func newBackendDisk(cfg extmem.Config, opts Options) (*extmem.Disk, *diskfile.Engine, error) {
 	switch opts.Backend {
 	case "sim":
-		return extmem.NewDisk(cfg), func() {}, nil
+		return extmem.NewDisk(cfg), nil, nil
 	case "file":
-		b, err := faultbackend.OpenBackend(opts.DataDir, cfg, opts.DeviceFaults)
+		eng, err := diskfile.Open(opts.DataDir, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("acyclicjoin: open file backend: %w", err)
 		}
-		return extmem.NewDiskWithBackend(cfg, b), func() { b.Close() }, nil
+		return extmem.NewDiskWithBackend(cfg, eng), eng, nil
 	default:
 		return nil, nil, fmt.Errorf("acyclicjoin: unknown backend %q (want \"sim\" or \"file\")", opts.Backend)
 	}
