@@ -778,17 +778,37 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 			}
 			sub[o.ID] = filtered
 		}
-		idx := make(map[int64][]tuple.Tuple, len(c.Values))
-		for _, t := range c.Tuples {
-			idx[t[vCol]] = append(idx[t[vCol]], t)
-		}
-		return x.join(gLight, sub, depth+1, func() {
-			a := x.asg.Get(v)
-			for _, t := range idx[a] {
-				x.bindTuple(re.Schema(), t, done)
-			}
-		})
+		return x.join(gLight, sub, depth+1, x.matchChunk(c.Tuples, vCol, v, re.Schema(), done))
 	})
+}
+
+// matchChunk returns the callback that extends each recursion result with
+// the rows of chunk (sorted by column vCol) whose v-value it bound. The
+// matching rows are one contiguous range, found by binary search, so no
+// per-chunk index is built. A dry run enumerates nothing and gets a no-op.
+// It must not be handed done instead: the zero-edge base case calls its
+// callback directly, and done would count a result.
+func (x *executor) matchChunk(chunk []tuple.Tuple, vCol int, v hypergraph.Attr,
+	schema tuple.Schema, done func()) func() {
+	if x.dry {
+		return func() {}
+	}
+	return func() {
+		for _, t := range valueRange(chunk, vCol, x.asg.Get(v)) {
+			x.bindTuple(schema, t, done)
+		}
+	}
+}
+
+// valueRange returns the rows of ts, which is sorted by column col, whose
+// col-value is a: a contiguous sub-slice, in ts order.
+func valueRange(ts []tuple.Tuple, col int, a int64) []tuple.Tuple {
+	lo := sort.Search(len(ts), func(i int) bool { return ts[i][col] >= a })
+	hi := lo
+	for hi < len(ts) && ts[hi][col] == a {
+		hi++
+	}
+	return ts[lo:hi]
 }
 
 // peelLeafUnsplit is the DisableHeavySplit ablation: the whole sorted leaf
@@ -801,12 +821,14 @@ func (x *executor) peelLeafUnsplit(g *hypergraph.Graph, sorted relation.Instance
 	u []hypergraph.Attr, gamma []*hypergraph.Edge, depth int, done func()) error {
 	gLight := g.Without([]int{e.ID}, u)
 	vCol := re.Col(v)
+	var vals []int64
 	return re.LoadChunks(func(c *relation.Chunk) error {
-		vals := make(map[int64]bool, len(c.Tuples))
-		idx := make(map[int64][]tuple.Tuple, len(c.Tuples))
+		// re is sorted by v, so each chunk's distinct values come in order.
+		vals = vals[:0]
 		for _, t := range c.Tuples {
-			vals[t[vCol]] = true
-			idx[t[vCol]] = append(idx[t[vCol]], t)
+			if len(vals) == 0 || t[vCol] != vals[len(vals)-1] {
+				vals = append(vals, t[vCol])
+			}
 		}
 		sub := sorted.Clone()
 		delete(sub, e.ID)
@@ -817,11 +839,6 @@ func (x *executor) peelLeafUnsplit(g *hypergraph.Graph, sorted relation.Instance
 			}
 			sub[o.ID] = filtered
 		}
-		return x.join(gLight, sub, depth+1, func() {
-			a := x.asg.Get(v)
-			for _, t := range idx[a] {
-				x.bindTuple(re.Schema(), t, done)
-			}
-		})
+		return x.join(gLight, sub, depth+1, x.matchChunk(c.Tuples, vCol, v, re.Schema(), done))
 	})
 }

@@ -100,13 +100,9 @@ func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
 		if err != nil {
 			return err
 		}
-		idx := make(map[int64][]tuple.Tuple, len(c.Values))
-		for _, t := range c.Tuples {
-			idx[t[vCol]] = append(idx[t[vCol]], t)
-		}
 		c2 := r2s.Col(a1)
 		return PairJoin(r2s, r3, a2, func(t2, t3 tuple.Tuple) error {
-			for _, t1 := range idx[t2[c2]] {
+			for _, t1 := range valueRange(c.Tuples, vCol, t2[c2]) {
 				bindInto(asg, r1.Schema(), t1, func() {
 					bindInto(asg, r2s.Schema(), t2, func() {
 						bindInto(asg, r3.Schema(), t3, func() { emit(asg) })

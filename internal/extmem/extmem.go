@@ -17,6 +17,7 @@ package extmem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -679,6 +680,18 @@ func (f *File) Truncate() {
 		f.d.backend.Truncate(f.phys)
 		f.phys = f.d.backend.CreateFile(f.arity)
 	}
+}
+
+// Grow reserves host capacity for n more tuples, so a writer whose output
+// length is known up front appends without regrowing the backing slice. It
+// charges nothing and leaves the contents, and so ContentID and Version,
+// unchanged. On a shared clone it is a no-op: the clone's capacity stays
+// pinned so its first append still copies.
+func (f *File) Grow(n int) {
+	if f.shared || n <= 0 {
+		return
+	}
+	f.data = slices.Grow(f.data, n*f.slot())
 }
 
 // slot returns the flat width of one tuple, treating arity 0 as width 1

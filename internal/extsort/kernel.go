@@ -163,6 +163,7 @@ func formRuns[C rowCmp](f *extmem.File, cmp C, dedup bool) ([]*extmem.File, erro
 		stableSortRows(perm, idx[m:m+n], buf, w, cmp)
 
 		run := d.NewFile(w)
+		run.Grow(n)
 		wr := run.NewWriter()
 		prev := -1
 		for _, pi := range perm {
@@ -455,6 +456,11 @@ func mergeRuns[C rowCmp](runs []*extmem.File, cmp C, dedup bool) (*extmem.File, 
 	t := newLoserTree(runs, heads[:k*w], cmp)
 
 	out := d.NewFile(w)
+	total := 0
+	for _, r := range runs {
+		total += r.Len()
+	}
+	out.Grow(total)
 	wr := out.NewWriter()
 	last := heads[k*w : (k+1)*w]
 	haveLast := false

@@ -3,6 +3,7 @@ package opcache_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,9 +110,11 @@ func interpretOps(t *testing.T, data []byte, memo bool) (extmem.Stats, map[strin
 			case 3:
 				out, err = relation.Semijoin(r, s, a)
 			case 4:
-				out, err = relation.SemijoinValues(r, a, map[int64]bool{int64(arg % 8): true, int64(arg / 8 % 8): true})
+				vals := []int64{int64(arg % 8), int64(arg / 8 % 8)}
+				slices.Sort(vals)
+				out, err = relation.SemijoinValues(r, a, slices.Compact(vals))
 			case 5:
-				out, err = relation.AntiSemijoinValues(r, a, map[int64]bool{int64(arg % 8): true})
+				out, err = relation.AntiSemijoinValues(r, a, []int64{int64(arg % 8)})
 			case 6:
 				var heavy []relation.Group
 				heavy, out, err = r.Heavy(a)

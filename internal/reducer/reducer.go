@@ -11,6 +11,7 @@ package reducer
 
 import (
 	"fmt"
+	"slices"
 
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/relation"
@@ -96,27 +97,16 @@ func IsFullyReduced(g *hypergraph.Graph, in relation.Instance) (bool, error) {
 		// Distinct a-values must agree across all edges containing a: in a
 		// fully reduced Berge-acyclic instance, each relation's value set on
 		// a shared attribute is identical.
-		var base map[int64]bool
-		for _, e := range es {
+		var base []int64
+		for i, e := range es {
 			vals, err := relation.DistinctValues(in[e.ID], a)
 			if err != nil {
 				return false, err
 			}
-			set := make(map[int64]bool, len(vals))
-			for _, v := range vals {
-				set[v] = true
-			}
-			if base == nil {
-				base = set
-				continue
-			}
-			if len(base) != len(set) {
+			if i == 0 {
+				base = vals
+			} else if !slices.Equal(base, vals) {
 				return false, nil
-			}
-			for v := range set {
-				if !base[v] {
-					return false, nil
-				}
 			}
 		}
 	}

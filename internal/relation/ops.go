@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -83,33 +84,23 @@ func Semijoin(r, s *Relation, a tuple.Attr) (*Relation, error) {
 	return &Relation{schema: r.schema.Clone(), file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}, nil
 }
 
-// sortedVals returns the values of a set in ascending order (the canonical
-// aux encoding for value-set operators).
-func sortedVals(vals map[int64]bool) []int64 {
-	out := make([]int64, 0, len(vals))
-	for v := range vals {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // filterValues is the shared memoized body of SemijoinValues and
 // AntiSemijoinValues: one scan of r keeping tuples whose a-value membership
-// in vals matches keep.
-func filterValues(kind string, r *Relation, a tuple.Attr, vals map[int64]bool, keep bool) (*Relation, error) {
+// in vals matches keep. vals goes into the memo key unchanged, so it must be
+// sorted and distinct.
+func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep bool) (*Relation, error) {
 	c := r.Col(a)
 	outs, _, err := opcache.Do(r.Disk(), opcache.Op{
 		Kind:   kind,
 		Params: strconv.Itoa(c),
 		Inputs: []opcache.Input{memoIn(r)},
-		Aux:    sortedVals(vals),
+		Aux:    vals,
 	}, func() ([]*extmem.File, []int64, error) {
 		out := r.Disk().NewFile(len(r.schema))
 		w := out.NewWriter()
 		rd := r.Reader()
 		for t := rd.Next(); t != nil; t = rd.Next() {
-			if vals[t[c]] == keep {
+			if _, in := slices.BinarySearch(vals, t[c]); in == keep {
 				w.Append(t)
 			}
 		}
@@ -123,15 +114,17 @@ func filterValues(kind string, r *Relation, a tuple.Attr, vals map[int64]bool, k
 }
 
 // SemijoinValues computes r ⋉ V where V is an in-memory set of values on
-// attribute a (e.g. the distinct values of a loaded chunk, for computing
-// R(e')(M1) in Algorithm 2). r need not be sorted. One scan plus output.
-func SemijoinValues(r *Relation, a tuple.Attr, vals map[int64]bool) (*Relation, error) {
+// attribute a, given sorted and distinct (e.g. a chunk's Values, for
+// computing R(e')(M1) in Algorithm 2). r need not be sorted. One scan plus
+// output.
+func SemijoinValues(r *Relation, a tuple.Attr, vals []int64) (*Relation, error) {
 	return filterValues("semijoin-vals", r, a, vals, true)
 }
 
 // AntiSemijoinValues computes r ▷ V: tuples of r whose a-value is NOT in the
-// set. Used to peel light tuples away from heavy ones without re-sorting.
-func AntiSemijoinValues(r *Relation, a tuple.Attr, vals map[int64]bool) (*Relation, error) {
+// sorted, distinct set vals. Used to peel light tuples away from heavy ones
+// without re-sorting.
+func AntiSemijoinValues(r *Relation, a tuple.Attr, vals []int64) (*Relation, error) {
 	return filterValues("antisemijoin-vals", r, a, vals, false)
 }
 

@@ -14,6 +14,7 @@ package relation
 
 import (
 	"fmt"
+	"sync"
 
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/extsort"
@@ -39,6 +40,7 @@ func New(d *extmem.Disk, schema tuple.Schema) *Relation {
 // FromTuples builds a relation from in-memory rows, charging the writes.
 func FromTuples(d *extmem.Disk, schema tuple.Schema, rows []tuple.Tuple) *Relation {
 	r := New(d, schema)
+	r.file.Grow(len(rows))
 	w := r.file.NewWriter()
 	for _, t := range rows {
 		w.Append(t)
@@ -368,11 +370,14 @@ func (r *Relation) Heavy(a tuple.Attr) (heavy []Group, light *Relation, err erro
 // Chunk is an in-memory load of tuples, with the memory accounted until
 // Release is called.
 type Chunk struct {
-	// Tuples are the loaded rows (copies, safe to keep until Release).
+	// Tuples are the loaded rows, in view order. They live in an arena the
+	// load reuses for its next chunk, so they are valid only until fn
+	// returns and must not be kept after that; copy a row to keep it.
 	Tuples []tuple.Tuple
-	// Values is the set of distinct values on the grouping attribute when
-	// the chunk was loaded "by v"; nil for plain chunk loads.
-	Values map[int64]bool
+	// Values are the sorted distinct values on the grouping attribute when
+	// the chunk was loaded "by v"; nil for plain chunk loads. Like Tuples,
+	// they are valid only until fn returns.
+	Values []int64
 	disk   *extmem.Disk
 	held   int
 }
@@ -385,25 +390,89 @@ func (c *Chunk) Release() {
 	}
 }
 
+// chunkArena is the host memory behind one chunk load: the loaded cells in
+// one flat slice, the row headers slicing it, the chunk's value set and the
+// Chunk handed to fn. One load reuses it for every chunk, and arenaPool
+// hands it to later loads, so a load allocates O(1) times however many
+// tuples it reads. A load nested in another load's fn takes its own arena
+// from the pool.
+type chunkArena struct {
+	cells []int64
+	rows  []tuple.Tuple
+	vals  []int64
+	chunk Chunk
+}
+
+var arenaPool sync.Pool
+
+// getArena returns an empty arena reserving room for n rows of the given
+// width.
+func getArena(n, width int) *chunkArena {
+	a, _ := arenaPool.Get().(*chunkArena)
+	if a == nil {
+		a = &chunkArena{}
+	}
+	if a.cells == nil || cap(a.cells) < n*width {
+		a.cells = make([]int64, 0, n*width)
+	}
+	if cap(a.rows) < n {
+		a.rows = make([]tuple.Tuple, 0, n)
+	}
+	return a
+}
+
+// putArena hands a back to the pool, dropping its references to the load's
+// disk and to any slab outgrown by push.
+func putArena(a *chunkArena) {
+	clear(a.rows[:cap(a.rows)])
+	a.chunk = Chunk{}
+	arenaPool.Put(a)
+}
+
+// reset empties the arena for the next chunk of the same load.
+func (a *chunkArena) reset() {
+	a.cells = a.cells[:0]
+	a.rows = a.rows[:0]
+	a.vals = a.vals[:0]
+}
+
+// push copies t into the arena and appends its row header.
+func (a *chunkArena) push(t tuple.Tuple) {
+	n := len(a.cells)
+	if n+len(t) > cap(a.cells) {
+		// Only a chunk beyond the reservation gets here (a heavy group
+		// loaded by value). Rows already handed out keep the old slab
+		// alive, so start a new one rather than reallocating under them.
+		a.cells = make([]int64, 0, 2*cap(a.cells)+len(t))
+		n = 0
+	}
+	a.cells = append(a.cells, t...)
+	a.rows = append(a.rows, a.cells[n:n+len(t):n+len(t)])
+}
+
 // LoadChunks implements "load R(e) into memory as M(e)": it reads the view
-// in chunks of M tuples and calls fn for each. The chunk is released after
-// fn returns unless fn retains it by returning an error.
+// in chunks of M tuples and calls fn for each. The chunk's memory is
+// released after fn returns, whether or not fn returns an error.
 func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 	d := r.Disk()
 	m := d.M()
 	rd := r.Reader()
+	a := getArena(min(m, r.n), len(r.schema))
+	defer putArena(a)
 	for rd.Remaining() > 0 {
 		if err := d.Grab(m); err != nil {
 			return err
 		}
-		c := &Chunk{disk: d, held: m}
-		for len(c.Tuples) < m {
+		a.reset()
+		for len(a.rows) < m {
 			t := rd.Next()
 			if t == nil {
 				break
 			}
-			c.Tuples = append(c.Tuples, tuple.Clone(t))
+			a.push(t)
 		}
+		c := &a.chunk
+		*c = Chunk{Tuples: a.rows, disk: d, held: m}
 		err := fn(c)
 		c.Release()
 		if err != nil {
@@ -423,32 +492,35 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) error {
 	}
 	d := r.Disk()
 	m := d.M()
-	c0 := r.Col(a)
+	col := r.Col(a)
 	rd := r.Reader()
-	var pending tuple.Tuple // first tuple of the next group, already read
-	for rd.Remaining() > 0 || pending != nil {
+	ar := getArena(min(2*m, r.n), len(r.schema))
+	defer putArena(ar)
+	for rd.Remaining() > 0 {
 		if err := d.Grab(2 * m); err != nil {
 			return err
 		}
-		c := &Chunk{disk: d, held: 2 * m, Values: map[int64]bool{}}
-		if pending != nil {
-			c.Tuples = append(c.Tuples, pending)
-			c.Values[pending[c0]] = true
-			pending = nil
-		}
+		ar.reset()
 		for {
-			t := rd.Next()
+			// Peek charges a block exactly as Next would. The tuple that
+			// opens the next chunk stays unconsumed, and that chunk's Next
+			// finds its block already charged.
+			t := rd.Peek()
 			if t == nil {
 				break
 			}
-			v := t[c0]
-			if len(c.Tuples) >= m && !c.Values[v] {
-				pending = tuple.Clone(t)
-				break
+			v := t[col]
+			if len(ar.vals) == 0 || v != ar.vals[len(ar.vals)-1] {
+				if len(ar.rows) >= m {
+					break
+				}
+				ar.vals = append(ar.vals, v)
 			}
-			c.Tuples = append(c.Tuples, tuple.Clone(t))
-			c.Values[v] = true
+			ar.push(t)
+			rd.Next()
 		}
+		c := &ar.chunk
+		*c = Chunk{Tuples: ar.rows, Values: ar.vals, disk: d, held: 2 * m}
 		err := fn(c)
 		c.Release()
 		if err != nil {

@@ -2,11 +2,15 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/tuple"
 )
+
+// raceEnabled is set by race_test.go in builds with the race detector.
+var raceEnabled bool
 
 func disk(m, b int) *extmem.Disk { return extmem.NewDisk(extmem.Config{M: m, B: b}) }
 
@@ -210,8 +214,23 @@ func TestLoadChunksBy(t *testing.T) {
 		if len(c.Tuples) > 2*4 {
 			t.Fatalf("chunk exceeds 2M: %d", len(c.Tuples))
 		}
+		// Values are the chunk's distinct v-values, strictly increasing.
+		var distinct []int64
+		for _, tp := range c.Tuples {
+			if len(distinct) == 0 || tp[0] != distinct[len(distinct)-1] {
+				distinct = append(distinct, tp[0])
+			}
+		}
+		if !slices.Equal(c.Values, distinct) {
+			t.Fatalf("chunk values %v, want %v", c.Values, distinct)
+		}
+		for i := 1; i < len(c.Values); i++ {
+			if c.Values[i] <= c.Values[i-1] {
+				t.Fatalf("chunk values not strictly increasing: %v", c.Values)
+			}
+		}
 		// Group integrity: all tuples of a value must be in one chunk.
-		for v := range c.Values {
+		for _, v := range c.Values {
 			want := map[int64]int{1: 3, 2: 3, 3: 2, 4: 1}[v]
 			got := 0
 			for _, tp := range c.Tuples {
@@ -234,6 +253,92 @@ func TestLoadChunksBy(t *testing.T) {
 	}
 	if d.MemInUse() != 0 {
 		t.Fatalf("leaked memory: %d", d.MemInUse())
+	}
+}
+
+// lightRel returns a relation of n tuples (v, i) sorted by v, in groups of
+// groupSize tuples per value.
+func lightRel(d *extmem.Disk, n, groupSize int) *Relation {
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		rows[i] = tuple.Tuple{int64(i / groupSize), int64(i)}
+	}
+	r := FromTuples(d, tuple.Schema{0, 1}, rows)
+	return r.WithSortOrder([]int{0, 1})
+}
+
+// TestNestedLoadChunks runs a second load of the same view inside each
+// chunk's fn, as the blocked joins do, and checks that the inner load leaves
+// the outer chunk's rows and values untouched.
+func TestNestedLoadChunks(t *testing.T) {
+	d := disk(4, 1)
+	r := lightRel(d, 13, 2)
+	want := Contents(r)
+	outer := func(c *Chunk) error {
+		rows := make([]tuple.Tuple, len(c.Tuples))
+		for i, tp := range c.Tuples {
+			rows[i] = tuple.Clone(tp)
+		}
+		vals := slices.Clone(c.Values)
+		var inner []tuple.Tuple
+		collect := func(ic *Chunk) error {
+			for _, tp := range ic.Tuples {
+				inner = append(inner, tuple.Clone(tp))
+			}
+			return nil
+		}
+		if err := r.LoadChunks(collect); err != nil {
+			return err
+		}
+		if err := r.LoadChunksBy(0, collect); err != nil {
+			return err
+		}
+		for i, tp := range c.Tuples {
+			if !slices.Equal(tp, rows[i]) {
+				t.Fatalf("outer row %d changed by the inner load: %v, was %v", i, tp, rows[i])
+			}
+		}
+		if !slices.Equal(c.Values, vals) {
+			t.Fatalf("outer values changed by the inner load: %v, was %v", c.Values, vals)
+		}
+		if len(inner) != 2*len(want) {
+			t.Fatalf("inner loads read %d rows, want %d", len(inner), 2*len(want))
+		}
+		for i, tp := range inner {
+			if !slices.Equal(tp, want[i%len(want)]) {
+				t.Fatalf("inner row %d = %v, want %v", i, tp, want[i%len(want)])
+			}
+		}
+		return nil
+	}
+	if err := r.LoadChunks(outer); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.LoadChunksBy(0, outer); err != nil {
+		t.Fatal(err)
+	}
+	if d.MemInUse() != 0 {
+		t.Fatalf("leaked memory: %d", d.MemInUse())
+	}
+}
+
+// TestLoadChunksByAllocs guards the pooled chunk arena: a load's host
+// allocations do not grow with the number of tuples it reads.
+func TestLoadChunksByAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	const m, n = 8, 64
+	allocs := func(tuples int) float64 {
+		r := lightRel(disk(m, 2), tuples, 3)
+		return testing.AllocsPerRun(50, func() {
+			if err := r.LoadChunksBy(0, func(c *Chunk) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a1, a4 := allocs(n), allocs(4*n); a1 != a4 {
+		t.Fatalf("LoadChunksBy allocates %v times over %d tuples but %v times over %d", a1, n, a4, 4*n)
 	}
 }
 
@@ -281,7 +386,7 @@ func TestSemijoinValuesAndAnti(t *testing.T) {
 	r := FromTuples(d, tuple.Schema{0, 1}, []tuple.Tuple{
 		{1, 10}, {2, 20}, {3, 30},
 	})
-	vals := map[int64]bool{1: true, 3: true}
+	vals := []int64{1, 3}
 	in, err := SemijoinValues(r, 0, vals)
 	if err != nil {
 		t.Fatal(err)
