@@ -36,7 +36,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit); the partial telemetry gathered so far is printed")
 		faultRate = flag.Float64("faultrate", 0, "inject transient I/O faults at this per-I/O probability (deterministic per -faultseed); retries keep results and I/O figures bit-identical, retry cost is reported separately")
 		faultSeed = flag.Int64("faultseed", 1, "seed for the injected fault schedule")
-		backend   = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk with block cache; results and I/O figures are bit-identical, charged transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
+		backend   = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk, one syscall per charged transfer; results and I/O figures are bit-identical, charged transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
 		datadir   = flag.String("datadir", "", "directory for the file backend's backing file (default $ACYCLICJOIN_DATADIR, then an unlinked temp file)")
 	)
 	flag.Parse()
@@ -122,11 +122,10 @@ func main() {
 		res.Count, res.Plan, res.Stats.Reads, res.Stats.Writes, res.Stats.IOs, *m, *b, res.Stats.MemHiWater)
 	if res.Backend != "sim" {
 		d := res.Device
-		fmt.Fprintf(os.Stderr, "backend: %s (transfers: reads=%d writes=%d replayed=%d; device: preads=%d pwrites=%d cache hits=%d prefetched=%d (hit %d, wasted %d) evictions=%d)\n",
+		fmt.Fprintf(os.Stderr, "backend: %s (transfers: reads=%d writes=%d replayed=%d; device: preads=%d pwrites=%d backfills=%d)\n",
 			res.Backend, res.Transfers.Reads, res.Transfers.Writes,
 			res.Transfers.ReplayedReads+res.Transfers.ReplayedWrites,
-			d.ReadCalls, d.WriteCalls, d.CacheHits, d.Prefetched,
-			d.PrefetchHits, d.PrefetchWasted, d.Evictions)
+			d.ReadCalls, d.WriteCalls, d.Backfills)
 	}
 	if res.Faults.Any() {
 		fmt.Fprintf(os.Stderr, "faults: %s\n", res.Faults)

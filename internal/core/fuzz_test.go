@@ -205,7 +205,7 @@ func deviceArm(t *testing.T, build builder, opts Options, ref *Result, refRows [
 
 // engineRunBackend is engineRunOpts on the os.File-backed storage engine:
 // the disk mirrors every charged transfer onto a real (anonymous, unlinked)
-// backing file through the diskfile block cache, byte-verifying each billed
+// backing file, one syscall per charged transfer, byte-verifying each billed
 // read against the in-memory image. Beyond the usual leak checks it asserts
 // the seam parity invariant — charged Stats equal performed plus replayed
 // transfers — and that the engine observed exactly the performed side.
@@ -217,7 +217,7 @@ func engineRunBackend(b builder, opts Options) (*Result, []string, extmem.Stats,
 // engineRunBackendFaults is engineRunBackend with a fault plan. A model-layer
 // plan is attached to the disk after the instance is loaded, mirroring
 // engineRunFaults; a device-layer plan is armed on the engine right after
-// Open, so the load's writeback is faulted too. Injected faults must deliver
+// Open, so the load's writes are faulted too. Injected faults must deliver
 // deterministically through the file engine's device path, and recovery must
 // leave the seam ledger and the engine's billed counters in exact parity.
 func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*Result, []string, extmem.Stats, extmem.XferStats, error) {

@@ -8,12 +8,12 @@
 // simulator: transfers are tallied in XferStats and no bytes move, because the
 // in-memory image held by File is the disk contents. The second is the
 // os.File-backed engine in internal/extmem/diskfile, which mirrors the image
-// onto a real file: charged writes flush the image window to the device, and
-// charged reads fetch the frame back through a block cache and byte-verify it
-// against the image. The image stays authoritative either way — which is what
-// keeps results, policies, and charge accounting bit-identical across
-// backends — while the file engine proves that the charged transfer schedule
-// is physically executable, block for block.
+// onto a real file with one syscall per charged transfer: a charged write
+// pwrites the image window to the device, and a charged read preads its frame
+// back and byte-verifies it against the image. The image stays authoritative
+// either way — which is what keeps results, policies, and charge accounting
+// bit-identical across backends — while the file engine proves that the
+// charged transfer schedule is physically executable, block for block.
 package extmem
 
 // Backend receives the transfer commands behind the charging seam. All offsets
@@ -33,17 +33,19 @@ type Backend interface {
 	// free-path mirroring (suspended loading), which must still reach the
 	// device so that later charged reads have something to verify.
 	WriteRange(phys uint64, off int, cells []int64, billed bool)
-	// ReadRange fetches tuples [off, off+n) of phys and byte-verifies them
-	// against want, the authoritative in-memory image of the same window. It
-	// panics if the device contents disagree (torn or corrupt block).
+	// ReadRange fetches tuples [off, off+n) of phys — one block, n <= B — and
+	// byte-verifies them against want, the authoritative in-memory image of
+	// the same window. It panics if the device contents disagree (torn or
+	// corrupt block).
 	ReadRange(phys uint64, off int, want []int64)
 	// Truncate discards the physical file's contents, releasing its storage.
 	Truncate(phys uint64)
-	// Flush forces buffered writes down to the device.
+	// Flush reports a latched device failure. The file engine issues every
+	// charged transfer as its own syscall, so it has no writes to buffer.
 	Flush() error
-	// Close flushes and releases the device; the backend is unusable after.
+	// Close releases the device; the backend is unusable after.
 	Close() error
-	// DeviceStats reports device-level telemetry (syscalls, cache behaviour).
+	// DeviceStats reports device-level telemetry (syscalls and frames moved).
 	DeviceStats() DeviceStats
 }
 
@@ -86,10 +88,11 @@ func (x XferStats) Sub(o XferStats) XferStats {
 }
 
 // DeviceStats is backend-level telemetry: what happened below the seam. It is
-// advisory (syscall counts, cache behaviour) and deliberately separate from
-// the model's Stats/XferStats — a block cache legitimately makes physical
-// syscalls differ from charged transfers; the parity invariant lives at the
-// seam, not at the syscall layer. The nil (sim) backend reports all zeros.
+// kept separate from the model's Stats/XferStats because the parity invariant
+// lives at the seam, not at the syscall layer. On the file engine every
+// charged transfer is one syscall: each billed read is exactly one pread
+// unless its frame has no device copy yet, so ReadCalls + BackfillServes ==
+// BilledReads. The nil (sim) backend reports all zeros.
 type DeviceStats struct {
 	// BilledReads and BilledWrites count charged windows that reached the
 	// engine; on a run without faults they equal the disk's
@@ -99,35 +102,28 @@ type DeviceStats struct {
 	// UnbilledWrites counts free-path (suspended) writes mirrored to keep the
 	// device current, e.g. instance loading in the harness.
 	UnbilledWrites int64
-	// Every billed read is served exactly one way:
-	CacheHits      int64 // all frames already cached
-	DeviceServes   int64 // frame demand-fetched from the device
-	BackfillServes int64 // no device copy yet; frame rebuilt from the image
+	// BackfillServes counts billed reads of a frame with no device copy yet,
+	// served by writing the frame from the image instead of a pread.
+	BackfillServes int64
 	// BlockReads and BlockWrites count frames moved by pread/pwrite;
-	// ReadCalls and WriteCalls count the syscalls (write batching coalesces
-	// contiguous frames into fewer, larger calls).
+	// ReadCalls and WriteCalls count the syscalls (one pwrite covers every
+	// offset-contiguous frame of a window).
 	BlockReads  int64
 	BlockWrites int64
 	ReadCalls   int64
 	WriteCalls  int64
-	// Prefetched counts frames fetched ahead of a detected sequential scan
-	// (included in BlockReads). Each prefetched frame later resolves one way:
-	// PrefetchHits counts frames a billed read found still cached (the
-	// read-ahead paid off), PrefetchWasted counts frames evicted or
-	// overwritten before any read touched them. Frames still cached and
-	// untouched are pending, so Prefetched >= PrefetchHits + PrefetchWasted.
-	Prefetched     int64
-	PrefetchHits   int64
-	PrefetchWasted int64
-	// Backfills counts frames or frame tails rebuilt from the in-memory
-	// image; Evictions and Flushes count cache evictions and dirty-batch
-	// drains.
+	// Backfills counts frames or frame tails written from the in-memory
+	// image on a billed read.
 	Backfills int64
-	Evictions int64
-	Flushes   int64
 	// VerifiedCells counts cells byte-compared against the image on billed
 	// reads — the always-on torn-block check.
 	VerifiedCells int64
+	// Deprecated: always zero; the file engine has no block cache.
+	CacheHits int64
+	// Deprecated: always zero; the file engine has no read-ahead.
+	Prefetched int64
+	// Deprecated: always zero; the file engine has no read-ahead.
+	PrefetchHits int64
 	// Deprecated: always zero; device I/O is synchronous.
 	OverlappedWrites int64
 	// Deprecated: always zero; device I/O is synchronous.

@@ -67,79 +67,134 @@ func TestMirrorRoundTripParity(t *testing.T) {
 	if ds.BilledReads != d.Transfers().Reads {
 		t.Fatalf("engine billed reads %d != disk transfers %d", ds.BilledReads, d.Transfers().Reads)
 	}
-	if got := ds.CacheHits + ds.DeviceServes + ds.BackfillServes; got != ds.BilledReads {
-		t.Fatalf("read serves %d != billed reads %d (%+v)", got, ds.BilledReads, ds)
+	if got := ds.ReadCalls + ds.BackfillServes; got != ds.BilledReads {
+		t.Fatalf("preads + backfill serves %d != billed reads %d (%+v)", got, ds.BilledReads, ds)
 	}
 	if ds.VerifiedCells == 0 {
 		t.Fatal("no cells verified")
 	}
 }
 
-func TestEvictionAndWriteBatching(t *testing.T) {
+// TestOneSyscallPerChargedTransfer pins the engine to the model: with no
+// cache, every billed read of a written frame is exactly one one-frame pread,
+// and every aligned billed write is exactly one one-frame pwrite.
+func TestOneSyscallPerChargedTransfer(t *testing.T) {
 	d, eng := newFileDisk(t, "")
 	f := d.NewFile(2)
-	// 64 blocks of data >> 16 cache frames: forces evictions, and the
-	// sequential writer should give the batcher long contiguous runs.
 	fill(f, 64*cfg.B, 2)
 	if err := eng.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
+	scanSum(f)
+	scanSum(f)
 	ds := eng.DeviceStats()
-	if ds.Evictions == 0 {
-		t.Fatalf("expected evictions with %d blocks over a %d-frame cache", 64, cfg.M/cfg.B)
+	if ds.BilledReads == 0 || ds.ReadCalls+ds.BackfillServes != ds.BilledReads {
+		t.Fatalf("preads %d + backfill serves %d != billed reads %d", ds.ReadCalls, ds.BackfillServes, ds.BilledReads)
 	}
-	if ds.WriteCalls >= ds.BlockWrites {
-		t.Fatalf("write batching had no effect: %d syscalls for %d frames", ds.WriteCalls, ds.BlockWrites)
+	if ds.BackfillServes != 0 || ds.BlockReads != ds.ReadCalls {
+		t.Fatalf("a scan of written frames must be one one-frame pread per billed read: %+v", ds)
 	}
-	if got := eng.CachedFrames(); got > cfg.M/cfg.B {
-		t.Fatalf("cache holds %d frames, capacity %d", got, cfg.M/cfg.B)
+	if ds.WriteCalls != ds.BilledWrites || ds.BlockWrites != ds.BilledWrites {
+		t.Fatalf("aligned writes must be one one-frame pwrite each: %+v", ds)
 	}
+	assertParity(t, d)
 }
 
+// TestEvictionAndWriteBatching pins that the engine holds no frames to evict
+// and batches no writes across windows: data far beyond M/B frames is on the
+// device as it is charged, Flush moves nothing, and only a single window that
+// spans offset-contiguous frames is coalesced into one pwrite.
+func TestEvictionAndWriteBatching(t *testing.T) {
+	d, eng := newFileDisk(t, "")
+	f := d.NewFile(2)
+	// 64 blocks of data >> 16 frames of model memory.
+	fill(f, 64*cfg.B, 2)
+	before := eng.DeviceStats()
+	if err := eng.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if after := eng.DeviceStats(); after != before {
+		t.Fatalf("Flush moved data: %+v -> %+v", before, after)
+	}
+	if before.WriteCalls != before.BilledWrites || before.BlockWrites != before.BilledWrites {
+		t.Fatalf("writes were batched across windows: %+v", before)
+	}
+	if before.CacheHits != 0 || before.Prefetched != 0 || before.PrefetchHits != 0 {
+		t.Fatalf("deprecated cache counters moved: %+v", before)
+	}
+
+	// The first frames, long past any M/B-frame window, are read back by
+	// demand preads, one per billed read.
+	r := f.NewReader()
+	for i := 0; i < 2*cfg.B; i++ {
+		r.Next()
+	}
+	rd := eng.DeviceStats()
+	if got := rd.ReadCalls - before.ReadCalls; got == 0 || got != rd.BilledReads-before.BilledReads {
+		t.Fatalf("%d preads for %d billed reads of early frames", got, rd.BilledReads-before.BilledReads)
+	}
+
+	// One window of four fresh frames is one pwrite of four frames, and each
+	// frame then verifies on its own pread.
+	slot := 2
+	phys := eng.CreateFile(slot)
+	cells := make([]int64, 4*cfg.B*slot)
+	for i := range cells {
+		cells[i] = int64(i)
+	}
+	eng.WriteRange(phys, 0, cells, false)
+	w := eng.DeviceStats()
+	if w.WriteCalls != rd.WriteCalls+1 || w.BlockWrites != rd.BlockWrites+4 {
+		t.Fatalf("a 4-frame window took %d pwrites for %d frames", w.WriteCalls-rd.WriteCalls, w.BlockWrites-rd.BlockWrites)
+	}
+	for k := 0; k < 4; k++ {
+		eng.ReadRange(phys, k*cfg.B, cells[k*cfg.B*slot:(k+1)*cfg.B*slot])
+	}
+	if got := eng.DeviceStats(); got.ReadCalls != w.ReadCalls+4 || got.VerifiedCells != w.VerifiedCells+int64(len(cells)) {
+		t.Fatalf("window frames not read back one pread each: %+v -> %+v", w, got)
+	}
+	assertParity(t, d)
+}
+
+// TestPrefetchOnSequentialScan pins that a sequential scan reads no frame
+// ahead of demand: a straight scan is one pread per billed read, and an
+// abandoned scan has read exactly the frames it consumed.
 func TestPrefetchOnSequentialScan(t *testing.T) {
 	d, eng := newFileDisk(t, "")
 	f := d.NewFile(2)
 	fill(f, 64*cfg.B, 3)
-	// Evict f's frames by writing a second large file.
 	g := d.NewFile(2)
 	fill(g, 64*cfg.B, 4)
+	base := eng.DeviceStats()
 	r := f.NewReader()
 	for tup := r.Next(); tup != nil; tup = r.Next() {
 	}
 	ds := eng.DeviceStats()
-	if ds.Prefetched == 0 {
-		t.Fatalf("sequential scan triggered no prefetch: %+v", ds)
+	billed := ds.BilledReads - base.BilledReads
+	if billed != 64 {
+		t.Fatalf("straight scan of 64 blocks billed %d reads", billed)
 	}
-	if ds.CacheHits == 0 {
-		t.Fatalf("prefetched frames produced no cache hits: %+v", ds)
+	if ds.ReadCalls-base.ReadCalls != billed || ds.BlockReads-base.BlockReads != billed {
+		t.Fatalf("straight scan read frames ahead of demand: %+v -> %+v", base, ds)
 	}
-	// A straight scan consumes what the read-ahead fetched: every prefetched
-	// frame resolves as a hit, none as waste.
-	if ds.PrefetchHits == 0 {
-		t.Fatalf("prefetched frames were never demand-read: %+v", ds)
-	}
-	if ds.PrefetchWasted != 0 {
-		t.Fatalf("straight scan wasted %d prefetched frames: %+v", ds.PrefetchWasted, ds)
-	}
-	if ds.PrefetchHits+ds.PrefetchWasted > ds.Prefetched {
-		t.Fatalf("prefetch resolutions exceed fetches: %+v", ds)
+	if ds.Prefetched != 0 || ds.PrefetchHits != 0 || ds.CacheHits != 0 {
+		t.Fatalf("deprecated read-ahead counters moved: %+v", ds)
 	}
 
-	// A scan of f's start followed by a large unrelated write leaves the
-	// frames read ahead of the abandoned scan to be evicted untouched.
+	// A scan of f's start that is then abandoned has read only what it
+	// consumed, and an unrelated write afterwards reads nothing.
 	r2 := f.NewReader()
 	for i := 0; i < 3*cfg.B; i++ {
 		r2.Next()
 	}
-	before := eng.DeviceStats()
-	if before.Prefetched <= before.PrefetchHits+before.PrefetchWasted {
-		t.Fatalf("partial scan left no pending prefetched frame: %+v", before)
+	partial := eng.DeviceStats()
+	if got := partial.ReadCalls - ds.ReadCalls; got != 3 || partial.BilledReads-ds.BilledReads != 3 {
+		t.Fatalf("partial scan of 3 blocks issued %d preads for %d billed reads", got, partial.BilledReads-ds.BilledReads)
 	}
 	h := d.NewFile(2)
 	fill(h, 64*cfg.B, 5)
-	after := eng.DeviceStats()
-	if after.PrefetchWasted <= before.PrefetchWasted {
-		t.Fatalf("abandoned scan's read-ahead never resolved as waste: %+v -> %+v", before, after)
+	if after := eng.DeviceStats(); after.ReadCalls != partial.ReadCalls {
+		t.Fatalf("abandoned scan left reads behind: %+v -> %+v", partial, after)
 	}
 	assertParity(t, d)
 }
@@ -209,12 +264,6 @@ func TestCorruptionDetected(t *testing.T) {
 	d, eng := newFileDisk(t, dir)
 	f := d.NewFile(2)
 	fill(f, 32*cfg.B, 8)
-	if err := eng.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	// Evict f's frames so the scribbled bytes must be fetched back.
-	g := d.NewFile(2)
-	fill(g, 64*cfg.B, 9)
 	// Scribble the device behind the engine's back.
 	raw, err := os.OpenFile(eng.Path(), os.O_WRONLY, 0)
 	if err != nil {
@@ -575,13 +624,6 @@ func TestDeviceErrorSurfaces(t *testing.T) {
 	d := extmem.NewDiskWithBackend(cfg, eng)
 	f := d.NewFile(2)
 	fill(f, 32*cfg.B, 18)
-	// Evict f's frames, then land everything so no pending writeback can
-	// re-extend the file after the truncation below.
-	g := d.NewFile(2)
-	fill(g, 64*cfg.B, 19)
-	if err := eng.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
 	if err := os.Truncate(eng.Path(), 0); err != nil {
 		t.Fatalf("truncate backing file: %v", err)
 	}
@@ -600,7 +642,7 @@ func TestDeviceErrorSurfaces(t *testing.T) {
 }
 
 // BenchmarkEngineWriteRange measures the charged write path end to end: one
-// 256-block sequential load, flushed to the device, per iteration.
+// 256-block sequential load per iteration.
 func BenchmarkEngineWriteRange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng, err := diskfile.Open("", cfg)
@@ -619,9 +661,8 @@ func BenchmarkEngineWriteRange(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReadRangeSeq measures sequential charged scans that miss the
-// cache: the scanned file is 8x the frame budget, so every pass re-fetches
-// from the device, with read-ahead active.
+// BenchmarkEngineReadRangeSeq measures sequential charged scans: one pread
+// and one verification per block, 128 blocks per pass.
 func BenchmarkEngineReadRangeSeq(b *testing.B) {
 	eng, err := diskfile.Open("", cfg)
 	if err != nil {

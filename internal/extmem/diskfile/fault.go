@@ -8,14 +8,14 @@ import (
 )
 
 // SetFaultPlan interposes a fault device under every engine syscall —
-// demand reads, read-ahead and writeback alike — injecting per a
-// device-layer plan:
+// charged preads and pwrites, unbilled load writes, backfills and repair
+// rewrites alike — injecting per a device-layer plan:
 //
 //   - transient EIO on preads and pwrites, cleared by devCall's bounded retry
 //     with exponential backoff;
 //   - torn pwrites that report success but corrupt part of the frame,
-//     detected by the standing byte verification and repaired from the
-//     authoritative in-memory image;
+//     detected by the next charged read's byte verification and rewritten
+//     from the authoritative in-memory image;
 //   - ENOSPC once the backing arena grows past NoSpaceAfter bytes, a typed
 //     extmem.ErrNoSpace abort (space exhaustion is never retried);
 //   - a dead device from syscall PermanentAt on, which exhausts the retry

@@ -76,9 +76,9 @@ func TestTornWriteRepairedFromImage(t *testing.T) {
 	d, eng := newFaultDisk(t, extmem.FaultPlan{Seed: 5, TornRate: 0.9})
 	f := d.NewFile(2)
 	fill(f, n, seed)
-	// Two full scans: the first faces frames evicted during the fill (torn
-	// copies verified and repaired on demand), the second re-reads repaired
-	// frames to prove the repair actually landed on the device.
+	// Two full scans: the first verifies every torn copy and repairs it
+	// from the image, the second re-reads the repaired frames to prove the
+	// repair actually landed on the device.
 	for pass := 0; pass < 2; pass++ {
 		if gotN, got := scanSum(f); gotN != wantN || got != want {
 			t.Fatalf("pass %d: %d tuples sum %d, want %d sum %d", pass, gotN, got, wantN, want)
@@ -95,6 +95,28 @@ func TestTornWriteRepairedFromImage(t *testing.T) {
 		// A torn frame rewritten before read-back needs no repair, so Torn
 		// bounds Repairs from above, never below.
 		t.Fatalf("repaired %d frames but tore only %d", fs.Repairs, fs.Torn)
+	}
+}
+
+// A torn write is caught by the next read of its frame. With every first
+// pwrite at an offset torn, a fill of four frames (well inside M/B) tears each
+// of them, and one scan verifies every frame against the device and repairs
+// each tear from the image.
+func TestTornWriteCaughtOnNextRead(t *testing.T) {
+	n, seed := 4*cfg.B, int64(31)
+	wantN, want := cleanScan(t, n, seed)
+
+	d, eng := newFaultDisk(t, extmem.FaultPlan{Seed: 5, TornRate: 1})
+	f := d.NewFile(2)
+	fill(f, n, seed)
+	if err := eng.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if gotN, got := scanSum(f); gotN != wantN || got != want {
+		t.Fatalf("scan: %d tuples sum %d, want %d sum %d", gotN, got, wantN, want)
+	}
+	if fs := eng.FaultStats(); fs.Torn == 0 || fs.Repairs != fs.Torn {
+		t.Fatalf("torn=%d repairs=%d, want every tear repaired on its next read", fs.Torn, fs.Repairs)
 	}
 }
 

@@ -32,12 +32,12 @@ var devChaosRates = []float64{0.02, 0.05, 0.2}
 // an optional device-layer plan armed on the storage engine (nil = fault
 // free). Unlike the model-level chaos arm, the plan is armed right after
 // Open — the instance load writes through the fault device too, which is the
-// point: unbilled writeback sees faults on traffic no charged window accounts
-// for. The load therefore runs under CatchAbort, so a plan that exhausts the
-// device mid-load (ENOSPC, a dead device) still surfaces as a typed error
-// rather than a panic. Returns the core Result, an order-sensitive FNV
-// fingerprint of the emitted rows, the row count, and the engine's fault
-// ledger; the engine is closed on every path.
+// point: the unbilled load writes see faults on traffic no charged window
+// accounts for. The load therefore runs under CatchAbort, so a plan that
+// exhausts the device mid-load (ENOSPC, a dead device) still surfaces as a
+// typed error rather than a panic. Returns the core Result, an
+// order-sensitive FNV fingerprint of the emitted rows, the row count, and the
+// engine's fault ledger; the engine is closed on every path.
 func devChaosArm(p Params, w int, plan *extmem.FaultPlan) (*core.Result, uint64, int64, extmem.FaultStats, error) {
 	cfg := extmem.Config{M: p.M, B: p.B}
 	eng, err := diskfile.Open(p.DataDir, cfg)
@@ -142,7 +142,7 @@ func runE30(p Params) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"identical = emitted rows and order (FNV fingerprint), exec stats, and winning policy match the fault-free file run (checked, not assumed)",
-		"faults are injected under EVERY pread/pwrite, including writeback and read-ahead syscalls that no charged transfer maps to one for one",
+		"faults are injected under EVERY pread/pwrite, including the unbilled load writes, backfills and repair rewrites that no charged transfer maps to",
 		"recovery (retries, backoff, torn-frame repairs from the in-memory image) is billed to the FaultStats ledger, never the main stats; every injected transient is retried once",
 		"ENOSPC and dead-device arms abort with typed errors (ErrNoSpace, ErrDevice), never a panic, and the engine is closed on every path")
 	return t, nil

@@ -236,8 +236,9 @@ type Result struct {
 	// likewise for writes — on the file backend the performed side was
 	// physically executed and verified against the image.
 	Transfers TransferStats
-	// Device is the file engine's syscall-level telemetry (cache hits,
-	// coalesced writes, prefetches); all zero on the sim backend.
+	// Device is the file engine's syscall-level telemetry (preads, pwrites,
+	// backfills; every charged transfer is one syscall); all zero on the sim
+	// backend.
 	Device DeviceStats
 }
 
