@@ -86,7 +86,7 @@ func main() {
 	attrs := q.Attributes()
 	printed := 0
 	emit := func(row acyclicjoin.Row) {
-		if *countIt || (*limit > 0 && printed >= *limit) {
+		if *limit > 0 && printed >= *limit {
 			return
 		}
 		parts := make([]string, 0, len(attrs))
@@ -95,6 +95,10 @@ func main() {
 		}
 		fmt.Println(strings.Join(parts, " "))
 		printed++
+	}
+	if *countIt {
+		// Result.Count is exact without an emit callback; skip decoding.
+		emit = nil
 	}
 	ctx, cancel := newSignalContext(*timeout)
 	defer cancel()

@@ -2,7 +2,9 @@ package acyclicjoin
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -160,6 +162,108 @@ func TestDifferentialAgainstGenericJoin(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEmittedRowsIndependent keeps every emitted Row and scribbles on it in
+// the callback: every entry is overwritten and one is deleted, and the row is
+// restored only after the next row has been built and delivered. Each row
+// must still arrive matching the oracle, and every kept row must equal the
+// oracle's decode at the end, so no two rows share a map and no row is built
+// from an earlier one. It covers a line query routed through the Section 6
+// dispatcher and a non-line tree, with strings that repeat across
+// consecutive rows and ints above 255 (Go boxes smaller ones from a static
+// table).
+func TestEmittedRowsIndependent(t *testing.T) {
+	words := []string{"ant", "bee", "cat"}
+	for _, tc := range []struct {
+		name string
+		rels [][]string
+		line bool
+	}{
+		{"line3", [][]string{{"a", "b"}, {"b", "c"}, {"c", "d"}}, true},
+		{"tree", [][]string{{"a", "b"}, {"b", "c"}, {"b", "d"}, {"d", "e"}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			qb := NewQuery()
+			for i, attrs := range tc.rels {
+				qb.Relation(fmt.Sprintf("R%d", i+1), attrs...)
+			}
+			q, err := qb.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.IsLine() != tc.line {
+				t.Fatalf("IsLine = %v, want %v", q.IsLine(), tc.line)
+			}
+			rng := rand.New(rand.NewSource(7))
+			val := func(attr string) Value {
+				if attr == "a" || attr == "d" {
+					return words[rng.Intn(len(words))]
+				}
+				return 1000*int(attr[0]-'a') + rng.Intn(6)
+			}
+			inst := q.NewInstance()
+			for i, attrs := range tc.rels {
+				for r := 0; r < 40; r++ {
+					inst.MustAdd(fmt.Sprintf("R%d", i+1), val(attrs[0]), val(attrs[1]))
+				}
+			}
+			want := oracleRows(t, q, inst)
+			restore := func(dst, src Row) {
+				clear(dst)
+				maps.Copy(dst, src)
+			}
+			var kept, saved []Row
+			var delivered []string
+			res, err := Run(q, inst, Options{Memory: 64, Block: 8}, func(row Row) {
+				delivered = append(delivered, canonRow(q, row))
+				if n := len(kept); n > 0 {
+					restore(kept[n-1], saved[n-1])
+				}
+				kept = append(kept, row)
+				saved = append(saved, maps.Clone(row))
+				for k := range row {
+					row[k] = "scribbled"
+				}
+				for k := range row {
+					delete(row, k)
+					break
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(kept); n > 0 {
+				restore(kept[n-1], saved[n-1])
+			}
+			if res.Count != int64(len(want)) || len(want) < 100 {
+				t.Fatalf("Count = %d, oracle %d (want at least 100 rows)", res.Count, len(want))
+			}
+			repeats := 0
+			for i := 1; i < len(kept); i++ {
+				for _, attr := range []string{"a", "d"} {
+					if kept[i][attr] == kept[i-1][attr] {
+						repeats++
+					}
+				}
+			}
+			if repeats == 0 {
+				t.Fatal("no consecutive rows repeat a string value")
+			}
+			final := make([]string, len(kept))
+			for i, row := range kept {
+				final[i] = canonRow(q, row)
+			}
+			sort.Strings(delivered)
+			sort.Strings(final)
+			if !slices.Equal(delivered, want) {
+				t.Fatalf("delivered rows diverge from the oracle:\n got %v\nwant %v", delivered, want)
+			}
+			if !slices.Equal(final, want) {
+				t.Fatalf("kept rows changed after delivery:\n got %v\nwant %v", final, want)
+			}
+		})
 	}
 }
 

@@ -610,11 +610,11 @@ func bindInto(asg tuple.Assignment, schema tuple.Schema, t tuple.Tuple, next fun
 		panic("core: schema wider than 64 attributes")
 	}
 	for i, a := range schema {
-		if !asg.Has(a) {
-			asg.Set(a, t[i])
+		if cur := asg[a]; cur == tuple.Unset {
+			asg[a] = t[i]
 			boundMask |= 1 << uint(i)
-		} else if asg.Get(a) != t[i] {
-			panic(fmt.Sprintf("core: inconsistent binding for v%d: %d vs %d", a, asg.Get(a), t[i]))
+		} else if cur != t[i] {
+			panic(fmt.Sprintf("core: inconsistent binding for v%d: %d vs %d", a, cur, t[i]))
 		}
 	}
 	next()
@@ -767,7 +767,6 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 	// the query (no disconnection), and match recursion results against the
 	// chunk by v-value.
 	gLight := g.Without([]int{e.ID}, u)
-	vCol := re.Col(v)
 	return light.LoadChunksBy(v, func(c *relation.Chunk) error {
 		sub := sorted.Clone()
 		delete(sub, e.ID)
@@ -778,37 +777,27 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 			}
 			sub[o.ID] = filtered
 		}
-		return x.join(gLight, sub, depth+1, x.matchChunk(c.Tuples, vCol, v, re.Schema(), done))
+		return x.join(gLight, sub, depth+1, x.matchChunk(c.Tuples, c.Values, c.Starts, v, re.Schema(), done))
 	})
 }
 
 // matchChunk returns the callback that extends each recursion result with
-// the rows of chunk (sorted by column vCol) whose v-value it bound. The
-// matching rows are one contiguous range, found by binary search, so no
-// per-chunk index is built. A dry run enumerates nothing and gets a no-op.
-// It must not be handed done instead: the zero-edge base case calls its
-// callback directly, and done would count a result.
-func (x *executor) matchChunk(chunk []tuple.Tuple, vCol int, v hypergraph.Attr,
+// the rows of chunk whose v-value it bound. The chunk is sorted by v, with
+// distinct values vals and group offsets starts (see relation.GroupRows), so
+// the matching rows are found by a binary search over the values. A dry run
+// enumerates nothing and gets a no-op. It must not be handed done instead:
+// the zero-edge base case calls its callback directly, and done would count
+// a result.
+func (x *executor) matchChunk(chunk []tuple.Tuple, vals []int64, starts []int, v hypergraph.Attr,
 	schema tuple.Schema, done func()) func() {
 	if x.dry {
 		return func() {}
 	}
 	return func() {
-		for _, t := range valueRange(chunk, vCol, x.asg.Get(v)) {
+		for _, t := range relation.GroupRows(chunk, vals, starts, x.asg.Get(v)) {
 			x.bindTuple(schema, t, done)
 		}
 	}
-}
-
-// valueRange returns the rows of ts, which is sorted by column col, whose
-// col-value is a: a contiguous sub-slice, in ts order.
-func valueRange(ts []tuple.Tuple, col int, a int64) []tuple.Tuple {
-	lo := sort.Search(len(ts), func(i int) bool { return ts[i][col] >= a })
-	hi := lo
-	for hi < len(ts) && ts[hi][col] == a {
-		hi++
-	}
-	return ts[lo:hi]
 }
 
 // peelLeafUnsplit is the DisableHeavySplit ablation: the whole sorted leaf
@@ -822,14 +811,17 @@ func (x *executor) peelLeafUnsplit(g *hypergraph.Graph, sorted relation.Instance
 	gLight := g.Without([]int{e.ID}, u)
 	vCol := re.Col(v)
 	var vals []int64
+	var starts []int
 	return re.LoadChunks(func(c *relation.Chunk) error {
 		// re is sorted by v, so each chunk's distinct values come in order.
-		vals = vals[:0]
-		for _, t := range c.Tuples {
+		vals, starts = vals[:0], starts[:0]
+		for i, t := range c.Tuples {
 			if len(vals) == 0 || t[vCol] != vals[len(vals)-1] {
 				vals = append(vals, t[vCol])
+				starts = append(starts, i)
 			}
 		}
+		starts = append(starts, len(c.Tuples))
 		sub := sorted.Clone()
 		delete(sub, e.ID)
 		for _, o := range gamma {
@@ -839,6 +831,6 @@ func (x *executor) peelLeafUnsplit(g *hypergraph.Graph, sorted relation.Instance
 			}
 			sub[o.ID] = filtered
 		}
-		return x.join(gLight, sub, depth+1, x.matchChunk(c.Tuples, vCol, v, re.Schema(), done))
+		return x.join(gLight, sub, depth+1, x.matchChunk(c.Tuples, vals, starts, v, re.Schema(), done))
 	})
 }

@@ -90,7 +90,6 @@ func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
 		}
 	}
 	// Light values (lines 8-12).
-	vCol := r1.Col(a1)
 	return light.LoadChunksBy(a1, func(c *relation.Chunk) error {
 		r2m, err := relation.SemijoinValues(r2, a1, c.Values)
 		if err != nil {
@@ -102,7 +101,7 @@ func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
 		}
 		c2 := r2s.Col(a1)
 		return PairJoin(r2s, r3, a2, func(t2, t3 tuple.Tuple) error {
-			for _, t1 := range valueRange(c.Tuples, vCol, t2[c2]) {
+			for _, t1 := range relation.GroupRows(c.Tuples, c.Values, c.Starts, t2[c2]) {
 				bindInto(asg, r1.Schema(), t1, func() {
 					bindInto(asg, r2s.Schema(), t2, func() {
 						bindInto(asg, r3.Schema(), t3, func() { emit(asg) })

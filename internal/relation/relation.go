@@ -14,6 +14,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"acyclicjoin/internal/extmem"
@@ -378,8 +379,25 @@ type Chunk struct {
 	// the chunk was loaded "by v"; nil for plain chunk loads. Like Tuples,
 	// they are valid only until fn returns.
 	Values []int64
+	// Starts[i] is the index in Tuples of the first row of Values[i]'s
+	// group, with one more entry, len(Tuples), closing the last group; nil
+	// for plain chunk loads. GroupRows looks a value's rows up through it.
+	Starts []int
 	disk   *extmem.Disk
 	held   int
+}
+
+// GroupRows returns the rows of ts whose grouping value is v: ts is sorted
+// by that value, vals holds its sorted distinct values and starts their group
+// offsets, laid out as Chunk.Values and Chunk.Starts. The binary search runs
+// over the distinct values, not the rows. The result is a sub-slice of ts,
+// empty when v is absent.
+func GroupRows(ts []tuple.Tuple, vals []int64, starts []int, v int64) []tuple.Tuple {
+	i, ok := slices.BinarySearch(vals, v)
+	if !ok {
+		return nil
+	}
+	return ts[starts[i]:starts[i+1]]
 }
 
 // Release returns the chunk's memory to the accountant.
@@ -391,16 +409,17 @@ func (c *Chunk) Release() {
 }
 
 // chunkArena is the host memory behind one chunk load: the loaded cells in
-// one flat slice, the row headers slicing it, the chunk's value set and the
-// Chunk handed to fn. One load reuses it for every chunk, and arenaPool
-// hands it to later loads, so a load allocates O(1) times however many
-// tuples it reads. A load nested in another load's fn takes its own arena
+// one flat slice, the row headers slicing it, the chunk's value set with its
+// group offsets and the Chunk handed to fn. One load reuses it for every
+// chunk, and arenaPool hands it to later loads, so a load allocates O(1)
+// times however many tuples it reads. A load nested in another load's fn takes its own arena
 // from the pool.
 type chunkArena struct {
-	cells []int64
-	rows  []tuple.Tuple
-	vals  []int64
-	chunk Chunk
+	cells  []int64
+	rows   []tuple.Tuple
+	vals   []int64
+	starts []int
+	chunk  Chunk
 }
 
 var arenaPool sync.Pool
@@ -434,6 +453,7 @@ func (a *chunkArena) reset() {
 	a.cells = a.cells[:0]
 	a.rows = a.rows[:0]
 	a.vals = a.vals[:0]
+	a.starts = a.starts[:0]
 }
 
 // push copies t into the arena and appends its row header.
@@ -515,12 +535,14 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) error {
 					break
 				}
 				ar.vals = append(ar.vals, v)
+				ar.starts = append(ar.starts, len(ar.rows))
 			}
 			ar.push(t)
 			rd.Next()
 		}
+		ar.starts = append(ar.starts, len(ar.rows))
 		c := &ar.chunk
-		*c = Chunk{Tuples: ar.rows, Values: ar.vals, disk: d, held: 2 * m}
+		*c = Chunk{Tuples: ar.rows, Values: ar.vals, Starts: ar.starts, disk: d, held: 2 * m}
 		err := fn(c)
 		c.Release()
 		if err != nil {

@@ -256,6 +256,88 @@ func TestLoadChunksBy(t *testing.T) {
 	}
 }
 
+// checkGroupRows checks GroupRows on one chunk loaded by column 0: every
+// value of the chunk finds exactly its rows, and every absent value (between
+// two values, below the first, above the last) finds none.
+func checkGroupRows(t *testing.T, c *Chunk) {
+	t.Helper()
+	if len(c.Starts) != len(c.Values)+1 || c.Starts[0] != 0 || c.Starts[len(c.Values)] != len(c.Tuples) {
+		t.Fatalf("starts %v do not frame %d rows of %d values", c.Starts, len(c.Tuples), len(c.Values))
+	}
+	for _, v := range c.Values {
+		var want []tuple.Tuple
+		for _, tp := range c.Tuples {
+			if tp[0] == v {
+				want = append(want, tp)
+			}
+		}
+		got := GroupRows(c.Tuples, c.Values, c.Starts, v)
+		if !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("GroupRows(%d) = %v, want %v", v, got, want)
+		}
+	}
+	first, last := c.Values[0], c.Values[len(c.Values)-1]
+	absent := []int64{first - 1, last + 1}
+	for i := 1; i < len(c.Values); i++ {
+		if c.Values[i] > c.Values[i-1]+1 {
+			absent = append(absent, c.Values[i-1]+1)
+		}
+	}
+	for _, v := range absent {
+		if got := GroupRows(c.Tuples, c.Values, c.Starts, v); len(got) != 0 {
+			t.Fatalf("GroupRows(%d) of absent value = %v", v, got)
+		}
+	}
+}
+
+// TestGroupRows covers the group-offset lookup over chunks loaded by value:
+// single-row groups, first and last groups, a heavy group that outgrows the
+// arena's 2M-row reservation, and a nested load that takes its own arena.
+func TestGroupRows(t *testing.T) {
+	const m = 4
+	d := disk(m, 1)
+	var rows []tuple.Tuple
+	// Chunks: {10, 20}, {30, 40} with 40 heavy (3M rows), {50, 60}.
+	for _, g := range []struct{ v, n int }{{10, 1}, {20, 3}, {30, 1}, {40, 3 * m}, {50, 1}, {60, 2}} {
+		for i := 0; i < g.n; i++ {
+			rows = append(rows, tuple.Tuple{int64(g.v), int64(i)})
+		}
+	}
+	r := FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1})
+	var chunks, heavy int
+	err := r.LoadChunksBy(0, func(c *Chunk) error {
+		chunks++
+		if len(c.Tuples) > 2*m {
+			heavy++
+		}
+		checkGroupRows(t, c)
+		// A nested load takes its own arena; the outer chunk's offsets
+		// must survive it.
+		inner := 0
+		if err := lightRel(d, 11, 1).LoadChunksBy(0, func(ic *Chunk) error {
+			checkGroupRows(t, ic)
+			inner += len(ic.Tuples)
+			return nil
+		}); err != nil {
+			return err
+		}
+		if inner != 11 {
+			t.Fatalf("nested load read %d rows, want 11", inner)
+		}
+		checkGroupRows(t, c)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks != 3 || heavy != 1 {
+		t.Fatalf("loaded %d chunks, %d beyond 2M rows; want 3 and 1", chunks, heavy)
+	}
+	if d.MemInUse() != 0 {
+		t.Fatalf("leaked memory: %d", d.MemInUse())
+	}
+}
+
 // lightRel returns a relation of n tuples (v, i) sorted by v, in groups of
 // groupSize tuples per value.
 func lightRel(d *extmem.Disk, n, groupSize int) *Relation {

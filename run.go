@@ -106,8 +106,8 @@ type Options struct {
 	MemoMaxTuples  int64
 	// Backend selects the storage engine behind the simulated disk: "sim"
 	// (or empty — the default) counts block transfers in memory; "file" runs
-	// every charged transfer against a real os.File through an aligned block
-	// cache, byte-verifying charged reads against the in-memory image. The
+	// every charged transfer against a real os.File, one syscall each,
+	// byte-verifying charged reads against the in-memory image. The
 	// model sits entirely above the seam, so Count, Stats, the winning plan,
 	// and the emitted rows are bit-identical across backends; Result.Device
 	// reports the file engine's syscall-level telemetry. An empty value
@@ -262,8 +262,10 @@ type GreedyDecision = core.GreedyDecision
 type GreedyScore = core.GreedyScore
 
 // Run evaluates the join, calling emit (if non-nil) once per result. The
-// Row passed to emit is freshly allocated per call; for counting-only runs
-// pass nil and read Result.Count. Equivalent to RunContext with a
+// Row map passed to emit is freshly allocated per call, so emit may keep or
+// modify it; the Values in it may be shared between rows, which is safe
+// because a Value (an int64 or a string) is immutable. For counting-only
+// runs pass nil and read Result.Count. Equivalent to RunContext with a
 // background context.
 func Run(q *Query, inst *Instance, opts Options, emit func(Row)) (*Result, error) {
 	return RunContext(context.Background(), q, inst, opts, emit)
@@ -366,19 +368,29 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		work = red
 	}
 
-	// Emit adapter: decode assignments into Rows.
-	attrOrder := make([]string, len(q.attrNames))
-	copy(attrOrder, q.attrNames)
+	// Emit adapter: decode assignments into Rows. Attribute i of the query
+	// has ID i (QueryBuilder.Relation assigns IDs in attrNames order). For
+	// each attribute it keeps the last code decoded and the boxed Value it
+	// produced: joins repeat the bound prefix from row to row, and those
+	// rows share the immutable Value instead of boxing it again.
+	names := q.attrNames
+	lastCode := tuple.NewAssignment(len(names))
+	lastVal := make([]Value, len(names))
 	coreEmit := func(a tuple.Assignment) {
 		count++
 		if emit == nil {
 			return
 		}
-		row := make(Row, len(attrOrder))
-		for name, id := range q.attrIDs {
-			if a.Has(id) {
-				row[name] = inst.dict.decode(a.Get(id))
+		row := make(Row, len(names))
+		for id, name := range names {
+			x := a.Get(id)
+			if x == tuple.Unset {
+				continue
 			}
+			if x != lastCode[id] {
+				lastCode[id], lastVal[id] = x, inst.dict.decode(x)
+			}
+			row[name] = lastVal[id]
 		}
 		emit(row)
 	}
