@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"acyclicjoin/internal/baseline"
@@ -264,6 +265,110 @@ func TestEmittedRowsIndependent(t *testing.T) {
 				t.Fatalf("kept rows changed after delivery:\n got %v\nwant %v", final, want)
 			}
 		})
+	}
+}
+
+// TestRecycledSlabsKeepRows runs two instances of one query back to back,
+// then concurrently. A query hands its disk's file slabs back to a shared
+// pool when it returns, so a later query overwrites the slabs an earlier one
+// carved its files from: every run must still emit exactly the oracle's rows,
+// and rows kept from the first run must not change.
+func TestRecycledSlabsKeepRows(t *testing.T) {
+	qb := NewQuery()
+	for i, attrs := range [][]string{{"a", "b"}, {"b", "c"}, {"b", "d"}, {"d", "e"}} {
+		qb.Relation(fmt.Sprintf("R%d", i+1), attrs...)
+	}
+	q, err := qb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := []string{"ant", "bee", "cat", "dog", "elk"}
+	instance := func(seed int64) *Instance {
+		rng := rand.New(rand.NewSource(seed))
+		inst := q.NewInstance()
+		for _, name := range q.Relations() {
+			attrs := q.AttributesOf(name)
+			for r := 0; r < 1500; r++ {
+				row := make([]Value, len(attrs))
+				for j, a := range attrs {
+					if a == "a" || a == "e" {
+						row[j] = words[rng.Intn(len(words))]
+					} else {
+						row[j] = rng.Intn(1500)
+					}
+				}
+				inst.MustAdd(name, row...)
+			}
+		}
+		return inst
+	}
+	insts := []*Instance{instance(1), instance(2)}
+	wants := [][]string{oracleRows(t, q, insts[0]), oracleRows(t, q, insts[1])}
+	for i, want := range wants {
+		if len(want) < 100 {
+			t.Fatalf("instance %d joins to %d rows, want at least 100", i, len(want))
+		}
+	}
+	run := func(i int) ([]Row, error) {
+		var rows []Row
+		_, err := Run(q, insts[i], Options{Memory: 64, Block: 8}, func(r Row) { rows = append(rows, r) })
+		return rows, err
+	}
+	check := func(i int, rows []Row) error {
+		got := make([]string, len(rows))
+		for j, r := range rows {
+			got[j] = canonRow(q, r)
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, wants[i]) {
+			return fmt.Errorf("instance %d: %d rows diverge from the oracle's %d", i, len(got), len(wants[i]))
+		}
+		return nil
+	}
+
+	first, err := run(0)
+	if err == nil {
+		err = check(0, first)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := run(1)
+	if err == nil {
+		err = check(1, second)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := check(0, first); err != nil {
+		t.Fatalf("first run's rows after the second run: %v", err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for i := range insts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				rows, err := run(i)
+				if err == nil {
+					err = check(i, rows)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := check(0, first); err != nil {
+		t.Fatalf("first run's rows after the concurrent runs: %v", err)
 	}
 }
 

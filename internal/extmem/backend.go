@@ -176,6 +176,7 @@ func (d *Disk) DeviceStats() DeviceStats {
 // panics — so Stats and the Xfer ledger stay in lockstep through budget
 // aborts, fault retries, and cancellation.
 func (d *Disk) chargeReadWindow(f *File, pos int) {
+	d.live()
 	if d.suspended != 0 {
 		return // suspended reads are free and come straight from the image
 	}
@@ -199,6 +200,7 @@ func (d *Disk) chargeReadWindow(f *File, pos int) {
 // cover. Suspended writes charge nothing but still mirror to the device
 // (unbilled) — the free path loads data the billed path will later read back.
 func (d *Disk) chargeWriteWindow(f *File, start, end int) {
+	d.live()
 	if d.suspended != 0 {
 		if d.backend != nil {
 			d.deviceWrite(f, start, end, false)

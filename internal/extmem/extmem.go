@@ -156,6 +156,10 @@ type Disk struct {
 	// XferStats for the invariant tying the two together. ResetStats zeroes
 	// it, fault rollback restores it.
 	xfer XferStats
+	// arena carves file data from pooled slabs when switched on (slab.go);
+	// recycled marks a disk whose slabs went back to the pool.
+	arena    slabArena
+	recycled bool
 }
 
 // DefaultPhase is the label for I/Os charged outside any WithPhase scope.
@@ -258,6 +262,7 @@ func (d *Disk) StartMemPeak() func() int {
 // backends. Concrete transfers go through chargeReadWindow/chargeWriteWindow
 // (backend.go) instead.
 func (d *Disk) chargeRead(blocks int64) {
+	d.live()
 	if d.suspended != 0 {
 		return
 	}
@@ -270,6 +275,7 @@ func (d *Disk) chargeRead(blocks int64) {
 }
 
 func (d *Disk) chargeWrite(blocks int64) {
+	d.live()
 	if d.suspended != 0 {
 		return
 	}
@@ -592,6 +598,7 @@ func (d *Disk) NewFile(arity int) *File {
 	if arity < 0 {
 		panic(fmt.Sprintf("extmem: NewFile: negative arity %d", arity))
 	}
+	d.live()
 	d.nextID++
 	f := &File{d: d, id: d.nextID, arity: arity, contentID: contentIDs.Add(1)}
 	if d.backend != nil {
@@ -608,6 +615,7 @@ func (d *Disk) NewFile(arity int) *File {
 // reallocate rather than clobber the original, but callers must still treat
 // clones as frozen — algorithm code only ever appends to files it created.
 func (f *File) CloneTo(d *Disk) *File {
+	d.live()
 	d.nextID++
 	return &File{d: d, id: d.nextID, arity: f.arity, data: f.data[:len(f.data):len(f.data)],
 		contentID: f.contentID, version: f.version, shared: true, phys: f.phys}
@@ -691,7 +699,12 @@ func (f *File) Grow(n int) {
 	if f.shared || n <= 0 {
 		return
 	}
-	f.data = slices.Grow(f.data, n*f.slot())
+	if !f.d.arena.on {
+		f.data = slices.Grow(f.data, n*f.slot())
+	} else if need := len(f.data) + n*f.slot(); need > cap(f.data) {
+		f.d.live()
+		f.data = f.d.arena.realloc(f.data, need)
+	}
 }
 
 // slot returns the flat width of one tuple, treating arity 0 as width 1
@@ -730,6 +743,9 @@ func (w *Writer) Append(t []int64) {
 		panic(fmt.Sprintf("extmem: Writer.Append: tuple arity %d != file arity %d", len(t), f.arity))
 	}
 	f.mutating()
+	if len(f.data)+f.slot() > cap(f.data) && f.d.arena.on {
+		f.growData(f.slot())
+	}
 	if f.arity == 0 {
 		f.data = append(f.data, 0)
 	} else {
@@ -775,16 +791,28 @@ func (f *File) NewReader() *Reader { return f.NewRangeReader(0, f.Len()) }
 // NewRangeReader returns a reader over tuples [off, off+n).
 // It panics if the range is out of bounds.
 func (f *File) NewRangeReader(off, n int) *Reader {
+	r := &Reader{f: f}
+	r.Reset(off, n)
+	return r
+}
+
+// Reset re-aims the reader at tuples [off, off+n) of its file, exactly as a
+// fresh NewRangeReader would be: the next access charges the block holding
+// off. It panics if the range is out of bounds.
+func (r *Reader) Reset(off, n int) {
+	f := r.f
 	if off < 0 || n < 0 || off+n > f.Len() {
-		panic(fmt.Sprintf("extmem: NewRangeReader(%d,%d) out of bounds (len %d)", off, n, f.Len()))
+		panic(fmt.Sprintf("extmem: reader range (%d,%d) out of bounds (len %d)", off, n, f.Len()))
 	}
-	return &Reader{f: f, pos: off, end: off + n}
+	f.d.live()
+	r.pos, r.end, r.remaining = off, off+n, 0
 }
 
 // Next returns the next tuple, or nil when the range is exhausted.
 // The returned slice aliases disk storage and must not be modified; it stays
 // valid only conceptually within the current block — callers that keep tuples
-// must copy them (and account the memory via Grab).
+// must copy them (and account the memory via Grab). It is invalid after the
+// disk's Recycle.
 func (r *Reader) Next() []int64 {
 	if r.pos >= r.end {
 		return nil
@@ -862,13 +890,15 @@ func (f *File) ReadBlock(i int) [][]int64 {
 // Raw returns the file's flat backing data without charging an I/O. Like At,
 // it exists for verification and bookkeeping (the operator memo hashes and
 // byte-compares contents with it); algorithm code must not use it to smuggle
-// data past the accountant. The returned slice must not be modified.
+// data past the accountant. The returned slice must not be modified, and is
+// invalid after the disk's Recycle.
 func (f *File) Raw() []int64 { return f.data }
 
 // At returns tuple i without charging an I/O. It exists solely for
 // verification in tests and for zero-cost metadata probes (e.g. checking
 // boundary values of an already-charged block); algorithm code must not use
-// it to smuggle data past the accountant.
+// it to smuggle data past the accountant. The returned slice is invalid
+// after the disk's Recycle.
 func (f *File) At(i int) []int64 {
 	if f.arity == 0 {
 		return emptyTuple

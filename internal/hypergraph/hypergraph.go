@@ -167,7 +167,15 @@ func (g *Graph) EdgesWith(a Attr) []*Edge {
 }
 
 // Degree returns how many edges contain attribute a.
-func (g *Graph) Degree(a Attr) int { return len(g.EdgesWith(a)) }
+func (g *Graph) Degree(a Attr) int {
+	n := 0
+	for _, e := range g.edges {
+		if e.Has(a) {
+			n++
+		}
+	}
+	return n
+}
 
 // IsJoinAttr reports whether a appears in at least two edges.
 func (g *Graph) IsJoinAttr(a Attr) bool { return g.Degree(a) >= 2 }

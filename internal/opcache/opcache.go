@@ -147,12 +147,28 @@ func Enable(d *extmem.Disk) *Memo { return EnableLimited(d, Limits{}) }
 // EnableLimited attaches a fresh bounded memo to d and returns it.
 func EnableLimited(d *extmem.Disk, lim Limits) *Memo {
 	m := New(lim)
-	d.SetOpMemo(m)
+	attach(d, m)
 	return m
 }
 
 // Disable detaches any memo from d.
-func Disable(d *extmem.Disk) { d.SetOpMemo(nil) }
+func Disable(d *extmem.Disk) { attach(d, nil) }
+
+// attach sets d's memo (nil detaches it) and decides whether d carves file
+// data from slabs. An unbounded memo keeps every operator output until the
+// disk is done, so the disk's files already share its lifetime and can be
+// carved from slabs freed in one step (extmem.Disk.Recycle). Without a memo,
+// or under limits, outputs die mid-run and each file keeps its own
+// allocation, which the GC frees as soon as the file is dropped.
+func attach(d *extmem.Disk, m *Memo) {
+	if m == nil {
+		d.SetOpMemo(nil)
+		d.SetSlabs(false)
+		return
+	}
+	d.SetOpMemo(m)
+	d.SetSlabs(m.lim == Limits{})
+}
 
 // Of returns the memo attached to d, or nil.
 func Of(d *extmem.Disk) *Memo {
@@ -291,7 +307,11 @@ func (m *Memo) replay(d *extmem.Disk, e *entry) ([]*extmem.File, []int64, error)
 // preceding slow-path miss (zero only if the fast path matched, which cannot
 // reach here).
 func (m *Memo) store(d *extmem.Disk, op Op, id string, hash uint64, outs []*extmem.File, meta []int64, tape extmem.ChargeTape) {
-	e := &entry{ids: []string{id}, hash: hash, aux: append([]int64(nil), op.Aux...), tape: tape}
+	e := &entry{ids: []string{id}, hash: hash, tape: tape}
+	if len(op.Aux) > 0 {
+		// The entry lives as long as d, so its aux copy can share d's slabs.
+		e.aux = append(d.Carve(len(op.Aux)), op.Aux...)
+	}
 	for _, in := range op.Inputs {
 		e.ins = append(e.ins, inputSnap{arity: in.File.Arity(), data: windowCells(in)})
 		e.tuples += int64(in.N)

@@ -260,7 +260,15 @@ func (r *Relation) Groups(a tuple.Attr, fn func(g Group) error) error {
 	if !r.SortedByAttr(a) {
 		return fmt.Errorf("relation: Groups(v%d) on view not sorted by it (sortCols=%v)", a, r.sortCols)
 	}
-	c := r.Col(a)
+	return r.runs(r.Col(a), func(v int64, lo, n int) error {
+		return fn(Group{Value: v, Rel: r.View(lo, n)})
+	})
+}
+
+// runs scans a view sorted by column c and calls fn with each value group's
+// value and relative range [lo, lo+n), in order. It charges one sequential
+// read of the view.
+func (r *Relation) runs(c int, fn func(v int64, lo, n int) error) error {
 	rd := r.Reader()
 	start := 0
 	var cur int64
@@ -270,7 +278,7 @@ func (r *Relation) Groups(a tuple.Attr, fn func(g Group) error) error {
 		if !have {
 			cur, have = t[c], true
 		} else if t[c] != cur {
-			if err := fn(Group{Value: cur, Rel: r.View(start, i-start)}); err != nil {
+			if err := fn(cur, start, i-start); err != nil {
 				return err
 			}
 			start, cur = i, t[c]
@@ -278,9 +286,7 @@ func (r *Relation) Groups(a tuple.Attr, fn func(g Group) error) error {
 		i++
 	}
 	if have {
-		if err := fn(Group{Value: cur, Rel: r.View(start, i-start)}); err != nil {
-			return err
-		}
+		return fn(cur, start, i-start)
 	}
 	return nil
 }
@@ -341,12 +347,15 @@ func (r *Relation) Heavy(a tuple.Attr) (heavy []Group, light *Relation, err erro
 		lightF := r.Disk().NewFile(len(r.schema))
 		w := lightF.NewWriter()
 		var groups []int64
-		gerr := r.Groups(a, func(g Group) error {
-			if g.Rel.Len() >= m {
-				groups = append(groups, g.Value, int64(g.Rel.off-r.off), int64(g.Rel.n))
+		// One reader re-reads every light group, re-aimed per group; it
+		// charges exactly what a fresh reader per group would.
+		rd := r.file.NewRangeReader(r.off, 0)
+		gerr := r.runs(r.Col(a), func(v int64, lo, n int) error {
+			if n >= m {
+				groups = append(groups, v, int64(lo), int64(n))
 				return nil
 			}
-			rd := g.Rel.Reader()
+			rd.Reset(r.off+lo, n)
 			for t := rd.Next(); t != nil; t = rd.Next() {
 				w.Append(t)
 			}

@@ -317,6 +317,10 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	if err != nil {
 		return nil, err
 	}
+	// The query owns the disk and is over when runOnce returns: no file
+	// outlives it (rows are decoded into Values), so the disk's slabs go
+	// back to the pool for the next query. Deferred first, so it runs last.
+	defer disk.Recycle()
 	// The one plan arms one layer, and that layer's ledger reports it.
 	faults := disk.FaultStats
 	if eng != nil {
