@@ -636,12 +636,18 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 		return nil
 
 	case len(edges) == 1:
-		// Base case: emit all tuples in R(e).
+		// Base case: emit all tuples in R(e), one block at a time. A dry
+		// run only charges the scan and never touches a tuple.
 		e := edges[0]
 		r := in[e.ID]
 		rd := r.Reader()
-		for t := rd.Next(); t != nil; t = rd.Next() {
-			x.bindTuple(r.Schema(), t, done)
+		schema := r.Schema()
+		w, slot := len(schema), max(len(schema), 1)
+		for cells, n := rd.Block(); n > 0; cells, n = rd.Block() {
+			for i := 0; i < n && !x.dry; i++ {
+				x.bindTuple(schema, cells[i*slot:i*slot+w], done)
+			}
+			rd.Skip(n)
 		}
 		return nil
 	}

@@ -228,7 +228,7 @@ func (d *Disk) deviceRead(f *File, pos int) {
 	if n := f.Len(); hi > n {
 		hi = n
 	}
-	slot := f.slot()
+	slot := f.Slot()
 	d.backend.ReadRange(f.phys, lo, f.data[lo*slot:hi*slot])
 }
 
@@ -247,6 +247,6 @@ func (d *Disk) deviceWrite(f *File, start, end int, billed bool) {
 	if n := f.Len(); hi > n {
 		hi = n
 	}
-	slot := f.slot()
+	slot := f.Slot()
 	d.backend.WriteRange(f.phys, lo, f.data[lo*slot:hi*slot], billed)
 }

@@ -638,13 +638,14 @@ func (f *File) ContentID() uint64 { return f.contentID }
 // Version returns the mutation counter, bumped on every Append and Truncate.
 func (f *File) Version() uint64 { return f.version }
 
-// mutating records a content change: shared aliases (clones) take a fresh
-// contentID so the pair they used to share keeps naming the original data.
+// mutating records n content changes (one per appended tuple, one for a
+// truncate): shared aliases (clones) take a fresh contentID so the pair they
+// used to share keeps naming the original data.
 // On a backend, a shared alias likewise takes a fresh physical file — its
 // pinned image slice will reallocate on append (copy-on-write), so its device
 // mirror must diverge from the original's too; the missing prefix frames are
 // backfilled from the image on demand.
-func (f *File) mutating() {
+func (f *File) mutating(n int) {
 	if f.shared {
 		f.contentID = contentIDs.Add(1)
 		f.shared = false
@@ -652,7 +653,7 @@ func (f *File) mutating() {
 			f.phys = f.d.backend.CreateFile(f.arity)
 		}
 	}
-	f.version++
+	f.version += uint64(n)
 }
 
 // Arity returns the number of columns per tuple.
@@ -682,7 +683,7 @@ func (f *File) Blocks() int64 {
 // frames from their pinned image if read, while data written after the
 // truncate can never collide with a stale snapshot's device frames.
 func (f *File) Truncate() {
-	f.mutating()
+	f.mutating(1)
 	f.data = f.data[:0]
 	if f.d != nil && f.d.backend != nil {
 		f.d.backend.Truncate(f.phys)
@@ -700,16 +701,18 @@ func (f *File) Grow(n int) {
 		return
 	}
 	if !f.d.arena.on {
-		f.data = slices.Grow(f.data, n*f.slot())
-	} else if need := len(f.data) + n*f.slot(); need > cap(f.data) {
+		f.data = slices.Grow(f.data, n*f.Slot())
+	} else if need := len(f.data) + n*f.Slot(); need > cap(f.data) {
 		f.d.live()
 		f.data = f.d.arena.realloc(f.data, need)
 	}
 }
 
-// slot returns the flat width of one tuple, treating arity 0 as width 1
-// (a sentinel cell) so that lengths and block math stay uniform.
-func (f *File) slot() int {
+// Slot returns the flat width of one tuple, treating arity 0 as width 1
+// (a sentinel cell) so that lengths and block math stay uniform. It is the
+// width of a tuple in the cells Reader.Block returns and Writer.AppendCells
+// takes.
+func (f *File) Slot() int {
 	if f.arity == 0 {
 		return 1
 	}
@@ -742,9 +745,9 @@ func (w *Writer) Append(t []int64) {
 	if len(t) != f.arity {
 		panic(fmt.Sprintf("extmem: Writer.Append: tuple arity %d != file arity %d", len(t), f.arity))
 	}
-	f.mutating()
-	if len(f.data)+f.slot() > cap(f.data) && f.d.arena.on {
-		f.growData(f.slot())
+	f.mutating(1)
+	if len(f.data)+f.Slot() > cap(f.data) && f.d.arena.on {
+		f.growData(f.Slot())
 	}
 	if f.arity == 0 {
 		f.data = append(f.data, 0)
@@ -757,6 +760,47 @@ func (w *Writer) Append(t []int64) {
 		end := f.Len()
 		f.d.chargeWriteWindow(f, end-w.buffed, end)
 		w.buffed = 0
+	}
+}
+
+// AppendCells adds the tuples held in cells, laid out as Reader.Block
+// returns them: Slot cells per tuple. The cells are copied. It charges exactly
+// as one Append per tuple would: it appends up to each block boundary, charges
+// that window, and goes on, so the windows, their order and the point where an
+// armed budget aborts (the tuples after it are not appended) are the same. It
+// panics if len(cells) is not a multiple of the slot width.
+func (w *Writer) AppendCells(cells []int64) {
+	if w.closed {
+		panic("extmem: Writer.AppendCells after Close")
+	}
+	f := w.f
+	slot := f.Slot()
+	if len(cells)%slot != 0 {
+		panic(fmt.Sprintf("extmem: Writer.AppendCells: %d cells is not a whole number of %d-cell tuples", len(cells), slot))
+	}
+	b := f.d.cfg.B
+	for len(cells) > 0 {
+		seg := min(len(cells), (b-w.buffed)*slot)
+		n := seg / slot
+		f.mutating(n)
+		if len(f.data)+seg > cap(f.data) && f.d.arena.on {
+			f.growData(seg)
+		}
+		if f.arity == 0 {
+			for range seg {
+				f.data = append(f.data, 0)
+			}
+		} else {
+			f.data = append(f.data, cells[:seg]...)
+		}
+		cells = cells[seg:]
+		w.buffed += n
+		w.written += int64(n)
+		if w.buffed == b {
+			end := f.Len()
+			f.d.chargeWriteWindow(f, end-b, end)
+			w.buffed = 0
+		}
 	}
 }
 
@@ -814,43 +858,48 @@ func (r *Reader) Reset(off, n int) {
 // must copy them (and account the memory via Grab). It is invalid after the
 // disk's Recycle.
 func (r *Reader) Next() []int64 {
-	if r.pos >= r.end {
+	cells, n := r.Block()
+	if n == 0 {
 		return nil
-	}
-	if r.remaining == 0 {
-		r.f.d.chargeReadWindow(r.f, r.pos)
-		b := r.f.d.cfg.B
-		// Charge covers the rest of the block containing pos.
-		r.remaining = b - r.pos%b
-	}
-	slot := r.f.slot()
-	var t []int64
-	if r.f.arity == 0 {
-		t = emptyTuple
-	} else {
-		t = r.f.data[r.pos*slot : r.pos*slot+r.f.arity]
 	}
 	r.pos++
 	r.remaining--
-	return t
+	return cells[:r.f.arity:r.f.arity]
 }
 
-// Peek returns the next tuple without consuming it (still charges the block
-// I/O on first touch, like Next). Returns nil at end of range.
-func (r *Reader) Peek() []int64 {
+// Block returns the unread tuples of the current block window as flat cells,
+// Slot cells per tuple, and their count n; (nil, 0) when the range is
+// exhausted. The window ends at the next block boundary or at the range's
+// end, whichever is first. It charges the window's block the first time the
+// window is touched, and never again: a Next, Block or Skip that follows stays
+// inside the charged window until it is used up. Block consumes nothing; Skip
+// and Next do. The cells alias disk storage and must not be modified; they
+// are invalid after the disk's Recycle.
+func (r *Reader) Block() (cells []int64, n int) {
 	if r.pos >= r.end {
-		return nil
+		return nil, 0
 	}
 	if r.remaining == 0 {
 		r.f.d.chargeReadWindow(r.f, r.pos)
 		b := r.f.d.cfg.B
 		r.remaining = b - r.pos%b
 	}
-	if r.f.arity == 0 {
-		return emptyTuple
+	n = min(r.remaining, r.end-r.pos)
+	slot := r.f.Slot()
+	return r.f.data[r.pos*slot : (r.pos+n)*slot], n
+}
+
+// Skip consumes the next n tuples of the current block window, which Block
+// charged. It panics if n exceeds the tuples Block would return.
+func (r *Reader) Skip(n int) {
+	if n == 0 {
+		return
 	}
-	slot := r.f.slot()
-	return r.f.data[r.pos*slot : r.pos*slot+r.f.arity]
+	if n < 0 || n > r.remaining || n > r.end-r.pos {
+		panic(fmt.Sprintf("extmem: Reader.Skip(%d) beyond the charged window (%d left)", n, min(r.remaining, r.end-r.pos)))
+	}
+	r.pos += n
+	r.remaining -= n
 }
 
 // Pos returns the index of the next tuple to be returned.
@@ -876,7 +925,7 @@ func (f *File) ReadBlock(i int) [][]int64 {
 	}
 	f.d.chargeReadWindow(f, lo)
 	out := make([][]int64, 0, hi-lo)
-	slot := f.slot()
+	slot := f.Slot()
 	for j := lo; j < hi; j++ {
 		if f.arity == 0 {
 			out = append(out, emptyTuple)
@@ -903,6 +952,6 @@ func (f *File) At(i int) []int64 {
 	if f.arity == 0 {
 		return emptyTuple
 	}
-	slot := f.slot()
+	slot := f.Slot()
 	return f.data[i*slot : i*slot+f.arity]
 }

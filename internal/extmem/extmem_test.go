@@ -145,6 +145,9 @@ func TestRangeReaderBounds(t *testing.T) {
 	f.NewRangeReader(0, 2)
 }
 
+// TestPeekDoesNotConsume checks that Block looks at the current block window
+// without consuming it: repeated calls return the same tuples and charge the
+// block once, and only Skip or Next move on.
 func TestPeekDoesNotConsume(t *testing.T) {
 	d := testDisk(t, 100, 10)
 	f := d.NewFile(1)
@@ -155,23 +158,24 @@ func TestPeekDoesNotConsume(t *testing.T) {
 	d.ResetStats()
 
 	r := f.NewReader()
-	if p := r.Peek(); p[0] != 7 {
-		t.Fatalf("peek = %d, want 7", p[0])
+	if p, n := r.Block(); n != 2 || p[0] != 7 || p[1] != 8 {
+		t.Fatalf("block = %v (%d tuples), want [7 8]", p, n)
 	}
-	if p := r.Peek(); p[0] != 7 {
-		t.Fatalf("second peek = %d, want 7", p[0])
+	if p, n := r.Block(); n != 2 || p[0] != 7 {
+		t.Fatalf("second block = %v (%d tuples), want [7 8]", p, n)
 	}
 	if n := r.Next(); n[0] != 7 {
 		t.Fatalf("next = %d, want 7", n[0])
 	}
-	if n := r.Next(); n[0] != 8 {
-		t.Fatalf("next = %d, want 8", n[0])
+	if p, n := r.Block(); n != 1 || p[0] != 8 {
+		t.Fatalf("block after next = %v (%d tuples), want [8]", p, n)
 	}
+	r.Skip(1)
 	if r.Next() != nil {
 		t.Fatal("expected nil at end")
 	}
-	if r.Peek() != nil {
-		t.Fatal("expected nil peek at end")
+	if p, n := r.Block(); p != nil || n != 0 {
+		t.Fatalf("block at end = %v (%d tuples), want nil", p, n)
 	}
 	if got := d.Stats().Reads; got != 1 {
 		t.Errorf("reads = %d, want 1 (both tuples in one block)", got)

@@ -115,5 +115,5 @@ func (d *Disk) live() {
 func (f *File) growData(extra int) {
 	need := len(f.data) + extra
 	f.d.live()
-	f.data = f.d.arena.realloc(f.data, max(2*cap(f.data), need, f.d.cfg.B*f.slot()))
+	f.data = f.d.arena.realloc(f.data, max(2*cap(f.data), need, f.d.cfg.B*f.Slot()))
 }

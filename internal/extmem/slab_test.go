@@ -158,3 +158,32 @@ func TestWriterAppendAllocs(t *testing.T) {
 		t.Fatalf("appending %d tuples allocates %v times but %d tuples %v times", b, a1, 16*b, a16)
 	}
 }
+
+// TestAppendCellsAllocs guards the block copy: with a warm slab pool,
+// appending blocks of cells makes no heap allocation per block, so the
+// allocations of a run do not grow with the tuples it writes.
+func TestAppendCellsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	const b = 16
+	block := make([]int64, 2*b)
+	allocs := func(k int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			d := NewDisk(Config{M: 256, B: b})
+			d.SetSlabs(true)
+			f, g := d.NewFile(2), d.NewFile(2)
+			wf, wg := f.NewWriter(), g.NewWriter()
+			for range k {
+				wf.AppendCells(block)
+				wg.AppendCells(block[:b])
+			}
+			wf.Close()
+			wg.Close()
+			d.Recycle()
+		})
+	}
+	if a1, a16 := allocs(1), allocs(16); a1 != a16 {
+		t.Fatalf("appending %d blocks allocates %v times but %d blocks %v times", 1, a1, 16, a16)
+	}
+}

@@ -145,12 +145,14 @@ func formRuns[C rowCmp](f *extmem.File, cmp C, dedup bool) ([]*extmem.File, erro
 		}
 		n := 0
 		for n < m {
-			t := r.Next()
-			if t == nil {
+			cells, k := r.Block()
+			if k == 0 {
 				break
 			}
-			copy(buf[n*w:n*w+w], t)
-			n++
+			k = min(k, m-n)
+			copy(buf[n*w:(n+k)*w], cells)
+			r.Skip(k)
+			n += k
 		}
 		if n == 0 {
 			d.Release(grab)
@@ -337,33 +339,62 @@ func mergeRows[C rowCmp](src, dst []int32, lo, mid, hi int, buf []int64, w int, 
 // Exhausted runs order after live ones; ties between live runs break on the
 // smaller run index, reproducing the heap's stable pop order exactly.
 type loserTree[C rowCmp] struct {
-	cmp     C
-	w       int
-	k       int     // real runs
-	node    []int32 // node[0] = winner, node[1..K-1] = internal losers
-	heads   []int64 // k rows: current head of each run
-	done    []bool  // per leaf; virtual leaves start done
-	readers []*extmem.Reader
+	cmp  C
+	w    int
+	slot int
+	k    int     // real runs
+	node []int32 // node[0] = winner, node[1..K-1] = internal losers
+	done []bool  // per leaf; virtual leaves start done
+	runs []runHead
 }
 
-func newLoserTree[C rowCmp](runs []*extmem.File, heads []int64, cmp C) *loserTree[C] {
+// runHead is one run's read position: its reader, the charged block window
+// the reader's Block returned, and the index in it of the run's head row.
+// Heads are rows of that window, read in place.
+type runHead struct {
+	rd    extmem.Reader
+	cells []int64
+	n, i  int
+}
+
+// headPool recycles the per-merge run heads.
+var headPool sync.Pool
+
+func getHeads(k int) []runHead {
+	if v := headPool.Get(); v != nil {
+		if s := *(v.(*[]runHead)); cap(s) >= k {
+			return s[:k]
+		}
+	}
+	return make([]runHead, k)
+}
+
+// putHeads hands hs back, dropping its references to the runs' files.
+func putHeads(hs []runHead) {
+	clear(hs)
+	headPool.Put(&hs)
+}
+
+func newLoserTree[C rowCmp](runs []*extmem.File, cmp C) *loserTree[C] {
 	k := len(runs)
 	kPow := 1
 	for kPow < k {
 		kPow *= 2
 	}
 	t := &loserTree[C]{
-		cmp:     cmp,
-		w:       runs[0].Arity(),
-		k:       k,
-		node:    make([]int32, kPow),
-		heads:   heads,
-		done:    make([]bool, kPow),
-		readers: make([]*extmem.Reader, k),
+		cmp:  cmp,
+		w:    runs[0].Arity(),
+		slot: runs[0].Slot(),
+		k:    k,
+		node: make([]int32, kPow),
+		done: make([]bool, kPow),
+		runs: getHeads(k),
 	}
 	for i, run := range runs {
-		t.readers[i] = run.NewReader()
-		t.fill(i)
+		h := &t.runs[i]
+		h.rd = *run.NewRangeReader(0, run.Len())
+		h.cells, h.n = h.rd.Block()
+		t.done[i] = h.n == 0
 	}
 	for i := k; i < kPow; i++ {
 		t.done[i] = true
@@ -407,16 +438,22 @@ func (t *loserTree[C]) beats(a, b int32) bool {
 }
 
 func (t *loserTree[C]) row(i int32) []int64 {
-	return t.heads[int(i)*t.w : int(i)*t.w+t.w]
+	h := &t.runs[i]
+	return h.cells[h.i*t.slot : h.i*t.slot+t.w]
 }
 
-// fill loads run i's next tuple into its head row, marking it done at EOF.
+// fill moves run i's head to its next row. Past the end of the block window
+// it consumes the window and charges the next one, the moment a
+// tuple-at-a-time reader would; at EOF it marks the run done.
 func (t *loserTree[C]) fill(i int) {
-	if nxt := t.readers[i].Next(); nxt != nil {
-		copy(t.heads[i*t.w:i*t.w+t.w], nxt)
-	} else {
-		t.done[i] = true
+	h := &t.runs[i]
+	if h.i++; h.i < h.n {
+		return
 	}
+	h.rd.Skip(h.n)
+	h.cells, h.n = h.rd.Block()
+	h.i = 0
+	t.done[i] = h.n == 0
 }
 
 // advance refills run i and replays its leaf-to-root path.
@@ -448,32 +485,28 @@ func mergeRuns[C rowCmp](runs []*extmem.File, cmp C, dedup bool) (*extmem.File, 
 	}
 	defer d.Release(mem)
 
-	k, w := len(runs), runs[0].Arity()
-	// One head row per run plus a trailing row holding the last written tuple
-	// (for dedup across runs).
-	heads := getI64((k + 1) * w)
-	defer putI64(heads)
-	t := newLoserTree(runs, heads[:k*w], cmp)
+	t := newLoserTree(runs, cmp)
+	defer putHeads(t.runs)
 
-	out := d.NewFile(w)
+	out := d.NewFile(runs[0].Arity())
 	total := 0
 	for _, r := range runs {
 		total += r.Len()
 	}
 	out.Grow(total)
 	wr := out.NewWriter()
-	last := heads[k*w : (k+1)*w]
-	haveLast := false
+	// last is the last written row (for dedup across runs); like the heads
+	// it is read in place from its run.
+	var last []int64
 	for {
 		i := t.node[0]
 		if t.done[i] {
 			break
 		}
 		row := t.row(i)
-		if !dedup || !haveLast || cmp.compare(last, row) != 0 {
+		if !dedup || last == nil || cmp.compare(last, row) != 0 {
 			wr.Append(row)
-			copy(last, row)
-			haveLast = true
+			last = row
 		}
 		t.advance(int(i))
 	}

@@ -466,10 +466,7 @@ func hashCells(cells []int64) uint64 {
 
 // windowCells returns the capacity-pinned cell slice of an input window.
 func windowCells(in Input) []int64 {
-	slot := in.File.Arity()
-	if slot == 0 {
-		slot = 1 // arity-0 files store one sentinel cell per tuple
-	}
+	slot := in.File.Slot()
 	lo := in.Off * slot
 	hi := (in.Off + in.N) * slot
 	return in.File.Raw()[lo:hi:hi]

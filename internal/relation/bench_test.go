@@ -27,3 +27,26 @@ func BenchmarkLoadChunksBy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSemijoinValues filters 16K tuples sorted by the probed value
+// (groups of 4) against every other value at M=256, B=16: the R(e')(M1)
+// step of Algorithm 2, where the input arrives sorted by the value.
+func BenchmarkSemijoinValues(b *testing.B) {
+	d := extmem.NewDisk(extmem.Config{M: 256, B: 16})
+	r := lightRel(d, 16384, 4)
+	vals := make([]int64, 0, 16384/8)
+	for v := int64(0); v < 16384/4; v += 2 {
+		vals = append(vals, v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := SemijoinValues(r, 0, vals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Len() != r.Len()/2 {
+			b.Fatalf("kept %d rows, want %d", out.Len(), r.Len()/2)
+		}
+	}
+}

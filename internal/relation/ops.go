@@ -64,16 +64,30 @@ func Semijoin(r, s *Relation, a tuple.Attr) (*Relation, error) {
 		Inputs: []opcache.Input{memoIn(r), memoIn(s)},
 	}, func() ([]*extmem.File, []int64, error) {
 		out := r.Disk().NewFile(len(r.schema))
-		w := out.NewWriter()
+		w, wd := out.NewWriter(), len(r.schema)
 		rr, sr := r.Reader(), s.Reader()
 		st := sr.Next()
-		for rt := rr.Next(); rt != nil; rt = rr.Next() {
-			for st != nil && st[sc] < rt[rc] {
-				st = sr.Next()
+		for cells, n := rr.Block(); n > 0; cells, n = rr.Block() {
+			run := 0 // first tuple of the pending run of kept tuples
+			for i := range n {
+				v := cells[i*wd+rc]
+				if st != nil && st[sc] < v {
+					// Write the kept run before s moves on, so the write
+					// and read charges interleave as in a tuple-at-a-time
+					// merge.
+					w.AppendCells(cells[run*wd : i*wd])
+					run = i
+					for st != nil && st[sc] < v {
+						st = sr.Next()
+					}
+				}
+				if st == nil || st[sc] != v {
+					w.AppendCells(cells[run*wd : i*wd])
+					run = i + 1
+				}
 			}
-			if st != nil && st[sc] == rt[rc] {
-				w.Append(rt)
-			}
+			w.AppendCells(cells[run*wd : n*wd])
+			rr.Skip(n)
 		}
 		w.Close()
 		return []*extmem.File{out}, nil, nil
@@ -97,12 +111,19 @@ func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep boo
 		Aux:    vals,
 	}, func() ([]*extmem.File, []int64, error) {
 		out := r.Disk().NewFile(len(r.schema))
-		w := out.NewWriter()
+		w, wd := out.NewWriter(), len(r.schema)
 		rd := r.Reader()
-		for t := rd.Next(); t != nil; t = rd.Next() {
-			if _, in := slices.BinarySearch(vals, t[c]); in == keep {
-				w.Append(t)
+		p := valueProbe{vals: vals}
+		for cells, n := rd.Block(); n > 0; cells, n = rd.Block() {
+			run := 0 // first tuple of the pending run of kept tuples
+			for i := range n {
+				if p.contains(cells[i*wd+c]) != keep {
+					w.AppendCells(cells[run*wd : i*wd])
+					run = i + 1
+				}
 			}
+			w.AppendCells(cells[run*wd : n*wd])
+			rd.Skip(n)
 		}
 		w.Close()
 		return []*extmem.File{out}, nil, nil
@@ -111,6 +132,39 @@ func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep boo
 		return nil, err
 	}
 	return &Relation{schema: r.schema.Clone(), file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}, nil
+}
+
+// valueProbe answers membership in a sorted, distinct value set for a stream
+// of probes. A probe equal to the previous one reuses its answer; a larger one
+// gallops forward from the previous position, as Leapfrog Triejoin's seek
+// does, which costs amortised O(1) per probe on a sorted stream; a smaller one
+// binary-searches the prefix before that position.
+type valueProbe struct {
+	vals []int64
+	pos  int // lower bound of last in vals
+	last int64
+	in   bool
+	have bool
+}
+
+func (p *valueProbe) contains(v int64) bool {
+	if p.have && v == p.last {
+		return p.in
+	}
+	vals := p.vals
+	lo, hi := 0, p.pos
+	if !p.have || v > p.last {
+		// The lower bound of v is at or after pos: double the stride until
+		// it passes v, then search the last stride.
+		lo, hi = p.pos, p.pos
+		for step := 1; hi < len(vals) && vals[hi] < v; step *= 2 {
+			lo, hi = hi+1, min(hi+step, len(vals))
+		}
+	}
+	i, _ := slices.BinarySearch(vals[lo:hi], v)
+	p.pos, p.last, p.have = lo+i, v, true
+	p.in = p.pos < len(vals) && vals[p.pos] == v
+	return p.in
 }
 
 // SemijoinValues computes r ⋉ V where V is an in-memory set of values on

@@ -209,10 +209,7 @@ func (r *Relation) copyRange() (*extmem.File, error) {
 	}, func() ([]*extmem.File, []int64, error) {
 		out := r.file.Disk().NewFile(len(r.schema))
 		w := out.NewWriter()
-		rd := r.Reader()
-		for t := rd.Next(); t != nil; t = rd.Next() {
-			w.Append(t)
-		}
+		copyAll(w, r.Reader())
 		w.Close()
 		return []*extmem.File{out}, nil, nil
 	})
@@ -220,6 +217,16 @@ func (r *Relation) copyRange() (*extmem.File, error) {
 		return nil, err
 	}
 	return outs[0], nil
+}
+
+// copyAll appends every tuple rd has left to w, one block at a time. The
+// charges interleave exactly as a tuple-at-a-time copy's: a block's writes
+// land before the next block's read.
+func copyAll(w *extmem.Writer, rd *extmem.Reader) {
+	for cells, n := rd.Block(); n > 0; cells, n = rd.Block() {
+		w.AppendCells(cells)
+		rd.Skip(n)
+	}
 }
 
 // Materialize returns a relation backed by its own file covering exactly the
@@ -270,22 +277,24 @@ func (r *Relation) Groups(a tuple.Attr, fn func(g Group) error) error {
 // read of the view.
 func (r *Relation) runs(c int, fn func(v int64, lo, n int) error) error {
 	rd := r.Reader()
-	start := 0
+	w := len(r.schema)
+	start, i := 0, 0
 	var cur int64
-	have := false
-	i := 0
-	for t := rd.Next(); t != nil; t = rd.Next() {
-		if !have {
-			cur, have = t[c], true
-		} else if t[c] != cur {
-			if err := fn(cur, start, i-start); err != nil {
-				return err
+	for cells, n := rd.Block(); n > 0; cells, n = rd.Block() {
+		for k := c; k < n*w; k += w {
+			if v := cells[k]; i == 0 {
+				cur = v
+			} else if v != cur {
+				if err := fn(cur, start, i-start); err != nil {
+					return err
+				}
+				start, cur = i, v
 			}
-			start, cur = i, t[c]
+			i++
 		}
-		i++
+		rd.Skip(n)
 	}
-	if have {
+	if i > 0 {
 		return fn(cur, start, i-start)
 	}
 	return nil
@@ -356,9 +365,7 @@ func (r *Relation) Heavy(a tuple.Attr) (heavy []Group, light *Relation, err erro
 				return nil
 			}
 			rd.Reset(r.off+lo, n)
-			for t := rd.Next(); t != nil; t = rd.Next() {
-				w.Append(t)
-			}
+			copyAll(w, rd)
 			return nil
 		})
 		w.Close()
@@ -465,18 +472,22 @@ func (a *chunkArena) reset() {
 	a.starts = a.starts[:0]
 }
 
-// push copies t into the arena and appends its row header.
-func (a *chunkArena) push(t tuple.Tuple) {
+// push copies k rows of width w, held back to back in cells (k*w cells),
+// into the arena in one copy and appends their row headers.
+func (a *chunkArena) push(cells []int64, k, w int) {
 	n := len(a.cells)
-	if n+len(t) > cap(a.cells) {
+	if n+len(cells) > cap(a.cells) {
 		// Only a chunk beyond the reservation gets here (a heavy group
 		// loaded by value). Rows already handed out keep the old slab
 		// alive, so start a new one rather than reallocating under them.
-		a.cells = make([]int64, 0, 2*cap(a.cells)+len(t))
+		a.cells = make([]int64, 0, 2*cap(a.cells)+len(cells))
 		n = 0
 	}
-	a.cells = append(a.cells, t...)
-	a.rows = append(a.rows, a.cells[n:n+len(t):n+len(t)])
+	a.cells = append(a.cells, cells...)
+	for i := range k {
+		lo := n + i*w
+		a.rows = append(a.rows, a.cells[lo:lo+w:lo+w])
+	}
 }
 
 // LoadChunks implements "load R(e) into memory as M(e)": it reads the view
@@ -484,9 +495,9 @@ func (a *chunkArena) push(t tuple.Tuple) {
 // released after fn returns, whether or not fn returns an error.
 func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 	d := r.Disk()
-	m := d.M()
+	m, w := d.M(), len(r.schema)
 	rd := r.Reader()
-	a := getArena(min(m, r.n), len(r.schema))
+	a := getArena(min(m, r.n), w)
 	defer putArena(a)
 	for rd.Remaining() > 0 {
 		if err := d.Grab(m); err != nil {
@@ -494,11 +505,13 @@ func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 		}
 		a.reset()
 		for len(a.rows) < m {
-			t := rd.Next()
-			if t == nil {
+			cells, n := rd.Block()
+			if n == 0 {
 				break
 			}
-			a.push(t)
+			k := min(n, m-len(a.rows))
+			a.push(cells[:k*w], k, w)
+			rd.Skip(k)
 		}
 		c := &a.chunk
 		*c = Chunk{Tuples: a.rows, disk: d, held: m}
@@ -520,34 +533,37 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) error {
 		return fmt.Errorf("relation: LoadChunksBy(v%d) on view not sorted by it", a)
 	}
 	d := r.Disk()
-	m := d.M()
+	m, w := d.M(), len(r.schema)
 	col := r.Col(a)
 	rd := r.Reader()
-	ar := getArena(min(2*m, r.n), len(r.schema))
+	ar := getArena(min(2*m, r.n), w)
 	defer putArena(ar)
 	for rd.Remaining() > 0 {
 		if err := d.Grab(2 * m); err != nil {
 			return err
 		}
 		ar.reset()
-		for {
-			// Peek charges a block exactly as Next would. The tuple that
-			// opens the next chunk stays unconsumed, and that chunk's Next
-			// finds its block already charged.
-			t := rd.Peek()
-			if t == nil {
+		for cut := false; !cut; {
+			// Block charges a block exactly as Next would. The tuples from
+			// the one that opens the next chunk on stay unconsumed, and
+			// that chunk finds their block already charged.
+			cells, n := rd.Block()
+			if n == 0 {
 				break
 			}
-			v := t[col]
-			if len(ar.vals) == 0 || v != ar.vals[len(ar.vals)-1] {
-				if len(ar.rows) >= m {
-					break
+			k := 0
+			for ; k < n; k++ {
+				v := cells[k*w+col]
+				if len(ar.vals) == 0 || v != ar.vals[len(ar.vals)-1] {
+					if cut = len(ar.rows)+k >= m; cut {
+						break
+					}
+					ar.vals = append(ar.vals, v)
+					ar.starts = append(ar.starts, len(ar.rows)+k)
 				}
-				ar.vals = append(ar.vals, v)
-				ar.starts = append(ar.starts, len(ar.rows))
 			}
-			ar.push(t)
-			rd.Next()
+			ar.push(cells[:k*w], k, w)
+			rd.Skip(k)
 		}
 		ar.starts = append(ar.starts, len(ar.rows))
 		c := &ar.chunk

@@ -485,6 +485,76 @@ func TestSemijoinValuesAndAnti(t *testing.T) {
 	}
 }
 
+// TestSemijoinValuesProbeOrders checks the galloping value probe of
+// SemijoinValues and AntiSemijoinValues against a map oracle on inputs whose
+// probed column arrives ascending, descending, shuffled and in long runs of
+// one value, with value sets that are empty, below or above every input
+// value, a single value, or a random subset. The memo is off, so every call
+// runs the scan.
+func TestSemijoinValuesProbeOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const n = 200
+	orders := map[string]func(i int) int64{
+		"ascending":   func(i int) int64 { return int64(i / 3) },
+		"descending":  func(i int) int64 { return int64((n - i) / 3) },
+		"shuffled":    func(int) int64 { return rng.Int63n(80) },
+		"long-repeat": func(i int) int64 { return int64(i / 50 * 7) },
+	}
+	sets := map[string][]int64{
+		"empty":  nil,
+		"below":  {-9, -5, -1},
+		"above":  {1000, 2000},
+		"single": {7},
+		"random": nil,
+	}
+	for v := range int64(80) {
+		if rng.Intn(3) == 0 {
+			sets["random"] = append(sets["random"], v)
+		}
+	}
+	for oname, value := range orders {
+		rows := make([]tuple.Tuple, n)
+		for i := range rows {
+			rows[i] = tuple.Tuple{int64(i), value(i)}
+		}
+		for sname, vals := range sets {
+			in := map[int64]bool{}
+			for _, v := range vals {
+				in[v] = true
+			}
+			for _, keep := range []bool{true, false} {
+				d := disk(16, 4)
+				r := FromTuples(d, tuple.Schema{0, 1}, rows)
+				d.ResetStats()
+				var got *Relation
+				var err error
+				if keep {
+					got, err = SemijoinValues(r, 1, vals)
+				} else {
+					got, err = AntiSemijoinValues(r, 1, vals)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []tuple.Tuple
+				for _, row := range rows {
+					if in[row[1]] == keep {
+						want = append(want, row)
+					}
+				}
+				b := int64(d.B())
+				wantStats := extmem.Stats{Reads: (n + b - 1) / b, Writes: (int64(len(want)) + b - 1) / b}
+				if s := d.Stats(); s.Reads != wantStats.Reads || s.Writes != wantStats.Writes {
+					t.Errorf("%s/%s keep=%v: stats %v, want reads=%d writes=%d", oname, sname, keep, s, wantStats.Reads, wantStats.Writes)
+				}
+				if gotRows := Contents(got); !slices.EqualFunc(gotRows, want, slices.Equal) {
+					t.Errorf("%s/%s keep=%v: got %v, want %v", oname, sname, keep, gotRows, want)
+				}
+			}
+		}
+	}
+}
+
 func TestProject(t *testing.T) {
 	d := disk(16, 4)
 	r := FromTuples(d, tuple.Schema{0, 1, 2}, []tuple.Tuple{
