@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -438,21 +439,39 @@ func TestCrossStrategyGreedyDifferential(t *testing.T) {
 }
 
 // Counting-only runs (emit == nil) must report the same Count as emitting
-// runs for every strategy; the exhaustive path takes a different code route
-// for it (Result.Emitted from the winning branch).
+// runs for every strategy, and an otherwise identical Result: Stats,
+// PlanningStats, Branches, Transfers, plan and memo telemetry. Queries that
+// Algorithm 2 runs (those not routed through the line dispatcher) are
+// counted instead of enumerated, which must change nothing but the host
+// work.
 func TestDifferentialCountOnly(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		rng := rand.New(rand.NewSource(int64(7000 + trial)))
-		q := randomTreeQuery(rng)
-		inst := q.NewInstance()
-		fillRandom(rng, q, inst, false)
-		want := oracleRows(t, q, inst)
-		res, err := Count(q, inst, Options{Memory: 64, Block: 8})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if res.Count != int64(len(want)) {
-			t.Fatalf("trial %d: Count = %d, oracle = %d", trial, res.Count, len(want))
+	for _, s := range []Strategy{StrategyExhaustive, StrategyFirst, StrategySmallest, StrategyGreedy} {
+		for trial := 0; trial < 20; trial++ {
+			rng := rand.New(rand.NewSource(int64(7000 + trial)))
+			q := randomTreeQuery(rng)
+			inst := q.NewInstance()
+			fillRandom(rng, q, inst, false)
+			want := oracleRows(t, q, inst)
+			opts := Options{Memory: 64, Block: 8, Strategy: s}
+			res, err := Count(q, inst, opts)
+			if err != nil {
+				t.Fatalf("%v trial %d: %v", s, trial, err)
+			}
+			if res.Count != int64(len(want)) {
+				t.Fatalf("%v trial %d: Count = %d, oracle = %d", s, trial, res.Count, len(want))
+			}
+			var rows int64
+			ref, err := Run(q, inst, opts, func(Row) { rows++ })
+			if err != nil {
+				t.Fatalf("%v trial %d: emitting run: %v", s, trial, err)
+			}
+			if ref.Count != rows || rows != res.Count {
+				t.Fatalf("%v trial %d: emitting run delivered %d rows, Count %d; count-only %d",
+					s, trial, rows, ref.Count, res.Count)
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("%v trial %d: count-only run diverges from emitting run:\n%+v\n%+v", s, trial, res, ref)
+			}
 		}
 	}
 }

@@ -39,6 +39,14 @@ import (
 
 // Emit receives one join result as an assignment over the query's
 // attributes. The assignment is reused between calls; copy it to retain it.
+//
+// A nil Emit asks for the count only: Run delivers no result and reports how
+// many there are in Result.Emitted. Algorithm 2 then counts instead of
+// enumerating: a row loop reports rows that agree on every attribute an outer
+// callback reads as one multiplicity, and a loop binding nothing read as one
+// multiplicity for all its rows (DESIGN.md "Counting without enumerating").
+// Enumeration touches no disk, so every charge, the plan and every Stats
+// figure are the same as with an emit.
 type Emit func(tuple.Assignment)
 
 // Strategy selects how the nondeterministic leaf choice is resolved.
@@ -145,7 +153,8 @@ func applyMemo(d *extmem.Disk, opts Options) {
 
 // Result reports the outcome of a Run.
 type Result struct {
-	// Emitted counts join results delivered to emit.
+	// Emitted counts join results delivered to emit; with a nil emit it is
+	// the number of results, counted without enumerating them.
 	Emitted int64
 	// ExecStats is the I/O cost of the emitting run (the winning branch
 	// under StrategyExhaustive; the only run otherwise). Its MemHiWater is
@@ -194,6 +203,7 @@ type PruneStats struct {
 }
 
 // Run evaluates the Berge-acyclic join (g, in), invoking emit per result.
+// A nil emit counts the results into Result.Emitted instead; see Emit.
 //
 // Permanent faults and cancellation surface here as typed errors: the whole
 // strategy dispatch runs under CatchAbort, so an abort that escapes every
@@ -380,7 +390,6 @@ func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts
 	grand := extmem.Stats{}
 	for {
 		ex := &executor{
-			emit:    func(tuple.Assignment) {},
 			opts:    opts,
 			nAttrs:  g.MaxAttr() + 1,
 			chooser: odo.choose,
@@ -567,12 +576,14 @@ func structureKey(g *hypergraph.Graph) string {
 
 // executor runs one branch of Algorithm 2.
 type executor struct {
-	emit    Emit
+	emit    Emit // nil: count only
 	opts    Options
 	nAttrs  int
 	chooser chooser
 	emitted int64
 	asg     tuple.Assignment
+	// blockRows holds the row headers of the base case's current block.
+	blockRows []tuple.Tuple
 	// dry marks a planning-only branch: charges are measured but results
 	// are not enumerated. Result enumeration is the bind-call-unbind chain
 	// over in-memory tuples — it never touches the simulated disk (the emit
@@ -582,29 +593,102 @@ type executor struct {
 	dry bool
 }
 
+// readsAll is the read mask of a consumer that reads every attribute: an
+// emitting run, or a count-only query whose attribute IDs do not all fit in
+// a 64-bit mask. Under it every row loop binds its rows.
+const readsAll = ^uint64(0)
+
+// attrMask is the set attrs as a mask, bit a for attribute a. An ID past 63
+// makes it readsAll, so such an attribute meets every read mask.
+func attrMask(attrs ...int) uint64 {
+	var m uint64
+	for _, a := range attrs {
+		if a >= 64 {
+			return readsAll
+		}
+		m |= 1 << uint(a)
+	}
+	return m
+}
+
 func (x *executor) run(g *hypergraph.Graph, in relation.Instance) error {
 	x.asg = tuple.NewAssignment(x.nAttrs)
-	return x.join(g, in, 0, func() {
-		x.emitted++
-		x.emit(x.asg)
+	var reads uint64
+	if x.emit != nil || x.nAttrs > 64 {
+		reads = readsAll
+	}
+	return x.join(g, in, 0, reads, func(k int64) {
+		x.emitted += k
+		if x.emit != nil {
+			x.emit(x.asg)
+		}
 	})
 }
 
-// bindTuple binds the unbound attributes of schema to t, calls next, then
-// unbinds exactly what it bound. Attributes already bound must agree (they
-// do by construction: restrictions and semijoins preserve shared values).
-// Dry runs skip the whole chain: binding charges nothing, so cutting it here
-// prunes the entire per-result enumeration tree without touching a counter.
-func (x *executor) bindTuple(schema tuple.Schema, t tuple.Tuple, next func()) {
-	if x.dry {
+// extend is every row loop of Algorithm 2. It is called when k results of
+// the subquery below extend the current binding, crosses them with rows
+// (over schema) and reports the k·len(rows) results to done. bound is the
+// mask of the attributes the loop binds and reads the mask of those an outer
+// callback reads. Rows that agree on every attribute read lead the rest of
+// the chain the same way, so a run of m such rows is bound once and reported
+// as done(k·m); when bound misses reads the whole loop is one
+// done(k·len(rows)). An emitting run reads everything and binds each row with
+// done(k). A dry run enumerates nothing: binding charges nothing, so cutting
+// the chain here prunes the whole per-result tree without touching a
+// counter.
+func (x *executor) extend(rows []tuple.Tuple, schema tuple.Schema, bound, reads uint64, k int64, done func(int64)) {
+	n := len(rows)
+	if x.dry || n == 0 {
 		return
 	}
-	bindInto(x.asg, schema, t, next)
+	counting := reads != readsAll
+	if counting && bound&reads == 0 {
+		done(k * int64(n))
+		return
+	}
+	var cols uint64 // schema positions of the read attributes
+	if counting {
+		for c, a := range schema {
+			if attrMask(a)&reads != 0 {
+				cols |= 1 << uint(c)
+			}
+		}
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for counting && j < n && sameOn(rows[i], rows[j], cols) {
+			j++
+		}
+		m := bind(x.asg, schema, rows[i])
+		done(k * int64(j-i))
+		unbind(x.asg, schema, m)
+		i = j
+	}
+}
+
+// sameOn reports whether rows a and b agree on the columns set in cols.
+func sameOn(a, b tuple.Tuple, cols uint64) bool {
+	for c := range a {
+		if cols&(1<<uint(c)) != 0 && a[c] != b[c] {
+			return false
+		}
+	}
+	return true
 }
 
 // bindInto is the shared bind-call-unbind helper: it binds the unbound
 // attributes of schema to t in asg, invokes next, and restores asg.
 func bindInto(asg tuple.Assignment, schema tuple.Schema, t tuple.Tuple, next func()) {
+	m := bind(asg, schema, t)
+	next()
+	unbind(asg, schema, m)
+}
+
+// bind binds the unbound attributes of schema to t in asg and returns the
+// mask of the schema positions it bound, for unbind. Attributes already
+// bound must agree (they do by construction: restrictions and semijoins
+// preserve shared values).
+func bind(asg tuple.Assignment, schema tuple.Schema, t tuple.Tuple) uint64 {
 	var boundMask uint64
 	if len(schema) > 64 {
 		panic("core: schema wider than 64 attributes")
@@ -617,7 +701,11 @@ func bindInto(asg tuple.Assignment, schema tuple.Schema, t tuple.Tuple, next fun
 			panic(fmt.Sprintf("core: inconsistent binding for v%d: %d vs %d", a, cur, t[i]))
 		}
 	}
-	next()
+	return boundMask
+}
+
+// unbind restores the schema positions bind reported binding.
+func unbind(asg tuple.Assignment, schema tuple.Schema, boundMask uint64) {
 	for i, a := range schema {
 		if boundMask&(1<<uint(i)) != 0 {
 			asg[a] = tuple.Unset
@@ -625,14 +713,16 @@ func bindInto(asg tuple.Assignment, schema tuple.Schema, t tuple.Tuple, next fun
 	}
 }
 
-// join implements Algorithm 2 (AcyclicJoin). done is invoked once per result
-// of the current subquery, with the shared assignment bound. depth counts
-// recursion levels (0 = the caller's original query).
-func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, done func()) error {
+// join implements Algorithm 2 (AcyclicJoin). done(k) reports k results of
+// the current subquery that extend the shared assignment as it is bound at
+// the call; reads is the mask of the attributes some outer callback reads
+// from that assignment (see extend). depth counts recursion levels (0 = the
+// caller's original query).
+func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, reads uint64, done func(int64)) error {
 	edges := g.Edges()
 	switch {
 	case len(edges) == 0:
-		done()
+		done(1)
 		return nil
 
 	case len(edges) == 1:
@@ -642,10 +732,19 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 		r := in[e.ID]
 		rd := r.Reader()
 		schema := r.Schema()
+		bound := attrMask(schema...)
 		w, slot := len(schema), max(len(schema), 1)
 		for cells, n := rd.Block(); n > 0; cells, n = rd.Block() {
-			for i := 0; i < n && !x.dry; i++ {
-				x.bindTuple(schema, cells[i*slot:i*slot+w], done)
+			if !x.dry {
+				// One buffer serves every base case: the callbacks that
+				// extend calls never recurse into join, so no other base
+				// case runs before this block is done.
+				rows := x.blockRows[:0]
+				for i := range n {
+					rows = append(rows, cells[i*slot:i*slot+w])
+				}
+				x.blockRows = rows
+				x.extend(rows, schema, bound, reads, 1, done)
 			}
 			rd.Skip(n)
 		}
@@ -684,7 +783,7 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 				sub[o.ID] = filtered
 			}
 		}
-		return x.join(g.Without([]int{e.ID}, nil), sub, depth+1, done)
+		return x.join(g.Without([]int{e.ID}, nil), sub, depth+1, reads, done)
 	}
 
 	// Island: cross product with the rest, one memory chunk at a time
@@ -697,11 +796,11 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 		gRest := g.Without([]int{e.ID}, nil)
 		sub := in.Clone()
 		delete(sub, e.ID)
+		bound := attrMask(r.Schema()...)
 		return r.LoadChunks(func(c *relation.Chunk) error {
-			return x.join(gRest, sub, depth+1, func() {
-				for _, t := range c.Tuples {
-					x.bindTuple(r.Schema(), t, done)
-				}
+			rows := c.Tuples
+			return x.join(gRest, sub, depth+1, reads, func(k int64) {
+				x.extend(rows, r.Schema(), bound, reads, k, done)
 			})
 		})
 	}
@@ -736,7 +835,7 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 	}
 
 	if x.opts.DisableHeavySplit {
-		return x.peelLeafUnsplit(g, sorted, e, re, v, u, gamma, depth, done)
+		return x.peelLeafUnsplit(g, sorted, e, re, v, u, gamma, depth, reads, done)
 	}
 
 	heavy, light, err := re.Heavy(v)
@@ -749,6 +848,7 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 	// disconnecting the query; then cross the recursion's results with each
 	// memory chunk of R(e)|v=a.
 	gHeavy := g.Without([]int{e.ID}, append(append([]hypergraph.Attr{}, u...), v))
+	bound := attrMask(re.Schema()...)
 	for _, hgrp := range heavy {
 		a := hgrp.Value
 		sub := sorted.Clone()
@@ -757,10 +857,9 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 			sub[o.ID] = sorted[o.ID].FindRange(v, a)
 		}
 		err := hgrp.Rel.LoadChunks(func(c *relation.Chunk) error {
-			return x.join(gHeavy, sub, depth+1, func() {
-				for _, t := range c.Tuples {
-					x.bindTuple(re.Schema(), t, done)
-				}
+			rows := c.Tuples
+			return x.join(gHeavy, sub, depth+1, reads, func(k int64) {
+				x.extend(rows, re.Schema(), bound, reads, k, done)
 			})
 		})
 		if err != nil {
@@ -771,7 +870,7 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 	// Light values: load whole value groups (≤2M tuples, ≤M distinct
 	// values), semijoin each neighbour down to the chunk's values, keep v in
 	// the query (no disconnection), and match recursion results against the
-	// chunk by v-value.
+	// chunk by v-value. The match reads v, so the recursion must bind it.
 	gLight := g.Without([]int{e.ID}, u)
 	return light.LoadChunksBy(v, func(c *relation.Chunk) error {
 		sub := sorted.Clone()
@@ -783,27 +882,49 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 			}
 			sub[o.ID] = filtered
 		}
-		return x.join(gLight, sub, depth+1, x.matchChunk(c.Tuples, c.Values, c.Starts, v, re.Schema(), done))
+		return x.join(gLight, sub, depth+1, reads|attrMask(v),
+			x.matchChunk(c.Tuples, c.Values, c.Starts, v, u, re.Schema(), reads, done))
 	})
 }
 
 // matchChunk returns the callback that extends each recursion result with
 // the rows of chunk whose v-value it bound. The chunk is sorted by v, with
 // distinct values vals and group offsets starts (see relation.GroupRows), so
-// the matching rows are found by a binary search over the values. A dry run
-// enumerates nothing and gets a no-op. It must not be handed done instead:
-// the zero-edge base case calls its callback directly, and done would count
-// a result.
+// the matching rows are found by a binary search over the values, skipped
+// when the value repeats the previous probe's. The rows bind the leaf's
+// unique attributes u (v is bound already). A dry run enumerates nothing and
+// gets a no-op. It must not be handed done instead: the zero-edge base case
+// calls its callback directly, and done would count a result.
 func (x *executor) matchChunk(chunk []tuple.Tuple, vals []int64, starts []int, v hypergraph.Attr,
-	schema tuple.Schema, done func()) func() {
+	u []hypergraph.Attr, schema tuple.Schema, reads uint64, done func(int64)) func(int64) {
 	if x.dry {
-		return func() {}
+		return func(int64) {}
 	}
-	return func() {
-		for _, t := range relation.GroupRows(chunk, vals, starts, x.asg.Get(v)) {
-			x.bindTuple(schema, t, done)
-		}
+	m := &chunkMatch{x: x, chunk: chunk, vals: vals, starts: starts, v: v, schema: schema,
+		bound: attrMask(u...), reads: reads, done: done, last: tuple.Unset}
+	return m.match
+}
+
+// chunkMatch is the state of one matchChunk callback: its arguments and the
+// previous probe's value and group.
+type chunkMatch struct {
+	x            *executor
+	chunk        []tuple.Tuple
+	vals         []int64
+	starts       []int
+	v            hypergraph.Attr
+	schema       tuple.Schema
+	bound, reads uint64
+	done         func(int64)
+	last         int64
+	rows         []tuple.Tuple
+}
+
+func (m *chunkMatch) match(k int64) {
+	if a := m.x.asg.Get(m.v); a != m.last {
+		m.last, m.rows = a, relation.GroupRows(m.chunk, m.vals, m.starts, a)
 	}
+	m.x.extend(m.rows, m.schema, m.bound, m.reads, k, m.done)
 }
 
 // peelLeafUnsplit is the DisableHeavySplit ablation: the whole sorted leaf
@@ -813,7 +934,7 @@ func (x *executor) matchChunk(chunk []tuple.Tuple, vals []int64, starts []int, v
 // zero-copy views once per value.
 func (x *executor) peelLeafUnsplit(g *hypergraph.Graph, sorted relation.Instance,
 	e *hypergraph.Edge, re *relation.Relation, v hypergraph.Attr,
-	u []hypergraph.Attr, gamma []*hypergraph.Edge, depth int, done func()) error {
+	u []hypergraph.Attr, gamma []*hypergraph.Edge, depth int, reads uint64, done func(int64)) error {
 	gLight := g.Without([]int{e.ID}, u)
 	vCol := re.Col(v)
 	var vals []int64
@@ -837,6 +958,7 @@ func (x *executor) peelLeafUnsplit(g *hypergraph.Graph, sorted relation.Instance
 			}
 			sub[o.ID] = filtered
 		}
-		return x.join(gLight, sub, depth+1, x.matchChunk(c.Tuples, vals, starts, v, re.Schema(), done))
+		return x.join(gLight, sub, depth+1, reads|attrMask(v),
+			x.matchChunk(c.Tuples, vals, starts, v, u, re.Schema(), reads, done))
 	})
 }

@@ -436,3 +436,29 @@ func TestLollipopAndDumbbellCorrectness(t *testing.T) {
 		eqStrings(t, got, want, g.String())
 	}
 }
+
+// A query whose attribute IDs do not fit a 64-bit mask counts by
+// enumerating every result; the count and the charges must still match an
+// emitting run and the oracle.
+func TestCountOnlyWideQuery(t *testing.T) {
+	g := hypergraph.MustNew([]*hypergraph.Edge{
+		{ID: 0, Name: "R1", Attrs: []hypergraph.Attr{70, 71}},
+		{ID: 1, Name: "R2", Attrs: []hypergraph.Attr{71, 72}},
+		{ID: 2, Name: "R3", Attrs: []hypergraph.Attr{71, 73}},
+		{ID: 3, Name: "R4", Attrs: []hypergraph.Attr{73, 74}},
+	})
+	for _, opts := range []Options{{}, {Strategy: StrategyFirst, DisableHeavySplit: true}} {
+		d := disk(6, 2) // small enough for heavy values
+		in := randCoreInstance(d, rand.New(rand.NewSource(64)), g, 30, 3)
+		got, ref := collect(t, g, in, opts)
+		eqStrings(t, got, oracle(t, g, in), "emitting run")
+		cnt, err := Run(g, in, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnt.Emitted != int64(len(got)) || cnt.ExecStats != ref.ExecStats {
+			t.Fatalf("%+v: count-only run: %d results, exec %+v; emitting run: %d, exec %+v",
+				opts, cnt.Emitted, cnt.ExecStats, len(got), ref.ExecStats)
+		}
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"runtime"
 	"testing"
 
+	"acyclicjoin/internal/count"
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/hypergraph"
+	"acyclicjoin/internal/reducer"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
 )
@@ -74,6 +76,89 @@ func FuzzPruneOracle(f *testing.F) {
 		}
 		if ref.Prune.Pruned != 0 {
 			t.Fatalf("NoPrune arm pruned %d branches", ref.Prune.Pruned)
+		}
+	})
+}
+
+// FuzzCountOracle is the differential oracle for count-only runs: a
+// fuzz-chosen acyclic query and instance, run with a nil emit under a
+// fuzz-chosen strategy, heavy split on or off, reduced or unreduced input and
+// memory size, must count exactly the results the emitting run delivers and
+// the enumeration oracle (internal/count) finds, and must leave every other
+// figure identical to the emitting run: ExecStats, TotalStats, Policy, Prune,
+// Branches and the disk's final Stats. Counting skips only enumeration, which
+// touches no disk.
+func FuzzCountOracle(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(0))
+	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(0x13))
+	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(0x2a))
+	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(0x07))
+	f.Add(uint8(0), uint8(1), uint8(31), uint8(0), uint8(0x1c))
+	f.Fuzz(func(t *testing.T, shape, size, rows, dom, bits uint8) {
+		var g *hypergraph.Graph
+		switch shape % 4 {
+		case 0:
+			g = hypergraph.Line(2 + int(size)%4)
+		case 1:
+			g = hypergraph.StarQuery(2 + int(size)%3)
+		case 2:
+			g = hypergraph.Lollipop(2 + int(size)%2)
+		case 3:
+			g = hypergraph.Dumbbell(2, 4+int(size)%2)
+		}
+		opts := Options{
+			Strategy:          Strategy(bits % 4),
+			DisableHeavySplit: bits&4 != 0,
+			AssumeReduced:     bits&8 != 0,
+		}
+		// Small memories make the few-valued columns heavy.
+		cfg := extmem.Config{M: []int{6, 12, 64}[int(bits>>4)%3], B: 2}
+		seed := int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)
+		raw := func(d *extmem.Disk) relation.Instance {
+			return randCoreInstance(d, rand.New(rand.NewSource(seed)), g, 5+int(rows)%28, 2+int(dom)%3)
+		}
+		run := func(emit Emit) (*Result, extmem.Stats, error) {
+			d := extmem.NewDisk(cfg)
+			in := raw(d)
+			if opts.AssumeReduced {
+				red, err := reducer.FullReduce(g, in)
+				if err != nil {
+					t.Fatalf("reduce: %v", err)
+				}
+				in = red
+			}
+			goroutines := runtime.NumGoroutine()
+			r, err := Run(g, in, emit, opts)
+			assertNoLeaks(goroutines, fmt.Sprintf("opts=%+v err=%v", opts, err))
+			return r, d.Stats(), err
+		}
+		var emitted int64
+		ref, refStats, refErr := run(func(tuple.Assignment) { emitted++ })
+		cnt, cntStats, cntErr := run(nil)
+		if (refErr == nil) != (cntErr == nil) {
+			t.Fatalf("errors diverge: emitting %v, count-only %v", refErr, cntErr)
+		}
+		if refErr != nil {
+			if refErr.Error() != cntErr.Error() {
+				t.Fatalf("error text diverges: %q vs %q", refErr, cntErr)
+			}
+			return
+		}
+		want, err := count.FullJoinSize(g, raw(extmem.NewDisk(cfg)))
+		if err != nil {
+			t.Fatalf("oracle: %v", err)
+		}
+		if ref.Emitted != emitted || emitted != want || cnt.Emitted != want {
+			t.Fatalf("counts diverge: count-only %d, emitting %d (delivered %d), oracle %d",
+				cnt.Emitted, ref.Emitted, emitted, want)
+		}
+		if cnt.ExecStats != ref.ExecStats || cnt.TotalStats != ref.TotalStats || cntStats != refStats {
+			t.Fatalf("stats diverge: exec %+v/%+v total %+v/%+v disk %+v/%+v",
+				cnt.ExecStats, ref.ExecStats, cnt.TotalStats, ref.TotalStats, cntStats, refStats)
+		}
+		if !reflect.DeepEqual(cnt.Policy, ref.Policy) || cnt.Prune != ref.Prune || cnt.Branches != ref.Branches {
+			t.Fatalf("plan diverges: policy %v/%v prune %+v/%+v branches %d/%d",
+				cnt.Policy, ref.Policy, cnt.Prune, ref.Prune, cnt.Branches, ref.Branches)
 		}
 	})
 }

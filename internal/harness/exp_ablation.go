@@ -74,7 +74,7 @@ func runE19(p Params) (*Table, error) {
 			},
 			alg: "Algorithm 2 (greedy)",
 			run: func(g *hypergraph.Graph, in relation.Instance) error {
-				_, err := core.Run(g, in, func(tuple.Assignment) {},
+				_, err := core.Run(g, in, nil,
 					core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 				return err
 			},
@@ -97,7 +97,7 @@ func runE19(p Params) (*Table, error) {
 				if err != nil {
 					return err
 				}
-				_, err = core.Run(g, red, func(tuple.Assignment) {},
+				_, err = core.Run(g, red, nil,
 					core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 				return err
 			},
@@ -182,14 +182,14 @@ func runE20(p Params) (*Table, error) {
 			d := newDisk(p)
 			g, in := build(d)
 			d.ResetStats()
-			var res int64
-			r, err := core.Run(g, in, countEmit(&res), core.Options{
+			r, err := core.Run(g, in, nil, core.Options{
 				Strategy:          core.StrategySmallest,
 				DisableHeavySplit: variant.disable,
 			})
 			if err != nil {
 				return nil, err
 			}
+			res := r.Emitted
 			if variant.disable && res != base {
 				return nil, fmt.Errorf("E20: ablation changed results: %d vs %d", res, base)
 			}
@@ -272,20 +272,19 @@ func runE22(p Params) (*Table, error) {
 				}
 				work = red
 			}
-			var res int64
-			r, err := core.Run(g, work, countEmit(&res), core.Options{
+			r, err := core.Run(g, work, nil, core.Options{
 				Strategy:      core.StrategySmallest,
 				AssumeReduced: variant.reduce,
 			})
 			if err != nil {
 				return nil, err
 			}
+			res := r.Emitted
 			if want >= 0 && res != want {
 				return nil, fmt.Errorf("E22: reduction changed results: %d vs %d", res, want)
 			}
 			want = res
 			total := d.Stats().IOs()
-			_ = r
 			t.AddRow(fmt.Sprintf("%d%%", danglePct), variant.name, total, res)
 		}
 	}

@@ -265,13 +265,13 @@ func runE4(p Params) (*Table, error) {
 
 		d2 := newDisk(p)
 		g2, in2 := workload.Line3WorstCase(d2, n, n)
-		var res2 int64
 		// NoPrune pinned: the "incl. planning" row below reports the paper's
 		// full Σ-branches round-robin accounting, which pruning would shrink.
-		r, err := core.Run(g2, in2, countEmit(&res2), core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: true})
+		r, err := core.Run(g2, in2, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: true})
 		if err != nil {
 			return nil, err
 		}
+		res2 := r.Emitted
 		if res2 != res {
 			return nil, fmt.Errorf("E4: Alg2 emitted %d, Alg1 %d", res2, res)
 		}

@@ -100,8 +100,7 @@ func runE5(p Params) (*Table, error) {
 		f1 := lin + szs[0]*szs[1]*szs[3]/(mm*mm*float64(mp.B))
 		f2 := lin + szs[0]*szs[2]*szs[3]/(mm*mm*float64(mp.B))
 		bound := math.Min(f1, f2)
-		var res int64
-		r, err := core.Run(g, in, countEmit(&res), core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 		if err != nil {
 			return nil, err
 		}
@@ -147,12 +146,11 @@ func runE6(p Params) (*Table, error) {
 			lin += s
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		var res int64
-		r, err := core.Run(g, in, countEmit(&res), core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%.0f each", sizes[0]), r.ExecStats.IOs(), bound, Ratio(r.ExecStats.IOs(), bound), res)
+		t.AddRow(fmt.Sprintf("%.0f each", sizes[0]), r.ExecStats.IOs(), bound, Ratio(r.ExecStats.IOs(), bound), r.Emitted)
 	}
 	// Theorem 6: even line via the z_{k+1}=1 split construction. An L6
 	// split at k=3 gets domains (8,8,8,1,8,8,8): two balanced L3 halves
@@ -176,12 +174,11 @@ func runE6(p Params) (*Table, error) {
 			return nil, err
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		var res int64
-		r, err := core.Run(g, in, countEmit(&res), core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow("L6 split (Thm 6)", r.ExecStats.IOs(), bound, Ratio(r.ExecStats.IOs(), bound), res)
+		t.AddRow("L6 split (Thm 6)", r.ExecStats.IOs(), bound, Ratio(r.ExecStats.IOs(), bound), r.Emitted)
 	}
 	t.Notes = append(t.Notes,
 		"bound = min over GenS branches of max_S Psi_wc(S) (Theorem 3) plus the suppressed linear term ΣN/B, on realized sizes",
@@ -244,11 +241,11 @@ func runE7(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res2 int64
-	r, err := core.Run(g2, in2, countEmit(&res2), core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
+	r, err := core.Run(g2, in2, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 	if err != nil {
 		return nil, err
 	}
+	res2 := r.Emitted
 	if res2 != res4 {
 		return nil, fmt.Errorf("E7: result mismatch %d vs %d", res2, res4)
 	}
@@ -305,13 +302,13 @@ func runE8(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res2 int64
 	// One greedy branch: the exhaustive planner would replay the ~1M-result
 	// output once per branch, which this comparison does not need.
-	r, err := core.Run(g2, in2, countEmit(&res2), core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+	r, err := core.Run(g2, in2, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 	if err != nil {
 		return nil, err
 	}
+	res2 := r.Emitted
 	if res2 != res5 {
 		return nil, fmt.Errorf("E8: result mismatch %d vs %d", res2, res5)
 	}

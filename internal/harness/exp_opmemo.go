@@ -68,8 +68,7 @@ func runMemoArm(p Params, w int, arm memoArm) (extmem.Stats, int64, opcache.Stat
 	g, in := memoWorkloads[w].build(p, d, rng)
 	restore()
 	d.ResetStats()
-	var n int64
-	_, err := core.Run(g, in, countEmit(&n), core.Options{
+	r, err := core.Run(g, in, nil, core.Options{
 		Strategy:   core.StrategyExhaustive,
 		Memo:       arm.mode,
 		MemoLimits: arm.limits,
@@ -78,6 +77,10 @@ func runMemoArm(p Params, w int, arm memoArm) (extmem.Stats, int64, opcache.Stat
 		// stays exact.
 		NoPrune: true,
 	})
+	var n int64
+	if err == nil {
+		n = r.Emitted
+	}
 	var cs opcache.Stats
 	if m := opcache.Of(d); m != nil {
 		cs = m.Stats()

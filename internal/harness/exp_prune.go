@@ -29,11 +29,14 @@ func runPruneArm(p Params, w int, noPrune bool) (*core.Result, extmem.Stats, int
 	g, in := memoWorkloads[w].build(p, d, rng)
 	restore()
 	d.ResetStats()
-	var n int64
-	r, err := core.Run(g, in, countEmit(&n), core.Options{
+	r, err := core.Run(g, in, nil, core.Options{
 		Strategy: core.StrategyExhaustive,
 		NoPrune:  noPrune,
 	})
+	var n int64
+	if err == nil {
+		n = r.Emitted
+	}
 	return r, d.Stats(), n, err
 }
 

@@ -59,11 +59,11 @@ func runE10(p Params) (*Table, error) {
 			bound += float64(k*n) / float64(p.B) // suppressed linear term
 			d := newDisk(p)
 			g, in := workload.StarWorstCase(d, petals)
-			var res int64
-			r, err := core.Run(g, in, countEmit(&res), core.Options{Strategy: core.StrategyFirst, AssumeReduced: true})
+			r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyFirst, AssumeReduced: true})
 			if err != nil {
 				return nil, err
 			}
+			res := r.Emitted
 			wantRes := int64(1)
 			for _, pn := range petals {
 				wantRes *= int64(pn)
@@ -112,8 +112,7 @@ func runE11(p Params) (*Table, error) {
 		}
 		bound := math.Pow(float64(n)/float64(p.M), float64(c))*float64(p.M)/float64(p.B) +
 			float64(in.TotalSize(qc.g))/float64(p.B)
-		var res int64
-		r, err := core.Run(qc.g, in, countEmit(&res), core.Options{Strategy: core.StrategyFirst, AssumeReduced: true})
+		r, err := core.Run(qc.g, in, nil, core.Options{Strategy: core.StrategyFirst, AssumeReduced: true})
 		if err != nil {
 			return nil, err
 		}
@@ -175,12 +174,11 @@ func runE12(p Params) (*Table, error) {
 			lin += s
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		var res int64
-		r, err := core.Run(g, in, countEmit(&res), core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(regime, r.ExecStats.IOs(), bound, Ratio(r.ExecStats.IOs(), bound), res)
+		t.AddRow(regime, r.ExecStats.IOs(), bound, Ratio(r.ExecStats.IOs(), bound), r.Emitted)
 	}
 	t.Notes = append(t.Notes,
 		"Section 7.2 peels the star with the larger core last; the exhaustive strategy finds that branch automatically")
@@ -240,12 +238,11 @@ func runE13(p Params) (*Table, error) {
 			lin += s
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		var res int64
-		r, err := core.Run(g, in, countEmit(&res), core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(balanced, r.ExecStats.IOs(), bound, Ratio(r.ExecStats.IOs(), bound), res)
+		t.AddRow(balanced, r.ExecStats.IOs(), bound, Ratio(r.ExecStats.IOs(), bound), r.Emitted)
 	}
 	t.Notes = append(t.Notes,
 		"under condition (7) Algorithm 2 is optimal (Section 7.3); when broken, the bound may be loose, mirroring the L5 situation")

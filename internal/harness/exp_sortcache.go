@@ -56,8 +56,7 @@ func runSortCacheArm(p Params, w int, cached bool) (extmem.Stats, int64, opcache
 	if !cached {
 		mode = core.MemoOff
 	}
-	var n int64
-	_, err := core.Run(g, in, countEmit(&n), core.Options{
+	r, err := core.Run(g, in, nil, core.Options{
 		Strategy: core.StrategyExhaustive,
 		Memo:     mode,
 		// The A/B claim compares full Stats (reads/writes split included)
@@ -67,6 +66,10 @@ func runSortCacheArm(p Params, w int, cached bool) (extmem.Stats, int64, opcache
 		// either way). E25 covers the pruned side.
 		NoPrune: true,
 	})
+	var n int64
+	if err == nil {
+		n = r.Emitted
+	}
 	var cs opcache.Stats
 	if m := opcache.Of(d); m != nil {
 		cs = m.Stats()

@@ -265,8 +265,10 @@ type GreedyScore = core.GreedyScore
 // Row map passed to emit is freshly allocated per call, so emit may keep or
 // modify it; the Values in it may be shared between rows, which is safe
 // because a Value (an int64 or a string) is immutable. For counting-only
-// runs pass nil and read Result.Count. Equivalent to RunContext with a
-// background context.
+// runs pass nil and read Result.Count: a query that does not go through the
+// line dispatcher is then counted, not enumerated (Algorithm 2 multiplies
+// group sizes wherever no binding is read), with the same Stats, plan and
+// charges. Equivalent to RunContext with a background context.
 func Run(q *Query, inst *Instance, opts Options, emit func(Row)) (*Result, error) {
 	return RunContext(context.Background(), q, inst, opts, emit)
 }
@@ -278,7 +280,8 @@ func Run(q *Query, inst *Instance, opts Options, emit func(Row)) (*Result, error
 // (ErrFault), a device failure (ErrDevice, ErrNoSpace, ErrCorruption), or a
 // leaked charge budget (ErrBudget) — the returned *Result
 // is non-nil alongside the error, carrying partial telemetry: rows emitted
-// so far, I/Os charged so far, and Result.Faults. Check the error before
+// so far (a count-only Algorithm 2 run counts at the end, so it reports
+// zero), I/Os charged so far, and Result.Faults. Check the error before
 // trusting any other Result field. RunContext never panics: internal
 // invariant violations surface as errors wrapping ErrInternal.
 func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emit func(Row)) (res *Result, err error) {
@@ -376,7 +379,9 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	// has ID i (QueryBuilder.Relation assigns IDs in attrNames order). For
 	// each attribute it keeps the last code decoded and the boxed Value it
 	// produced: joins repeat the bound prefix from row to row, and those
-	// rows share the immutable Value instead of boxing it again.
+	// rows share the immutable Value instead of boxing it again. Only the
+	// line dispatcher calls it with a nil emit; Algorithm 2 counts those
+	// runs itself (Result.Emitted).
 	names := q.attrNames
 	lastCode := tuple.NewAssignment(len(names))
 	lastVal := make([]Value, len(names))
@@ -419,7 +424,11 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		res.PlanningStats = res.Stats
 		res.Branches = 1
 	} else {
-		r, cerr := core.Run(q.graph, work, coreEmit, copts)
+		var ce core.Emit
+		if emit != nil {
+			ce = coreEmit
+		}
+		r, cerr := core.Run(q.graph, work, ce, copts)
 		if cerr != nil {
 			return abortResult(partial, cerr)
 		}
@@ -437,9 +446,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		execFull := full.Sub(total.Sub(exec))
 		res.Stats = fromExtmem(execFull)
 		res.PlanningStats = fromExtmem(full)
-		if emit == nil {
-			count = r.Emitted
-		}
+		count = r.Emitted
 	}
 	res.Count = count
 	res.Faults = faults()
@@ -471,6 +478,8 @@ func newBackendDisk(cfg extmem.Config, opts Options) (*extmem.Disk, *diskfile.En
 }
 
 // Count evaluates the join and returns only the number of results and stats.
+// It is Run with a nil emit: queries that do not go through the line
+// dispatcher are counted, not enumerated.
 func Count(q *Query, inst *Instance, opts Options) (*Result, error) {
 	return Run(q, inst, opts, nil)
 }
