@@ -26,9 +26,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
@@ -560,18 +561,26 @@ func (o *odometer) snapshot() map[string]int {
 }
 
 // structureKey canonically serializes the subquery hypergraph.
+// Each edge renders as "<id>:<a>.<b>..." into one shared buffer; the parts
+// are sorted and joined by ";". Result.Policy is keyed by these strings, so
+// the format is fixed.
 func structureKey(g *hypergraph.Graph) string {
 	es := g.Edges()
-	parts := make([]string, len(es))
+	var buf []byte
+	parts := make([][]byte, len(es))
 	for i, e := range es {
-		a := make([]string, len(e.Attrs))
+		start := len(buf)
+		buf = append(strconv.AppendInt(buf, int64(e.ID), 10), ':')
 		for j, x := range e.Attrs {
-			a[j] = fmt.Sprint(x)
+			if j > 0 {
+				buf = append(buf, '.')
+			}
+			buf = strconv.AppendInt(buf, int64(x), 10)
 		}
-		parts[i] = fmt.Sprintf("%d:%s", e.ID, strings.Join(a, "."))
+		parts[i] = buf[start:len(buf):len(buf)]
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
+	slices.SortFunc(parts, bytes.Compare)
+	return string(bytes.Join(parts, []byte{';'}))
 }
 
 // executor runs one branch of Algorithm 2.

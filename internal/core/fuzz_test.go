@@ -17,6 +17,44 @@ import (
 	"acyclicjoin/internal/tuple"
 )
 
+// fuzzInstance decodes the fuzz inputs shared by this file's oracles into one
+// of four acyclic query shapes (line, star, lollipop, dumbbell) and a builder
+// of a small random instance over it, seeded by all four inputs. The
+// checked-in corpora depend on this decoding: change it and they no longer
+// reach the same instances.
+func fuzzInstance(shape, size, rows, dom uint8) (*hypergraph.Graph, builder) {
+	var g *hypergraph.Graph
+	switch shape % 4 {
+	case 0:
+		g = hypergraph.Line(2 + int(size)%4)
+	case 1:
+		g = hypergraph.StarQuery(2 + int(size)%3)
+	case 2:
+		g = hypergraph.Lollipop(2 + int(size)%2)
+	case 3:
+		g = hypergraph.Dumbbell(2, 4+int(size)%2)
+	}
+	seed := int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)
+	return g, func(d *extmem.Disk) (*hypergraph.Graph, relation.Instance) {
+		return g, randCoreInstance(d, rand.New(rand.NewSource(seed)), g, 5+int(rows)%28, 2+int(dom)%3)
+	}
+}
+
+// samePinned fails t unless got reproduces ref's pinned fields: the emitted
+// rows in emission order, Emitted, ExecStats and the winning Policy.
+func samePinned(t *testing.T, arm string, ref *Result, refRows []string, got *Result, gotRows []string) {
+	t.Helper()
+	switch {
+	case !reflect.DeepEqual(gotRows, refRows):
+		t.Fatalf("%s rows diverge: %d vs %d", arm, len(gotRows), len(refRows))
+	case got.Emitted != ref.Emitted || got.ExecStats != ref.ExecStats:
+		t.Fatalf("%s exec diverges: emitted %d/%d stats %+v/%+v",
+			arm, got.Emitted, ref.Emitted, got.ExecStats, ref.ExecStats)
+	case !reflect.DeepEqual(got.Policy, ref.Policy):
+		t.Fatalf("%s policy diverges: %v vs %v", arm, got.Policy, ref.Policy)
+	}
+}
+
 // FuzzPruneOracle is the differential oracle for branch-and-bound pruning:
 // a fuzz-chosen acyclic query and instance run under the exhaustive strategy
 // with pruning on must reproduce the unpruned run's pinned fields exactly —
@@ -31,21 +69,7 @@ func FuzzPruneOracle(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(12), uint8(0))
 	f.Add(uint8(3), uint8(0), uint8(30), uint8(1))
 	f.Fuzz(func(t *testing.T, shape, size, rows, dom uint8) {
-		var g *hypergraph.Graph
-		switch shape % 4 {
-		case 0:
-			g = hypergraph.Line(2 + int(size)%4)
-		case 1:
-			g = hypergraph.StarQuery(2 + int(size)%3)
-		case 2:
-			g = hypergraph.Lollipop(2 + int(size)%2)
-		case 3:
-			g = hypergraph.Dumbbell(2, 4+int(size)%2)
-		}
-		build := func(d *extmem.Disk) (*hypergraph.Graph, relation.Instance) {
-			rng := rand.New(rand.NewSource(int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)))
-			return g, randCoreInstance(d, rng, g, 5+int(rows)%28, 2+int(dom)%3)
-		}
+		_, build := fuzzInstance(shape, size, rows, dom)
 		ref, refRows, _, refErr := engineRunOpts(build,
 			Options{Strategy: StrategyExhaustive, NoPrune: true})
 		pr, prRows, _, prErr := engineRunOpts(build, Options{Strategy: StrategyExhaustive})
@@ -58,16 +82,7 @@ func FuzzPruneOracle(f *testing.F) {
 			}
 			return
 		}
-		if !reflect.DeepEqual(prRows, refRows) {
-			t.Fatalf("emitted rows diverge: %d pruned vs %d unpruned", len(prRows), len(refRows))
-		}
-		if pr.Emitted != ref.Emitted || pr.ExecStats != ref.ExecStats {
-			t.Fatalf("exec diverges: emitted %d/%d stats %+v/%+v",
-				pr.Emitted, ref.Emitted, pr.ExecStats, ref.ExecStats)
-		}
-		if !reflect.DeepEqual(pr.Policy, ref.Policy) {
-			t.Fatalf("winning policy diverges: %v vs %v", pr.Policy, ref.Policy)
-		}
+		samePinned(t, "pruned arm", ref, refRows, pr, prRows)
 		if pr.ClampedChoices != 0 || ref.ClampedChoices != 0 {
 			t.Fatalf("chooser clamp fired: pruned %d, unpruned %d", pr.ClampedChoices, ref.ClampedChoices)
 		}
@@ -95,17 +110,7 @@ func FuzzCountOracle(f *testing.F) {
 	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(0x07))
 	f.Add(uint8(0), uint8(1), uint8(31), uint8(0), uint8(0x1c))
 	f.Fuzz(func(t *testing.T, shape, size, rows, dom, bits uint8) {
-		var g *hypergraph.Graph
-		switch shape % 4 {
-		case 0:
-			g = hypergraph.Line(2 + int(size)%4)
-		case 1:
-			g = hypergraph.StarQuery(2 + int(size)%3)
-		case 2:
-			g = hypergraph.Lollipop(2 + int(size)%2)
-		case 3:
-			g = hypergraph.Dumbbell(2, 4+int(size)%2)
-		}
+		g, build := fuzzInstance(shape, size, rows, dom)
 		opts := Options{
 			Strategy:          Strategy(bits % 4),
 			DisableHeavySplit: bits&4 != 0,
@@ -113,9 +118,9 @@ func FuzzCountOracle(f *testing.F) {
 		}
 		// Small memories make the few-valued columns heavy.
 		cfg := extmem.Config{M: []int{6, 12, 64}[int(bits>>4)%3], B: 2}
-		seed := int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)
 		raw := func(d *extmem.Disk) relation.Instance {
-			return randCoreInstance(d, rand.New(rand.NewSource(seed)), g, 5+int(rows)%28, 2+int(dom)%3)
+			_, in := build(d)
+			return in
 		}
 		run := func(emit Emit) (*Result, extmem.Stats, error) {
 			d := extmem.NewDisk(cfg)
@@ -180,21 +185,7 @@ func FuzzFaultOracle(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(120), uint8(0), uint8(33))
 	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(200), uint8(1), uint8(90))
 	f.Fuzz(func(t *testing.T, shape, size, rows, dom, rate, memoOff, permAt uint8) {
-		var g *hypergraph.Graph
-		switch shape % 4 {
-		case 0:
-			g = hypergraph.Line(2 + int(size)%4)
-		case 1:
-			g = hypergraph.StarQuery(2 + int(size)%3)
-		case 2:
-			g = hypergraph.Lollipop(2 + int(size)%2)
-		case 3:
-			g = hypergraph.Dumbbell(2, 4+int(size)%2)
-		}
-		build := func(d *extmem.Disk) (*hypergraph.Graph, relation.Instance) {
-			rng := rand.New(rand.NewSource(int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)))
-			return g, randCoreInstance(d, rng, g, 5+int(rows)%28, 2+int(dom)%3)
-		}
+		_, build := fuzzInstance(shape, size, rows, dom)
 		opts := Options{Strategy: StrategyExhaustive}
 		if memoOff%2 == 1 {
 			opts.Memo = MemoOff
@@ -218,16 +209,7 @@ func FuzzFaultOracle(f *testing.F) {
 				t.Fatalf("transient arm failed untyped: %v", frErr)
 			}
 		} else {
-			if !reflect.DeepEqual(frRows, refRows) {
-				t.Fatalf("transient arm rows diverge: %d vs %d", len(frRows), len(refRows))
-			}
-			if fr.Emitted != ref.Emitted || fr.ExecStats != ref.ExecStats {
-				t.Fatalf("transient arm exec diverges: emitted %d/%d stats %+v/%+v",
-					fr.Emitted, ref.Emitted, fr.ExecStats, ref.ExecStats)
-			}
-			if !reflect.DeepEqual(fr.Policy, ref.Policy) {
-				t.Fatalf("transient arm policy diverges: %v vs %v", fr.Policy, ref.Policy)
-			}
+			samePinned(t, "transient arm", ref, refRows, fr, frRows)
 		}
 
 		// Permanent arm: a fault the schedule guarantees to hit must always
@@ -272,13 +254,7 @@ func deviceArm(t *testing.T, build builder, opts Options, ref *Result, refRows [
 		rows  []string
 		stats extmem.Stats
 	}{{"file", file, fileRows, fileStats}, {"device", dev, devRows, devStats}} {
-		if !reflect.DeepEqual(arm.rows, refRows) {
-			t.Fatalf("%s arm rows diverge: %d vs %d", arm.name, len(arm.rows), len(refRows))
-		}
-		if arm.r.ExecStats != ref.ExecStats || !reflect.DeepEqual(arm.r.Policy, ref.Policy) {
-			t.Fatalf("%s arm diverges: exec %+v/%+v policy %v/%v",
-				arm.name, arm.r.ExecStats, ref.ExecStats, arm.r.Policy, ref.Policy)
-		}
+		samePinned(t, arm.name+" arm", ref, refRows, arm.r, arm.rows)
 		if arm.stats != refStats {
 			t.Fatalf("%s arm disk stats diverge: %+v vs %+v", arm.name, arm.stats, refStats)
 		}
@@ -364,21 +340,7 @@ func FuzzBackendOracle(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(0))
 	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, shape, size, rows, dom, memoOff uint8) {
-		var g *hypergraph.Graph
-		switch shape % 4 {
-		case 0:
-			g = hypergraph.Line(2 + int(size)%4)
-		case 1:
-			g = hypergraph.StarQuery(2 + int(size)%3)
-		case 2:
-			g = hypergraph.Lollipop(2 + int(size)%2)
-		case 3:
-			g = hypergraph.Dumbbell(2, 4+int(size)%2)
-		}
-		build := func(d *extmem.Disk) (*hypergraph.Graph, relation.Instance) {
-			rng := rand.New(rand.NewSource(int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)))
-			return g, randCoreInstance(d, rng, g, 5+int(rows)%28, 2+int(dom)%3)
-		}
+		_, build := fuzzInstance(shape, size, rows, dom)
 		opts := Options{Strategy: StrategyExhaustive, NoPrune: true}
 		if memoOff%2 == 1 {
 			opts.Memo = MemoOff
@@ -394,15 +356,9 @@ func FuzzBackendOracle(f *testing.F) {
 			}
 			return
 		}
-		if !reflect.DeepEqual(fbRows, refRows) {
-			t.Fatalf("emitted rows diverge: %d file vs %d sim", len(fbRows), len(refRows))
-		}
-		if fb.Emitted != ref.Emitted || fb.ExecStats != ref.ExecStats || fb.TotalStats != ref.TotalStats {
-			t.Fatalf("result stats diverge: emitted %d/%d exec %+v/%+v total %+v/%+v",
-				fb.Emitted, ref.Emitted, fb.ExecStats, ref.ExecStats, fb.TotalStats, ref.TotalStats)
-		}
-		if !reflect.DeepEqual(fb.Policy, ref.Policy) {
-			t.Fatalf("winning policy diverges: %v vs %v", fb.Policy, ref.Policy)
+		samePinned(t, "file arm", ref, refRows, fb, fbRows)
+		if fb.TotalStats != ref.TotalStats {
+			t.Fatalf("total stats diverge: file %+v vs sim %+v", fb.TotalStats, ref.TotalStats)
 		}
 		if fbStats != refStats {
 			t.Fatalf("final disk stats diverge: file %+v vs sim %+v", fbStats, refStats)
@@ -426,16 +382,7 @@ func FuzzBackendOracle(f *testing.F) {
 				t.Fatalf("file transient arm failed untyped: %v", ftErr)
 			}
 		} else {
-			if !reflect.DeepEqual(ftRows, refRows) {
-				t.Fatalf("file transient arm rows diverge: %d vs %d", len(ftRows), len(refRows))
-			}
-			if ft.Emitted != ref.Emitted || ft.ExecStats != ref.ExecStats {
-				t.Fatalf("file transient arm exec diverges: emitted %d/%d stats %+v/%+v",
-					ft.Emitted, ref.Emitted, ft.ExecStats, ref.ExecStats)
-			}
-			if !reflect.DeepEqual(ft.Policy, ref.Policy) {
-				t.Fatalf("file transient arm policy diverges: %v vs %v", ft.Policy, ref.Policy)
-			}
+			samePinned(t, "file transient arm", ref, refRows, ft, ftRows)
 		}
 
 		// Permanent arm: a guaranteed trigger must fail typed, and the engine

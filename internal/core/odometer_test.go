@@ -99,3 +99,20 @@ func TestStructureKeyStable(t *testing.T) {
 		t.Fatal("different structures share a key")
 	}
 }
+
+// Result.Policy is keyed by structureKey, so its format is pinned literally:
+// one "<id>:<attr>.<attr>..." part per edge, sorted as strings (edge 10
+// before edge 1) and joined by ";".
+func TestStructureKeyLiteral(t *testing.T) {
+	for _, c := range []struct {
+		g    *hypergraph.Graph
+		want string
+	}{
+		{hypergraph.Line(11), "0:0.1;10:10.11;1:1.2;2:2.3;3:3.4;4:4.5;5:5.6;6:6.7;7:7.8;8:8.9;9:9.10"},
+		{hypergraph.StarQuery(3), "0:0.1.2;1:0.3;2:1.4;3:2.5"},
+	} {
+		if got := structureKey(c.g); got != c.want {
+			t.Errorf("structureKey = %q, want %q", got, c.want)
+		}
+	}
+}

@@ -3,12 +3,8 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 
-	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/tuple"
 )
 
 func init() {
@@ -20,38 +16,19 @@ func init() {
 	})
 }
 
-// chaosRates is the sweep grid: every transient fault rate must reproduce
-// the fault-free run bit for bit.
+// chaosRates is the sweep grid of E26 and E30: every transient fault rate
+// must reproduce the fault-free run bit for bit.
 var chaosRates = []float64{0.02, 0.05, 0.2}
 
-// chaosArm is one evaluation of memo workload w under plan (nil = fault
-// free). It returns the core Result, the run's emitted-row fingerprint (an
-// order-sensitive FNV hash of every emitted assignment), the row count, the
-// disk's fault telemetry, and the error. The plan is armed after the
-// instance is loaded, so loading never faults.
-func chaosArm(p Params, w int, plan *extmem.FaultPlan) (*core.Result, uint64, int64, extmem.FaultStats, error) {
-	d := newDisk(p)
-	rng := rand.New(rand.NewSource(p.Seed + int64(w)))
-	restore := d.Suspend()
-	g, in := memoWorkloads[w].build(p, d, rng)
-	restore()
-	d.ResetStats()
-	d.SetFaultPlan(plan)
-	var n int64
-	h := fnv.New64a()
-	r, err := core.Run(g, in, func(a tuple.Assignment) {
-		n++
-		fmt.Fprint(h, a.String())
-	}, core.Options{Strategy: core.StrategyExhaustive})
-	return r, h.Sum64(), n, d.FaultStats(), err
-}
+// chaosPins are the published figures a fault sweep must reproduce: emitted
+// rows and their order, the winning branch's execution stats, and the
+// winning policy.
+const chaosPins = pinCount | pinOrdered | pinExec | pinPolicy
 
-// runE26 sweeps transient fault rates on the first two memo workloads,
-// asserting the chaos contract: every transient fault is retried until the
-// run's published figures — emitted rows and their order (fingerprinted),
-// the winning branch's execution stats, and the winning policy — are
-// bit-identical to the fault-free run, while a permanent fault and a
-// mid-run cancellation each abort with a typed error and an intact disk.
+// runE26 sweeps model-layer transient fault rates on the first two memo
+// workloads: every transient fault is retried until the published figures
+// match the fault-free run, while a permanent fault and a mid-run
+// cancellation each abort with a typed error and an intact disk.
 func runE26(p Params) (*Table, error) {
 	p = p.WithDefaults()
 	t := &Table{
@@ -59,45 +36,34 @@ func runE26(p Params) (*Table, error) {
 		Header: []string{"workload", "arm", "rows", "exec IOs",
 			"identical", "transient", "boundary retries", "backoff IOs"},
 	}
-	nw := 2
-	if nw > len(memoWorkloads) {
-		nw = len(memoWorkloads)
-	}
-	for w := 0; w < nw; w++ {
-		name := memoWorkloads[w].name
-		base, baseHash, baseRows, _, err := chaosArm(p, w, nil)
+	for w, wl := range memoWorkloads[:2] {
+		base, err := runArm(p, w, arm{emit: true})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, "fault-free", baseRows, base.ExecStats.IOs(), "baseline", "-", "-", "-")
+		t.AddRow(wl.name, "fault-free", base.rows, base.res.ExecStats.IOs(), "baseline", "-", "-", "-")
 		for _, rate := range chaosRates {
 			plan := &extmem.FaultPlan{Seed: p.Seed + 101, Rate: rate, MaxAttempts: 1 << 20}
-			r, hash, rows, fs, err := chaosArm(p, w, plan)
+			r, err := runAgainst(p, w, arm{emit: true, plan: plan}, base, chaosPins)
 			if err != nil {
-				return nil, fmt.Errorf("E26 %s rate %v: %w", name, rate, err)
+				return nil, fmt.Errorf("E26 %s rate %v: %w", wl.name, rate, err)
 			}
-			ok := rows == baseRows && hash == baseHash &&
-				r.ExecStats == base.ExecStats &&
-				fmt.Sprint(r.Policy) == fmt.Sprint(base.Policy)
-			if !ok {
-				return nil, fmt.Errorf("E26 %s rate %v: run diverged from fault-free baseline", name, rate)
-			}
-			t.AddRow(name, fmt.Sprintf("transient %.2f", rate), rows, r.ExecStats.IOs(), "yes",
-				fs.Transient, fs.BoundaryRetries, fs.BackoffIOs)
+			t.AddRow(wl.name, fmt.Sprintf("transient %.2f", rate), r.rows, r.res.ExecStats.IOs(), "yes",
+				r.faults.Transient, r.faults.BoundaryRetries, r.faults.BackoffIOs)
 		}
 		// Permanent fault and cancellation mid-run: typed errors.
-		mid := (base.TotalStats.IOs() / 2) + 1
-		_, _, _, pfs, err := chaosArm(p, w, &extmem.FaultPlan{PermanentAt: mid})
+		mid := (base.res.TotalStats.IOs() / 2) + 1
+		perm, err := runArm(p, w, arm{emit: true, plan: &extmem.FaultPlan{PermanentAt: mid}})
 		var fe *extmem.FaultError
 		if !errors.As(err, &fe) || fe.Kind != extmem.FaultPermanent {
-			return nil, fmt.Errorf("E26 %s: permanent fault returned %v, want *FaultError", name, err)
+			return nil, fmt.Errorf("E26 %s: permanent fault returned %v, want *FaultError", wl.name, err)
 		}
-		t.AddRow(name, "permanent", "-", "-", "typed error", "-", "-", fmt.Sprint(pfs.Permanent)+" permanent")
-		_, _, _, _, err = chaosArm(p, w, &extmem.FaultPlan{CancelAt: mid})
+		t.AddRow(wl.name, "permanent", "-", "-", "typed error", "-", "-", fmt.Sprint(perm.faults.Permanent)+" permanent")
+		_, err = runArm(p, w, arm{emit: true, plan: &extmem.FaultPlan{CancelAt: mid}})
 		if !errors.Is(err, extmem.ErrCancelled) {
-			return nil, fmt.Errorf("E26 %s: cancellation returned %v, want ErrCancelled", name, err)
+			return nil, fmt.Errorf("E26 %s: cancellation returned %v, want ErrCancelled", wl.name, err)
 		}
-		t.AddRow(name, "cancel", "-", "-", "typed error", "-", "-", "-")
+		t.AddRow(wl.name, "cancel", "-", "-", "typed error", "-", "-", "-")
 	}
 	t.Notes = append(t.Notes,
 		"identical = emitted rows and order (FNV fingerprint), exec stats, and winning policy match the fault-free baseline (checked, not assumed)",

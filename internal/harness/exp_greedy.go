@@ -2,11 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 
 	"acyclicjoin/internal/core"
-	"acyclicjoin/internal/tuple"
 )
 
 func init() {
@@ -18,39 +15,6 @@ func init() {
 	})
 }
 
-// greedyArm is one strategy's measurement on a memo workload: the core
-// Result, the emitted row count, and an order-insensitive fingerprint of the
-// emitted rows. Rows are fingerprinted rather than collected so the
-// comparison stays O(1) memory at any scale; the fingerprint is a
-// wrap-around sum of per-row FNV-1a hashes, which is insensitive to emission
-// order (the two strategies may interleave chunks differently).
-type greedyArm struct {
-	res  *core.Result
-	rows int64
-	fp   uint64
-}
-
-// runGreedyArm runs one sequential evaluation of memo workload w under the
-// given strategy. Sequential on purpose: both arms are then deterministic,
-// so the E28 table reproduces byte for byte at any harness parallelism.
-func runGreedyArm(p Params, w int, strategy core.Strategy) (greedyArm, error) {
-	d := newDisk(p)
-	rng := rand.New(rand.NewSource(p.Seed + int64(w)))
-	restore := d.Suspend()
-	g, in := memoWorkloads[w].build(p, d, rng)
-	restore()
-	d.ResetStats()
-	var arm greedyArm
-	r, err := core.Run(g, in, func(a tuple.Assignment) {
-		h := fnv.New64a()
-		h.Write([]byte(a.String()))
-		arm.fp += h.Sum64()
-		arm.rows++
-	}, core.Options{Strategy: strategy})
-	arm.res = r
-	return arm, err
-}
-
 // planningIOs is the strategy-agnostic planning overhead of a run: total
 // charged I/Os minus the winning (or only) branch's execution I/Os. For the
 // exhaustive strategy that is the dry-run sweep; for greedy it is the bounded
@@ -59,6 +23,10 @@ func planningIOs(r *core.Result) int64 {
 	return r.TotalStats.IOs() - r.ExecStats.IOs()
 }
 
+// runE28 grades the greedy planner against the exhaustive oracle on every
+// memo workload. Both arms run sequentially, so the table reproduces byte for
+// byte at any harness parallelism. Rows are compared by their order-free
+// fingerprint, since the two strategies may interleave chunks differently.
 func runE28(p Params) (*Table, error) {
 	p = p.WithDefaults()
 	t := &Table{
@@ -66,19 +34,15 @@ func runE28(p Params) (*Table, error) {
 		Header: []string{"workload", "branches", "plan IOs greedy", "plan IOs exh", "plan %",
 			"exec IOs greedy", "exec IOs best", "quality", "rows equal"},
 	}
-	for w := range memoWorkloads {
-		gr, err := runGreedyArm(p, w, core.StrategyGreedy)
+	for w, wl := range memoWorkloads {
+		ex, err := runArm(p, w, arm{emit: true})
 		if err != nil {
-			return nil, fmt.Errorf("E28 %s greedy: %w", memoWorkloads[w].name, err)
-		}
-		ex, err := runGreedyArm(p, w, core.StrategyExhaustive)
-		if err != nil {
-			return nil, fmt.Errorf("E28 %s exhaustive: %w", memoWorkloads[w].name, err)
+			return nil, fmt.Errorf("E28 %s exhaustive: %w", wl.name, err)
 		}
 		// The greedy plan must change only cost, never the answer.
-		if gr.rows != ex.rows || gr.fp != ex.fp {
-			return nil, fmt.Errorf("E28 %s: greedy emitted %d rows (fp %x), exhaustive %d (fp %x)",
-				memoWorkloads[w].name, gr.rows, gr.fp, ex.rows, ex.fp)
+		gr, err := runAgainst(p, w, arm{strategy: core.StrategyGreedy, emit: true}, ex, pinCount|pinSet)
+		if err != nil {
+			return nil, fmt.Errorf("E28 %s greedy: %w", wl.name, err)
 		}
 		planG, planE := planningIOs(gr.res), planningIOs(ex.res)
 		planPct := "-"
@@ -89,7 +53,7 @@ func runE28(p Params) (*Table, error) {
 		if ex.res.ExecStats.IOs() > 0 {
 			quality = fmt.Sprintf("%.2f", float64(gr.res.ExecStats.IOs())/float64(ex.res.ExecStats.IOs()))
 		}
-		t.AddRow(memoWorkloads[w].name, ex.res.Branches, planG, planE, planPct,
+		t.AddRow(wl.name, ex.res.Branches, planG, planE, planPct,
 			gr.res.ExecStats.IOs(), ex.res.ExecStats.IOs(), quality, "yes")
 	}
 	t.Notes = append(t.Notes,

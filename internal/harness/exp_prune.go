@@ -1,12 +1,6 @@
 package harness
 
-import (
-	"fmt"
-	"math/rand"
-
-	"acyclicjoin/internal/core"
-	"acyclicjoin/internal/extmem"
-)
+import "fmt"
 
 func init() {
 	Register(&Experiment{
@@ -17,29 +11,9 @@ func init() {
 	})
 }
 
-// runPruneArm runs one sequential exhaustive evaluation of memo workload w
-// with pruning on or off, returning the core Result, the run's I/O delta,
-// and the result count. Sequential on purpose: both arms are then fully
-// deterministic, so the E25 table reproduces byte for byte at any harness
-// parallelism.
-func runPruneArm(p Params, w int, noPrune bool) (*core.Result, extmem.Stats, int64, error) {
-	d := newDisk(p)
-	rng := rand.New(rand.NewSource(p.Seed + int64(w)))
-	restore := d.Suspend()
-	g, in := memoWorkloads[w].build(p, d, rng)
-	restore()
-	d.ResetStats()
-	r, err := core.Run(g, in, nil, core.Options{
-		Strategy: core.StrategyExhaustive,
-		NoPrune:  noPrune,
-	})
-	var n int64
-	if err == nil {
-		n = r.Emitted
-	}
-	return r, d.Stats(), n, err
-}
-
+// runE25 compares sequential exhaustive runs with pruning on and off.
+// Sequential on purpose: both arms are then fully deterministic, so the table
+// reproduces byte for byte at any harness parallelism.
 func runE25(p Params) (*Table, error) {
 	p = p.WithDefaults()
 	t := &Table{
@@ -47,31 +21,23 @@ func runE25(p Params) (*Table, error) {
 		Header: []string{"workload", "branches", "pruned", "exec IOs", "planning IOs (pruned)",
 			"planning IOs (full)", "saved %", "winner pinned"},
 	}
-	for w := range memoWorkloads {
-		pr, prStats, nPr, err := runPruneArm(p, w, false)
-		if err != nil {
-			return nil, err
-		}
-		full, fullStats, nFull, err := runPruneArm(p, w, true)
+	for w, wl := range memoWorkloads {
+		full, err := runArm(p, w, arm{noPrune: true})
 		if err != nil {
 			return nil, err
 		}
 		// Pruning's correctness contract: the emitted result set, the winning
 		// branch's execution cost, and the winning policy are unchanged.
-		if nPr != nFull || pr.ExecStats != full.ExecStats {
-			return nil, fmt.Errorf("E25 %s: pruning changed the execution: %d rows/%+v vs %d rows/%+v",
-				memoWorkloads[w].name, nPr, pr.ExecStats, nFull, full.ExecStats)
-		}
-		if fmt.Sprint(pr.Policy) != fmt.Sprint(full.Policy) {
-			return nil, fmt.Errorf("E25 %s: pruning changed the winning policy: %v vs %v",
-				memoWorkloads[w].name, pr.Policy, full.Policy)
+		pr, err := runAgainst(p, w, arm{}, full, pinCount|pinExec|pinPolicy)
+		if err != nil {
+			return nil, fmt.Errorf("E25 %s: pruning changed the execution: %w", wl.name, err)
 		}
 		saved := 0.0
-		if fullStats.IOs() > 0 {
-			saved = 100 * float64(fullStats.IOs()-prStats.IOs()) / float64(fullStats.IOs())
+		if full.stats.IOs() > 0 {
+			saved = 100 * float64(full.stats.IOs()-pr.stats.IOs()) / float64(full.stats.IOs())
 		}
-		t.AddRow(memoWorkloads[w].name, pr.Branches, pr.Prune.Pruned, pr.ExecStats.IOs(),
-			prStats.IOs(), fullStats.IOs(), fmt.Sprintf("%.1f", saved), "yes")
+		t.AddRow(wl.name, pr.res.Branches, pr.res.Prune.Pruned, pr.res.ExecStats.IOs(),
+			pr.stats.IOs(), full.stats.IOs(), fmt.Sprintf("%.1f", saved), "yes")
 	}
 	t.Notes = append(t.Notes,
 		"pruned dry runs abort at the incumbent branch's cost; 'planning IOs' counts reduction + all dry runs + the winning re-run",

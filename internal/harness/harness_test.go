@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"acyclicjoin/internal/core"
+	"acyclicjoin/internal/extmem"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -154,11 +155,11 @@ func TestVerifySweepScoped(t *testing.T) {
 func TestE28Thresholds(t *testing.T) {
 	p := Params{Seed: 1}.WithDefaults()
 	for w := range memoWorkloads {
-		gr, err := runGreedyArm(p, w, core.StrategyGreedy)
+		gr, err := runArm(p, w, arm{strategy: core.StrategyGreedy, emit: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := runGreedyArm(p, w, core.StrategyExhaustive)
+		ex, err := runArm(p, w, arm{emit: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +175,53 @@ func TestE28Thresholds(t *testing.T) {
 		if g, b := gr.res.ExecStats.IOs(), ex.res.ExecStats.IOs(); float64(g) > 1.5*float64(b) {
 			t.Errorf("%s: plan quality %d/%d exceeds 1.5x", memoWorkloads[w].name, g, b)
 		}
-		if gr.rows != ex.rows || gr.fp != ex.fp {
-			t.Errorf("%s: rows diverge: %d (fp %x) vs %d (fp %x)",
-				memoWorkloads[w].name, gr.rows, gr.fp, ex.rows, ex.fp)
+		if f := diverge(ex, gr, pinCount|pinSet); f != "" {
+			t.Errorf("%s: %s diverges", memoWorkloads[w].name, f)
+		}
+	}
+}
+
+// diverge names the first pinned figure on which two runs differ and ignores
+// every figure outside its pins.
+func TestDivergeNamesPinnedField(t *testing.T) {
+	ref := armRun{
+		res:  &core.Result{ExecStats: extmem.Stats{Reads: 3}, Policy: map[string]int{"0:0.1": 1}},
+		rows: 5, ordered: 7, set: 9,
+		stats: extmem.Stats{Reads: 10, Writes: 4},
+		xfer:  extmem.XferStats{Reads: 10, Writes: 4},
+	}
+	all := pinCount | pinOrdered | pinSet | pinExec | pinPolicy | pinStats | pinXfer
+	if f := diverge(ref, ref, all); f != "" {
+		t.Fatalf("identical runs diverge on %s", f)
+	}
+	for _, c := range []struct {
+		pin    pin
+		name   string
+		mutate func(r *armRun)
+	}{
+		{pinCount, "row count", func(r *armRun) { r.rows++ }},
+		{pinOrdered, "ordered rows fingerprint", func(r *armRun) { r.ordered++ }},
+		{pinSet, "order-free rows fingerprint", func(r *armRun) { r.set++ }},
+		{pinExec, "exec stats", func(r *armRun) {
+			res := *r.res
+			res.ExecStats.Writes++
+			r.res = &res
+		}},
+		{pinPolicy, "policy", func(r *armRun) {
+			res := *r.res
+			res.Policy = map[string]int{"0:0.1": 0}
+			r.res = &res
+		}},
+		{pinStats, "full stats", func(r *armRun) { r.stats.MemHiWater++ }},
+		{pinXfer, "transfers", func(r *armRun) { r.xfer.ReplayedReads++ }},
+	} {
+		got := ref
+		c.mutate(&got)
+		if f := diverge(ref, got, all); !strings.HasPrefix(f, c.name) {
+			t.Errorf("%s differs but diverge named %q", c.name, f)
+		}
+		if f := diverge(ref, got, all&^c.pin); f != "" {
+			t.Errorf("%s is not pinned but diverge named %q", c.name, f)
 		}
 	}
 }

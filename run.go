@@ -97,13 +97,6 @@ type Options struct {
 	// bit-identical with the memo on or off; only host wall-clock time
 	// changes. Set MemoOff to force every operator to run for real.
 	Memo MemoMode
-	// MemoMaxEntries and MemoMaxTuples bound the memo when nonzero: at
-	// most MemoMaxEntries recorded operators, and at most MemoMaxTuples
-	// tuples retained across recorded output snapshots, evicting
-	// least-recently-used entries. Eviction only costs recomputation on a
-	// later repeat; it never changes any simulated counter.
-	MemoMaxEntries int
-	MemoMaxTuples  int64
 	// Backend selects the storage engine behind the simulated disk: "sim"
 	// (or empty — the default) counts block transfers in memory; "file" runs
 	// every charged transfer against a real os.File, one syscall each,
@@ -346,10 +339,9 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 			res, err = partial(), classifyAbort(r)
 		}
 	}()
-	memoLimits := opcache.Limits{MaxEntries: opts.MemoMaxEntries, MaxTuples: opts.MemoMaxTuples}
 	if opts.Memo != MemoOff {
 		// Attach before the reduction so its operator runs are recorded too.
-		opcache.EnableLimited(disk, memoLimits)
+		opcache.Enable(disk)
 	}
 
 	// Load the instance onto the simulated disk without charging: input
@@ -410,7 +402,6 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		AssumeReduced: !opts.SkipReduce,
 		NoPrune:       opts.NoPrune,
 		Memo:          opts.Memo,
-		MemoLimits:    memoLimits,
 	}
 	if !opts.NoLineSpecialization && q.IsLine() && q.graph.NumEdges() >= 3 {
 		plan, lerr := core.RunLine(q.graph, work, coreEmit, copts)
