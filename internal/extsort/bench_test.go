@@ -58,3 +58,31 @@ func benchSortDedup(b *testing.B, n int) {
 		}
 	}
 }
+
+// BenchmarkSortCols times the column-order sort every relation sort runs, at
+// bench/'s machine shape (M=256, B=16): 1,024 arity-2 rows of values below
+// 2^30, so run formation takes the packed-key path. The Sort* benchmarks
+// above pass a closure comparator and never reach it.
+func BenchmarkSortCols(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]tuple.Tuple, 1024)
+	for i := range rows {
+		rows[i] = tuple.Tuple{rng.Int63n(1 << 30), rng.Int63n(1 << 30)}
+	}
+	for name, sortFn := range map[string]func(*extmem.File, []int) (*extmem.File, error){
+		"plain": SortCols, "dedup": SortDedupCols,
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := extmem.NewDisk(extmem.Config{M: 256, B: 16})
+				f := fill(d, 2, rows)
+				b.StartTimer()
+				if _, err := sortFn(f, []int{0, 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,49 +1,58 @@
 package extsort
 
 import (
+	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
-// TestParallelStableSortRowsMatchesSequential drives the chunked parallel
-// sort directly at sizes above parallelSortMin — unit-test machine configs
-// are far below it, so the formRuns path alone would leave the parallel
-// kernel uncovered — and checks the permutation is bit-identical to the
-// sequential sort. Heavy duplication makes any stability break visible: a
-// stable sort's output permutation is unique, so []int32 equality is the
-// whole contract.
+// TestParallelStableSortRowsMatchesSequential checks that the packed-key run
+// sort (colOrder.sortRun) yields exactly the permutation of the bottom-up
+// merge sort, the reference stable sort, on loads as large as a 4,096-tuple
+// memory holds. Few distinct keys make ties everywhere, so any stability
+// break shows: a stable sort's output permutation is unique, so []int32
+// equality is the whole contract. Full and partial column lists, and key
+// ranges that do and do not fit beside the row index, cover the packed path,
+// the tie-group recursion and the merge-sort fallback.
 func TestParallelStableSortRowsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{parallelSortMin, parallelSortMin + 1, 3*parallelSortMin + 17} {
+	// scales gives each column's spacing between distinct keys: a wide
+	// column's range does not fit beside the index.
+	const wide = math.MaxInt64 / 13
+	scales := map[string][3]int64{"narrow": {1, 1, 1}, "wide": {wide, wide, wide}, "mixed": {1, wide, 1}}
+	for _, n := range []int{2048, 2049, 3*2048 + 17} {
 		for _, w := range []int{1, 3} {
-			buf := make([]int64, n*w)
-			for i := range buf {
-				buf[i] = int64(rng.Intn(13)) // few distinct keys: ties everywhere
-			}
-			seq := make([]int32, n)
-			par := make([]int32, n)
-			for i := 0; i < n; i++ {
-				seq[i], par[i] = int32(i), int32(i)
-			}
-			aux := make([]int32, n)
-			cmp := colOrder{cols: make([]int, w)}
-			for c := range cmp.cols {
-				cmp.cols[c] = c
-			}
-			sequentialStableSortRows(seq, aux, buf, w, cmp)
-			for p := 2; p <= runtime.GOMAXPROCS(0)+2; p++ {
-				for i := 0; i < n; i++ {
-					par[i] = int32(i)
+			for name, scale := range scales {
+				buf := make([]int64, n*w)
+				for i := range buf {
+					buf[i] = (int64(rng.Intn(13)) - 6) * scale[i%w] // few distinct keys
 				}
-				parallelStableSortRows(par, aux, buf, w, cmp, p)
-				for i := range seq {
-					if seq[i] != par[i] {
-						t.Fatalf("n=%d w=%d p=%d: permutation diverges at %d: seq %d, par %d",
-							n, w, p, i, seq[i], par[i])
+				orders := [][]int{{0}}
+				if w == 3 {
+					orders = append(orders, []int{0, 1, 2}, []int{2, 0}, []int{1}, []int{0, 2})
+				}
+				for _, cols := range orders {
+					want := identity(n)
+					aux := make([]int32, n)
+					sequentialStableSortRows(want, aux, buf, w, colOrder{cols})
+					got := identity(n)
+					colOrder{cols}.sortRun(got, aux, make([]uint64, n), buf, w)
+					for i := range want {
+						if want[i] != got[i] {
+							t.Fatalf("n=%d w=%d %s cols=%v: permutation diverges at %d: merge sort %d, packed %d",
+								n, w, name, cols, i, want[i], got[i])
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+func identity(n int) []int32 {
+	p := make([]int32, n)
+	for i := range p {
+		p[i] = int32(i)
+	}
+	return p
 }

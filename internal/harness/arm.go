@@ -105,11 +105,7 @@ func runArm(p Params, w int, a arm) (out armRun, err error) {
 	}
 	defer func() {
 		out.faults = faults()
-		if eng := d.Backend(); eng != nil {
-			if cerr := eng.Close(); err == nil && cerr != nil {
-				err = fmt.Errorf("close engine: %w", cerr)
-			}
-		}
+		closeDisk(d, &err)
 	}()
 	if a.memo == core.MemoOn && !p.NoMemo {
 		opcache.EnableLimited(d, a.limits)

@@ -10,19 +10,10 @@ import (
 	"acyclicjoin/internal/count"
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
-	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
 	"acyclicjoin/internal/workload"
 )
-
-func newDisk(p Params) *extmem.Disk {
-	d := newBackendDisk(p, extmem.Config{M: p.M, B: p.B})
-	if !p.NoMemo {
-		opcache.Enable(d)
-	}
-	return d
-}
 
 // measure runs fn and returns the I/O delta it charged.
 func measure(d *extmem.Disk, fn func() error) (extmem.Stats, error) {
@@ -82,7 +73,9 @@ func worstPair(d *extmem.Disk, n int) (r1, r2 *relation.Relation) {
 	return
 }
 
-func runE1(p Params) (*Table, error) {
+func runE1(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E1: two-relation join, worst case (all tuples share the join value)",
@@ -90,7 +83,7 @@ func runE1(p Params) (*Table, error) {
 	}
 	for _, mult := range []int{2, 4, 8} {
 		n := p.M * mult * p.Scale
-		d := newDisk(p)
+		d := ms.disk(p)
 		r1, r2 := worstPair(d, n)
 		bound := float64(n) * float64(n) / (float64(p.M) * float64(p.B))
 
@@ -126,7 +119,7 @@ func runE1(p Params) (*Table, error) {
 	}
 	// Skewed instance: the instance-optimal join beats nested loops.
 	n := p.M * 8 * p.Scale
-	d := newDisk(p)
+	d := ms.disk(p)
 	rng := rand.New(rand.NewSource(p.Seed + 1))
 	z1 := workload.ZipfPairs(d, rng, 0, 1, n, n, n, 1.4)
 	z2 := workload.ZipfPairs(d, rng, 1, 2, n, n, n, 1.4)
@@ -156,7 +149,9 @@ func runE1(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE2(p Params) (*Table, error) {
+func runE2(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E2: triangle join on random graphs, equal relation sizes",
@@ -165,7 +160,7 @@ func runE2(p Params) (*Table, error) {
 	for _, mult := range []int{4, 8, 16} {
 		n := p.M * mult * p.Scale
 		dom := int(2 * math.Sqrt(float64(n)))
-		d := newDisk(p)
+		d := ms.disk(p)
 		rng := rand.New(rand.NewSource(p.Seed + int64(mult)))
 		r12 := workload.UniformPairs(d, rng, 0, 1, dom, dom, n)
 		r13 := workload.UniformPairs(d, rng, 0, 2, dom, dom, n)
@@ -199,7 +194,9 @@ func runE2(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE3(p Params) (*Table, error) {
+func runE3(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E3: Loomis-Whitney LW4 grid join, equal sizes",
@@ -208,7 +205,7 @@ func runE3(p Params) (*Table, error) {
 	for _, mult := range []int{4, 8, 16} {
 		n := p.M * mult * p.Scale
 		dom := int(2 * math.Pow(float64(n), 1.0/3))
-		d := newDisk(p)
+		d := ms.disk(p)
 		rng := rand.New(rand.NewSource(p.Seed + int64(mult)))
 		in := relation.Instance{}
 		for i := 0; i < 4; i++ {
@@ -242,7 +239,9 @@ func runE3(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE4(p Params) (*Table, error) {
+func runE4(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E4: L3 worst case (Figure 3): Algorithm 1, Algorithm 2 vs N1N3/(MB)",
@@ -252,7 +251,7 @@ func runE4(p Params) (*Table, error) {
 		n := p.M * mult * p.Scale
 		bound := float64(n) * float64(n) / (float64(p.M) * float64(p.B))
 
-		d := newDisk(p)
+		d := ms.disk(p)
 		g, in := workload.Line3WorstCase(d, n, n)
 		var res int64
 		st, err := measure(d, func() error {
@@ -263,7 +262,7 @@ func runE4(p Params) (*Table, error) {
 		}
 		t.AddRow(n, "Algorithm 1", st.IOs(), bound, Ratio(st.IOs(), bound), res)
 
-		d2 := newDisk(p)
+		d2 := ms.disk(p)
 		g2, in2 := workload.Line3WorstCase(d2, n, n)
 		// NoPrune pinned: the "incl. planning" row below reports the paper's
 		// full Σ-branches round-robin accounting, which pruning would shrink.
@@ -283,9 +282,11 @@ func runE4(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE14(p Params) (*Table, error) {
+func runE14(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
-	d := newDisk(p)
+	d := ms.disk(p)
 	// Figure-1-flavoured L3 instance at measurable scale: R1 fans into few
 	// hubs, R2 a partial matching, R3 fans out. Scale-driven: partial-join
 	// counting enumerates the full join.
@@ -325,7 +326,9 @@ func runE14(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE15(p Params) (*Table, error) {
+func runE15(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E15: emit-model gap: external Yannakakis vs optimal emit algorithms",
@@ -336,7 +339,7 @@ func runE15(p Params) (*Table, error) {
 	// Two relations.
 	{
 		bound := float64(n) * float64(n) / (float64(p.M) * float64(p.B))
-		d := newDisk(p)
+		d := ms.disk(p)
 		r1, r2 := worstPair(d, n)
 		r1s, _ := r1.SortBy(1)
 		r2s, _ := r2.SortBy(1)
@@ -348,7 +351,7 @@ func runE15(p Params) (*Table, error) {
 		}
 		t.AddRow("L2 worst", "instance-optimal", st.IOs(), bound, Ratio(st.IOs(), bound))
 
-		d2 := newDisk(p)
+		d2 := ms.disk(p)
 		g := hypergraph.Line(2)
 		w1, w2 := worstPair(d2, n)
 		in := relation.Instance{0: w1, 1: w2}
@@ -365,7 +368,7 @@ func runE15(p Params) (*Table, error) {
 	// L3 worst case.
 	{
 		bound := float64(n) * float64(n) / (float64(p.M) * float64(p.B))
-		d := newDisk(p)
+		d := ms.disk(p)
 		g, in := workload.Line3WorstCase(d, n, n)
 		st, err := measure(d, func() error {
 			return core.Line3(g, in, func(tuple.Assignment) {})
@@ -375,7 +378,7 @@ func runE15(p Params) (*Table, error) {
 		}
 		t.AddRow("L3 worst", "Algorithm 1", st.IOs(), bound, Ratio(st.IOs(), bound))
 
-		d2 := newDisk(p)
+		d2 := ms.disk(p)
 		g2, in2 := workload.Line3WorstCase(d2, n, n)
 		st, err = measure(d2, func() error {
 			_, err := baseline.YannakakisExternal(g2, in2, func(tuple.Assignment) {})

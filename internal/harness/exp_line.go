@@ -69,7 +69,9 @@ func sizesOf(g *hypergraph.Graph, in relation.Instance) []float64 {
 	return out
 }
 
-func runE5(p Params) (*Table, error) {
+func runE5(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	// A small machine keeps every relation size >= M (the model's standing
 	// assumption) at test-friendly data volumes.
@@ -86,7 +88,7 @@ func runE5(p Params) (*Table, error) {
 	for _, ac := range [][2]int{{16, 256}, {64, 64}, {256, 16}} {
 		a, c := ac[0]*p.Scale, ac[1]*p.Scale
 		zs := []int{n / a, a, b, c, n / c}
-		d := newDisk(mp)
+		d := ms.disk(mp)
 		g, in, szs, err := workload.LineCross(d, zs, -1)
 		if err != nil {
 			return nil, err
@@ -112,7 +114,9 @@ func runE5(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE6(p Params) (*Table, error) {
+func runE6(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E6: balanced L5 (Theorem 5 construction) vs the Theorem 3 bound",
@@ -128,7 +132,7 @@ func runE6(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := newDisk(p)
+		d := ms.disk(p)
 		g, in, sizes, err := workload.LineBalancedWorstCase(d, zs)
 		if err != nil {
 			return nil, err
@@ -158,7 +162,7 @@ func runE6(p Params) (*Table, error) {
 	{
 		z := 8 * p.Scale
 		zs := []int{z, z, z, 1, z, z, z}
-		d := newDisk(p)
+		d := ms.disk(p)
 		g, in, sizes, err := workload.LineBalancedWorstCase(d, zs)
 		if err != nil {
 			return nil, err
@@ -186,7 +190,9 @@ func runE6(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE7(p Params) (*Table, error) {
+func runE7(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E7: unbalanced L5 (N1N3N5 < N2N4): Algorithm 4 vs Algorithm 2",
@@ -202,7 +208,7 @@ func runE7(p Params) (*Table, error) {
 	build := func(d *extmem.Disk) (*hypergraph.Graph, relation.Instance, []float64, error) {
 		return workload.LineCross(d, zs, 2)
 	}
-	d := newDisk(mp)
+	d := ms.disk(mp)
 	g, in, sizes, err := build(d)
 	if err != nil {
 		return nil, err
@@ -236,7 +242,7 @@ func runE7(p Params) (*Table, error) {
 	}
 	t.AddRow(label, "Algorithm 4", st.IOs(), bound, Ratio(st.IOs(), bound), res4)
 
-	d2 := newDisk(mp)
+	d2 := ms.disk(mp)
 	g2, in2, _, err := build(d2)
 	if err != nil {
 		return nil, err
@@ -257,7 +263,9 @@ func runE7(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE8(p Params) (*Table, error) {
+func runE8(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E8: unbalanced L7: Algorithm 5 vs Algorithm 2 (M=16, B=4)",
@@ -270,7 +278,7 @@ func runE8(p Params) (*Table, error) {
 	mp := Params{M: 16, B: 4, Scale: p.Scale, Seed: p.Seed}
 	tt := 64 * p.Scale
 	zs := []int{4, 8, tt, tt, 8, 4, 4, 4}
-	d := newDisk(mp)
+	d := ms.disk(mp)
 	g, in, sizes, err := workload.LineCross(d, zs, 2)
 	if err != nil {
 		return nil, err
@@ -297,7 +305,7 @@ func runE8(p Params) (*Table, error) {
 	}
 	t.AddRow("Algorithm 5", st.IOs(), alg2Bound, res5)
 
-	d2 := newDisk(mp)
+	d2 := ms.disk(mp)
 	g2, in2, _, err := workload.LineCross(d2, zs, 2)
 	if err != nil {
 		return nil, err
@@ -319,7 +327,9 @@ func runE8(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE9(p Params) (*Table, error) {
+func runE9(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E9: dispatcher routing on L6 and L8 (M=16, B=4 for unbalanced cases)",
@@ -328,7 +338,7 @@ func runE9(p Params) (*Table, error) {
 	// Balanced uniform instances: Theorem 6 splits exist, Algorithm 2 runs.
 	rng := rand.New(rand.NewSource(p.Seed + 9))
 	for _, n := range []int{6, 8} {
-		d := newDisk(p)
+		d := ms.disk(p)
 		g, in := workload.LineUniform(d, rng, n, p.M*2*p.Scale, p.M/2*p.Scale+4)
 		red, err := fullReduce(g, in)
 		if err != nil {
@@ -361,7 +371,7 @@ func runE9(p Params) (*Table, error) {
 		{"L6 unbalanced", []int{4, 8, tt, tt, 8, 4, 4}},
 		{"L8 unbalanced", []int{4, 8, tt, tt, 8, 4, 4, 4, 4}},
 	} {
-		d := newDisk(mp)
+		d := ms.disk(mp)
 		g, in, sizes, err := workload.LineCross(d, c.zs, 2)
 		if err != nil {
 			return nil, err

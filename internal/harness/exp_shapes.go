@@ -38,7 +38,9 @@ func init() {
 	})
 }
 
-func runE10(p Params) (*Table, error) {
+func runE10(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E10: star join worst case (Theorem 4 construction)",
@@ -57,7 +59,7 @@ func runE10(p Params) (*Table, error) {
 			}
 			bound /= math.Pow(float64(p.M), float64(k-1)) * float64(p.B)
 			bound += float64(k*n) / float64(p.B) // suppressed linear term
-			d := newDisk(p)
+			d := ms.disk(p)
 			g, in := workload.StarWorstCase(d, petals)
 			r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyFirst, AssumeReduced: true})
 			if err != nil {
@@ -79,7 +81,9 @@ func runE10(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE11(p Params) (*Table, error) {
+func runE11(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E11: equal-size acyclic joins (Theorem 7 construction)",
@@ -102,7 +106,7 @@ func runE11(p Params) (*Table, error) {
 	for _, qc := range queries {
 		c := len(cover.GreedyMinCover(qc.g))
 		n := qc.base * p.Scale
-		d := newDisk(p)
+		d := ms.disk(p)
 		in, packing, err := workload.EqualSizePacking(d, qc.g, n)
 		if err != nil {
 			return nil, err
@@ -124,7 +128,9 @@ func runE11(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE12(p Params) (*Table, error) {
+func runE12(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E12: lollipop join, both size regimes (N0 vs Nn)",
@@ -156,7 +162,7 @@ func runE12(p Params) (*Table, error) {
 				}
 			}
 		}
-		d := newDisk(p)
+		d := ms.disk(p)
 		_, in, err := workload.LollipopCross(d, n, dom)
 		if err != nil {
 			return nil, err
@@ -185,7 +191,9 @@ func runE12(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE13(p Params) (*Table, error) {
+func runE13(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E13: dumbbell join across balance condition (7)",
@@ -220,7 +228,7 @@ func runE13(p Params) (*Table, error) {
 				}
 			}
 		}
-		d := newDisk(p)
+		d := ms.disk(p)
 		_, in, err := workload.DumbbellCross(d, 2, 4, dom)
 		if err != nil {
 			return nil, err

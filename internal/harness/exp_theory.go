@@ -86,7 +86,9 @@ func runE16(p Params) (*Table, error) {
 	return t, nil
 }
 
-func runE18(p Params) (*Table, error) {
+func runE18(p Params) (_ *Table, err error) {
+	var ms machines
+	defer ms.close(&err)
 	p = p.WithDefaults()
 	t := &Table{
 		Title:  "E18: internal-memory worst-case optimal join (Table 1 internal column)",
@@ -95,7 +97,7 @@ func runE18(p Params) (*Table, error) {
 	// L3 worst case: AGM = N1*N3.
 	{
 		n := p.M * 2 * p.Scale
-		d := newDisk(p)
+		d := ms.disk(p)
 		g, in := workload.Line3WorstCase(d, n, n)
 		var res int64
 		ops, err := baseline.GenericJoin(g, in, countEmit(&res))
@@ -109,7 +111,7 @@ func runE18(p Params) (*Table, error) {
 	{
 		n := p.M * 4 * p.Scale
 		dom := int(2 * math.Sqrt(float64(n)))
-		d := newDisk(p)
+		d := ms.disk(p)
 		rng := rand.New(rand.NewSource(p.Seed + 18))
 		g := hypergraph.MustNew([]*hypergraph.Edge{
 			{ID: 0, Name: "R12", Attrs: []int{0, 1}},
@@ -132,7 +134,7 @@ func runE18(p Params) (*Table, error) {
 	// Star worst case: AGM = prod petals.
 	{
 		n := p.M * 2 * p.Scale
-		d := newDisk(p)
+		d := ms.disk(p)
 		g, in := workload.StarWorstCase(d, []int{n, n})
 		var res int64
 		ops, err := baseline.GenericJoin(g, in, countEmit(&res))
@@ -145,7 +147,7 @@ func runE18(p Params) (*Table, error) {
 	// Internal Yannakakis on the L3 worst case: O(N + |Q(R)|) ops.
 	{
 		n := p.M * p.Scale
-		d := newDisk(p)
+		d := ms.disk(p)
 		g, in := workload.Line3WorstCase(d, n, n)
 		var res int64
 		ops, err := baseline.YannakakisInternal(g, in, countEmit(&res))

@@ -26,7 +26,7 @@ type Params struct {
 	Scale int
 	// Seed feeds the randomized workloads.
 	Seed int64
-	// NoMemo disables the charge-replay operator memo that newDisk
+	// NoMemo disables the charge-replay operator memo that machines.disk
 	// attaches by default. Tables are byte-identical either way (replay
 	// charges exactly what the real operator would); the switch exists
 	// for A/B timing and for proving that claim (E23, E24).

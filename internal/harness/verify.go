@@ -52,63 +52,73 @@ func VerifySweep(p Params, trials int) (*Table, error) {
 	for _, cfg := range configs {
 		maxOut := int64(0)
 		for trial := 0; trial < trials; trial++ {
-			b := 2 + rng.Intn(3)
-			m := b * (3 + rng.Intn(3)) // multiplier >= 3 keeps the merge fan-in valid
-			d := newBackendDisk(p, extmem.Config{M: m, B: b})
-			g := cfg.gen(rng)
-			in := randomVerifyInstance(d, rng, g, 5+rng.Intn(30), 2+rng.Intn(3))
-			want, err := oracleSet(g, in)
-			if err != nil {
+			if err := verifyTrial(p, rng, cfg.name, trial, cfg.gen, &maxOut); err != nil {
 				return nil, err
-			}
-			if int64(len(want)) > maxOut {
-				maxOut = int64(len(want))
-			}
-			// All strategies on the raw instance.
-			sweep, variant, err := strategySweep(p)
-			if err != nil {
-				return nil, err
-			}
-			for _, o := range sweep {
-				got, err := runSet(g, in, o)
-				if err != nil {
-					return nil, fmt.Errorf("%s trial %d strategy %v (noprune %v): %w", cfg.name, trial, o.Strategy, o.NoPrune, err)
-				}
-				if err := sameSet(got, want); err != nil {
-					return nil, fmt.Errorf("%s trial %d strategy %v (noprune %v) on %v: %w", cfg.name, trial, o.Strategy, o.NoPrune, g, err)
-				}
-			}
-			// Ablation variant.
-			got, err := runSet(g, in, core.Options{Strategy: variant, DisableHeavySplit: true})
-			if err != nil {
-				return nil, err
-			}
-			if err := sameSet(got, want); err != nil {
-				return nil, fmt.Errorf("%s trial %d no-split on %v: %w", cfg.name, trial, g, err)
-			}
-			// Reduced path + line dispatcher where applicable.
-			red, err := reducer.FullReduce(g, in)
-			if err != nil {
-				return nil, err
-			}
-			if _, isLine := g.AsLine(); isLine && g.NumEdges() >= 3 {
-				var lines []string
-				_, err := core.RunLine(g, red, func(a tuple.Assignment) {
-					lines = append(lines, a.String())
-				}, core.Options{Strategy: variant, AssumeReduced: true})
-				if err != nil {
-					return nil, err
-				}
-				sort.Strings(lines)
-				if err := sameSet(lines, want); err != nil {
-					return nil, fmt.Errorf("%s trial %d dispatcher on %v: %w", cfg.name, trial, g, err)
-				}
 			}
 		}
 		t.AddRow(cfg.name, trials, 0, maxOut)
 	}
 	t.Notes = append(t.Notes, "a non-zero mismatch count aborts with an error; this table printing means every check passed")
 	return t, nil
+}
+
+// verifyTrial runs one VerifySweep trial: a random instance of a graph from
+// gen on a fresh disk, checked under every configuration against the oracle.
+// It raises *maxOut to the oracle's result size and closes the disk's engine
+// on every path.
+func verifyTrial(p Params, rng *rand.Rand, name string, trial int, gen func(*rand.Rand) *hypergraph.Graph, maxOut *int64) (err error) {
+	b := 2 + rng.Intn(3)
+	m := b * (3 + rng.Intn(3)) // multiplier >= 3 keeps the merge fan-in valid
+	d := newBackendDisk(p, extmem.Config{M: m, B: b})
+	defer closeDisk(d, &err)
+	g := gen(rng)
+	in := randomVerifyInstance(d, rng, g, 5+rng.Intn(30), 2+rng.Intn(3))
+	want, err := oracleSet(g, in)
+	if err != nil {
+		return err
+	}
+	*maxOut = max(*maxOut, int64(len(want)))
+	// All strategies on the raw instance.
+	sweep, variant, err := strategySweep(p)
+	if err != nil {
+		return err
+	}
+	for _, o := range sweep {
+		got, err := runSet(g, in, o)
+		if err != nil {
+			return fmt.Errorf("%s trial %d strategy %v (noprune %v): %w", name, trial, o.Strategy, o.NoPrune, err)
+		}
+		if err := sameSet(got, want); err != nil {
+			return fmt.Errorf("%s trial %d strategy %v (noprune %v) on %v: %w", name, trial, o.Strategy, o.NoPrune, g, err)
+		}
+	}
+	// Ablation variant.
+	got, err := runSet(g, in, core.Options{Strategy: variant, DisableHeavySplit: true})
+	if err != nil {
+		return err
+	}
+	if err := sameSet(got, want); err != nil {
+		return fmt.Errorf("%s trial %d no-split on %v: %w", name, trial, g, err)
+	}
+	// Reduced path + line dispatcher where applicable.
+	red, err := reducer.FullReduce(g, in)
+	if err != nil {
+		return err
+	}
+	if _, isLine := g.AsLine(); isLine && g.NumEdges() >= 3 {
+		var lines []string
+		_, err := core.RunLine(g, red, func(a tuple.Assignment) {
+			lines = append(lines, a.String())
+		}, core.Options{Strategy: variant, AssumeReduced: true})
+		if err != nil {
+			return err
+		}
+		sort.Strings(lines)
+		if err := sameSet(lines, want); err != nil {
+			return fmt.Errorf("%s trial %d dispatcher on %v: %w", name, trial, g, err)
+		}
+	}
+	return nil
 }
 
 // strategySweep is the option matrix VerifySweep runs per trial, plus the

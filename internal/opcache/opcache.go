@@ -16,11 +16,14 @@
 // peel steps across branches; with the memo attached, the entire shared
 // prefix replays.
 //
-// Entries are found two ways. The fast path keys on each input window's
-// (ContentID, Version, Off, N) — content identity survives CloneTo, so the
-// same relation processed on every branch hits from the second branch on,
-// even when a branch reads it through a clone an earlier replay returned. The
-// slow path hashes the input windows' contents and byte-verifies against the
+// Entries are found two ways. The fast path looks up a comparable struct key:
+// kind, params, M and B, the aux length and hash, the input count, and each
+// input window's (arity, ContentID, Version, Off, N) in a fixed two-slot
+// array, so a lookup formats and allocates nothing. Content identity survives
+// CloneTo, so the same relation processed on every branch hits from the
+// second branch on, even when a branch reads it through a clone an earlier
+// replay returned. The aux values are compared on every fast hit. The slow
+// path hashes the input windows' contents and byte-verifies against the
 // candidate's pinned snapshots, catching files rebuilt with identical
 // contents on every branch (restriction copies, semijoin outputs); a verified
 // slow hit registers the new identity alias so repeats take the fast path.
@@ -52,8 +55,6 @@ package opcache
 
 import (
 	"container/list"
-	"strconv"
-	"strings"
 	"sync"
 
 	"acyclicjoin/internal/extmem"
@@ -94,7 +95,8 @@ func In(f *extmem.File) Input { return Input{File: f, N: f.Len()} }
 // Op identifies one deterministic operator application. Kind and Params must
 // determine the operator's behaviour completely given the inputs; Aux carries
 // value parameters that are data rather than structure (e.g. a semijoin's
-// probe value set, in canonical order) and is verified on every hit.
+// probe value set, in canonical order) and is verified on every hit. An op
+// has at most two Inputs; Do panics on more.
 type Op struct {
 	Kind   string
 	Params string
@@ -108,9 +110,32 @@ type inputSnap struct {
 	data  []int64 // the window's cells, capacity-pinned
 }
 
+// maxInputs is the most inputs an Op may have: the fast-path key holds a
+// fixed array of that many windows.
+const maxInputs = 2
+
+// window is one input window's identity in a key.
+type window struct {
+	arity    int
+	cid, ver uint64
+	off, n   int
+}
+
+// key is the fast-path identity of an op on a disk: everything that
+// determines the run, with the aux values and the input contents stood in
+// for by a hash and by content identities.
+type key struct {
+	kind, params string
+	m, b         int
+	auxLen       int
+	auxHash      uint64
+	nIn          int
+	in           [maxInputs]window
+}
+
 // entry records one operator run.
 type entry struct {
-	ids    []string // every identity id registered for this entry
+	ids    []key // every identity key registered for this entry
 	hash   uint64
 	ins    []inputSnap
 	aux    []int64
@@ -127,7 +152,7 @@ type entry struct {
 type Memo struct {
 	mu     sync.Mutex
 	lim    Limits
-	byID   map[string]*entry
+	byID   map[key]*entry
 	byHash map[uint64][]*entry
 	lru    *list.List // front = most recently used; values are *entry
 	tuples int64
@@ -136,7 +161,7 @@ type Memo struct {
 
 // New returns an empty memo with the given limits (zero-value = unbounded).
 func New(lim Limits) *Memo {
-	return &Memo{lim: lim, byID: map[string]*entry{}, byHash: map[uint64][]*entry{},
+	return &Memo{lim: lim, byID: map[key]*entry{}, byHash: map[uint64][]*entry{},
 		lru: list.New()}
 }
 
@@ -213,6 +238,9 @@ func (m *Memo) Retained() (entries int, tuples int64) {
 // are discarded by the taping defer below, so nothing poisoned is ever
 // stored.
 func Do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, error)) ([]*extmem.File, []int64, error) {
+	if len(op.Inputs) > maxInputs {
+		panic("opcache: an Op has at most two inputs")
+	}
 	var outs []*extmem.File
 	var meta []int64
 	err := d.OperatorBoundary(func() error {
@@ -228,17 +256,17 @@ func Do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, error)) ([]*
 }
 
 func (m *Memo) do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, error)) ([]*extmem.File, []int64, error) {
-	id := idString(d, op)
+	id := keyOf(d, op)
 	m.mu.Lock()
 	e, ok := m.byID[id]
 	if ok && !equalData(e.aux, op.Aux) {
-		// The aux hash folded into the id collided; treat as a miss.
+		// The aux hash in the key collided; treat as a miss.
 		e, ok = nil, false
 	}
 	var h uint64
 	if !ok {
 		// Slow path: find by content hash and byte-verify.
-		h = hashOp(d, op)
+		h = hashOp(id, op)
 		for _, cand := range m.byHash[h] {
 			if verify(cand, op) {
 				cand.ids = append(cand.ids, id)
@@ -306,8 +334,8 @@ func (m *Memo) replay(d *extmem.Disk, e *entry) ([]*extmem.File, []int64, error)
 // store records a completed run. hash is the op's content hash from the
 // preceding slow-path miss (zero only if the fast path matched, which cannot
 // reach here).
-func (m *Memo) store(d *extmem.Disk, op Op, id string, hash uint64, outs []*extmem.File, meta []int64, tape extmem.ChargeTape) {
-	e := &entry{ids: []string{id}, hash: hash, tape: tape}
+func (m *Memo) store(d *extmem.Disk, op Op, id key, hash uint64, outs []*extmem.File, meta []int64, tape extmem.ChargeTape) {
+	e := &entry{ids: []key{id}, hash: hash, tape: tape}
 	if len(op.Aux) > 0 {
 		// The entry lives as long as d, so its aux copy can share d's slabs.
 		e.aux = append(d.Carve(len(op.Aux)), op.Aux...)
@@ -386,64 +414,35 @@ func verify(e *entry, op Op) bool {
 	return true
 }
 
-// idString builds the fast-path identity key: operator kind and params, the
-// machine parameters (the charge pattern depends on M and B), a fingerprint
-// of the aux values (verified on hit, so collisions are harmless), and each
-// input window's (arity, ContentID, Version, Off, N).
-func idString(d *extmem.Disk, op Op) string {
-	var b strings.Builder
-	b.Grow(64 + 24*len(op.Inputs))
-	b.WriteString(op.Kind)
-	b.WriteByte(0x1f)
-	b.WriteString(op.Params)
-	b.WriteByte(0x1f)
-	b.WriteString(strconv.Itoa(d.M()))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(d.B()))
-	b.WriteByte(0x1f)
-	b.WriteString(strconv.Itoa(len(op.Aux)))
-	b.WriteByte(':')
-	b.WriteString(strconv.FormatUint(hashCells(op.Aux), 16))
-	for _, in := range op.Inputs {
-		b.WriteByte(0x1f)
-		b.WriteString(strconv.Itoa(in.File.Arity()))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(in.File.ContentID(), 16))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(in.File.Version(), 16))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(in.Off))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(in.N))
+// keyOf builds the fast-path identity key of op on d.
+func keyOf(d *extmem.Disk, op Op) key {
+	k := key{kind: op.Kind, params: op.Params, m: d.M(), b: d.B(),
+		auxLen: len(op.Aux), auxHash: hashCells(op.Aux), nIn: len(op.Inputs)}
+	for i, in := range op.Inputs {
+		k.in[i] = window{arity: in.File.Arity(), cid: in.File.ContentID(),
+			ver: in.File.Version(), off: in.Off, n: in.N}
 	}
-	return b.String()
+	return k
 }
 
 // hashOp is the slow-path content hash over everything that determines the
-// run: kind, params, machine parameters, aux, and the input windows' cells.
-func hashOp(d *extmem.Disk, op Op) uint64 {
+// run: op's key k without the input identities, and the input windows' cells.
+func hashOp(k key, op Op) uint64 {
 	h := uint64(offset64)
-	for i := 0; i < len(op.Kind); i++ {
-		h = (h ^ uint64(op.Kind[i])) * prime64
+	for i := 0; i < len(k.kind); i++ {
+		h = (h ^ uint64(k.kind[i])) * prime64
 	}
 	h = (h ^ 0xff) * prime64
-	for i := 0; i < len(op.Params); i++ {
-		h = (h ^ uint64(op.Params[i])) * prime64
+	for i := 0; i < len(k.params); i++ {
+		h = (h ^ uint64(k.params[i])) * prime64
 	}
-	h = (h ^ uint64(d.M())) * prime64
-	h = (h ^ uint64(d.B())) * prime64
-	h = (h ^ uint64(len(op.Aux))) * prime64
-	for _, v := range op.Aux {
-		h = (h ^ uint64(v)) * prime64
-	}
-	h = (h ^ uint64(len(op.Inputs))) * prime64
-	for _, in := range op.Inputs {
-		h = (h ^ uint64(in.File.Arity())) * prime64
-		cells := windowCells(in)
-		h = (h ^ uint64(len(cells))) * prime64
-		for _, v := range cells {
-			h = (h ^ uint64(v)) * prime64
-		}
+	h = (h ^ uint64(k.m)) * prime64
+	h = (h ^ uint64(k.b)) * prime64
+	h = (h ^ k.auxHash) * prime64
+	h = (h ^ uint64(k.nIn)) * prime64
+	for i, in := range op.Inputs {
+		h = (h ^ uint64(k.in[i].arity)) * prime64
+		h = (h ^ hashCells(windowCells(in))) * prime64
 	}
 	return h
 }
@@ -453,13 +452,28 @@ const (
 	prime64  = 1099511628211
 )
 
-// hashCells is FNV-1a-style over a cell slice. Cheap word-at-a-time mixing is
-// fine here: matches are verified, so the hash only has to bucket well.
+// hashCells hashes a cell slice word-wise, FNV-1a style, in four independent
+// lanes so consecutive multiplies do not wait on each other, and finishes
+// with murmur3's fmix64 so every bit of the lanes reaches the low bits. The
+// hash only has to bucket well: every match is verified.
 func hashCells(cells []int64) uint64 {
-	h := uint64(offset64)
-	h = (h ^ uint64(len(cells))) * prime64
-	for _, v := range cells {
-		h = (h ^ uint64(v)) * prime64
+	h0, h1, h2, h3 := uint64(offset64), uint64(offset64)+1, uint64(offset64)+2, uint64(offset64)+3
+	i := 0
+	for ; i+4 <= len(cells); i += 4 {
+		h0 = (h0 ^ uint64(cells[i])) * prime64
+		h1 = (h1 ^ uint64(cells[i+1])) * prime64
+		h2 = (h2 ^ uint64(cells[i+2])) * prime64
+		h3 = (h3 ^ uint64(cells[i+3])) * prime64
+	}
+	for ; i < len(cells); i++ {
+		h0 = (h0 ^ uint64(cells[i])) * prime64
+	}
+	h := uint64(len(cells))
+	for _, l := range [4]uint64{h0, h1, h2, h3} {
+		h = (h ^ l) * prime64
+		h = (h ^ h>>33) * 0xff51afd7ed558ccd
+		h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+		h ^= h >> 33
 	}
 	return h
 }

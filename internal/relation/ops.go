@@ -64,6 +64,7 @@ func Semijoin(r, s *Relation, a tuple.Attr) (*Relation, error) {
 		Inputs: []opcache.Input{memoIn(r), memoIn(s)},
 	}, func() ([]*extmem.File, []int64, error) {
 		out := r.Disk().NewFile(len(r.schema))
+		out.Grow(r.n) // a filter's output is never larger than its input
 		w, wd := out.NewWriter(), len(r.schema)
 		rr, sr := r.Reader(), s.Reader()
 		st := sr.Next()
@@ -111,6 +112,7 @@ func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep boo
 		Aux:    vals,
 	}, func() ([]*extmem.File, []int64, error) {
 		out := r.Disk().NewFile(len(r.schema))
+		out.Grow(r.n) // a filter's output is never larger than its input
 		w, wd := out.NewWriter(), len(r.schema)
 		rd := r.Reader()
 		p := valueProbe{vals: vals}
@@ -205,6 +207,7 @@ func Project(r *Relation, attrs []tuple.Attr) (*Relation, error) {
 		Inputs: []opcache.Input{memoIn(r)},
 	}, func() ([]*extmem.File, []int64, error) {
 		tmp := New(r.Disk(), schema)
+		tmp.file.Grow(r.n)
 		w := tmp.file.NewWriter()
 		rd := r.Reader()
 		buf := make(tuple.Tuple, len(cols))
