@@ -807,7 +807,8 @@ func (w *Writer) AppendCells(cells []int64) {
 // Written returns the number of tuples appended so far.
 func (w *Writer) Written() int64 { return w.written }
 
-// Close flushes the final partial block (one write I/O if non-empty).
+// Close flushes the final partial block (one write I/O if non-empty) and
+// hands back host capacity the file reserved but did not fill (see clip).
 func (w *Writer) Close() {
 	if w.closed {
 		return
@@ -818,6 +819,7 @@ func (w *Writer) Close() {
 		w.f.d.chargeWriteWindow(w.f, end-w.buffed, end)
 		w.buffed = 0
 	}
+	w.f.clip()
 }
 
 // Reader scans a contiguous tuple range of a file sequentially, charging one

@@ -10,6 +10,7 @@ package extmem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -56,13 +57,20 @@ func (a *slabArena) carve(n int) []int64 {
 // it is copied into a new carve. The old region is not reused before
 // Recycle, so clones and snapshots aliasing it stay intact.
 func (a *slabArena) realloc(data []int64, newCap int) []int64 {
-	if c := cap(data); c > 0 && a.used >= c && &data[:c][c-1] == &a.cur[a.used-1] {
-		if start := a.used - c; start+newCap <= len(a.cur) {
+	if a.isLast(data) {
+		if start := a.used - cap(data); start+newCap <= len(a.cur) {
 			a.used = start + newCap
 			return a.cur[start : start+len(data) : start+newCap]
 		}
 	}
 	return append(a.carve(newCap), data...)
+}
+
+// isLast reports whether data's capacity ends where the slab's carving does,
+// so realloc can resize it in place.
+func (a *slabArena) isLast(data []int64) bool {
+	c := cap(data)
+	return c > 0 && a.used >= c && &data[:c][c-1] == &a.cur[a.used-1]
 }
 
 // SetSlabs switches carving new file data from pooled slabs on or off. Only
@@ -116,4 +124,25 @@ func (f *File) growData(extra int) {
 	need := len(f.data) + extra
 	f.d.live()
 	f.data = f.d.arena.realloc(f.data, max(2*cap(f.data), need, f.d.cfg.B*f.Slot()))
+}
+
+// clip gives back the capacity of f's data beyond its contents once more
+// than half of it is unused. Appending at least doubles, so past a file's
+// first block only a Grow that reserved more than the writer wrote leaves
+// that much, and memo snapshots would otherwise pin the reservation for the
+// disk's life. The unused tail of the slab's latest carve returns to the
+// slab, and heap data is copied to its length. A slab carve that is no
+// longer the latest keeps its tail: a copy would leave the old region unused
+// until Recycle all the same.
+func (f *File) clip() {
+	n, c := len(f.data), cap(f.data)
+	if f.shared || c <= 2*n {
+		return
+	}
+	switch a := &f.d.arena; {
+	case !a.on:
+		f.data = slices.Clone(f.data)
+	case a.isLast(f.data) || c > maxCarve:
+		f.data = a.realloc(f.data, n)
+	}
 }

@@ -91,6 +91,46 @@ func TestSlabFilesKeepContents(t *testing.T) {
 	}
 }
 
+// TestCloseClipsReservation checks that Close hands back a Grow reservation
+// the writer left more than half empty: to the slab when it is the latest
+// carve, by a copy on the heap; a fuller file and a slab carve that is no
+// longer the latest keep their capacity.
+func TestCloseClipsReservation(t *testing.T) {
+	write := func(f *File, n int) {
+		w := f.NewWriter()
+		appendN(w, n, 0)
+		w.Close()
+		wantRun(t, f, n, 0)
+	}
+
+	d := slabDisk(t)
+	before := d.arena.used
+	f := d.NewFile(2)
+	f.Grow(100)
+	write(f, 10)
+	if c := cap(f.Raw()); c != 20 || d.arena.used != before+20 {
+		t.Fatalf("latest carve: cap %d, slab used %d, want 20 and %d", c, d.arena.used, before+20)
+	}
+	g, h := d.NewFile(2), d.NewFile(2)
+	g.Grow(100)
+	h.Grow(1)
+	write(g, 10)
+	if c := cap(g.Raw()); c != 200 {
+		t.Fatalf("earlier carve: cap %d, want 200 kept", c)
+	}
+
+	heap := testDisk(t, 64, 4)
+	for _, n := range []int{10, 60} {
+		f := heap.NewFile(2)
+		f.Grow(100)
+		reserved := cap(f.Raw())
+		write(f, n)
+		if c, l := cap(f.Raw()), len(f.Raw()); c > 2*l || n >= 50 && c != reserved {
+			t.Fatalf("heap, %d of 100 written: cap %d, len %d, %d reserved", n, c, l, reserved)
+		}
+	}
+}
+
 // TestRecycleInvalidatesDisk checks that a recycled disk refuses charged
 // reads and writes, new readers, new files and carves.
 func TestRecycleInvalidatesDisk(t *testing.T) {
