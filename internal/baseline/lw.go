@@ -183,7 +183,7 @@ func lwCell(grids []*lwGrid, schemas []tuple.Schema, z []int, g int, asg tuple.A
 			return inMemoryJoin(loaded, schemas, asg, emit)
 		}
 		return views[i].LoadChunks(func(c *relation.Chunk) error {
-			loaded[i] = c.Tuples
+			loaded[i] = c.Rows()
 			return load(i + 1)
 		})
 	}

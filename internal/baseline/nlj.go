@@ -27,7 +27,7 @@ func NestedLoop2(rA, rB *relation.Relation, a tuple.Attr, nAttrs int, emit Emit)
 	ca, cb := rA.Col(a), rB.Col(a)
 	return rA.LoadChunks(func(c *relation.Chunk) error {
 		idx := map[int64][]tuple.Tuple{}
-		for _, t := range c.Tuples {
+		for _, t := range c.Rows() {
 			idx[t[ca]] = append(idx[t[ca]], t)
 		}
 		rd := rB.Reader()
@@ -90,7 +90,7 @@ func NaiveMultiwayNLJ(g *hypergraph.Graph, in relation.Instance, emit Emit) erro
 			return nil
 		}
 		return r.LoadChunks(func(c *relation.Chunk) error {
-			for _, t := range c.Tuples {
+			for _, t := range c.Rows() {
 				var err error
 				bind(asg, r.Schema(), t, func() {
 					err = rec(i + 1)
@@ -124,9 +124,10 @@ func CrossProductMaterialize(rA, rB *relation.Relation) (*relation.Relation, err
 	b := relation.NewBuilder(rA.Disk(), schema)
 	buf := make(tuple.Tuple, len(schema))
 	err := rA.LoadChunks(func(c *relation.Chunk) error {
+		rows := c.Rows()
 		rd := rB.Reader()
 		for bt := rd.Next(); bt != nil; bt = rd.Next() {
-			for _, at := range c.Tuples {
+			for _, at := range rows {
 				copy(buf, at)
 				copy(buf[len(at):], bt)
 				b.Add(buf)

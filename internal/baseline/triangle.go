@@ -157,12 +157,12 @@ func Triangle(r12, r13, r23 *relation.Relation, v0, v1, v2 tuple.Attr, seed int6
 				// of breaking the memory bound.
 				err := b12.LoadChunks(func(c12 *relation.Chunk) error {
 					idx := map[int64][]int64{}
-					for _, t := range c12.Tuples {
+					for _, t := range c12.Rows() {
 						idx[t[c12x]] = append(idx[t[c12x]], t[c12y])
 					}
 					return b23.LoadChunks(func(c23 *relation.Chunk) error {
 						pair := map[[2]int64]bool{}
-						for _, t := range c23.Tuples {
+						for _, t := range c23.Rows() {
 							pair[[2]int64{t[c23y], t[c23z]}] = true
 						}
 						rd := b13.Reader()
@@ -200,12 +200,12 @@ func TriangleNaive(r12, r13, r23 *relation.Relation, v0, v1, v2 tuple.Attr, nAtt
 	c23y, c23z := r23.Col(v1), r23.Col(v2)
 	return r12.LoadChunks(func(c12 *relation.Chunk) error {
 		byY := map[int64][]int64{} // y -> xs with (x,y) in the chunk
-		for _, t := range c12.Tuples {
+		for _, t := range c12.Rows() {
 			byY[t[c12y]] = append(byY[t[c12y]], t[c12x])
 		}
 		return r13.LoadChunks(func(c13 *relation.Chunk) error {
 			xz := map[[2]int64]bool{}
-			for _, t := range c13.Tuples {
+			for _, t := range c13.Rows() {
 				xz[[2]int64{t[c13x], t[c13z]}] = true
 			}
 			rd := r23.Reader()

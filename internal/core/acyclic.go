@@ -245,8 +245,9 @@ func Run(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) (*R
 // runStrategy is Run's strategy dispatch, separated so Run can wrap it in a
 // single CatchAbort.
 func runStrategy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result) (*Result, error) {
+	steps := newStepTable()
 	if opts.Strategy == StrategyGreedy {
-		return runGreedy(g, in, emit, opts, disk, res)
+		return runGreedy(g, in, emit, opts, disk, res, steps)
 	}
 	if opts.Strategy != StrategyExhaustive {
 		ex := &executor{
@@ -254,6 +255,7 @@ func runStrategy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Opti
 			opts:    opts,
 			nAttrs:  g.MaxAttr() + 1,
 			chooser: staticChooser(opts.Strategy),
+			steps:   steps,
 		}
 		before := disk.Stats()
 		stopPeak := disk.StartMemPeak()
@@ -270,67 +272,10 @@ func runStrategy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Opti
 		return res, nil
 	}
 
-	if branchFree(g, opts.DisableHeavySplit) {
-		return runExhaustiveSingle(g, in, emit, opts, disk, res)
+	if branchFree(steps.of(g), opts.DisableHeavySplit) {
+		return runExhaustiveSingle(g, in, emit, opts, disk, res, steps)
 	}
-	return runExhaustiveSeq(g, in, emit, opts, disk, res)
-}
-
-// branchFree reports whether the exhaustive odometer over g can only ever
-// hold one branch: no reachable subquery structure offers more than one
-// peelable leaf. The walk mirrors the executor's structural order (first
-// bud, then first island, then leaf peeling into the heavy and light
-// residues) but follows BOTH residues unconditionally — which residues a
-// concrete run visits depends on the data, so this is a superset of the
-// reachable decision points and the answer true is always safe. Structures
-// are memoized by key, bounding the walk the same way the odometer's
-// decision map is bounded.
-func branchFree(g *hypergraph.Graph, disableSplit bool) bool {
-	seen := map[string]bool{}
-	var walk func(g *hypergraph.Graph) bool
-	walk = func(g *hypergraph.Graph) bool {
-		edges := g.Edges()
-		if len(edges) <= 1 {
-			return true
-		}
-		key := structureKey(g)
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		for _, e := range edges {
-			if g.KindOf(e) == hypergraph.Bud {
-				return walk(g.Without([]int{e.ID}, nil))
-			}
-		}
-		for _, e := range edges {
-			if g.KindOf(e) == hypergraph.Island {
-				return walk(g.Without([]int{e.ID}, nil))
-			}
-		}
-		var leaf *hypergraph.Edge
-		for _, e := range edges {
-			if g.KindOf(e) == hypergraph.Leaf {
-				if leaf != nil {
-					return false // a real decision point: more than one leaf
-				}
-				leaf = e
-			}
-		}
-		if leaf == nil {
-			return false // no peelable edge: let the real run raise the error
-		}
-		v := g.LeafJoinAttr(leaf)
-		u := g.UniqueAttrs(leaf)
-		if !disableSplit {
-			gHeavy := g.Without([]int{leaf.ID}, append(append([]hypergraph.Attr{}, u...), v))
-			if !walk(gHeavy) {
-				return false
-			}
-		}
-		return walk(g.Without([]int{leaf.ID}, u))
-	}
-	return walk(g)
+	return runExhaustiveSeq(g, in, emit, opts, disk, res, steps)
 }
 
 // runExhaustiveSingle is the single-branch short-circuit: when branchFree
@@ -340,7 +285,7 @@ func branchFree(g *hypergraph.Graph, disableSplit bool) bool {
 // odometer's decision map (every decision point gets choice 0), so Policy
 // and the prune telemetry look exactly like a one-branch exhaustive run,
 // with TotalStats == ExecStats because no dry run ever happened.
-func runExhaustiveSingle(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result) (*Result, error) {
+func runExhaustiveSingle(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, steps *stepTable) (*Result, error) {
 	policy := map[string]int{}
 	ex := &executor{
 		emit:   emit,
@@ -350,6 +295,7 @@ func runExhaustiveSingle(g *hypergraph.Graph, in relation.Instance, emit Emit, o
 			policy[key] = 0
 			return 0
 		},
+		steps: steps,
 	}
 	before := disk.Stats()
 	stopPeak := disk.StartMemPeak()
@@ -381,7 +327,7 @@ func runExhaustiveSingle(g *hypergraph.Graph, in relation.Instance, emit Emit, o
 // execution prefix up to the abort, so it too would have charged the full
 // bound before diverging and could never have won. At least one branch always
 // completes: no budget is armed before the first incumbent exists.
-func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result) (*Result, error) {
+func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, steps *stepTable) (*Result, error) {
 	type branchOutcome struct {
 		cost   int64
 		policy map[string]int
@@ -395,6 +341,7 @@ func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts
 			nAttrs:  g.MaxAttr() + 1,
 			chooser: odo.choose,
 			dry:     true,
+			steps:   steps,
 		}
 		before := disk.Stats()
 		var pruned bool
@@ -435,13 +382,13 @@ func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts
 		}
 	}
 	res.ClampedChoices += odo.clamps
-	return finishExhaustive(g, in, emit, opts, disk, res, grand, best.policy)
+	return finishExhaustive(g, in, emit, opts, disk, res, grand, best.policy, steps)
 }
 
 // finishExhaustive re-runs the winning policy with emission on the shared
 // disk and assembles the Result. The wet re-run never carries a charge
 // budget: the winner must execute in full.
-func finishExhaustive(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, grand extmem.Stats, fixed map[string]int) (*Result, error) {
+func finishExhaustive(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, grand extmem.Stats, fixed map[string]int, steps *stepTable) (*Result, error) {
 	ex := &executor{
 		emit:   emit,
 		opts:   opts,
@@ -455,6 +402,7 @@ func finishExhaustive(g *hypergraph.Graph, in relation.Instance, emit Emit, opts
 			}
 			return 0
 		},
+		steps: steps,
 	}
 	before := disk.Stats()
 	stopPeak := disk.StartMemPeak()
@@ -600,6 +548,9 @@ type executor struct {
 	// every counter bit-identical while removing the per-result CPU cost
 	// from every dry-run branch. TestDryRunChargesMatchWetRun pins this.
 	dry bool
+	// steps is the Run's step table, shared by all its executors; run makes
+	// one for an executor built without it.
+	steps *stepTable
 }
 
 // readsAll is the read mask of a consumer that reads every attribute: an
@@ -621,12 +572,15 @@ func attrMask(attrs ...int) uint64 {
 }
 
 func (x *executor) run(g *hypergraph.Graph, in relation.Instance) error {
+	if x.steps == nil {
+		x.steps = newStepTable()
+	}
 	x.asg = tuple.NewAssignment(x.nAttrs)
 	var reads uint64
 	if x.emit != nil || x.nAttrs > 64 {
 		reads = readsAll
 	}
-	return x.join(g, in, 0, reads, func(k int64) {
+	return x.join(x.steps.of(g), in, 0, reads, func(k int64) {
 		x.emitted += k
 		if x.emit != nil {
 			x.emit(x.asg)
@@ -722,23 +676,25 @@ func unbind(asg tuple.Assignment, schema tuple.Schema, boundMask uint64) {
 	}
 }
 
-// join implements Algorithm 2 (AcyclicJoin). done(k) reports k results of
-// the current subquery that extend the shared assignment as it is bound at
-// the call; reads is the mask of the attributes some outer callback reads
-// from that assignment (see extend). depth counts recursion levels (0 = the
-// caller's original query).
-func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, reads uint64, done func(int64)) error {
-	edges := g.Edges()
-	switch {
-	case len(edges) == 0:
+// join implements Algorithm 2 (AcyclicJoin) on the subquery of step s.
+// done(k) reports k results of the subquery that extend the shared
+// assignment as it is bound at the call; reads is the mask of the attributes
+// some outer callback reads from that assignment (see extend). depth counts
+// recursion levels (0 = the caller's original query).
+//
+// join reads in only at the edges of s's subquery and never writes it, so a
+// caller may hand the same instance to many recursions and change entries
+// between them.
+func (x *executor) join(s *step, in relation.Instance, depth int, reads uint64, done func(int64)) error {
+	switch s.kind {
+	case stepEmpty:
 		done(1)
 		return nil
 
-	case len(edges) == 1:
+	case stepBase:
 		// Base case: emit all tuples in R(e), one block at a time. A dry
 		// run only charges the scan and never touches a tuple.
-		e := edges[0]
-		r := in[e.ID]
+		r := in[s.edge.ID]
 		rd := r.Reader()
 		schema := r.Schema()
 		bound := attrMask(schema...)
@@ -758,96 +714,74 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, re
 			rd.Skip(n)
 		}
 		return nil
-	}
 
-	// Bud: a single-attribute relation on a join attribute. Joining with it
-	// is pure filtering; drop it, semijoin-filtering its neighbours unless
-	// the instance is known fully reduced (in which case the filter is a
-	// no-op, paper lines 3-4).
-	for _, e := range edges {
-		if g.KindOf(e) != hypergraph.Bud {
-			continue
+	case stepBud:
+		// Bud: a single-attribute relation on a join attribute. Joining with
+		// it is pure filtering; drop it, semijoin-filtering its neighbours
+		// unless the instance is known fully reduced (in which case the
+		// filter is a no-op, paper lines 3-4). Dropping a bud without
+		// filtering is only sound when the current instance is known fully
+		// reduced — which holds at depth 0 when the caller says so, but
+		// never below: restriction views lose the reduction property.
+		if x.opts.AssumeReduced && depth == 0 {
+			return x.join(s.next(), in, depth+1, reads, done)
 		}
-		v := g.LeafJoinAttr(e)
-		sub := in.Clone()
-		delete(sub, e.ID)
-		// Dropping a bud without filtering is only sound when the current
-		// instance is known fully reduced — which holds at depth 0 when the
-		// caller says so, but never below: restriction views lose the
-		// reduction property.
-		if !(x.opts.AssumeReduced && depth == 0) {
-			budRel, err := in[e.ID].SortDedupBy(v)
-			if err != nil {
-				return err
-			}
-			for _, o := range g.Neighbors(e) {
-				or, err := in[o.ID].SortBy(v)
-				if err != nil {
-					return err
-				}
-				filtered, err := relation.Semijoin(or, budRel, v)
-				if err != nil {
-					return err
-				}
-				sub[o.ID] = filtered
-			}
-		}
-		return x.join(g.Without([]int{e.ID}, nil), sub, depth+1, reads, done)
-	}
-
-	// Island: cross product with the rest, one memory chunk at a time
-	// (paper lines 5-9).
-	for _, e := range edges {
-		if g.KindOf(e) != hypergraph.Island {
-			continue
-		}
-		r := in[e.ID]
-		gRest := g.Without([]int{e.ID}, nil)
-		sub := in.Clone()
-		delete(sub, e.ID)
-		bound := attrMask(r.Schema()...)
-		return r.LoadChunks(func(c *relation.Chunk) error {
-			rows := c.Tuples
-			return x.join(gRest, sub, depth+1, reads, func(k int64) {
-				x.extend(rows, r.Schema(), bound, reads, k, done)
-			})
-		})
-	}
-
-	// Leaf peeling (paper lines 10-27).
-	var leaves []*hypergraph.Edge
-	for _, e := range edges {
-		if g.KindOf(e) == hypergraph.Leaf {
-			leaves = append(leaves, e)
-		}
-	}
-	if len(leaves) == 0 {
-		return fmt.Errorf("core: no island, bud, or leaf in %v (cyclic?)", g)
-	}
-	pick := x.chooser(g, structureKey(g), leaves, in)
-	e := leaves[pick]
-	v := g.LeafJoinAttr(e)
-	u := g.UniqueAttrs(e)
-	gamma := g.Neighbors(e)
-
-	re, err := in[e.ID].SortBy(v)
-	if err != nil {
-		return err
-	}
-	sorted := in.Clone()
-	for _, o := range gamma {
-		or, err := in[o.ID].SortBy(v)
+		budRel, err := in[s.edge.ID].SortDedupBy(s.v)
 		if err != nil {
 			return err
 		}
-		sorted[o.ID] = or
+		sub := in.Clone()
+		for _, o := range s.gamma {
+			or, err := in[o.ID].SortBy(s.v)
+			if err != nil {
+				return err
+			}
+			filtered, err := relation.Semijoin(or, budRel, s.v)
+			if err != nil {
+				return err
+			}
+			sub[o.ID] = filtered
+		}
+		return x.join(s.next(), sub, depth+1, reads, done)
+
+	case stepIsland:
+		// Island: cross product with the rest, one memory chunk at a time
+		// (paper lines 5-9).
+		r := in[s.edge.ID]
+		bound := attrMask(r.Schema()...)
+		rest := s.next()
+		return r.LoadChunks(func(c *relation.Chunk) error {
+			return x.join(rest, in, depth+1, reads, func(k int64) {
+				x.extendChunk(c, r.Schema(), bound, reads, k, done)
+			})
+		})
+
+	case stepStuck:
+		return fmt.Errorf("core: no island, bud, or leaf in %v (cyclic?)", s.g)
+	}
+
+	// Leaf peeling (paper lines 10-27).
+	pick := x.chooser(s.g, s.key, s.leaves, in)
+	e, p := s.leaves[pick], s.peel(pick)
+	re, err := in[e.ID].SortBy(p.v)
+	if err != nil {
+		return err
+	}
+	// One sub-instance serves the whole peel: each heavy value and each
+	// chunk only overwrites the Γ(e) entries before its recursion.
+	sub := in.Clone()
+	sorted := make([]*relation.Relation, len(p.gamma))
+	for i, o := range p.gamma {
+		if sorted[i], err = in[o.ID].SortBy(p.v); err != nil {
+			return err
+		}
 	}
 
 	if x.opts.DisableHeavySplit {
-		return x.peelLeafUnsplit(g, sorted, e, re, v, u, gamma, depth, reads, done)
+		return x.peelLeafUnsplit(p, sub, sorted, re, depth, reads, done)
 	}
 
-	heavy, light, err := re.Heavy(v)
+	heavy, light, err := re.Heavy(p.v)
 	if err != nil {
 		return err
 	}
@@ -856,19 +790,14 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, re
 	// its unique attributes, AND v (all tuples agree on it), possibly
 	// disconnecting the query; then cross the recursion's results with each
 	// memory chunk of R(e)|v=a.
-	gHeavy := g.Without([]int{e.ID}, append(append([]hypergraph.Attr{}, u...), v))
 	bound := attrMask(re.Schema()...)
 	for _, hgrp := range heavy {
-		a := hgrp.Value
-		sub := sorted.Clone()
-		delete(sub, e.ID)
-		for _, o := range gamma {
-			sub[o.ID] = sorted[o.ID].FindRange(v, a)
+		for i, o := range p.gamma {
+			sub[o.ID] = sorted[i].FindRange(p.v, hgrp.Value)
 		}
 		err := hgrp.Rel.LoadChunks(func(c *relation.Chunk) error {
-			rows := c.Tuples
-			return x.join(gHeavy, sub, depth+1, reads, func(k int64) {
-				x.extend(rows, re.Schema(), bound, reads, k, done)
+			return x.join(p.heavy, sub, depth+1, reads, func(k int64) {
+				x.extendChunk(c, re.Schema(), bound, reads, k, done)
 			})
 		})
 		if err != nil {
@@ -880,36 +809,50 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, re
 	// values), semijoin each neighbour down to the chunk's values, keep v in
 	// the query (no disconnection), and match recursion results against the
 	// chunk by v-value. The match reads v, so the recursion must bind it.
-	gLight := g.Without([]int{e.ID}, u)
-	return light.LoadChunksBy(v, func(c *relation.Chunk) error {
-		sub := sorted.Clone()
-		delete(sub, e.ID)
-		for _, o := range gamma {
-			filtered, err := relation.SemijoinValues(sorted[o.ID], v, c.Values)
-			if err != nil {
-				return err
-			}
-			sub[o.ID] = filtered
-		}
-		return x.join(gLight, sub, depth+1, reads|attrMask(v),
-			x.matchChunk(c.Tuples, c.Values, c.Starts, v, u, re.Schema(), reads, done))
+	return light.LoadChunksBy(p.v, func(c *relation.Chunk) error {
+		return x.joinChunk(p, sub, sorted, c, c.Values, c.Starts, re.Schema(), depth, reads, done)
 	})
 }
 
+// extendChunk is extend over the rows of a loaded chunk. A dry run reads no
+// row, so it builds no row headers either.
+func (x *executor) extendChunk(c *relation.Chunk, schema tuple.Schema, bound, reads uint64, k int64, done func(int64)) {
+	if !x.dry {
+		x.extend(c.Rows(), schema, bound, reads, k, done)
+	}
+}
+
+// joinChunk is the light-value step of peel p for one chunk of the leaf
+// relation, sorted by v with distinct values vals and group offsets starts:
+// it semijoins each sorted neighbour down to vals into sub and recurses on
+// the light residue, matching its results against the chunk.
+func (x *executor) joinChunk(p *leafPeel, sub relation.Instance, sorted []*relation.Relation, c *relation.Chunk,
+	vals []int64, starts []int, schema tuple.Schema, depth int, reads uint64, done func(int64)) error {
+	for i, o := range p.gamma {
+		filtered, err := relation.SemijoinValues(sorted[i], p.v, vals)
+		if err != nil {
+			return err
+		}
+		sub[o.ID] = filtered
+	}
+	return x.join(p.light, sub, depth+1, reads|attrMask(p.v),
+		x.matchChunk(c, vals, starts, p.v, p.u, schema, reads, done))
+}
+
 // matchChunk returns the callback that extends each recursion result with
-// the rows of chunk whose v-value it bound. The chunk is sorted by v, with
+// the rows of chunk c whose v-value it bound. The chunk is sorted by v, with
 // distinct values vals and group offsets starts (see relation.GroupRows), so
 // the matching rows are found by a binary search over the values, skipped
 // when the value repeats the previous probe's. The rows bind the leaf's
 // unique attributes u (v is bound already). A dry run enumerates nothing and
 // gets a no-op. It must not be handed done instead: the zero-edge base case
 // calls its callback directly, and done would count a result.
-func (x *executor) matchChunk(chunk []tuple.Tuple, vals []int64, starts []int, v hypergraph.Attr,
+func (x *executor) matchChunk(c *relation.Chunk, vals []int64, starts []int, v hypergraph.Attr,
 	u []hypergraph.Attr, schema tuple.Schema, reads uint64, done func(int64)) func(int64) {
 	if x.dry {
 		return func(int64) {}
 	}
-	m := &chunkMatch{x: x, chunk: chunk, vals: vals, starts: starts, v: v, schema: schema,
+	m := &chunkMatch{x: x, chunk: c, vals: vals, starts: starts, v: v, schema: schema,
 		bound: attrMask(u...), reads: reads, done: done, last: tuple.Unset}
 	return m.match
 }
@@ -918,7 +861,7 @@ func (x *executor) matchChunk(chunk []tuple.Tuple, vals []int64, starts []int, v
 // previous probe's value and group.
 type chunkMatch struct {
 	x            *executor
-	chunk        []tuple.Tuple
+	chunk        *relation.Chunk
 	vals         []int64
 	starts       []int
 	v            hypergraph.Attr
@@ -931,43 +874,22 @@ type chunkMatch struct {
 
 func (m *chunkMatch) match(k int64) {
 	if a := m.x.asg.Get(m.v); a != m.last {
-		m.last, m.rows = a, relation.GroupRows(m.chunk, m.vals, m.starts, a)
+		m.last, m.rows = a, relation.GroupRows(m.chunk.Rows(), m.vals, m.starts, a)
 	}
 	m.x.extend(m.rows, m.schema, m.bound, m.reads, k, m.done)
 }
 
 // peelLeafUnsplit is the DisableHeavySplit ablation: the whole sorted leaf
-// relation is processed in plain M-tuple chunks regardless of value
+// relation re is processed in plain M-tuple chunks regardless of value
 // frequencies. Heavy values then straddle chunks, so their neighbours are
 // re-semijoined (a full scan) once per chunk instead of being restricted to
 // zero-copy views once per value.
-func (x *executor) peelLeafUnsplit(g *hypergraph.Graph, sorted relation.Instance,
-	e *hypergraph.Edge, re *relation.Relation, v hypergraph.Attr,
-	u []hypergraph.Attr, gamma []*hypergraph.Edge, depth int, reads uint64, done func(int64)) error {
-	gLight := g.Without([]int{e.ID}, u)
-	vCol := re.Col(v)
-	var vals []int64
-	var starts []int
+func (x *executor) peelLeafUnsplit(p *leafPeel, sub relation.Instance, sorted []*relation.Relation,
+	re *relation.Relation, depth int, reads uint64, done func(int64)) error {
+	vCol := re.Col(p.v)
 	return re.LoadChunks(func(c *relation.Chunk) error {
 		// re is sorted by v, so each chunk's distinct values come in order.
-		vals, starts = vals[:0], starts[:0]
-		for i, t := range c.Tuples {
-			if len(vals) == 0 || t[vCol] != vals[len(vals)-1] {
-				vals = append(vals, t[vCol])
-				starts = append(starts, i)
-			}
-		}
-		starts = append(starts, len(c.Tuples))
-		sub := sorted.Clone()
-		delete(sub, e.ID)
-		for _, o := range gamma {
-			filtered, err := relation.SemijoinValues(sorted[o.ID], v, vals)
-			if err != nil {
-				return err
-			}
-			sub[o.ID] = filtered
-		}
-		return x.join(gLight, sub, depth+1, reads|attrMask(v),
-			x.matchChunk(c.Tuples, vals, starts, v, u, re.Schema(), reads, done))
+		vals, starts := c.Runs(vCol)
+		return x.joinChunk(p, sub, sorted, c, vals, starts, re.Schema(), depth, reads, done)
 	})
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"acyclicjoin/internal/extmem"
+	"acyclicjoin/internal/hypergraph"
+	"acyclicjoin/internal/reducer"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
 	"acyclicjoin/internal/workload"
@@ -159,4 +161,36 @@ func BenchmarkExhaustivePlanning(b *testing.B) {
 			b.ReportMetric(float64(r.TotalStats.IOs())/float64(r.ExecStats.IOs()), "planning-overhead-x")
 		}
 	}
+}
+
+// BenchmarkExhaustiveLollipop measures the exhaustive search path, memo on,
+// on the shape the bench/ module's tree-plan workload runs: Lollipop(3) with
+// 1,024 uniform draws per edge over a domain of 256, M=256, B=16, fully
+// reduced and then run with AssumeReduced as the public Run does. Every
+// iteration builds its instance on a fresh disk outside the timer, so no
+// iteration replays another's memo entries, and recycles the disk after.
+func BenchmarkExhaustiveLollipop(b *testing.B) {
+	g := hypergraph.Lollipop(3)
+	b.ReportAllocs()
+	var ios int64
+	var branches int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := extmem.NewDisk(extmem.Config{M: 256, B: 16})
+		in := randomInstance(d, rand.New(rand.NewSource(7)), g, 1024, 256)
+		before := d.Stats()
+		b.StartTimer()
+		red, err := reducer.FullReduce(g, in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := Run(g, red, nil, Options{Strategy: StrategyExhaustive, AssumeReduced: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ios, branches = d.Stats().Sub(before).IOs(), r.Branches
+		d.Recycle()
+	}
+	b.ReportMetric(float64(ios), "ios/op")
+	b.ReportMetric(float64(branches), "branches")
 }

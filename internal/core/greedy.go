@@ -235,13 +235,14 @@ func (gc *greedyChooser) policy() map[string]int {
 // probe charges; TotalStats is the whole run, so TotalStats − ExecStats is
 // the (honestly charged) planning cost, mirroring the exhaustive strategy's
 // dry-run accounting.
-func runGreedy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result) (*Result, error) {
+func runGreedy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, steps *stepTable) (*Result, error) {
 	gc := newGreedyChooser(disk)
 	ex := &executor{
 		emit:    emit,
 		opts:    opts,
 		nAttrs:  g.MaxAttr() + 1,
 		chooser: gc.choose,
+		steps:   steps,
 	}
 	before := disk.Stats()
 	stopPeak := disk.StartMemPeak()

@@ -192,10 +192,10 @@ func TestBranchFree(t *testing.T) {
 		{"bud over two leaves", budTwoLeaves, false},
 	}
 	for _, c := range cases {
-		if got := branchFree(c.g, false); got != c.want {
+		if got := branchFree(newStepTable().of(c.g), false); got != c.want {
 			t.Errorf("branchFree(%s) = %v, want %v", c.name, got, c.want)
 		}
-		if got := branchFree(c.g, true); got != c.want {
+		if got := branchFree(newStepTable().of(c.g), true); got != c.want {
 			t.Errorf("branchFree(%s, no split) = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -101,7 +101,7 @@ func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
 		}
 		c2 := r2s.Col(a1)
 		return PairJoin(r2s, r3, a2, func(t2, t3 tuple.Tuple) error {
-			for _, t1 := range relation.GroupRows(c.Tuples, c.Values, c.Starts, t2[c2]) {
+			for _, t1 := range relation.GroupRows(c.Rows(), c.Values, c.Starts, t2[c2]) {
 				bindInto(asg, r1.Schema(), t1, func() {
 					bindInto(asg, r2s.Schema(), t2, func() {
 						bindInto(asg, r3.Schema(), t3, func() { emit(asg) })
@@ -314,7 +314,7 @@ func ChunkedOuterJoin(outer *relation.Relation, shared hypergraph.Attr, inner fu
 	var buf tuple.Assignment
 	return outer.LoadChunks(func(c *relation.Chunk) error {
 		idx := map[int64][]tuple.Tuple{}
-		for _, t := range c.Tuples {
+		for _, t := range c.Rows() {
 			idx[t[oCol]] = append(idx[t[oCol]], t)
 		}
 		return inner(func(asg tuple.Assignment) {

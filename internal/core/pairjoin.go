@@ -128,9 +128,10 @@ func BlockedNLJ(rA, rB *relation.Relation, perPair func(ta, tb tuple.Tuple) erro
 	var err error
 	rA.Disk().WithPhase("nested-loop", func() {
 		err = rA.LoadChunks(func(c *relation.Chunk) error {
+			rows := c.Rows()
 			rd := rB.Reader()
 			for bt := rd.Next(); bt != nil; bt = rd.Next() {
-				for _, at := range c.Tuples {
+				for _, at := range rows {
 					if err := perPair(at, bt); err != nil {
 						return err
 					}

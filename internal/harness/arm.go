@@ -50,8 +50,8 @@ type arm struct {
 	// file engine honours the ambient Params.DevFaultRate.
 	backend string
 	// memo and limits go to core.Run. A memo that is on is attached before
-	// the load unless Params.NoMemo is set, in which case core.Run attaches
-	// it after the load.
+	// the load; Params.NoMemo turns it off, unless the experiment pins
+	// NoMemo false.
 	memo     core.MemoMode
 	limits   opcache.Limits
 	noPrune  bool
@@ -131,12 +131,12 @@ func runArm(p Params, w int, a arm) (out armRun, err error) {
 			out.set += h
 		}
 	}
-	out.res, err = core.Run(g, in, emit, core.Options{
+	out.res, err = core.Run(g, in, emit, p.options(core.Options{
 		Strategy:   a.strategy,
 		NoPrune:    a.noPrune,
 		Memo:       a.memo,
 		MemoLimits: a.limits,
-	})
+	}))
 	out.stats, out.xfer, out.dev = d.Stats(), d.Transfers(), d.DeviceStats()
 	if err == nil {
 		out.rows = out.res.Emitted

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/opcache"
@@ -58,6 +59,16 @@ func (ms *machines) disk(p Params) *extmem.Disk {
 		opcache.Enable(d)
 	}
 	return d
+}
+
+// options returns o for a core call of an experiment run under p: with the
+// memo off when Params.NoMemo is set. core.Run attaches a memo of its own
+// under the zero Options.Memo, so leaving a disk without one is not enough.
+func (p Params) options(o core.Options) core.Options {
+	if p.NoMemo {
+		o.Memo = core.MemoOff
+	}
+	return o
 }
 
 func (ms *machines) close(err *error) {

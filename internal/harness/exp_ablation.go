@@ -77,7 +77,7 @@ func runE19(p Params) (_ *Table, err error) {
 			alg: "Algorithm 2 (greedy)",
 			run: func(g *hypergraph.Graph, in relation.Instance) error {
 				_, err := core.Run(g, in, nil,
-					core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+					p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 				return err
 			},
 		},
@@ -100,7 +100,7 @@ func runE19(p Params) (_ *Table, err error) {
 					return err
 				}
 				_, err = core.Run(g, red, nil,
-					core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+					p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 				return err
 			},
 		},
@@ -186,10 +186,10 @@ func runE20(p Params) (_ *Table, err error) {
 			d := ms.disk(p)
 			g, in := build(d)
 			d.ResetStats()
-			r, err := core.Run(g, in, nil, core.Options{
+			r, err := core.Run(g, in, nil, p.options(core.Options{
 				Strategy:          core.StrategySmallest,
 				DisableHeavySplit: variant.disable,
-			})
+			}))
 			if err != nil {
 				return nil, err
 			}
@@ -281,10 +281,10 @@ func runE22(p Params) (_ *Table, err error) {
 				}
 				work = red
 			}
-			r, err := core.Run(g, work, nil, core.Options{
+			r, err := core.Run(g, work, nil, p.options(core.Options{
 				Strategy:      core.StrategySmallest,
 				AssumeReduced: variant.reduce,
-			})
+			}))
 			if err != nil {
 				return nil, err
 			}

@@ -17,6 +17,7 @@ func init() {
 // access sequence, so even the syscall counters reproduce exactly.
 func runE27(p Params) (*Table, error) {
 	p = p.WithDefaults()
+	p.NoMemo = false // the table reports memo-replayed transfers
 	t := &Table{
 		Title: "E27: storage backends — sim vs os.File engine, exhaustive strategy",
 		Header: []string{"workload", "rows", "IOs", "xfer R/W", "replayed R/W",

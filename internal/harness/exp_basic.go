@@ -266,7 +266,7 @@ func runE4(p Params) (_ *Table, err error) {
 		g2, in2 := workload.Line3WorstCase(d2, n, n)
 		// NoPrune pinned: the "incl. planning" row below reports the paper's
 		// full Σ-branches round-robin accounting, which pruning would shrink.
-		r, err := core.Run(g2, in2, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: true})
+		r, err := core.Run(g2, in2, nil, p.options(core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: true}))
 		if err != nil {
 			return nil, err
 		}

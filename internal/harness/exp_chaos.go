@@ -31,6 +31,7 @@ const chaosPins = pinCount | pinOrdered | pinExec | pinPolicy
 // cancellation each abort with a typed error and an intact disk.
 func runE26(p Params) (*Table, error) {
 	p = p.WithDefaults()
+	p.NoMemo = false // fault counts follow the performed transfers, which the memo sets
 	t := &Table{
 		Title: "E26: chaos sweep (fault-injecting disk, exhaustive strategy)",
 		Header: []string{"workload", "arm", "rows", "exec IOs",

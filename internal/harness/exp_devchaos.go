@@ -25,6 +25,7 @@ func init() {
 // backends for the OTHER experiments and are deliberately ignored here.
 func runE30(p Params) (*Table, error) {
 	p = p.WithDefaults()
+	p.NoMemo = false // fault counts follow the performed transfers, which the memo sets
 	t := &Table{
 		Title: "E30: device chaos sweep (syscall fault injection under the file engine)",
 		Header: []string{"workload", "arm", "rows", "exec IOs",

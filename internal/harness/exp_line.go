@@ -102,7 +102,7 @@ func runE5(p Params) (_ *Table, err error) {
 		f1 := lin + szs[0]*szs[1]*szs[3]/(mm*mm*float64(mp.B))
 		f2 := lin + szs[0]*szs[2]*szs[3]/(mm*mm*float64(mp.B))
 		bound := math.Min(f1, f2)
-		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
+		r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune}))
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +150,7 @@ func runE6(p Params) (_ *Table, err error) {
 			lin += s
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+		r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +178,7 @@ func runE6(p Params) (_ *Table, err error) {
 			return nil, err
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+		r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +247,7 @@ func runE7(p Params) (_ *Table, err error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.Run(g2, in2, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
+	r, err := core.Run(g2, in2, nil, p.options(core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune}))
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func runE8(p Params) (_ *Table, err error) {
 
 	var res5 int64
 	st, err := measure(d, func() error {
-		return core.Line7Unbalanced(g, in, countEmit(&res5), core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+		return core.Line7Unbalanced(g, in, countEmit(&res5), p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 	})
 	if err != nil {
 		return nil, err
@@ -312,7 +312,7 @@ func runE8(p Params) (_ *Table, err error) {
 	}
 	// One greedy branch: the exhaustive planner would replay the ~1M-result
 	// output once per branch, which this comparison does not need.
-	r, err := core.Run(g2, in2, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+	r, err := core.Run(g2, in2, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +348,7 @@ func runE9(p Params) (_ *Table, err error) {
 		var plan *core.LinePlan
 		st, err := measure(d, func() error {
 			var err error
-			plan, err = core.RunLine(g, red, countEmit(&res), core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+			plan, err = core.RunLine(g, red, countEmit(&res), p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 			return err
 		})
 		if err != nil {
@@ -380,7 +380,7 @@ func runE9(p Params) (_ *Table, err error) {
 		var plan *core.LinePlan
 		st, err := measure(d, func() error {
 			var err error
-			plan, err = core.RunLine(g, in, countEmit(&res), core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
+			plan, err = core.RunLine(g, in, countEmit(&res), p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 			return err
 		})
 		if err != nil {

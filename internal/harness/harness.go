@@ -26,10 +26,13 @@ type Params struct {
 	Scale int
 	// Seed feeds the randomized workloads.
 	Seed int64
-	// NoMemo disables the charge-replay operator memo that machines.disk
-	// attaches by default. Tables are byte-identical either way (replay
-	// charges exactly what the real operator would); the switch exists
-	// for A/B timing and for proving that claim (E23, E24).
+	// NoMemo disables the charge-replay operator memo: machines.disk attaches
+	// none and every core call runs with Memo: MemoOff (Params.options).
+	// Tables are byte-identical either way (replay charges exactly what the
+	// real operator would); the switch exists for A/B timing and for proving
+	// that claim. Experiments that report what the memo replays (E23, E24,
+	// E27) or fault counts that follow the performed transfers (E26, E30)
+	// pin the memo on.
 	NoMemo bool
 	// NoPrune disables branch-and-bound pruning of exhaustive-strategy dry
 	// runs in the experiments that honor it. Experiment tables report

@@ -263,3 +263,31 @@ func TestFileEnginesClosed(t *testing.T) {
 	_, err := VerifySweep(p, 2)
 	check("verify sweep", err)
 }
+
+// TestNoMemoRunsWithoutMemo checks that Params.NoMemo switches the operator
+// memo off for the core call itself, not only for the disk the harness
+// builds: core.Run attaches a memo of its own under the zero Options.Memo.
+// E25's pruned arm is the run under test; the same arm with the memo left on
+// must replay, or the zero counts would show nothing.
+func TestNoMemoRunsWithoutMemo(t *testing.T) {
+	p := Params{M: 64, B: 8, Scale: 1, Seed: 42}
+	noMemo := p
+	noMemo.NoMemo = true
+	for w, wl := range memoWorkloads {
+		off, err := runArm(noMemo, w, arm{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off.memo.Hits != 0 || off.xfer.ReplayedReads != 0 || off.xfer.ReplayedWrites != 0 {
+			t.Errorf("%s under NoMemo: %d memo hits, %d/%d replayed transfers; want none",
+				wl.name, off.memo.Hits, off.xfer.ReplayedReads, off.xfer.ReplayedWrites)
+		}
+		on, err := runArm(p, w, arm{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if on.memo.Hits == 0 {
+			t.Errorf("%s with the memo on: no memo hits", wl.name)
+		}
+	}
+}

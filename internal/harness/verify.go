@@ -84,7 +84,7 @@ func verifyTrial(p Params, rng *rand.Rand, name string, trial int, gen func(*ran
 		return err
 	}
 	for _, o := range sweep {
-		got, err := runSet(g, in, o)
+		got, err := runSet(g, in, p.options(o))
 		if err != nil {
 			return fmt.Errorf("%s trial %d strategy %v (noprune %v): %w", name, trial, o.Strategy, o.NoPrune, err)
 		}
@@ -93,7 +93,7 @@ func verifyTrial(p Params, rng *rand.Rand, name string, trial int, gen func(*ran
 		}
 	}
 	// Ablation variant.
-	got, err := runSet(g, in, core.Options{Strategy: variant, DisableHeavySplit: true})
+	got, err := runSet(g, in, p.options(core.Options{Strategy: variant, DisableHeavySplit: true}))
 	if err != nil {
 		return err
 	}
@@ -109,7 +109,7 @@ func verifyTrial(p Params, rng *rand.Rand, name string, trial int, gen func(*ran
 		var lines []string
 		_, err := core.RunLine(g, red, func(a tuple.Assignment) {
 			lines = append(lines, a.String())
-		}, core.Options{Strategy: variant, AssumeReduced: true})
+		}, p.options(core.Options{Strategy: variant, AssumeReduced: true}))
 		if err != nil {
 			return err
 		}

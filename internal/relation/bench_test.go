@@ -16,7 +16,7 @@ func BenchmarkLoadChunksBy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := 0
 		err := r.LoadChunksBy(0, func(c *Chunk) error {
-			rows += len(c.Tuples)
+			rows += c.Len()
 			return nil
 		})
 		if err != nil {

@@ -1,0 +1,143 @@
+package relation
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"acyclicjoin/internal/extmem"
+	"acyclicjoin/internal/tuple"
+)
+
+// filterCase is one value-filter oracle instance: a relation of n rows over
+// schema (0, 1) with values drawn from [0, dom), filtered on attribute a
+// through the view [off, off+cnt), sorted by a or left in input order, on a
+// disk with block size b, against the sorted distinct value set vals.
+type filterCase struct {
+	n, dom, b, off, cnt int
+	a                   tuple.Attr
+	sorted              bool
+	vals                []int64
+}
+
+// filterView builds the case's view on d.
+func filterView(d *extmem.Disk, c filterCase, rng *rand.Rand) *Relation {
+	rows := make([]tuple.Tuple, c.n)
+	for i := range rows {
+		rows[i] = tuple.Tuple{rng.Int63n(int64(c.dom)), rng.Int63n(int64(c.dom))}
+	}
+	r := FromTuples(d, tuple.Schema{0, 1}, rows)
+	if c.sorted {
+		var err error
+		if r, err = r.SortBy(c.a); err != nil {
+			panic(err)
+		}
+	}
+	return r.View(c.off, c.cnt)
+}
+
+// valueSet returns a sorted distinct value set of the given kind over the
+// view's a-values: empty, all below them, all above them, straddling them,
+// or drawn from the values of one block of the view.
+func valueSet(r *Relation, a tuple.Attr, kind int, rng *rand.Rand) []int64 {
+	col := r.Col(a)
+	var have []int64
+	r.Scan(func(t tuple.Tuple) { have = append(have, t[col]) })
+	lo, hi := int64(0), int64(0)
+	if len(have) > 0 {
+		lo, hi = slices.Min(have), slices.Max(have)
+	}
+	var vals []int64
+	switch kind % 5 {
+	case 1:
+		for range 1 + rng.Intn(4) {
+			vals = append(vals, lo-1-rng.Int63n(5))
+		}
+	case 2:
+		for range 1 + rng.Intn(4) {
+			vals = append(vals, hi+1+rng.Int63n(5))
+		}
+	case 3:
+		for range 1 + rng.Intn(8) {
+			vals = append(vals, lo-2+rng.Int63n(hi-lo+5))
+		}
+	case 4:
+		if len(have) > 0 {
+			b := r.Disk().B()
+			start := rng.Intn(len(have)) / b * b
+			for _, v := range have[start:min(start+b, len(have))] {
+				if rng.Intn(2) == 0 {
+					vals = append(vals, v)
+				}
+			}
+		}
+	}
+	slices.Sort(vals)
+	return slices.Compact(vals)
+}
+
+// checkFilterValues runs SemijoinValues and AntiSemijoinValues on the case's
+// view against a map oracle, and checks each charges exactly what it charges
+// on the same view with its sort claim dropped.
+func checkFilterValues(t *testing.T, c filterCase, seed int64, kind int) {
+	t.Helper()
+	d := disk(4*c.b, c.b)
+	rng := rand.New(rand.NewSource(seed))
+	r := filterView(d, c, rng)
+	c.vals = valueSet(r, c.a, kind, rng)
+	in := map[int64]bool{}
+	for _, v := range c.vals {
+		in[v] = true
+	}
+	col := r.Col(c.a)
+	for _, keep := range []bool{true, false} {
+		var want []tuple.Tuple
+		for _, tp := range Contents(r) {
+			if in[tp[col]] == keep {
+				want = append(want, tp)
+			}
+		}
+		filter := SemijoinValues
+		if !keep {
+			filter = AntiSemijoinValues
+		}
+		charged := func(v *Relation) ([]tuple.Tuple, extmem.Stats) {
+			before := d.Stats()
+			out, err := filter(v, c.a, c.vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Contents(out), d.Stats().Sub(before)
+		}
+		got, cost := charged(r)
+		if !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("%+v keep=%v: got %v, want %v", c, keep, got, want)
+		}
+		plain, plainCost := charged(r.WithSortOrder(nil))
+		if !slices.EqualFunc(plain, want, slices.Equal) {
+			t.Fatalf("%+v keep=%v without the sort claim: got %v, want %v", c, keep, plain, want)
+		}
+		if cost != plainCost {
+			t.Fatalf("%+v keep=%v: charged %+v, %+v without the sort claim", c, keep, cost, plainCost)
+		}
+	}
+}
+
+// FuzzFilterValuesOracle fuzzes the value filters, whose sorted path decides
+// blocks outside the value set's range without probing them: random views
+// sorted by the filtered attribute or not, and value sets that are empty,
+// below, above or straddling the view's values, or drawn from one block.
+func FuzzFilterValuesOracle(f *testing.F) {
+	f.Add(uint8(40), uint8(12), uint8(2), uint8(3), uint8(30), false, true, uint8(3), int64(1))
+	f.Add(uint8(33), uint8(50), uint8(1), uint8(0), uint8(33), true, true, uint8(4), int64(2))
+	f.Add(uint8(20), uint8(5), uint8(3), uint8(5), uint8(9), false, false, uint8(0), int64(3))
+	f.Fuzz(func(t *testing.T, n, dom, b, off, cnt uint8, second, sorted bool, kind uint8, seed int64) {
+		c := filterCase{n: int(n % 80), dom: 1 + int(dom%60), b: 2 + int(b%4), sorted: sorted}
+		if second {
+			c.a = 1
+		}
+		c.off = int(off) % (c.n + 1)
+		c.cnt = int(cnt) % (c.n - c.off + 1)
+		checkFilterValues(t, c, seed, int(kind))
+	})
+}

@@ -103,8 +103,15 @@ func Semijoin(r, s *Relation, a tuple.Attr) (*Relation, error) {
 // AntiSemijoinValues: one scan of r keeping tuples whose a-value membership
 // in vals matches keep. vals goes into the memo key unchanged, so it must be
 // sorted and distinct.
+//
+// On a view sorted by a, a block whose values all lie below vals[0] or above
+// the last value holds no member, so it is decided whole without a probe:
+// the semijoin keeps none of it and the anti-semijoin all of it. The block is
+// still read and charged, and its output lands where the probing loop's
+// would, so the charges do not depend on the skip.
 func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep bool) (*Relation, error) {
 	c := r.Col(a)
+	sorted := r.SortedByAttr(a)
 	outs, _, err := opcache.Do(r.Disk(), opcache.Op{
 		Kind:   kind,
 		Params: strconv.Itoa(c),
@@ -117,6 +124,13 @@ func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep boo
 		rd := r.Reader()
 		p := valueProbe{vals: vals}
 		for cells, n := rd.Block(); n > 0; cells, n = rd.Block() {
+			if sorted && (len(vals) == 0 || cells[(n-1)*wd+c] < vals[0] || cells[c] > vals[len(vals)-1]) {
+				if !keep {
+					w.AppendCells(cells[:n*wd])
+				}
+				rd.Skip(n)
+				continue
+			}
 			run := 0 // first tuple of the pending run of kept tuples
 			for i := range n {
 				if p.contains(cells[i*wd+c]) != keep {

@@ -387,20 +387,62 @@ func (r *Relation) Heavy(a tuple.Attr) (heavy []Group, light *Relation, err erro
 // Chunk is an in-memory load of tuples, with the memory accounted until
 // Release is called.
 type Chunk struct {
-	// Tuples are the loaded rows, in view order. They live in an arena the
-	// load reuses for its next chunk, so they are valid only until fn
-	// returns and must not be kept after that; copy a row to keep it.
-	Tuples []tuple.Tuple
 	// Values are the sorted distinct values on the grouping attribute when
-	// the chunk was loaded "by v"; nil for plain chunk loads. Like Tuples,
-	// they are valid only until fn returns.
+	// the chunk was loaded "by v"; nil for plain chunk loads. They are valid
+	// only until fn returns.
 	Values []int64
-	// Starts[i] is the index in Tuples of the first row of Values[i]'s
-	// group, with one more entry, len(Tuples), closing the last group; nil
-	// for plain chunk loads. GroupRows looks a value's rows up through it.
+	// Starts[i] is the index in Rows of the first row of Values[i]'s group,
+	// with one more entry, Len, closing the last group; nil for plain chunk
+	// loads. GroupRows looks a value's rows up through it.
 	Starts []int
-	disk   *extmem.Disk
-	held   int
+	// cells are the loaded rows back to back, slot cells each: a slice of
+	// the relation's file image, not a copy.
+	cells       []int64
+	width, slot int
+	built       bool
+	arena       *chunkArena
+	disk        *extmem.Disk
+	held        int
+}
+
+// Len returns the number of loaded rows.
+func (c *Chunk) Len() int { return len(c.cells) / c.slot }
+
+// Rows returns the loaded rows, in view order. The rows alias the relation's
+// disk storage, like the cells of Reader.Block: they must not be modified,
+// and they stay valid until the disk's Recycle. The row headers are built on
+// the first call, in an arena the load reuses for its next chunk, so the
+// slice itself is valid only until fn returns. A caller that reads no row
+// never pays for the headers.
+func (c *Chunk) Rows() []tuple.Tuple {
+	a := c.arena
+	if !c.built {
+		c.built = true
+		a.rows = slices.Grow(a.rows[:0], c.Len())
+		for lo := 0; lo < len(c.cells); lo += c.slot {
+			a.rows = append(a.rows, c.cells[lo:lo+c.width:lo+c.width])
+		}
+	}
+	return a.rows
+}
+
+// Runs returns the distinct values of column col and their group offsets,
+// laid out as Values and Starts, for a plain chunk load whose rows are
+// sorted by col. It reads the cells and builds no row headers. The slices
+// reuse the storage a load by value keeps Values and Starts in, and are
+// valid only until fn returns.
+func (c *Chunk) Runs(col int) (vals []int64, starts []int) {
+	a := c.arena
+	a.vals, a.starts = a.vals[:0], a.starts[:0]
+	n := c.Len()
+	for i := range n {
+		if v := c.cells[i*c.slot+col]; len(a.vals) == 0 || v != a.vals[len(a.vals)-1] {
+			a.vals = append(a.vals, v)
+			a.starts = append(a.starts, i)
+		}
+	}
+	a.starts = append(a.starts, n)
+	return a.vals, a.starts
 }
 
 // GroupRows returns the rows of ts whose grouping value is v: ts is sorted
@@ -424,14 +466,12 @@ func (c *Chunk) Release() {
 	}
 }
 
-// chunkArena is the host memory behind one chunk load: the loaded cells in
-// one flat slice, the row headers slicing it, the chunk's value set with its
-// group offsets and the Chunk handed to fn. One load reuses it for every
-// chunk, and arenaPool hands it to later loads, so a load allocates O(1)
-// times however many tuples it reads. A load nested in another load's fn takes its own arena
-// from the pool.
+// chunkArena is the host memory behind one chunk load: the row headers Rows
+// builds, the chunk's value set with its group offsets and the Chunk handed
+// to fn. One load reuses it for every chunk, and arenaPool hands it to later
+// loads, so a load allocates O(1) times however many tuples it reads. A load
+// nested in another load's fn takes its own arena from the pool.
 type chunkArena struct {
-	cells  []int64
 	rows   []tuple.Tuple
 	vals   []int64
 	starts []int
@@ -440,53 +480,46 @@ type chunkArena struct {
 
 var arenaPool sync.Pool
 
-// getArena returns an empty arena reserving room for n rows of the given
-// width.
-func getArena(n, width int) *chunkArena {
+// getArena returns an empty arena.
+func getArena() *chunkArena {
 	a, _ := arenaPool.Get().(*chunkArena)
 	if a == nil {
 		a = &chunkArena{}
-	}
-	if a.cells == nil || cap(a.cells) < n*width {
-		a.cells = make([]int64, 0, n*width)
-	}
-	if cap(a.rows) < n {
-		a.rows = make([]tuple.Tuple, 0, n)
 	}
 	return a
 }
 
 // putArena hands a back to the pool, dropping its references to the load's
-// disk and to any slab outgrown by push.
+// disk and its storage.
 func putArena(a *chunkArena) {
 	clear(a.rows[:cap(a.rows)])
 	a.chunk = Chunk{}
 	arenaPool.Put(a)
 }
 
-// reset empties the arena for the next chunk of the same load.
-func (a *chunkArena) reset() {
-	a.cells = a.cells[:0]
-	a.rows = a.rows[:0]
-	a.vals = a.vals[:0]
-	a.starts = a.starts[:0]
+// start empties the arena for the next chunk of a load over r and returns
+// that chunk, holding no rows yet.
+func (a *chunkArena) start(r *Relation, held int) *Chunk {
+	a.vals, a.starts = a.vals[:0], a.starts[:0]
+	a.chunk = Chunk{width: len(r.schema), slot: r.file.Slot(), arena: a, disk: r.Disk(), held: held}
+	return &a.chunk
 }
 
-// push copies k rows of width w, held back to back in cells (k*w cells),
-// into the arena in one copy and appends their row headers.
-func (a *chunkArena) push(cells []int64, k, w int) {
-	n := len(a.cells)
-	if n+len(cells) > cap(a.cells) {
-		// Only a chunk beyond the reservation gets here (a heavy group
-		// loaded by value). Rows already handed out keep the old slab
-		// alive, so start a new one rather than reallocating under them.
-		a.cells = make([]int64, 0, 2*cap(a.cells)+len(cells))
-		n = 0
+// take adds the first k tuples of a block window, cells as Reader.Block
+// returned them, to chunk c. A reader's consecutive windows are consecutive
+// in its file's image, so c's cells stay one slice of that image, extended
+// in place.
+func (c *Chunk) take(cells []int64, k int) {
+	if k == 0 {
+		return
 	}
-	a.cells = append(a.cells, cells...)
-	for i := range k {
-		lo := n + i*w
-		a.rows = append(a.rows, a.cells[lo:lo+w:lo+w])
+	n := len(c.cells)
+	if n == 0 {
+		c.cells = cells[:k*c.slot]
+	} else if &c.cells[:n+1][n] != &cells[0] {
+		panic("relation: chunk load read a window that does not follow the previous one")
+	} else {
+		c.cells = c.cells[:n+k*c.slot]
 	}
 }
 
@@ -495,26 +528,24 @@ func (a *chunkArena) push(cells []int64, k, w int) {
 // released after fn returns, whether or not fn returns an error.
 func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 	d := r.Disk()
-	m, w := d.M(), len(r.schema)
+	m := d.M()
 	rd := r.Reader()
-	a := getArena(min(m, r.n), w)
+	a := getArena()
 	defer putArena(a)
 	for rd.Remaining() > 0 {
 		if err := d.Grab(m); err != nil {
 			return err
 		}
-		a.reset()
-		for len(a.rows) < m {
+		c := a.start(r, m)
+		for c.Len() < m {
 			cells, n := rd.Block()
 			if n == 0 {
 				break
 			}
-			k := min(n, m-len(a.rows))
-			a.push(cells[:k*w], k, w)
+			k := min(n, m-c.Len())
+			c.take(cells, k)
 			rd.Skip(k)
 		}
-		c := &a.chunk
-		*c = Chunk{Tuples: a.rows, disk: d, held: m}
 		err := fn(c)
 		c.Release()
 		if err != nil {
@@ -536,13 +567,14 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) error {
 	m, w := d.M(), len(r.schema)
 	col := r.Col(a)
 	rd := r.Reader()
-	ar := getArena(min(2*m, r.n), w)
+	ar := getArena()
 	defer putArena(ar)
 	for rd.Remaining() > 0 {
 		if err := d.Grab(2 * m); err != nil {
 			return err
 		}
-		ar.reset()
+		c := ar.start(r, 2*m)
+		loaded := 0
 		for cut := false; !cut; {
 			// Block charges a block exactly as Next would. The tuples from
 			// the one that opens the next chunk on stay unconsumed, and
@@ -555,19 +587,19 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) error {
 			for ; k < n; k++ {
 				v := cells[k*w+col]
 				if len(ar.vals) == 0 || v != ar.vals[len(ar.vals)-1] {
-					if cut = len(ar.rows)+k >= m; cut {
+					if cut = loaded+k >= m; cut {
 						break
 					}
 					ar.vals = append(ar.vals, v)
-					ar.starts = append(ar.starts, len(ar.rows)+k)
+					ar.starts = append(ar.starts, loaded+k)
 				}
 			}
-			ar.push(cells[:k*w], k, w)
+			c.take(cells, k)
 			rd.Skip(k)
+			loaded += k
 		}
-		ar.starts = append(ar.starts, len(ar.rows))
-		c := &ar.chunk
-		*c = Chunk{Tuples: ar.rows, Values: ar.vals, Starts: ar.starts, disk: d, held: 2 * m}
+		ar.starts = append(ar.starts, loaded)
+		c.Values, c.Starts = ar.vals, ar.starts
 		err := fn(c)
 		c.Release()
 		if err != nil {

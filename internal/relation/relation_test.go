@@ -181,7 +181,7 @@ func TestLoadChunks(t *testing.T) {
 	r := FromTuples(d, tuple.Schema{0}, rows)
 	var sizes []int
 	err := r.LoadChunks(func(c *Chunk) error {
-		sizes = append(sizes, len(c.Tuples))
+		sizes = append(sizes, c.Len())
 		return nil
 	})
 	if err != nil {
@@ -211,12 +211,12 @@ func TestLoadChunksBy(t *testing.T) {
 	}
 	total := 0
 	err = s.LoadChunksBy(0, func(c *Chunk) error {
-		if len(c.Tuples) > 2*4 {
-			t.Fatalf("chunk exceeds 2M: %d", len(c.Tuples))
+		if c.Len() > 2*4 {
+			t.Fatalf("chunk exceeds 2M: %d", c.Len())
 		}
 		// Values are the chunk's distinct v-values, strictly increasing.
 		var distinct []int64
-		for _, tp := range c.Tuples {
+		for _, tp := range c.Rows() {
 			if len(distinct) == 0 || tp[0] != distinct[len(distinct)-1] {
 				distinct = append(distinct, tp[0])
 			}
@@ -233,7 +233,7 @@ func TestLoadChunksBy(t *testing.T) {
 		for _, v := range c.Values {
 			want := map[int64]int{1: 3, 2: 3, 3: 2, 4: 1}[v]
 			got := 0
-			for _, tp := range c.Tuples {
+			for _, tp := range c.Rows() {
 				if tp[0] == v {
 					got++
 				}
@@ -242,7 +242,7 @@ func TestLoadChunksBy(t *testing.T) {
 				t.Fatalf("group %d split: %d of %d in chunk", v, got, want)
 			}
 		}
-		total += len(c.Tuples)
+		total += c.Len()
 		return nil
 	})
 	if err != nil {
@@ -261,17 +261,17 @@ func TestLoadChunksBy(t *testing.T) {
 // two values, below the first, above the last) finds none.
 func checkGroupRows(t *testing.T, c *Chunk) {
 	t.Helper()
-	if len(c.Starts) != len(c.Values)+1 || c.Starts[0] != 0 || c.Starts[len(c.Values)] != len(c.Tuples) {
-		t.Fatalf("starts %v do not frame %d rows of %d values", c.Starts, len(c.Tuples), len(c.Values))
+	if len(c.Starts) != len(c.Values)+1 || c.Starts[0] != 0 || c.Starts[len(c.Values)] != c.Len() {
+		t.Fatalf("starts %v do not frame %d rows of %d values", c.Starts, c.Len(), len(c.Values))
 	}
 	for _, v := range c.Values {
 		var want []tuple.Tuple
-		for _, tp := range c.Tuples {
+		for _, tp := range c.Rows() {
 			if tp[0] == v {
 				want = append(want, tp)
 			}
 		}
-		got := GroupRows(c.Tuples, c.Values, c.Starts, v)
+		got := GroupRows(c.Rows(), c.Values, c.Starts, v)
 		if !slices.EqualFunc(got, want, slices.Equal) {
 			t.Fatalf("GroupRows(%d) = %v, want %v", v, got, want)
 		}
@@ -284,7 +284,7 @@ func checkGroupRows(t *testing.T, c *Chunk) {
 		}
 	}
 	for _, v := range absent {
-		if got := GroupRows(c.Tuples, c.Values, c.Starts, v); len(got) != 0 {
+		if got := GroupRows(c.Rows(), c.Values, c.Starts, v); len(got) != 0 {
 			t.Fatalf("GroupRows(%d) of absent value = %v", v, got)
 		}
 	}
@@ -292,7 +292,7 @@ func checkGroupRows(t *testing.T, c *Chunk) {
 
 // TestGroupRows covers the group-offset lookup over chunks loaded by value:
 // single-row groups, first and last groups, a heavy group that outgrows the
-// arena's 2M-row reservation, and a nested load that takes its own arena.
+// 2M rows of a light chunk, and a nested load that takes its own arena.
 func TestGroupRows(t *testing.T) {
 	const m = 4
 	d := disk(m, 1)
@@ -307,7 +307,7 @@ func TestGroupRows(t *testing.T) {
 	var chunks, heavy int
 	err := r.LoadChunksBy(0, func(c *Chunk) error {
 		chunks++
-		if len(c.Tuples) > 2*m {
+		if c.Len() > 2*m {
 			heavy++
 		}
 		checkGroupRows(t, c)
@@ -316,7 +316,7 @@ func TestGroupRows(t *testing.T) {
 		inner := 0
 		if err := lightRel(d, 11, 1).LoadChunksBy(0, func(ic *Chunk) error {
 			checkGroupRows(t, ic)
-			inner += len(ic.Tuples)
+			inner += ic.Len()
 			return nil
 		}); err != nil {
 			return err
@@ -357,14 +357,14 @@ func TestNestedLoadChunks(t *testing.T) {
 	r := lightRel(d, 13, 2)
 	want := Contents(r)
 	outer := func(c *Chunk) error {
-		rows := make([]tuple.Tuple, len(c.Tuples))
-		for i, tp := range c.Tuples {
+		rows := make([]tuple.Tuple, c.Len())
+		for i, tp := range c.Rows() {
 			rows[i] = tuple.Clone(tp)
 		}
 		vals := slices.Clone(c.Values)
 		var inner []tuple.Tuple
 		collect := func(ic *Chunk) error {
-			for _, tp := range ic.Tuples {
+			for _, tp := range ic.Rows() {
 				inner = append(inner, tuple.Clone(tp))
 			}
 			return nil
@@ -375,7 +375,7 @@ func TestNestedLoadChunks(t *testing.T) {
 		if err := r.LoadChunksBy(0, collect); err != nil {
 			return err
 		}
-		for i, tp := range c.Tuples {
+		for i, tp := range c.Rows() {
 			if !slices.Equal(tp, rows[i]) {
 				t.Fatalf("outer row %d changed by the inner load: %v, was %v", i, tp, rows[i])
 			}
@@ -421,6 +421,46 @@ func TestLoadChunksByAllocs(t *testing.T) {
 	}
 	if a1, a4 := allocs(n), allocs(4*n); a1 != a4 {
 		t.Fatalf("LoadChunksBy allocates %v times over %d tuples but %v times over %d", a1, n, a4, 4*n)
+	}
+}
+
+// TestChunkLoadAllocsFlat guards the aliasing chunk loads: rows are not
+// copied and their headers are built only on request, so a pass that never
+// calls Rows allocates the same however many rows it loads, while Rows still
+// reads back the view's contents.
+func TestChunkLoadAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	const m, b = 256, 16
+	allocs := func(n int) float64 {
+		r := lightRel(disk(m, b), n, 4)
+		want := Contents(r)
+		byValue := func(fn func(*Chunk) error) error { return r.LoadChunksBy(0, fn) }
+		for _, load := range []func(func(*Chunk) error) error{r.LoadChunks, byValue} {
+			var got []tuple.Tuple
+			if err := load(func(c *Chunk) error {
+				got = append(got, c.Rows()...)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("Rows over %d tuples differ from Contents", n)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			skip := func(*Chunk) error { return nil }
+			if err := r.LoadChunks(skip); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.LoadChunksBy(0, skip); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1024), allocs(16384); small != large {
+		t.Fatalf("chunk loads allocate %v times over 1024 tuples but %v times over 16384", small, large)
 	}
 }
 
