@@ -202,7 +202,7 @@ func runE20(p Params) (_ *Table, err error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"crossover: at 0% skew the split pays its bookkeeping (the light-part rewrite) for nothing; as the hub grows, only the split avoids re-scanning R2 per chunk and wins",
+		"crossover: at 0% skew the split pays its heavy scan for nothing; as the hub grows, only the split avoids re-scanning R2 per chunk and wins",
 		"both variants compute identical results at every point")
 	return t, nil
 }

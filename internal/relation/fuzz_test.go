@@ -124,13 +124,17 @@ func checkFilterValues(t *testing.T, c filterCase, seed int64, kind int) {
 }
 
 // FuzzFilterValuesOracle fuzzes the value filters, whose sorted path decides
-// blocks outside the value set's range without probing them: random views
+// blocks outside the value set's range without probing them, and a run of
+// equal values inside one with a single probe: random views
 // sorted by the filtered attribute or not, and value sets that are empty,
 // below, above or straddling the view's values, or drawn from one block.
 func FuzzFilterValuesOracle(f *testing.F) {
 	f.Add(uint8(40), uint8(12), uint8(2), uint8(3), uint8(30), false, true, uint8(3), int64(1))
 	f.Add(uint8(33), uint8(50), uint8(1), uint8(0), uint8(33), true, true, uint8(4), int64(2))
 	f.Add(uint8(20), uint8(5), uint8(3), uint8(5), uint8(9), false, false, uint8(0), int64(3))
+	// Six values over 60 sorted tuples: blocks that straddle the set's range
+	// hold runs of repeated values.
+	f.Add(uint8(60), uint8(5), uint8(2), uint8(1), uint8(58), false, true, uint8(3), int64(4))
 	f.Fuzz(func(t *testing.T, n, dom, b, off, cnt uint8, second, sorted bool, kind uint8, seed int64) {
 		c := filterCase{n: int(n % 80), dom: 1 + int(dom%60), b: 2 + int(b%4), sorted: sorted}
 		if second {
@@ -139,5 +143,101 @@ func FuzzFilterValuesOracle(f *testing.F) {
 		c.off = int(off) % (c.n + 1)
 		c.cnt = int(cnt) % (c.n - c.off + 1)
 		checkFilterValues(t, c, seed, int(kind))
+	})
+}
+
+// windows is how many block windows a scan of tuples [off, off+n) touches.
+func windows(off, n, b int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return int64((off+n-1)/b - off/b + 1)
+}
+
+// FuzzHeavySplitOracle fuzzes the heavy/light split against a map oracle:
+// random views of a relation sorted by the split attribute, at random
+// offsets, on disks of random M and B. The heavy groups must be the values
+// with at least M tuples, in order, and the light part every other tuple, in
+// view order. The charge must be exact: nothing below M tuples, else the
+// view's block windows, plus, when a value is heavy, each maximal light
+// segment's block windows and ⌈L/B⌉ writes for the L light tuples.
+func FuzzHeavySplitOracle(f *testing.F) {
+	f.Add(uint8(60), uint8(6), uint8(1), uint8(0), uint8(3), uint8(50), int64(1))
+	f.Add(uint8(80), uint8(3), uint8(3), uint8(2), uint8(7), uint8(70), int64(2))
+	f.Add(uint8(40), uint8(40), uint8(2), uint8(1), uint8(0), uint8(40), int64(3))
+	f.Add(uint8(9), uint8(1), uint8(0), uint8(0), uint8(1), uint8(5), int64(4))
+	f.Fuzz(func(t *testing.T, n, dom, b, m, off, cnt uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		B := 1 + int(b%4)
+		M := 3*B + int(m)%(2*B+1)
+		d := disk(M, B)
+		rows := make([]tuple.Tuple, int(n%90))
+		for i := range rows {
+			rows[i] = tuple.Tuple{rng.Int63n(1 + int64(dom%30)), rng.Int63n(4)}
+		}
+		SortTuples(rows)
+		lo := int(off) % (len(rows) + 1)
+		view := rows[lo : lo+int(cnt)%(len(rows)-lo+1)]
+		r := FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1}).View(lo, len(view))
+
+		count := map[int64]int{}
+		for _, tp := range view {
+			count[tp[0]]++
+		}
+		var wantHeavy []int64
+		var wantLight []tuple.Tuple
+		var want extmem.Stats
+		if len(view) >= M {
+			want.Reads = windows(lo, len(view), B)
+		}
+		var copyReads int64
+		seg := 0 // length of the light segment ending at i
+		for i, tp := range view {
+			if count[tp[0]] >= M {
+				if i == 0 || tp[0] != view[i-1][0] {
+					wantHeavy = append(wantHeavy, tp[0])
+				}
+				copyReads += windows(lo+i-seg, seg, B)
+				seg = 0
+				continue
+			}
+			wantLight = append(wantLight, tp)
+			seg++
+		}
+		copyReads += windows(lo+len(view)-seg, seg, B)
+		if len(wantHeavy) > 0 {
+			want.Reads += copyReads
+			want.Writes = int64((len(wantLight) + B - 1) / B)
+		}
+
+		before := d.Stats()
+		heavy, light, err := r.Heavy(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost := d.Stats().Sub(before); cost != want {
+			t.Fatalf("M=%d B=%d view [%d,+%d): charged %+v, want %+v", M, B, lo, len(view), cost, want)
+		}
+		if len(wantHeavy) == 0 && light != r {
+			t.Fatal("no heavy value, but the light part is not the view")
+		}
+		var gotHeavy []int64
+		for _, g := range heavy {
+			gotHeavy = append(gotHeavy, g.Value)
+			for _, tp := range Contents(g.Rel) {
+				if tp[0] != g.Value {
+					t.Fatalf("heavy group %d holds %v", g.Value, tp)
+				}
+			}
+			if g.Rel.Len() != count[g.Value] {
+				t.Fatalf("heavy group %d has %d tuples, want %d", g.Value, g.Rel.Len(), count[g.Value])
+			}
+		}
+		if !slices.Equal(gotHeavy, wantHeavy) {
+			t.Fatalf("M=%d: heavy values %v, want %v", M, gotHeavy, wantHeavy)
+		}
+		if got := Contents(light); !slices.EqualFunc(got, wantLight, slices.Equal) || !light.SortedByAttr(0) {
+			t.Fatalf("M=%d: light part %v (sorted %v), want %v", M, got, light.SortedByAttr(0), wantLight)
+		}
 	})
 }

@@ -108,7 +108,8 @@ func Semijoin(r, s *Relation, a tuple.Attr) (*Relation, error) {
 // the last value holds no member, so it is decided whole without a probe:
 // the semijoin keeps none of it and the anti-semijoin all of it. The block is
 // still read and charged, and its output lands where the probing loop's
-// would, so the charges do not depend on the skip.
+// would, so the charges do not depend on the skip. In a block the loop does
+// probe, tuples sharing a value are adjacent, and one probe decides the run.
 func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep bool) (*Relation, error) {
 	c := r.Col(a)
 	sorted := r.SortedByAttr(a)
@@ -132,11 +133,18 @@ func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep boo
 				continue
 			}
 			run := 0 // first tuple of the pending run of kept tuples
-			for i := range n {
-				if p.contains(cells[i*wd+c]) != keep {
-					w.AppendCells(cells[run*wd : i*wd])
-					run = i + 1
+			for i := 0; i < n; {
+				// [i, j) shares one value: on a sorted view the whole run,
+				// otherwise just tuple i.
+				v, j := cells[i*wd+c], i+1
+				for sorted && j < n && cells[j*wd+c] == v {
+					j++
 				}
+				if p.contains(v) != keep {
+					w.AppendCells(cells[run*wd : i*wd])
+					run = j
+				}
+				i = j
 			}
 			w.AppendCells(cells[run*wd : n*wd])
 			rd.Skip(n)

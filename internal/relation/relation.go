@@ -15,6 +15,7 @@ package relation
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
 	"acyclicjoin/internal/extmem"
@@ -339,39 +340,62 @@ func (r *Relation) probe(i int) tuple.Tuple {
 }
 
 // Heavy reports the split of Section 2.3: given a view sorted by a, it
-// returns the heavy value groups (N(e)|v=a >= M) and a new relation holding
-// all light tuples (still sorted by a). One scan plus the light rewrite.
-// Memoized: the light file is recorded and the heavy groups — zero-copy views
-// of r — are rebuilt from recorded (value, offset, length) metadata.
+// returns the heavy value groups (N(e)|v=a >= M), zero-copy views of r, and
+// the light part, every tuple of a light value, still sorted by a. The split
+// is the linear pass the paper charges:
+//   - a view shorter than M has no heavy value, so it is its own light part:
+//     no operator runs and nothing is charged;
+//   - otherwise one scan finds the heavy groups. With none, the view is
+//     again its own light part and nothing is written;
+//   - with some, one more sequential pass reads the light segments between
+//     the heavy groups, each segment's block windows once, and writes them
+//     to a new file: ⌈L/B⌉ writes for L light tuples.
+//
+// Memoized: the light file, if any, is recorded, and the heavy groups are
+// rebuilt from recorded (value, offset, length) metadata.
 func (r *Relation) Heavy(a tuple.Attr) (heavy []Group, light *Relation, err error) {
 	if !r.SortedByAttr(a) {
 		return nil, nil, fmt.Errorf("relation: Heavy(v%d) on view not sorted by it (sortCols=%v)", a, r.sortCols)
 	}
+	m := r.Disk().M()
+	if r.n < m {
+		return nil, r, nil
+	}
 	outs, meta, err := opcache.Do(r.Disk(), opcache.Op{
 		Kind:   "heavy-split",
-		Params: fmt.Sprint(r.Col(a)),
+		Params: strconv.Itoa(r.Col(a)),
 		Inputs: []opcache.Input{memoIn(r)},
 	}, func() ([]*extmem.File, []int64, error) {
-		m := r.Disk().M()
-		lightF := r.Disk().NewFile(len(r.schema))
-		w := lightF.NewWriter()
 		var groups []int64
-		// One reader re-reads every light group, re-aimed per group; it
-		// charges exactly what a fresh reader per group would.
-		rd := r.file.NewRangeReader(r.off, 0)
-		gerr := r.runs(r.Col(a), func(v int64, lo, n int) error {
+		nLight := r.n
+		err := r.runs(r.Col(a), func(v int64, lo, n int) error {
 			if n >= m {
 				groups = append(groups, v, int64(lo), int64(n))
-				return nil
+				nLight -= n
 			}
-			rd.Reset(r.off+lo, n)
-			copyAll(w, rd)
 			return nil
 		})
-		w.Close()
-		if gerr != nil {
-			return nil, nil, gerr
+		if err != nil || len(groups) == 0 {
+			return nil, nil, err
 		}
+		lightF := r.Disk().NewFile(len(r.schema))
+		lightF.Grow(nLight)
+		w := lightF.NewWriter()
+		// One reader, re-aimed at each light segment [lo, hi).
+		rd := r.file.NewRangeReader(r.off, 0)
+		segment := func(lo, hi int) {
+			if hi > lo {
+				rd.Reset(r.off+lo, hi-lo)
+				copyAll(w, rd)
+			}
+		}
+		lo := 0
+		for i := 0; i < len(groups); i += 3 {
+			segment(lo, int(groups[i+1]))
+			lo = int(groups[i+1] + groups[i+2])
+		}
+		segment(lo, r.n)
+		w.Close()
 		return []*extmem.File{lightF}, groups, nil
 	})
 	if err != nil {
@@ -379,6 +403,9 @@ func (r *Relation) Heavy(a tuple.Attr) (heavy []Group, light *Relation, err erro
 	}
 	for i := 0; i+2 < len(meta); i += 3 {
 		heavy = append(heavy, Group{Value: meta[i], Rel: r.View(int(meta[i+1]), int(meta[i+2]))})
+	}
+	if len(outs) == 0 {
+		return heavy, r, nil
 	}
 	light = &Relation{schema: r.schema.Clone(), file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}
 	return heavy, light, nil

@@ -172,6 +172,70 @@ func TestHeavySplit(t *testing.T) {
 	}
 }
 
+// TestHeavyChargesOneScan pins what the split charges in its three cases:
+// nothing below M tuples, one scan when no value is heavy, and one scan plus
+// one pass over the light segments plus their writes otherwise. Every view
+// starts mid-block.
+func TestHeavyChargesOneScan(t *testing.T) {
+	d := disk(6, 2) // M = 6: groups with >= 6 tuples are heavy
+	sorted := func(vals ...int64) *Relation {
+		rows := make([]tuple.Tuple, len(vals))
+		for i, v := range vals {
+			rows[i] = tuple.Tuple{v, int64(i)}
+		}
+		return FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1})
+	}
+	split := func(r *Relation) ([]Group, *Relation, extmem.Stats) {
+		t.Helper()
+		before := d.Stats()
+		heavy, light, err := r.Heavy(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.MemInUse() != 0 || d.Stats().MemHiWater != 0 {
+			t.Fatalf("Heavy grabbed memory: in use %d, hi-water %d", d.MemInUse(), d.Stats().MemHiWater)
+		}
+		return heavy, light, d.Stats().Sub(before)
+	}
+
+	// N < M: five tuples of one value, no operator runs.
+	short := sorted(7, 7, 7, 7, 7, 7).View(1, 5)
+	if heavy, light, cost := split(short); len(heavy) != 0 || light != short || cost.IOs() != 0 {
+		t.Fatalf("N < M: %d heavy groups, light is view %v, charged %+v", len(heavy), light == short, cost)
+	}
+
+	// Nothing heavy: tuples [3, 17) span blocks 1..8, read once, none written.
+	var pairs []int64
+	for v := range int64(10) {
+		pairs = append(pairs, v, v)
+	}
+	flat := sorted(pairs...).View(3, 14)
+	if heavy, light, cost := split(flat); len(heavy) != 0 || light != flat || cost != (extmem.Stats{Reads: 8}) {
+		t.Fatalf("no heavy value: %d heavy groups, light is view %v, charged %+v", len(heavy), light == flat, cost)
+	}
+
+	// Heavy groups: the view is tuples [1, 23), with 2 at [1, 8) and 6 at
+	// [12, 18) heavy. The scan reads blocks 0..11 (12), the light segments
+	// [8, 12) and [18, 23) blocks 4, 5 and 9..11 (5), and their 9 tuples
+	// are written in 5 blocks. A reader re-aimed per light group would read
+	// 8 blocks for them.
+	mixed := sorted(1, 2, 2, 2, 2, 2, 2, 2, 3, 4, 4, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 8, 8).View(1, 22)
+	heavy, light, cost := split(mixed)
+	if cost != (extmem.Stats{Reads: 17, Writes: 5}) {
+		t.Fatalf("heavy groups: charged %+v, want 17 reads and 5 writes", cost)
+	}
+	if len(heavy) != 2 || heavy[0].Value != 2 || heavy[0].Rel.Len() != 7 || heavy[1].Value != 6 || heavy[1].Rel.Len() != 6 {
+		t.Fatalf("heavy groups = %+v", heavy)
+	}
+	var got []int64
+	for _, tp := range Contents(light) {
+		got = append(got, tp[0])
+	}
+	if want := []int64{3, 4, 4, 5, 7, 7, 7, 8, 8}; !slices.Equal(got, want) || !light.SortedByAttr(0) {
+		t.Fatalf("light values = %v (sorted %v), want %v", got, light.SortedByAttr(0), want)
+	}
+}
+
 func TestLoadChunks(t *testing.T) {
 	d := disk(8, 2)
 	var rows []tuple.Tuple
@@ -653,9 +717,15 @@ func TestSplitPartitionProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := d.Stats()
 		heavy, light, err := s.Heavy(0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// A linear pass: at most the scan plus a second read of the light
+		// tuples, and each light tuple written once (B = 1).
+		if cost := d.Stats().Sub(before); cost.Reads > 2*s.Blocks() || cost.Writes > int64(light.Len()) {
+			t.Fatalf("split of %d tuples (%d light) charged %+v", n, light.Len(), cost)
 		}
 		totalHeavy := 0
 		for _, g := range heavy {
