@@ -45,9 +45,8 @@ type FaultError = extmem.FaultError
 //
 //   - ErrCancelled: the context was cancelled (or a FaultPlan.CancelAt
 //     trigger fired); the wrapped chain carries the cancellation cause.
-//   - ErrFault: a permanent injected I/O fault, or a transient fault that
-//     survived FaultPlan.MaxAttempts retries; errors.As yields the
-//     *FaultError.
+//   - ErrFault: a permanent injected model-layer I/O fault (transients are
+//     always retried); errors.As yields the *FaultError.
 //   - ErrBudget: a charge-budget watermark escaped its catcher — an
 //     internal invariant violation surfaced instead of hidden.
 //   - ErrDevice: the file backend's device failed permanently (a syscall

@@ -106,7 +106,7 @@ func TestRunTransientFaultsBitIdentical(t *testing.T) {
 		// $ACYCLICJOIN_DEVFAULTRATE: the rate-0 arm is a fault-free
 		// baseline even under device-fault injection from the environment.
 		opts := smallOpts()
-		opts.Faults = &FaultPlan{Seed: 11, Rate: rate, MaxAttempts: 100000}
+		opts.Faults = &FaultPlan{Seed: 11, Rate: rate}
 		res, err := Run(q, inst, opts, nil)
 		if err != nil {
 			t.Fatalf("rate %v: %v", rate, err)
@@ -149,20 +149,22 @@ func TestRunPermanentFaultTyped(t *testing.T) {
 	}
 }
 
-// A transient plan whose retry cap is exhausted escalates to ErrFault.
+// MaxAttempts caps the file engine's re-issues of one failed syscall: a dead
+// device exhausts exactly that many retries, then fails with ErrDevice.
 func TestRunTransientEscalatesAtMaxAttempts(t *testing.T) {
 	q, inst := chaosQuery(t, 6)
 	opts := smallOpts()
-	opts.Faults = &FaultPlan{Seed: 1, Rate: 1.0, MaxAttempts: 2}
+	opts.Backend = "file"
+	opts.Faults = &FaultPlan{Layer: LayerDevice, PermanentAt: 25, MaxAttempts: 2}
 	res, err := Run(q, inst, opts, nil)
-	if err == nil {
-		t.Skip("rate-1.0 faults were all absorbed inline; no boundary reached")
-	}
-	if !errors.Is(err, ErrFault) {
-		t.Fatalf("err = %v, want ErrFault", err)
+	if !errors.Is(err, ErrDevice) {
+		t.Fatalf("err = %v, want ErrDevice", err)
 	}
 	if res == nil {
-		t.Fatal("no partial result alongside the fault error")
+		t.Fatal("no partial result alongside the device error")
+	}
+	if res.Faults.Retries != 2 || res.Faults.Permanent != 1 {
+		t.Errorf("want exactly 2 retries before the device is declared dead, got %+v", res.Faults)
 	}
 }
 
@@ -193,6 +195,7 @@ func TestValidationErrorsUnclassified(t *testing.T) {
 	// A plan setting a field of the other layer is a validation error too.
 	for _, plan := range []*FaultPlan{
 		{Rate: 0.1, TornRate: 0.1},
+		{Rate: 0.1, MaxAttempts: 2},
 		{NoSpaceAfter: 512},
 		{Layer: LayerDevice, CancelAt: 5},
 		{Layer: LayerDevice, Phase: "reduce"},

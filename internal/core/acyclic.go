@@ -207,10 +207,9 @@ type PruneStats struct {
 // A nil emit counts the results into Result.Emitted instead; see Emit.
 //
 // Permanent faults and cancellation surface here as typed errors: the whole
-// strategy dispatch runs under CatchAbort, so an abort that escapes every
-// operator boundary unwinds the disk (phases, recorders, peak watches,
-// budget watermark) and returns the *FaultError / ErrCancelled cause instead
-// of panicking through the caller.
+// strategy dispatch runs under CatchAbort, so an abort from any charge unwinds
+// the disk (phases, recorders, peak watches, budget watermark) and returns the
+// *FaultError / ErrCancelled cause instead of panicking through the caller.
 func Run(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) (*Result, error) {
 	if !g.IsBergeAcyclic() {
 		return nil, fmt.Errorf("core: query %v is not Berge-acyclic", g)

@@ -52,7 +52,7 @@ func TestTransientFaultsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rate := range []float64{0.01, 0.05, 0.2} {
-		plan := &extmem.FaultPlan{Seed: 7, Rate: rate, MaxAttempts: 100000}
+		plan := &extmem.FaultPlan{Seed: 7, Rate: rate}
 		gotRes, gotRows, gotDisk, err := engineRunFaults(build, opts, plan)
 		if err != nil {
 			t.Fatalf("rate=%v: %v", rate, err)
@@ -77,7 +77,7 @@ func TestTransientFaultsPrunedPinnedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &extmem.FaultPlan{Seed: 3, Rate: 0.1, MaxAttempts: 100000}
+	plan := &extmem.FaultPlan{Seed: 3, Rate: 0.1}
 	gotRes, gotRows, _, err := engineRunFaults(build, Options{Strategy: StrategyExhaustive}, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +99,6 @@ func TestPermanentFaultTypedError(t *testing.T) {
 	var fe *extmem.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v, want *extmem.FaultError", err)
-	}
-	if fe.Kind != extmem.FaultPermanent {
-		t.Errorf("fault kind = %v, want permanent", fe.Kind)
 	}
 }
 

@@ -142,10 +142,6 @@ type Disk struct {
 	// faults is the armed model-layer fault injector, nil when no such plan
 	// is set (see fault.go).
 	faults *faultInjector
-	// opBoundary counts the OperatorBoundary scopes currently open: inside
-	// one, transient faults panic for the boundary to catch and retry;
-	// outside, the device clears them inline.
-	opBoundary int
 	// cancelErr is the cancellation mark: an atomic slot holding nil until
 	// cancelled, so WatchContext can cancel from its watcher goroutine.
 	cancelErr atomic.Pointer[error]
@@ -154,7 +150,7 @@ type Disk struct {
 	backend Backend
 	// xfer is the per-disk seam-transfer ledger mirroring stats — see
 	// XferStats for the invariant tying the two together. ResetStats zeroes
-	// it, fault rollback restores it.
+	// it.
 	xfer XferStats
 	// arena carves file data from pooled slabs when switched on (slab.go);
 	// recycled marks a disk whose slabs went back to the pool.

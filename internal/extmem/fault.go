@@ -6,24 +6,21 @@
 //   - LayerModel (the zero value) decides faults on the charging path of the
 //     simulated disk, keyed on the disk's accumulated I/O index (preCharge),
 //     so a plan yields a deterministic fault schedule for a given charge
-//     sequence. Recovery is operator-boundary rollback-and-rerun, or an
-//     inline re-issue outside any boundary.
+//     sequence. A transient fault is cleared inline: the failed transfer is
+//     re-issued once and the charge proceeds.
 //   - LayerDevice decides faults per pread/pwrite under the file engine's
 //     syscalls (internal/extmem/diskfile arms it). The engine recovers below
 //     the Backend seam: bounded retry for transient errors, and re-flushing
 //     the authoritative in-memory image to repair a torn frame. The sim
 //     backend has no syscalls, so there a device plan is a no-op.
 //
-// Both layers draw from FaultDraw, burn each fault once it fires (so every
-// retry terminates), and bill all recovery work to the same FaultStats
-// ledger, never the main Stats: a run whose faults were all absorbed keeps
+// Both layers draw from FaultDraw, retry every transient until it passes,
+// and bill all recovery work to the same FaultStats ledger, never the main Stats: a run whose faults were all absorbed keeps
 // Stats bit-identical to the fault-free run while the recovery cost stays
 // visible. Failures neither layer can absorb unwind as typed errors:
 //
-//   - Permanent faults: a model-layer *FaultError (injected directly via
-//     PermanentAt, or a transient fault escalating after MaxAttempts
-//     boundary retries), or a device failure wrapping ErrDevice, ErrNoSpace
-//     or ErrCorruption.
+//   - Permanent faults: a model-layer *FaultError injected via PermanentAt,
+//     or a device failure wrapping ErrDevice, ErrNoSpace or ErrCorruption.
 //   - Cancellation: Cancel (usually driven by WatchContext observing a
 //     context.Context) marks the disk; its next non-suspended charge panics
 //     with an error wrapping ErrCancelled.
@@ -64,35 +61,9 @@ func IsDeviceFailure(err error) bool {
 	return errors.Is(err, ErrDevice) || errors.Is(err, ErrNoSpace) || errors.Is(err, ErrCorruption)
 }
 
-// FaultKind classifies an injected I/O fault.
-type FaultKind int
-
-const (
-	// FaultTransient marks a fault that a retry can clear.
-	FaultTransient FaultKind = iota
-	// FaultPermanent marks an unrecoverable fault (injected directly, or a
-	// transient fault escalated after exhausting its retry budget).
-	FaultPermanent
-)
-
-func (k FaultKind) String() string {
-	switch k {
-	case FaultTransient:
-		return "transient"
-	case FaultPermanent:
-		return "permanent"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
 // FaultError is the typed error thrown (as a panic) by the charging path when
-// an injected model-layer fault fires. Transient faults are caught and
-// retried by the innermost operator boundary; permanent faults unwind to
-// CatchAbort.
+// a permanent model-layer fault fires; it unwinds to CatchAbort.
 type FaultError struct {
-	// Kind says whether a retry can clear the fault.
-	Kind FaultKind
 	// Op is the failed transfer's direction: "read" or "write".
 	Op string
 	// Index is the disk's accumulated I/O count when the fault fired — the
@@ -103,7 +74,7 @@ type FaultError struct {
 }
 
 func (e *FaultError) Error() string {
-	return fmt.Sprintf("extmem: injected %s %s fault at I/O %d (phase %q)", e.Kind, e.Op, e.Index, e.Phase)
+	return fmt.Sprintf("extmem: injected permanent %s fault at I/O %d (phase %q)", e.Op, e.Index, e.Phase)
 }
 
 // FaultLayer selects where a FaultPlan injects.
@@ -116,16 +87,12 @@ const (
 	LayerDevice
 )
 
-// Default retry caps, per layer: how often an operator boundary retries
-// before escalating a transient fault to permanent, and how often the file
-// engine re-issues one failed syscall before declaring the device dead.
-// Device transients are burned per (operation, offset) and clear on the first
-// retry; the low device cap exists so a genuinely stuck device (PermanentAt,
-// or real hardware) fails over to ErrDevice quickly.
-const (
-	DefaultMaxFaultAttempts  = 64
-	DefaultMaxDeviceAttempts = 8
-)
+// DefaultMaxDeviceAttempts is how often the file engine re-issues one failed
+// syscall before declaring the device dead. Device transients are burned per
+// (operation, offset) and clear on the first retry; the low cap exists so a
+// genuinely stuck device (PermanentAt, or real hardware) fails over to
+// ErrDevice quickly.
+const DefaultMaxDeviceAttempts = 8
 
 // FaultPlan is a deterministic, seeded fault schedule. The zero value injects
 // nothing. Faults are decided per block charge (LayerModel) or per device
@@ -139,10 +106,10 @@ type FaultPlan struct {
 	// Layer selects the injection point; the zero value is LayerModel.
 	Layer FaultLayer
 	// Rate is the per-charge (model) or per-syscall (device) probability of
-	// a transient fault, in [0, 1]. Each index draws independently, and a
-	// fault burns its site (the I/O index, or the device operation and
-	// offset), so a retried transfer never faults again and retries always
-	// terminate.
+	// a transient fault, in [0, 1]. Each index draws independently. A model
+	// re-issue is never drawn, and a device fault burns its site (the
+	// operation and offset), so a retried transfer never faults again and
+	// retries always terminate.
 	Rate float64
 	// TornRate (device only) is the per-pwrite probability that the call
 	// reports success but corrupts part of the written frame. The engine
@@ -164,10 +131,9 @@ type FaultPlan struct {
 	// Phase (model only), if non-empty, restricts transient and permanent
 	// injection to charges carrying that phase label.
 	Phase string
-	// MaxAttempts caps retries before a fault is declared permanent: per
-	// operator run on the model layer, per failed syscall on the device
-	// layer. Zero means the layer's default (DefaultMaxFaultAttempts or
-	// DefaultMaxDeviceAttempts).
+	// MaxAttempts (device only) caps the re-issues of one failed syscall
+	// before the device is declared dead. Zero means
+	// DefaultMaxDeviceAttempts.
 	MaxAttempts int
 }
 
@@ -176,24 +142,20 @@ func (p FaultPlan) Enabled() bool {
 	return p.Rate > 0 || p.TornRate > 0 || p.PermanentAt > 0 || p.CancelAt > 0 || p.NoSpaceAfter > 0
 }
 
-// Attempts is MaxAttempts with the layer's default resolved.
+// Attempts is MaxAttempts with the default resolved.
 func (p FaultPlan) Attempts() int {
-	switch {
-	case p.MaxAttempts > 0:
+	if p.MaxAttempts > 0 {
 		return p.MaxAttempts
-	case p.Layer == LayerDevice:
-		return DefaultMaxDeviceAttempts
-	default:
-		return DefaultMaxFaultAttempts
 	}
+	return DefaultMaxDeviceAttempts
 }
 
 // Validate rejects a plan that sets a field its layer never reads.
 func (p FaultPlan) Validate() error {
 	switch p.Layer {
 	case LayerModel:
-		if p.TornRate != 0 || p.NoSpaceAfter != 0 {
-			return errors.New("fault plan: TornRate and NoSpaceAfter apply to the device layer only")
+		if p.TornRate != 0 || p.NoSpaceAfter != 0 || p.MaxAttempts != 0 {
+			return errors.New("fault plan: TornRate, NoSpaceAfter and MaxAttempts apply to the device layer only")
 		}
 	case LayerDevice:
 		if p.CancelAt != 0 || p.Phase != "" {
@@ -223,9 +185,8 @@ func FaultDraw(seed, idx int64) float64 {
 type FaultStats struct {
 	// Transient counts injected transient faults (charges or syscalls).
 	Transient int64
-	// Permanent counts direct permanent injections on the model layer
-	// (escalations are counted in Escalated), and is 1 once the device has
-	// been declared dead on the device layer.
+	// Permanent counts permanent injections on the model layer, and is 1
+	// once the device has been declared dead on the device layer.
 	Permanent int64
 	// Torn counts pwrites that reported success but corrupted the frame, and
 	// Repairs the torn frames rebuilt from the in-memory image.
@@ -233,24 +194,18 @@ type FaultStats struct {
 	Repairs int64
 	// NoSpace counts injected ENOSPC failures on arena growth.
 	NoSpace int64
-	// Retries counts inline retries: a model transient outside any operator
-	// boundary, or a failed syscall, cleared by re-issuing the single failed
-	// transfer.
+	// Retries counts re-issues of a faulted block transfer (model) or a
+	// failed syscall (device); each clears its fault or, on the device
+	// layer, fails again until MaxAttempts.
 	Retries int64
-	// BoundaryRetries counts operator-boundary retries: model transients
-	// inside an operator boundary, cleared by rolling the operator back and
-	// re-running it.
-	BoundaryRetries int64
-	// Escalated counts model transients promoted to permanent after
-	// MaxAttempts boundary retries.
-	Escalated int64
 	// RetryReads and RetryWrites total the block transfers (model) or
-	// syscalls (device) discarded and re-issued by retries — the honest I/O
-	// cost of recovery.
+	// syscalls (device) re-issued by retries — the honest I/O cost of
+	// recovery.
 	RetryReads  int64
 	RetryWrites int64
-	// BackoffIOs totals the simulated exponential-backoff cost charged per
-	// retry (2^(attempt-1) block-times per retry, capped).
+	// BackoffIOs totals the simulated backoff cost charged per retry: one
+	// block-time for a model retry, and 2^(attempt-1) block-times (capped)
+	// for the attempt-th re-issue of one failed syscall.
 	BackoffIOs int64
 }
 
@@ -258,8 +213,8 @@ type FaultStats struct {
 func (s FaultStats) Any() bool { return s != FaultStats{} }
 
 func (s FaultStats) String() string {
-	return fmt.Sprintf("transient=%d permanent=%d torn=%d repairs=%d noSpace=%d retries=%d boundaryRetries=%d escalated=%d retryReads=%d retryWrites=%d backoffIOs=%d",
-		s.Transient, s.Permanent, s.Torn, s.Repairs, s.NoSpace, s.Retries, s.BoundaryRetries, s.Escalated,
+	return fmt.Sprintf("transient=%d permanent=%d torn=%d repairs=%d noSpace=%d retries=%d retryReads=%d retryWrites=%d backoffIOs=%d",
+		s.Transient, s.Permanent, s.Torn, s.Repairs, s.NoSpace, s.Retries,
 		s.RetryReads, s.RetryWrites, s.BackoffIOs)
 }
 
@@ -267,9 +222,8 @@ func (s FaultStats) String() string {
 // the Disk it is goroutine-confined.
 type faultInjector struct {
 	plan        FaultPlan
-	fired       map[int64]bool // transient indexes already faulted (burned)
-	permanent   bool           // the PermanentAt fault already fired
-	cancelFired bool           // the CancelAt trigger already fired
+	permanent   bool // the PermanentAt fault already fired
+	cancelFired bool // the CancelAt trigger already fired
 	stats       FaultStats
 }
 
@@ -285,7 +239,7 @@ func (d *Disk) SetFaultPlan(p *FaultPlan) {
 		d.faults = nil
 		return
 	}
-	d.faults = &faultInjector{plan: *p, fired: map[int64]bool{}}
+	d.faults = &faultInjector{plan: *p}
 }
 
 // FaultStats returns the model-layer fault ledger accumulated on d.
@@ -322,24 +276,19 @@ func (inj *faultInjector) check(d *Disk, op string, idx int64) {
 	if plan.PermanentAt > 0 && !inj.permanent && idx+1 >= plan.PermanentAt {
 		inj.permanent = true
 		inj.stats.Permanent++
-		panic(&FaultError{Kind: FaultPermanent, Op: op, Index: idx, Phase: d.phaseLabel()})
+		panic(&FaultError{Op: op, Index: idx, Phase: d.phaseLabel()})
 	}
-	if plan.Rate <= 0 || inj.fired[idx] || FaultDraw(plan.Seed, idx) >= plan.Rate {
+	if plan.Rate <= 0 || FaultDraw(plan.Seed, idx) >= plan.Rate {
 		return
 	}
-	// The draw fires. Burn the index so the retry of this same transfer
-	// passes: within one operator boundary successive attempts can only fault
-	// at strictly increasing indexes, so retries always terminate.
-	inj.fired[idx] = true
+	// The draw fires, and the simulated device clears the fault inline by
+	// re-issuing the single failed transfer, which is not drawn again: the
+	// charge proceeds unchanged (no unwind, so nothing is re-run), and the
+	// redone transfer plus one block-time of backoff are billed to the retry
+	// side-channel.
 	inj.stats.Transient++
-	if d.opBoundary > 0 {
-		panic(&FaultError{Kind: FaultTransient, Op: op, Index: idx, Phase: d.phaseLabel()})
-	}
-	// Outside any operator boundary the simulated device clears the fault
-	// inline by re-issuing the single failed transfer: the charge proceeds
-	// unchanged (no unwind, so emission-producing scans are never re-run) and
-	// the redone transfer is billed to the retry side-channel.
 	inj.stats.Retries++
+	inj.stats.BackoffIOs++
 	if op == opWrite {
 		inj.stats.RetryWrites++
 	} else {
@@ -351,163 +300,6 @@ const (
 	opRead  = "read"
 	opWrite = "write"
 )
-
-// opSnapshot captures the disk state an operator-boundary retry must restore:
-// the full accountant (counters, hi-water, phase breakdown), the memory
-// accountant, the phase stack position, and the interior state of every
-// recorder and peak watch that was already open when the boundary started.
-type opSnapshot struct {
-	stats      Stats
-	xfer       XferStats
-	memInUse   int
-	phase      string
-	phaseDepth int
-	suspended  int
-	phaseStats map[string]Stats
-	peaks      []int
-	recs       []recSnap
-}
-
-// recSnap pins one open tape recorder's interior: rolling back truncates the
-// segments grown during the attempt and un-merges charges folded into the
-// segment that was last at snapshot time.
-type recSnap struct {
-	nsegs int
-	last  TapeSegment
-	peak  int
-}
-
-func (d *Disk) snapshotOp() opSnapshot {
-	s := opSnapshot{
-		stats:      d.stats,
-		xfer:       d.xfer,
-		memInUse:   d.memInUse,
-		phase:      d.phase,
-		phaseDepth: d.phaseDepth,
-		suspended:  d.suspended,
-	}
-	if d.phaseStats != nil {
-		s.phaseStats = make(map[string]Stats, len(d.phaseStats))
-		for k, v := range d.phaseStats {
-			s.phaseStats[k] = v
-		}
-	}
-	if n := len(d.memPeaks); n > 0 {
-		s.peaks = make([]int, n)
-		for i, p := range d.memPeaks {
-			s.peaks[i] = *p
-		}
-	}
-	if n := len(d.recorders); n > 0 {
-		s.recs = make([]recSnap, n)
-		for i, r := range d.recorders {
-			rs := recSnap{nsegs: len(r.segs), peak: r.peak}
-			if rs.nsegs > 0 {
-				rs.last = r.segs[rs.nsegs-1]
-			}
-			s.recs[i] = rs
-		}
-	}
-	return s
-}
-
-// restoreOp rewinds the disk to a snapshot taken on the same goroutine. The
-// snapshot's maps/slices are value copies, so restoring repeatedly (one
-// rollback per failed attempt) is safe.
-func (d *Disk) restoreOp(s opSnapshot) {
-	d.stats = s.stats
-	d.xfer = s.xfer
-	d.memInUse = s.memInUse
-	d.phase = s.phase
-	d.phaseDepth = s.phaseDepth
-	d.suspended = s.suspended
-	if s.phaseStats == nil {
-		if d.phaseStats != nil {
-			// Phases were enabled mid-attempt; drop the partial breakdown.
-			d.phaseStats = nil
-		}
-	} else {
-		m := make(map[string]Stats, len(s.phaseStats))
-		for k, v := range s.phaseStats {
-			m[k] = v
-		}
-		d.phaseStats = m
-	}
-	d.memPeaks = d.memPeaks[:len(s.peaks)]
-	for i := range s.peaks {
-		*d.memPeaks[i] = s.peaks[i]
-	}
-	d.recorders = d.recorders[:len(s.recs)]
-	for i, rs := range s.recs {
-		r := d.recorders[i]
-		r.segs = r.segs[:rs.nsegs]
-		if rs.nsegs > 0 {
-			r.segs[rs.nsegs-1] = rs.last
-		}
-		r.peak = rs.peak
-	}
-}
-
-// OperatorBoundary runs one deterministic, re-runnable operator under the
-// transient-fault retry protocol. If a transient fault fires inside fn, the
-// whole attempt is rolled back — counters, phase breakdown, hi-water, open
-// recorders and peak watches all rewound to the boundary entry — the
-// discarded I/O and an exponential backoff are billed to FaultStats, and fn
-// is re-run. After MaxAttempts failed attempts the fault escalates to a
-// permanent *FaultError panic.
-//
-// fn must be safe to re-run from the boundary state: it must not emit results
-// or mutate files that existed before the boundary (the memoized operator
-// bodies — sorts, semijoins, projections, materializations — all qualify:
-// they read frozen inputs and build fresh output files). Emission-producing
-// paths must stay outside any boundary; transient faults there are cleared by
-// the device-level inline retry instead. Boundaries nest; the innermost one
-// catches the fault. Permanent faults, cancellation, and budget aborts pass
-// through untouched.
-//
-// When no fault plan is armed (the common case), OperatorBoundary is a plain
-// call of fn.
-func (d *Disk) OperatorBoundary(fn func() error) error {
-	inj := d.faults
-	if inj == nil || inj.plan.Rate <= 0 {
-		return fn()
-	}
-	snap := d.snapshotOp()
-	for attempt := 1; ; attempt++ {
-		fault, err := d.tryOp(fn)
-		if fault == nil {
-			return err
-		}
-		inj.stats.BoundaryRetries++
-		inj.stats.RetryReads += d.stats.Reads - snap.stats.Reads
-		inj.stats.RetryWrites += d.stats.Writes - snap.stats.Writes
-		inj.stats.BackoffIOs += int64(1) << uint(min(attempt-1, 20))
-		d.restoreOp(snap)
-		if attempt >= inj.plan.Attempts() {
-			inj.stats.Escalated++
-			panic(&FaultError{Kind: FaultPermanent, Op: fault.Op, Index: fault.Index, Phase: fault.Phase})
-		}
-	}
-}
-
-// tryOp runs one boundary attempt, converting a transient *FaultError panic
-// into a return value. Everything else propagates.
-func (d *Disk) tryOp(fn func() error) (fault *FaultError, err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		fe, ok := r.(*FaultError)
-		if !ok || fe.Kind != FaultTransient {
-			panic(r)
-		}
-		fault = fe
-	}()
-	d.opBoundary++
-	defer func() { d.opBoundary-- }()
-	return nil, fn()
-}
 
 // Cancel marks the disk cancelled with the given cause; the next
 // non-suspended charge panics with an error wrapping ErrCancelled, unwound by

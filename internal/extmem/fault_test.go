@@ -3,6 +3,7 @@ package extmem
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -37,8 +38,8 @@ func TestFaultPlanDisabledIsFree(t *testing.T) {
 	}
 }
 
-// Inline device-level retries (no operator boundary open) must leave the main
-// accounting bit-identical to the fault-free run; only the side-channel moves.
+// Inline retries must leave the main accounting bit-identical to the
+// fault-free run; only the side-channel moves.
 func TestInlineRetryKeepsStatsIdentical(t *testing.T) {
 	base := testDisk(t, 100, 10)
 	chargeMix(base, 20)
@@ -54,11 +55,11 @@ func TestInlineRetryKeepsStatsIdentical(t *testing.T) {
 	if fs.Transient == 0 || fs.Retries != fs.Transient {
 		t.Fatalf("want every transient cleared by an inline retry, got %v", fs)
 	}
-	if fs.RetryReads+fs.RetryWrites != fs.Retries {
-		t.Fatalf("inline retries must bill one transfer each: %v", fs)
+	if fs.RetryReads+fs.RetryWrites != fs.Retries || fs.BackoffIOs != fs.Retries {
+		t.Fatalf("inline retries must bill one transfer and one block-time each: %v", fs)
 	}
-	if fs.BoundaryRetries != 0 || fs.Escalated != 0 || fs.Permanent != 0 {
-		t.Fatalf("unexpected non-inline activity: %v", fs)
+	if fs.Permanent != 0 {
+		t.Fatalf("unexpected permanent fault: %v", fs)
 	}
 }
 
@@ -79,9 +80,9 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// A transient fault inside an operator boundary rolls the whole attempt back
-// — counters, phases, recorder interiors — and re-runs it, converging on the
-// fault-free accounting with the discarded work billed to the side-channel.
+// Transient faults under an open outer recorder and a phase are retried
+// inline: the stats, the recorded tape and the phase breakdown all match the
+// fault-free run, with the re-issued transfers billed to the side-channel.
 func TestOperatorBoundaryRollbackBitIdentical(t *testing.T) {
 	runOnce := func(plan *FaultPlan) (*Disk, ChargeTape) {
 		d := testDisk(t, 100, 10)
@@ -89,19 +90,13 @@ func TestOperatorBoundaryRollbackBitIdentical(t *testing.T) {
 		if plan != nil {
 			d.SetFaultPlan(plan)
 		}
-		chargeMix(d, 3) // ambient work before the boundary
-		d.StartTape()   // an outer recorder spanning the boundary
-		err := d.OperatorBoundary(func() error {
-			d.WithPhase("op", func() { chargeMix(d, 10) })
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("boundary returned %v", err)
-		}
+		chargeMix(d, 3) // ambient work before the tape
+		d.StartTape()   // an outer recorder spanning the faulted work
+		d.WithPhase("op", func() { chargeMix(d, 10) })
 		return d, d.StopTape()
 	}
 	base, baseTape := runOnce(nil)
-	d, tape := runOnce(&FaultPlan{Seed: 3, Rate: 0.4, MaxAttempts: 10000})
+	d, tape := runOnce(&FaultPlan{Seed: 3, Rate: 0.4})
 
 	if d.Stats() != base.Stats() {
 		t.Fatalf("stats diverged: %v vs %v", d.Stats(), base.Stats())
@@ -114,59 +109,54 @@ func TestOperatorBoundaryRollbackBitIdentical(t *testing.T) {
 			t.Fatalf("outer tape segment %d diverged: %+v vs %+v", i, tape.Segments[i], baseTape.Segments[i])
 		}
 	}
-	for ph, want := range base.PhaseStats() {
-		if got := d.PhaseStats()[ph]; got != want {
-			t.Fatalf("phase %q diverged: %v vs %v", ph, got, want)
-		}
+	if !reflect.DeepEqual(d.PhaseStats(), base.PhaseStats()) {
+		t.Fatalf("phases diverged: %v vs %v", d.PhaseStats(), base.PhaseStats())
 	}
 	fs := d.FaultStats()
-	if fs.BoundaryRetries == 0 {
-		t.Fatalf("rate 0.4 over a 20-block boundary never faulted: %v", fs)
+	if fs.Transient == 0 {
+		t.Fatalf("rate 0.4 over 26 blocks never faulted: %v", fs)
 	}
-	if fs.RetryReads+fs.RetryWrites == 0 || fs.BackoffIOs < fs.BoundaryRetries {
-		t.Fatalf("retry cost not billed: %v", fs)
+	if fs.Retries != fs.Transient || fs.RetryReads+fs.RetryWrites != fs.Retries || fs.BackoffIOs != fs.Retries {
+		t.Fatalf("retry cost not billed once per transient: %v", fs)
 	}
 }
 
-// Even at rate 1.0 every boundary retry terminates: a fired index never
-// faults again, so successive attempts fault at strictly increasing indexes.
+// Even at rate 1.0 every retry terminates: each charge faults once, its
+// re-issue passes, and the stats match the fault-free run.
 func TestOperatorBoundaryTerminatesAtRateOne(t *testing.T) {
 	base := testDisk(t, 100, 10)
-	if err := base.OperatorBoundary(func() error { chargeMix(base, 5); return nil }); err != nil {
-		t.Fatal(err)
-	}
+	chargeMix(base, 5)
 	d := testDisk(t, 100, 10)
-	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0, MaxAttempts: 10000})
-	if err := d.OperatorBoundary(func() error { chargeMix(d, 5); return nil }); err != nil {
-		t.Fatal(err)
-	}
+	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0})
+	chargeMix(d, 5)
 	if d.Stats() != base.Stats() {
 		t.Fatalf("stats diverged: %v vs %v", d.Stats(), base.Stats())
 	}
 	fs := d.FaultStats()
-	// Every one of the 10 charges faults once: attempt k dies at index k-1,
-	// attempt 11 passes all burned indexes.
-	if fs.BoundaryRetries != 10 || fs.Escalated != 0 {
-		t.Fatalf("want exactly 10 boundary retries, got %v", fs)
+	if fs.Transient != 10 || fs.Retries != 10 || fs.BackoffIOs != 10 || fs.Permanent != 0 {
+		t.Fatalf("want exactly 10 retries for the 10 charges, got %v", fs)
 	}
 }
 
+// A model-layer transient never escalates, however many fire; only
+// PermanentAt yields a typed permanent FaultError.
 func TestOperatorBoundaryEscalatesToPermanent(t *testing.T) {
 	d := testDisk(t, 100, 10)
-	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0, MaxAttempts: 1})
-	pruned, err := d.CatchAbort(func() error {
-		return d.OperatorBoundary(func() error { chargeMix(d, 5); return nil })
-	})
+	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0})
+	if pruned, err := d.CatchAbort(func() error { chargeMix(d, 5); return nil }); pruned || err != nil {
+		t.Fatalf("rate 1.0 aborted: pruned=%v err=%v", pruned, err)
+	}
+	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0, PermanentAt: 3})
+	pruned, err := d.CatchAbort(func() error { chargeMix(d, 5); return nil })
 	if pruned {
-		t.Fatal("escalation misreported as a budget prune")
+		t.Fatal("permanent fault misreported as a budget prune")
 	}
 	var fe *FaultError
-	if !errors.As(err, &fe) || fe.Kind != FaultPermanent {
-		t.Fatalf("err = %v, want permanent FaultError", err)
+	if !errors.As(err, &fe) {
+		t.Fatalf("err = %v, want FaultError", err)
 	}
-	fs := d.FaultStats()
-	if fs.Escalated != 1 || fs.BoundaryRetries != 1 {
-		t.Fatalf("escalation telemetry: %v", fs)
+	if fs := d.FaultStats(); fs.Permanent != 1 || fs.Retries != fs.Transient {
+		t.Fatalf("permanent telemetry: %v", fs)
 	}
 }
 
@@ -185,8 +175,8 @@ func TestPermanentFaultUnwindsWithTypedError(t *testing.T) {
 		t.Fatal("permanent fault misreported as a budget prune")
 	}
 	var fe *FaultError
-	if !errors.As(err, &fe) || fe.Kind != FaultPermanent || fe.Index != 4 {
-		t.Fatalf("err = %v, want permanent FaultError at index 4", err)
+	if !errors.As(err, &fe) || fe.Index != 4 {
+		t.Fatalf("err = %v, want FaultError at index 4", err)
 	}
 	// Charges before the fault are durable; the faulted one was never applied.
 	if got := d.Stats().IOs(); got != 4 {

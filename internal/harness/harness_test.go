@@ -263,9 +263,12 @@ func TestDivergeNamesPinnedField(t *testing.T) {
 // files pinned to one directory: each engine removes its file when closed,
 // so an engine left open shows as a file left behind. The directory is read
 // right after each run, before a garbage collection can let an abandoned
-// engine's finalizer close it. The arm-based experiments are left out:
-// runArm closes its own engine on every path, and their fault sweeps are
-// most of the registry's run time.
+// engine's finalizer close it. Where /proc/self/fd exists, the process's
+// open descriptors must also be back at their count after the first
+// experiment (which lets the runtime open its poller first), so an engine
+// whose file was removed but whose descriptor stayed open shows too. The
+// arm-based experiments are left out: runArm closes its own engine on every
+// path, and their fault sweeps are most of the registry's run time.
 func TestFileEnginesClosed(t *testing.T) {
 	armBased := map[string]bool{"E23": true, "E24": true, "E25": true, "E26": true, "E27": true, "E28": true, "E30": true}
 	dir := t.TempDir()
@@ -284,14 +287,30 @@ func TestFileEnginesClosed(t *testing.T) {
 			os.Remove(filepath.Join(dir, f.Name()))
 		}
 	}
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(fds)
+	}
+	baseline := 0
 	for _, e := range All() {
 		if !armBased[e.ID] {
 			_, err := e.Run(p)
 			check(e.ID, err)
+			if baseline == 0 {
+				baseline = openFDs()
+			}
 		}
 	}
 	_, err := VerifySweep(p, 2)
 	check("verify sweep", err)
+	if baseline < 0 {
+		t.Log("no /proc/self/fd: descriptor count not checked")
+	} else if n := openFDs(); n != baseline {
+		t.Errorf("%d descriptors open after the sweep, %d after the first experiment", n, baseline)
+	}
 }
 
 // TestNoMemoRunsWithoutMemo checks that Params.NoMemo switches the operator

@@ -17,7 +17,8 @@ import (
 // FuzzOpMemoOracle is the differential oracle for the operator memo: a
 // fuzz-chosen program of deterministic operators (sorts, dedup sorts,
 // projections, semijoins, value filters, heavy/light splits, materialized
-// pairwise joins) is interpreted twice per arm — the second interpretation
+// pairwise joins, over whole relations or views starting mid-block) is
+// interpreted twice per arm — the second interpretation
 // re-issues identical operators, so with the memo attached it is served
 // almost entirely by charge replay — and the memo-on arm must match the
 // memo-off arm bit for bit: total stats, the per-phase breakdown, every
@@ -25,9 +26,14 @@ import (
 // a memo entry budget, so LRU eviction is exercised under the same oracle.
 func FuzzOpMemoOracle(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 0, 1, 1, 3, 2, 5, 3, 7, 4, 9, 5, 11, 6, 13, 7, 15})
-	f.Add([]byte{0, 7, 7, 7, 1, 1, 2, 2, 3, 0, 6, 5, 7, 170, 3, 85, 5, 240, 0, 15})
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 0, 1, 1, 3, 2, 5, 3, 7, 4, 10, 5, 12, 6, 14, 7, 15})
+	f.Add([]byte{0, 7, 7, 7, 1, 1, 2, 2, 3, 0, 6, 5, 7, 170, 3, 85, 5, 243, 0, 15})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 6, 0, 6, 1, 7, 0, 7, 1})
+	// The same four tuples as a block-aligned view of one base relation and
+	// a view at offset 1 of the other, each filtered by the same values: the
+	// unaligned filter touches one block more, so a replay keyed on
+	// contents alone would undercharge it.
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 63, 1, 2, 3, 4, 5, 6, 7, 8, 64, 4, 10, 17, 66, 4, 138})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sOn, pOn, fpOn := interpretOps(t, data, true)
 		sOff, pOff, fpOff := interpretOps(t, data, false)
@@ -94,13 +100,13 @@ func interpretOps(t *testing.T, data []byte, memo bool) (extmem.Stats, map[strin
 			// Pick the attribute from r's actual schema (projections shrink
 			// it); two-relation ops need it on both sides.
 			a := r.Schema()[int(arg%2)%len(r.Schema())]
-			if (op%8 == 3 || op%8 == 7) && !s.Schema().Contains(a) {
+			if (op%9 == 3 || op%9 == 7) && !s.Schema().Contains(a) {
 				fmt.Fprintf(&fp, "op %d skip: v%d not shared\n", k, a)
 				continue
 			}
 			var out *relation.Relation
 			var err error
-			switch op % 8 {
+			switch op % 9 {
 			case 0:
 				out, err = r.SortBy(a)
 			case 1:
@@ -123,6 +129,9 @@ func interpretOps(t *testing.T, data []byte, memo bool) (extmem.Stats, map[strin
 				}
 			case 7:
 				out, err = core.MaterializePairJoin(r, s, a)
+			case 8:
+				lo := int(op/9) % (r.Len() + 1)
+				out = r.View(lo, int(arg>>4)%(r.Len()-lo+1))
 			}
 			if err != nil {
 				fmt.Fprintf(&fp, "op %d err: %v\n", k, err)

@@ -104,9 +104,13 @@ type Op struct {
 	Aux    []int64
 }
 
-// inputSnap pins one input window for slow-path verification.
+// inputSnap pins one input window for slow-path verification. align is the
+// window's offset within its first block: a scan charges one read per block
+// the window touches, so equal contents at a different alignment can cost a
+// different number of blocks and must not match.
 type inputSnap struct {
 	arity int
+	align int
 	data  []int64 // the window's cells, capacity-pinned
 }
 
@@ -226,33 +230,14 @@ func (m *Memo) Retained() (entries int, tuples int64) {
 // run must be deterministic in (op, input contents): same outputs, same
 // charges, every time. It returns the operator's output files (created on d)
 // and optional int64 metadata (returned verbatim on replay).
-//
-// Do is also the transient-fault retry boundary (extmem.OperatorBoundary):
-// the determinism contract above is exactly the re-runnability a retry needs,
-// so every memoized operator — sorts, semijoins, projections,
-// materializations, heavy splits, pairwise-join materializations — recovers
-// from injected transient I/O faults by rolling back and re-running, whether
-// the memo is attached or not. A rolled-back attempt can leave completed
-// nested recordings in the memo; those are valid (recorded from complete
-// nested runs) and the retry replays them bit-identically. Partial recordings
-// are discarded by the taping defer below, so nothing poisoned is ever
-// stored.
 func Do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, error)) ([]*extmem.File, []int64, error) {
 	if len(op.Inputs) > maxInputs {
 		panic("opcache: an Op has at most two inputs")
 	}
-	var outs []*extmem.File
-	var meta []int64
-	err := d.OperatorBoundary(func() error {
-		var e error
-		if m := Of(d); m != nil {
-			outs, meta, e = m.do(d, op, run)
-		} else {
-			outs, meta, e = run()
-		}
-		return e
-	})
-	return outs, meta, err
+	if m := Of(d); m != nil {
+		return m.do(d, op, run)
+	}
+	return run()
 }
 
 func (m *Memo) do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, error)) ([]*extmem.File, []int64, error) {
@@ -268,7 +253,7 @@ func (m *Memo) do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, er
 		// Slow path: find by content hash and byte-verify.
 		h = hashOp(id, op)
 		for _, cand := range m.byHash[h] {
-			if verify(cand, op) {
+			if verify(cand, op, id.b) {
 				cand.ids = append(cand.ids, id)
 				m.byID[id] = cand // alias: future runs take the fast path
 				e, ok = cand, true
@@ -341,7 +326,7 @@ func (m *Memo) store(d *extmem.Disk, op Op, id key, hash uint64, outs []*extmem.
 		e.aux = append(d.Carve(len(op.Aux)), op.Aux...)
 	}
 	for _, in := range op.Inputs {
-		e.ins = append(e.ins, inputSnap{arity: in.File.Arity(), data: windowCells(in)})
+		e.ins = append(e.ins, inputSnap{arity: in.File.Arity(), align: in.Off % d.B(), data: windowCells(in)})
 		e.tuples += int64(in.N)
 	}
 	for _, o := range outs {
@@ -401,13 +386,14 @@ func (m *Memo) removeLocked(e *entry) {
 
 func (m *Memo) touch(e *entry) { m.lru.MoveToFront(e.elem) }
 
-// verify byte-compares a candidate entry against an op (the hash matched).
-func verify(e *entry, op Op) bool {
+// verify byte-compares a candidate entry against an op on a disk with block
+// size b (the hash matched).
+func verify(e *entry, op Op, b int) bool {
 	if len(e.ins) != len(op.Inputs) || !equalData(e.aux, op.Aux) {
 		return false
 	}
 	for i, in := range op.Inputs {
-		if e.ins[i].arity != in.File.Arity() || !equalData(e.ins[i].data, windowCells(in)) {
+		if e.ins[i].arity != in.File.Arity() || e.ins[i].align != in.Off%b || !equalData(e.ins[i].data, windowCells(in)) {
 			return false
 		}
 	}
@@ -426,7 +412,8 @@ func keyOf(d *extmem.Disk, op Op) key {
 }
 
 // hashOp is the slow-path content hash over everything that determines the
-// run: op's key k without the input identities, and the input windows' cells.
+// run: op's key k without the input identities, and the input windows'
+// block alignments and cells.
 func hashOp(k key, op Op) uint64 {
 	h := uint64(offset64)
 	for i := 0; i < len(k.kind); i++ {
@@ -442,6 +429,7 @@ func hashOp(k key, op Op) uint64 {
 	h = (h ^ uint64(k.nIn)) * prime64
 	for i, in := range op.Inputs {
 		h = (h ^ uint64(k.in[i].arity)) * prime64
+		h = (h ^ uint64(in.Off%k.b)) * prime64
 		h = (h ^ hashCells(windowCells(in))) * prime64
 	}
 	return h

@@ -6,6 +6,8 @@ import (
 
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/opcache"
+	"acyclicjoin/internal/relation"
+	"acyclicjoin/internal/tuple"
 )
 
 func fill(d *extmem.Disk, arity int, rows [][]int64) *extmem.File {
@@ -514,5 +516,41 @@ func TestAbortedRecordingDiscarded(t *testing.T) {
 	cs := opcache.Of(d).Stats()
 	if cs.Misses != 2 || cs.Hits != 0 {
 		t.Fatalf("stats after aborted recording = %+v, want second miss, no hits", cs)
+	}
+}
+
+// A slow-path hit must match the input window's block alignment, not only
+// its contents: a scan charges one read per block the window touches, so the
+// same eight tuples cost two block reads at offset 0 and three at offset 1.
+// Replaying the aligned run for the unaligned window would undercharge.
+func TestSlowPathMatchesBlockAlignment(t *testing.T) {
+	run := func(memo bool) extmem.Stats {
+		d := extmem.NewDisk(extmem.Config{M: 32, B: 4})
+		if memo {
+			opcache.Enable(d)
+		}
+		var rs []tuple.Tuple
+		for i := int64(0); i < 8; i++ {
+			rs = append(rs, tuple.Tuple{i % 3, i})
+		}
+		restore := d.Suspend()
+		aligned := relation.FromTuples(d, tuple.Schema{0, 1}, rs)
+		shifted := relation.FromTuples(d, tuple.Schema{0, 1}, append([]tuple.Tuple{{9, 9}}, rs...))
+		restore()
+		if _, err := relation.SemijoinValues(aligned, 0, []int64{1}); err != nil {
+			t.Fatal(err)
+		}
+		d.ResetStats()
+		if _, err := relation.SemijoinValues(shifted.View(1, 8), 0, []int64{1}); err != nil {
+			t.Fatal(err)
+		}
+		return d.Stats()
+	}
+	on, off := run(true), run(false)
+	if off.Reads != 3 || off.Writes != 1 {
+		t.Fatalf("memo-off run charged %+v, want 3 reads and 1 write", off)
+	}
+	if on != off {
+		t.Fatalf("memo-on run charged %+v, memo-off %+v", on, off)
 	}
 }

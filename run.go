@@ -117,8 +117,8 @@ type Options struct {
 	Shards int
 	// Faults attaches a deterministic, seeded fault-injection plan. On the
 	// model layer (the zero FaultPlan.Layer) faults fire on charged block
-	// I/Os: transients are retried at operator boundaries, permanent faults
-	// abort with an error wrapping ErrFault. On the device layer they fire
+	// I/Os: each transient is retried inline by re-issuing the one failed
+	// transfer, and permanent faults abort with an error wrapping ErrFault. On the device layer they fire
 	// under the file backend's syscalls — transient EIO, torn writes, ENOSPC,
 	// a dead device — and the engine recovers below the Backend seam (bounded
 	// retry; torn frames repaired from the authoritative in-memory image);
@@ -208,8 +208,8 @@ type Result struct {
 	// the memo is off.
 	Memo MemoStats
 	// Faults is the recovery ledger of the run's fault plan: faults seen,
-	// inline and boundary retries, torn-frame repairs, the I/O re-issued by
-	// retries, and the simulated backoff cost. All zero when no plan was
+	// retries, torn-frame repairs, the I/O re-issued by retries, and the
+	// simulated backoff cost. All zero when no plan was
 	// attached or the plan never fired.
 	Faults FaultStats
 	// Greedy records, for StrategyGreedy, every multi-leaf decision the
