@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
+	"acyclicjoin/internal/workload"
 )
 
 // randomTreeQuery builds a random Berge-acyclic query through the public
@@ -440,38 +442,90 @@ func TestCrossStrategyGreedyDifferential(t *testing.T) {
 
 // Counting-only runs (emit == nil) must report the same Count as emitting
 // runs for every strategy, and an otherwise identical Result: Stats,
-// PlanningStats, Branches, Transfers, plan and memo telemetry. Queries that
-// Algorithm 2 runs (those not routed through the line dispatcher) are
+// PlanningStats, Branches, Transfers, plan and memo telemetry. Queries are
 // counted instead of enumerated, which must change nothing but the host
-// work.
+// work. Besides random trees, the Section 6.3 lower-bound families (the
+// instances of E7-E9, shrunk) reach each plan of the line dispatcher.
 func TestDifferentialCountOnly(t *testing.T) {
+	check := func(name string, q *Query, inst *Instance, opts Options) {
+		t.Helper()
+		want := oracleRows(t, q, inst)
+		res, err := Count(q, inst, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Count != int64(len(want)) {
+			t.Fatalf("%s: Count = %d, oracle = %d", name, res.Count, len(want))
+		}
+		var rows int64
+		ref, err := Run(q, inst, opts, func(Row) { rows++ })
+		if err != nil {
+			t.Fatalf("%s: emitting run: %v", name, err)
+		}
+		if ref.Count != rows || rows != res.Count {
+			t.Fatalf("%s: emitting run delivered %d rows, Count %d; count-only %d",
+				name, rows, ref.Count, res.Count)
+		}
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("%s: count-only run diverges from emitting run:\n%+v\n%+v", name, res, ref)
+		}
+	}
 	for _, s := range []Strategy{StrategyExhaustive, StrategyFirst, StrategySmallest, StrategyGreedy} {
 		for trial := 0; trial < 20; trial++ {
 			rng := rand.New(rand.NewSource(int64(7000 + trial)))
 			q := randomTreeQuery(rng)
 			inst := q.NewInstance()
 			fillRandom(rng, q, inst, false)
-			want := oracleRows(t, q, inst)
-			opts := Options{Memory: 64, Block: 8, Strategy: s}
-			res, err := Count(q, inst, opts)
-			if err != nil {
-				t.Fatalf("%v trial %d: %v", s, trial, err)
-			}
-			if res.Count != int64(len(want)) {
-				t.Fatalf("%v trial %d: Count = %d, oracle = %d", s, trial, res.Count, len(want))
-			}
-			var rows int64
-			ref, err := Run(q, inst, opts, func(Row) { rows++ })
-			if err != nil {
-				t.Fatalf("%v trial %d: emitting run: %v", s, trial, err)
-			}
-			if ref.Count != rows || rows != res.Count {
-				t.Fatalf("%v trial %d: emitting run delivered %d rows, Count %d; count-only %d",
-					s, trial, rows, ref.Count, res.Count)
-			}
-			if !reflect.DeepEqual(res, ref) {
-				t.Fatalf("%v trial %d: count-only run diverges from emitting run:\n%+v\n%+v", s, trial, res, ref)
+			check(fmt.Sprintf("%v trial %d", s, trial), q, inst, Options{Memory: 64, Block: 8, Strategy: s})
+		}
+	}
+	for _, c := range []struct {
+		zs      []int
+		mapEdge int
+		plan    string
+	}{
+		{[]int{20, 2, 3, 2}, -1, "line-3 (Algorithm 1)"}, // v1 values heavy in R1
+		{[]int{2, 4, 6, 6, 4, 2}, 2, "line-5 unbalanced (Algorithm 4)"},
+		{[]int{2, 4, 6, 6, 4, 2, 2}, 2, "chunked composite"},
+		{[]int{2, 2, 4, 6, 6, 4, 2}, 3, "chunked composite"}, // the mirror: R1 outer
+		{[]int{2, 4, 6, 6, 4, 2, 2, 2}, 2, "line-7 unbalanced (Algorithm 5)"},
+	} {
+		q, inst := lineCrossQuery(t, c.zs, c.mapEdge)
+		for _, s := range []Strategy{StrategyExhaustive, StrategyGreedy} {
+			opts := Options{Memory: 16, Block: 4, Strategy: s}
+			name := fmt.Sprintf("%v line %v", s, c.zs)
+			check(name, q, inst, opts)
+			if res, err := Count(q, inst, opts); err != nil || !strings.HasPrefix(res.Plan, c.plan) {
+				t.Fatalf("%s: plan %q (err %v), want %s", name, res.Plan, err, c.plan)
 			}
 		}
 	}
+}
+
+// lineCrossQuery loads workload.LineCross(zs, mapEdge) into a public query and
+// instance, relation Ri over attributes ai, ai+1.
+func lineCrossQuery(t *testing.T, zs []int, mapEdge int) (*Query, *Instance) {
+	t.Helper()
+	g, in, _, err := workload.LineCross(extmem.NewDisk(extmem.Config{M: 64, B: 8}), zs, mapEdge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb := NewQuery()
+	for _, e := range g.Edges() {
+		qb.Relation(fmt.Sprintf("R%d", e.ID), fmt.Sprintf("a%d", e.Attrs[0]), fmt.Sprintf("a%d", e.Attrs[1]))
+	}
+	q, err := qb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := q.NewInstance()
+	for _, e := range g.Edges() {
+		r := in[e.ID]
+		c0, c1 := r.Col(e.Attrs[0]), r.Col(e.Attrs[1])
+		rd := r.Reader()
+		for tp := rd.Next(); tp != nil; tp = rd.Next() {
+			inst.MustAdd(fmt.Sprintf("R%d", e.ID), tp[c0], tp[c1])
+		}
+	}
+	return q, inst
 }

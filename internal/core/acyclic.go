@@ -158,10 +158,12 @@ type Result struct {
 	// the number of results, counted without enumerating them.
 	Emitted int64
 	// ExecStats is the I/O cost of the emitting run (the winning branch
-	// under StrategyExhaustive; the only run otherwise). Its MemHiWater is
-	// the emitting run's own peak, not the disk's lifetime hi-water mark:
-	// the planning phase's peak belongs to TotalStats, and scoping it there
-	// is what keeps ExecStats bit-identical with pruning on or off.
+	// under StrategyExhaustive; the only run otherwise; for RunLine,
+	// everything the dispatcher charged, nested runs included). Its
+	// MemHiWater is the emitting run's own peak, not the disk's lifetime
+	// hi-water mark: the planning phase's peak belongs to TotalStats, and
+	// scoping it there is what keeps ExecStats bit-identical with pruning on
+	// or off.
 	ExecStats extmem.Stats
 	// TotalStats additionally includes every dry-run branch (the paper's
 	// round-robin simulation cost; a constant factor above ExecStats).
@@ -188,6 +190,8 @@ type Result struct {
 	// Decisions are recorded once per subquery structure, in the order they
 	// were first encountered. Nil for every other strategy.
 	Greedy []GreedyDecision
+	// Line is the Section 6 plan RunLine evaluated; nil for Run.
+	Line *LinePlan
 }
 
 // PruneStats is branch-and-bound telemetry for one exhaustive run.
@@ -219,14 +223,18 @@ func Run(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) (*R
 	}
 	disk := anyDisk(g, in)
 	applyMemo(disk, opts)
-	res := &Result{Policy: map[string]int{}}
-	if disk == nil {
-		return runStrategy(g, in, emit, opts, disk, res)
-	}
+	return guarded(disk, func() (*Result, error) {
+		return runStrategy(g, in, emit, opts, disk, &Result{Policy: map[string]int{}})
+	})
+}
+
+// guarded runs f under disk's CatchAbort, so that permanent faults and
+// cancellation unwind the disk and surface as typed errors, not panics.
+func guarded(disk *extmem.Disk, f func() (*Result, error)) (*Result, error) {
 	var out *Result
 	pruned, err := disk.CatchAbort(func() error {
 		var e error
-		out, e = runStrategy(g, in, emit, opts, disk, res)
+		out, e = f()
 		return e
 	})
 	if err != nil {
@@ -249,25 +257,12 @@ func runStrategy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Opti
 		return runGreedy(g, in, emit, opts, disk, res, steps)
 	}
 	if opts.Strategy != StrategyExhaustive {
-		ex := &executor{
-			emit:    emit,
-			opts:    opts,
-			nAttrs:  g.MaxAttr() + 1,
-			chooser: staticChooser(opts.Strategy),
-			steps:   steps,
-		}
-		before := disk.Stats()
-		stopPeak := disk.StartMemPeak()
-		err := ex.run(g, in)
-		peak := stopPeak()
+		ex := newExecutor(g, emit, opts, staticChooser(opts.Strategy), steps)
+		st, err := measure(disk, func() error { return ex.run(g, in) })
 		if err != nil {
 			return nil, err
 		}
-		res.Emitted = ex.emitted
-		res.ExecStats = disk.Stats().Sub(before)
-		res.ExecStats.MemHiWater = peak
-		res.TotalStats = res.ExecStats
-		res.Branches = 1
+		res.Emitted, res.ExecStats, res.TotalStats, res.Branches = ex.emitted, st, st, 1
 		return res, nil
 	}
 
@@ -286,28 +281,15 @@ func runStrategy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Opti
 // with TotalStats == ExecStats because no dry run ever happened.
 func runExhaustiveSingle(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, steps *stepTable) (*Result, error) {
 	policy := map[string]int{}
-	ex := &executor{
-		emit:   emit,
-		opts:   opts,
-		nAttrs: g.MaxAttr() + 1,
-		chooser: func(_ *hypergraph.Graph, key string, _ []*hypergraph.Edge, _ relation.Instance) int {
-			policy[key] = 0
-			return 0
-		},
-		steps: steps,
-	}
-	before := disk.Stats()
-	stopPeak := disk.StartMemPeak()
-	err := ex.run(g, in)
-	peak := stopPeak()
+	ex := newExecutor(g, emit, opts, func(_ *hypergraph.Graph, key string, _ []*hypergraph.Edge, _ relation.Instance) int {
+		policy[key] = 0
+		return 0
+	}, steps)
+	st, err := measure(disk, func() error { return ex.run(g, in) })
 	if err != nil {
 		return nil, err
 	}
-	res.Emitted = ex.emitted
-	res.ExecStats = disk.Stats().Sub(before)
-	res.ExecStats.MemHiWater = peak
-	res.TotalStats = res.ExecStats
-	res.Branches = 1
+	res.Emitted, res.ExecStats, res.TotalStats, res.Branches = ex.emitted, st, st, 1
 	res.Prune = PruneStats{Started: 1, Completed: 1}
 	res.Policy = policy
 	return res, nil
@@ -335,13 +317,8 @@ func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts
 	odo := newOdometer()
 	grand := extmem.Stats{}
 	for {
-		ex := &executor{
-			opts:    opts,
-			nAttrs:  g.MaxAttr() + 1,
-			chooser: odo.choose,
-			dry:     true,
-			steps:   steps,
-		}
+		ex := newExecutor(g, nil, opts, odo.choose, steps)
+		ex.dry = true
 		before := disk.Stats()
 		var pruned bool
 		var err error
@@ -388,33 +365,20 @@ func runExhaustiveSeq(g *hypergraph.Graph, in relation.Instance, emit Emit, opts
 // disk and assembles the Result. The wet re-run never carries a charge
 // budget: the winner must execute in full.
 func finishExhaustive(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, grand extmem.Stats, fixed map[string]int, steps *stepTable) (*Result, error) {
-	ex := &executor{
-		emit:   emit,
-		opts:   opts,
-		nAttrs: g.MaxAttr() + 1,
-		chooser: func(_ *hypergraph.Graph, key string, leaves []*hypergraph.Edge, in relation.Instance) int {
-			if d, ok := fixed[key]; ok {
-				if d < len(leaves) {
-					return d
-				}
-				res.ClampedChoices++
+	ex := newExecutor(g, emit, opts, func(_ *hypergraph.Graph, key string, leaves []*hypergraph.Edge, in relation.Instance) int {
+		if d, ok := fixed[key]; ok {
+			if d < len(leaves) {
+				return d
 			}
-			return 0
-		},
-		steps: steps,
-	}
-	before := disk.Stats()
-	stopPeak := disk.StartMemPeak()
-	err := ex.run(g, in)
-	peak := stopPeak()
+			res.ClampedChoices++
+		}
+		return 0
+	}, steps)
+	st, err := measure(disk, func() error { return ex.run(g, in) })
 	if err != nil {
 		return nil, err
 	}
-	res.ExecStats = disk.Stats().Sub(before)
-	res.ExecStats.MemHiWater = peak
-	res.TotalStats = grand.Add(res.ExecStats)
-	res.Emitted = ex.emitted
-	res.Policy = fixed
+	res.Emitted, res.ExecStats, res.TotalStats, res.Policy = ex.emitted, st, grand.Add(st), fixed
 	return res, nil
 }
 
@@ -570,26 +534,58 @@ func attrMask(attrs ...int) uint64 {
 	return m
 }
 
-func (x *executor) run(g *hypergraph.Graph, in relation.Instance) error {
-	if x.steps == nil {
-		x.steps = newStepTable()
-	}
+// body is one evaluation on an executor: it reports its results to done the
+// way join does, reads being the mask of the attributes a callback reads.
+type body func(reads uint64, done func(int64)) error
+
+// newExecutor builds an executor over g's attributes.
+func newExecutor(g *hypergraph.Graph, emit Emit, opts Options, ch chooser, steps *stepTable) *executor {
+	return &executor{emit: emit, opts: opts, nAttrs: g.MaxAttr() + 1, chooser: ch, steps: steps}
+}
+
+// start readies x for one evaluation and returns the read mask and the done
+// callback of its outermost loop: done counts the results and, when x emits,
+// delivers each one.
+func (x *executor) start() (uint64, func(int64)) {
 	x.asg = tuple.NewAssignment(x.nAttrs)
 	var reads uint64
 	if x.emit != nil || x.nAttrs > 64 {
 		reads = readsAll
 	}
-	return x.join(x.steps.of(g), in, 0, reads, func(k int64) {
+	return reads, func(k int64) {
 		x.emitted += k
 		if x.emit != nil {
 			x.emit(x.asg)
 		}
-	})
+	}
 }
 
-// extend is every row loop of Algorithm 2. It is called when k results of
-// the subquery below extend the current binding, crosses them with rows
-// (over schema) and reports the k·len(rows) results to done. bound is the
+// run evaluates (g, in) with Algorithm 2.
+func (x *executor) run(g *hypergraph.Graph, in relation.Instance) error {
+	if x.steps == nil {
+		x.steps = newStepTable()
+	}
+	reads, done := x.start()
+	return x.join(x.steps.of(g), in, 0, reads, done)
+}
+
+// measure calls run, one evaluation on x, and returns the charges it made.
+// Their MemHiWater is the run's own peak, not the disk's lifetime mark (see
+// Result.ExecStats).
+func measure(disk *extmem.Disk, run func() error) (extmem.Stats, error) {
+	before := disk.Stats()
+	stopPeak := disk.StartMemPeak()
+	err := run()
+	peak := stopPeak()
+	st := disk.Stats().Sub(before)
+	st.MemHiWater = peak
+	return st, err
+}
+
+// extend is every row loop of Algorithm 2 and of the Section 6 line
+// algorithms. It is called when k results of the subquery below extend the
+// current binding, crosses them with rows (over schema) and reports the
+// k·len(rows) results to done. bound is the
 // mask of the attributes the loop binds and reads the mask of those an outer
 // callback reads. Rows that agree on every attribute read lead the rest of
 // the chain the same way, so a run of m such rows is bound once and reported
@@ -636,14 +632,6 @@ func sameOn(a, b tuple.Tuple, cols uint64) bool {
 		}
 	}
 	return true
-}
-
-// bindInto is the shared bind-call-unbind helper: it binds the unbound
-// attributes of schema to t in asg, invokes next, and restores asg.
-func bindInto(asg tuple.Assignment, schema tuple.Schema, t tuple.Tuple, next func()) {
-	m := bind(asg, schema, t)
-	next()
-	unbind(asg, schema, m)
 }
 
 // bind binds the unbound attributes of schema to t in asg and returns the

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"acyclicjoin/internal/cover"
-	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/relation"
 )
@@ -126,76 +126,82 @@ func isSandwichCover(x []int) bool {
 	return n == 7 && x[0] == 1 && x[1] == 1 && x[n-2] == 1 && x[n-1] == 1
 }
 
-// RunLine evaluates a line join with the plan chosen by PlanLine, returning
-// the plan used. The instance should be fully reduced for the optimality
-// guarantees (correctness holds regardless).
+// RunLine evaluates a line join with the plan chosen by PlanLine, which it
+// reports in Result.Line. The instance should be fully reduced for the
+// optimality guarantees (correctness holds regardless).
 //
-// The dispatcher itself commits to a single plan up front — it explores no
-// dry-run branches — but opts flows through to every nested Run call (the
-// PlanAcyclic route and the inner plans of chunked composites), so the
-// strategy, pruning and memo options still apply wherever Algorithm 2 is
-// reached from here, and its Result stays deterministic.
-func RunLine(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) (*LinePlan, error) {
+// The dispatcher commits to a single plan up front — it explores no dry-run
+// branches, so Branches is 1 and TotalStats equals ExecStats, everything it
+// charged — but opts flows through to every nested Run call (the PlanAcyclic
+// route and Algorithm 5's residual query), so the strategy, pruning and memo
+// options still apply wherever Algorithm 2 is reached from here, and its
+// Result stays deterministic. Its row loops are Algorithm 2's executor's, so
+// a nil emit counts the results into Result.Emitted, as it does for Run.
+func RunLine(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) (*Result, error) {
 	order, ok := g.AsLine()
 	if !ok {
 		return nil, fmt.Errorf("core: %v is not a line join", g)
 	}
 	disk := anyDisk(g, in)
 	applyMemo(disk, opts)
-	sizes := make([]float64, len(order))
-	for i, e := range order {
-		sizes[i] = float64(in[e.ID].Len())
-		if sizes[i] == 0 {
-			// An empty relation empties the whole (connected) join.
-			return &LinePlan{Kind: PlanAcyclic, Balanced: true,
-				Reason: "empty relation: no results"}, nil
-		}
+	res := &Result{Branches: 1}
+	sizes := lineSizes(order, in)
+	if slices.Contains(sizes, 0) {
+		// An empty relation empties the whole (connected) join.
+		res.Line = &LinePlan{Kind: PlanAcyclic, Balanced: true, Reason: "empty relation: no results"}
+		return res, nil
 	}
 	plan, err := PlanLine(sizes)
 	if err != nil {
 		return nil, err
 	}
-	if disk == nil {
-		if err := runLinePlan(plan, g, order, in, emit, opts); err != nil {
+	res.Line = plan
+	x := newExecutor(g, emit, opts, nil, nil)
+	// The specialized line plans run outside Run's CatchAbort, so give them
+	// their own.
+	return guarded(disk, func() (*Result, error) {
+		st, err := measure(disk, func() error {
+			reads, done := x.start()
+			return x.linePlan(plan, g, order, in, reads, done)
+		})
+		if err != nil {
 			return nil, err
 		}
-		return plan, nil
-	}
-	// The specialized line plans run outside Run's CatchAbort, so give them
-	// their own: permanent faults and cancellation unwind the disk here and
-	// surface as typed errors instead of panics.
-	pruned, err := disk.CatchAbort(func() error {
-		return runLinePlan(plan, g, order, in, emit, opts)
+		res.Emitted, res.ExecStats, res.TotalStats = x.emitted, st, st
+		return res, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if pruned {
-		return nil, fmt.Errorf("core: charge budget leaked into the line run: %w", extmem.ErrBudgetExceeded)
-	}
-	return plan, nil
 }
 
-func runLinePlan(plan *LinePlan, g *hypergraph.Graph, order []*hypergraph.Edge, in relation.Instance, emit Emit, opts Options) error {
+// lineSizes returns the relation sizes of a line's edges in path order.
+func lineSizes(order []*hypergraph.Edge, in relation.Instance) []float64 {
+	sizes := make([]float64, len(order))
+	for i, e := range order {
+		sizes[i] = float64(in[e.ID].Len())
+	}
+	return sizes
+}
+
+// linePlan evaluates the line (g, in), whose edges are order in path order,
+// with plan, reporting its results to done the way join does.
+func (x *executor) linePlan(plan *LinePlan, g *hypergraph.Graph, order []*hypergraph.Edge, in relation.Instance, reads uint64, done func(int64)) error {
 	switch plan.Kind {
 	case PlanAcyclic:
-		_, err := Run(g, in, emit, opts)
-		return err
+		return x.nested(g, in, reads, done)
 	case PlanLine3:
-		return Line3(g, in, emit)
+		return x.line3(g, in, reads, done)
 	case PlanLine5Unbalanced:
-		return Line5Unbalanced(g, in, emit)
+		return x.line5(g, in, reads, done)
 	case PlanLine7Unbalanced:
-		return Line7Unbalanced(g, in, emit, opts)
+		return x.line7(g, in, reads, done)
 	case PlanChunkedComposite:
-		return runComposite(plan, g, order, in, emit, opts)
+		return x.composite(plan, g, order, in, reads, done)
 	}
 	return fmt.Errorf("core: unknown plan kind %v", plan.Kind)
 }
 
-// runComposite peels chunked outer relations off one or both ends and
-// recursively plans the inner line join.
-func runComposite(plan *LinePlan, g *hypergraph.Graph, order []*hypergraph.Edge, in relation.Instance, emit Emit, opts Options) error {
+// composite peels chunked outer relations off one or both ends and plans the
+// inner line join recursively.
+func (x *executor) composite(plan *LinePlan, g *hypergraph.Graph, order []*hypergraph.Edge, in relation.Instance, reads uint64, done func(int64)) error {
 	lo, hi := 0, len(order) // inner edge range [lo, hi)
 	if plan.OuterFirst {
 		lo++
@@ -203,39 +209,21 @@ func runComposite(plan *LinePlan, g *hypergraph.Graph, order []*hypergraph.Edge,
 	if plan.OuterLast {
 		hi--
 	}
-	innerIDs := hypergraph.EdgeIDs(order[lo:hi])
-	innerG := g.Subgraph(innerIDs)
 	innerOrder := order[lo:hi]
-	inner := func(e Emit) error {
-		innerSizes := make([]float64, len(innerOrder))
-		for i, ed := range innerOrder {
-			innerSizes[i] = float64(in[ed.ID].Len())
-		}
-		ip, err := PlanLine(innerSizes)
-		if err != nil {
-			return err
-		}
-		return runLinePlan(ip, innerG, innerOrder, in, e, opts)
+	innerG := g.Subgraph(hypergraph.EdgeIDs(innerOrder))
+	ip, err := PlanLine(lineSizes(innerOrder, in))
+	if err != nil {
+		return err
 	}
+	run := body(func(reads uint64, done func(int64)) error {
+		return x.linePlan(ip, innerG, innerOrder, in, reads, done)
+	})
 	// Wrap outer relations outermost-last so the chunk loops nest.
-	run := inner
-	if plan.OuterLast {
-		e := order[len(order)-1]
-		shared := hypergraph.SharedAttr(order[len(order)-2], e)
-		outerRel := in[e.ID]
-		prev := run
-		run = func(em Emit) error {
-			return ChunkedOuterJoin(outerRel, shared, prev, em)
-		}
+	if n := len(order); plan.OuterLast {
+		run = x.chunked(in[order[n-1].ID], hypergraph.SharedAttr(order[n-2], order[n-1]), run)
 	}
 	if plan.OuterFirst {
-		e := order[0]
-		shared := hypergraph.SharedAttr(e, order[1])
-		outerRel := in[e.ID]
-		prev := run
-		run = func(em Emit) error {
-			return ChunkedOuterJoin(outerRel, shared, prev, em)
-		}
+		run = x.chunked(in[order[0].ID], hypergraph.SharedAttr(order[0], order[1]), run)
 	}
-	return run(emit)
+	return run(reads, done)
 }

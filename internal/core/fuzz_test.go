@@ -102,7 +102,9 @@ func FuzzPruneOracle(f *testing.F) {
 // the enumeration oracle (internal/count) finds, and must leave every other
 // figure identical to the emitting run: ExecStats, TotalStats, Policy, Prune,
 // Branches and the disk's final Stats. Counting skips only enumeration, which
-// touches no disk.
+// touches no disk. On a line of three or more relations the line dispatcher
+// (RunLine) is held to the same: the oracle's count either way, and an
+// identical Result and final disk Stats.
 func FuzzCountOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(0))
 	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(0x13))
@@ -122,8 +124,7 @@ func FuzzCountOracle(f *testing.F) {
 			_, in := build(d)
 			return in
 		}
-		run := func(emit Emit) (*Result, extmem.Stats, error) {
-			d := extmem.NewDisk(cfg)
+		load := func(d *extmem.Disk) relation.Instance {
 			in := raw(d)
 			if opts.AssumeReduced {
 				red, err := reducer.FullReduce(g, in)
@@ -132,6 +133,11 @@ func FuzzCountOracle(f *testing.F) {
 				}
 				in = red
 			}
+			return in
+		}
+		run := func(emit Emit) (*Result, extmem.Stats, error) {
+			d := extmem.NewDisk(cfg)
+			in := load(d)
 			goroutines := runtime.NumGoroutine()
 			r, err := Run(g, in, emit, opts)
 			assertNoLeaks(goroutines, fmt.Sprintf("opts=%+v err=%v", opts, err))
@@ -164,6 +170,28 @@ func FuzzCountOracle(f *testing.F) {
 		if !reflect.DeepEqual(cnt.Policy, ref.Policy) || cnt.Prune != ref.Prune || cnt.Branches != ref.Branches {
 			t.Fatalf("plan diverges: policy %v/%v prune %+v/%+v branches %d/%d",
 				cnt.Policy, ref.Policy, cnt.Prune, ref.Prune, cnt.Branches, ref.Branches)
+		}
+		if _, ok := g.AsLine(); !ok || g.NumEdges() < 3 {
+			return
+		}
+		// The line dispatcher counts on the same executor.
+		runLine := func(emit Emit) (*Result, extmem.Stats) {
+			d := extmem.NewDisk(cfg)
+			r, err := RunLine(g, load(d), emit, opts)
+			if err != nil {
+				t.Fatalf("RunLine: %v", err)
+			}
+			return r, d.Stats()
+		}
+		emitted = 0
+		lref, lrefStats := runLine(func(tuple.Assignment) { emitted++ })
+		lcnt, lcntStats := runLine(nil)
+		if lref.Emitted != emitted || emitted != want || lcnt.Emitted != want {
+			t.Fatalf("line counts diverge: count-only %d, emitting %d (delivered %d), oracle %d",
+				lcnt.Emitted, lref.Emitted, emitted, want)
+		}
+		if lcnt.ExecStats != lref.ExecStats || lcntStats != lrefStats || !reflect.DeepEqual(lcnt, lref) {
+			t.Fatalf("line runs diverge: exec %+v/%+v disk %+v/%+v", lcnt.ExecStats, lref.ExecStats, lcntStats, lrefStats)
 		}
 	})
 }

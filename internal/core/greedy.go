@@ -237,26 +237,12 @@ func (gc *greedyChooser) policy() map[string]int {
 // dry-run accounting.
 func runGreedy(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, disk *extmem.Disk, res *Result, steps *stepTable) (*Result, error) {
 	gc := newGreedyChooser(disk)
-	ex := &executor{
-		emit:    emit,
-		opts:    opts,
-		nAttrs:  g.MaxAttr() + 1,
-		chooser: gc.choose,
-		steps:   steps,
-	}
-	before := disk.Stats()
-	stopPeak := disk.StartMemPeak()
-	err := ex.run(g, in)
-	peak := stopPeak()
+	ex := newExecutor(g, emit, opts, gc.choose, steps)
+	total, err := measure(disk, func() error { return ex.run(g, in) })
 	if err != nil {
 		return nil, err
 	}
-	total := disk.Stats().Sub(before)
-	res.Emitted = ex.emitted
-	res.ExecStats = total.Sub(gc.probes)
-	res.ExecStats.MemHiWater = peak
-	res.TotalStats = total
-	res.TotalStats.MemHiWater = peak
+	res.Emitted, res.ExecStats, res.TotalStats = ex.emitted, total.Sub(gc.probes), total
 	res.Branches = 1
 	res.Policy = gc.policy()
 	res.Greedy = gc.trace

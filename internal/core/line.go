@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
@@ -46,6 +47,22 @@ func lineParts(g *hypergraph.Graph, n int) ([]*hypergraph.Edge, []hypergraph.Att
 // nested-loop join against R1|v1=a; light values are processed in ≤2M-tuple
 // chunks with an instance-optimal merge join of R2(M1) against R3.
 func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
+	return runAlone(g, in, emit, Options{}, (*executor).line3)
+}
+
+// lineAlg is a Section 6 algorithm on an executor: it evaluates (g, in) and
+// reports its results to done the way join does.
+type lineAlg func(x *executor, g *hypergraph.Graph, in relation.Instance, reads uint64, done func(int64)) error
+
+// runAlone runs alg on (g, in) as a query of its own, delivering each result
+// to emit.
+func runAlone(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options, alg lineAlg) error {
+	x := newExecutor(g, emit, opts, nil, nil)
+	reads, done := x.start()
+	return alg(x, g, in, reads, done)
+}
+
+func (x *executor) line3(g *hypergraph.Graph, in relation.Instance, reads uint64, done func(int64)) error {
 	order, attrs, err := lineParts(g, 3)
 	if err != nil {
 		return err
@@ -63,7 +80,8 @@ func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
 	if err != nil {
 		return err
 	}
-	asg := tuple.NewAssignment(g.MaxAttr() + 1)
+	s1 := r1.Schema()
+	b1 := attrMask(s1...)
 
 	heavy, light, err := r1.Heavy(a1)
 	if err != nil {
@@ -79,9 +97,11 @@ func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
 		if err != nil {
 			return err
 		}
-		err = BlockedNLJ(hg.Rel, j, func(t1, tj tuple.Tuple) error {
-			bindInto(asg, r1.Schema(), t1, func() {
-				bindInto(asg, j.Schema(), tj, func() { emit(asg) })
+		sj := j.Schema()
+		bj := attrMask(sj...)
+		err = BlockedNLJ(hg.Rel, j, func(rows []tuple.Tuple, tj tuple.Tuple) error {
+			x.extend([]tuple.Tuple{tj}, sj, bj, reads, 1, func(k int64) {
+				x.extend(rows, s1, b1, reads, k, done)
 			})
 			return nil
 		})
@@ -100,14 +120,15 @@ func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
 			return err
 		}
 		c2 := r2s.Col(a1)
+		s2, s3 := r2s.Schema(), r3.Schema()
+		b2, b3 := attrMask(s2...), attrMask(s3...)
 		return PairJoin(r2s, r3, a2, func(t2, t3 tuple.Tuple) error {
-			for _, t1 := range relation.GroupRows(c.Rows(), c.Values, c.Starts, t2[c2]) {
-				bindInto(asg, r1.Schema(), t1, func() {
-					bindInto(asg, r2s.Schema(), t2, func() {
-						bindInto(asg, r3.Schema(), t3, func() { emit(asg) })
-					})
+			rows := relation.GroupRows(c.Rows(), c.Values, c.Starts, t2[c2])
+			x.extend([]tuple.Tuple{t2}, s2, b2, reads, 1, func(k int64) {
+				x.extend([]tuple.Tuple{t3}, s3, b3, reads, k, func(k int64) {
+					x.extend(rows, s1, b1, reads, k, done)
 				})
-			}
+			})
 			return nil
 		})
 	})
@@ -132,21 +153,15 @@ func MaterializeLine3(g *hypergraph.Graph, in relation.Instance, schema tuple.Sc
 // sorted lexicographically by those columns, yielding zero-copy group views.
 type groupCursor struct {
 	rel    *relation.Relation
-	rd     interface{ Next() tuple.Tuple }
+	rd     *extmem.Reader
 	c1, c2 int
 	cur    tuple.Tuple
 	idx    int
 }
 
-type readerAdapter struct{ r interface{ Next() []int64 } }
-
-func (a readerAdapter) Next() tuple.Tuple { return a.r.Next() }
-
 func newGroupCursor(r *relation.Relation, att1, att2 hypergraph.Attr) *groupCursor {
-	gc := &groupCursor{rel: r, c1: r.Col(att1), c2: r.Col(att2)}
-	gc.rd = readerAdapter{r.Reader()}
-	t := gc.rd.Next()
-	if t != nil {
+	gc := &groupCursor{rel: r, rd: r.Reader(), c1: r.Col(att1), c2: r.Col(att2)}
+	if t := gc.rd.Next(); t != nil {
 		gc.cur = tuple.Clone(t)
 	}
 	return gc
@@ -196,6 +211,10 @@ func (gc *groupCursor) skipTo(k1, k2 int64) (*relation.Relation, bool) {
 // R3 lexicographically by (v2,v3) (the paper's v3,v4), and for each tuple
 // t ∈ R3 join S(t) = S⋉t with T(t) = T⋉t by a blocked nested-loop join.
 func Line5Unbalanced(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
+	return runAlone(g, in, emit, Options{}, (*executor).line5)
+}
+
+func (x *executor) line5(g *hypergraph.Graph, in relation.Instance, reads uint64, done func(int64)) error {
 	order, attrs, err := lineParts(g, 5)
 	if err != nil {
 		return err
@@ -226,7 +245,8 @@ func Line5Unbalanced(g *hypergraph.Graph, in relation.Instance, emit Emit) error
 	if err != nil {
 		return err
 	}
-	asg := tuple.NewAssignment(g.MaxAttr() + 1)
+	sS, sT := ss.Schema(), ts.Schema()
+	bS, bT := attrMask(sS...), attrMask(sT...)
 	sCur := newGroupCursor(ss, m2, m3)
 	tCur := newGroupCursor(ts, m2, m3)
 	r3Cur := newGroupCursor(r3, m2, m3)
@@ -243,9 +263,9 @@ func Line5Unbalanced(g *hypergraph.Graph, in relation.Instance, emit Emit) error
 		if !okT {
 			continue
 		}
-		err := BlockedNLJ(sv, tv, func(st, ttp tuple.Tuple) error {
-			bindInto(asg, ss.Schema(), st, func() {
-				bindInto(asg, ts.Schema(), ttp, func() { emit(asg) })
+		err := BlockedNLJ(sv, tv, func(rows []tuple.Tuple, tt tuple.Tuple) error {
+			x.extend([]tuple.Tuple{tt}, sT, bT, reads, 1, func(k int64) {
+				x.extend(rows, sS, bS, reads, k, done)
 			})
 			return nil
 		})
@@ -261,6 +281,10 @@ func Line5Unbalanced(g *hypergraph.Graph, in relation.Instance, emit Emit) error
 // acyclic query {R1, R2, S, R6, R7}, where S is one relation over the
 // middle four attributes (two of them now unique to S).
 func Line7Unbalanced(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) error {
+	return runAlone(g, in, emit, opts, (*executor).line7)
+}
+
+func (x *executor) line7(g *hypergraph.Graph, in relation.Instance, reads uint64, done func(int64)) error {
 	order, attrs, err := lineParts(g, 7)
 	if err != nil {
 		return err
@@ -290,52 +314,55 @@ func Line7Unbalanced(g *hypergraph.Graph, in relation.Instance, emit Emit, opts 
 		3: in[order[5].ID],
 		4: in[order[6].ID],
 	}
-	_, err = Run(ng, nin, emit, opts)
+	return x.nested(ng, nin, reads, done)
+}
+
+// nested evaluates (g, in) with Algorithm 2, as a Run of its own under x's
+// options, and reports its results to done: as one count when no callback
+// reads an attribute of g, else one at a time, bound into x's assignment
+// (not through extend: its schemas stop at 64 attributes, a line's do not).
+// No loop of x binds an attribute of g while it runs.
+func (x *executor) nested(g *hypergraph.Graph, in relation.Instance, reads uint64, done func(int64)) error {
+	attrs := g.Attrs()
+	if attrMask(attrs...)&reads == 0 {
+		r, err := Run(g, in, nil, x.opts)
+		if err != nil {
+			return err
+		}
+		done(r.Emitted)
+		return nil
+	}
+	_, err := Run(g, in, func(a tuple.Assignment) {
+		for _, at := range attrs {
+			x.asg[at] = a[at]
+		}
+		done(1)
+		for _, at := range attrs {
+			x.asg[at] = tuple.Unset
+		}
+	}, x.opts)
 	return err
 }
 
-// ChunkedOuterJoin composes a line join with an end relation: for each
-// memory chunk of the outer relation, the inner join is recomputed and its
-// results matched against the chunk on the shared attribute. This is the
-// nested-loop composition the paper uses for the unbalanced L6 (R6 outer,
-// Algorithm 4 inner) and the (1,1,0,1,0,1,1) L7 case.
-//
-// The inner algorithm allocates its assignment over the SUBQUERY's
-// attribute space, which may not reach the outer relation's attribute IDs;
-// results are therefore re-emitted through a widened buffer.
-func ChunkedOuterJoin(outer *relation.Relation, shared hypergraph.Attr, inner func(Emit) error, emit Emit) error {
-	oCol := outer.Col(shared)
-	need := 0
-	for _, a := range outer.Schema() {
-		if a+1 > need {
-			need = a + 1
-		}
-	}
-	var buf tuple.Assignment
-	return outer.LoadChunks(func(c *relation.Chunk) error {
-		idx := map[int64][]tuple.Tuple{}
-		for _, t := range c.Rows() {
-			idx[t[oCol]] = append(idx[t[oCol]], t)
-		}
-		return inner(func(asg tuple.Assignment) {
-			v := asg.Get(shared)
-			if len(idx[v]) == 0 {
-				return
+// chunked returns the body that composes inner with the end relation outer,
+// which shares attribute shared with inner's query: for each memory chunk of
+// outer, inner is recomputed and its results are matched against the chunk's
+// rows by their shared value. This is the nested-loop composition the paper
+// uses for the unbalanced L6 (R6 outer, Algorithm 4 inner) and the
+// (1,1,0,1,0,1,1) L7 case.
+func (x *executor) chunked(outer *relation.Relation, shared hypergraph.Attr, inner body) body {
+	schema := outer.Schema()
+	col, bound := outer.Col(shared), attrMask(schema...)
+	return func(reads uint64, done func(int64)) error {
+		return outer.LoadChunks(func(c *relation.Chunk) error {
+			idx := map[int64][]tuple.Tuple{}
+			for _, t := range c.Rows() {
+				idx[t[col]] = append(idx[t[col]], t)
 			}
-			wide := len(asg)
-			if need > wide {
-				wide = need
-			}
-			if len(buf) < wide {
-				buf = tuple.NewAssignment(wide)
-			}
-			copy(buf, asg)
-			for i := len(asg); i < len(buf); i++ {
-				buf[i] = tuple.Unset
-			}
-			for _, t := range idx[v] {
-				bindInto(buf, outer.Schema(), t, func() { emit(buf) })
-			}
+			// The match reads the shared value, so inner must bind it.
+			return inner(reads|attrMask(shared), func(k int64) {
+				x.extend(idx[x.asg.Get(shared)], schema, bound, reads, k, done)
+			})
 		})
-	})
+	}
 }

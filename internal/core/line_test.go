@@ -76,7 +76,7 @@ func TestBlockedNLJCounts(t *testing.T) {
 	a := relation.FromTuples(d, tuple.Schema{0}, []tuple.Tuple{{1}, {2}, {3}, {4}, {5}})
 	b := relation.FromTuples(d, tuple.Schema{1}, []tuple.Tuple{{7}, {8}, {9}})
 	n := 0
-	if err := BlockedNLJ(a, b, func(_, _ tuple.Tuple) error { n++; return nil }); err != nil {
+	if err := BlockedNLJ(a, b, func(rows []tuple.Tuple, _ tuple.Tuple) error { n += len(rows); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 15 {
@@ -222,13 +222,13 @@ func TestRunLineAllShapesMatchOracle(t *testing.T) {
 		g, in := lineInstance(d, rng, n, 8+rng.Intn(20), 3)
 		want := oracle(t, g, in)
 		var got []string
-		plan, err := RunLine(g, in, func(a tuple.Assignment) { got = append(got, a.String()) }, Options{})
+		res, err := RunLine(g, in, func(a tuple.Assignment) { got = append(got, a.String()) }, Options{})
 		if err != nil {
 			t.Fatalf("L%d: %v", n, err)
 		}
 		sortStrings(got)
-		if len(got) != len(want) {
-			t.Fatalf("L%d (plan %v): %d results, want %d", n, plan.Kind, len(got), len(want))
+		if len(got) != len(want) || res.Emitted != int64(len(want)) {
+			t.Fatalf("L%d (plan %v): %d results (Emitted %d), want %d", n, res.Line.Kind, len(got), res.Emitted, len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -243,19 +243,17 @@ func TestChunkedOuterJoin(t *testing.T) {
 	g, in := lineInstance(d, rand.New(rand.NewSource(8)), 2, 20, 4)
 	want := oracle(t, g, in)
 	// Treat R2 as outer, R1 alone as inner.
-	asg := tuple.NewAssignment(3)
-	inner := func(e Emit) error {
+	var got []string
+	x := newExecutor(g, func(a tuple.Assignment) { got = append(got, a.String()) }, Options{}, nil, nil)
+	inner := func(reads uint64, done func(int64)) error {
 		rd := in[0].Reader()
 		for tp := rd.Next(); tp != nil; tp = rd.Next() {
-			bindInto(asg, in[0].Schema(), tp, func() { e(asg) })
+			x.extend([]tuple.Tuple{tp}, in[0].Schema(), attrMask(in[0].Schema()...), reads, 1, done)
 		}
 		return nil
 	}
-	var got []string
-	err := ChunkedOuterJoin(in[1], 1, inner, func(a tuple.Assignment) {
-		got = append(got, a.String())
-	})
-	if err != nil {
+	reads, done := x.start()
+	if err := x.chunked(in[1], 1, inner)(reads, done); err != nil {
 		t.Fatal(err)
 	}
 	sortStrings(got)
@@ -266,5 +264,11 @@ func TestChunkedOuterJoin(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("mismatch at %d: %s vs %s", i, got[i], want[i])
 		}
+	}
+	// Counting binds only the shared value the match reads.
+	x = newExecutor(g, nil, Options{}, nil, nil)
+	reads, done = x.start()
+	if err := x.chunked(in[1], 1, inner)(reads, done); err != nil || x.emitted != int64(len(want)) {
+		t.Fatalf("count-only: %d results (err %v), want %d", x.emitted, err, len(want))
 	}
 }

@@ -113,7 +113,15 @@ func PairJoin(rA, rB *relation.Relation, a tuple.Attr, perPair func(ta, tb tuple
 		}
 		ga := rA.View(startA, iA-startA)
 		gb := rB.View(startB, iB-startB)
-		if err := BlockedNLJ(ga, gb, perPair); err != nil {
+		err := BlockedNLJ(ga, gb, func(rows []tuple.Tuple, bt tuple.Tuple) error {
+			for _, at := range rows {
+				if err := perPair(at, bt); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -121,20 +129,20 @@ func PairJoin(rA, rB *relation.Relation, a tuple.Attr, perPair func(ta, tb tuple
 }
 
 // BlockedNLJ is the classic blocked nested-loop join over two views with no
-// join predicate applied (the caller restricts the views): every pair is
-// passed to perPair. Cost: ceil(|A|/M)·|B|/B + |A|/B. Charged under the
-// "nested-loop" phase when phase accounting is enabled.
-func BlockedNLJ(rA, rB *relation.Relation, perPair func(ta, tb tuple.Tuple) error) error {
+// join predicate applied (the caller restricts the views): each memory chunk
+// of A is passed to perChunk once per tuple of B, so the pairs come chunk by
+// chunk, then B tuple by B tuple, then chunk row by chunk row. Cost:
+// ceil(|A|/M)·|B|/B + |A|/B. Charged under the "nested-loop" phase when
+// phase accounting is enabled.
+func BlockedNLJ(rA, rB *relation.Relation, perChunk func(rows []tuple.Tuple, tb tuple.Tuple) error) error {
 	var err error
 	rA.Disk().WithPhase("nested-loop", func() {
 		err = rA.LoadChunks(func(c *relation.Chunk) error {
 			rows := c.Rows()
 			rd := rB.Reader()
 			for bt := rd.Next(); bt != nil; bt = rd.Next() {
-				for _, at := range rows {
-					if err := perPair(at, bt); err != nil {
-						return err
-					}
+				if err := perChunk(rows, bt); err != nil {
+					return err
 				}
 			}
 			return nil

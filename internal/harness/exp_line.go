@@ -344,19 +344,18 @@ func runE9(p Params) (_ *Table, err error) {
 		if err != nil {
 			return nil, err
 		}
-		var res int64
-		var plan *core.LinePlan
+		var r *core.Result
 		st, err := measure(d, func() error {
 			var err error
-			plan, err = core.RunLine(g, red, countEmit(&res), p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
+			r, err = core.RunLine(g, red, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("L%d uniform", n), fmt.Sprint(sizesOf(g, red)), plan.Kind.String(), st.IOs(), res)
-		if plan.Kind != core.PlanAcyclic {
-			return nil, fmt.Errorf("E9: uniform L%d routed to %v", n, plan.Kind)
+		t.AddRow(fmt.Sprintf("L%d uniform", n), fmt.Sprint(sizesOf(g, red)), r.Line.Kind.String(), st.IOs(), r.Emitted)
+		if r.Line.Kind != core.PlanAcyclic {
+			return nil, fmt.Errorf("E9: uniform L%d routed to %v", n, r.Line.Kind)
 		}
 	}
 	// Unbalanced composites: the Section 6.3 cross/mapping family extended
@@ -376,19 +375,18 @@ func runE9(p Params) (_ *Table, err error) {
 		if err != nil {
 			return nil, err
 		}
-		var res int64
-		var plan *core.LinePlan
+		var r *core.Result
 		st, err := measure(d, func() error {
 			var err error
-			plan, err = core.RunLine(g, in, countEmit(&res), p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
+			r, err = core.RunLine(g, in, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(c.name, fmt.Sprint(sizes), plan.Kind.String(), st.IOs(), res)
-		if plan.Kind != core.PlanChunkedComposite {
-			return nil, fmt.Errorf("E9: %s routed to %v, want chunked composite", c.name, plan.Kind)
+		t.AddRow(c.name, fmt.Sprint(sizes), r.Line.Kind.String(), st.IOs(), r.Emitted)
+		if r.Line.Kind != core.PlanChunkedComposite {
+			return nil, fmt.Errorf("E9: %s routed to %v, want chunked composite", c.name, r.Line.Kind)
 		}
 	}
 	t.Notes = append(t.Notes,

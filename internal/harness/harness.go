@@ -9,7 +9,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -87,18 +86,12 @@ func (p Params) WithDefaults() Params {
 	if p.Scale == 0 {
 		p.Scale = 1
 	}
-	if p.Backend == "" {
-		p.Backend = os.Getenv("ACYCLICJOIN_BACKEND")
-	}
+	p.Backend = cli.BackendName(p.Backend)
 	if p.Backend == "" {
 		p.Backend = "sim"
 	}
-	if p.DataDir == "" {
-		p.DataDir = os.Getenv("ACYCLICJOIN_DATADIR")
-	}
-	if p.Strategy == "" {
-		p.Strategy = os.Getenv("ACYCLICJOIN_STRATEGY")
-	}
+	p.DataDir = cli.DataDir(p.DataDir)
+	p.Strategy = cli.StrategyName(p.Strategy)
 	if p.DevFaultRate == 0 {
 		// Lenient: a malformed env value means no device faults here;
 		// RunContext is where it errors.

@@ -183,7 +183,8 @@ type Result struct {
 	// contribute only the charges made before their abort; set
 	// Options.NoPrune for the full Σ-branches accounting. Paths that explore
 	// no dry-run branches — the line-join dispatcher, StrategyFirst,
-	// StrategySmallest — report PlanningStats == Stats.
+	// StrategySmallest — report PlanningStats == Stats: the dispatcher's
+	// nested Algorithm 2 searches, dry runs included, count as its execution.
 	PlanningStats Stats
 	// Branches is how many peeling policies were explored.
 	Branches int
@@ -194,9 +195,9 @@ type Result struct {
 	// dry-run branches started, pruned at the incumbent bound, completed,
 	// and the I/Os the pruned branches charged before aborting. Zero when
 	// Options.NoPrune is set (Pruned only), for single-branch strategies,
-	// and for line queries routed through the Section 6 dispatcher (whose
-	// nested searches are not surfaced here). Like the rest of the Result it
-	// is deterministic.
+	// and for line queries routed through the Section 6 dispatcher, which
+	// commits to one plan and does not surface its nested searches. Like the
+	// rest of the Result it is deterministic.
 	Prune PruneStats
 	// ClampedChoices counts defensive chooser clamps in the exhaustive
 	// planner — a recorded decision meeting a subquery with fewer peelable
@@ -258,10 +259,11 @@ type GreedyScore = core.GreedyScore
 // Row map passed to emit is freshly allocated per call, so emit may keep or
 // modify it; the Values in it may be shared between rows, which is safe
 // because a Value (an int64 or a string) is immutable. For counting-only
-// runs pass nil and read Result.Count: a query that does not go through the
-// line dispatcher is then counted, not enumerated (Algorithm 2 multiplies
-// group sizes wherever no binding is read), with the same Stats, plan and
-// charges. Equivalent to RunContext with a background context.
+// runs pass nil and read Result.Count: the query is then counted, not
+// enumerated (Algorithm 2 and the line dispatcher's algorithms multiply
+// group sizes wherever no binding is read), with the same Result otherwise:
+// Stats, plan and charges. Equivalent to RunContext with a background
+// context.
 func Run(q *Query, inst *Instance, opts Options, emit func(Row)) (*Result, error) {
 	return RunContext(context.Background(), q, inst, opts, emit)
 }
@@ -273,8 +275,8 @@ func Run(q *Query, inst *Instance, opts Options, emit func(Row)) (*Result, error
 // (ErrFault), a device failure (ErrDevice, ErrNoSpace, ErrCorruption), or a
 // leaked charge budget (ErrBudget) — the returned *Result
 // is non-nil alongside the error, carrying partial telemetry: rows emitted
-// so far (a count-only Algorithm 2 run counts at the end, so it reports
-// zero), I/Os charged so far, and Result.Faults. Check the error before
+// so far (a count-only run counts at the end, so it reports zero), I/Os
+// charged so far, and Result.Faults. Check the error before
 // trusting any other Result field. RunContext never panics: internal
 // invariant violations surface as errors wrapping ErrInternal.
 func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emit func(Row)) (res *Result, err error) {
@@ -371,17 +373,14 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	// has ID i (QueryBuilder.Relation assigns IDs in attrNames order). For
 	// each attribute it keeps the last code decoded and the boxed Value it
 	// produced: joins repeat the bound prefix from row to row, and those
-	// rows share the immutable Value instead of boxing it again. Only the
-	// line dispatcher calls it with a nil emit; Algorithm 2 counts those
-	// runs itself (Result.Emitted).
+	// rows share the immutable Value instead of boxing it again. It also
+	// counts the rows delivered, for the partial Result of an abort; a
+	// count-only run passes no emit, and core counts it (Result.Emitted).
 	names := q.attrNames
 	lastCode := tuple.NewAssignment(len(names))
 	lastVal := make([]Value, len(names))
 	coreEmit := func(a tuple.Assignment) {
 		count++
-		if emit == nil {
-			return
-		}
 		row := make(Row, len(names))
 		for id, name := range names {
 			x := a.Get(id)
@@ -403,42 +402,37 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		NoPrune:       opts.NoPrune,
 		Memo:          opts.Memo,
 	}
-	if !opts.NoLineSpecialization && q.IsLine() && q.graph.NumEdges() >= 3 {
-		plan, lerr := core.RunLine(q.graph, work, coreEmit, copts)
-		if lerr != nil {
-			return abortResult(partial, lerr)
-		}
-		res.Plan = plan.Kind.String() + ": " + plan.Reason
-		// The dispatcher commits to one plan up front: no dry-run branches,
-		// so planning cost equals execution cost (reduction included).
-		res.Stats = fromExtmem(disk.Stats())
-		res.PlanningStats = res.Stats
-		res.Branches = 1
-	} else {
-		var ce core.Emit
-		if emit != nil {
-			ce = coreEmit
-		}
-		r, cerr := core.Run(q.graph, work, ce, copts)
-		if cerr != nil {
-			return abortResult(partial, cerr)
-		}
-		res.Plan = "acyclic-join (Algorithm 2), strategy " + opts.Strategy.String()
-		res.Branches = r.Branches
-		res.Prune = r.Prune
-		res.ClampedChoices = r.ClampedChoices
-		res.Greedy = r.Greedy
-		// Execution stats: reduction + winning branch. Planning adds the
-		// dry runs.
-		exec := r.ExecStats
-		total := r.TotalStats
-		full := disk.Stats()
-		// full = reduction + total; execution = full - (total - exec).
-		execFull := full.Sub(total.Sub(exec))
-		res.Stats = fromExtmem(execFull)
-		res.PlanningStats = fromExtmem(full)
-		count = r.Emitted
+	var ce core.Emit
+	if emit != nil {
+		ce = coreEmit
 	}
+	var r *core.Result
+	if !opts.NoLineSpecialization && q.IsLine() && q.graph.NumEdges() >= 3 {
+		r, err = core.RunLine(q.graph, work, ce, copts)
+	} else {
+		r, err = core.Run(q.graph, work, ce, copts)
+	}
+	if err != nil {
+		return abortResult(partial, err)
+	}
+	res.Plan = "acyclic-join (Algorithm 2), strategy " + opts.Strategy.String()
+	if r.Line != nil {
+		res.Plan = r.Line.Kind.String() + ": " + r.Line.Reason
+	}
+	res.Branches = r.Branches
+	res.Prune = r.Prune
+	res.ClampedChoices = r.ClampedChoices
+	res.Greedy = r.Greedy
+	// Execution stats: reduction + the emitting run. Planning adds the dry
+	// runs; the line dispatcher makes none, so there the two are equal.
+	exec := r.ExecStats
+	total := r.TotalStats
+	full := disk.Stats()
+	// full = reduction + total; execution = full - (total - exec).
+	execFull := full.Sub(total.Sub(exec))
+	res.Stats = fromExtmem(execFull)
+	res.PlanningStats = fromExtmem(full)
+	count = r.Emitted
 	res.Count = count
 	res.Faults = faults()
 	res.Backend = disk.BackendName()
@@ -469,8 +463,7 @@ func newBackendDisk(cfg extmem.Config, opts Options) (*extmem.Disk, *diskfile.En
 }
 
 // Count evaluates the join and returns only the number of results and stats.
-// It is Run with a nil emit: queries that do not go through the line
-// dispatcher are counted, not enumerated.
+// It is Run with a nil emit: the results are counted, not enumerated.
 func Count(q *Query, inst *Instance, opts Options) (*Result, error) {
 	return Run(q, inst, opts, nil)
 }
