@@ -717,7 +717,7 @@ func (x *executor) join(s *step, in relation.Instance, depth int, reads uint64, 
 		if err != nil {
 			return err
 		}
-		sub := in.Clone()
+		sub := x.steps.sub(depth, in)
 		for _, o := range s.gamma {
 			or, err := in[o.ID].SortBy(s.v)
 			if err != nil {
@@ -756,7 +756,7 @@ func (x *executor) join(s *step, in relation.Instance, depth int, reads uint64, 
 	}
 	// One sub-instance serves the whole peel: each heavy value and each
 	// chunk only overwrites the Γ(e) entries before its recursion.
-	sub := in.Clone()
+	sub := x.steps.sub(depth, in)
 	sorted := make([]*relation.Relation, len(p.gamma))
 	for i, o := range p.gamma {
 		if sorted[i], err = in[o.ID].SortBy(p.v); err != nil {
@@ -796,8 +796,12 @@ func (x *executor) join(s *step, in relation.Instance, depth int, reads uint64, 
 	// values), semijoin each neighbour down to the chunk's values, keep v in
 	// the query (no disconnection), and match recursion results against the
 	// chunk by v-value. The match reads v, so the recursion must bind it.
+	// The chunks come in increasing v order, so each neighbour's filters
+	// are one merge pass: a chunk's filter resumes where the previous one
+	// stopped.
+	from := make([]int, len(p.gamma))
 	return light.LoadChunksBy(p.v, func(c *relation.Chunk) error {
-		return x.joinChunk(p, sub, sorted, c, c.Values, c.Starts, re.Schema(), depth, reads, done)
+		return x.joinChunk(p, sub, sorted, from, c, c.Values, c.Starts, re.Schema(), depth, reads, done)
 	})
 }
 
@@ -812,15 +816,18 @@ func (x *executor) extendChunk(c *relation.Chunk, schema tuple.Schema, bound, re
 // joinChunk is the light-value step of peel p for one chunk of the leaf
 // relation, sorted by v with distinct values vals and group offsets starts:
 // it semijoins each sorted neighbour down to vals into sub and recurses on
-// the light residue, matching its results against the chunk.
-func (x *executor) joinChunk(p *leafPeel, sub relation.Instance, sorted []*relation.Relation, c *relation.Chunk,
+// the light residue, matching its results against the chunk. from holds one
+// resume index per neighbour: neighbour i is filtered from from[i] on, and
+// from[i] moves to where its filter stopped, which is sound while every
+// value of the chunk is above every value of the chunks before it.
+func (x *executor) joinChunk(p *leafPeel, sub relation.Instance, sorted []*relation.Relation, from []int, c *relation.Chunk,
 	vals []int64, starts []int, schema tuple.Schema, depth int, reads uint64, done func(int64)) error {
 	for i, o := range p.gamma {
-		filtered, err := relation.SemijoinValues(sorted[i], p.v, vals)
+		filtered, stop, err := relation.SemijoinValues(sorted[i], p.v, vals, from[i])
 		if err != nil {
 			return err
 		}
-		sub[o.ID] = filtered
+		from[i], sub[o.ID] = stop, filtered
 	}
 	return x.join(p.light, sub, depth+1, reads|attrMask(p.v),
 		x.matchChunk(c, vals, starts, p.v, p.u, schema, reads, done))
@@ -869,14 +876,18 @@ func (m *chunkMatch) match(k int64) {
 // peelLeafUnsplit is the DisableHeavySplit ablation: the whole sorted leaf
 // relation re is processed in plain M-tuple chunks regardless of value
 // frequencies. Heavy values then straddle chunks, so their neighbours are
-// re-semijoined (a full scan) once per chunk instead of being restricted to
-// zero-copy views once per value.
+// re-semijoined once per chunk instead of being restricted to zero-copy
+// views once per value.
 func (x *executor) peelLeafUnsplit(p *leafPeel, sub relation.Instance, sorted []*relation.Relation,
 	re *relation.Relation, depth int, reads uint64, done func(int64)) error {
 	vCol := re.Col(p.v)
+	from := make([]int, len(p.gamma))
 	return re.LoadChunks(func(c *relation.Chunk) error {
 		// re is sorted by v, so each chunk's distinct values come in order.
+		// A chunk may start with the previous one's last value, so every
+		// filter starts at its neighbour's first tuple.
+		clear(from)
 		vals, starts := c.Runs(vCol)
-		return x.joinChunk(p, sub, sorted, c, vals, starts, re.Schema(), depth, reads, done)
+		return x.joinChunk(p, sub, sorted, from, c, vals, starts, re.Schema(), depth, reads, done)
 	})
 }

@@ -169,7 +169,7 @@ func BenchmarkExhaustivePlanning(b *testing.B) {
 // reduced and then run with AssumeReduced as the public Run does. Every
 // iteration builds its instance on a fresh disk outside the timer, so no
 // iteration replays another's memo entries, and recycles the disk after.
-// It reports 28 branches and 178,459 ios/op, the reduction included; the
+// It reports 28 branches and 164,215 ios/op, the reduction included; the
 // counts are deterministic, so a change to either is a change to the
 // charges.
 func BenchmarkExhaustiveLollipop(b *testing.B) {

@@ -109,12 +109,16 @@ func (x *executor) line3(g *hypergraph.Graph, in relation.Instance, reads uint64
 			return err
 		}
 	}
-	// Light values (lines 8-12).
+	// Light values (lines 8-12). The chunks come in increasing v1 order, so
+	// the filters of R2 are one merge pass: each resumes where the previous
+	// one stopped.
+	from := 0
 	return light.LoadChunksBy(a1, func(c *relation.Chunk) error {
-		r2m, err := relation.SemijoinValues(r2, a1, c.Values)
+		r2m, stop, err := relation.SemijoinValues(r2, a1, c.Values, from)
 		if err != nil {
 			return err
 		}
+		from = stop
 		r2s, err := r2m.SortBy(a2)
 		if err != nil {
 			return err

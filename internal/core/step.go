@@ -1,9 +1,11 @@
 package core
 
 import (
+	"maps"
 	"slices"
 
 	"acyclicjoin/internal/hypergraph"
+	"acyclicjoin/internal/relation"
 )
 
 // A step is Algorithm 2's analysis of one subquery structure: which edge the
@@ -57,13 +59,31 @@ type leafPeel struct {
 	heavy, light *step
 }
 
-// stepTable holds one Run's steps, one per subquery structure.
+// stepTable holds one Run's steps, one per subquery structure, and the
+// scratch sub-instances its executors recurse on.
 type stepTable struct {
 	byKey map[string]*step
+	// subs[d] is the sub-instance of the bud or peel running at recursion
+	// depth d. Only one runs at each depth at a time, and the executors of
+	// a Run run one after another, so one map per depth serves them all.
+	subs []relation.Instance
 }
 
 func newStepTable() *stepTable {
 	return &stepTable{byKey: map[string]*step{}}
+}
+
+// sub returns the scratch sub-instance of recursion depth d, reset to a
+// copy of in. The instance a join at depth d reads is the caller's or that
+// of a depth above d, never this one.
+func (t *stepTable) sub(d int, in relation.Instance) relation.Instance {
+	for len(t.subs) <= d {
+		t.subs = append(t.subs, relation.Instance{})
+	}
+	s := t.subs[d]
+	clear(s)
+	maps.Copy(s, in)
+	return s
 }
 
 // of returns the step of g, analysing g if its structure is new to the

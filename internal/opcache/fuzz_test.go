@@ -16,9 +16,10 @@ import (
 
 // FuzzOpMemoOracle is the differential oracle for the operator memo: a
 // fuzz-chosen program of deterministic operators (sorts, dedup sorts,
-// projections, semijoins, value filters, heavy/light splits, materialized
-// pairwise joins, over whole relations or views starting mid-block) is
-// interpreted twice per arm — the second interpretation
+// projections, semijoins, value filters with their resume indexes checked
+// against a map oracle, heavy/light splits, materialized pairwise joins,
+// over whole relations or views starting mid-block) is interpreted twice
+// per arm — the second interpretation
 // re-issues identical operators, so with the memo attached it is served
 // almost entirely by charge replay — and the memo-on arm must match the
 // memo-off arm bit for bit: total stats, the per-phase breakdown, every
@@ -115,12 +116,23 @@ func interpretOps(t *testing.T, data []byte, memo bool) (extmem.Stats, map[strin
 				out, err = relation.Project(r, []tuple.Attr{a})
 			case 3:
 				out, err = relation.Semijoin(r, s, a)
-			case 4:
-				vals := []int64{int64(arg % 8), int64(arg / 8 % 8)}
-				slices.Sort(vals)
-				out, err = relation.SemijoinValues(r, a, slices.Compact(vals))
-			case 5:
-				out, err = relation.AntiSemijoinValues(r, a, []int64{int64(arg % 8)})
+			case 4, 5:
+				// Two values from the start of r, or one from an index on.
+				vals, from := []int64{int64(arg % 8)}, int(op/9)%(r.Len()+1)
+				if op%9 == 4 {
+					vals = append(vals, int64(arg/8%8))
+					slices.Sort(vals)
+					from = 0
+				}
+				vals = slices.Compact(vals)
+				var stop int
+				out, stop, err = relation.SemijoinValues(r, a, vals, from)
+				if err == nil {
+					if want := wantStop(r, a, vals, from); stop != want {
+						t.Fatalf("op %d: SemijoinValues stopped at %d, want %d", k, stop, want)
+					}
+					fmt.Fprintf(&fp, "stop %d\n", stop)
+				}
 			case 6:
 				var heavy []relation.Group
 				heavy, out, err = r.Heavy(a)
@@ -145,6 +157,31 @@ func interpretOps(t *testing.T, data []byte, memo bool) (extmem.Stats, map[strin
 		fp.WriteString("-- pass --\n")
 	}
 	return d.Stats(), d.PhaseStats(), fp.String()
+}
+
+// wantStop is the map oracle for SemijoinValues' resume index from index
+// from on: on a view sorted by a, the index of the first tuple from there
+// whose a-value is above every member of vals (from for an empty vals, the
+// view's length when there is no such tuple); on any other view, its
+// length. It scans without charging.
+func wantStop(r *relation.Relation, a tuple.Attr, vals []int64, from int) int {
+	if !r.SortedByAttr(a) {
+		return r.Len()
+	}
+	if len(vals) == 0 {
+		return from
+	}
+	restore := r.Disk().Suspend()
+	defer restore()
+	col, stop := r.Col(a), r.Len()
+	i := 0
+	r.Scan(func(t tuple.Tuple) {
+		if i >= from && stop == r.Len() && t[col] > slices.Max(vals) {
+			stop = i
+		}
+		i++
+	})
+	return stop
 }
 
 // fingerprint renders a relation's tuples without charging (the scan runs

@@ -537,11 +537,11 @@ func TestSlowPathMatchesBlockAlignment(t *testing.T) {
 		aligned := relation.FromTuples(d, tuple.Schema{0, 1}, rs)
 		shifted := relation.FromTuples(d, tuple.Schema{0, 1}, append([]tuple.Tuple{{9, 9}}, rs...))
 		restore()
-		if _, err := relation.SemijoinValues(aligned, 0, []int64{1}); err != nil {
+		if _, _, err := relation.SemijoinValues(aligned, 0, []int64{1}, 0); err != nil {
 			t.Fatal(err)
 		}
 		d.ResetStats()
-		if _, err := relation.SemijoinValues(shifted.View(1, 8), 0, []int64{1}); err != nil {
+		if _, _, err := relation.SemijoinValues(shifted.View(1, 8), 0, []int64{1}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return d.Stats()

@@ -41,7 +41,7 @@ func BenchmarkSemijoinValues(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := SemijoinValues(r, 0, vals)
+		out, _, err := SemijoinValues(r, 0, vals, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

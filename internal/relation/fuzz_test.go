@@ -76,56 +76,62 @@ func valueSet(r *Relation, a tuple.Attr, kind int, rng *rand.Rand) []int64 {
 	return slices.Compact(vals)
 }
 
-// checkFilterValues runs SemijoinValues and AntiSemijoinValues on the case's
-// view against a map oracle, and checks each charges exactly what it charges
-// on the same view with its sort claim dropped.
+// checkFilterValues runs SemijoinValues on the case's view, from a random
+// index on, and checks its rows, its resume index and its charge against a
+// map oracle. The rows are the members of vals from that index on, in view
+// order. On a view sorted by a, the filter stops at the first tuple above
+// every value of vals (at once for an empty vals), so it reads the block
+// windows up to and including that tuple's; on an unsorted view it reads
+// them all and stops at the end. Either way it writes ⌈kept/B⌉ blocks.
 func checkFilterValues(t *testing.T, c filterCase, seed int64, kind int) {
 	t.Helper()
 	d := disk(4*c.b, c.b)
 	rng := rand.New(rand.NewSource(seed))
 	r := filterView(d, c, rng)
 	c.vals = valueSet(r, c.a, kind, rng)
+	from := rng.Intn(c.cnt + 1)
 	in := map[int64]bool{}
 	for _, v := range c.vals {
 		in[v] = true
 	}
 	col := r.Col(c.a)
-	for _, keep := range []bool{true, false} {
-		var want []tuple.Tuple
-		for _, tp := range Contents(r) {
-			if in[tp[col]] == keep {
-				want = append(want, tp)
-			}
+	var want []tuple.Tuple
+	wantStop := c.cnt
+	for i, tp := range Contents(r)[from:] {
+		if c.sorted && wantStop == c.cnt && (len(c.vals) == 0 || tp[col] > c.vals[len(c.vals)-1]) {
+			wantStop = from + i
 		}
-		filter := SemijoinValues
-		if !keep {
-			filter = AntiSemijoinValues
+		if in[tp[col]] {
+			want = append(want, tp)
 		}
-		charged := func(v *Relation) ([]tuple.Tuple, extmem.Stats) {
-			before := d.Stats()
-			out, err := filter(v, c.a, c.vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return Contents(out), d.Stats().Sub(before)
+	}
+	read := c.cnt // the tuples the filter reads up to
+	if c.sorted {
+		read = min(wantStop+1, c.cnt)
+		if len(c.vals) == 0 {
+			read = from
 		}
-		got, cost := charged(r)
-		if !slices.EqualFunc(got, want, slices.Equal) {
-			t.Fatalf("%+v keep=%v: got %v, want %v", c, keep, got, want)
-		}
-		plain, plainCost := charged(r.WithSortOrder(nil))
-		if !slices.EqualFunc(plain, want, slices.Equal) {
-			t.Fatalf("%+v keep=%v without the sort claim: got %v, want %v", c, keep, plain, want)
-		}
-		if cost != plainCost {
-			t.Fatalf("%+v keep=%v: charged %+v, %+v without the sort claim", c, keep, cost, plainCost)
-		}
+	}
+	wantCost := extmem.Stats{Reads: windows(c.off+from, read-from, c.b), Writes: int64((len(want) + c.b - 1) / c.b)}
+	before := d.Stats()
+	out, stop, err := SemijoinValues(r, c.a, c.vals, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost := d.Stats().Sub(before); cost.Reads != wantCost.Reads || cost.Writes != wantCost.Writes {
+		t.Fatalf("%+v from %d: charged %+v, want %+v", c, from, cost, wantCost)
+	}
+	if stop != wantStop {
+		t.Fatalf("%+v from %d: stopped at %d, want %d", c, from, stop, wantStop)
+	}
+	if got := Contents(out); !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("%+v from %d: got %v, want %v", c, from, got, want)
 	}
 }
 
-// FuzzFilterValuesOracle fuzzes the value filters, whose sorted path decides
-// blocks outside the value set's range without probing them, and a run of
-// equal values inside one with a single probe: random views
+// FuzzFilterValuesOracle fuzzes the value filter, whose sorted path decides
+// blocks below the value set's range without probing them and a run of
+// equal values with a single probe, and stops above the range: random views
 // sorted by the filtered attribute or not, and value sets that are empty,
 // below, above or straddling the view's values, or drawn from one block.
 func FuzzFilterValuesOracle(f *testing.F) {

@@ -96,66 +96,7 @@ func Semijoin(r, s *Relation, a tuple.Attr) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Relation{schema: r.schema.Clone(), file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}, nil
-}
-
-// filterValues is the shared memoized body of SemijoinValues and
-// AntiSemijoinValues: one scan of r keeping tuples whose a-value membership
-// in vals matches keep. vals goes into the memo key unchanged, so it must be
-// sorted and distinct.
-//
-// On a view sorted by a, a block whose values all lie below vals[0] or above
-// the last value holds no member, so it is decided whole without a probe:
-// the semijoin keeps none of it and the anti-semijoin all of it. The block is
-// still read and charged, and its output lands where the probing loop's
-// would, so the charges do not depend on the skip. In a block the loop does
-// probe, tuples sharing a value are adjacent, and one probe decides the run.
-func filterValues(kind string, r *Relation, a tuple.Attr, vals []int64, keep bool) (*Relation, error) {
-	c := r.Col(a)
-	sorted := r.SortedByAttr(a)
-	outs, _, err := opcache.Do(r.Disk(), opcache.Op{
-		Kind:   kind,
-		Params: strconv.Itoa(c),
-		Inputs: []opcache.Input{memoIn(r)},
-		Aux:    vals,
-	}, func() ([]*extmem.File, []int64, error) {
-		out := r.Disk().NewFile(len(r.schema))
-		out.Grow(r.n) // a filter's output is never larger than its input
-		w, wd := out.NewWriter(), len(r.schema)
-		rd := r.Reader()
-		p := valueProbe{vals: vals}
-		for cells, n := rd.Block(); n > 0; cells, n = rd.Block() {
-			if sorted && (len(vals) == 0 || cells[(n-1)*wd+c] < vals[0] || cells[c] > vals[len(vals)-1]) {
-				if !keep {
-					w.AppendCells(cells[:n*wd])
-				}
-				rd.Skip(n)
-				continue
-			}
-			run := 0 // first tuple of the pending run of kept tuples
-			for i := 0; i < n; {
-				// [i, j) shares one value: on a sorted view the whole run,
-				// otherwise just tuple i.
-				v, j := cells[i*wd+c], i+1
-				for sorted && j < n && cells[j*wd+c] == v {
-					j++
-				}
-				if p.contains(v) != keep {
-					w.AppendCells(cells[run*wd : i*wd])
-					run = j
-				}
-				i = j
-			}
-			w.AppendCells(cells[run*wd : n*wd])
-			rd.Skip(n)
-		}
-		w.Close()
-		return []*extmem.File{out}, nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Relation{schema: r.schema.Clone(), file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}, nil
+	return &Relation{schema: r.schema, file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}, nil
 }
 
 // valueProbe answers membership in a sorted, distinct value set for a stream
@@ -191,19 +132,92 @@ func (p *valueProbe) contains(v int64) bool {
 	return p.in
 }
 
-// SemijoinValues computes r ⋉ V where V is an in-memory set of values on
-// attribute a, given sorted and distinct (e.g. a chunk's Values, for
-// computing R(e')(M1) in Algorithm 2). r need not be sorted. One scan plus
-// output.
-func SemijoinValues(r *Relation, a tuple.Attr, vals []int64) (*Relation, error) {
-	return filterValues("semijoin-vals", r, a, vals, true)
-}
-
-// AntiSemijoinValues computes r ▷ V: tuples of r whose a-value is NOT in the
-// sorted, distinct set vals. Used to peel light tuples away from heavy ones
-// without re-sorting.
-func AntiSemijoinValues(r *Relation, a tuple.Attr, vals []int64) (*Relation, error) {
-	return filterValues("antisemijoin-vals", r, a, vals, false)
+// SemijoinValues computes r ⋉ V over the tuples of r from index from on,
+// where V is an in-memory set of values on attribute a, given sorted and
+// distinct (e.g. a chunk's Values, for computing R(e')(M1) in Algorithm 2).
+// vals goes into the memo key unchanged. The result keeps r's schema and
+// sort order.
+//
+// On a view sorted by a, the filter stops at the first tuple whose value is
+// above every value of vals, and stop is that tuple's index in r (r.Len()
+// when there is none; from when vals is empty, which reads nothing). No
+// tuple from there on can be kept, and a filter by a larger value set can
+// resume there: a sequence of filters by increasing value sets, each from
+// the previous one's stop, is one merge pass over r. The block holding the
+// stop tuple is read, since that is where the stop shows, so the resumed
+// filter reads it again. Before the stop, a block whose values all lie below
+// vals[0] holds no member: it is read and charged but decided without a
+// probe. In a block the filter does probe, tuples sharing a value are
+// adjacent, and one probe decides the run. On any other view the filter
+// reads all of r from from on, one probe per tuple, and stop is r.Len().
+func SemijoinValues(r *Relation, a tuple.Attr, vals []int64, from int) (filtered *Relation, stop int, err error) {
+	if from < 0 || from > r.n {
+		panic(fmt.Sprintf("relation: SemijoinValues from %d out of bounds (len %d)", from, r.n))
+	}
+	c := r.Col(a)
+	sorted, params := r.SortedByAttr(a), c<<1
+	if sorted {
+		// The sort claim decides where the filter stops, and so its rows
+		// read and its charge, but it is view metadata that a content match
+		// cannot see: it goes into the params, in the low bit.
+		params |= 1
+	}
+	off, n := r.off+from, r.n-from
+	outs, meta, err := opcache.Do(r.Disk(), opcache.Op{
+		Kind:   "semijoin-vals",
+		Params: strconv.Itoa(params),
+		Inputs: []opcache.Input{{File: r.file, Off: off, N: n}},
+		Aux:    vals,
+	}, func() ([]*extmem.File, []int64, error) {
+		out := r.Disk().NewFile(len(r.schema))
+		out.Grow(n) // a filter's output is never larger than its input
+		w, wd := out.NewWriter(), len(r.schema)
+		stop := n // relative to off, as the memo replays it
+		if sorted && len(vals) == 0 {
+			stop = 0
+		}
+		rd := r.file.NewRangeReader(off, stop)
+		p := valueProbe{vals: vals}
+		read := 0 // tuples before the current block window
+	scan:
+		for cells, k := rd.Block(); k > 0; cells, k = rd.Block() {
+			if sorted && cells[(k-1)*wd+c] < vals[0] {
+				rd.Skip(k)
+				read += k
+				continue
+			}
+			run := 0 // first tuple of the pending run of kept tuples
+			for i := 0; i < k; {
+				// [i, j) shares one value: on a sorted view the whole run,
+				// otherwise just tuple i.
+				v, j := cells[i*wd+c], i+1
+				if sorted {
+					if v > vals[len(vals)-1] {
+						w.AppendCells(cells[run*wd : i*wd])
+						stop = read + i
+						break scan
+					}
+					for j < k && cells[j*wd+c] == v {
+						j++
+					}
+				}
+				if !p.contains(v) {
+					w.AppendCells(cells[run*wd : i*wd])
+					run = j
+				}
+				i = j
+			}
+			w.AppendCells(cells[run*wd : k*wd])
+			rd.Skip(k)
+			read += k
+		}
+		w.Close()
+		return []*extmem.File{out}, []int64{int64(stop)}, nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return &Relation{schema: r.schema, file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}, from + int(meta[0]), nil
 }
 
 // Project returns the projection of r onto the given attributes with

@@ -407,7 +407,7 @@ func (r *Relation) Heavy(a tuple.Attr) (heavy []Group, light *Relation, err erro
 	if len(outs) == 0 {
 		return heavy, r, nil
 	}
-	light = &Relation{schema: r.schema.Clone(), file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}
+	light = &Relation{schema: r.schema, file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}
 	return heavy, light, nil
 }
 

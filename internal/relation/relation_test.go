@@ -567,30 +567,92 @@ func TestSemijoin(t *testing.T) {
 	}
 }
 
+// TestSemijoinValuesAndAnti checks that SemijoinValues keeps the members of
+// the value set and drops the rest, the tuples an anti-semijoin would keep.
+// On an unsorted view it reads to the end; on a view sorted by the filtered
+// attribute it stops at the first tuple above the set.
 func TestSemijoinValuesAndAnti(t *testing.T) {
 	d := disk(16, 4)
 	r := FromTuples(d, tuple.Schema{0, 1}, []tuple.Tuple{
-		{1, 10}, {2, 20}, {3, 30},
+		{1, 10}, {2, 20}, {3, 30}, {4, 40},
 	})
-	vals := []int64{1, 3}
-	in, err := SemijoinValues(r, 0, vals)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		view     *Relation
+		vals     []int64
+		kept     []tuple.Tuple
+		wantStop int
+	}{
+		{r, []int64{1, 3}, []tuple.Tuple{{1, 10}, {3, 30}}, 4},
+		{r.WithSortOrder([]int{0, 1}), []int64{1, 3}, []tuple.Tuple{{1, 10}, {3, 30}}, 3},
+		{r.WithSortOrder([]int{0, 1}), []int64{0, 2}, []tuple.Tuple{{2, 20}}, 2},
+	} {
+		out, stop, err := SemijoinValues(tc.view, 0, tc.vals, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Contents(out); !slices.EqualFunc(got, tc.kept, slices.Equal) || stop != tc.wantStop {
+			t.Fatalf("sortCols %v vals %v: kept %v, stop %d; want %v, %d", tc.view.SortCols(), tc.vals, got, stop, tc.kept, tc.wantStop)
+		}
 	}
-	if in.Len() != 2 {
-		t.Fatalf("semijoin len = %d", in.Len())
+}
+
+// TestSemijoinValuesResume pins the charge of one merge pass: a neighbour
+// sorted by the filtered attribute, seen through a view that starts
+// mid-block, is filtered by the value sets of successive chunks, each filter
+// resuming where the previous one stopped. Tuple i of the base relation has
+// value i/2 and block k holds tuples 4k..4k+3; the view starts at tuple 2.
+// Every block of the view is read once, plus the block each stop falls in,
+// which the next filter reads again: 10 reads over the view's 6 blocks and
+// 5 chunks, where filtering the whole view per chunk would read 22.
+func TestSemijoinValuesResume(t *testing.T) {
+	d := disk(16, 4)
+	rows := make([]tuple.Tuple, 24)
+	for i := range rows {
+		rows[i] = tuple.Tuple{int64(i / 2), int64(i)}
 	}
-	out, err := AntiSemijoinValues(r, 0, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 || Contents(out)[0][0] != 2 {
-		t.Fatalf("anti = %v", Contents(out))
+	r := FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1}).View(2, 22)
+	from := 0
+	for _, tc := range []struct {
+		vals      []int64
+		kept      []int64 // the kept tuples' second column
+		stop      int     // an index of the view
+		wantStats extmem.Stats
+	}{
+		// Blocks 0 and 1; value 3 at view index 4 stops it.
+		{[]int64{1, 2}, []int64{2, 3, 4, 5}, 4, extmem.Stats{Reads: 2, Writes: 1}},
+		// Block 1 again, below the set, then block 2; value 5 stops it.
+		{[]int64{4}, []int64{8, 9}, 8, extmem.Stats{Reads: 2, Writes: 1}},
+		// Blocks 2, 3 and 4; value 8 stops it.
+		{[]int64{5, 6, 7}, []int64{10, 11, 12, 13, 14, 15}, 14, extmem.Stats{Reads: 3, Writes: 2}},
+		// Block 4, below the set, then block 5; value 11 stops it.
+		{[]int64{10}, []int64{20, 21}, 20, extmem.Stats{Reads: 2, Writes: 1}},
+		// The rest of block 5, below the set: no stop before the end.
+		{[]int64{12}, nil, 22, extmem.Stats{Reads: 1}},
+	} {
+		d.ResetStats()
+		out, stop, err := SemijoinValues(r, 0, tc.vals, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := d.Stats(); s.Reads != tc.wantStats.Reads || s.Writes != tc.wantStats.Writes {
+			t.Fatalf("vals %v: charged %v, want %v", tc.vals, s, tc.wantStats)
+		}
+		var kept []int64
+		for _, tp := range Contents(out) {
+			kept = append(kept, tp[1])
+		}
+		if !slices.Equal(kept, tc.kept) || stop != tc.stop {
+			t.Fatalf("vals %v: kept %v, stop %d; want %v, %d", tc.vals, kept, stop, tc.kept, tc.stop)
+		}
+		if !out.SortedByAttr(0) {
+			t.Fatalf("vals %v: the filter lost the sort order", tc.vals)
+		}
+		from = stop
 	}
 }
 
 // TestSemijoinValuesProbeOrders checks the galloping value probe of
-// SemijoinValues and AntiSemijoinValues against a map oracle on inputs whose
+// SemijoinValues against a map oracle on inputs whose
 // probed column arrives ascending, descending, shuffled and in long runs of
 // one value, with value sets that are empty, below or above every input
 // value, a single value, or a random subset. The memo is off, so every call
@@ -626,34 +688,26 @@ func TestSemijoinValuesProbeOrders(t *testing.T) {
 			for _, v := range vals {
 				in[v] = true
 			}
-			for _, keep := range []bool{true, false} {
-				d := disk(16, 4)
-				r := FromTuples(d, tuple.Schema{0, 1}, rows)
-				d.ResetStats()
-				var got *Relation
-				var err error
-				if keep {
-					got, err = SemijoinValues(r, 1, vals)
-				} else {
-					got, err = AntiSemijoinValues(r, 1, vals)
+			d := disk(16, 4)
+			r := FromTuples(d, tuple.Schema{0, 1}, rows)
+			d.ResetStats()
+			got, stop, err := SemijoinValues(r, 1, vals, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []tuple.Tuple
+			for _, row := range rows {
+				if in[row[1]] {
+					want = append(want, row)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want []tuple.Tuple
-				for _, row := range rows {
-					if in[row[1]] == keep {
-						want = append(want, row)
-					}
-				}
-				b := int64(d.B())
-				wantStats := extmem.Stats{Reads: (n + b - 1) / b, Writes: (int64(len(want)) + b - 1) / b}
-				if s := d.Stats(); s.Reads != wantStats.Reads || s.Writes != wantStats.Writes {
-					t.Errorf("%s/%s keep=%v: stats %v, want reads=%d writes=%d", oname, sname, keep, s, wantStats.Reads, wantStats.Writes)
-				}
-				if gotRows := Contents(got); !slices.EqualFunc(gotRows, want, slices.Equal) {
-					t.Errorf("%s/%s keep=%v: got %v, want %v", oname, sname, keep, gotRows, want)
-				}
+			}
+			b := int64(d.B())
+			wantStats := extmem.Stats{Reads: (n + b - 1) / b, Writes: (int64(len(want)) + b - 1) / b}
+			if s := d.Stats(); s.Reads != wantStats.Reads || s.Writes != wantStats.Writes || stop != n {
+				t.Errorf("%s/%s: stats %v, stop %d; want reads=%d writes=%d, stop %d", oname, sname, s, stop, wantStats.Reads, wantStats.Writes, n)
+			}
+			if gotRows := Contents(got); !slices.EqualFunc(gotRows, want, slices.Equal) {
+				t.Errorf("%s/%s: got %v, want %v", oname, sname, gotRows, want)
 			}
 		}
 	}
