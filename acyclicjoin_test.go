@@ -288,7 +288,7 @@ func TestSkipReduceStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Count(q, in, Options{Memory: 16, Block: 4, SkipReduce: true})
+	b, err := Count(q, in, Options{Memory: 16, Block: 4, skipReduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}

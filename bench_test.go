@@ -64,13 +64,8 @@ func BenchmarkE21MemorySweep(b *testing.B) { benchExperiment(b, "E21", benchPara
 func BenchmarkE22ReductionAblation(b *testing.B) {
 	benchExperiment(b, "E22", benchParams)
 }
-func BenchmarkE23MemoSortHeavy(b *testing.B)       { benchExperiment(b, "E23", benchParams) }
-func BenchmarkE24OperatorMemoAB(b *testing.B)      { benchExperiment(b, "E24", benchParams) }
-func BenchmarkE25PruningAB(b *testing.B)           { benchExperiment(b, "E25", benchParams) }
-func BenchmarkE26ChaosSweep(b *testing.B)          { benchExperiment(b, "E26", benchParams) }
-func BenchmarkE27BackendDifferential(b *testing.B) { benchExperiment(b, "E27", benchParams) }
-func BenchmarkE28GreedyPlanner(b *testing.B)       { benchExperiment(b, "E28", benchParams) }
-func BenchmarkE30DeviceChaos(b *testing.B)         { benchExperiment(b, "E30", benchParams) }
+func BenchmarkE23KnobInvariance(b *testing.B) { benchExperiment(b, "E23", benchParams) }
+func BenchmarkE28GreedyPlanner(b *testing.B)  { benchExperiment(b, "E28", benchParams) }
 
 // BenchmarkPublicAPIRun measures the end-to-end public API on a skewed
 // 3-hop path query, reporting simulated I/Os per operation.

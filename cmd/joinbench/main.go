@@ -1,7 +1,7 @@
 // Command joinbench regenerates the paper's tables and figures as measured
 // experiments on the simulated external-memory machine. Without flags it
-// runs the full registry (E1-E28 and E30, see DESIGN.md for the mapping to paper
-// artifacts); -exp selects a single experiment.
+// runs the full registry (E1-E23 and E28, see DESIGN.md for the mapping to
+// paper artifacts); -exp selects a single experiment.
 //
 // Usage:
 //

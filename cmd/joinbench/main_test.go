@@ -85,8 +85,10 @@ func TestVerifyStrategyEnvPrecedence(t *testing.T) {
 // combination must render the same table. This pins the memo claim (replay
 // charges exactly what the real operator would) and the pruning claim that
 // experiment tables only report figures pruning provably does not change.
+// E23's pruned arm follows -opcache, so its pruning ledger is checked both
+// ways.
 func TestMemoAndPruneFlagMatrixTablesIdentical(t *testing.T) {
-	for _, exp := range []string{"E4", "E25"} {
+	for _, exp := range []string{"E4", "E23"} {
 		ref := captureRun(t, exp, true, true)
 		if len(ref) == 0 {
 			t.Fatalf("%s rendered empty", exp)

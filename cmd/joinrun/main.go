@@ -25,19 +25,17 @@ import (
 
 func main() {
 	var (
-		m         = flag.Int("m", 4096, "memory size M in tuples")
-		b         = flag.Int("b", 256, "block size B in tuples")
-		countIt   = flag.Bool("count", false, "print only the result count")
-		header    = flag.Bool("header", false, "CSV files have a header row to skip")
-		limit     = flag.Int("limit", 20, "max rows to print (0 = unlimited)")
-		strat     = flag.String("strategy", "", "peeling strategy: exhaustive|first|smallest|greedy; empty falls back to $ACYCLICJOIN_STRATEGY, then exhaustive")
-		explain   = flag.Bool("explain", false, "print the planning report (plan, branch counters, I/O split, greedy score rationale) to stderr after the run")
-		prune     = flag.Bool("prune", true, "abort dry-run branches once they exceed the best completed branch's cost; results and plan are unaffected, but planning I/O counts only the charges made before each abort (pass -prune=false for the full sum over branches)")
-		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit); the partial telemetry gathered so far is printed")
-		faultRate = flag.Float64("faultrate", 0, "inject transient I/O faults at this per-I/O probability (deterministic per -faultseed); retries keep results and I/O figures bit-identical, retry cost is reported separately")
-		faultSeed = flag.Int64("faultseed", 1, "seed for the injected fault schedule")
-		backend   = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk, one syscall per charged transfer; results and I/O figures are bit-identical, charged transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
-		datadir   = flag.String("datadir", "", "directory for the file backend's backing file (default $ACYCLICJOIN_DATADIR, then an unlinked temp file)")
+		m       = flag.Int("m", 4096, "memory size M in tuples")
+		b       = flag.Int("b", 256, "block size B in tuples")
+		countIt = flag.Bool("count", false, "print only the result count")
+		header  = flag.Bool("header", false, "CSV files have a header row to skip")
+		limit   = flag.Int("limit", 20, "max rows to print (0 = unlimited)")
+		strat   = flag.String("strategy", "", "peeling strategy: exhaustive|first|smallest|greedy; empty falls back to $ACYCLICJOIN_STRATEGY, then exhaustive")
+		explain = flag.Bool("explain", false, "print the planning report (plan, branch counters, I/O split, greedy score rationale) to stderr after the run")
+		prune   = flag.Bool("prune", true, "abort dry-run branches once they exceed the best completed branch's cost; results and plan are unaffected, but planning I/O counts only the charges made before each abort (pass -prune=false for the full sum over branches)")
+		timeout = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit); the partial telemetry gathered so far is printed")
+		backend = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk, one syscall per charged transfer; results and I/O figures are bit-identical, charged transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
+		datadir = flag.String("datadir", "", "directory for the file backend's backing file (default $ACYCLICJOIN_DATADIR, then an unlinked temp file)")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -75,9 +73,6 @@ func main() {
 
 	opts := acyclicjoin.Options{Memory: *m, Block: *b, NoPrune: !*prune,
 		Backend: *backend, DataDir: *datadir}
-	if *faultRate > 0 {
-		opts.Faults = &acyclicjoin.FaultPlan{Seed: *faultSeed, Rate: *faultRate}
-	}
 	opts.Strategy, err = acyclicjoin.ParseStrategy(cli.StrategyName(*strat))
 	if err != nil {
 		fatal("%v", err)

@@ -31,9 +31,9 @@ const (
 )
 
 // FaultStats is the recovery ledger of an injected FaultPlan, reported on
-// Result.Faults. Retry and repair work is tracked here, never on the main
-// Stats — a run whose faults were all absorbed reports Stats bit-identical
-// to the fault-free run.
+// Result.Faults. The file engine's retry and repair work is tracked here,
+// never on the main Stats — a run whose device faults were all absorbed
+// reports Stats bit-identical to the fault-free run.
 type FaultStats = extmem.FaultStats
 
 // FaultError is the typed error carried by ErrFault-classified failures; it
@@ -45,8 +45,8 @@ type FaultError = extmem.FaultError
 //
 //   - ErrCancelled: the context was cancelled (or a FaultPlan.CancelAt
 //     trigger fired); the wrapped chain carries the cancellation cause.
-//   - ErrFault: a permanent injected model-layer I/O fault (transients are
-//     always retried); errors.As yields the *FaultError.
+//   - ErrFault: a permanent injected model-layer I/O fault (PermanentAt);
+//     errors.As yields the *FaultError.
 //   - ErrBudget: a charge-budget watermark escaped its catcher — an
 //     internal invariant violation surfaced instead of hidden.
 //   - ErrDevice: the file backend's device failed permanently (a syscall

@@ -97,8 +97,10 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// A transient-only fault plan leaves every published figure bit-identical
-// to the fault-free run; the retries show up only on Result.Faults.
+// A device plan of transient faults and torn writes on the file backend
+// leaves every published figure bit-identical to the fault-free file run:
+// the engine retries and repairs below the seam, and the work shows up only
+// on Result.Faults.
 func TestRunTransientFaultsBitIdentical(t *testing.T) {
 	q, inst := chaosQuery(t, 4)
 	run := func(rate float64) *Result {
@@ -106,7 +108,8 @@ func TestRunTransientFaultsBitIdentical(t *testing.T) {
 		// $ACYCLICJOIN_DEVFAULTRATE: the rate-0 arm is a fault-free
 		// baseline even under device-fault injection from the environment.
 		opts := smallOpts()
-		opts.Faults = &FaultPlan{Seed: 11, Rate: rate}
+		opts.Backend = "file"
+		opts.Faults = &FaultPlan{Seed: 11, Layer: LayerDevice, Rate: rate, TornRate: rate / 2}
 		res, err := Run(q, inst, opts, nil)
 		if err != nil {
 			t.Fatalf("rate %v: %v", rate, err)
@@ -119,12 +122,13 @@ func TestRunTransientFaultsBitIdentical(t *testing.T) {
 	}
 	for _, rate := range []float64{0.01, 0.1} {
 		got := run(rate)
-		if got.Count != want.Count || got.Stats != want.Stats ||
-			got.PlanningStats != want.PlanningStats || got.Branches != want.Branches {
+		if got.Count != want.Count || got.Stats != want.Stats || got.Plan != want.Plan ||
+			got.PlanningStats != want.PlanningStats || got.Branches != want.Branches ||
+			got.Transfers != want.Transfers {
 			t.Errorf("rate %v: result diverged: got %+v, want %+v", rate, got, want)
 		}
-		if !got.Faults.Any() {
-			t.Errorf("rate %v: no fault telemetry recorded", rate)
+		if fs := got.Faults; fs.Transient == 0 || fs.Retries != fs.Transient {
+			t.Errorf("rate %v: want every injected transient retried once, got %+v", rate, fs)
 		}
 	}
 }
@@ -192,8 +196,10 @@ func TestValidationErrorsUnclassified(t *testing.T) {
 		t.Fatal("foreign instance accepted")
 	}
 	errs := []error{err}
-	// A plan setting a field of the other layer is a validation error too.
+	// A plan setting a field of the other layer is a validation error too,
+	// and the model layer injects no transients.
 	for _, plan := range []*FaultPlan{
+		{Rate: 0.1},
 		{Rate: 0.1, TornRate: 0.1},
 		{Rate: 0.1, MaxAttempts: 2},
 		{NoSpaceAfter: 512},

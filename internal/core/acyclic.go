@@ -202,7 +202,7 @@ type PruneStats struct {
 	// ChargedBeforeAbort totals the I/Os the pruned branches charged before
 	// aborting; these charges are included in TotalStats. The I/Os pruning
 	// *saved* are whatever the aborted suffixes would have charged — not
-	// observable inside a pruned run; harness experiment E25 measures them
+	// observable inside a pruned run; harness experiment E23 measures them
 	// A/B against an unpruned run.
 	ChargedBeforeAbort int64
 }

@@ -41,19 +41,21 @@ func failureBuilder(seed int64) builder {
 }
 
 // TestTransientFaultsBitIdentical is the chaos contract at the core layer:
-// with every fault transient-and-retried, the Result, the emitted rows and
-// their order, and the final disk stats are bit-identical to the fault-free
-// run — at several fault rates.
+// on the file backend under a device-layer plan, every transient syscall
+// fault is retried and every torn frame repaired below the seam, so the
+// Result, the emitted rows and their order, the final disk stats and the
+// transfer ledger are bit-identical to the fault-free file run — at several
+// fault rates.
 func TestTransientFaultsBitIdentical(t *testing.T) {
 	build := failureBuilder(21)
 	opts := Options{Strategy: StrategyExhaustive, NoPrune: true}
-	wantRes, wantRows, wantDisk, err := engineRunOpts(build, opts)
+	wantRes, wantRows, wantDisk, wantXfer, err := engineRunBackend(build, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rate := range []float64{0.01, 0.05, 0.2} {
-		plan := &extmem.FaultPlan{Seed: 7, Rate: rate}
-		gotRes, gotRows, gotDisk, err := engineRunFaults(build, opts, plan)
+		plan := &extmem.FaultPlan{Seed: 7, Layer: extmem.LayerDevice, Rate: rate, TornRate: rate / 2}
+		gotRes, gotRows, gotDisk, gotXfer, err := engineRunBackendFaults(build, opts, plan)
 		if err != nil {
 			t.Fatalf("rate=%v: %v", rate, err)
 		}
@@ -63,22 +65,22 @@ func TestTransientFaultsBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(gotRows, wantRows) {
 			t.Errorf("rate=%v: emitted rows differ", rate)
 		}
-		if gotDisk != wantDisk {
-			t.Errorf("rate=%v: disk stats = %+v, want %+v", rate, gotDisk, wantDisk)
+		if gotDisk != wantDisk || gotXfer != wantXfer {
+			t.Errorf("rate=%v: disk stats = %+v / %+v, want %+v / %+v", rate, gotDisk, gotXfer, wantDisk, wantXfer)
 		}
 	}
 }
 
-// Transient faults under pruning must preserve the pruning-pinned fields:
-// emitted rows, execution stats, winning policy.
+// Device faults under pruning must preserve the pruning-pinned fields of the
+// sim run: emitted rows, execution stats, winning policy.
 func TestTransientFaultsPrunedPinnedFields(t *testing.T) {
 	build := failureBuilder(22)
 	wantRes, wantRows, _, err := engineRunOpts(build, Options{Strategy: StrategyExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &extmem.FaultPlan{Seed: 3, Rate: 0.1}
-	gotRes, gotRows, _, err := engineRunFaults(build, Options{Strategy: StrategyExhaustive}, plan)
+	plan := &extmem.FaultPlan{Seed: 3, Layer: extmem.LayerDevice, Rate: 0.1, TornRate: 0.05}
+	gotRes, gotRows, _, _, err := engineRunBackendFaults(build, Options{Strategy: StrategyExhaustive}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

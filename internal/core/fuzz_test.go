@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"acyclicjoin/internal/count"
@@ -197,15 +198,14 @@ func FuzzCountOracle(f *testing.F) {
 }
 
 // FuzzFaultOracle is the differential oracle for the failure model: a
-// fuzz-chosen acyclic query, instance, and memo mode run under a
-// fuzz-chosen transient fault schedule must reproduce the fault-free run's
-// pinned fields exactly (rows in emission order, ExecStats, Policy — every
-// transient retried inline to bit-identity). A fuzz-chosen permanent fault
-// must always fail typed. A device arm runs the same inputs on the file
-// engine under a device-layer plan at the same rate (torn writes at half of
-// it): the engine absorbs every fault below the seam, so the run must match
-// the fault-free file run and the sim reference exactly. Goroutine leak
-// checks run inside the engine helpers on every arm.
+// fuzz-chosen acyclic query, instance, and memo mode run under fuzz-chosen
+// fault schedules. A device arm runs the inputs on the file engine under a
+// device-layer plan (transient faults at the fuzz-chosen rate, torn writes
+// at half of it): the engine absorbs every fault below the seam, so the run
+// must match the fault-free file run and the sim reference exactly. A
+// model-layer cancellation must leave a consistent partial result (see
+// cancelArm), and a fuzz-chosen permanent fault must always fail typed.
+// Goroutine leak checks run inside the engine helpers on every arm.
 func FuzzFaultOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(10), uint8(0), uint8(60))
 	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(40), uint8(1), uint8(0))
@@ -222,17 +222,11 @@ func FuzzFaultOracle(f *testing.F) {
 			t.Skipf("fault-free run failed: %v", refErr)
 		}
 
-		// Transient arm: every fault retried, so always bit-identical.
-		plan := &extmem.FaultPlan{
-			Seed: int64(rate) + 1,
-			Rate: float64(rate%100) / 200, // 0 .. 0.495
-		}
-		deviceArm(t, build, opts, ref, refRows, refStats, plan.Seed, plan.Rate)
-		fr, frRows, _, frErr := engineRunFaults(build, opts, plan)
-		if frErr != nil {
-			t.Fatalf("transient arm failed; every transient must be retried: %v", frErr)
-		}
-		samePinned(t, "transient arm", ref, refRows, fr, frRows)
+		deviceArm(t, build, opts, ref, refRows, refStats, int64(rate)+1, float64(rate%100)/200) // rate 0 .. 0.495
+		cancelArm(t, "cancel arm", build, int64(rate%16), ref, refRows, refStats,
+			func(plan *extmem.FaultPlan) (*Result, []string, extmem.Stats, error) {
+				return engineRunFaults(build, opts, plan)
+			})
 
 		// Permanent arm: a fault the schedule guarantees to hit must always
 		// return a typed error (permAt 0 disables the trigger; skip).
@@ -250,6 +244,53 @@ func FuzzFaultOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// cancelArm runs build through run under a model-layer CancelAt plan, armed
+// after the load, and checks the partial result against the fault-free run
+// ref. For k below 8 the trigger lies k I/Os before the end of ref's run,
+// where a small instance emits its rows (the emitting re-run loads what it
+// joins, then emits from memory); for k from 8 to 15 it lies (k-7)/9 of the
+// run's I/O before the end, mostly in a dry run. A run that
+// reaches the trigger must abort with ErrCancelled, having applied every
+// charge before the first one that starts at or past I/O number CancelAt and
+// none after (a multi-block charge can carry the count past the trigger, so
+// the abort may come after more than CancelAt-1 I/Os, never fewer, and
+// never at ref's end), and having emitted a prefix of ref's rows in ref's
+// order. A trigger at or before the first charge must fire; one past the
+// start of the last charge cannot, and the run must then match ref on its
+// pinned fields.
+func cancelArm(t *testing.T, name string, build builder, k int64, ref *Result, refRows []string, refStats extmem.Stats,
+	run func(*extmem.FaultPlan) (*Result, []string, extmem.Stats, error)) {
+	t.Helper()
+	loaded := extmem.NewDisk(extmem.Config{M: 64, B: 4})
+	build(loaded)
+	load := loaded.Stats().IOs()
+	if refStats.IOs() == load {
+		return // the run charges nothing: there is nothing to cancel
+	}
+	back := k
+	if k >= 8 {
+		back = (refStats.IOs() - load) * (k - 7) / 9
+	}
+	cancelAt := max(refStats.IOs()-back, 1)
+	got, rows, stats, err := run(&extmem.FaultPlan{CancelAt: cancelAt})
+	if err == nil {
+		if cancelAt <= load+1 {
+			t.Fatalf("%s: trigger %d at the first charge after a %d-I/O load never fired", name, cancelAt, load)
+		}
+		samePinned(t, name, ref, refRows, got, rows)
+		return
+	}
+	if !errors.Is(err, extmem.ErrCancelled) {
+		t.Fatalf("%s: trigger %d of %d I/Os returned %v, want ErrCancelled", name, cancelAt, refStats.IOs(), err)
+	}
+	if n := stats.IOs(); n < max(load, cancelAt-1) || n >= refStats.IOs() {
+		t.Fatalf("%s: cancelled after %d I/Os, want from %d to %d", name, n, max(load, cancelAt-1), refStats.IOs()-1)
+	}
+	if len(rows) > len(refRows) || !slices.Equal(rows, refRows[:len(rows)]) {
+		t.Fatalf("%s: the %d rows emitted before the cancellation are not a prefix of the reference's %d", name, len(rows), len(refRows))
+	}
 }
 
 // deviceArm is FuzzFaultOracle's device arm: a fault-free file run must
@@ -325,8 +366,7 @@ func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*R
 	// an aborted run unwinds mid-operator, after the engine may already have
 	// billed transfers the ledger never settles. On a clean run the engine's
 	// billed counters equal the performed side of the ledger exactly, fault
-	// plan or not: a model retry re-issues the faulted transfer within its
-	// charge, and device retries happen below the seam.
+	// plan or not: device retries and repairs happen below the seam.
 	if runErr == nil && (dev.BilledReads != xfer.Reads || dev.BilledWrites != xfer.Writes) {
 		panic(fmt.Sprintf("engine observed %d/%d billed transfers, ledger performed %d/%d",
 			dev.BilledReads, dev.BilledWrites, xfer.Reads, xfer.Writes))
@@ -342,8 +382,9 @@ func engineRunBackendFaults(b builder, opts Options, plan *extmem.FaultPlan) (*R
 // complete-Result identity is the contract. The file
 // arm additionally byte-verifies every billed read against the in-memory
 // image and checks the seam parity invariant inside engineRunBackend. Two
-// fault arms then drive the same workload through the file engine's device
-// path under injected transient and permanent faults.
+// model-layer fault arms then drive the same workload through the file
+// engine: a cancellation that must leave a consistent partial result, and a
+// permanent fault that must fail typed.
 func FuzzBackendOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(20), uint8(1), uint8(0))
 	f.Add(uint8(1), uint8(2), uint8(25), uint8(2), uint8(1))
@@ -376,19 +417,13 @@ func FuzzBackendOracle(f *testing.F) {
 
 		// Fault arms through the file engine's device path, mirroring
 		// FuzzFaultOracle. Their parameters derive from the existing inputs so
-		// the checked-in corpus keeps working. Transient faults must retry to
-		// bit-identity with the fault-free reference;
-		// engineRunBackendFaults re-checks seam parity and the engine's billed
-		// counters on every arm, fault unwinds included.
-		plan := &extmem.FaultPlan{
-			Seed: int64(rows) + 1,
-			Rate: float64((int(rows)*7+int(size))%100) / 200, // 0 .. 0.495
-		}
-		ft, ftRows, _, _, ftErr := engineRunBackendFaults(build, opts, plan)
-		if ftErr != nil {
-			t.Fatalf("file transient arm failed; every transient must be retried: %v", ftErr)
-		}
-		samePinned(t, "file transient arm", ref, refRows, ft, ftRows)
+		// the checked-in corpus keeps working. engineRunBackendFaults
+		// re-checks seam parity on every arm, fault unwinds included.
+		cancelArm(t, "file cancel arm", build, (int64(rows)*7+int64(size))%16, ref, refRows, refStats,
+			func(plan *extmem.FaultPlan) (*Result, []string, extmem.Stats, error) {
+				r, rows, st, _, err := engineRunBackendFaults(build, opts, plan)
+				return r, rows, st, err
+			})
 
 		// Permanent arm: a guaranteed trigger must fail typed, and the engine
 		// must come back consistent (parity is re-checked inside the helper

@@ -522,9 +522,10 @@ func scanSum(f *extmem.File) (n int, sum int64) {
 
 // TestTransientFaultsPathIdentical drives the same workload — bulk load,
 // external sort, full scan — through the file engine with and without
-// injected transient faults. Inline retries must keep the charged stats, the
-// emitted cells, and the seam ledger bit-identical, and the engine must
-// observe exactly the performed transfers.
+// injected device-layer transient faults and torn writes. The engine's
+// retries and repairs happen below the seam, so the charged stats, the
+// emitted cells, and the seam ledger stay bit-identical, and the engine
+// bills exactly the performed transfers.
 func TestTransientFaultsPathIdentical(t *testing.T) {
 	type outcome struct {
 		n     int
@@ -537,8 +538,8 @@ func TestTransientFaultsPathIdentical(t *testing.T) {
 			t.Fatalf("Open: %v", err)
 		}
 		t.Cleanup(func() { eng.Close() })
+		eng.SetFaultPlan(plan)
 		d := extmem.NewDiskWithBackend(cfg, eng)
-		d.SetFaultPlan(plan)
 		f := d.NewFile(2)
 		fill(f, 48*cfg.B, 13)
 		s, err := extsort.SortCols(f, []int{0, 1})
@@ -549,18 +550,18 @@ func TestTransientFaultsPathIdentical(t *testing.T) {
 		return outcome{n: n, sum: sum, stats: d.Stats()}, d, eng
 	}
 	ref, _, _ := run(nil)
-	plan := &extmem.FaultPlan{Seed: 99, Rate: 0.05}
+	plan := &extmem.FaultPlan{Seed: 99, Layer: extmem.LayerDevice, Rate: 0.05, TornRate: 0.05}
 	got, d, eng := run(plan)
 	if got != ref {
 		t.Fatalf("faulted run diverged: %+v vs %+v", got, ref)
 	}
-	fs := d.FaultStats()
-	if fs.Transient == 0 {
+	fs := eng.FaultStats()
+	if fs.Transient == 0 || fs.Torn == 0 || fs.Repairs != fs.Torn {
 		t.Fatalf("plan injected no faults: %+v", fs)
 	}
 	assertParity(t, d)
-	// A model retry re-issues the transfer inside the charge that faulted,
-	// so the engine sees each performed transfer exactly once.
+	// Retried and repaired syscalls are not billed: the engine bills each
+	// performed transfer exactly once.
 	ds, x := eng.DeviceStats(), d.Transfers()
 	if ds.BilledReads != x.Reads || ds.BilledWrites != x.Writes {
 		t.Fatalf("engine billed %d/%d, ledger performed %d/%d, retries %d/%d",

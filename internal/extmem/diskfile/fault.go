@@ -83,7 +83,7 @@ func (d *faultDevice) decide(op byte, off int64, n int) (err error, torn bool) {
 		return fmt.Errorf("diskfile: injected %w at offset %d+%d (cap %d): %w",
 			extmem.ErrNoSpace, off, n, p.NoSpaceAfter, syscall.ENOSPC), false
 	}
-	if p.Rate > 0 && !d.burned[burnKey{op, off}] && extmem.FaultDraw(p.Seed, d.idx) < p.Rate {
+	if p.Rate > 0 && !d.burned[burnKey{op, off}] && faultDraw(p.Seed, d.idx) < p.Rate {
 		d.burned[burnKey{op, off}] = true
 		d.ledger.Transient++
 		return fmt.Errorf("diskfile: injected transient %s fault at offset %d (syscall %d): %w",
@@ -91,7 +91,7 @@ func (d *faultDevice) decide(op byte, off int64, n int) (err error, torn bool) {
 	}
 	// The torn draw uses its own seed stream so it never correlates with
 	// the transient draw at the same index.
-	if op == 'w' && p.TornRate > 0 && !d.burned[burnKey{'t', off}] && extmem.FaultDraw(p.Seed^0x7465617265, d.idx) < p.TornRate {
+	if op == 'w' && p.TornRate > 0 && !d.burned[burnKey{'t', off}] && faultDraw(p.Seed^0x7465617265, d.idx) < p.TornRate {
 		d.burned[burnKey{'t', off}] = true
 		d.ledger.Torn++
 		return nil, true
@@ -125,4 +125,15 @@ func (d *faultDevice) WriteAt(p []byte, off int64) (int, error) {
 		return len(p), nil
 	}
 	return d.inner.WriteAt(p, off)
+}
+
+// faultDraw maps (seed, idx) onto a uniform [0,1) draw: a splitmix64-style
+// mix whose top 53 bits make the fraction. The transient and torn rates are
+// tested against it.
+func faultDraw(seed, idx int64) float64 {
+	z := uint64(seed)*0x9e3779b97f4a7c15 + uint64(idx)*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }

@@ -3,21 +3,21 @@
 // One FaultPlan describes every injected failure. Its Layer picks where the
 // plan fires:
 //
-//   - LayerModel (the zero value) decides faults on the charging path of the
-//     simulated disk, keyed on the disk's accumulated I/O index (preCharge),
-//     so a plan yields a deterministic fault schedule for a given charge
-//     sequence. A transient fault is cleared inline: the failed transfer is
-//     re-issued once and the charge proceeds.
+//   - LayerModel (the zero value) fails charges on the simulated disk, keyed
+//     on the disk's accumulated I/O index (preCharge): a permanent fault at
+//     PermanentAt, or a cancellation at CancelAt. Both unwind the run; the
+//     model layer injects no transients, since a fault the simulated disk
+//     clears at once would change nothing but its own counters.
 //   - LayerDevice decides faults per pread/pwrite under the file engine's
 //     syscalls (internal/extmem/diskfile arms it). The engine recovers below
 //     the Backend seam: bounded retry for transient errors, and re-flushing
 //     the authoritative in-memory image to repair a torn frame. The sim
 //     backend has no syscalls, so there a device plan is a no-op.
 //
-// Both layers draw from FaultDraw, retry every transient until it passes,
-// and bill all recovery work to the same FaultStats ledger, never the main Stats: a run whose faults were all absorbed keeps
-// Stats bit-identical to the fault-free run while the recovery cost stays
-// visible. Failures neither layer can absorb unwind as typed errors:
+// Recovery work is billed to the FaultStats ledger, never the main Stats: a
+// run whose device faults were all absorbed keeps Stats bit-identical to the
+// fault-free run while the recovery cost stays visible. Failures no layer
+// can absorb unwind as typed errors:
 //
 //   - Permanent faults: a model-layer *FaultError injected via PermanentAt,
 //     or a device failure wrapping ErrDevice, ErrNoSpace or ErrCorruption.
@@ -105,11 +105,10 @@ type FaultPlan struct {
 	Seed int64
 	// Layer selects the injection point; the zero value is LayerModel.
 	Layer FaultLayer
-	// Rate is the per-charge (model) or per-syscall (device) probability of
-	// a transient fault, in [0, 1]. Each index draws independently. A model
-	// re-issue is never drawn, and a device fault burns its site (the
-	// operation and offset), so a retried transfer never faults again and
-	// retries always terminate.
+	// Rate (device only) is the per-syscall probability of a transient
+	// fault, in [0, 1]. Each syscall index draws independently, and a fault
+	// burns its site (the operation and offset), so a retried syscall never
+	// faults again and retries always terminate.
 	Rate float64
 	// TornRate (device only) is the per-pwrite probability that the call
 	// reports success but corrupts part of the written frame. The engine
@@ -128,8 +127,8 @@ type FaultPlan struct {
 	// NoSpaceAfter (device only), if positive, injects ENOSPC once the
 	// backing arena would grow beyond this many bytes.
 	NoSpaceAfter int64
-	// Phase (model only), if non-empty, restricts transient and permanent
-	// injection to charges carrying that phase label.
+	// Phase (model only), if non-empty, restricts permanent injection to
+	// charges carrying that phase label.
 	Phase string
 	// MaxAttempts (device only) caps the re-issues of one failed syscall
 	// before the device is declared dead. Zero means
@@ -154,8 +153,8 @@ func (p FaultPlan) Attempts() int {
 func (p FaultPlan) Validate() error {
 	switch p.Layer {
 	case LayerModel:
-		if p.TornRate != 0 || p.NoSpaceAfter != 0 || p.MaxAttempts != 0 {
-			return errors.New("fault plan: TornRate, NoSpaceAfter and MaxAttempts apply to the device layer only")
+		if p.Rate != 0 || p.TornRate != 0 || p.NoSpaceAfter != 0 || p.MaxAttempts != 0 {
+			return errors.New("fault plan: Rate, TornRate, NoSpaceAfter and MaxAttempts apply to the device layer only")
 		}
 	case LayerDevice:
 		if p.CancelAt != 0 || p.Phase != "" {
@@ -167,23 +166,12 @@ func (p FaultPlan) Validate() error {
 	return nil
 }
 
-// FaultDraw maps (seed, idx) onto a uniform [0,1) draw: a splitmix64-style
-// mix whose top 53 bits make the fraction. Both layers test their rates
-// against it.
-func FaultDraw(seed, idx int64) float64 {
-	z := uint64(seed)*0x9e3779b97f4a7c15 + uint64(idx)*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
-}
-
 // FaultStats is the recovery ledger of one fault plan. Retry I/O never
 // touches the main Stats — that is what keeps a fully absorbed run
 // bit-identical to the fault-free run — but it is counted here, so the full
 // cost of failure recovery stays reported.
 type FaultStats struct {
-	// Transient counts injected transient faults (charges or syscalls).
+	// Transient counts injected transient syscall faults (device only).
 	Transient int64
 	// Permanent counts permanent injections on the model layer, and is 1
 	// once the device has been declared dead on the device layer.
@@ -194,18 +182,16 @@ type FaultStats struct {
 	Repairs int64
 	// NoSpace counts injected ENOSPC failures on arena growth.
 	NoSpace int64
-	// Retries counts re-issues of a faulted block transfer (model) or a
-	// failed syscall (device); each clears its fault or, on the device
-	// layer, fails again until MaxAttempts.
+	// Retries counts re-issues of a failed syscall (device only); each
+	// clears its fault or fails again until MaxAttempts.
 	Retries int64
-	// RetryReads and RetryWrites total the block transfers (model) or
-	// syscalls (device) re-issued by retries — the honest I/O cost of
-	// recovery.
+	// RetryReads and RetryWrites total the syscalls re-issued by retries
+	// (device only) — the honest I/O cost of recovery.
 	RetryReads  int64
 	RetryWrites int64
-	// BackoffIOs totals the simulated backoff cost charged per retry: one
-	// block-time for a model retry, and 2^(attempt-1) block-times (capped)
-	// for the attempt-th re-issue of one failed syscall.
+	// BackoffIOs totals the simulated backoff cost charged per retry
+	// (device only): 2^(attempt-1) block-times (capped) for the attempt-th
+	// re-issue of one failed syscall.
 	BackoffIOs int64
 }
 
@@ -277,22 +263,6 @@ func (inj *faultInjector) check(d *Disk, op string, idx int64) {
 		inj.permanent = true
 		inj.stats.Permanent++
 		panic(&FaultError{Op: op, Index: idx, Phase: d.phaseLabel()})
-	}
-	if plan.Rate <= 0 || FaultDraw(plan.Seed, idx) >= plan.Rate {
-		return
-	}
-	// The draw fires, and the simulated device clears the fault inline by
-	// re-issuing the single failed transfer, which is not drawn again: the
-	// charge proceeds unchanged (no unwind, so nothing is re-run), and the
-	// redone transfer plus one block-time of backoff are billed to the retry
-	// side-channel.
-	inj.stats.Transient++
-	inj.stats.Retries++
-	inj.stats.BackoffIOs++
-	if op == opWrite {
-		inj.stats.RetryWrites++
-	} else {
-		inj.stats.RetryReads++
 	}
 }
 

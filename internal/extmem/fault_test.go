@@ -38,107 +38,119 @@ func TestFaultPlanDisabledIsFree(t *testing.T) {
 	}
 }
 
-// Inline retries must leave the main accounting bit-identical to the
-// fault-free run; only the side-channel moves.
+// The model layer retries nothing: a Rate armed on it directly (Validate
+// rejects one) draws no fault, and a permanent fault restricted to a phase
+// the run never enters never fires. The stats, the phase breakdown and the
+// empty ledger all match the fault-free run.
 func TestInlineRetryKeepsStatsIdentical(t *testing.T) {
 	base := testDisk(t, 100, 10)
-	chargeMix(base, 20)
+	base.EnablePhases()
+	base.WithPhase("mix", func() { chargeMix(base, 20) })
 
 	d := testDisk(t, 100, 10)
 	d.EnablePhases()
-	d.SetFaultPlan(&FaultPlan{Seed: 7, Rate: 0.5})
+	d.SetFaultPlan(&FaultPlan{Seed: 7, Rate: 1, PermanentAt: 1, Phase: "elsewhere"})
 	d.WithPhase("mix", func() { chargeMix(d, 20) })
 	if d.Stats() != base.Stats() {
-		t.Fatalf("stats diverged under inline retries: %v vs %v", d.Stats(), base.Stats())
-	}
-	fs := d.FaultStats()
-	if fs.Transient == 0 || fs.Retries != fs.Transient {
-		t.Fatalf("want every transient cleared by an inline retry, got %v", fs)
-	}
-	if fs.RetryReads+fs.RetryWrites != fs.Retries || fs.BackoffIOs != fs.Retries {
-		t.Fatalf("inline retries must bill one transfer and one block-time each: %v", fs)
-	}
-	if fs.Permanent != 0 {
-		t.Fatalf("unexpected permanent fault: %v", fs)
-	}
-}
-
-// The fault schedule is a pure function of (plan, charge sequence).
-func TestFaultScheduleDeterministic(t *testing.T) {
-	run := func(seed int64) FaultStats {
-		d := testDisk(t, 100, 10)
-		d.SetFaultPlan(&FaultPlan{Seed: seed, Rate: 0.3})
-		chargeMix(d, 30)
-		return d.FaultStats()
-	}
-	if a, b := run(42), run(42); a != b {
-		t.Fatalf("same plan, different schedule: %v vs %v", a, b)
-	}
-	a, b := run(1), run(2)
-	if a == b && a.Transient == 0 {
-		t.Fatalf("rate 0.3 over 60 charges fired nothing: %v", a)
-	}
-}
-
-// Transient faults under an open outer recorder and a phase are retried
-// inline: the stats, the recorded tape and the phase breakdown all match the
-// fault-free run, with the re-issued transfers billed to the side-channel.
-func TestOperatorBoundaryRollbackBitIdentical(t *testing.T) {
-	runOnce := func(plan *FaultPlan) (*Disk, ChargeTape) {
-		d := testDisk(t, 100, 10)
-		d.EnablePhases()
-		if plan != nil {
-			d.SetFaultPlan(plan)
-		}
-		chargeMix(d, 3) // ambient work before the tape
-		d.StartTape()   // an outer recorder spanning the faulted work
-		d.WithPhase("op", func() { chargeMix(d, 10) })
-		return d, d.StopTape()
-	}
-	base, baseTape := runOnce(nil)
-	d, tape := runOnce(&FaultPlan{Seed: 3, Rate: 0.4})
-
-	if d.Stats() != base.Stats() {
 		t.Fatalf("stats diverged: %v vs %v", d.Stats(), base.Stats())
-	}
-	if len(tape.Segments) != len(baseTape.Segments) {
-		t.Fatalf("outer tape shape diverged: %v vs %v", tape.Segments, baseTape.Segments)
-	}
-	for i := range tape.Segments {
-		if tape.Segments[i] != baseTape.Segments[i] {
-			t.Fatalf("outer tape segment %d diverged: %+v vs %+v", i, tape.Segments[i], baseTape.Segments[i])
-		}
 	}
 	if !reflect.DeepEqual(d.PhaseStats(), base.PhaseStats()) {
 		t.Fatalf("phases diverged: %v vs %v", d.PhaseStats(), base.PhaseStats())
 	}
-	fs := d.FaultStats()
-	if fs.Transient == 0 {
-		t.Fatalf("rate 0.4 over 26 blocks never faulted: %v", fs)
+	if fs := d.FaultStats(); fs.Any() {
+		t.Fatalf("the model layer recorded fault activity: %v", fs)
 	}
-	if fs.Retries != fs.Transient || fs.RetryReads+fs.RetryWrites != fs.Retries || fs.BackoffIOs != fs.Retries {
-		t.Fatalf("retry cost not billed once per transient: %v", fs)
+	if err := (FaultPlan{Rate: 0.1}).Validate(); err == nil {
+		t.Fatal("Validate accepted a model-layer Rate")
 	}
 }
 
-// Even at rate 1.0 every retry terminates: each charge faults once, its
-// re-issue passes, and the stats match the fault-free run.
+// The fault schedule is a pure function of (plan, charge sequence): the same
+// plan fails the same charge, and a later trigger fails a later one.
+func TestFaultScheduleDeterministic(t *testing.T) {
+	run := func(plan FaultPlan) (*FaultError, error, Stats) {
+		d := testDisk(t, 100, 10)
+		d.SetFaultPlan(&plan)
+		_, err := d.CatchAbort(func() error { chargeMix(d, 30); return nil })
+		var fe *FaultError
+		errors.As(err, &fe)
+		return fe, err, d.Stats()
+	}
+	a, _, as := run(FaultPlan{PermanentAt: 42})
+	b, _, bs := run(FaultPlan{PermanentAt: 42})
+	if a == nil || b == nil || *a != *b || as != bs {
+		t.Fatalf("same plan, different schedule: %+v %v vs %+v %v", a, as, b, bs)
+	}
+	if a.Index != 41 || a.Op != opRead || as.IOs() != 41 {
+		t.Fatalf("PermanentAt 42 failed %+v after %d I/Os, want read 41 after 41", a, as.IOs())
+	}
+	if c, _, _ := run(FaultPlan{PermanentAt: 43}); c == nil || c.Index != 42 {
+		t.Fatalf("PermanentAt 43 failed %+v, want index 42", c)
+	}
+	_, err1, s1 := run(FaultPlan{CancelAt: 17})
+	_, err2, s2 := run(FaultPlan{CancelAt: 17})
+	if !errors.Is(err1, ErrCancelled) || !errors.Is(err2, ErrCancelled) || s1 != s2 || s1.IOs() != 16 {
+		t.Fatalf("CancelAt 17: %v after %v, %v after %v; want a cancellation after 16 I/Os", err1, s1, err2, s2)
+	}
+}
+
+// A permanent fault under an open outer recorder and a phase leaves nothing
+// behind: once the plan is disarmed, the same work re-run on the aborted
+// disk records the fault-free run's tape, stats and phase breakdown.
+func TestOperatorBoundaryRollbackBitIdentical(t *testing.T) {
+	work := func(d *Disk) ChargeTape {
+		chargeMix(d, 3) // ambient work before the tape
+		d.StartTape()   // an outer recorder spanning the faulted work
+		d.WithPhase("op", func() { chargeMix(d, 10) })
+		return d.StopTape()
+	}
+	base := testDisk(t, 100, 10)
+	base.EnablePhases()
+	baseTape := work(base)
+
+	d := testDisk(t, 100, 10)
+	d.EnablePhases()
+	d.SetFaultPlan(&FaultPlan{PermanentAt: 12, Phase: "op"})
+	var fe *FaultError
+	if _, err := d.CatchAbort(func() error { work(d); return nil }); !errors.As(err, &fe) || fe.Phase != "op" {
+		t.Fatalf("abort = %v, want a FaultError in phase op", err)
+	}
+	d.SetFaultPlan(nil)
+	d.ResetStats()
+	d.ResetPhases()
+	tape := work(d)
+	if d.Stats() != base.Stats() {
+		t.Fatalf("stats diverged: %v vs %v", d.Stats(), base.Stats())
+	}
+	if !reflect.DeepEqual(tape.Segments, baseTape.Segments) {
+		t.Fatalf("outer tape diverged: %v vs %v", tape.Segments, baseTape.Segments)
+	}
+	if !reflect.DeepEqual(d.PhaseStats(), base.PhaseStats()) {
+		t.Fatalf("phases diverged: %v vs %v", d.PhaseStats(), base.PhaseStats())
+	}
+}
+
+// A permanent fault fires once: the same armed plan lets a re-run complete,
+// and the ledger counts the one fault.
 func TestOperatorBoundaryTerminatesAtRateOne(t *testing.T) {
 	base := testDisk(t, 100, 10)
 	chargeMix(base, 5)
 	d := testDisk(t, 100, 10)
-	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0})
+	d.SetFaultPlan(&FaultPlan{PermanentAt: 3})
+	if _, err := d.CatchAbort(func() error { chargeMix(d, 5); return nil }); err == nil {
+		t.Fatal("PermanentAt 3 never fired")
+	}
+	d.ResetStats()
 	chargeMix(d, 5)
 	if d.Stats() != base.Stats() {
-		t.Fatalf("stats diverged: %v vs %v", d.Stats(), base.Stats())
+		t.Fatalf("re-run stats diverged: %v vs %v", d.Stats(), base.Stats())
 	}
-	fs := d.FaultStats()
-	if fs.Transient != 10 || fs.Retries != 10 || fs.BackoffIOs != 10 || fs.Permanent != 0 {
-		t.Fatalf("want exactly 10 retries for the 10 charges, got %v", fs)
+	if fs := d.FaultStats(); fs != (FaultStats{Permanent: 1}) {
+		t.Fatalf("want exactly one permanent fault, got %v", fs)
 	}
 }
 
-// A model-layer transient never escalates, however many fire; only
+// A Rate armed on the model layer never aborts, however high; only
 // PermanentAt yields a typed permanent FaultError.
 func TestOperatorBoundaryEscalatesToPermanent(t *testing.T) {
 	d := testDisk(t, 100, 10)
@@ -151,11 +163,13 @@ func TestOperatorBoundaryEscalatesToPermanent(t *testing.T) {
 	if pruned {
 		t.Fatal("permanent fault misreported as a budget prune")
 	}
+	// The index runs on from the 10 charges of the first run, past the
+	// trigger, so the very next charge fails.
 	var fe *FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want FaultError", err)
+	if !errors.As(err, &fe) || fe.Index != 10 {
+		t.Fatalf("err = %v, want FaultError at index 10", err)
 	}
-	if fs := d.FaultStats(); fs.Permanent != 1 || fs.Retries != fs.Transient {
+	if fs := d.FaultStats(); fs != (FaultStats{Permanent: 1}) {
 		t.Fatalf("permanent telemetry: %v", fs)
 	}
 }
@@ -202,17 +216,26 @@ func TestPermanentFaultUnwindsWithTypedError(t *testing.T) {
 	}
 }
 
+// A phase-targeted permanent fault skips every charge outside its phase,
+// even past PermanentAt, and fires at the first charge inside it.
 func TestPhaseTargetedFaults(t *testing.T) {
 	d := testDisk(t, 100, 10)
 	d.EnablePhases()
-	d.SetFaultPlan(&FaultPlan{Seed: 5, Rate: 1.0, Phase: "target"})
+	d.SetFaultPlan(&FaultPlan{PermanentAt: 2, Phase: "target"})
 	chargeMix(d, 5) // ambient: must not fault
-	if fs := d.FaultStats(); fs.Transient != 0 {
+	if fs := d.FaultStats(); fs.Any() {
 		t.Fatalf("ambient charges faulted despite phase filter: %v", fs)
 	}
-	d.WithPhase("target", func() { chargeMix(d, 2) })
-	if fs := d.FaultStats(); fs.Transient != 4 {
-		t.Fatalf("want all 4 target-phase charges to fault, got %v", fs)
+	_, err := d.CatchAbort(func() error {
+		d.WithPhase("target", func() { chargeMix(d, 2) })
+		return nil
+	})
+	var fe *FaultError
+	if !errors.As(err, &fe) || fe.Index != 10 || fe.Phase != "target" {
+		t.Fatalf("err = %v, want a FaultError at index 10 in phase target", err)
+	}
+	if fs := d.FaultStats(); fs.Permanent != 1 {
+		t.Fatalf("want one target-phase fault, got %v", fs)
 	}
 }
 
@@ -339,7 +362,7 @@ func TestArmedButSilentPlanIsInvisible(t *testing.T) {
 
 	d := testDisk(t, 100, 10)
 	d.EnablePhases()
-	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 0, PermanentAt: 10_000, CancelAt: 0})
+	d.SetFaultPlan(&FaultPlan{Seed: 1, PermanentAt: 10_000})
 	chargeMix(d, 10)
 	if d.Stats() != base.Stats() {
 		t.Fatalf("silent plan changed stats: %v vs %v", d.Stats(), base.Stats())

@@ -14,12 +14,13 @@ import (
 	"acyclicjoin/internal/workload"
 )
 
-// memoWorkloads are the subjects of the knob-invariance experiments (E23–E28,
-// E30), chosen to exercise every memoized operator kind: L3 worst case leans
-// on sorts and the materialized pairwise join, L4/L5 uniform on the reducer's
-// semijoin passes (L5 adds a deep branch space for prefix reuse), and the
-// star worst case on projection and the heavy/light split. Each build uses
-// only the passed disk and rng, so every arm sees an identical instance.
+// memoWorkloads are the subjects of the knob-invariance experiment (E23) and
+// the greedy grading (E28), chosen to exercise every memoized operator kind:
+// L3 worst case leans on sorts and the materialized pairwise join, L4/L5
+// uniform on the reducer's semijoin passes (L5 adds a deep branch space for
+// prefix reuse), and the star worst case on projection and the heavy/light
+// split. Each build uses only the passed disk and rng, so every arm sees an
+// identical instance.
 var memoWorkloads = []struct {
 	name  string
 	build func(p Params, d *extmem.Disk, rng *rand.Rand) (*hypergraph.Graph, relation.Instance)

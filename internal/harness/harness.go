@@ -29,26 +29,26 @@ type Params struct {
 	// none and every core call runs with Memo: MemoOff (Params.options).
 	// Tables are byte-identical either way (replay charges exactly what the
 	// real operator would); the switch exists for A/B timing and for proving
-	// that claim. Experiments that report what the memo replays (E23, E24,
-	// E27) or fault counts that follow the performed transfers (E26, E30)
-	// pin the memo on.
+	// that claim. E23 pins the memo on wherever its arms set it, since its
+	// rows report what the memo replays and fault counts that follow the
+	// performed transfers; only its pruning arms follow this knob.
 	NoMemo bool
 	// NoPrune disables branch-and-bound pruning of exhaustive-strategy dry
 	// runs in the experiments that honor it. Experiment tables report
 	// execution-cost figures that pruning provably does not change, so every
 	// table is byte-identical under either setting; experiments whose PURPOSE
 	// is the paper's full Σ-branches planning accounting (E4's
-	// "incl. planning" row) or a full-stats memo A/B (E23, E24) pin NoPrune
-	// internally and ignore this knob. E25 measures the pruned-vs-unpruned
-	// difference explicitly.
+	// "incl. planning" row) or a full-stats memo A/B (E23's memo arms) pin
+	// NoPrune internally and ignore this knob. E23's pruning arms measure
+	// the pruned-vs-unpruned difference explicitly.
 	NoPrune bool
 	// Backend selects the storage engine every experiment machine is built
 	// on: "sim" (or empty) for the counting simulator, "file" for the
 	// os.File-backed engine, which physically executes and verifies each
 	// charged transfer. Tables are byte-identical across backends — the
 	// model sits above the backend seam — so the switch exists for the
-	// differential suite (E27) and for running the whole registry as a real
-	// systems benchmark. An empty value falls back to the
+	// differential suite (E23's file arm) and for running the whole registry
+	// as a real systems benchmark. An empty value falls back to the
 	// ACYCLICJOIN_BACKEND environment variable.
 	Backend string
 	// DataDir is where the file backend keeps its backing files; empty means
@@ -70,8 +70,8 @@ type Params struct {
 	// byte-identical — the hook that lets CI re-run the whole registry under
 	// device chaos with zero code changes. 0 falls back to the
 	// ACYCLICJOIN_DEVFAULTRATE environment variable. Ignored by the sim
-	// backend (no syscalls to fault); experiments that measure specific
-	// fault schedules (E30) pin their plans and ignore this knob.
+	// backend (no syscalls to fault); E23's device arms pin their own
+	// fault schedules and ignore this knob.
 	DevFaultRate float64
 }
 

@@ -14,8 +14,7 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
 		"E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18",
-		"E19", "E20", "E21", "E22", "E23", "E24", "E25", "E26", "E27", "E28",
-		"E30"}
+		"E19", "E20", "E21", "E22", "E23", "E28"}
 	for _, id := range want {
 		if Get(id) == nil {
 			t.Errorf("experiment %s not registered", id)
@@ -60,23 +59,33 @@ func TestRatio(t *testing.T) {
 }
 
 // Every experiment must run clean at small scale. This is the integration
-// test for the whole stack: algorithms, workloads, bounds.
+// test for the whole stack: algorithms, workloads, bounds. The
+// knob-invariance experiment runs one subtest per arm group, named after the
+// experiment the group was before the tables were merged.
 func TestAllExperimentsSmallScale(t *testing.T) {
 	p := Params{M: 64, B: 8, Scale: 1, Seed: 42}
+	check := func(t *testing.T, id string, run func(Params) (*Table, error)) {
+		tab, err := run(p)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if len(tab.Rows) == 0 {
+			t.Fatalf("%s produced no rows", id)
+		}
+		if out := tab.Render(); len(out) == 0 {
+			t.Fatalf("%s rendered empty", id)
+		}
+	}
 	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(p)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", e.ID, e.Title, err)
-			}
-			if len(tab.Rows) == 0 {
-				t.Fatalf("%s produced no rows", e.ID)
-			}
-			if out := tab.Render(); len(out) == 0 {
-				t.Fatalf("%s rendered empty", e.ID)
-			}
-		})
+		if e.ID != "E23" {
+			t.Run(e.ID, func(t *testing.T) { check(t, e.ID, e.Run) })
+			continue
+		}
+		for i, g := range armGroups {
+			t.Run(g.id, func(t *testing.T) {
+				check(t, g.id, func(p Params) (*Table, error) { return runInvariance(p, armGroups[i:i+1]) })
+			})
+		}
 	}
 }
 
@@ -270,7 +279,7 @@ func TestDivergeNamesPinnedField(t *testing.T) {
 // arm-based experiments are left out: runArm closes its own engine on every
 // path, and their fault sweeps are most of the registry's run time.
 func TestFileEnginesClosed(t *testing.T) {
-	armBased := map[string]bool{"E23": true, "E24": true, "E25": true, "E26": true, "E27": true, "E28": true, "E30": true}
+	armBased := map[string]bool{"E23": true, "E28": true}
 	dir := t.TempDir()
 	p := Params{M: 64, B: 8, Scale: 1, Seed: 42, Backend: "file", DataDir: dir}
 	check := func(name string, err error) {
@@ -316,7 +325,7 @@ func TestFileEnginesClosed(t *testing.T) {
 // TestNoMemoRunsWithoutMemo checks that Params.NoMemo switches the operator
 // memo off for the core call itself, not only for the disk the harness
 // builds: core.Run attaches a memo of its own under the zero Options.Memo.
-// E25's pruned arm is the run under test; the same arm with the memo left on
+// E23's pruned arm is the run under test; the same arm with the memo left on
 // must replay, or the zero counts would show nothing.
 func TestNoMemoRunsWithoutMemo(t *testing.T) {
 	p := Params{M: 64, B: 8, Scale: 1, Seed: 42}

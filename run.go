@@ -66,10 +66,6 @@ type Options struct {
 	// ACYCLICJOIN_STRATEGY environment variable when no -strategy flag is
 	// given; see ParseStrategy.
 	Strategy Strategy
-	// SkipReduce skips the Yannakakis full reduction preprocessing. The
-	// result is still correct, but the optimality guarantees assume fully
-	// reduced inputs.
-	SkipReduce bool
 	// NoLineSpecialization disables routing line joins through the
 	// Section 6 dispatcher (Algorithms 1/4/5 and the L6/L8 compositions);
 	// Algorithm 2 is used unconditionally instead.
@@ -116,21 +112,27 @@ type Options struct {
 	// Deprecated: ignored; queries always run on one simulated machine.
 	Shards int
 	// Faults attaches a deterministic, seeded fault-injection plan. On the
-	// model layer (the zero FaultPlan.Layer) faults fire on charged block
-	// I/Os: each transient is retried inline by re-issuing the one failed
-	// transfer, and permanent faults abort with an error wrapping ErrFault. On the device layer they fire
-	// under the file backend's syscalls — transient EIO, torn writes, ENOSPC,
-	// a dead device — and the engine recovers below the Backend seam (bounded
-	// retry; torn frames repaired from the authoritative in-memory image);
+	// model layer (the zero FaultPlan.Layer) it fails charged block I/Os:
+	// PermanentAt aborts with an error wrapping ErrFault and CancelAt with
+	// one wrapping ErrCancelled, each with a partial Result; a model-layer
+	// plan setting Rate is rejected. On the device layer faults fire under
+	// the file backend's syscalls — transient EIO, torn writes, ENOSPC, a
+	// dead device — and the engine recovers below the Backend seam (bounded
+	// retry; torn frames repaired from the authoritative in-memory image), so
+	// rows, Count, Stats and the plan of an absorbed run are bit-identical to
+	// the fault-free run and all recovery work is billed to Result.Faults;
 	// failures it cannot absorb abort with ErrDevice, ErrNoSpace or
-	// ErrCorruption and a partial Result. Either way rows, Count, Stats and
-	// the plan of an absorbed run are bit-identical to the fault-free run,
-	// and all recovery work is billed to Result.Faults instead. A device plan
-	// on the sim backend is a no-op: there are no syscalls to fault. A plan
-	// setting a field of the other layer is rejected. nil falls back to the
-	// ACYCLICJOIN_DEVFAULTRATE environment variable (a device plan at that
-	// rate, seed 1); with neither, the charge path costs one nil check.
+	// ErrCorruption and a partial Result. A device plan on the sim backend is
+	// a no-op: there are no syscalls to fault. A plan setting a field of the
+	// other layer is rejected. nil falls back to the ACYCLICJOIN_DEVFAULTRATE
+	// environment variable (a device plan at that rate, seed 1); with
+	// neither, the charge path costs one nil check.
 	Faults *FaultPlan
+
+	// skipReduce skips the Yannakakis full reduction preprocessing, an
+	// ablation the package's tests reach; the result is still correct, but
+	// the optimality guarantees assume fully reduced inputs.
+	skipReduce bool
 }
 
 // MemoMode switches the charge-replay operator memo; the zero value is on.
@@ -361,7 +363,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	disk.ResetStats()
 
 	work := in
-	if !opts.SkipReduce {
+	if !opts.skipReduce {
 		red, rerr := reducer.FullReduce(q.graph, in)
 		if rerr != nil {
 			return abortResult(partial, rerr)
@@ -398,7 +400,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	res = &Result{}
 	copts := core.Options{
 		Strategy:      opts.Strategy,
-		AssumeReduced: !opts.SkipReduce,
+		AssumeReduced: !opts.skipReduce,
 		NoPrune:       opts.NoPrune,
 		Memo:          opts.Memo,
 	}
