@@ -768,7 +768,17 @@ func (x *executor) join(s *step, in relation.Instance, depth int, reads uint64, 
 		return x.peelLeafUnsplit(p, sub, sorted, re, depth, reads, done)
 	}
 
-	heavy, light, err := re.Heavy(p.v)
+	// Light values: load whole value groups (≤2M tuples, ≤M distinct
+	// values), semijoin each neighbour down to the chunk's values, keep v in
+	// the query (no disconnection), and match recursion results against the
+	// chunk by v-value. The match reads v, so the recursion must bind it.
+	// The chunks come in increasing v order, so each neighbour's filters
+	// are one merge pass: a chunk's filter resumes where the previous one
+	// stopped. The same pass finds the heavy values.
+	from := make([]int, len(p.gamma))
+	heavy, err := re.LoadChunksBy(p.v, func(c *relation.Chunk) error {
+		return x.joinChunk(p, sub, sorted, from, c, c.Values, c.Starts, re.Schema(), depth, reads, done)
+	})
 	if err != nil {
 		return err
 	}
@@ -791,18 +801,7 @@ func (x *executor) join(s *step, in relation.Instance, depth int, reads uint64, 
 			return err
 		}
 	}
-
-	// Light values: load whole value groups (≤2M tuples, ≤M distinct
-	// values), semijoin each neighbour down to the chunk's values, keep v in
-	// the query (no disconnection), and match recursion results against the
-	// chunk by v-value. The match reads v, so the recursion must bind it.
-	// The chunks come in increasing v order, so each neighbour's filters
-	// are one merge pass: a chunk's filter resumes where the previous one
-	// stopped.
-	from := make([]int, len(p.gamma))
-	return light.LoadChunksBy(p.v, func(c *relation.Chunk) error {
-		return x.joinChunk(p, sub, sorted, from, c, c.Values, c.Starts, re.Schema(), depth, reads, done)
-	})
+	return nil
 }
 
 // extendChunk is extend over the rows of a loaded chunk. A dry run reads no

@@ -41,11 +41,12 @@ func lineParts(g *hypergraph.Graph, n int) ([]*hypergraph.Edge, []hypergraph.Att
 }
 
 // Line3 implements Algorithm 1, the Õ(N1·N3/(M·B))-I/O 3-relation line join
-// R1(v0,v1) ⋈ R2(v1,v2) ⋈ R3(v2,v3). Heavy values of v1 in R1 first
-// materialize R2|v1=a ⋈ R3 (at most N3 tuples, since tuples of R2|v1=a have
-// distinct v2 values on deduplicated inputs) and then run a blocked
-// nested-loop join against R1|v1=a; light values are processed in ≤2M-tuple
-// chunks with an instance-optimal merge join of R2(M1) against R3.
+// R1(v0,v1) ⋈ R2(v1,v2) ⋈ R3(v2,v3). Light values of v1 in R1 are processed
+// in ≤2M-tuple chunks with an instance-optimal merge join of R2(M1) against
+// R3; the heavy values the same pass finds then each materialize
+// R2|v1=a ⋈ R3 (at most N3 tuples, since tuples of R2|v1=a have distinct v2
+// values on deduplicated inputs) and run a blocked nested-loop join against
+// R1|v1=a.
 func Line3(g *hypergraph.Graph, in relation.Instance, emit Emit) error {
 	return runAlone(g, in, emit, Options{}, (*executor).line3)
 }
@@ -83,37 +84,12 @@ func (x *executor) line3(g *hypergraph.Graph, in relation.Instance, reads uint64
 	s1 := r1.Schema()
 	b1 := attrMask(s1...)
 
-	heavy, light, err := r1.Heavy(a1)
-	if err != nil {
-		return err
-	}
-	// Heavy values of v1 in R1 (Algorithm 1 lines 4-7).
-	for _, hg := range heavy {
-		a := hg.Value
-		r2a := r2.FindRange(a1, a)
-		// Constant leading column: the range is sorted by a2.
-		r2a = r2a.WithSortOrder(r2.SortCols()[1:])
-		j, err := MaterializePairJoin(r2a, r3, a2)
-		if err != nil {
-			return err
-		}
-		sj := j.Schema()
-		bj := attrMask(sj...)
-		err = BlockedNLJ(hg.Rel, j, func(rows []tuple.Tuple, tj tuple.Tuple) error {
-			x.extend([]tuple.Tuple{tj}, sj, bj, reads, 1, func(k int64) {
-				x.extend(rows, s1, b1, reads, k, done)
-			})
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	// Light values (lines 8-12). The chunks come in increasing v1 order, so
-	// the filters of R2 are one merge pass: each resumes where the previous
-	// one stopped.
+	// Light values of v1 in R1 (Algorithm 1 lines 8-12). The chunks come in
+	// increasing v1 order, so the filters of R2 are one merge pass: each
+	// resumes where the previous one stopped. The same pass finds the heavy
+	// values.
 	from := 0
-	return light.LoadChunksBy(a1, func(c *relation.Chunk) error {
+	heavy, err := r1.LoadChunksBy(a1, func(c *relation.Chunk) error {
 		r2m, stop, err := relation.SemijoinValues(r2, a1, c.Values, from)
 		if err != nil {
 			return err
@@ -136,6 +112,32 @@ func (x *executor) line3(g *hypergraph.Graph, in relation.Instance, reads uint64
 			return nil
 		})
 	})
+	if err != nil {
+		return err
+	}
+	// Heavy values of v1 in R1 (lines 4-7).
+	for _, hg := range heavy {
+		a := hg.Value
+		r2a := r2.FindRange(a1, a)
+		// Constant leading column: the range is sorted by a2.
+		r2a = r2a.WithSortOrder(r2.SortCols()[1:])
+		j, err := MaterializePairJoin(r2a, r3, a2)
+		if err != nil {
+			return err
+		}
+		sj := j.Schema()
+		bj := attrMask(sj...)
+		err = BlockedNLJ(hg.Rel, j, func(rows []tuple.Tuple, tj tuple.Tuple) error {
+			x.extend([]tuple.Tuple{tj}, sj, bj, reads, 1, func(k int64) {
+				x.extend(rows, s1, b1, reads, k, done)
+			})
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MaterializeLine3 runs Algorithm 1 and writes the results to disk as a

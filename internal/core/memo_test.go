@@ -87,7 +87,7 @@ func TestDryRunChargesMatchWetRun(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				var g, in = lineInstance(d, rng, 4, 96, 12)
 				if seed%2 == 1 {
-					// Odd seeds take the heavy-split path instead.
+					// Odd seeds have heavy values instead.
 					g, in = workload.Line3WorstCase(d, 64, 64)
 				}
 				ex := &executor{

@@ -99,7 +99,8 @@ const DefaultMaxDeviceAttempts = 8
 // syscall (LayerDevice), keyed on that layer's own running index, so the
 // schedule is a pure function of the plan and the charge sequence — the same
 // run faults the same way every time. Some fields apply to one layer only;
-// acyclicjoin.RunContext rejects a plan that sets a field of the other layer.
+// acyclicjoin.RunContext rejects a plan that sets a field of the other layer,
+// and Disk.SetFaultPlan panics on one.
 type FaultPlan struct {
 	// Seed keys the fault hash.
 	Seed int64
@@ -218,8 +219,14 @@ type faultInjector struct {
 // engine takes it). Arming resets any previous injector state and ledger,
 // and clears the cancellation latch — changing the plan starts a new fault
 // experiment, so an abort a previous plan triggered (a CancelAt firing, or
-// an external Cancel) must not poison the next run on the same disk.
+// an external Cancel) must not poison the next run on the same disk. A plan
+// that fails Validate is a programming error and panics.
 func (d *Disk) SetFaultPlan(p *FaultPlan) {
+	if p != nil {
+		if err := p.Validate(); err != nil {
+			panic(fmt.Sprintf("extmem: SetFaultPlan: %v", err))
+		}
+	}
 	d.cancelErr.Store(nil)
 	if p == nil || p.Layer != LayerModel || !p.Enabled() {
 		d.faults = nil

@@ -38,8 +38,7 @@ func TestFaultPlanDisabledIsFree(t *testing.T) {
 	}
 }
 
-// The model layer retries nothing: a Rate armed on it directly (Validate
-// rejects one) draws no fault, and a permanent fault restricted to a phase
+// The model layer retries nothing: a permanent fault restricted to a phase
 // the run never enters never fires. The stats, the phase breakdown and the
 // empty ledger all match the fault-free run.
 func TestInlineRetryKeepsStatsIdentical(t *testing.T) {
@@ -49,7 +48,7 @@ func TestInlineRetryKeepsStatsIdentical(t *testing.T) {
 
 	d := testDisk(t, 100, 10)
 	d.EnablePhases()
-	d.SetFaultPlan(&FaultPlan{Seed: 7, Rate: 1, PermanentAt: 1, Phase: "elsewhere"})
+	d.SetFaultPlan(&FaultPlan{Seed: 7, PermanentAt: 1, Phase: "elsewhere"})
 	d.WithPhase("mix", func() { chargeMix(d, 20) })
 	if d.Stats() != base.Stats() {
 		t.Fatalf("stats diverged: %v vs %v", d.Stats(), base.Stats())
@@ -62,6 +61,32 @@ func TestInlineRetryKeepsStatsIdentical(t *testing.T) {
 	}
 	if err := (FaultPlan{Rate: 0.1}).Validate(); err == nil {
 		t.Fatal("Validate accepted a model-layer Rate")
+	}
+}
+
+// A plan that fails Validate, such as a device-only field on a model plan,
+// is a programming error: SetFaultPlan panics rather than arm a plan that
+// silently does nothing.
+func TestSetFaultPlanPanicsOnInvalidPlan(t *testing.T) {
+	for _, p := range []FaultPlan{
+		{Rate: 1},
+		{TornRate: 0.5},
+		{NoSpaceAfter: 1 << 20},
+		{MaxAttempts: 3, PermanentAt: 5},
+		{Layer: LayerDevice, CancelAt: 4},
+	} {
+		d := testDisk(t, 100, 10)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetFaultPlan(%+v) armed an invalid plan", p)
+				}
+			}()
+			d.SetFaultPlan(&p)
+		}()
+		if d.faults != nil {
+			t.Errorf("SetFaultPlan(%+v) left an injector armed", p)
+		}
 	}
 }
 
@@ -150,15 +175,16 @@ func TestOperatorBoundaryTerminatesAtRateOne(t *testing.T) {
 	}
 }
 
-// A Rate armed on the model layer never aborts, however high; only
-// PermanentAt yields a typed permanent FaultError.
+// A permanent fault armed past the charges a run makes never aborts it;
+// once armed at an index the run reaches, it yields a typed permanent
+// FaultError.
 func TestOperatorBoundaryEscalatesToPermanent(t *testing.T) {
 	d := testDisk(t, 100, 10)
-	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0})
+	d.SetFaultPlan(&FaultPlan{Seed: 1, PermanentAt: 11})
 	if pruned, err := d.CatchAbort(func() error { chargeMix(d, 5); return nil }); pruned || err != nil {
-		t.Fatalf("rate 1.0 aborted: pruned=%v err=%v", pruned, err)
+		t.Fatalf("PermanentAt 11 aborted 10 charges: pruned=%v err=%v", pruned, err)
 	}
-	d.SetFaultPlan(&FaultPlan{Seed: 1, Rate: 1.0, PermanentAt: 3})
+	d.SetFaultPlan(&FaultPlan{Seed: 1, PermanentAt: 3})
 	pruned, err := d.CatchAbort(func() error { chargeMix(d, 5); return nil })
 	if pruned {
 		t.Fatal("permanent fault misreported as a budget prune")

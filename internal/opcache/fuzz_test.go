@@ -17,7 +17,7 @@ import (
 // FuzzOpMemoOracle is the differential oracle for the operator memo: a
 // fuzz-chosen program of deterministic operators (sorts, dedup sorts,
 // projections, semijoins, value filters with their resume indexes checked
-// against a map oracle, heavy/light splits, materialized pairwise joins,
+// against a map oracle, view materializations, materialized pairwise joins,
 // over whole relations or views starting mid-block) is interpreted twice
 // per arm — the second interpretation
 // re-issues identical operators, so with the memo attached it is served
@@ -134,11 +134,7 @@ func interpretOps(t *testing.T, data []byte, memo bool) (extmem.Stats, map[strin
 					fmt.Fprintf(&fp, "stop %d\n", stop)
 				}
 			case 6:
-				var heavy []relation.Group
-				heavy, out, err = r.Heavy(a)
-				for _, g := range heavy {
-					fmt.Fprintf(&fp, "heavy %d:%s\n", g.Value, fingerprint(g.Rel))
-				}
+				out, err = r.Materialize()
 			case 7:
 				out, err = core.MaterializePairJoin(r, s, a)
 			case 8:

@@ -15,12 +15,12 @@ func BenchmarkLoadChunksBy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows := 0
-		err := r.LoadChunksBy(0, func(c *Chunk) error {
+		heavy, err := r.LoadChunksBy(0, func(c *Chunk) error {
 			rows += c.Len()
 			return nil
 		})
-		if err != nil {
-			b.Fatal(err)
+		if err != nil || len(heavy) != 0 {
+			b.Fatal(heavy, err)
 		}
 		if rows != r.Len() {
 			b.Fatalf("loaded %d rows, want %d", rows, r.Len())

@@ -160,13 +160,13 @@ func windows(off, n, b int) int64 {
 	return int64((off+n-1)/b - off/b + 1)
 }
 
-// FuzzHeavySplitOracle fuzzes the heavy/light split against a map oracle:
-// random views of a relation sorted by the split attribute, at random
-// offsets, on disks of random M and B. The heavy groups must be the values
-// with at least M tuples, in order, and the light part every other tuple, in
-// view order. The charge must be exact: nothing below M tuples, else the
-// view's block windows, plus, when a value is heavy, each maximal light
-// segment's block windows and ⌈L/B⌉ writes for the L light tuples.
+// FuzzHeavySplitOracle fuzzes the load by value against the map oracle
+// splitOracle: random views of a relation sorted by the split attribute, at
+// random offsets, on disks of random M and B. The heavy groups must be the
+// values with at least M tuples, in order, and the chunks those a load of
+// the light tuples alone would cut. The charge must be exact: the view's
+// block windows once, no write, and 2M of memory only if a light value is
+// loaded.
 func FuzzHeavySplitOracle(f *testing.F) {
 	f.Add(uint8(60), uint8(6), uint8(1), uint8(0), uint8(3), uint8(50), int64(1))
 	f.Add(uint8(80), uint8(3), uint8(3), uint8(2), uint8(7), uint8(70), int64(2))
@@ -185,65 +185,6 @@ func FuzzHeavySplitOracle(f *testing.F) {
 		lo := int(off) % (len(rows) + 1)
 		view := rows[lo : lo+int(cnt)%(len(rows)-lo+1)]
 		r := FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1}).View(lo, len(view))
-
-		count := map[int64]int{}
-		for _, tp := range view {
-			count[tp[0]]++
-		}
-		var wantHeavy []int64
-		var wantLight []tuple.Tuple
-		var want extmem.Stats
-		if len(view) >= M {
-			want.Reads = windows(lo, len(view), B)
-		}
-		var copyReads int64
-		seg := 0 // length of the light segment ending at i
-		for i, tp := range view {
-			if count[tp[0]] >= M {
-				if i == 0 || tp[0] != view[i-1][0] {
-					wantHeavy = append(wantHeavy, tp[0])
-				}
-				copyReads += windows(lo+i-seg, seg, B)
-				seg = 0
-				continue
-			}
-			wantLight = append(wantLight, tp)
-			seg++
-		}
-		copyReads += windows(lo+len(view)-seg, seg, B)
-		if len(wantHeavy) > 0 {
-			want.Reads += copyReads
-			want.Writes = int64((len(wantLight) + B - 1) / B)
-		}
-
-		before := d.Stats()
-		heavy, light, err := r.Heavy(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cost := d.Stats().Sub(before); cost != want {
-			t.Fatalf("M=%d B=%d view [%d,+%d): charged %+v, want %+v", M, B, lo, len(view), cost, want)
-		}
-		if len(wantHeavy) == 0 && light != r {
-			t.Fatal("no heavy value, but the light part is not the view")
-		}
-		var gotHeavy []int64
-		for _, g := range heavy {
-			gotHeavy = append(gotHeavy, g.Value)
-			for _, tp := range Contents(g.Rel) {
-				if tp[0] != g.Value {
-					t.Fatalf("heavy group %d holds %v", g.Value, tp)
-				}
-			}
-			if g.Rel.Len() != count[g.Value] {
-				t.Fatalf("heavy group %d has %d tuples, want %d", g.Value, g.Rel.Len(), count[g.Value])
-			}
-		}
-		if !slices.Equal(gotHeavy, wantHeavy) {
-			t.Fatalf("M=%d: heavy values %v, want %v", M, gotHeavy, wantHeavy)
-		}
-		if got := Contents(light); !slices.EqualFunc(got, wantLight, slices.Equal) || !light.SortedByAttr(0) {
-			t.Fatalf("M=%d: light part %v (sorted %v), want %v", M, got, light.SortedByAttr(0), wantLight)
-		}
+		checkSplit(t, r, view, lo, M, B)
 	})
 }

@@ -151,10 +151,7 @@ func TestHeavySplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, light, err := s.Heavy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	heavy, chunks, _ := loadBy(t, s)
 	if len(heavy) != 2 {
 		t.Fatalf("heavy groups = %d, want 2", len(heavy))
 	}
@@ -164,17 +161,135 @@ func TestHeavySplit(t *testing.T) {
 	if heavy[1].Value != 30 || heavy[1].Rel.Len() != 4 {
 		t.Fatalf("heavy[1] = %v len %d", heavy[1].Value, heavy[1].Rel.Len())
 	}
-	if light.Len() != 2 {
-		t.Fatalf("light len = %d, want 2", light.Len())
+	if !heavy[0].Rel.SortedByAttr(0) {
+		t.Fatal("heavy group lost sortedness")
 	}
-	if !light.SortedByAttr(0) {
-		t.Fatal("light part lost sortedness")
+	if len(chunks) != 1 || !slices.Equal(chunks[0].vals, []int64{20}) || len(chunks[0].rows) != 2 {
+		t.Fatalf("light chunks = %+v, want one chunk of value 20's 2 rows", chunks)
 	}
 }
 
-// TestHeavyChargesOneScan pins what the split charges in its three cases:
-// nothing below M tuples, one scan when no value is heavy, and one scan plus
-// one pass over the light segments plus their writes otherwise. Every view
+// loaded is one chunk a load by value handed to fn, copied out of it.
+type loaded struct {
+	vals   []int64
+	starts []int
+	rows   []tuple.Tuple
+}
+
+func (l loaded) equal(o loaded) bool {
+	return slices.Equal(l.vals, o.vals) && slices.Equal(l.starts, o.starts) && slices.EqualFunc(l.rows, o.rows, slices.Equal)
+}
+
+// loadBy runs LoadChunksBy(0) on r from freshly reset stats and returns the
+// heavy groups, the chunks fn was handed, and what the load charged,
+// memory hi-water included. It fails t if the load leaks memory.
+func loadBy(t *testing.T, r *Relation) ([]Group, []loaded, extmem.Stats) {
+	t.Helper()
+	d := r.Disk()
+	d.ResetStats()
+	var chunks []loaded
+	heavy, err := r.LoadChunksBy(0, func(c *Chunk) error {
+		l := loaded{vals: slices.Clone(c.Values), starts: slices.Clone(c.Starts)}
+		for _, tp := range c.Rows() {
+			l.rows = append(l.rows, tuple.Clone(tp))
+		}
+		chunks = append(chunks, l)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.MemInUse() != 0 {
+		t.Fatalf("leaked memory: %d", d.MemInUse())
+	}
+	return heavy, chunks, d.Stats()
+}
+
+// splitOracle is the map oracle for a load by value over rows sorted by
+// column 0, the chunks a split into a file of the light tuples followed by a
+// load of that file gave: the values with at least m rows, in order, and
+// the other rows cut into chunks at each new value once a chunk holds at
+// least m rows.
+func splitOracle(rows []tuple.Tuple, m int) (heavy []int64, chunks []loaded) {
+	count := map[int64]int{}
+	for _, tp := range rows {
+		count[tp[0]]++
+	}
+	var cur loaded
+	cut := func() {
+		cur.starts = append(cur.starts, len(cur.rows))
+		chunks = append(chunks, cur)
+		cur = loaded{}
+	}
+	for i, tp := range rows {
+		v := tp[0]
+		first := i == 0 || rows[i-1][0] != v
+		if count[v] >= m {
+			if first {
+				heavy = append(heavy, v)
+			}
+			continue
+		}
+		if first {
+			if len(cur.rows) >= m {
+				cut()
+			}
+			cur.vals = append(cur.vals, v)
+			cur.starts = append(cur.starts, len(cur.rows))
+		}
+		cur.rows = append(cur.rows, tp)
+	}
+	if len(cur.rows) > 0 {
+		cut()
+	}
+	return heavy, chunks
+}
+
+// checkSplit loads r, the view of the tuples view at offset lo of a file
+// on a disk of the given M and B, and checks it against splitOracle: the
+// heavy values in order, each as exactly its tuples; the same chunks, with
+// the same values, offsets and rows; and the exact charge, the view's block
+// windows once, no write, and 2M of memory only if a light value is loaded.
+// It returns the load's heavy groups and chunks.
+func checkSplit(t *testing.T, r *Relation, view []tuple.Tuple, lo, m, b int) ([]Group, []loaded) {
+	t.Helper()
+	heavy, chunks, cost := loadBy(t, r)
+	wantHeavy, wantChunks := splitOracle(view, m)
+	want := extmem.Stats{Reads: windows(lo, len(view), b)}
+	if len(wantChunks) > 0 {
+		want.MemHiWater = 2 * m
+	}
+	if cost != want {
+		t.Fatalf("M=%d B=%d view [%d,+%d): charged %+v, want %+v", m, b, lo, len(view), cost, want)
+	}
+	count := map[int64]int{}
+	for _, tp := range view {
+		count[tp[0]]++
+	}
+	var gotHeavy []int64
+	for _, g := range heavy {
+		gotHeavy = append(gotHeavy, g.Value)
+		for _, tp := range Contents(g.Rel) {
+			if tp[0] != g.Value {
+				t.Fatalf("heavy group %d holds %v", g.Value, tp)
+			}
+		}
+		if g.Rel.Len() != count[g.Value] || !g.Rel.SortedByAttr(0) {
+			t.Fatalf("heavy group %d has %d tuples (sorted %v), want %d", g.Value, g.Rel.Len(), g.Rel.SortedByAttr(0), count[g.Value])
+		}
+	}
+	if !slices.Equal(gotHeavy, wantHeavy) {
+		t.Fatalf("M=%d B=%d view [%d,+%d): heavy values %v, want %v", m, b, lo, len(view), gotHeavy, wantHeavy)
+	}
+	if !slices.EqualFunc(chunks, wantChunks, loaded.equal) {
+		t.Fatalf("M=%d B=%d view [%d,+%d): chunks %+v, want %+v", m, b, lo, len(view), chunks, wantChunks)
+	}
+	return heavy, chunks
+}
+
+// TestHeavyChargesOneScan pins what the load by value charges: the view's
+// block windows once and no write, with no heavy value, with some, and
+// with only heavy values, where it grabs no memory either. Every view
 // starts mid-block.
 func TestHeavyChargesOneScan(t *testing.T) {
 	d := disk(6, 2) // M = 6: groups with >= 6 tuples are heavy
@@ -185,23 +300,11 @@ func TestHeavyChargesOneScan(t *testing.T) {
 		}
 		return FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1})
 	}
-	split := func(r *Relation) ([]Group, *Relation, extmem.Stats) {
-		t.Helper()
-		before := d.Stats()
-		heavy, light, err := r.Heavy(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.MemInUse() != 0 || d.Stats().MemHiWater != 0 {
-			t.Fatalf("Heavy grabbed memory: in use %d, hi-water %d", d.MemInUse(), d.Stats().MemHiWater)
-		}
-		return heavy, light, d.Stats().Sub(before)
-	}
 
-	// N < M: five tuples of one value, no operator runs.
+	// N < M: five tuples of one value, one chunk over blocks 0..2.
 	short := sorted(7, 7, 7, 7, 7, 7).View(1, 5)
-	if heavy, light, cost := split(short); len(heavy) != 0 || light != short || cost.IOs() != 0 {
-		t.Fatalf("N < M: %d heavy groups, light is view %v, charged %+v", len(heavy), light == short, cost)
+	if heavy, chunks, cost := loadBy(t, short); len(heavy) != 0 || len(chunks) != 1 || cost != (extmem.Stats{Reads: 3, MemHiWater: 12}) {
+		t.Fatalf("N < M: %d heavy groups, %d chunks, charged %+v", len(heavy), len(chunks), cost)
 	}
 
 	// Nothing heavy: tuples [3, 17) span blocks 1..8, read once, none written.
@@ -210,32 +313,85 @@ func TestHeavyChargesOneScan(t *testing.T) {
 		pairs = append(pairs, v, v)
 	}
 	flat := sorted(pairs...).View(3, 14)
-	if heavy, light, cost := split(flat); len(heavy) != 0 || light != flat || cost != (extmem.Stats{Reads: 8}) {
-		t.Fatalf("no heavy value: %d heavy groups, light is view %v, charged %+v", len(heavy), light == flat, cost)
+	if heavy, chunks, cost := loadBy(t, flat); len(heavy) != 0 || len(chunks) != 3 || cost != (extmem.Stats{Reads: 8, MemHiWater: 12}) {
+		t.Fatalf("no heavy value: %d heavy groups, %d chunks, charged %+v", len(heavy), len(chunks), cost)
 	}
 
 	// Heavy groups: the view is tuples [1, 23), with 2 at [1, 8) and 6 at
-	// [12, 18) heavy. The scan reads blocks 0..11 (12), the light segments
-	// [8, 12) and [18, 23) blocks 4, 5 and 9..11 (5), and their 9 tuples
-	// are written in 5 blocks. A reader re-aimed per light group would read
-	// 8 blocks for them.
+	// [12, 18) heavy. The pass reads blocks 0..11 once and writes nothing.
 	mixed := sorted(1, 2, 2, 2, 2, 2, 2, 2, 3, 4, 4, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 8, 8).View(1, 22)
-	heavy, light, cost := split(mixed)
-	if cost != (extmem.Stats{Reads: 17, Writes: 5}) {
-		t.Fatalf("heavy groups: charged %+v, want 17 reads and 5 writes", cost)
+	heavy, chunks, cost := loadBy(t, mixed)
+	if cost != (extmem.Stats{Reads: 12, MemHiWater: 12}) {
+		t.Fatalf("heavy groups: charged %+v, want 12 reads and 2M of memory", cost)
 	}
 	if len(heavy) != 2 || heavy[0].Value != 2 || heavy[0].Rel.Len() != 7 || heavy[1].Value != 6 || heavy[1].Rel.Len() != 6 {
 		t.Fatalf("heavy groups = %+v", heavy)
 	}
-	var got []int64
-	for _, tp := range Contents(light) {
-		got = append(got, tp[0])
+	// 3, 4, 5 hold 4 tuples, so 7 joins their chunk across 6, and 8 opens
+	// the next one.
+	if len(chunks) != 2 || !slices.Equal(chunks[0].vals, []int64{3, 4, 5, 7}) || !slices.Equal(chunks[1].vals, []int64{8}) {
+		t.Fatalf("light chunks = %+v, want values {3, 4, 5, 7} and {8}", chunks)
 	}
-	if want := []int64{3, 4, 4, 5, 7, 7, 7, 8, 8}; !slices.Equal(got, want) || !light.SortedByAttr(0) {
-		t.Fatalf("light values = %v (sorted %v), want %v", got, light.SortedByAttr(0), want)
+
+	// Only heavy values: tuples [1, 14), blocks 0..6, and no memory.
+	only := sorted(1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3).View(1, 13)
+	if heavy, chunks, cost := loadBy(t, only); len(heavy) != 2 || len(chunks) != 0 || cost != (extmem.Stats{Reads: 7}) {
+		t.Fatalf("only heavy values: %d heavy groups, %d chunks, charged %+v", len(heavy), len(chunks), cost)
 	}
 }
 
+// TestLoadChunksByChunkComposition pins the chunks of a load by value to
+// those of a split into a file of the light tuples followed by a load of
+// that file, with a heavy value mid-chunk (the chunk is copied), at the
+// view's start and at its end, on views that start mid-block.
+func TestLoadChunksByChunkComposition(t *testing.T) {
+	const m, b = 6, 2
+	// 3 is heavy between 2 and 4, so the first chunk is copied around it;
+	// 5 brings that chunk to M and 6 opens the next.
+	mid := []int64{1, 2, 3, 3, 3, 3, 3, 3, 4, 5, 5, 5, 6, 6}
+	want := []loaded{
+		{vals: []int64{1, 2, 4, 5}, starts: []int{0, 1, 2, 3, 6}},
+		{vals: []int64{6}, starts: []int{0, 2}},
+	}
+	rowsOf := func(vals []int64) []tuple.Tuple {
+		rows := make([]tuple.Tuple, len(vals))
+		for i, v := range vals {
+			rows[i] = tuple.Tuple{v, int64(i)}
+		}
+		return rows
+	}
+	heavyVals, chunks := splitOracle(rowsOf(mid), m)
+	if !slices.Equal(heavyVals, []int64{3}) || len(chunks) != len(want) {
+		t.Fatalf("oracle: heavy %v, %d chunks", heavyVals, len(chunks))
+	}
+	for i, c := range chunks {
+		if !slices.Equal(c.vals, want[i].vals) || !slices.Equal(c.starts, want[i].starts) {
+			t.Fatalf("oracle chunk %d = %+v, want %+v", i, c, want[i])
+		}
+	}
+
+	cases := map[string][]int64{
+		"heavy mid-chunk": mid,
+		"heavy at start":  {3, 3, 3, 3, 3, 3, 4, 5, 5, 6, 7, 7, 7, 8},
+		"heavy at end":    {1, 2, 2, 4, 5, 5, 5, 6, 6, 9, 9, 9, 9, 9, 9},
+		"heavy at both":   {0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 4, 4, 4, 4, 4, 4, 4, 5, 6, 7, 9, 9, 9, 9, 9, 9},
+		"no heavy":        {1, 1, 2, 2, 3, 3, 4, 5, 6, 6, 6, 7},
+		"only heavy":      {1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2},
+	}
+	for name, vals := range cases {
+		// Pad the file with a lower value so the views start at every offset
+		// of a block.
+		for pad := range b + 1 {
+			d := disk(m, b)
+			rows := rowsOf(append(make([]int64, pad), vals...))
+			for i := range pad {
+				rows[i][0] = -1
+			}
+			r := FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1}).View(pad, len(vals))
+			t.Run(name, func(t *testing.T) { checkSplit(t, r, rows[pad:], pad, m, b) })
+		}
+	}
+}
 func TestLoadChunks(t *testing.T) {
 	d := disk(8, 2)
 	var rows []tuple.Tuple
@@ -274,7 +430,7 @@ func TestLoadChunksBy(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	err = s.LoadChunksBy(0, func(c *Chunk) error {
+	heavy, err := s.LoadChunksBy(0, func(c *Chunk) error {
 		if c.Len() > 2*4 {
 			t.Fatalf("chunk exceeds 2M: %d", c.Len())
 		}
@@ -311,6 +467,9 @@ func TestLoadChunksBy(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(heavy) != 0 {
+		t.Fatalf("heavy groups %+v among groups below M", heavy)
 	}
 	if total != 9 {
 		t.Fatalf("total loaded = %d, want 9", total)
@@ -355,30 +514,27 @@ func checkGroupRows(t *testing.T, c *Chunk) {
 }
 
 // TestGroupRows covers the group-offset lookup over chunks loaded by value:
-// single-row groups, first and last groups, a heavy group that outgrows the
-// 2M rows of a light chunk, and a nested load that takes its own arena.
+// single-row groups, first and last groups, a chunk copied around the heavy
+// value it straddles, and a nested load that takes its own arena.
 func TestGroupRows(t *testing.T) {
 	const m = 4
 	d := disk(m, 1)
 	var rows []tuple.Tuple
-	// Chunks: {10, 20}, {30, 40} with 40 heavy (3M rows), {50, 60}.
+	// Chunks: {10, 20}, {30, 50, 60}, copied: 40 is heavy (3M rows).
 	for _, g := range []struct{ v, n int }{{10, 1}, {20, 3}, {30, 1}, {40, 3 * m}, {50, 1}, {60, 2}} {
 		for i := 0; i < g.n; i++ {
 			rows = append(rows, tuple.Tuple{int64(g.v), int64(i)})
 		}
 	}
 	r := FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1})
-	var chunks, heavy int
-	err := r.LoadChunksBy(0, func(c *Chunk) error {
+	var chunks int
+	heavy, err := r.LoadChunksBy(0, func(c *Chunk) error {
 		chunks++
-		if c.Len() > 2*m {
-			heavy++
-		}
 		checkGroupRows(t, c)
 		// A nested load takes its own arena; the outer chunk's offsets
 		// must survive it.
 		inner := 0
-		if err := lightRel(d, 11, 1).LoadChunksBy(0, func(ic *Chunk) error {
+		if _, err := lightRel(d, 11, 1).LoadChunksBy(0, func(ic *Chunk) error {
 			checkGroupRows(t, ic)
 			inner += ic.Len()
 			return nil
@@ -394,8 +550,8 @@ func TestGroupRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chunks != 3 || heavy != 1 {
-		t.Fatalf("loaded %d chunks, %d beyond 2M rows; want 3 and 1", chunks, heavy)
+	if chunks != 2 || len(heavy) != 1 || heavy[0].Value != 40 || heavy[0].Rel.Len() != 3*m {
+		t.Fatalf("loaded %d chunks and heavy groups %+v; want 2 chunks and 40's %d rows", chunks, heavy, 3*m)
 	}
 	if d.MemInUse() != 0 {
 		t.Fatalf("leaked memory: %d", d.MemInUse())
@@ -436,7 +592,7 @@ func TestNestedLoadChunks(t *testing.T) {
 		if err := r.LoadChunks(collect); err != nil {
 			return err
 		}
-		if err := r.LoadChunksBy(0, collect); err != nil {
+		if _, err := r.LoadChunksBy(0, collect); err != nil {
 			return err
 		}
 		for i, tp := range c.Rows() {
@@ -460,7 +616,7 @@ func TestNestedLoadChunks(t *testing.T) {
 	if err := r.LoadChunks(outer); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.LoadChunksBy(0, outer); err != nil {
+	if _, err := r.LoadChunksBy(0, outer); err != nil {
 		t.Fatal(err)
 	}
 	if d.MemInUse() != 0 {
@@ -478,7 +634,7 @@ func TestLoadChunksByAllocs(t *testing.T) {
 	allocs := func(tuples int) float64 {
 		r := lightRel(disk(m, 2), tuples, 3)
 		return testing.AllocsPerRun(50, func() {
-			if err := r.LoadChunksBy(0, func(c *Chunk) error { return nil }); err != nil {
+			if _, err := r.LoadChunksBy(0, func(c *Chunk) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -500,7 +656,10 @@ func TestChunkLoadAllocsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		r := lightRel(disk(m, b), n, 4)
 		want := Contents(r)
-		byValue := func(fn func(*Chunk) error) error { return r.LoadChunksBy(0, fn) }
+		byValue := func(fn func(*Chunk) error) error {
+			_, err := r.LoadChunksBy(0, fn)
+			return err
+		}
 		for _, load := range []func(func(*Chunk) error) error{r.LoadChunks, byValue} {
 			var got []tuple.Tuple
 			if err := load(func(c *Chunk) error {
@@ -518,13 +677,56 @@ func TestChunkLoadAllocsFlat(t *testing.T) {
 			if err := r.LoadChunks(skip); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.LoadChunksBy(0, skip); err != nil {
+			if _, err := r.LoadChunksBy(0, skip); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if small, large := allocs(1024), allocs(16384); small != large {
 		t.Fatalf("chunk loads allocate %v times over 1024 tuples but %v times over 16384", small, large)
+	}
+}
+
+// TestLoadChunksByAllocsFlat guards the load by value's host memory: a load
+// allocates the same at 4, 8 and 12 chunks, with no heavy value and with
+// three, one of which makes the first chunk copy its cells.
+func TestLoadChunksByAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	const m, b = 16, 4
+	allocs := func(chunks int, heavy bool) float64 {
+		var rows []tuple.Tuple
+		v := int64(0)
+		group := func(n int) {
+			for range n {
+				rows = append(rows, tuple.Tuple{v, int64(len(rows))})
+			}
+			v++
+		}
+		if heavy {
+			group(m)
+		}
+		for i := range chunks * m / 2 {
+			group(2)
+			if heavy && i == 1 {
+				group(m + 1)
+			}
+		}
+		if heavy {
+			group(2 * m)
+		}
+		r := FromTuples(disk(m, b), tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1})
+		return testing.AllocsPerRun(20, func() {
+			if _, err := r.LoadChunksBy(0, func(*Chunk) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, heavy := range []bool{false, true} {
+		if a4, a8, a12 := allocs(4, heavy), allocs(8, heavy), allocs(12, heavy); a4 != a8 || a8 != a12 {
+			t.Fatalf("heavy values %v: a load allocates %v, %v and %v times at 4, 8 and 12 chunks", heavy, a4, a8, a12)
+		}
 	}
 }
 
@@ -755,50 +957,45 @@ func TestEqualHelper(t *testing.T) {
 	}
 }
 
-// Property: Heavy partitions the relation; semijoin+anti partition too.
+// Property: a load by value partitions the view into its light chunks and
+// its heavy groups, exactly as the map oracle does, and charges the view's
+// block windows once, over random M, B and view offsets.
 func TestSplitPartitionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
-		m := 3 + rng.Intn(5)
-		d := extmem.NewDisk(extmem.Config{M: m, B: 1})
+		b := 1 + rng.Intn(3)
+		m := 3*b + rng.Intn(5)
+		d := extmem.NewDisk(extmem.Config{M: m, B: b})
 		n := rng.Intn(60)
 		rows := make([]tuple.Tuple, n)
 		for i := range rows {
 			rows[i] = tuple.Tuple{int64(rng.Intn(8)), int64(i)}
 		}
-		r := FromTuples(d, tuple.Schema{0, 1}, rows)
-		s, err := r.SortBy(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := d.Stats()
-		heavy, light, err := s.Heavy(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A linear pass: at most the scan plus a second read of the light
-		// tuples, and each light tuple written once (B = 1).
-		if cost := d.Stats().Sub(before); cost.Reads > 2*s.Blocks() || cost.Writes > int64(light.Len()) {
-			t.Fatalf("split of %d tuples (%d light) charged %+v", n, light.Len(), cost)
-		}
-		totalHeavy := 0
+		SortTuples(rows)
+		lo := rng.Intn(n + 1)
+		cnt := rng.Intn(n - lo + 1)
+		r := FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1}).View(lo, cnt)
+		heavy, chunks := checkSplit(t, r, rows[lo:lo+cnt], lo, m, b)
+		total := 0
 		for _, g := range heavy {
 			if g.Rel.Len() < m {
 				t.Fatalf("heavy group of size %d < M=%d", g.Rel.Len(), m)
 			}
-			totalHeavy += g.Rel.Len()
+			total += g.Rel.Len()
 		}
-		err = light.Groups(0, func(g Group) error {
-			if g.Rel.Len() >= m {
-				t.Fatalf("light group of size %d >= M=%d", g.Rel.Len(), m)
+		for _, c := range chunks {
+			if len(c.rows) >= 2*m {
+				t.Fatalf("chunk of %d rows, not below 2M=%d", len(c.rows), 2*m)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			for i := range c.vals {
+				if c.starts[i+1]-c.starts[i] >= m {
+					t.Fatalf("light group of size %d >= M=%d", c.starts[i+1]-c.starts[i], m)
+				}
+			}
+			total += len(c.rows)
 		}
-		if totalHeavy+light.Len() != n {
-			t.Fatalf("split loses tuples: %d + %d != %d", totalHeavy, light.Len(), n)
+		if total != cnt {
+			t.Fatalf("the load loses tuples: %d of %d", total, cnt)
 		}
 	}
 }
