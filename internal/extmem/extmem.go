@@ -900,6 +900,17 @@ func (r *Reader) Skip(n int) {
 	r.remaining -= n
 }
 
+// Cells returns the cells of the tuples left in the reader's range, Slot
+// cells per tuple, without charging an I/O: the file image that Block's
+// windows are slices of, so a caller may keep a tuple's cells past its window. The caller must
+// read a tuple's cells only once Block has charged its window. The cells must
+// not be modified and are invalid after the disk's Recycle or a write to the
+// file.
+func (r *Reader) Cells() []int64 {
+	slot := r.f.Slot()
+	return r.f.data[r.pos*slot : r.end*slot]
+}
+
 // Pos returns the index of the next tuple to be returned.
 func (r *Reader) Pos() int { return r.pos }
 

@@ -131,6 +131,44 @@ func TestRangeReaderChargesContainingBlocks(t *testing.T) {
 	}
 }
 
+// Reader.Cells charges nothing and is the image every Block window is a
+// slice of, from the reader's position to its range's end.
+func TestReaderCellsAliasBlockWindows(t *testing.T) {
+	for _, arity := range []int{0, 2} {
+		d := testDisk(t, 12, 4)
+		f := d.NewFile(arity)
+		w := f.NewWriter()
+		for i := 0; i < 10; i++ {
+			w.Append([]int64{int64(i), int64(-i)}[:arity])
+		}
+		w.Close()
+		d.ResetStats()
+
+		slot := f.Slot()
+		r := f.NewRangeReader(3, 6)
+		img := r.Cells()
+		if len(img) != 6*slot {
+			t.Fatalf("arity %d: len(Cells) = %d, want %d", arity, len(img), 6*slot)
+		}
+		if got := d.Stats(); got != (Stats{}) {
+			t.Fatalf("arity %d: Cells charged %v", arity, got)
+		}
+		for r.Remaining() > 0 {
+			cells, n := r.Block()
+			if &cells[0] != &img[(r.Pos()-3)*slot] {
+				t.Fatalf("arity %d: window at %d is not a slice of Cells", arity, r.Pos())
+			}
+			r.Skip(n)
+			if rest := r.Cells(); len(rest) != r.Remaining()*slot {
+				t.Fatalf("arity %d: Cells after Skip has %d cells, want %d", arity, len(rest), r.Remaining()*slot)
+			}
+		}
+		if got := d.Stats().Reads; got != 3 {
+			t.Errorf("arity %d: reads = %d, want 3", arity, got)
+		}
+	}
+}
+
 func TestRangeReaderBounds(t *testing.T) {
 	d := testDisk(t, 100, 10)
 	f := d.NewFile(1)
