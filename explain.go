@@ -40,6 +40,11 @@ type Explanation struct {
 	Balanced bool
 	// LinePlan describes the Section 6 routing for line joins.
 	LinePlan string
+	// MemoryAllowance is the memory, in tuples, a run may hold at once:
+	// c·M with c = max(16, 2·|E|), one loaded chunk of under 2M tuples per
+	// recursion level. A run that would hold more fails with a "memory
+	// allowance exceeded" error.
+	MemoryAllowance int
 }
 
 // Explain analyses the query under the given per-relation sizes and machine
@@ -54,7 +59,7 @@ func Explain(q *Query, sizes map[string]float64, opts Options) (*Explanation, er
 		}
 		sz[i] = v
 	}
-	ex := &Explanation{Acyclic: true, Balanced: true}
+	ex := &Explanation{Acyclic: true, Balanced: true, MemoryAllowance: core.MemFactor(q.graph) * opts.Memory}
 
 	x, agm, err := cover.Fractional(q.graph, sz)
 	if err != nil {
@@ -137,6 +142,7 @@ func (e *Explanation) String() string {
 	fmt.Fprintf(&b, "fractional cover: %v\n", e.FractionalCover)
 	fmt.Fprintf(&b, "minimum edge cover: %s\n", strings.Join(e.MinCover, ", "))
 	fmt.Fprintf(&b, "GenS branches: %d\n", e.Branches)
+	fmt.Fprintf(&b, "memory allowance: %d tuples\n", e.MemoryAllowance)
 	if !math.IsInf(e.BoundLog2, 0) {
 		fmt.Fprintf(&b, "worst-case I/O bound (Theorem 3): 2^%.2f, binding subjoin {%s}\n",
 			e.BoundLog2, strings.Join(e.BindingSubjoin, ", "))

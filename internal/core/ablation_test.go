@@ -29,7 +29,7 @@ func TestDisableHeavySplitCorrectness(t *testing.T) {
 				t.Fatalf("trial %d: mismatch at %d", trial, i)
 			}
 		}
-		if hw := d.Stats().MemHiWater; hw > extmem.DefaultMemFactor*m {
+		if hw := d.Stats().MemHiWater; hw > MemFactor(g)*m {
 			t.Fatalf("trial %d: hi-water %d over allowance", trial, hw)
 		}
 	}

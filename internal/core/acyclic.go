@@ -207,6 +207,15 @@ type PruneStats struct {
 	ChargedBeforeAbort int64
 }
 
+// MemFactor is the constant c of the c·M memory allowance a run of g needs:
+// each of the at most |E|−1 recursion levels holds one loaded chunk of fewer
+// than 2M tuples while it recurses, and the deepest level's operator (a sort
+// holds M+B) fits in the remaining 2M. It is never below
+// extmem.DefaultMemFactor, so the allowance of a small query stays 16·M.
+func MemFactor(g *hypergraph.Graph) int {
+	return max(extmem.DefaultMemFactor, 2*g.NumEdges())
+}
+
 // Run evaluates the Berge-acyclic join (g, in), invoking emit per result.
 // A nil emit counts the results into Result.Emitted instead; see Emit.
 //
@@ -829,7 +838,7 @@ func (x *executor) joinChunk(p *leafPeel, sub relation.Instance, sorted []*relat
 		from[i], sub[o.ID] = stop, filtered
 	}
 	return x.join(p.light, sub, depth+1, reads|attrMask(p.v),
-		x.matchChunk(c, vals, starts, p.v, p.u, schema, reads, done))
+		x.matchChunk(depth, c, vals, starts, p.v, p.u, schema, reads, done))
 }
 
 // matchChunk returns the callback that extends each recursion result with
@@ -837,21 +846,25 @@ func (x *executor) joinChunk(p *leafPeel, sub relation.Instance, sorted []*relat
 // distinct values vals and group offsets starts (see relation.GroupRows), so
 // the matching rows are found by a binary search over the values, skipped
 // when the value repeats the previous probe's. The rows bind the leaf's
-// unique attributes u (v is bound already). A dry run enumerates nothing and
-// gets a no-op. It must not be handed done instead: the zero-edge base case
-// calls its callback directly, and done would count a result.
-func (x *executor) matchChunk(c *relation.Chunk, vals []int64, starts []int, v hypergraph.Attr,
+// unique attributes u (v is bound already). The callback is the Run's
+// chunkMatch of recursion depth depth, reset for c, so a chunk allocates
+// none. A dry run enumerates nothing and gets a no-op. It must not be
+// handed done instead: the zero-edge base case calls its callback directly,
+// and done would count a result.
+func (x *executor) matchChunk(depth int, c *relation.Chunk, vals []int64, starts []int, v hypergraph.Attr,
 	u []hypergraph.Attr, schema tuple.Schema, reads uint64, done func(int64)) func(int64) {
 	if x.dry {
 		return func(int64) {}
 	}
-	m := &chunkMatch{x: x, chunk: c, vals: vals, starts: starts, v: v, schema: schema,
-		bound: attrMask(u...), reads: reads, done: done, last: tuple.Unset}
-	return m.match
+	m := x.steps.match(depth)
+	m.x, m.chunk, m.vals, m.starts, m.v, m.schema = x, c, vals, starts, v, schema
+	m.bound, m.reads, m.done, m.last, m.rows = attrMask(u...), reads, done, tuple.Unset, nil
+	return m.fn
 }
 
-// chunkMatch is the state of one matchChunk callback: its arguments and the
-// previous probe's value and group.
+// chunkMatch is the state of one matchChunk callback: its arguments, the
+// previous probe's value and group, and fn, its match method as a func
+// value, made once.
 type chunkMatch struct {
 	x            *executor
 	chunk        *relation.Chunk
@@ -863,6 +876,7 @@ type chunkMatch struct {
 	done         func(int64)
 	last         int64
 	rows         []tuple.Tuple
+	fn           func(int64)
 }
 
 func (m *chunkMatch) match(k int64) {

@@ -272,8 +272,8 @@ func TestRandomAcyclicCorrectness(t *testing.T) {
 				}
 			}
 		}
-		if hw := d.Stats().MemHiWater; hw > extmem.DefaultMemFactor*m {
-			t.Fatalf("trial %d: memory hi-water %d > %d*M", trial, hw, extmem.DefaultMemFactor)
+		if hw := d.Stats().MemHiWater; hw > MemFactor(g)*m {
+			t.Fatalf("trial %d: memory hi-water %d > %d*M", trial, hw, MemFactor(g))
 		}
 	}
 }

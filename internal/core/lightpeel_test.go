@@ -71,7 +71,7 @@ func TestLightPeelChargesOneMergePerNeighbour(t *testing.T) {
 // Run, which costs no allocation once the depth has been reached. It
 // resumes its filters by index, so a chunk allocates what its filter and
 // its recursion need and nothing that grows with the chunks before it: each
-// chunk adds the same number of allocations.
+// chunk adds the same number of allocations, and its matcher adds none.
 func TestLightPeelAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -98,7 +98,14 @@ func TestLightPeelAllocsFlat(t *testing.T) {
 			}
 		})
 	}
-	if a4, a8, a12 := allocs(4), allocs(8), allocs(12); a12-a8 != a8-a4 {
+	a4, a8, a12 := allocs(4), allocs(8), allocs(12)
+	if a12-a8 != a8-a4 {
 		t.Fatalf("4 more chunks cost %v allocations from 4 chunks but %v from 8", a8-a4, a12-a8)
+	}
+	// A chunk's filter, its operator record and its output relation and
+	// file, costs 7 allocations. The chunk's matcher, kept per depth, costs
+	// none (it cost 2 when each chunk made its own).
+	if per := (a8 - a4) / 4; per > 7 {
+		t.Fatalf("a chunk costs %v allocations, want at most 7", per)
 	}
 }

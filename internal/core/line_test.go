@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -57,8 +58,91 @@ func TestPairJoinMatchesOracle(t *testing.T) {
 		if count != len(want) {
 			t.Fatalf("trial %d: pairs = %d, want %d", trial, count, len(want))
 		}
-		if hw := d.Stats().MemHiWater; hw > extmem.DefaultMemFactor*m {
+		if hw := d.Stats().MemHiWater; hw > MemFactor(g)*m {
 			t.Fatalf("memory hi-water %d", hw)
+		}
+	}
+}
+
+// TestPairJoinHoldsWhatItBuffers pins PairJoin's memory: it grabs the
+// tuples it buffered of a value's group, at most M per side, not M per side
+// whatever the group holds, and a refused grab leaves nothing held.
+func TestPairJoinHoldsWhatItBuffers(t *testing.T) {
+	const m = 8
+	// group returns k tuples of join value 5 on attribute 1, A-side
+	// (v0, v1) or B-side (v1, v2), sorted by it.
+	group := func(d *extmem.Disk, bSide bool, k int) *relation.Relation {
+		rows := make([]tuple.Tuple, k)
+		for i := range rows {
+			rows[i] = tuple.Tuple{int64(i), 5}
+			if bSide {
+				rows[i] = tuple.Tuple{5, int64(i)}
+			}
+		}
+		if bSide {
+			return relation.FromTuples(d, tuple.Schema{1, 2}, rows).WithSortOrder([]int{0, 1})
+		}
+		return relation.FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{1, 0})
+	}
+	for _, c := range []struct {
+		name       string
+		nA, nB, hw int
+	}{
+		{"light A streams B", 3, 20, 3},
+		{"heavy A buffers light B", 10, 5, m + 5},
+		{"both heavy", 10, 9, 2 * m},
+	} {
+		d := disk(m, 2)
+		rA, rB := group(d, false, c.nA), group(d, true, c.nB)
+		d.ResetStats()
+		pairs := 0
+		if err := PairJoin(rA, rB, 1, func(_, _ tuple.Tuple) error { pairs++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if pairs != c.nA*c.nB || d.Stats().MemHiWater != c.hw || d.MemInUse() != 0 {
+			t.Fatalf("%s: %d pairs, hi-water %d, %d still held; want %d pairs and hi-water %d",
+				c.name, pairs, d.Stats().MemHiWater, d.MemInUse(), c.nA*c.nB, c.hw)
+		}
+
+		// With all but 2 tuples of the allowance held, the grab is refused.
+		held := extmem.DefaultMemFactor*m - 2
+		if err := d.Grab(held); err != nil {
+			t.Fatal(err)
+		}
+		err := PairJoin(rA, rB, 1, func(_, _ tuple.Tuple) error { return nil })
+		if !errors.Is(err, extmem.ErrMemoryExceeded) || d.MemInUse() != held {
+			t.Fatalf("%s: over the allowance got %v with %d held, want ErrMemoryExceeded with %d", c.name, err, d.MemInUse(), held)
+		}
+		d.Release(held)
+	}
+}
+
+// TestLongLineFitsTheDerivedAllowance runs a 70-relation line of 4 tuples
+// per relation through RunLine, which routes it to Algorithm 2. Each of its
+// 69 peel levels keeps its chunk while it recurses. A chunk holds only the
+// tuples it loads, so at M=512 the run fits even the fixed 16·M allowance
+// (at 2M per level it overran it after 8 levels); at M=8, 69 chunks of 4
+// tuples need the allowance that grows with the query.
+func TestLongLineFitsTheDerivedAllowance(t *testing.T) {
+	const n = 70
+	g := hypergraph.Line(n)
+	for _, c := range []struct{ m, b, factor int }{{512, 8, extmem.DefaultMemFactor}, {8, 2, MemFactor(g)}} {
+		m := c.m
+		d := extmem.NewDisk(extmem.Config{M: m, B: c.b, MemFactor: c.factor})
+		in := relation.Instance{}
+		for i := range n {
+			in[i] = relation.FromTuples(d, tuple.Schema{i, i + 1}, []tuple.Tuple{{0, 0}, {0, 1}, {1, 1}, {2, 2}})
+		}
+		res, err := RunLine(g, in, nil, Options{Strategy: StrategyFirst})
+		if err != nil {
+			t.Fatalf("M=%d: %v", m, err)
+		}
+		// 0…0 then 1…1, switching at any of n+2 places, and 2…2.
+		if res.Emitted != n+3 {
+			t.Fatalf("M=%d: %d results, want %d", m, res.Emitted, n+3)
+		}
+		if hw := d.Stats().MemHiWater; hw > c.factor*m {
+			t.Fatalf("M=%d: hi-water %d over the allowance %d", m, hw, c.factor*m)
 		}
 	}
 }

@@ -15,6 +15,9 @@ import (
 // cost is Õ(N1/B + N2/B + Σ_a N1|a·N2|a/(M·B)) = Õ(N/B + |R1 ⋈ R2|/(M·B)),
 // i.e. instance optimal. perPair receives each joining tuple pair; the
 // tuples alias buffers that are invalid after the callback returns.
+// Memory: each value's group is buffered up to M tuples per side, and the
+// join grabs what it buffered, at most 2M, releasing it before the next
+// value (and on every error path).
 func PairJoin(rA, rB *relation.Relation, a tuple.Attr, perPair func(ta, tb tuple.Tuple) error) error {
 	if !rA.SortedByAttr(a) || !rB.SortedByAttr(a) {
 		return fmt.Errorf("core: PairJoin inputs not sorted by v%d", a)
@@ -25,6 +28,7 @@ func PairJoin(rA, rB *relation.Relation, a tuple.Attr, perPair func(ta, tb tuple
 	ra, rb := rA.Reader(), rB.Reader()
 	ta, tb := ra.Next(), rb.Next()
 	iA, iB := 0, 0
+	var bufA, bufB []tuple.Tuple
 	for ta != nil && tb != nil {
 		switch {
 		case ta[ca] < tb[cb]:
@@ -40,40 +44,43 @@ func PairJoin(rA, rB *relation.Relation, a tuple.Attr, perPair func(ta, tb tuple
 		startA, startB := iA, iB
 
 		// Buffer A's group up to M tuples.
-		if err := d.Grab(m); err != nil {
-			return err
-		}
-		bufA := make([]tuple.Tuple, 0, m)
+		bufA = bufA[:0]
 		for ta != nil && ta[ca] == v && len(bufA) < m {
 			bufA = append(bufA, tuple.Clone(ta))
 			ta = ra.Next()
 			iA++
+		}
+		held := len(bufA)
+		if err := d.Grab(held); err != nil {
+			d.Release(held)
+			return err
 		}
 		if ta == nil || ta[ca] != v {
 			// A's group fit in memory: stream B's group against it.
 			for tb != nil && tb[cb] == v {
 				for _, at := range bufA {
 					if err := perPair(at, tb); err != nil {
-						d.Release(m)
+						d.Release(held)
 						return err
 					}
 				}
 				tb = rb.Next()
 				iB++
 			}
-			d.Release(m)
+			d.Release(held)
 			continue
 		}
 		// A's group is heavy. Try buffering B's group.
-		if err := d.Grab(m); err != nil {
-			d.Release(m)
-			return err
-		}
-		bufB := make([]tuple.Tuple, 0, m)
+		bufB = bufB[:0]
 		for tb != nil && tb[cb] == v && len(bufB) < m {
 			bufB = append(bufB, tuple.Clone(tb))
 			tb = rb.Next()
 			iB++
+		}
+		held += len(bufB)
+		if err := d.Grab(len(bufB)); err != nil {
+			d.Release(held)
+			return err
 		}
 		if tb == nil || tb[cb] != v {
 			// B's group fit: pair the buffered prefixes, then stream the
@@ -81,7 +88,7 @@ func PairJoin(rA, rB *relation.Relation, a tuple.Attr, perPair func(ta, tb tuple
 			for _, at := range bufA {
 				for _, bt := range bufB {
 					if err := perPair(at, bt); err != nil {
-						d.Release(2 * m)
+						d.Release(held)
 						return err
 					}
 				}
@@ -89,20 +96,20 @@ func PairJoin(rA, rB *relation.Relation, a tuple.Attr, perPair func(ta, tb tuple
 			for ta != nil && ta[ca] == v {
 				for _, bt := range bufB {
 					if err := perPair(ta, bt); err != nil {
-						d.Release(2 * m)
+						d.Release(held)
 						return err
 					}
 				}
 				ta = ra.Next()
 				iA++
 			}
-			d.Release(2 * m)
+			d.Release(held)
 			continue
 		}
 		// Both groups heavy: finish measuring their extents, then run a
 		// blocked nested-loop join over the group views (the only place the
 		// quadratic N1|a·N2|a/(M·B) term arises, exactly as in Section 3).
-		d.Release(2 * m)
+		d.Release(held)
 		for ta != nil && ta[ca] == v {
 			ta = ra.Next()
 			iA++

@@ -60,13 +60,15 @@ type leafPeel struct {
 }
 
 // stepTable holds one Run's steps, one per subquery structure, and the
-// scratch sub-instances its executors recurse on.
+// scratch sub-instances and chunk matchers its executors recurse on.
 type stepTable struct {
 	byKey map[string]*step
 	// subs[d] is the sub-instance of the bud or peel running at recursion
-	// depth d. Only one runs at each depth at a time, and the executors of
-	// a Run run one after another, so one map per depth serves them all.
-	subs []relation.Instance
+	// depth d, and matches[d] the matcher of that peel's current light
+	// chunk. Only one runs at each depth at a time, and the executors of a
+	// Run run one after another, so one of each per depth serves them all.
+	subs    []relation.Instance
+	matches []*chunkMatch
 }
 
 func newStepTable() *stepTable {
@@ -84,6 +86,16 @@ func (t *stepTable) sub(d int, in relation.Instance) relation.Instance {
 	clear(s)
 	maps.Copy(s, in)
 	return s
+}
+
+// match returns the chunk matcher of recursion depth d.
+func (t *stepTable) match(d int) *chunkMatch {
+	for len(t.matches) <= d {
+		m := &chunkMatch{}
+		m.fn = m.match
+		t.matches = append(t.matches, m)
+	}
+	return t.matches[d]
 }
 
 // of returns the step of g, analysing g if its structure is new to the

@@ -544,10 +544,11 @@ func (d *Disk) StopTape() ChargeTape {
 // replayed under its recorded phase. Charges respect suspension and the
 // current phase label exactly like the I/Os they stand in for.
 func (d *Disk) ReplayTape(t ChargeTape) error {
-	if err := d.Grab(t.Peak); err != nil {
+	err := d.Grab(t.Peak)
+	d.Release(t.Peak)
+	if err != nil {
 		return err
 	}
-	d.Release(t.Peak)
 	for _, s := range t.Segments {
 		if s.Phase == "" {
 			d.ReplayIO(s.Reads, s.Writes)

@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -134,6 +135,13 @@ func TestTapePeakIsDelta(t *testing.T) {
 	}
 	if d2.MemInUse() != 10 {
 		t.Fatalf("replay leaked memory: in use %d, want 10", d2.MemInUse())
+	}
+
+	// A replay over the allowance fails and holds nothing.
+	d3 := NewDisk(Config{M: 16, B: 4, MemFactor: 2}) // cap 32
+	_ = d3.Grab(10)
+	if err := d3.ReplayTape(tape); !errors.Is(err, ErrMemoryExceeded) || d3.MemInUse() != 10 {
+		t.Fatalf("replay over the allowance: err %v with %d in use, want ErrMemoryExceeded with 10", err, d3.MemInUse())
 	}
 }
 

@@ -79,14 +79,13 @@ func sortParams(cols []int) string {
 
 // sortFile labels the sort's I/O with the "sort" phase and routes through
 // the operator memo when params is non-empty (the column-order entry points)
-// and a memo is attached. The kernel's self-reported peak grab is ignored on
-// the memo path: the memo's charge tape records the same peak through the
-// accountant itself.
+// and a memo is attached. The memo's charge tape records the sort's memory
+// peak through the accountant.
 func sortFile[C rowCmp](f *extmem.File, cmp C, params string, dedup bool) (out *extmem.File, err error) {
 	d := f.Disk()
 	d.WithPhase("sort", func() {
 		if params == "" {
-			out, _, err = sortKernel(f, cmp, dedup)
+			out, err = sortKernel(f, cmp, dedup)
 			return
 		}
 		if dedup {
@@ -96,7 +95,7 @@ func sortFile[C rowCmp](f *extmem.File, cmp C, params string, dedup bool) (out *
 		outs, _, err = opcache.Do(d,
 			opcache.Op{Kind: "sort", Params: params, Inputs: []opcache.Input{opcache.In(f)}},
 			func() ([]*extmem.File, []int64, error) {
-				o, _, kerr := sortKernel(f, cmp, dedup)
+				o, kerr := sortKernel(f, cmp, dedup)
 				if kerr != nil {
 					return nil, nil, kerr
 				}

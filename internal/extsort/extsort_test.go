@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -91,6 +92,39 @@ func TestSortMultiPassLarge(t *testing.T) {
 	}
 	if hw := d.Stats().MemHiWater; hw > 8*16 {
 		t.Errorf("memory hi-water %d exceeds 8*M", hw)
+	}
+}
+
+// TestSortHoldsWhatItLoads pins the sort's memory: run formation holds the
+// tuples a load fills plus the output block, n+B for n < M tuples, M+B once
+// a load fills, nothing for an empty file. A refused grab leaves the memory
+// in use where the sort found it.
+func TestSortHoldsWhatItLoads(t *testing.T) {
+	const m, b = 16, 4
+	for _, c := range []struct{ n, hw int }{{0, 0}, {1, 1 + b}, {5, 5 + b}, {m - 1, m - 1 + b}, {40, m + b}} {
+		d := extmem.NewDisk(extmem.Config{M: m, B: b})
+		rows := make([]tuple.Tuple, c.n)
+		for i := range rows {
+			rows[i] = tuple.Tuple{int64(c.n - i)}
+		}
+		f := fill(d, 1, rows)
+		d.ResetStats()
+		s, err := Sort(f, ByCols([]int{0}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != c.n || d.Stats().MemHiWater != c.hw || d.MemInUse() != 0 {
+			t.Fatalf("n=%d: %d sorted, hi-water %d, %d still held; want hi-water %d", c.n, s.Len(), d.Stats().MemHiWater, d.MemInUse(), c.hw)
+		}
+	}
+
+	d := extmem.NewDisk(extmem.Config{M: m, B: b, MemFactor: 1})
+	f := fill(d, 1, []tuple.Tuple{{3}, {1}, {2}, {5}, {4}})
+	if err := d.Grab(10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sort(f, ByCols([]int{0})); !errors.Is(err, extmem.ErrMemoryExceeded) || d.MemInUse() != 10 {
+		t.Fatalf("over the allowance: err %v with %d held, want ErrMemoryExceeded with 10", err, d.MemInUse())
 	}
 }
 

@@ -135,21 +135,17 @@ type runScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
-// sortKernel runs the full external sort and additionally reports the peak
-// working-space grab (relative to the memory in use when the sort started),
-// kept for verification in tests (the operator memo records the same peak
-// through the accountant). The peak is the run-formation grab M+B:
-// every merge holds (fanIn+1)·B = (M/B)·B ≤ M tuples, which never exceeds it.
-func sortKernel[C rowCmp](f *extmem.File, cmp C, dedup bool) (*extmem.File, int, error) {
+// sortKernel runs the full external sort. Its memory peak is run
+// formation's grab, at most M+B: every merge holds (fanIn+1)·B = (M/B)·B ≤ M
+// tuples.
+func sortKernel[C rowCmp](f *extmem.File, cmp C, dedup bool) (*extmem.File, error) {
 	d := f.Disk()
-	peak := d.M() + d.B()
-
 	runs, err := formRuns(f, cmp, dedup)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if len(runs) == 0 {
-		return d.NewFile(f.Arity()), peak, nil
+		return d.NewFile(f.Arity()), nil
 	}
 
 	fanIn := d.M()/d.B() - 1 // >= 2, enforced by extmem.Config.Validate
@@ -160,31 +156,27 @@ func sortKernel[C rowCmp](f *extmem.File, cmp C, dedup bool) (*extmem.File, int,
 			if hi > len(runs) {
 				hi = len(runs)
 			}
-			if mem := (hi - lo + 1) * d.B(); hi-lo > 1 && mem > peak {
-				peak = mem
-			}
 			merged, err := mergeRuns(runs[lo:hi], cmp, dedup)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			next = append(next, merged)
 		}
 		runs = next
 	}
-	return runs[0], peak, nil
+	return runs[0], nil
 }
 
 // formRuns reads the file in M-tuple loads, stable-sorts each in memory, and
 // writes one run per load (deduplicating adjacent equals when asked) with one
 // AppendCells, which charges exactly as one Append per tuple. Memory: the
-// M-tuple buffer plus the writer's output block, M+B in total, grabbed per
-// load and released before the next (so the hi-water contribution is one
-// load's worth, like the original tuple-at-a-time code — which under-charged
-// by the output block).
+// tuples a load fills, min(M, remaining), plus the writer's output block,
+// grabbed per load and released before the next (so the hi-water
+// contribution is one load's worth, at most M+B). A refused grab releases
+// what it asked for before the error returns.
 func formRuns[C rowCmp](f *extmem.File, cmp C, dedup bool) ([]*extmem.File, error) {
 	d := f.Disk()
 	m, w, slot := d.M(), f.Arity(), f.Slot()
-	grab := m + d.B()
 	r := f.NewReader()
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
@@ -193,24 +185,19 @@ func formRuns[C rowCmp](f *extmem.File, cmp C, dedup bool) ([]*extmem.File, erro
 	buf, out, idx, keys := sc.buf, sc.out, sc.idx, sc.keys
 
 	var runs []*extmem.File
-	for {
+	for r.Remaining() > 0 {
+		n := min(m, r.Remaining())
+		grab := n + d.B()
 		if err := d.Grab(grab); err != nil {
+			d.Release(grab)
 			return nil, err
 		}
-		n := 0
-		for n < m {
+		for i := 0; i < n; {
 			cells, k := r.Block()
-			if k == 0 {
-				break
-			}
-			k = min(k, m-n)
-			copy(buf[n*w:(n+k)*w], cells)
+			k = min(k, n-i)
+			copy(buf[i*w:(i+k)*w], cells)
 			r.Skip(k)
-			n += k
-		}
-		if n == 0 {
-			d.Release(grab)
-			break
+			i += k
 		}
 		perm := idx[:n]
 		for i := range perm {
@@ -234,9 +221,6 @@ func formRuns[C rowCmp](f *extmem.File, cmp C, dedup bool) ([]*extmem.File, erro
 		wr.Close()
 		runs = append(runs, run)
 		d.Release(grab)
-		if n < m {
-			break
-		}
 	}
 	return runs, nil
 }
@@ -427,6 +411,7 @@ func mergeRuns[C rowCmp](runs []*extmem.File, cmp C, dedup bool) (*extmem.File, 
 	// Memory: one block buffer per input run plus one output block.
 	mem := (len(runs) + 1) * d.B()
 	if err := d.Grab(mem); err != nil {
+		d.Release(mem)
 		return nil, err
 	}
 	defer d.Release(mem)

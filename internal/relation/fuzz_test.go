@@ -165,8 +165,8 @@ func windows(off, n, b int) int64 {
 // random offsets, on disks of random M and B. The heavy groups must be the
 // values with at least M tuples, in order, and the chunks those a load of
 // the light tuples alone would cut. The charge must be exact: the view's
-// block windows once, no write, and 2M of memory only if a light value is
-// loaded.
+// block windows once, no write, and memory for the largest chunk's filled
+// length, none with no light value.
 func FuzzHeavySplitOracle(f *testing.F) {
 	f.Add(uint8(60), uint8(6), uint8(1), uint8(0), uint8(3), uint8(50), int64(1))
 	f.Add(uint8(80), uint8(3), uint8(3), uint8(2), uint8(7), uint8(70), int64(2))

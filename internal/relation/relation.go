@@ -451,10 +451,10 @@ func putArena(a *chunkArena) {
 }
 
 // start empties the arena for the next chunk of a load over r and returns
-// that chunk, holding no rows yet.
-func (a *chunkArena) start(r *Relation, held int) *Chunk {
+// that chunk, holding no rows and no memory yet.
+func (a *chunkArena) start(r *Relation) *Chunk {
 	a.vals, a.starts = a.vals[:0], a.starts[:0]
-	a.chunk = Chunk{width: len(r.schema), slot: r.file.Slot(), arena: a, disk: r.Disk(), held: held}
+	a.chunk = Chunk{width: len(r.schema), slot: r.file.Slot(), arena: a, disk: r.Disk()}
 	return &a.chunk
 }
 
@@ -477,8 +477,10 @@ func (c *Chunk) take(cells []int64, k int) {
 }
 
 // LoadChunks implements "load R(e) into memory as M(e)": it reads the view
-// in chunks of M tuples and calls fn for each. The chunk's memory is
-// released after fn returns, whether or not fn returns an error.
+// in chunks of M tuples and calls fn for each. A chunk grabs the memory it
+// fills, M tuples or the view's last min(M, remaining), and releases it
+// after fn returns, whether or not fn returns an error. A refused grab
+// releases what it asked for before the error returns.
 func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 	d := r.Disk()
 	m := d.M()
@@ -486,10 +488,13 @@ func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 	a := getArena()
 	defer putArena(a)
 	for rd.Remaining() > 0 {
-		if err := d.Grab(m); err != nil {
+		held := min(m, rd.Remaining())
+		if err := d.Grab(held); err != nil {
+			d.Release(held)
 			return err
 		}
-		c := a.start(r, m)
+		c := a.start(r)
+		c.held = held
 		for c.Len() < m {
 			cells, n := rd.Block()
 			if n == 0 {
@@ -514,16 +519,17 @@ func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 //     back in heavy, in view order, as a zero-copy Group view;
 //   - the light values are loaded as whole groups into chunks handed to fn.
 //     A chunk is cut at a new value once it holds at least M tuples, so it
-//     holds fewer than 2M. Memory for 2M tuples is grabbed when a light
-//     value enters a chunk, so a load that meets only heavy values grabs
-//     nothing;
+//     holds fewer than 2M. A chunk grabs the memory it fills, its tuple
+//     count, once before fn runs (nothing else grabs while a load fills
+//     it), so a load that meets only heavy values grabs nothing;
 //   - a chunk's cells alias the view's file image while its groups are
 //     contiguous there. A chunk whose groups straddle a heavy value copies
-//     its cells into its arena, within the 2M it holds.
+//     its cells into its arena, within the memory it holds.
 //
 // The pass charges the view's block windows once and writes nothing. The
 // chunk's memory is released after fn returns, whether or not fn returns an
-// error.
+// error, and a refused grab releases what it asked for before the error
+// returns.
 func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) (heavy []Group, err error) {
 	if !r.SortedByAttr(a) {
 		return nil, fmt.Errorf("relation: LoadChunksBy(v%d) on view not sorted by it", a)
@@ -547,8 +553,12 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) (heavy []
 	var c *Chunk
 	loaded, end, copied := 0, 0, false
 	flush := func() error {
+		if err := d.Grab(loaded); err != nil {
+			d.Release(loaded)
+			return err
+		}
 		ar.starts = append(ar.starts, loaded)
-		c.Values, c.Starts = ar.vals, ar.starts
+		c.Values, c.Starts, c.held = ar.vals, ar.starts, loaded
 		err := fn(c)
 		c.Release()
 		c, loaded, copied = nil, 0, false
@@ -556,16 +566,13 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) (heavy []
 	}
 	// file files the group of value v, relative range [lo, hi): heavy, or
 	// into the chunk.
-	file := func(v int64, lo, hi int) error {
+	file := func(v int64, lo, hi int) {
 		if hi-lo >= m {
 			heavy = append(heavy, Group{Value: v, Rel: r.View(lo, hi-lo)})
-			return nil
+			return
 		}
 		if c == nil {
-			if err := d.Grab(2 * m); err != nil {
-				return err
-			}
-			c = ar.start(r, 2*m)
+			c = ar.start(r)
 		}
 		ar.vals = append(ar.vals, v)
 		ar.starts = append(ar.starts, loaded)
@@ -584,7 +591,6 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) (heavy []
 			c.cells = ar.cells
 		}
 		end = hi
-		return nil
 	}
 	// The group being read: value cur from relative index lo.
 	cur, lo := img[col], 0
@@ -594,9 +600,7 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) (heavy []
 			if v == cur {
 				continue
 			}
-			if err := file(cur, lo, i); err != nil {
-				return nil, err
-			}
+			file(cur, lo, i)
 			if loaded >= m {
 				if err := flush(); err != nil {
 					return nil, err
@@ -607,9 +611,7 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) (heavy []
 		rd.Skip(n)
 		_, n = rd.Block()
 	}
-	if err := file(cur, lo, r.n); err != nil {
-		return nil, err
-	}
+	file(cur, lo, r.n)
 	if c != nil {
 		if err := flush(); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -249,15 +250,16 @@ func splitOracle(rows []tuple.Tuple, m int) (heavy []int64, chunks []loaded) {
 // on a disk of the given M and B, and checks it against splitOracle: the
 // heavy values in order, each as exactly its tuples; the same chunks, with
 // the same values, offsets and rows; and the exact charge, the view's block
-// windows once, no write, and 2M of memory only if a light value is loaded.
+// windows once, no write, and memory for the largest chunk's filled length,
+// none with no light value.
 // It returns the load's heavy groups and chunks.
 func checkSplit(t *testing.T, r *Relation, view []tuple.Tuple, lo, m, b int) ([]Group, []loaded) {
 	t.Helper()
 	heavy, chunks, cost := loadBy(t, r)
 	wantHeavy, wantChunks := splitOracle(view, m)
 	want := extmem.Stats{Reads: windows(lo, len(view), b)}
-	if len(wantChunks) > 0 {
-		want.MemHiWater = 2 * m
+	for _, c := range wantChunks {
+		want.MemHiWater = max(want.MemHiWater, len(c.rows))
 	}
 	if cost != want {
 		t.Fatalf("M=%d B=%d view [%d,+%d): charged %+v, want %+v", m, b, lo, len(view), cost, want)
@@ -288,9 +290,9 @@ func checkSplit(t *testing.T, r *Relation, view []tuple.Tuple, lo, m, b int) ([]
 }
 
 // TestHeavyChargesOneScan pins what the load by value charges: the view's
-// block windows once and no write, with no heavy value, with some, and
-// with only heavy values, where it grabs no memory either. Every view
-// starts mid-block.
+// block windows once, no write, and memory for the largest chunk's filled
+// length, with no heavy value, with some, and with only heavy values, where
+// it grabs no memory. Every view starts mid-block.
 func TestHeavyChargesOneScan(t *testing.T) {
 	d := disk(6, 2) // M = 6: groups with >= 6 tuples are heavy
 	sorted := func(vals ...int64) *Relation {
@@ -301,19 +303,20 @@ func TestHeavyChargesOneScan(t *testing.T) {
 		return FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1})
 	}
 
-	// N < M: five tuples of one value, one chunk over blocks 0..2.
+	// N < M: five tuples of one value, one chunk of 5 over blocks 0..2.
 	short := sorted(7, 7, 7, 7, 7, 7).View(1, 5)
-	if heavy, chunks, cost := loadBy(t, short); len(heavy) != 0 || len(chunks) != 1 || cost != (extmem.Stats{Reads: 3, MemHiWater: 12}) {
+	if heavy, chunks, cost := loadBy(t, short); len(heavy) != 0 || len(chunks) != 1 || cost != (extmem.Stats{Reads: 3, MemHiWater: 5}) {
 		t.Fatalf("N < M: %d heavy groups, %d chunks, charged %+v", len(heavy), len(chunks), cost)
 	}
 
-	// Nothing heavy: tuples [3, 17) span blocks 1..8, read once, none written.
+	// Nothing heavy: tuples [3, 17) span blocks 1..8, read once, none
+	// written, in chunks of 7, 6 and 1 tuples.
 	var pairs []int64
 	for v := range int64(10) {
 		pairs = append(pairs, v, v)
 	}
 	flat := sorted(pairs...).View(3, 14)
-	if heavy, chunks, cost := loadBy(t, flat); len(heavy) != 0 || len(chunks) != 3 || cost != (extmem.Stats{Reads: 8, MemHiWater: 12}) {
+	if heavy, chunks, cost := loadBy(t, flat); len(heavy) != 0 || len(chunks) != 3 || cost != (extmem.Stats{Reads: 8, MemHiWater: 7}) {
 		t.Fatalf("no heavy value: %d heavy groups, %d chunks, charged %+v", len(heavy), len(chunks), cost)
 	}
 
@@ -321,8 +324,8 @@ func TestHeavyChargesOneScan(t *testing.T) {
 	// [12, 18) heavy. The pass reads blocks 0..11 once and writes nothing.
 	mixed := sorted(1, 2, 2, 2, 2, 2, 2, 2, 3, 4, 4, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 8, 8).View(1, 22)
 	heavy, chunks, cost := loadBy(t, mixed)
-	if cost != (extmem.Stats{Reads: 12, MemHiWater: 12}) {
-		t.Fatalf("heavy groups: charged %+v, want 12 reads and 2M of memory", cost)
+	if cost != (extmem.Stats{Reads: 12, MemHiWater: 7}) {
+		t.Fatalf("heavy groups: charged %+v, want 12 reads and the 7 tuples of the first chunk", cost)
 	}
 	if len(heavy) != 2 || heavy[0].Value != 2 || heavy[0].Rel.Len() != 7 || heavy[1].Value != 6 || heavy[1].Rel.Len() != 6 {
 		t.Fatalf("heavy groups = %+v", heavy)
@@ -412,6 +415,35 @@ func TestLoadChunks(t *testing.T) {
 	}
 	if d.MemInUse() != 0 {
 		t.Fatalf("leaked memory: %d", d.MemInUse())
+	}
+}
+
+// TestRefusedLoadHoldsNothing: a chunk load whose grab is refused returns
+// ErrMemoryExceeded with the memory in use where the load found it.
+func TestRefusedLoadHoldsNothing(t *testing.T) {
+	d := extmem.NewDisk(extmem.Config{M: 8, B: 2, MemFactor: 2}) // cap 16
+	rows := make([]tuple.Tuple, 20)
+	for i := range rows {
+		rows[i] = tuple.Tuple{int64(i)}
+	}
+	r := FromTuples(d, tuple.Schema{0}, rows).WithSortOrder([]int{0})
+	loads := map[string]func(fn func(*Chunk) error) error{
+		"LoadChunks": r.LoadChunks,
+		"LoadChunksBy": func(fn func(*Chunk) error) error {
+			_, err := r.LoadChunksBy(0, fn)
+			return err
+		},
+	}
+	for name, load := range loads {
+		// With 10 tuples held, the first chunk, 8 tuples, is refused.
+		if err := d.Grab(10); err != nil {
+			t.Fatal(err)
+		}
+		err := load(func(*Chunk) error { t.Fatalf("%s: fn ran over the allowance", name); return nil })
+		if !errors.Is(err, extmem.ErrMemoryExceeded) || d.MemInUse() != 10 {
+			t.Fatalf("%s: first chunk: err %v with %d held, want ErrMemoryExceeded with 10", name, err, d.MemInUse())
+		}
+		d.Release(10)
 	}
 }
 

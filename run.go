@@ -313,6 +313,9 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 // runOnce executes the query on one backend disk; RunContext owns
 // validation above it.
 func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg extmem.Config, emit func(Row)) (res *Result, err error) {
+	// The memory allowance follows the query's depth (see
+	// Explanation.MemoryAllowance).
+	cfg.MemFactor = core.MemFactor(q.graph)
 	disk, eng, err := newBackendDisk(cfg, opts)
 	if err != nil {
 		return nil, err
