@@ -82,7 +82,7 @@ func main() {
 	} else {
 		fmt.Println("ies")
 	}
-	boundLog, bestFam, arg, err := gens.BestBound(g, sizes, *m, *b)
+	boundLog, bestFam, arg, err := gens.BestBound(g, fams, sizes, *m, *b)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

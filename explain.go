@@ -77,7 +77,7 @@ func Explain(q *Query, sizes map[string]float64, opts Options) (*Explanation, er
 
 	fams := gens.Branches(q.graph)
 	ex.Branches = len(fams)
-	bound, _, arg, err := gens.BestBound(q.graph, sz, opts.Memory, opts.Block)
+	bound, _, arg, err := gens.BestBound(q.graph, fams, sz, opts.Memory, opts.Block)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,6 @@ import (
 
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
-	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
 )
@@ -116,40 +115,6 @@ type Options struct {
 	// semantics. Either way the whole Result is deterministic: branches run
 	// one after another in odometer order.
 	NoPrune bool
-	// Memo controls the charge-replay operator memo (internal/opcache)
-	// attached to the instance's disk. On (the default), identical operator
-	// runs — the same relation sorted, semijoined, split, or pair-joined the
-	// same way on every dry-run branch — are answered by replaying recorded
-	// charge tapes instead of redoing the work. Every simulated counter stays
-	// bit-identical to an unmemoized run; only host time changes.
-	Memo MemoMode
-	// MemoLimits bounds the memo (entry count and retained snapshot tuples);
-	// the zero value is unbounded. Eviction only costs recomputation on a
-	// later miss — simulated counters stay bit-identical under any limits.
-	MemoLimits opcache.Limits
-}
-
-// MemoMode switches the charge-replay operator memo. The zero value is on.
-type MemoMode int
-
-const (
-	// MemoOn attaches an operator memo to the run's disk (keeping an
-	// already-attached one, so nested Run calls share the outer memo).
-	MemoOn MemoMode = iota
-	// MemoOff detaches any memo: every operator runs for real.
-	MemoOff
-)
-
-// applyMemo attaches or detaches the operator memo on d per opts.
-func applyMemo(d *extmem.Disk, opts Options) {
-	if d == nil {
-		return
-	}
-	if opts.Memo == MemoOff {
-		opcache.Disable(d)
-	} else if opcache.Of(d) == nil {
-		opcache.EnableLimited(d, opts.MemoLimits)
-	}
 }
 
 // Result reports the outcome of a Run.
@@ -223,6 +188,10 @@ func MemFactor(g *hypergraph.Graph) int {
 // strategy dispatch runs under CatchAbort, so an abort from any charge unwinds
 // the disk (phases, recorders, peak watches, budget watermark) and returns the
 // *FaultError / ErrCancelled cause instead of panicking through the caller.
+//
+// Run uses whatever operator memo the instance's disk carries (see
+// opcache.Enable) and attaches none itself: whoever builds the disk decides
+// whether its operators replay.
 func Run(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) (*Result, error) {
 	if !g.IsBergeAcyclic() {
 		return nil, fmt.Errorf("core: query %v is not Berge-acyclic", g)
@@ -231,7 +200,6 @@ func Run(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options) (*R
 		return nil, err
 	}
 	disk := anyDisk(g, in)
-	applyMemo(disk, opts)
 	return guarded(disk, func() (*Result, error) {
 		return runStrategy(g, in, emit, opts, disk, &Result{Policy: map[string]int{}})
 	})

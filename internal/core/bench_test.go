@@ -7,6 +7,7 @@ import (
 
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
+	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/reducer"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
@@ -71,6 +72,7 @@ func BenchmarkPairJoinHeavy(b *testing.B) {
 // a uniform L5.
 func BenchmarkAcyclicJoinL5(b *testing.B) {
 	d := extmem.NewDisk(extmem.Config{M: 512, B: 32})
+	opcache.Enable(d)
 	rng := rand.New(rand.NewSource(3))
 	g, in := workload.LineUniform(d, rng, 5, 4096, 512)
 	b.ReportAllocs()
@@ -98,6 +100,7 @@ func BenchmarkAcyclicJoinL5(b *testing.B) {
 func BenchmarkExhaustiveBranches(b *testing.B) {
 	mk := func() (*extmem.Disk, *Result) {
 		d := extmem.NewDisk(extmem.Config{M: 512, B: 32})
+		opcache.Enable(d)
 		rng := rand.New(rand.NewSource(7))
 		g, in := workload.LineUniform(d, rng, 5, 2048, 512)
 		r, err := Run(g, in, func(tuple.Assignment) {}, Options{Strategy: StrategyExhaustive})
@@ -112,14 +115,17 @@ func BenchmarkExhaustiveBranches(b *testing.B) {
 	}
 	cases := []struct {
 		name string
-		memo MemoMode
+		memo bool
 	}{
-		{"seq", MemoOn},
-		{"seq-nomemo", MemoOff},
+		{"seq", true},
+		{"seq-nomemo", false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			d := extmem.NewDisk(extmem.Config{M: 512, B: 32})
+			if c.memo {
+				opcache.Enable(d)
+			}
 			rng := rand.New(rand.NewSource(7))
 			g, in := workload.LineUniform(d, rng, 5, 2048, 512)
 			b.ReportAllocs()
@@ -127,7 +133,7 @@ func BenchmarkExhaustiveBranches(b *testing.B) {
 			var pruned int
 			for i := 0; i < b.N; i++ {
 				r, err := Run(g, in, func(tuple.Assignment) {},
-					Options{Strategy: StrategyExhaustive, Memo: c.memo})
+					Options{Strategy: StrategyExhaustive})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -147,6 +153,7 @@ func BenchmarkExhaustiveBranches(b *testing.B) {
 // BenchmarkExhaustivePlanning isolates the dry-run planning overhead.
 func BenchmarkExhaustivePlanning(b *testing.B) {
 	d := extmem.NewDisk(extmem.Config{M: 512, B: 32})
+	opcache.Enable(d)
 	rng := rand.New(rand.NewSource(4))
 	g, in := workload.LineUniform(d, rng, 4, 2048, 256)
 	b.ReportAllocs()
@@ -180,6 +187,7 @@ func BenchmarkExhaustiveLollipop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d := extmem.NewDisk(extmem.Config{M: 256, B: 16})
+		opcache.Enable(d)
 		in := randomInstance(d, rand.New(rand.NewSource(7)), g, 1024, 256)
 		before := d.Stats()
 		b.StartTimer()

@@ -133,7 +133,7 @@ func isSandwichCover(x []int) bool {
 // The dispatcher commits to a single plan up front — it explores no dry-run
 // branches, so Branches is 1 and TotalStats equals ExecStats, everything it
 // charged — but opts flows through to every nested Run call (the PlanAcyclic
-// route and Algorithm 5's residual query), so the strategy, pruning and memo
+// route and Algorithm 5's residual query), so the strategy and pruning
 // options still apply wherever Algorithm 2 is reached from here, and its
 // Result stays deterministic. Its row loops are Algorithm 2's executor's, so
 // a nil emit counts the results into Result.Emitted, as it does for Run.
@@ -143,7 +143,6 @@ func RunLine(g *hypergraph.Graph, in relation.Instance, emit Emit, opts Options)
 		return nil, fmt.Errorf("core: %v is not a line join", g)
 	}
 	disk := anyDisk(g, in)
-	applyMemo(disk, opts)
 	res := &Result{Branches: 1}
 	sizes := lineSizes(order, in)
 	if slices.Contains(sizes, 0) {

@@ -7,6 +7,7 @@ import (
 
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
+	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
 )
@@ -15,6 +16,16 @@ import (
 // run gets its own disk and instance so the comparison starts from identical
 // machine state.
 type builder func(d *extmem.Disk) (*hypergraph.Graph, relation.Instance)
+
+// memoed wraps b so that the disk it loads onto carries an operator memo,
+// attached before the load as the root package attaches its own. Run
+// attaches none: a builder left unwrapped runs every operator for real.
+func memoed(b builder) builder {
+	return func(d *extmem.Disk) (*hypergraph.Graph, relation.Instance) {
+		opcache.Enable(d)
+		return b(d)
+	}
+}
 
 // engineRunOpts evaluates b under opts on a fresh disk, returning the
 // Result, the emitted assignments in emission order, the final disk stats,

@@ -214,8 +214,8 @@ func FuzzFaultOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, size, rows, dom, rate, memoOff, permAt uint8) {
 		_, build := fuzzInstance(shape, size, rows, dom)
 		opts := Options{Strategy: StrategyExhaustive}
-		if memoOff%2 == 1 {
-			opts.Memo = MemoOff
+		if memoOff%2 == 0 {
+			build = memoed(build)
 		}
 		ref, refRows, refStats, refErr := engineRunOpts(build, opts)
 		if refErr != nil {
@@ -393,8 +393,8 @@ func FuzzBackendOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, size, rows, dom, memoOff uint8) {
 		_, build := fuzzInstance(shape, size, rows, dom)
 		opts := Options{Strategy: StrategyExhaustive, NoPrune: true}
-		if memoOff%2 == 1 {
-			opts.Memo = MemoOff
+		if memoOff%2 == 0 {
+			build = memoed(build)
 		}
 		ref, refRows, refStats, refErr := engineRunOpts(build, opts)
 		fb, fbRows, fbStats, _, fbErr := engineRunBackend(build, opts)

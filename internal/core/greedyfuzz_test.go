@@ -15,6 +15,7 @@ import (
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
+	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
 )
@@ -44,7 +45,9 @@ func fuzzInstance(d *extmem.Disk, rng *rand.Rand, g *hypergraph.Graph, rows, dom
 	return in
 }
 
-func fuzzRun(shape, size, rows, dom uint8, opts core.Options) (*core.Result, []string, error) {
+// fuzzRun evaluates the fuzz-chosen instance under opts on a fresh disk that
+// carries an operator memo when memo is set.
+func fuzzRun(shape, size, rows, dom uint8, memo bool, opts core.Options) (*core.Result, []string, error) {
 	var g *hypergraph.Graph
 	switch shape % 4 {
 	case 0:
@@ -57,6 +60,9 @@ func fuzzRun(shape, size, rows, dom uint8, opts core.Options) (*core.Result, []s
 		g = hypergraph.Dumbbell(2, 4+int(size)%2)
 	}
 	d := extmem.NewDisk(extmem.Config{M: 64, B: 4})
+	if memo {
+		opcache.Enable(d)
+	}
 	rng := rand.New(rand.NewSource(int64(shape)<<24 | int64(size)<<16 | int64(rows)<<8 | int64(dom)))
 	in := fuzzInstance(d, rng, g, 5+int(rows)%28, 2+int(dom)%3)
 	var emitted []string
@@ -80,14 +86,9 @@ func FuzzGreedyOracle(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(12), uint8(0), uint8(0))
 	f.Add(uint8(3), uint8(0), uint8(30), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, shape, size, rows, dom, memoOff uint8) {
-		opts := core.Options{Strategy: core.StrategyGreedy}
-		if memoOff%2 == 1 {
-			opts.Memo = core.MemoOff
-		}
-		gr, grRows, grErr := fuzzRun(shape, size, rows, dom, opts)
-		exOpts := opts
-		exOpts.Strategy = core.StrategyExhaustive
-		ex, exRows, exErr := fuzzRun(shape, size, rows, dom, exOpts)
+		memo := memoOff%2 == 0
+		gr, grRows, grErr := fuzzRun(shape, size, rows, dom, memo, core.Options{Strategy: core.StrategyGreedy})
+		ex, exRows, exErr := fuzzRun(shape, size, rows, dom, memo, core.Options{Strategy: core.StrategyExhaustive})
 		if (grErr == nil) != (exErr == nil) {
 			t.Fatalf("errors diverge: greedy %v, exhaustive %v", grErr, exErr)
 		}

@@ -49,7 +49,7 @@ func TestLightPeelChargesOneMergePerNeighbour(t *testing.T) {
 	for _, chunks := range []int{1, 3, 8} {
 		d := disk(m, b)
 		g, in := lightPeelQuery(d, chunks, fan)
-		res, err := Run(g, in, nil, Options{Strategy: StrategyFirst, Memo: MemoOff})
+		res, err := Run(g, in, nil, Options{Strategy: StrategyFirst})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestLightPeelAllocsFlat(t *testing.T) {
 		d.SetSlabs(false)
 		g, in := lightPeelQuery(d, chunks, 2)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := Run(g, in, nil, Options{Strategy: StrategyFirst, Memo: MemoOff}); err != nil {
+			if _, err := Run(g, in, nil, Options{Strategy: StrategyFirst}); err != nil {
 				t.Fatal(err)
 			}
 		})

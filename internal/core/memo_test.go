@@ -6,17 +6,23 @@ import (
 	"testing"
 
 	"acyclicjoin/internal/extmem"
+	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/opcache"
+	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
 	"acyclicjoin/internal/workload"
 )
 
 // runMemoL5 evaluates a fresh seed-7 uniform L5 instance (a multi-branch
-// exhaustive subject) under the given options, returning the Result, the
-// emitted rows in emission order, and the memo counters.
-func runMemoL5(t *testing.T, opts Options) (*Result, []string, opcache.Stats) {
+// exhaustive subject) under the given options, on a disk that carries an
+// operator memo when memo is set, returning the Result, the emitted rows in
+// emission order, and the memo counters.
+func runMemoL5(t *testing.T, memo bool, opts Options) (*Result, []string, opcache.Stats) {
 	t.Helper()
 	d := extmem.NewDisk(extmem.Config{M: 64, B: 8})
+	if memo {
+		opcache.Enable(d)
+	}
 	rng := rand.New(rand.NewSource(7))
 	g, in := workload.LineUniform(d, rng, 5, 128, 32)
 	var rows []string
@@ -33,9 +39,8 @@ func runMemoL5(t *testing.T, opts Options) (*Result, []string, opcache.Stats) {
 	return r, rows, cs
 }
 
-// Every memo configuration — on, entry-bounded, and tuple-bounded — must
-// reproduce the memo-off exhaustive run exactly: Result,
-// stats, and the emitted rows in their emission order. The comparison pins
+// A run with the memo on must reproduce the memo-off exhaustive run exactly:
+// Result, stats, and the emitted rows in their emission order. The comparison pins
 // NoPrune: a replayed tape charges its segments in recorded read/write order
 // while a real run interleaves them, so a budget abort mid-operator can land
 // on a different point of the read/write split (the IOs total is clamped
@@ -43,34 +48,22 @@ func runMemoL5(t *testing.T, opts Options) (*Result, []string, opcache.Stats) {
 // therefore an unpruned contract; the pruned-mode counterpart (IOs()-level
 // equality) lives in prune_test.go.
 func TestMemoModesBitIdentical(t *testing.T) {
-	ref, refRows, _ := runMemoL5(t, Options{Strategy: StrategyExhaustive, Memo: MemoOff, NoPrune: true})
+	ref, refRows, _ := runMemoL5(t, false, Options{Strategy: StrategyExhaustive, NoPrune: true})
 	if ref.Branches < 4 {
 		t.Fatalf("want a multi-branch subject, got %d branches", ref.Branches)
 	}
-	cases := []struct {
-		name string
-		opts Options
-	}{
-		{"on", Options{Strategy: StrategyExhaustive, Memo: MemoOn, NoPrune: true}},
-		{"bounded", Options{Strategy: StrategyExhaustive, Memo: MemoOn, NoPrune: true,
-			MemoLimits: opcache.Limits{MaxEntries: 3}}},
-		{"tuple-bounded", Options{Strategy: StrategyExhaustive, Memo: MemoOn, NoPrune: true,
-			MemoLimits: opcache.Limits{MaxTuples: 64}}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			r, rows, cs := runMemoL5(t, c.opts)
-			if !reflect.DeepEqual(r, ref) {
-				t.Fatalf("Result = %+v, want %+v", r, ref)
-			}
-			if !reflect.DeepEqual(rows, refRows) {
-				t.Fatalf("emitted rows diverge (%d vs %d)", len(rows), len(refRows))
-			}
-			if c.opts.MemoLimits != (opcache.Limits{}) && cs.Evictions == 0 {
-				t.Errorf("bounded memo never evicted: %+v", cs)
-			}
-		})
-	}
+	t.Run("on", func(t *testing.T) {
+		r, rows, cs := runMemoL5(t, true, Options{Strategy: StrategyExhaustive, NoPrune: true})
+		if !reflect.DeepEqual(r, ref) {
+			t.Fatalf("Result = %+v, want %+v", r, ref)
+		}
+		if !reflect.DeepEqual(rows, refRows) {
+			t.Fatalf("emitted rows diverge (%d vs %d)", len(rows), len(refRows))
+		}
+		if cs.Hits == 0 {
+			t.Errorf("the memo replayed nothing: %+v", cs)
+		}
+	})
 }
 
 // A dry (planning-only) branch must charge exactly what the wet run of the
@@ -123,7 +116,7 @@ func TestDryRunChargesMatchWetRun(t *testing.T) {
 // past the first must therefore reuse at least its shared prefix head, and
 // on this workload replayed work dominates recomputation.
 func TestBranchPrefixReuse(t *testing.T) {
-	r, _, cs := runMemoL5(t, Options{Strategy: StrategyExhaustive})
+	r, _, cs := runMemoL5(t, true, Options{Strategy: StrategyExhaustive})
 	if r.Branches < 4 {
 		t.Fatalf("want a multi-branch subject, got %d branches", r.Branches)
 	}
@@ -135,6 +128,44 @@ func TestBranchPrefixReuse(t *testing.T) {
 			cs.Hits, cs.Misses, r.Branches)
 	}
 	if cs.Evictions != 0 {
-		t.Fatalf("unbounded memo evicted %d entries", cs.Evictions)
+		t.Fatalf("the memo evicted %d entries", cs.Evictions)
+	}
+}
+
+// Run and RunLine attach no memo of their own: on a disk without one every
+// operator runs for real and nothing is replayed, and on a disk that carries
+// one, that memo is the one that records the hits.
+func TestRunUsesTheDisksMemo(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(*hypergraph.Graph, relation.Instance, Emit, Options) (*Result, error)
+	}{{"Run", Run}, {"RunLine", RunLine}} {
+		run := func(memo bool) (*extmem.Disk, *opcache.Memo) {
+			d := extmem.NewDisk(extmem.Config{M: 64, B: 8})
+			var m *opcache.Memo
+			if memo {
+				m = opcache.Enable(d)
+			}
+			g, in := workload.LineUniform(d, rand.New(rand.NewSource(7)), 5, 128, 32)
+			if _, err := c.run(g, in, nil, Options{Strategy: StrategyExhaustive}); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return d, m
+		}
+		d, _ := run(false)
+		if opcache.Of(d) != nil {
+			t.Errorf("%s attached a memo to a disk built without one", c.name)
+		}
+		if x := d.Transfers(); x.ReplayedReads+x.ReplayedWrites != 0 {
+			t.Errorf("%s without a memo replayed %d/%d transfers", c.name, x.ReplayedReads, x.ReplayedWrites)
+		}
+		d, m := run(true)
+		if opcache.Of(d) != m {
+			t.Errorf("%s replaced the disk's memo", c.name)
+		}
+		if x := d.Transfers(); m.Stats().Hits == 0 || x.ReplayedReads+x.ReplayedWrites == 0 {
+			t.Errorf("%s: the disk's memo recorded %+v and replayed %d/%d transfers, want hits",
+				c.name, m.Stats(), x.ReplayedReads, x.ReplayedWrites)
+		}
 	}
 }

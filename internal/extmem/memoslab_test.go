@@ -8,9 +8,8 @@ import (
 )
 
 // TestSlabsOnlyUnderUnboundedMemo checks the carving gate: file data comes
-// from slabs only while an unbounded operator memo is attached, which keeps
-// every file until the disk is done anyway. A disk with no memo or with a
-// bounded one carves nothing.
+// from slabs only while an operator memo is attached, which keeps every file
+// until the disk is done anyway. A disk with no memo carves nothing.
 func TestSlabsOnlyUnderUnboundedMemo(t *testing.T) {
 	write := func(d *extmem.Disk) {
 		f := d.NewFile(2)
@@ -28,9 +27,7 @@ func TestSlabsOnlyUnderUnboundedMemo(t *testing.T) {
 		carves bool
 	}{
 		{"no memo", func(d *extmem.Disk) {}, false},
-		{"bounded entries", func(d *extmem.Disk) { opcache.EnableLimited(d, opcache.Limits{MaxEntries: 4}) }, false},
-		{"bounded tuples", func(d *extmem.Disk) { opcache.EnableLimited(d, opcache.Limits{MaxTuples: 1 << 20}) }, false},
-		{"unbounded", func(d *extmem.Disk) { opcache.Enable(d) }, true},
+		{"memo", func(d *extmem.Disk) { opcache.Enable(d) }, true},
 	} {
 		d := extmem.NewDisk(extmem.Config{M: 64, B: 4})
 		tc.attach(d)

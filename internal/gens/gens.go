@@ -317,10 +317,10 @@ func FamilyBound(g *hypergraph.Graph, sizes cover.Sizes, f Family, m, b int) (fl
 }
 
 // BestBound evaluates Theorem 3's worst-case cost expression
-// min over branches of max_{S} Ψ_wc(R,S), returning log2 of the bound, the
-// winning family, and its arg-max subset.
-func BestBound(g *hypergraph.Graph, sizes cover.Sizes, m, b int) (float64, Family, Subset, error) {
-	fams := Branches(g)
+// min over branches of max_{S} Ψ_wc(R,S) over g's GenS families fams (as
+// Branches returns them), returning log2 of the bound, the winning family,
+// and its arg-max subset.
+func BestBound(g *hypergraph.Graph, fams []Family, sizes cover.Sizes, m, b int) (float64, Family, Subset, error) {
 	if len(fams) == 0 {
 		return 0, nil, nil, fmt.Errorf("gens: no branches for %v", g)
 	}

@@ -109,7 +109,7 @@ func TestL4TwoPeelingsGiveDifferentBounds(t *testing.T) {
 	g := hypergraph.Line(4)
 	m, b := 64, 8
 	check := func(sizes cover.Sizes, wantLog float64) {
-		got, fam, arg, err := BestBound(g, sizes, m, b)
+		got, fam, arg, err := BestBound(g, Branches(g), sizes, m, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestL5BalancedBoundMatchesPaper(t *testing.T) {
 		}
 	}
 	wantLog := math.Log2(want) - math.Log2(float64(b))
-	got, _, _, err := BestBound(g, sizes, m, b)
+	got, _, _, err := BestBound(g, Branches(g), sizes, m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestTheorem3AtMostTheorem2(t *testing.T) {
 	}
 	for _, g := range shapes {
 		sizes := cover.Equal(g, 4096)
-		t3, _, _, err := BestBound(g, sizes, m, b)
+		t3, _, _, err := BestBound(g, Branches(g), sizes, m, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestBestBoundLollipopAndDumbbell(t *testing.T) {
 	// Section 7 shapes.
 	for _, g := range []*hypergraph.Graph{hypergraph.Lollipop(3), hypergraph.Dumbbell(2, 5)} {
 		sizes := cover.Equal(g, 4096)
-		v, fam, arg, err := BestBound(g, sizes, 64, 8)
+		v, fam, arg, err := BestBound(g, Branches(g), sizes, 64, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,11 +50,9 @@ type arm struct {
 	// Params.Backend. Either way the disk comes from newBackendDisk, so a
 	// file engine honours the ambient Params.DevFaultRate.
 	backend string
-	// memo and limits go to core.Run. A memo that is on is attached before
-	// the load; Params.NoMemo turns it off, unless the experiment pins
-	// NoMemo false.
-	memo     core.MemoMode
-	limits   opcache.Limits
+	// noMemo builds the arm's disk without an operator memo, as
+	// Params.NoMemo does for every arm.
+	noMemo   bool
 	noPrune  bool
 	strategy core.Strategy
 	// plan is an optional fault plan. A model-layer plan is armed after the
@@ -98,6 +96,9 @@ func runArm(p Params, w int, a arm) (out armRun, err error) {
 	if device {
 		bp.DevFaultRate = 0 // the arm's plan replaces the ambient one
 	}
+	if a.noMemo {
+		bp.NoMemo = true
+	}
 	d := newBackendDisk(bp, extmem.Config{M: p.M, B: p.B})
 	faults := d.FaultStats
 	if eng, ok := d.Backend().(*diskfile.Engine); ok && device {
@@ -108,9 +109,6 @@ func runArm(p Params, w int, a arm) (out armRun, err error) {
 		out.faults = faults()
 		closeDisk(d, &err)
 	}()
-	if a.memo == core.MemoOn && !p.NoMemo {
-		opcache.EnableLimited(d, a.limits)
-	}
 	rng := rand.New(rand.NewSource(p.Seed + int64(w)))
 	var g *hypergraph.Graph
 	var in relation.Instance
@@ -132,12 +130,7 @@ func runArm(p Params, w int, a arm) (out armRun, err error) {
 			out.set += h
 		}
 	}
-	out.res, err = core.Run(g, in, emit, p.options(core.Options{
-		Strategy:   a.strategy,
-		NoPrune:    a.noPrune,
-		Memo:       a.memo,
-		MemoLimits: a.limits,
-	}))
+	out.res, err = core.Run(g, in, emit, core.Options{Strategy: a.strategy, NoPrune: a.noPrune})
 	out.stats, out.xfer, out.dev = d.Stats(), d.Transfers(), d.DeviceStats()
 	if err == nil {
 		out.rows = out.res.Emitted

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/opcache"
 )
 
 func init() {
@@ -87,7 +85,7 @@ func halfway(ref armRun) int64 { return ref.res.TotalStats.IOs()/2 + 1 }
 // replay than under a real run (totals are clamped identically either way).
 // The pruning group covers the pruned side.
 var (
-	memoOffArm = arm{memo: core.MemoOff, noPrune: true}
+	memoOffArm = arm{noMemo: true, noPrune: true}
 	memoOnArm  = arm{noPrune: true}
 )
 
@@ -102,15 +100,6 @@ var armGroups = []armGroup{
 				got.stats.IOs(), got.memo.Hits, got.memo.Misses, got.memo.BytesReplayed/1024)
 		},
 		note: "memo on vs memo off (both unpruned): identical = row count and every counter (reads, writes, hi-water); the memo only buys host time",
-	},
-	{
-		id: "E24", workloads: 4, refName: "memo off", ref: memoOffArm,
-		arms: []armCase{{name: "memo bounded(4)", arm: fixed(arm{limits: opcache.Limits{MaxEntries: 4}, noPrune: true})}},
-		pins: pinCount | pinStats,
-		ledger: func(got, _ armRun) string {
-			return fmt.Sprintf("%d evictions", got.memo.Evictions)
-		},
-		note: "memo bounded(4) vs memo off: the memo capped at 4 entries (LRU) is identical too; evictions cost recomputation only, never a counter",
 	},
 	{
 		id: "E25", workloads: 4, refName: "unpruned", ref: memoOnArm,
@@ -257,7 +246,7 @@ func runInvariance(p Params, groups []armGroup) (*Table, error) {
 		g := &groups[i]
 		memo := func(a arm) arm {
 			if g.followsNoMemo && noMemo {
-				a.memo = core.MemoOff
+				a.noMemo = true
 			}
 			return a
 		}

@@ -102,7 +102,7 @@ func runE5(p Params) (_ *Table, err error) {
 		f1 := lin + szs[0]*szs[1]*szs[3]/(mm*mm*float64(mp.B))
 		f2 := lin + szs[0]*szs[2]*szs[3]/(mm*mm*float64(mp.B))
 		bound := math.Min(f1, f2)
-		r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune}))
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func runE6(p Params) (_ *Table, err error) {
 		for i, s := range sizes {
 			szMap[i] = s
 		}
-		boundLog, _, _, err := gens.BestBound(g, szMap, p.M, p.B)
+		boundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, p.M, p.B)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +150,7 @@ func runE6(p Params) (_ *Table, err error) {
 			lin += s
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 		if err != nil {
 			return nil, err
 		}
@@ -173,12 +173,12 @@ func runE6(p Params) (_ *Table, err error) {
 			szMap[i] = s
 			lin += s
 		}
-		boundLog, _, _, err := gens.BestBound(g, szMap, p.M, p.B)
+		boundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, p.M, p.B)
 		if err != nil {
 			return nil, err
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +229,7 @@ func runE7(p Params) (_ *Table, err error) {
 	for i, s := range sizes {
 		szMap[i] = s
 	}
-	alg2BoundLog, _, _, err := gens.BestBound(g, szMap, mp.M, mp.B)
+	alg2BoundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, mp.M, mp.B)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +247,7 @@ func runE7(p Params) (_ *Table, err error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.Run(g2, in2, nil, p.options(core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune}))
+	r, err := core.Run(g2, in2, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +290,7 @@ func runE8(p Params) (_ *Table, err error) {
 	for i, s := range sizes {
 		szMap[i] = s
 	}
-	alg2BoundLog, _, _, err := gens.BestBound(g, szMap, mp.M, mp.B)
+	alg2BoundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, mp.M, mp.B)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func runE8(p Params) (_ *Table, err error) {
 
 	var res5 int64
 	st, err := measure(d, func() error {
-		return core.Line7Unbalanced(g, in, countEmit(&res5), p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
+		return core.Line7Unbalanced(g, in, countEmit(&res5), core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 	})
 	if err != nil {
 		return nil, err
@@ -312,7 +312,7 @@ func runE8(p Params) (_ *Table, err error) {
 	}
 	// One greedy branch: the exhaustive planner would replay the ~1M-result
 	// output once per branch, which this comparison does not need.
-	r, err := core.Run(g2, in2, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
+	r, err := core.Run(g2, in2, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +347,7 @@ func runE9(p Params) (_ *Table, err error) {
 		var r *core.Result
 		st, err := measure(d, func() error {
 			var err error
-			r, err = core.RunLine(g, red, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
+			r, err = core.RunLine(g, red, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 			return err
 		})
 		if err != nil {
@@ -378,7 +378,7 @@ func runE9(p Params) (_ *Table, err error) {
 		var r *core.Result
 		st, err := measure(d, func() error {
 			var err error
-			r, err = core.RunLine(g, in, nil, p.options(core.Options{Strategy: core.StrategySmallest, AssumeReduced: true}))
+			r, err = core.RunLine(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 			return err
 		})
 		if err != nil {

@@ -61,7 +61,7 @@ func runE10(p Params) (_ *Table, err error) {
 			bound += float64(k*n) / float64(p.B) // suppressed linear term
 			d := ms.disk(p)
 			g, in := workload.StarWorstCase(d, petals)
-			r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategyFirst, AssumeReduced: true}))
+			r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyFirst, AssumeReduced: true})
 			if err != nil {
 				return nil, err
 			}
@@ -116,7 +116,7 @@ func runE11(p Params) (_ *Table, err error) {
 		}
 		bound := math.Pow(float64(n)/float64(p.M), float64(c))*float64(p.M)/float64(p.B) +
 			float64(in.TotalSize(qc.g))/float64(p.B)
-		r, err := core.Run(qc.g, in, nil, p.options(core.Options{Strategy: core.StrategyFirst, AssumeReduced: true}))
+		r, err := core.Run(qc.g, in, nil, core.Options{Strategy: core.StrategyFirst, AssumeReduced: true})
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +171,7 @@ func runE12(p Params) (_ *Table, err error) {
 		for _, e := range g.Edges() {
 			szMap[e.ID] = float64(in[e.ID].Len())
 		}
-		boundLog, _, _, err := gens.BestBound(g, szMap, p.M, p.B)
+		boundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, p.M, p.B)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +180,7 @@ func runE12(p Params) (_ *Table, err error) {
 			lin += s
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune}))
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +237,7 @@ func runE13(p Params) (_ *Table, err error) {
 		for _, e := range g.Edges() {
 			szMap[e.ID] = float64(in[e.ID].Len())
 		}
-		boundLog, _, _, err := gens.BestBound(g, szMap, p.M, p.B)
+		boundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, p.M, p.B)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +246,7 @@ func runE13(p Params) (_ *Table, err error) {
 			lin += s
 		}
 		bound := math.Pow(2, boundLog) + lin/float64(p.B)
-		r, err := core.Run(g, in, nil, p.options(core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune}))
+		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 		if err != nil {
 			return nil, err
 		}

@@ -25,8 +25,9 @@ type Params struct {
 	Scale int
 	// Seed feeds the randomized workloads.
 	Seed int64
-	// NoMemo disables the charge-replay operator memo: machines.disk attaches
-	// none and every core call runs with Memo: MemoOff (Params.options).
+	// NoMemo disables the charge-replay operator memo: newBackendDisk, which
+	// builds every experiment machine, attaches none, and core attaches none
+	// of its own.
 	// Tables are byte-identical either way (replay charges exactly what the
 	// real operator would); the switch exists for A/B timing and for proving
 	// that claim. E23 pins the memo on wherever its arms set it, since its

@@ -323,10 +323,10 @@ func TestFileEnginesClosed(t *testing.T) {
 }
 
 // TestNoMemoRunsWithoutMemo checks that Params.NoMemo switches the operator
-// memo off for the core call itself, not only for the disk the harness
-// builds: core.Run attaches a memo of its own under the zero Options.Memo.
-// E23's pruned arm is the run under test; the same arm with the memo left on
-// must replay, or the zero counts would show nothing.
+// memo off for the whole run: the disk the harness builds carries none, and
+// core.Run, which uses whatever memo the disk has, replays nothing. E23's
+// pruned arm is the run under test; the same arm with the memo left on must
+// replay, or the zero counts would show nothing.
 func TestNoMemoRunsWithoutMemo(t *testing.T) {
 	p := Params{M: 64, B: 8, Scale: 1, Seed: 42}
 	noMemo := p

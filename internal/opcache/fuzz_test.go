@@ -23,8 +23,7 @@ import (
 // re-issues identical operators, so with the memo attached it is served
 // almost entirely by charge replay — and the memo-on arm must match the
 // memo-off arm bit for bit: total stats, the per-phase breakdown, every
-// output relation's bytes, and every error message. A fuzz byte also picks
-// a memo entry budget, so LRU eviction is exercised under the same oracle.
+// output relation's bytes, and every error message.
 func FuzzOpMemoOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 0, 1, 1, 3, 2, 5, 3, 7, 4, 10, 5, 12, 6, 14, 7, 15})
@@ -66,12 +65,11 @@ func interpretOps(t *testing.T, data []byte, memo bool) (extmem.Stats, map[strin
 		data = data[1:]
 		return b
 	}
+	// The first byte once picked a memo entry budget; it is still consumed
+	// so that every corpus entry decodes to the same program.
+	next()
 	if memo {
-		// Fuzz the budget too: %3 covers unbounded (0) and tight caps that
-		// force LRU eviction mid-program.
-		opcache.EnableLimited(d, opcache.Limits{MaxEntries: int(next()) % 3 * 4})
-	} else {
-		next()
+		opcache.Enable(d)
 	}
 	// Base relations over schema {0,1}; loading inputs is free, as in Run.
 	restore := d.Suspend()

@@ -47,14 +47,11 @@
 // unwinds), and a recording cut short by a budget abort is discarded, never
 // stored.
 //
-// Bounded mode: Limits caps the entry count and the total retained snapshot
-// tuples; over budget, the least-recently-used entries are evicted. Eviction
-// only costs recomputation on a later miss — it can never change simulated
-// accounting, because a miss re-runs the operator for real.
+// Lifetime: a memo keeps every entry it records until its disk is done, so
+// the disk's files share the memo's lifetime and are carved from slabs.
 package opcache
 
 import (
-	"container/list"
 	"sync"
 
 	"acyclicjoin/internal/extmem"
@@ -65,21 +62,19 @@ import (
 type Stats struct {
 	// Hits and Misses count lookups on memoized operator paths.
 	Hits, Misses int64
-	// Evictions counts entries dropped by the bounded mode's LRU policy.
+	// Evictions is always 0.
+	//
+	// Deprecated: a memo keeps every entry it records.
 	Evictions int64
 	// BytesReplayed totals the output bytes served by cloning instead of
 	// re-running (8 bytes per stored int64 cell).
 	BytesReplayed int64
 }
 
-// Limits bounds the memo. Zero fields mean unbounded.
-type Limits struct {
-	// MaxEntries caps the number of memo entries.
-	MaxEntries int
-	// MaxTuples caps the total tuples retained across all entries' pinned
-	// input and output snapshots.
-	MaxTuples int64
-}
+// Limits is kept so that callers of EnableLimited still build.
+//
+// Deprecated: it configures nothing; a memo keeps every entry it records.
+type Limits struct{}
 
 // Input names one input tuple window of an operator: tuples [Off, Off+N) of
 // File. Operators over whole files use In.
@@ -139,64 +134,52 @@ type key struct {
 
 // entry records one operator run.
 type entry struct {
-	ids    []key // every identity key registered for this entry
-	hash   uint64
-	ins    []inputSnap
-	aux    []int64
-	outs   []*extmem.File // output snapshots, CloneTo'd on every hit
-	meta   []int64
-	tape   extmem.ChargeTape
-	tuples int64 // retained tuples (input windows + outputs), for Limits
-	elem   *list.Element
+	ins  []inputSnap
+	aux  []int64
+	outs []*extmem.File // output snapshots, CloneTo'd on every hit
+	meta []int64
+	tape extmem.ChargeTape
 }
 
 // Memo is a charge-replay operator memo. Attach it to a disk with Enable.
-// It is used from the disk's goroutine; mu lets Stats and Retained be read
-// from any goroutine.
+// It is used from the disk's goroutine; mu lets Stats be read from any
+// goroutine.
 type Memo struct {
 	mu     sync.Mutex
-	lim    Limits
 	byID   map[key]*entry
 	byHash map[uint64][]*entry
-	lru    *list.List // front = most recently used; values are *entry
-	tuples int64
 	stats  Stats
 }
 
-// New returns an empty memo with the given limits (zero-value = unbounded).
-func New(lim Limits) *Memo {
-	return &Memo{lim: lim, byID: map[key]*entry{}, byHash: map[uint64][]*entry{},
-		lru: list.New()}
-}
-
-// Enable attaches a fresh unbounded memo to d (replacing any previous one)
-// and returns it.
-func Enable(d *extmem.Disk) *Memo { return EnableLimited(d, Limits{}) }
-
-// EnableLimited attaches a fresh bounded memo to d and returns it.
-func EnableLimited(d *extmem.Disk, lim Limits) *Memo {
-	m := New(lim)
+// Enable attaches a fresh memo to d (replacing any previous one) and returns
+// it.
+func Enable(d *extmem.Disk) *Memo {
+	m := &Memo{byID: map[key]*entry{}, byHash: map[uint64][]*entry{}}
 	attach(d, m)
 	return m
 }
+
+// EnableLimited attaches a fresh memo to d and returns it, like Enable.
+//
+// Deprecated: use Enable; a memo keeps every entry it records.
+func EnableLimited(d *extmem.Disk, _ Limits) *Memo { return Enable(d) }
 
 // Disable detaches any memo from d.
 func Disable(d *extmem.Disk) { attach(d, nil) }
 
 // attach sets d's memo (nil detaches it) and decides whether d carves file
-// data from slabs. An unbounded memo keeps every operator output until the
-// disk is done, so the disk's files already share its lifetime and can be
-// carved from slabs freed in one step (extmem.Disk.Recycle). Without a memo,
-// or under limits, outputs die mid-run and each file keeps its own
-// allocation, which the GC frees as soon as the file is dropped.
+// data from slabs. A memo keeps every operator output until the disk is
+// done, so the disk's files already share its lifetime and can be carved
+// from slabs freed in one step (extmem.Disk.Recycle). Without a memo,
+// outputs die mid-run and each file keeps its own allocation, which the GC
+// frees as soon as the file is dropped.
 func attach(d *extmem.Disk, m *Memo) {
-	if m == nil {
-		d.SetOpMemo(nil)
-		d.SetSlabs(false)
-		return
+	if m != nil {
+		d.SetOpMemo(m)
+	} else {
+		d.SetOpMemo(nil) // an untyped nil, so OpMemo reads as detached
 	}
-	d.SetOpMemo(m)
-	d.SetSlabs(m.lim == Limits{})
+	d.SetSlabs(m != nil)
 }
 
 // Of returns the memo attached to d, or nil.
@@ -212,13 +195,6 @@ func (m *Memo) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// Retained returns the current entry count and retained tuple total.
-func (m *Memo) Retained() (entries int, tuples int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lru.Len(), m.tuples
 }
 
 // Do memoizes one deterministic operator application on disk d. If no memo is
@@ -254,7 +230,6 @@ func (m *Memo) do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, er
 		h = hashOp(id, op)
 		for _, cand := range m.byHash[h] {
 			if verify(cand, op, id.b) {
-				cand.ids = append(cand.ids, id)
 				m.byID[id] = cand // alias: future runs take the fast path
 				e, ok = cand, true
 				break
@@ -262,7 +237,6 @@ func (m *Memo) do(d *extmem.Disk, op Op, run func() ([]*extmem.File, []int64, er
 		}
 	}
 	if ok {
-		m.touch(e)
 		m.mu.Unlock()
 		return m.replay(d, e)
 	}
@@ -320,18 +294,16 @@ func (m *Memo) replay(d *extmem.Disk, e *entry) ([]*extmem.File, []int64, error)
 // preceding slow-path miss (zero only if the fast path matched, which cannot
 // reach here).
 func (m *Memo) store(d *extmem.Disk, op Op, id key, hash uint64, outs []*extmem.File, meta []int64, tape extmem.ChargeTape) {
-	e := &entry{ids: []key{id}, hash: hash, tape: tape}
+	e := &entry{tape: tape}
 	if len(op.Aux) > 0 {
 		// The entry lives as long as d, so its aux copy can share d's slabs.
 		e.aux = append(d.Carve(len(op.Aux)), op.Aux...)
 	}
 	for _, in := range op.Inputs {
 		e.ins = append(e.ins, inputSnap{arity: in.File.Arity(), align: in.Off % d.B(), data: windowCells(in)})
-		e.tuples += int64(in.N)
 	}
 	for _, o := range outs {
 		e.outs = append(e.outs, o.Snapshot())
-		e.tuples += int64(o.Len())
 	}
 	if meta != nil {
 		e.meta = append([]int64(nil), meta...)
@@ -343,48 +315,7 @@ func (m *Memo) store(d *extmem.Disk, op Op, id key, hash uint64, outs []*extmem.
 	}
 	m.byID[id] = e
 	m.byHash[hash] = append(m.byHash[hash], e)
-	e.elem = m.lru.PushFront(e)
-	m.tuples += e.tuples
-	m.evictLocked(e)
 }
-
-// evictLocked drops least-recently-used entries until both limits hold. The
-// just-inserted entry keep is never evicted, so an entry larger than the
-// whole tuple budget still functions (the memo simply holds only it).
-func (m *Memo) evictLocked(keep *entry) {
-	over := func() bool {
-		return (m.lim.MaxEntries > 0 && m.lru.Len() > m.lim.MaxEntries) ||
-			(m.lim.MaxTuples > 0 && m.tuples > m.lim.MaxTuples)
-	}
-	for over() {
-		back := m.lru.Back()
-		if back == nil || back.Value.(*entry) == keep {
-			return
-		}
-		m.removeLocked(back.Value.(*entry))
-		m.stats.Evictions++
-	}
-}
-
-func (m *Memo) removeLocked(e *entry) {
-	for _, id := range e.ids {
-		delete(m.byID, id)
-	}
-	bucket := m.byHash[e.hash]
-	for i, cand := range bucket {
-		if cand == e {
-			m.byHash[e.hash] = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(m.byHash[e.hash]) == 0 {
-		delete(m.byHash, e.hash)
-	}
-	m.lru.Remove(e.elem)
-	m.tuples -= e.tuples
-}
-
-func (m *Memo) touch(e *entry) { m.lru.MoveToFront(e.elem) }
 
 // verify byte-compares a candidate entry against an op on a disk with block
 // size b (the hash matched).

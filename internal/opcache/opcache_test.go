@@ -272,14 +272,13 @@ func TestSuspendedRunsNotStored(t *testing.T) {
 	}
 }
 
-// LRU eviction under an entry budget: the least-recently-used entry goes
-// first, hit/evict counters track it, and evicted ops simply recompute with
-// identical accounting.
+// The memo keeps every entry it records: after three distinct ops, each one
+// replays on its repeat, charging exactly what its recording run charged.
 func TestLRUEvictionByEntries(t *testing.T) {
 	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
-	m := opcache.EnableLimited(d, opcache.Limits{MaxEntries: 2})
+	m := opcache.Enable(d)
 	fs := []*extmem.File{fill(d, 2, rows(3)), fill(d, 2, rows(4)), fill(d, 2, rows(5))}
-	stats := make([]extmem.Stats, 3)
+	stats := make([]extmem.Stats, len(fs))
 	for i, f := range fs {
 		before := d.Stats()
 		if _, _, err := doCopy(d, opcache.In(f)); err != nil {
@@ -287,108 +286,123 @@ func TestLRUEvictionByEntries(t *testing.T) {
 		}
 		stats[i] = d.Stats().Sub(before)
 	}
-	if st := m.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	for i, f := range fs {
+		before := d.Stats()
+		if _, _, err := doCopy(d, opcache.In(f)); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Stats().Sub(before); got != stats[i] {
+			t.Fatalf("replay of op %d charged %+v, recording %+v", i, got, stats[i])
+		}
 	}
-	if n, _ := m.Retained(); n != 2 {
-		t.Fatalf("retained entries = %d, want 2", n)
-	}
-	// fs[0] was evicted: re-running it recomputes (a miss) with the same I/O.
-	before := d.Stats()
-	if _, _, err := doCopy(d, opcache.In(fs[0])); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().Sub(before); got.Reads != stats[0].Reads || got.Writes != stats[0].Writes {
-		t.Fatalf("recompute after eviction charged %+v, original %+v", got, stats[0])
-	}
-	if st := m.Stats(); st.Hits != 0 || st.Misses != 4 {
-		t.Fatalf("hits/misses = %d/%d, want 0/4", st.Hits, st.Misses)
+	if st := m.Stats(); st.Hits != 3 || st.Misses != 3 || st.Evictions != 0 {
+		t.Fatalf("hits/misses/evictions = %d/%d/%d, want 3/3/0", st.Hits, st.Misses, st.Evictions)
 	}
 }
 
-// A hit refreshes LRU position, protecting hot entries from eviction.
+// A hit hands out a clone: appending to a replayed output leaves the entry
+// as recorded, so the next hit replays the original tuples.
 func TestLRUTouchOnHit(t *testing.T) {
 	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
-	m := opcache.EnableLimited(d, opcache.Limits{MaxEntries: 2})
-	f1 := fill(d, 2, rows(3))
-	f2 := fill(d, 2, rows(4))
-	f3 := fill(d, 2, rows(5))
+	m := opcache.Enable(d)
+	f := fill(d, 2, rows(5))
+	want, _, err := doCopy(d, opcache.In(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		outs, _, err := doCopy(d, opcache.In(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equal(outs[0].Raw(), want[0].Raw()) {
+			t.Fatalf("hit %d replayed %v, want %v", i, outs[0].Raw(), want[0].Raw())
+		}
+		w := outs[0].NewWriter()
+		w.Append([]int64{99, 99})
+		w.Close()
+	}
+	if st := m.Stats(); st.Hits != 2 || st.Misses != 1 || st.Evictions != 0 {
+		t.Fatalf("hits/misses/evictions = %d/%d/%d, want 2/1/0", st.Hits, st.Misses, st.Evictions)
+	}
+}
+
+// An entry's pinned input snapshot outlives its file's later appends: once
+// the file grows, the old key never hits again, but a fresh file holding the
+// old contents still matches the retained snapshot on the slow path.
+func TestEvictionByTupleBudget(t *testing.T) {
+	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
+	m := opcache.Enable(d)
+	f := fill(d, 2, rows(6))
+	if _, _, err := doCopy(d, opcache.In(f)); err != nil {
+		t.Fatal(err)
+	}
+	w := f.NewWriter()
+	for i := 0; i < 30; i++ {
+		w.Append([]int64{99, int64(i)})
+	}
+	w.Close()
+	if _, _, err := doCopy(d, opcache.In(f)); err != nil {
+		t.Fatal(err)
+	}
+	outs, _, err := doCopy(d, opcache.In(fill(d, 2, rows(6))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Len() != 6 {
+		t.Fatalf("slow-path hit replayed %d tuples, want 6", outs[0].Len())
+	}
+	if st := m.Stats(); st.Hits != 1 || st.Misses != 2 || st.Evictions != 0 {
+		t.Fatalf("hits/misses/evictions = %d/%d/%d, want 1/2/0", st.Hits, st.Misses, st.Evictions)
+	}
+}
+
+// An entry holding more tuples than the machine's memory M is kept and
+// replays like any other.
+func TestOversizedEntryKept(t *testing.T) {
+	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
+	m := opcache.Enable(d)
+	f := fill(d, 2, rows(5*d.M()))
+	for i := 0; i < 2; i++ {
+		outs, _, err := doCopy(d, opcache.In(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outs[0].Len() != 5*d.M() {
+			t.Fatalf("run %d output %d tuples, want %d", i, outs[0].Len(), 5*d.M())
+		}
+	}
+	if st := m.Stats(); st.Hits != 1 || st.Evictions != 0 {
+		t.Fatalf("hits/evictions = %d/%d, want 1/0 (oversized entry should stay resident)", st.Hits, st.Evictions)
+	}
+}
+
+// A slow-path hit registers an alias of the one recorded entry: the aliased
+// file and the original both keep hitting it, later entries leave it in
+// place, and no repeat records a second entry.
+func TestEvictionDropsAliases(t *testing.T) {
+	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
+	m := opcache.Enable(d)
+	f1 := fill(d, 2, rows(6))
+	f2 := fill(d, 2, rows(6)) // same contents: slow-path alias
 	mustCopy := func(f *extmem.File) {
 		if _, _, err := doCopy(d, opcache.In(f)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mustCopy(f1)
-	mustCopy(f2)
-	mustCopy(f1) // hit: f1 becomes most recent, f2 is now LRU
-	mustCopy(f3) // evicts f2
-	mustCopy(f1) // still resident: hit
-	st := m.Stats()
-	if st.Hits != 2 || st.Evictions != 1 {
-		t.Fatalf("hits/evictions = %d/%d, want 2/1", st.Hits, st.Evictions)
+	mustCopy(f2) // slow-path hit: registers f2's key
+	mustCopy(fill(d, 2, rows(7)))
+	d.ResetStats()
+	mustCopy(f2) // fast-path hit through the alias
+	viaAlias := d.Stats()
+	d.ResetStats()
+	mustCopy(f1)
+	if d.Stats() != viaAlias {
+		t.Fatalf("original key replayed %+v, alias %+v", d.Stats(), viaAlias)
 	}
-}
-
-// Tuple-budget eviction: retained tuples stay under the cap.
-func TestEvictionByTupleBudget(t *testing.T) {
-	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
-	m := opcache.EnableLimited(d, opcache.Limits{MaxTuples: 30})
-	for i := 3; i <= 8; i++ {
-		f := fill(d, 2, rows(i))
-		if _, _, err := doCopy(d, opcache.In(f)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries, tuples := m.Retained()
-	if tuples > 30 {
-		t.Fatalf("retained %d tuples across %d entries, budget 30", tuples, entries)
-	}
-	if st := m.Stats(); st.Evictions == 0 {
-		t.Fatal("expected evictions under a 30-tuple budget")
-	}
-}
-
-// An entry larger than the whole budget is kept alone rather than thrashing.
-func TestOversizedEntryKept(t *testing.T) {
-	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
-	m := opcache.EnableLimited(d, opcache.Limits{MaxTuples: 5})
-	f := fill(d, 2, rows(20))
-	if _, _, err := doCopy(d, opcache.In(f)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := doCopy(d, opcache.In(f)); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1 (oversized entry should stay resident)", st.Hits)
-	}
-}
-
-// Eviction drops every alias of an entry (no dangling byID pointers).
-func TestEvictionDropsAliases(t *testing.T) {
-	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
-	m := opcache.EnableLimited(d, opcache.Limits{MaxEntries: 1})
-	f1 := fill(d, 2, rows(6))
-	f2 := fill(d, 2, rows(6)) // same contents: slow-path alias
-	if _, _, err := doCopy(d, opcache.In(f1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := doCopy(d, opcache.In(f2)); err != nil {
-		t.Fatal(err)
-	}
-	g := fill(d, 2, rows(7))
-	if _, _, err := doCopy(d, opcache.In(g)); err != nil { // evicts the shared entry
-		t.Fatal(err)
-	}
-	if _, _, err := doCopy(d, opcache.In(f2)); err != nil { // must miss, not hit a ghost
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.Hits != 1 || st.Misses != 3 {
-		t.Fatalf("hits/misses = %d/%d, want 1/3", st.Hits, st.Misses)
-	}
-	if n, _ := m.Retained(); n != 1 {
-		t.Fatalf("retained entries = %d, want 1", n)
+	if st := m.Stats(); st.Hits != 3 || st.Misses != 2 || st.Evictions != 0 {
+		t.Fatalf("hits/misses/evictions = %d/%d/%d, want 3/2/0", st.Hits, st.Misses, st.Evictions)
 	}
 }
 

@@ -85,10 +85,10 @@ type Options struct {
 	// accounting there too.)
 	NoPrune bool
 	// Memo controls the charge-replay operator memo: deterministic
-	// operators (sorts, semijoins, projections, heavy/light splits,
-	// materialized pairwise joins) repeated on identical input windows with
-	// identical parameters and machine shape are answered by cloning a
-	// recorded output and replaying the recorded charges. On by default.
+	// operators (sorts, semijoins, projections, materialized pairwise
+	// joins) repeated on identical input windows with identical parameters
+	// and machine shape are answered by cloning a recorded output and
+	// replaying the recorded charges. On by default.
 	// Every simulated figure — Stats, PlanningStats, counts — is
 	// bit-identical with the memo on or off; only host wall-clock time
 	// changes. Set MemoOff to force every operator to run for real.
@@ -136,13 +136,13 @@ type Options struct {
 }
 
 // MemoMode switches the charge-replay operator memo; the zero value is on.
-type MemoMode = core.MemoMode
+type MemoMode int
 
 const (
 	// MemoOn (the default) reuses recorded operator runs via charge replay.
-	MemoOn = core.MemoOn
+	MemoOn MemoMode = iota
 	// MemoOff runs every operator for real.
-	MemoOff = core.MemoOff
+	MemoOff
 )
 
 func (o Options) withDefaults() Options {
@@ -347,7 +347,8 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		}
 	}()
 	if opts.Memo != MemoOff {
-		// Attach before the reduction so its operator runs are recorded too.
+		// The memo belongs to the disk: attached before the load, it records
+		// the reduction's operator runs too, and core uses it as it finds it.
 		opcache.Enable(disk)
 	}
 
@@ -405,7 +406,6 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		Strategy:      opts.Strategy,
 		AssumeReduced: !opts.skipReduce,
 		NoPrune:       opts.NoPrune,
-		Memo:          opts.Memo,
 	}
 	var ce core.Emit
 	if emit != nil {
