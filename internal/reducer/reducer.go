@@ -41,17 +41,40 @@ func fullReduce(g *hypergraph.Graph, in relation.Instance) (relation.Instance, e
 	edges := g.Edges()
 	out := in.Clone()
 
+	// A relation the upward sweep sorted as a source is sorted by the same
+	// attribute again as the downward sweep's target, unchanged in between,
+	// so each sort is kept for its relation and attribute. The sorted copies
+	// only feed the semijoins: a relation no semijoin reduces stays the file
+	// it came in as.
+	type sortKey struct {
+		r *relation.Relation
+		a hypergraph.Attr
+	}
+	sorts := map[sortKey]*relation.Relation{}
+	sortBy := func(r *relation.Relation, a hypergraph.Attr) (*relation.Relation, error) {
+		k := sortKey{r, a}
+		if s, ok := sorts[k]; ok {
+			return s, nil
+		}
+		s, err := r.SortBy(a)
+		if err != nil {
+			return nil, err
+		}
+		sorts[k] = s
+		return s, nil
+	}
+
 	semi := func(dst, src int) error {
 		de, se := edges[dst], edges[src]
 		a := hypergraph.SharedAttr(de, se)
 		if a < 0 {
 			return fmt.Errorf("reducer: forest link %s-%s without shared attribute", de, se)
 		}
-		dr, err := out[de.ID].SortBy(a)
+		dr, err := sortBy(out[de.ID], a)
 		if err != nil {
 			return err
 		}
-		sr, err := out[se.ID].SortBy(a)
+		sr, err := sortBy(out[se.ID], a)
 		if err != nil {
 			return err
 		}

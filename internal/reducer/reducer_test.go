@@ -2,6 +2,7 @@ package reducer
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"acyclicjoin/internal/extmem"
@@ -223,6 +224,72 @@ func TestFullReduceProperty(t *testing.T) {
 					t.Fatalf("tuple %v of R%d does not extend (trial %d)", tp, i+1, trial)
 				}
 			}
+		}
+	}
+}
+
+// TestFullReduceSortsEachRelationOnce pins the reducer's exact charge on a
+// two-relation line: each relation is sorted by the shared attribute once,
+// though both sweeps semijoin through it, so FullReduce charges exactly
+// what the two sorts and the two semijoins charge when run by hand.
+func TestFullReduceSortsEachRelationOnce(t *testing.T) {
+	g := hypergraph.Line(2) // R1{0,1} R2{1,2}
+	instance := func(d *extmem.Disk) relation.Instance {
+		rng := rand.New(rand.NewSource(5))
+		in := relation.Instance{}
+		for i := range 2 {
+			var rows []tuple.Tuple
+			for range 40 {
+				rows = append(rows, tuple.Tuple{int64(rng.Intn(12)), int64(rng.Intn(12))})
+			}
+			in[i] = relation.FromTuples(d, tuple.Schema{i, i + 1}, rows)
+		}
+		return in
+	}
+	parent, _, err := g.JoinForest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, u := 0, 1
+	if parent[0] == 1 {
+		p, u = 1, 0
+	}
+
+	d := disk()
+	in := instance(d)
+	d.ResetStats()
+	red, err := FullReduce(g, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := d.Stats()
+
+	hd := disk()
+	hin := instance(hd)
+	hd.ResetStats()
+	by := func(r *relation.Relation) *relation.Relation {
+		s, err := r.SortBy(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	semi := func(r, s *relation.Relation) *relation.Relation {
+		out, err := relation.Semijoin(r, s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	sp, su := by(hin[p]), by(hin[u])
+	rp := semi(sp, su)     // upward: the child reduces the parent
+	ru := semi(su, by(rp)) // downward: the parent reduces the child
+	if want := hd.Stats(); got != want {
+		t.Fatalf("FullReduce charged %+v, want %+v for one sort per relation and two semijoins", got, want)
+	}
+	for id, want := range map[int]*relation.Relation{p: rp, u: ru} {
+		if got, want := relation.Contents(red[id]), relation.Contents(want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("relation %d reduced to %v, want %v", id, got, want)
 		}
 	}
 }
