@@ -16,8 +16,8 @@ import (
 // runMemoL5 evaluates a fresh seed-7 uniform L5 instance (a multi-branch
 // exhaustive subject) under the given options, on a disk that carries an
 // operator memo when memo is set, returning the Result, the emitted rows in
-// emission order, and the memo counters.
-func runMemoL5(t *testing.T, memo bool, opts Options) (*Result, []string, opcache.Stats) {
+// emission order, the memo counters and the disk's transfer ledger.
+func runMemoL5(t *testing.T, memo bool, opts Options) (*Result, []string, opcache.Stats, extmem.XferStats) {
 	t.Helper()
 	d := extmem.NewDisk(extmem.Config{M: 64, B: 8})
 	if memo {
@@ -36,11 +36,15 @@ func runMemoL5(t *testing.T, memo bool, opts Options) (*Result, []string, opcach
 	if m := opcache.Of(d); m != nil {
 		cs = m.Stats()
 	}
-	return r, rows, cs
+	return r, rows, cs, d.Transfers()
 }
 
 // A run with the memo on must reproduce the memo-off exhaustive run exactly:
-// Result, stats, and the emitted rows in their emission order. The comparison pins
+// Result, stats, and the emitted rows in their emission order, while it
+// performs far fewer reads: the branches after the first replay the sorts,
+// semijoins and chunk loads they repeat, so fewer than a fifth of the
+// memo-off run's reads reach the disk (over a quarter did while chunk loads
+// were not memoized). The comparison pins
 // NoPrune: a replayed tape charges its segments in recorded read/write order
 // while a real run interleaves them, so a budget abort mid-operator can land
 // on a different point of the read/write split (the IOs total is clamped
@@ -48,12 +52,12 @@ func runMemoL5(t *testing.T, memo bool, opts Options) (*Result, []string, opcach
 // therefore an unpruned contract; the pruned-mode counterpart (IOs()-level
 // equality) lives in prune_test.go.
 func TestMemoModesBitIdentical(t *testing.T) {
-	ref, refRows, _ := runMemoL5(t, false, Options{Strategy: StrategyExhaustive, NoPrune: true})
+	ref, refRows, _, refX := runMemoL5(t, false, Options{Strategy: StrategyExhaustive, NoPrune: true})
 	if ref.Branches < 4 {
 		t.Fatalf("want a multi-branch subject, got %d branches", ref.Branches)
 	}
 	t.Run("on", func(t *testing.T) {
-		r, rows, cs := runMemoL5(t, true, Options{Strategy: StrategyExhaustive, NoPrune: true})
+		r, rows, cs, x := runMemoL5(t, true, Options{Strategy: StrategyExhaustive, NoPrune: true})
 		if !reflect.DeepEqual(r, ref) {
 			t.Fatalf("Result = %+v, want %+v", r, ref)
 		}
@@ -62,6 +66,10 @@ func TestMemoModesBitIdentical(t *testing.T) {
 		}
 		if cs.Hits == 0 {
 			t.Errorf("the memo replayed nothing: %+v", cs)
+		}
+		if refX.ReplayedReads != 0 || x.TotalReads() != refX.Reads || 5*x.Reads >= refX.Reads {
+			t.Errorf("memo on performed %d of %d reads, memo off %d of %d; want under a fifth with the memo on",
+				x.Reads, x.TotalReads(), refX.Reads, refX.TotalReads())
 		}
 	})
 }
@@ -116,7 +124,7 @@ func TestDryRunChargesMatchWetRun(t *testing.T) {
 // past the first must therefore reuse at least its shared prefix head, and
 // on this workload replayed work dominates recomputation.
 func TestBranchPrefixReuse(t *testing.T) {
-	r, _, cs := runMemoL5(t, true, Options{Strategy: StrategyExhaustive})
+	r, _, cs, _ := runMemoL5(t, true, Options{Strategy: StrategyExhaustive})
 	if r.Branches < 4 {
 		t.Fatalf("want a multi-branch subject, got %d branches", r.Branches)
 	}

@@ -119,8 +119,8 @@ func TestPruneSequentialDeterministic(t *testing.T) {
 // On a branch-heavy workload the bound must actually bite: some branches
 // pruned, with a strictly cheaper round-robin total than the unpruned run.
 func TestPruneTelemetryBites(t *testing.T) {
-	unpruned, _, _ := runMemoL5(t, true, Options{Strategy: StrategyExhaustive, NoPrune: true})
-	pruned, _, _ := runMemoL5(t, true, Options{Strategy: StrategyExhaustive})
+	unpruned, _, _, _ := runMemoL5(t, true, Options{Strategy: StrategyExhaustive, NoPrune: true})
+	pruned, _, _, _ := runMemoL5(t, true, Options{Strategy: StrategyExhaustive})
 	if unpruned.Prune.Pruned != 0 {
 		t.Errorf("NoPrune run pruned %d branches", unpruned.Prune.Pruned)
 	}
@@ -151,8 +151,8 @@ func TestPruneTelemetryBites(t *testing.T) {
 // modes a sequential pruned run keeps: rows, ExecStats, Policy, Branches,
 // the Prune split, and TotalStats at IOs() granularity.
 func TestPrunedMemoInvariants(t *testing.T) {
-	on, onRows, _ := runMemoL5(t, true, Options{Strategy: StrategyExhaustive})
-	off, offRows, _ := runMemoL5(t, false, Options{Strategy: StrategyExhaustive})
+	on, onRows, _, _ := runMemoL5(t, true, Options{Strategy: StrategyExhaustive})
+	off, offRows, _, _ := runMemoL5(t, false, Options{Strategy: StrategyExhaustive})
 	if !reflect.DeepEqual(onRows, offRows) {
 		t.Errorf("emitted rows diverge across memo modes (%d vs %d)", len(onRows), len(offRows))
 	}

@@ -8,9 +8,10 @@
 // simulator: transfers are tallied in XferStats and no bytes move, because the
 // in-memory image held by File is the disk contents. The second is the
 // os.File-backed engine in internal/extmem/diskfile, which mirrors the image
-// onto a real file with one syscall per charged transfer: a charged write
-// pwrites the image window to the device, and a charged read preads its frame
-// back and byte-verifies it against the image. The image stays authoritative
+// onto a real file with one syscall per performed transfer: a performed write
+// pwrites the image window to the device, and a performed read preads its
+// frame back and byte-verifies it against the image. A charge the operator
+// memo replays (see XferStats) performs no transfer. The image stays authoritative
 // either way — which is what keeps results, policies, and charge accounting
 // bit-identical across backends — while the file engine proves that the
 // charged transfer schedule is physically executable, block for block.
@@ -90,7 +91,7 @@ func (x XferStats) Sub(o XferStats) XferStats {
 // DeviceStats is backend-level telemetry: what happened below the seam. It is
 // kept separate from the model's Stats/XferStats because the parity invariant
 // lives at the seam, not at the syscall layer. On the file engine every
-// charged transfer is one syscall: each billed read is exactly one pread
+// performed transfer is one syscall: each billed read is exactly one pread
 // unless its frame has no device copy yet, so ReadCalls + BackfillServes ==
 // BilledReads. The nil (sim) backend reports all zeros.
 type DeviceStats struct {

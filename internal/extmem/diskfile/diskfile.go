@@ -1,21 +1,22 @@
 // Package diskfile implements the os.File-backed storage engine behind the
 // extmem Backend seam. The simulated machine's in-memory image stays
 // authoritative; the engine mirrors it onto a real file, frame by frame, so
-// that every charged block transfer is physically executed and every charged
-// read is byte-verified against the device — a standing torn-block check that
-// turns any divergence between the model and the device into a panic at the
-// exact transfer that broke.
+// that every performed block transfer is physically executed and every
+// performed read is byte-verified against the device — a standing torn-block
+// check that turns any divergence between the model and the device into a
+// panic at the exact transfer that broke. A charge the operator memo replays
+// performs no transfer and reaches no device (see extmem.XferStats).
 //
 // Layout: each physical file is a sequence of frames of B tuples (B*slot
 // cells, 8 bytes per cell), allocated frame-at-a-time from a free list inside
 // one backing os.File.
 //
-// Every charged transfer is one syscall. A charged write pwrites its window
-// at the operation that charged it, one pwrite per offset-contiguous run of
-// frames; a charged read preads exactly its frame and compares the device
-// bytes with the image. The engine holds no tuple contents — no block cache,
-// no write buffer, no read-ahead — so the model's M words are the only
-// memory. The only syscalls that no charged transfer maps to are the
+// Every performed transfer is one syscall. A performed write pwrites its
+// window at the operation that charged it, one pwrite per offset-contiguous
+// run of frames; a performed read preads exactly its frame and compares the
+// device bytes with the image. The engine holds no tuple contents — no block
+// cache, no write buffer, no read-ahead — so the model's M words are the only
+// memory. The only syscalls that no performed transfer maps to are the
 // unbilled writes of free-path loading, backfills of frames that have no
 // device copy yet, and repair rewrites under a fault plan.
 //

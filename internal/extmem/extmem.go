@@ -131,7 +131,7 @@ type Disk struct {
 	// stores and hands it back; opcache owns the concrete type.
 	opMemo any
 	// recorders is the stack of active charge-tape recorders (see StartTape).
-	recorders []*tapeRecorder
+	recorders []tapeRecorder
 	// memPeaks is the stack of active interval peak watches (StartMemPeak).
 	memPeaks []*int
 	// budget holds the armed charge-budget watermark, encoded as limit+1 so
@@ -204,9 +204,9 @@ func (d *Disk) Grab(n int) error {
 	if d.memInUse > d.stats.MemHiWater {
 		d.stats.MemHiWater = d.memInUse
 	}
-	for _, rec := range d.recorders {
-		if delta := d.memInUse - rec.baseMem; delta > rec.peak {
-			rec.peak = delta
+	for i := range d.recorders {
+		if rec := &d.recorders[i]; d.memInUse-rec.baseMem > rec.peak {
+			rec.peak = d.memInUse - rec.baseMem
 		}
 	}
 	for _, p := range d.memPeaks {
@@ -256,18 +256,25 @@ func (d *Disk) StartMemPeak() func() int {
 // window exists to hand the backend, so the seam ledger books them on the
 // replayed side — keeping Stats == performed + replayed exact on both
 // backends. Concrete transfers go through chargeReadWindow/chargeWriteWindow
-// (backend.go) instead.
+// (backend.go) instead. A model fault plan fires at an exact I/O number, so
+// while one is armed the blocks are charged one at a time, each checked
+// like the transfer it stands in for; a fault or cancellation then lands on
+// the same charge as in the run that performed them.
 func (d *Disk) chargeRead(blocks int64) {
 	d.live()
 	if d.suspended != 0 {
 		return
 	}
-	d.preCharge(opRead, d.stats.IOs())
-	n := d.budgetAllowance(blocks)
-	if n > 0 {
-		d.xfer.ReplayedReads += n
+	for blocks > 0 {
+		k := d.replayBatch(blocks)
+		d.preCharge(opRead, d.stats.IOs())
+		n := d.budgetAllowance(k)
+		if n > 0 {
+			d.xfer.ReplayedReads += n
+		}
+		d.applyRead(n)
+		blocks -= k
 	}
-	d.applyRead(n)
 }
 
 func (d *Disk) chargeWrite(blocks int64) {
@@ -275,12 +282,25 @@ func (d *Disk) chargeWrite(blocks int64) {
 	if d.suspended != 0 {
 		return
 	}
-	d.preCharge(opWrite, d.stats.IOs())
-	n := d.budgetAllowance(blocks)
-	if n > 0 {
-		d.xfer.ReplayedWrites += n
+	for blocks > 0 {
+		k := d.replayBatch(blocks)
+		d.preCharge(opWrite, d.stats.IOs())
+		n := d.budgetAllowance(k)
+		if n > 0 {
+			d.xfer.ReplayedWrites += n
+		}
+		d.applyWrite(n)
+		blocks -= k
 	}
-	d.applyWrite(n)
+}
+
+// replayBatch is how many of the given replayed blocks to charge at once:
+// all of them, or one while a model fault plan is armed.
+func (d *Disk) replayBatch(blocks int64) int64 {
+	if d.faults != nil {
+		return 1
+	}
+	return blocks
 }
 
 // budgetAllowance checks an armed charge budget against a pending charge of
@@ -505,7 +525,8 @@ type tapeRecorder struct {
 // recordCharge appends a (non-suspended) block charge to every active
 // recorder, merging runs of same-label charges into one segment.
 func (d *Disk) recordCharge(reads, writes int64) {
-	for _, rec := range d.recorders {
+	for i := range d.recorders {
+		rec := &d.recorders[i]
 		label := ""
 		if d.phaseDepth != rec.baseDepth {
 			label = d.phaseLabel()
@@ -524,7 +545,7 @@ func (d *Disk) recordCharge(reads, writes int64) {
 // Recorders nest (an operator that runs sub-operators records their charges
 // too — including replayed ones, which go through the same charging paths).
 func (d *Disk) StartTape() {
-	d.recorders = append(d.recorders, &tapeRecorder{baseDepth: d.phaseDepth, baseMem: d.memInUse})
+	d.recorders = append(d.recorders, tapeRecorder{baseDepth: d.phaseDepth, baseMem: d.memInUse})
 }
 
 // StopTape pops the innermost recorder and returns its tape.
@@ -544,10 +565,12 @@ func (d *Disk) StopTape() ChargeTape {
 // replayed under its recorded phase. Charges respect suspension and the
 // current phase label exactly like the I/Os they stand in for.
 func (d *Disk) ReplayTape(t ChargeTape) error {
-	err := d.Grab(t.Peak)
-	d.Release(t.Peak)
-	if err != nil {
-		return err
+	if t.Peak > 0 {
+		err := d.Grab(t.Peak)
+		d.Release(t.Peak)
+		if err != nil {
+			return err
+		}
 	}
 	for _, s := range t.Segments {
 		if s.Phase == "" {
@@ -910,6 +933,20 @@ func (r *Reader) Skip(n int) {
 func (r *Reader) Cells() []int64 {
 	slot := r.f.Slot()
 	return r.f.data[r.pos*slot : r.end*slot]
+}
+
+// Resume moves the reader forward to tuple pos of its range and counts the
+// block window holding pos as charged, without billing it: the next Block
+// returns the rest of that window for free. Only a replayed memo step may
+// call it, right after the operator memo replayed the charges of the reads
+// that took the recorded run to pos; anywhere else it reads a block past the
+// accountant. It panics if pos is behind the reader or past its range.
+func (r *Reader) Resume(pos int) {
+	if pos < r.pos || pos >= r.end {
+		panic(fmt.Sprintf("extmem: Reader.Resume(%d) outside [%d, %d)", pos, r.pos, r.end))
+	}
+	b := r.f.d.cfg.B
+	r.pos, r.remaining = pos, b-pos%b
 }
 
 // Pos returns the index of the next tuple to be returned.

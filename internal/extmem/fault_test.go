@@ -397,3 +397,36 @@ func TestArmedButSilentPlanIsInvisible(t *testing.T) {
 		t.Fatalf("silent plan recorded activity: %v", d.FaultStats())
 	}
 }
+
+// A replayed batch of charges meets a model fault plan at the same I/O
+// number as the transfers it stands in for: a permanent fault or a planned
+// cancellation mid-batch leaves the same Stats and the same error as in
+// the run that performed them one by one.
+func TestReplayFaultsAtTheExactCharge(t *testing.T) {
+	for at := int64(1); at <= 11; at++ {
+		for _, plan := range []FaultPlan{{PermanentAt: at}, {CancelAt: at}} {
+			run := func(replay bool) (Stats, error) {
+				d := testDisk(t, 100, 10)
+				d.SetFaultPlan(&plan)
+				_, err := d.CatchAbort(func() error {
+					if replay {
+						d.ReplayIO(0, 5)
+						d.ReplayIO(5, 0)
+					} else {
+						chargeMix(d, 5)
+					}
+					return nil
+				})
+				return d.Stats(), err
+			}
+			performed, perr := run(false)
+			replayed, rerr := run(true)
+			if performed != replayed || !reflect.DeepEqual(perr, rerr) {
+				t.Fatalf("%+v: performed %v (%v), replayed %v (%v)", plan, performed, perr, replayed, rerr)
+			}
+			if (at <= 10) != (perr != nil) {
+				t.Fatalf("%+v: a 10-charge run returned %v", plan, perr)
+			}
+		}
+	}
+}

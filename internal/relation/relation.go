@@ -420,15 +420,18 @@ func (c *Chunk) Release() {
 
 // chunkArena is the host memory behind one chunk load: the row headers Rows
 // builds, the chunk's value set with its group offsets, the cells of a chunk
-// that must be copied and the Chunk handed to fn. One load reuses it for every chunk, and arenaPool hands it to later
-// loads, so a load allocates O(1) times however many tuples it reads. A load
-// nested in another load's fn takes its own arena from the pool.
+// that must be copied, the Chunk handed to fn and, for a load by value, the
+// pass's state. One load reuses it for every chunk, and arenaPool hands it
+// to later loads, so a load allocates O(1) times however many tuples it
+// reads. A load nested in another load's fn takes its own arena from the
+// pool.
 type chunkArena struct {
 	rows   []tuple.Tuple
 	vals   []int64
 	starts []int
 	cells  []int64
 	chunk  Chunk
+	load   byLoad
 }
 
 var arenaPool sync.Pool
@@ -447,6 +450,7 @@ func getArena() *chunkArena {
 func putArena(a *chunkArena) {
 	clear(a.rows[:cap(a.rows)])
 	a.chunk = Chunk{}
+	a.load = byLoad{}
 	arenaPool.Put(a)
 }
 
@@ -530,92 +534,176 @@ func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 // chunk's memory is released after fn returns, whether or not fn returns an
 // error, and a refused grab releases what it asked for before the error
 // returns.
+//
+// Each stretch of the pass that fills a chunk is a memoized operator (see
+// byLoad.step): a later branch that loads the same view replays its read
+// charges and files its groups from the image, performing no read.
 func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) (heavy []Group, err error) {
 	if !r.SortedByAttr(a) {
 		return nil, fmt.Errorf("relation: LoadChunksBy(v%d) on view not sorted by it", a)
 	}
-	d := r.Disk()
-	m, w := d.M(), r.file.Slot()
-	col := r.Col(a)
-	rd := r.Reader()
-	// The view's cells in the file image. The pass reads them only window
-	// by window, as the reader charges them.
-	img := rd.Cells()
-	_, n := rd.Block()
-	if n == 0 {
+	if r.n == 0 {
 		return nil, nil
 	}
 	ar := getArena()
 	defer putArena(ar)
-	// The chunk being filled, nil until a light value enters it, with the
-	// tuples loaded into it; end is the relative index its cells run to in
-	// the image, while not copied.
-	var c *Chunk
-	loaded, end, copied := 0, 0, false
-	flush := func() error {
-		if err := d.Grab(loaded); err != nil {
-			d.Release(loaded)
-			return err
+	s := &ar.load
+	*s = byLoad{r: r, rd: *r.Reader(), m: r.Disk().M(), w: r.file.Slot(), col: r.Col(a), ar: ar}
+	// The view's cells in the file image. A real step reads them only window
+	// by window, as the reader charges them.
+	s.img = s.rd.Cells()
+	s.cur = s.img[s.col]
+	for first := true; ; first = false {
+		cut, err := s.step(first)
+		if err != nil {
+			return nil, err
 		}
-		ar.starts = append(ar.starts, loaded)
-		c.Values, c.Starts, c.held = ar.vals, ar.starts, loaded
-		err := fn(c)
-		c.Release()
-		c, loaded, copied = nil, 0, false
-		return err
-	}
-	// file files the group of value v, relative range [lo, hi): heavy, or
-	// into the chunk.
-	file := func(v int64, lo, hi int) {
-		if hi-lo >= m {
-			heavy = append(heavy, Group{Value: v, Rel: r.View(lo, hi-lo)})
-			return
+		if cut == r.n {
+			break
 		}
-		if c == nil {
-			c = ar.start(r)
-		}
-		ar.vals = append(ar.vals, v)
-		ar.starts = append(ar.starts, loaded)
-		loaded += hi - lo
-		switch {
-		case len(c.cells) == 0:
-			c.cells = img[lo*w : hi*w]
-		case !copied && lo == end:
-			c.cells = c.cells[:loaded*w]
-		default:
-			if !copied {
-				ar.cells = append(ar.cells[:0], c.cells...)
-				copied = true
-			}
-			ar.cells = append(ar.cells, img[lo*w:hi*w]...)
-			c.cells = ar.cells
-		}
-		end = hi
-	}
-	// The group being read: value cur from relative index lo.
-	cur, lo := img[col], 0
-	for base := 0; n > 0; base = rd.Pos() - r.off {
-		for i := base; i < base+n; i++ {
-			v := img[i*w+col]
-			if v == cur {
-				continue
-			}
-			file(cur, lo, i)
-			if loaded >= m {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-			}
-			cur, lo = v, i
-		}
-		rd.Skip(n)
-		_, n = rd.Block()
-	}
-	file(cur, lo, r.n)
-	if c != nil {
-		if err := flush(); err != nil {
+		if err := s.flush(fn); err != nil {
 			return nil, err
 		}
 	}
-	return heavy, nil
+	s.file(s.cur, s.lo, r.n)
+	if s.c != nil {
+		if err := s.flush(fn); err != nil {
+			return nil, err
+		}
+	}
+	return s.heavy, nil
+}
+
+// byLoad is the state of one LoadChunksBy pass, kept in its arena.
+type byLoad struct {
+	r         *Relation
+	rd        extmem.Reader
+	img       []int64
+	m, w, col int
+	ar        *chunkArena
+	heavy     []Group
+	// The group being read: value cur from relative index lo.
+	cur int64
+	lo  int
+	// The chunk being filled, nil until a light value enters it, with the
+	// tuples loaded into it; end is the relative index its cells run to in
+	// the image, while not copied.
+	c           *Chunk
+	loaded, end int
+	copied      bool
+}
+
+// step files the groups from lo, the start of the group being read, on,
+// until a chunk fills or the view ends, and returns the index of the tuple
+// that opens the next chunk, or the view's length. It is one memoized
+// operator. What it reads is a function of the view's cells from lo on, of
+// their block alignment and of whether the reader has charged lo's window
+// already, as it has at every step but the first. So its charges are
+// replayed when an earlier branch loaded the same cells, and it then files
+// the groups from the image and resumes the reader at the cut, performing no
+// read. It writes nothing, so the memo keeps only its charges.
+func (s *byLoad) step(first bool) (int, error) {
+	r := s.r
+	charged := int64(1)
+	if first {
+		charged = 0
+	}
+	ran, cut := false, 0
+	_, _, err := opcache.Do(r.Disk(), opcache.Op{
+		Kind:   "loadby",
+		Inputs: []opcache.Input{{File: r.file, Off: r.off + s.lo, N: r.n - s.lo}},
+		Aux:    []int64{int64(s.col), charged},
+	}, func() ([]*extmem.File, []int64, error) {
+		ran, cut = true, s.read()
+		return nil, nil, nil
+	})
+	if err != nil || ran {
+		return cut, err
+	}
+	if cut = s.advance(s.lo, r.n); cut < r.n {
+		s.rd.Resume(r.off + cut)
+	}
+	return cut, nil
+}
+
+// read is a step's real run: it reads on through the reader, window by
+// window, charging each window the first time, and stops at the cut.
+func (s *byLoad) read() int {
+	r, rd := s.r, &s.rd
+	for {
+		_, n := rd.Block()
+		if n == 0 {
+			return r.n
+		}
+		i := rd.Pos() - r.off
+		if cut := s.advance(i, i+n); cut < i+n {
+			rd.Skip(cut - i)
+			return cut
+		}
+		rd.Skip(n)
+	}
+}
+
+// advance files the groups that tuples [i, hi) of the view close, and stops
+// at the first tuple that opens a group once a chunk holds M tuples: it
+// returns that tuple's index, or hi.
+func (s *byLoad) advance(i, hi int) int {
+	for ; i < hi; i++ {
+		v := s.img[i*s.w+s.col]
+		if v == s.cur {
+			continue
+		}
+		s.file(s.cur, s.lo, i)
+		s.cur, s.lo = v, i
+		if s.loaded >= s.m {
+			return i
+		}
+	}
+	return hi
+}
+
+// file files the group of value v, relative range [lo, hi): heavy, or into
+// the chunk.
+func (s *byLoad) file(v int64, lo, hi int) {
+	if hi-lo >= s.m {
+		s.heavy = append(s.heavy, Group{Value: v, Rel: s.r.View(lo, hi-lo)})
+		return
+	}
+	ar, w := s.ar, s.w
+	if s.c == nil {
+		s.c = ar.start(s.r)
+	}
+	c := s.c
+	ar.vals = append(ar.vals, v)
+	ar.starts = append(ar.starts, s.loaded)
+	s.loaded += hi - lo
+	switch {
+	case len(c.cells) == 0:
+		c.cells = s.img[lo*w : hi*w]
+	case !s.copied && lo == s.end:
+		c.cells = c.cells[:s.loaded*w]
+	default:
+		if !s.copied {
+			ar.cells = append(ar.cells[:0], c.cells...)
+			s.copied = true
+		}
+		ar.cells = append(ar.cells, s.img[lo*w:hi*w]...)
+		c.cells = ar.cells
+	}
+	s.end = hi
+}
+
+// flush grabs the chunk's memory, hands it to fn and releases it.
+func (s *byLoad) flush(fn func(c *Chunk) error) error {
+	d, ar, c := s.r.Disk(), s.ar, s.c
+	if err := d.Grab(s.loaded); err != nil {
+		d.Release(s.loaded)
+		return err
+	}
+	ar.starts = append(ar.starts, s.loaded)
+	c.Values, c.Starts, c.held = ar.vals, ar.starts, s.loaded
+	err := fn(c)
+	c.Release()
+	s.c, s.loaded, s.copied = nil, 0, false
+	return err
 }

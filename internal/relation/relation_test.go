@@ -3,10 +3,12 @@ package relation
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"acyclicjoin/internal/extmem"
+	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/tuple"
 )
 
@@ -251,11 +253,13 @@ func splitOracle(rows []tuple.Tuple, m int) (heavy []int64, chunks []loaded) {
 // heavy values in order, each as exactly its tuples; the same chunks, with
 // the same values, offsets and rows; and the exact charge, the view's block
 // windows once, no write, and memory for the largest chunk's filled length,
-// none with no light value.
+// none with no light value. It then loads the same view twice on a disk with
+// an operator memo (see checkReplayedLoad).
 // It returns the load's heavy groups and chunks.
 func checkSplit(t *testing.T, r *Relation, view []tuple.Tuple, lo, m, b int) ([]Group, []loaded) {
 	t.Helper()
 	heavy, chunks, cost := loadBy(t, r)
+	checkReplayedLoad(t, r, heavy, chunks, cost)
 	wantHeavy, wantChunks := splitOracle(view, m)
 	want := extmem.Stats{Reads: windows(lo, len(view), b)}
 	for _, c := range wantChunks {
@@ -287,6 +291,47 @@ func checkSplit(t *testing.T, r *Relation, view []tuple.Tuple, lo, m, b int) ([]
 		t.Fatalf("M=%d B=%d view [%d,+%d): chunks %+v, want %+v", m, b, lo, len(view), chunks, wantChunks)
 	}
 	return heavy, chunks
+}
+
+// memoCopy returns r's view over a copy of r's file on a fresh disk of the
+// same M and B that carries an operator memo.
+func memoCopy(r *Relation) *Relation {
+	d := extmem.NewDisk(r.Disk().Config())
+	opcache.Enable(d)
+	rows := make([]tuple.Tuple, r.file.Len())
+	for i := range rows {
+		rows[i] = r.file.At(i)
+	}
+	f := FromTuples(d, r.schema, rows)
+	return &Relation{schema: r.schema, file: f.file, off: r.off, n: r.n, sortCols: r.sortCols}
+}
+
+// checkReplayedLoad loads a copy of r on a disk with an operator memo twice,
+// and checks both loads against r's load, which found heavy and chunks at
+// cost: the same heavy groups, the same chunks handed to fn and the same
+// Stats, hi-water included. The second load replays every read of the
+// first: it performs none.
+func checkReplayedLoad(t *testing.T, r *Relation, heavy []Group, chunks []loaded, cost extmem.Stats) {
+	t.Helper()
+	mr := memoCopy(r)
+	for pass := range 2 {
+		mHeavy, mChunks, mCost := loadBy(t, mr)
+		if mCost != cost {
+			t.Fatalf("memo load %d charged %+v, want %+v", pass, mCost, cost)
+		}
+		if !slices.EqualFunc(mChunks, chunks, loaded.equal) {
+			t.Fatalf("memo load %d handed fn chunks %+v, want %+v", pass, mChunks, chunks)
+		}
+		if !slices.EqualFunc(mHeavy, heavy, func(a, b Group) bool {
+			return a.Value == b.Value && a.Rel.off == b.Rel.off && a.Rel.n == b.Rel.n
+		}) {
+			t.Fatalf("memo load %d found heavy groups %+v, want %+v", pass, mHeavy, heavy)
+		}
+		x := mr.Disk().Transfers()
+		if pass == 1 && (x.Reads != 0 || x.ReplayedReads != cost.Reads) {
+			t.Fatalf("the repeated load performed %d reads and replayed %d, want 0 and %d", x.Reads, x.ReplayedReads, cost.Reads)
+		}
+	}
 }
 
 // TestHeavyChargesOneScan pins what the load by value charges: the view's
@@ -395,6 +440,87 @@ func TestLoadChunksByChunkComposition(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayedLoadAbortsAtTheSameCharge arms a charge budget, a permanent
+// model fault or a planned cancellation at each charge of a load by value,
+// on a disk with the memo off and on a copy with it on, and loads the view
+// three times: armed, in full, and armed again. With the memo on, the full
+// load replays the steps the aborted one recorded and reads the rest for
+// real, and the last load replays every step. Each load must abort at the
+// same charge with the same error, or not at all, with the same Stats and
+// after handing fn the same chunks, with the memo on and off.
+func TestReplayedLoadAbortsAtTheSameCharge(t *testing.T) {
+	const m, b = 6, 2
+	vals := []int64{-1, 1, 2, 3, 3, 3, 3, 3, 3, 4, 5, 5, 5, 6, 6, 7, 8, 8, 9, 9, 9, 9, 9, 9, 9, 10, 11, 11, 12}
+	rows := make([]tuple.Tuple, len(vals))
+	for i, v := range vals {
+		rows[i] = tuple.Tuple{v, int64(i)}
+	}
+	view := func(d *extmem.Disk) *Relation {
+		return FromTuples(d, tuple.Schema{0, 1}, rows).WithSortOrder([]int{0, 1}).View(1, len(vals)-1)
+	}
+	plain := view(disk(m, b))
+	_, want, full := loadBy(t, plain)
+	arms := map[string]func(d *extmem.Disk, at int64){
+		"budget":    func(d *extmem.Disk, at int64) { d.SetChargeBudget(at) },
+		"fault":     func(d *extmem.Disk, at int64) { d.SetFaultPlan(&extmem.FaultPlan{PermanentAt: at}) },
+		"cancelled": func(d *extmem.Disk, at int64) { d.SetFaultPlan(&extmem.FaultPlan{CancelAt: at}) },
+	}
+	// load loads r, armed to abort at its limit-th charge (never when 0),
+	// and returns what it charged, the chunks fn saw, and whether and how it
+	// aborted.
+	load := func(r *Relation, arm func(*extmem.Disk, int64), limit int64) (extmem.Stats, []loaded, bool, error) {
+		d := r.Disk()
+		before := d.Stats()
+		if limit > 0 {
+			arm(d, before.IOs()+limit)
+			defer func() {
+				d.ClearChargeBudget()
+				d.SetFaultPlan(nil)
+			}()
+		}
+		var chunks []loaded
+		pruned, err := d.CatchAbort(func() error {
+			_, err := r.LoadChunksBy(0, func(c *Chunk) error {
+				l := loaded{vals: slices.Clone(c.Values), starts: slices.Clone(c.Starts)}
+				for _, tp := range c.Rows() {
+					l.rows = append(l.rows, tuple.Clone(tp))
+				}
+				chunks = append(chunks, l)
+				return nil
+			})
+			return err
+		})
+		if d.MemInUse() != 0 {
+			t.Fatalf("limit %d: %d tuples held after the load", limit, d.MemInUse())
+		}
+		return d.Stats().Sub(before), chunks, pruned || err != nil, err
+	}
+	for name, arm := range arms {
+		for limit := int64(1); limit <= full.Reads+1; limit++ {
+			off, on := view(disk(m, b)), memoCopy(plain)
+			for i, l := range []int64{limit, 0, limit} {
+				performed := on.Disk().Transfers().Reads
+				offCost, offChunks, offAborted, offErr := load(off, arm, l)
+				onCost, onChunks, onAborted, onErr := load(on, arm, l)
+				if offAborted != (l > 0 && l <= full.Reads) {
+					t.Fatalf("%s at %d of a %d-read load: aborted %v", name, l, full.Reads, offAborted)
+				}
+				if !offAborted && !slices.EqualFunc(offChunks, want, loaded.equal) {
+					t.Fatalf("%s at %d, load %d: chunks %+v, want %+v", name, limit, i, offChunks, want)
+				}
+				if onCost != offCost || !slices.EqualFunc(onChunks, offChunks, loaded.equal) || onAborted != offAborted || !reflect.DeepEqual(onErr, offErr) {
+					t.Fatalf("%s at %d, load %d: memo on charged %+v after chunks %+v (%v), memo off %+v after %+v (%v)",
+						name, limit, i, onCost, onChunks, onErr, offCost, offChunks, offErr)
+				}
+				if performed = on.Disk().Transfers().Reads - performed; i == 2 && performed != 0 {
+					t.Fatalf("%s at %d: the last load performed %d reads, want every read replayed", name, limit, performed)
+				}
+			}
+		}
+	}
+}
+
 func TestLoadChunks(t *testing.T) {
 	d := disk(8, 2)
 	var rows []tuple.Tuple

@@ -85,18 +85,21 @@ type Options struct {
 	// accounting there too.)
 	NoPrune bool
 	// Memo controls the charge-replay operator memo: deterministic
-	// operators (sorts, semijoins, projections, materialized pairwise
-	// joins) repeated on identical input windows with identical parameters
-	// and machine shape are answered by cloning a recorded output and
-	// replaying the recorded charges. On by default.
+	// operators (sorts, semijoins, projections, materializations of a view,
+	// materialized pairwise joins, and each chunk of a chunk load by value)
+	// repeated on identical input windows with identical parameters and
+	// machine shape are answered by cloning a recorded output and replaying
+	// the recorded charges. On by default.
 	// Every simulated figure — Stats, PlanningStats, counts — is
-	// bit-identical with the memo on or off; only host wall-clock time
-	// changes. Set MemoOff to force every operator to run for real.
+	// bit-identical with the memo on or off; only host wall-clock time and
+	// the split of Transfers into performed and replayed transfers change.
+	// Set MemoOff to force every operator to run for real.
 	Memo MemoMode
 	// Backend selects the storage engine behind the simulated disk: "sim"
 	// (or empty — the default) counts block transfers in memory; "file" runs
-	// every charged transfer against a real os.File, one syscall each,
-	// byte-verifying charged reads against the in-memory image. The
+	// every performed transfer (every charge a memo hit does not replay)
+	// against a real os.File, one syscall each, byte-verifying performed
+	// reads against the in-memory image. The
 	// model sits entirely above the seam, so Count, Stats, the winning plan,
 	// and the emitted rows are bit-identical across backends; Result.Device
 	// reports the file engine's syscall-level telemetry. An empty value
@@ -233,8 +236,8 @@ type Result struct {
 	// physically executed and verified against the image.
 	Transfers TransferStats
 	// Device is the file engine's syscall-level telemetry (preads, pwrites,
-	// backfills; every charged transfer is one syscall); all zero on the sim
-	// backend.
+	// backfills; every performed transfer is one syscall, and a replayed one
+	// none); all zero on the sim backend.
 	Device DeviceStats
 }
 
