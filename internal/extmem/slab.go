@@ -95,15 +95,20 @@ func (d *Disk) Carve(n int) []int64 {
 }
 
 // Recycle ends the disk's life: its slabs go back to the pool for other
-// disks to reuse. Every file of the disk, every slice File.Raw, File.At,
-// Reader.Next or Carve returned, and every clone or snapshot of its files,
-// is invalid afterwards; NewFile, new readers and charged transfers on the
-// disk panic. Only the owner that knows the run is over may call it.
+// disks to reuse, and an operator memo attached with SetOpMemo that has a
+// Recycle method is recycled with it. Every file of the disk, every slice
+// File.Raw, File.At, Reader.Next or Carve returned, and every clone or
+// snapshot of its files, is invalid afterwards; NewFile, new readers and
+// charged transfers on the disk panic. Only the owner that knows the run is
+// over may call it.
 func (d *Disk) Recycle() {
 	if d.recycled {
 		return
 	}
 	d.recycled = true
+	if m, ok := d.opMemo.(interface{ Recycle() }); ok {
+		m.Recycle()
+	}
 	for _, p := range d.arena.slabs {
 		slabPool.Put(p)
 	}

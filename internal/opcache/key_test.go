@@ -67,10 +67,10 @@ func TestMemoKeyFields(t *testing.T) {
 		if _, _, err := Do(d, base, run); err != nil {
 			t.Fatal(err)
 		}
-		if keyOf(d, v) == keyOf(d, base) {
+		if keyOf(v) == keyOf(base) {
 			t.Errorf("%s: variant has the base op's key", name)
 		}
-		if _, hit := m.byID[keyOf(d, v)]; hit {
+		if _, hit := m.byID[keyOf(v)]; hit {
 			t.Errorf("%s: variant shares the base op's fast-path entry", name)
 		}
 	}
