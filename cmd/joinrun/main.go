@@ -34,7 +34,7 @@ func main() {
 		explain = flag.Bool("explain", false, "print the planning report (plan, branch counters, I/O split, greedy score rationale) to stderr after the run")
 		prune   = flag.Bool("prune", true, "abort dry-run branches once they exceed the best completed branch's cost; results and plan are unaffected, but planning I/O counts only the charges made before each abort (pass -prune=false for the full sum over branches)")
 		timeout = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit); the partial telemetry gathered so far is printed")
-		backend = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk, one syscall per charged transfer; results and I/O figures are bit-identical, charged transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
+		backend = flag.String("backend", "", "storage engine: sim (counting simulator, default) or file (real os.File-backed disk, one syscall per performed transfer; results and I/O figures are bit-identical, performed transfers are physically executed and verified); empty falls back to $ACYCLICJOIN_BACKEND")
 		datadir = flag.String("datadir", "", "directory for the file backend's backing file (default $ACYCLICJOIN_DATADIR, then an unlinked temp file)")
 	)
 	flag.Parse()

@@ -325,8 +325,8 @@ func deviceArm(t *testing.T, build builder, opts Options, ref *Result, refRows [
 }
 
 // engineRunBackend is engineRunOpts on the os.File-backed storage engine:
-// the disk mirrors every charged transfer onto a real (anonymous, unlinked)
-// backing file, one syscall per charged transfer, byte-verifying each billed
+// the disk mirrors every performed transfer onto a real (anonymous,
+// unlinked) backing file, one syscall each, byte-verifying each billed
 // read against the in-memory image. Beyond the usual leak checks it asserts
 // the seam parity invariant — charged Stats equal performed plus replayed
 // transfers — and that the engine observed exactly the performed side.
