@@ -21,19 +21,27 @@
 //	    func(row acyclicjoin.Row) { fmt.Println(row) })
 //	fmt.Println(res.Stats.IOs)
 //
-// String values are dictionary-encoded transparently; Explain reports edge
-// covers, the AGM bound, and the paper's GenS-based cost bound for a query.
+// String values are dictionary-encoded per attribute (see Value); Explain
+// reports edge covers, the AGM bound, and the paper's GenS-based cost bound
+// for a query.
 package acyclicjoin
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/tuple"
 )
 
-// Value is a column value: int64 or string (dictionary-encoded internally).
+// Value is a column value. Instance.Add takes a string or a value of any Go
+// integer type (int, int8, int16, int32, int64, uint, uint8, uint16, uint32,
+// uint64) that fits in an int64; emitted Rows hold int64 or string. Strings
+// are dictionary-encoded per attribute, so an attribute may hold strings or
+// integers ≤ -2 but not both, and the integer -2^62 is reserved; Add rejects
+// either with an error.
 type Value interface{}
 
 // Row is one join result keyed by attribute name.
@@ -113,10 +121,12 @@ func (b *QueryBuilder) Build() (*Query, error) {
 		attrIDs:   map[string]int{},
 		attrNames: append([]string{}, b.attrNames...),
 		relAttrs:  make([][]string, len(b.relAttrs)),
+		schemas:   make([]tuple.Schema, len(b.relAttrs)),
 	}
 	for i, name := range b.relNames {
 		q.relIndex[name] = i
 		q.relAttrs[i] = append([]string{}, b.relAttrs[i]...)
+		q.schemas[i] = slices.Clone(edges[i].Attrs)
 	}
 	for a, id := range b.attrIDs {
 		q.attrIDs[a] = id
@@ -131,6 +141,8 @@ type Query struct {
 	relAttrs  [][]string
 	attrIDs   map[string]int
 	attrNames []string
+	// schemas holds each relation's attribute IDs in declared column order.
+	schemas []tuple.Schema
 }
 
 // Relations returns the relation names in declaration order.
@@ -175,52 +187,85 @@ func (q *Query) IsStar() bool {
 // deduplicated (the join uses set semantics).
 type Instance struct {
 	q    *Query
-	rows [][]tuple.Tuple
-	seen []map[string]bool
-	dict *dictionary
+	rels []instRel
+	// dicts holds one string dictionary per attribute ID.
+	dicts []dictionary
+}
+
+// maxRows bounds a relation's rows, so that row numbers and the index's
+// slot count fit in an int32.
+const maxRows = 1 << 30
+
+// instRel is one relation of an Instance: its distinct rows back to back,
+// arity cells each, in the order they first arrived, and an open-addressing
+// index over them for deduplication.
+type instRel struct {
+	arity int
+	cells []int64
+	n     int
+	// slots holds row numbers plus one (0 marks an empty slot), probed
+	// linearly from the hash of a row's cells; it is kept at most half full.
+	slots []int32
 }
 
 // NewInstance creates an empty instance of the query.
 func (q *Query) NewInstance() *Instance {
 	in := &Instance{
-		q:    q,
-		rows: make([][]tuple.Tuple, len(q.relAttrs)),
-		seen: make([]map[string]bool, len(q.relAttrs)),
-		dict: newDictionary(),
+		q:     q,
+		rels:  make([]instRel, len(q.schemas)),
+		dicts: make([]dictionary, len(q.attrNames)),
 	}
-	for i := range in.seen {
-		in.seen[i] = map[string]bool{}
+	for i, s := range q.schemas {
+		in.rels[i].arity = len(s)
 	}
 	return in
 }
 
 // Add appends one tuple to the named relation, with values given in the
-// relation's declared attribute order. Values may be any integer type or
-// string. Duplicate tuples are ignored.
+// relation's declared attribute order. Each value is a string or an integer
+// of any Go integer type; see Value for the values Add rejects. Duplicate
+// tuples are ignored.
 func (in *Instance) Add(relationName string, values ...Value) error {
 	i, ok := in.q.relIndex[relationName]
 	if !ok {
 		return fmt.Errorf("acyclicjoin: unknown relation %q", relationName)
 	}
-	if len(values) != len(in.q.relAttrs[i]) {
+	schema := in.q.schemas[i]
+	if len(values) != len(schema) {
 		return fmt.Errorf("acyclicjoin: relation %q expects %d values, got %d",
-			relationName, len(in.q.relAttrs[i]), len(values))
+			relationName, len(schema), len(values))
 	}
-	t := make(tuple.Tuple, len(values))
+	// The row is encoded straight onto the end of the relation's cells and
+	// cut off again if it is rejected or already present. A string the
+	// attribute has not seen yet is coded only once the whole row is valid,
+	// and so is the mark that an attribute holds integers ≤ -2.
+	r := &in.rels[i]
+	if r.n == maxRows {
+		return fmt.Errorf("acyclicjoin: relation %q already holds %d rows, the most an instance allows",
+			relationName, maxRows)
+	}
+	off := len(r.cells)
 	for j, v := range values {
-		enc, err := in.dict.encode(v)
+		x, err := in.dicts[schema[j]].code(v)
 		if err != nil {
+			r.cells = r.cells[:off]
 			return fmt.Errorf("acyclicjoin: relation %q column %q: %w",
 				relationName, in.q.relAttrs[i][j], err)
 		}
-		t[j] = enc
+		r.cells = append(r.cells, x)
 	}
-	k := keyOf(t)
-	if in.seen[i][k] {
-		return nil
+	row := r.cells[off:]
+	for j, x := range row {
+		// In an attribute that holds strings, x ≤ -2 is a string's code.
+		if d := &in.dicts[schema[j]]; x == tuple.Unset {
+			row[j] = d.add(values[j].(string))
+		} else if x <= -2 && len(d.byStr) == 0 {
+			d.negative = true
+		}
 	}
-	in.seen[i][k] = true
-	in.rows[i] = append(in.rows[i], t)
+	if !r.insert(off) {
+		r.cells = r.cells[:off]
+	}
 	return nil
 }
 
@@ -234,60 +279,134 @@ func (in *Instance) MustAdd(relationName string, values ...Value) {
 // Size returns the current number of (distinct) tuples in a relation.
 func (in *Instance) Size(relationName string) int {
 	if i, ok := in.q.relIndex[relationName]; ok {
-		return len(in.rows[i])
+		return in.rels[i].n
 	}
 	return 0
 }
 
-func keyOf(t tuple.Tuple) string {
-	b := make([]byte, 0, len(t)*8)
-	for _, v := range t {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(v>>s))
+// insert indexes the row that starts at cell off, the last one in cells,
+// and reports whether it is new; a duplicate is left for the caller to cut.
+func (r *instRel) insert(off int) bool {
+	if 2*(r.n+1) > len(r.slots) {
+		r.rehash()
+	}
+	row := r.cells[off:]
+	mask := len(r.slots) - 1
+	for s := hashRow(row) & mask; ; s = (s + 1) & mask {
+		k := int(r.slots[s])
+		if k == 0 {
+			r.n++
+			r.slots[s] = int32(r.n)
+			return true
+		}
+		if at := (k - 1) * r.arity; slices.Equal(r.cells[at:at+r.arity], row) {
+			return false
 		}
 	}
-	return string(b)
 }
 
-// dictionary encodes strings as negative integers (distinct from any
-// caller-supplied int, which must be non-negative when strings are mixed in
-// the same attribute; pure-integer columns are stored as-is).
+// rehash doubles the index (16 slots at first) and re-enters every row.
+func (r *instRel) rehash() {
+	r.slots = make([]int32, max(16, 2*len(r.slots)))
+	mask := len(r.slots) - 1
+	for k := 1; k <= r.n; k++ {
+		at := (k - 1) * r.arity
+		s := hashRow(r.cells[at:at+r.arity]) & mask
+		for r.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		r.slots[s] = int32(k)
+	}
+}
+
+// hashRow is a multiply-xorshift hash of a row's cells.
+func hashRow(row []int64) int {
+	h := uint64(len(row))
+	for _, x := range row {
+		h = (h ^ uint64(x)) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return int(h ^ h>>32)
+}
+
+// dictionary encodes one attribute's strings as -2, -3, ... in the order the
+// attribute first sees them; integers are stored as they are. An attribute
+// that holds a string may therefore hold no integer ≤ -2, which would read
+// back as a string; -1 and the non-negative integers cannot collide with a
+// code. Each attribute has its own dictionary, so only the values a join can
+// compare share one.
 type dictionary struct {
 	byStr []string
 	ids   map[string]int64
+	// negative marks an attribute that holds an integer ≤ -2.
+	negative bool
 }
 
-func newDictionary() *dictionary {
-	return &dictionary{ids: map[string]int64{}}
-}
-
-func (d *dictionary) encode(v Value) (int64, error) {
-	switch x := v.(type) {
-	case int:
-		return int64(x), nil
+// code returns v's code in this attribute, or tuple.Unset for a string the
+// attribute has not coded yet (add codes it); it changes nothing.
+func (d *dictionary) code(v Value) (int64, error) {
+	var x int64
+	switch v := v.(type) {
 	case int64:
-		return x, nil
-	case int32:
-		return int64(x), nil
-	case uint32:
-		return int64(x), nil
+		x = v
+	case int:
+		x = int64(v)
 	case string:
-		if id, ok := d.ids[x]; ok {
+		if d.negative {
+			return 0, fmt.Errorf("string %q in an attribute that holds integers ≤ -2", v)
+		}
+		if id, ok := d.ids[v]; ok {
 			return id, nil
 		}
-		id := int64(-2 - len(d.byStr)) // -2, -3, ... (avoid tuple.Unset)
-		d.ids[x] = id
-		d.byStr = append(d.byStr, x)
-		return id, nil
+		return tuple.Unset, nil
+	case int32:
+		x = int64(v)
+	case int16:
+		x = int64(v)
+	case int8:
+		x = int64(v)
+	case uint:
+		if uint64(v) > math.MaxInt64 {
+			return 0, fmt.Errorf("integer %d overflows int64", v)
+		}
+		x = int64(v)
+	case uint64:
+		if v > math.MaxInt64 {
+			return 0, fmt.Errorf("integer %d overflows int64", v)
+		}
+		x = int64(v)
+	case uint32:
+		x = int64(v)
+	case uint16:
+		x = int64(v)
+	case uint8:
+		x = int64(v)
 	default:
 		return 0, fmt.Errorf("unsupported value type %T", v)
 	}
+	if x == tuple.Unset {
+		return 0, fmt.Errorf("integer %d is reserved", x)
+	}
+	if x <= -2 && len(d.byStr) > 0 {
+		return 0, fmt.Errorf("integer %d in an attribute that holds strings", x)
+	}
+	return x, nil
+}
+
+// add codes a string the attribute has not seen.
+func (d *dictionary) add(s string) int64 {
+	if d.ids == nil {
+		d.ids = map[string]int64{}
+	}
+	id := int64(-2 - len(d.byStr)) // -2, -3, ... (avoid -1 and tuple.Unset)
+	d.ids[s] = id
+	d.byStr = append(d.byStr, s)
+	return id
 }
 
 func (d *dictionary) decode(x int64) Value {
 	if x <= -2 {
-		i := int(-2 - x)
-		if i < len(d.byStr) {
+		if i := int(-2 - x); i < len(d.byStr) {
 			return d.byStr[i]
 		}
 	}

@@ -77,12 +77,8 @@ func oracleRows(t *testing.T, q *Query, inst *Instance) []string {
 	disk := extmem.NewDisk(extmem.Config{M: 1024, B: 64})
 	restore := disk.Suspend()
 	in := relation.Instance{}
-	for _, i := range q.relIndex {
-		schema := make(tuple.Schema, len(q.relAttrs[i]))
-		for j, a := range q.relAttrs[i] {
-			schema[j] = q.attrIDs[a]
-		}
-		in[i] = relation.FromTuples(disk, schema, inst.rows[i])
+	for i, schema := range q.schemas {
+		in[i] = relation.FromCells(disk, schema, inst.rels[i].cells)
 	}
 	restore()
 	var out []string
@@ -90,7 +86,7 @@ func oracleRows(t *testing.T, q *Query, inst *Instance) []string {
 		row := Row{}
 		for name, id := range q.attrIDs {
 			if a.Has(id) {
-				row[name] = inst.dict.decode(a.Get(id))
+				row[name] = inst.dicts[id].decode(a.Get(id))
 			}
 		}
 		out = append(out, canonRow(q, row))

@@ -51,6 +51,19 @@ func FromTuples(d *extmem.Disk, schema tuple.Schema, rows []tuple.Tuple) *Relati
 	return r
 }
 
+// FromCells builds a relation from rows laid out back to back, Slot cells
+// each, as Writer.AppendCells takes them, charging the writes.
+func FromCells(d *extmem.Disk, schema tuple.Schema, cells []int64) *Relation {
+	r := New(d, schema)
+	n := len(cells) / r.file.Slot()
+	r.file.Grow(n)
+	w := r.file.NewWriter()
+	w.AppendCells(cells)
+	w.Close()
+	r.n = n
+	return r
+}
+
 // Builder appends tuples to a fresh relation.
 type Builder struct {
 	r *Relation

@@ -359,12 +359,8 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	// data is assumed to already reside on disk when the algorithm starts.
 	restore := disk.Suspend()
 	in := relation.Instance{}
-	for _, i := range q.relIndex {
-		schema := make(tuple.Schema, len(q.relAttrs[i]))
-		for j, a := range q.relAttrs[i] {
-			schema[j] = q.attrIDs[a]
-		}
-		in[i] = relation.FromTuples(disk, schema, inst.rows[i])
+	for i, schema := range q.schemas {
+		in[i] = relation.FromCells(disk, schema, inst.rels[i].cells)
 	}
 	restore()
 	disk.ResetStats()
@@ -378,9 +374,10 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		work = red
 	}
 
-	// Emit adapter: decode assignments into Rows. Attribute i of the query
-	// has ID i (QueryBuilder.Relation assigns IDs in attrNames order). For
-	// each attribute it keeps the last code decoded and the boxed Value it
+	// Emit adapter: decode assignments into Rows, each attribute through its
+	// own dictionary. Attribute i of the query has ID i
+	// (QueryBuilder.Relation assigns IDs in attrNames order). For each
+	// attribute it keeps the last code decoded and the boxed Value it
 	// produced: joins repeat the bound prefix from row to row, and those
 	// rows share the immutable Value instead of boxing it again. It also
 	// counts the rows delivered, for the partial Result of an abort; a
@@ -397,7 +394,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 				continue
 			}
 			if x != lastCode[id] {
-				lastCode[id], lastVal[id] = x, inst.dict.decode(x)
+				lastCode[id], lastVal[id] = x, inst.dicts[id].decode(x)
 			}
 			row[name] = lastVal[id]
 		}
