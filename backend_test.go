@@ -25,8 +25,8 @@ func backendRunRows(t *testing.T, q *Query, inst *Instance, opts Options) (*Resu
 }
 
 // checkTransferParity asserts the seam invariant the differential suite is
-// built on: every charge in PlanningStats is either a performed or a
-// replayed transfer, on every backend. On the file backend the engine must
+// built on: every charge in PlanningStats is a performed, a replayed or an
+// unread transfer, on every backend. On the file backend the engine must
 // additionally have observed exactly the performed side.
 func checkTransferParity(t *testing.T, label string, res *Result) {
 	t.Helper()
@@ -172,4 +172,53 @@ func buildTinyQuery(t *testing.T) (*Query, *Instance) {
 		inst.MustAdd("S", i%5, i%7)
 	}
 	return q, inst
+}
+
+// TestPlanningBillsUnreadScans checks the third side of the seam ledger on
+// multi-branch exhaustive runs: the dry branches bill their base-case scans
+// as unread reads, which no device sees. On sim and file, memo on and off,
+// PlanningStats.Reads is performed + replayed + unread reads, and the unread
+// share is the same in all four runs. A run without dry branches bills none.
+func TestPlanningBillsUnreadScans(t *testing.T) {
+	rows := make([][2]int, 0, 48)
+	for i := range 48 {
+		rows = append(rows, [2]int{i % 6, i % 11})
+	}
+	for _, star := range []bool{true, false} {
+		q, inst, _ := deepQuery(t, star, 5, rows)
+		unread := int64(-1)
+		for _, backend := range []string{"sim", "file"} {
+			for _, memo := range []MemoMode{MemoOn, MemoOff} {
+				label := fmt.Sprintf("star=%v %s memo off=%v", star, backend, memo == MemoOff)
+				res, err := Count(q, inst, Options{Memory: 64, Block: 8, Backend: backend, Memo: memo})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if star && res.Branches < 2 {
+					t.Fatalf("%s: %d branches, want a multi-branch subject", label, res.Branches)
+				}
+				x := res.Transfers
+				if res.PlanningStats.Reads != x.Reads+x.ReplayedReads+x.UnreadReads {
+					t.Fatalf("%s: planning reads %d, transfers %+v", label, res.PlanningStats.Reads, x)
+				}
+				if unread < 0 {
+					unread = x.UnreadReads
+				}
+				if x.UnreadReads != unread || unread == 0 {
+					t.Fatalf("%s: %d unread reads, want %d and more than 0", label, x.UnreadReads, unread)
+				}
+				if backend == "file" && res.Device.ReadCalls+res.Device.BackfillServes != x.Reads {
+					t.Fatalf("%s: %d preads and %d backfills for %d performed reads",
+						label, res.Device.ReadCalls, res.Device.BackfillServes, x.Reads)
+				}
+			}
+		}
+		res, err := Count(q, inst, Options{Memory: 64, Block: 8, Strategy: StrategyFirst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Transfers.UnreadReads != 0 {
+			t.Fatalf("star=%v: StrategyFirst billed %d unread reads", star, res.Transfers.UnreadReads)
+		}
+	}
 }

@@ -121,9 +121,9 @@ func main() {
 		res.Count, res.Plan, res.Stats.Reads, res.Stats.Writes, res.Stats.IOs, *m, *b, res.Stats.MemHiWater)
 	if res.Backend != "sim" {
 		d := res.Device
-		fmt.Fprintf(os.Stderr, "backend: %s (transfers: reads=%d writes=%d replayed=%d; device: preads=%d pwrites=%d backfills=%d)\n",
+		fmt.Fprintf(os.Stderr, "backend: %s (transfers: reads=%d writes=%d replayed=%d unread=%d; device: preads=%d pwrites=%d backfills=%d)\n",
 			res.Backend, res.Transfers.Reads, res.Transfers.Writes,
-			res.Transfers.ReplayedReads+res.Transfers.ReplayedWrites,
+			res.Transfers.ReplayedReads+res.Transfers.ReplayedWrites, res.Transfers.UnreadReads,
 			d.ReadCalls, d.WriteCalls, d.Backfills)
 	}
 	if res.Faults.Any() {

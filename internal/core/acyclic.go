@@ -485,8 +485,10 @@ type executor struct {
 	// are not enumerated. Result enumeration is the bind-call-unbind chain
 	// over in-memory tuples — it never touches the simulated disk (the emit
 	// model delivers results without writing them), so skipping it leaves
-	// every counter bit-identical while removing the per-result CPU cost
+	// every charge bit-identical while removing the per-result CPU cost
 	// from every dry-run branch. TestDryRunChargesMatchWetRun pins this.
+	// With no tuple to look at, a dry base case bills its scan unread
+	// (Reader.Bill), so only the seam ledger tells a dry run from a wet one.
 	dry bool
 	// steps is the Run's step table, shared by all its executors; run makes
 	// one for an executor built without it.
@@ -657,24 +659,27 @@ func (x *executor) join(s *step, in relation.Instance, depth int, reads uint64, 
 
 	case stepBase:
 		// Base case: emit all tuples in R(e), one block at a time. A dry
-		// run only charges the scan and never touches a tuple.
+		// run never touches a tuple, so it bills the scan without moving a
+		// block.
 		r := in[s.edge.ID]
 		rd := r.Reader()
+		if x.dry {
+			rd.Bill()
+			return nil
+		}
 		schema := r.Schema()
 		bound := attrMask(schema...)
 		w, slot := len(schema), max(len(schema), 1)
 		for cells, n := rd.Block(); n > 0; cells, n = rd.Block() {
-			if !x.dry {
-				// One buffer serves every base case: the callbacks that
-				// extend calls never recurse into join, so no other base
-				// case runs before this block is done.
-				rows := x.blockRows[:0]
-				for i := range n {
-					rows = append(rows, cells[i*slot:i*slot+w])
-				}
-				x.blockRows = rows
-				x.extend(rows, schema, bound, reads, 1, done)
+			// One buffer serves every base case: the callbacks that extend
+			// calls never recurse into join, so no other base case runs
+			// before this block is done.
+			rows := x.blockRows[:0]
+			for i := range n {
+				rows = append(rows, cells[i*slot:i*slot+w])
 			}
+			x.blockRows = rows
+			x.extend(rows, schema, bound, reads, 1, done)
 			rd.Skip(n)
 		}
 		return nil

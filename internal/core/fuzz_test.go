@@ -328,8 +328,8 @@ func deviceArm(t *testing.T, build builder, opts Options, ref *Result, refRows [
 // the disk mirrors every performed transfer onto a real (anonymous,
 // unlinked) backing file, one syscall each, byte-verifying each billed
 // read against the in-memory image. Beyond the usual leak checks it asserts
-// the seam parity invariant — charged Stats equal performed plus replayed
-// transfers — and that the engine observed exactly the performed side.
+// the seam parity invariant — charged Stats equal performed, replayed and
+// unread transfers — and that the engine observed exactly the performed side.
 // It also returns the run's seam ledger.
 func engineRunBackend(b builder, opts Options) (*Result, []string, extmem.Stats, extmem.XferStats, error) {
 	return engineRunBackendFaults(b, opts, nil)

@@ -67,7 +67,7 @@ func TestMemoModesBitIdentical(t *testing.T) {
 		if cs.Hits == 0 {
 			t.Errorf("the memo replayed nothing: %+v", cs)
 		}
-		if refX.ReplayedReads != 0 || x.TotalReads() != refX.Reads || 5*x.Reads >= refX.Reads {
+		if refX.ReplayedReads != 0 || x.TotalReads() != refX.TotalReads() || 5*x.Reads >= refX.Reads {
 			t.Errorf("memo on performed %d of %d reads, memo off %d of %d; want under a fifth with the memo on",
 				x.Reads, x.TotalReads(), refX.Reads, refX.TotalReads())
 		}

@@ -11,7 +11,8 @@
 // onto a real file with one syscall per performed transfer: a performed write
 // pwrites the image window to the device, and a performed read preads its
 // frame back and byte-verifies it against the image. A charge the operator
-// memo replays (see XferStats) performs no transfer. The image stays authoritative
+// memo replays, and a scan a dry run bills unread (see XferStats), performs no
+// transfer. The image stays authoritative
 // either way — which is what keeps results, policies, and charge accounting
 // bit-identical across backends — while the file engine proves that the
 // charged transfer schedule is physically executable, block for block.
@@ -54,13 +55,14 @@ type Backend interface {
 // by whether a concrete window crossed it. The ledger is maintained on every
 // disk, sim or file: on both backends the invariant
 //
-//	Stats().Reads  == Transfers().Reads  + Transfers().ReplayedReads
+//	Stats().Reads  == Transfers().Reads  + Transfers().ReplayedReads + Transfers().UnreadReads
 //	Stats().Writes == Transfers().Writes + Transfers().ReplayedWrites
 //
-// holds at every instant — each applied charge is either a performed transfer
-// or a replayed one. The differential backend suite pins the file engine to
-// the simulator through this identity: the transfers the engine observes are
-// exactly the Stats the model charged.
+// holds at every instant — each applied charge is a performed transfer, a
+// replayed one, or an unread one. The differential backend suite pins the
+// file engine to the simulator through this identity: the transfers the
+// engine observes are exactly the performed side of the Stats the model
+// charged.
 type XferStats struct {
 	// Reads and Writes count performed transfers: a concrete block window of
 	// some file crossed the seam (and, on the file backend, the device).
@@ -71,10 +73,13 @@ type XferStats struct {
 	// cost of transfers the memoized run already performed.
 	ReplayedReads  int64
 	ReplayedWrites int64
+	// UnreadReads counts blocks billed by Reader.Bill: scan windows a
+	// planning-only dry run charges but never looks at, so no block moves.
+	UnreadReads int64
 }
 
-// TotalReads returns performed plus replayed read transfers.
-func (x XferStats) TotalReads() int64 { return x.Reads + x.ReplayedReads }
+// TotalReads returns performed, replayed and unread read transfers.
+func (x XferStats) TotalReads() int64 { return x.Reads + x.ReplayedReads + x.UnreadReads }
 
 // TotalWrites returns performed plus replayed write transfers.
 func (x XferStats) TotalWrites() int64 { return x.Writes + x.ReplayedWrites }
@@ -85,6 +90,7 @@ func (x XferStats) Sub(o XferStats) XferStats {
 	x.Writes -= o.Writes
 	x.ReplayedReads -= o.ReplayedReads
 	x.ReplayedWrites -= o.ReplayedWrites
+	x.UnreadReads -= o.UnreadReads
 	return x
 }
 

@@ -4,7 +4,8 @@
 // that every performed block transfer is physically executed and every
 // performed read is byte-verified against the device — a standing torn-block
 // check that turns any divergence between the model and the device into a
-// panic at the exact transfer that broke. A charge the operator memo replays
+// panic at the exact transfer that broke. A charge the operator memo
+// replays, and a scan a planning-only dry run bills unread (Reader.Bill),
 // performs no transfer and reaches no device (see extmem.XferStats).
 //
 // Layout: each physical file is a sequence of frames of B tuples (B*slot

@@ -251,45 +251,33 @@ func (d *Disk) StartMemPeak() func() int {
 	}
 }
 
-// chargeRead and chargeWrite charge replayed transfers (ReplayIO): blocks
-// that bill the cost of I/O a memoized run already performed. No concrete
-// window exists to hand the backend, so the seam ledger books them on the
-// replayed side — keeping Stats == performed + replayed exact on both
-// backends. Concrete transfers go through chargeReadWindow/chargeWriteWindow
-// (backend.go) instead. A model fault plan fires at an exact I/O number, so
-// while one is armed the blocks are charged one at a time, each checked
-// like the transfer it stands in for; a fault or cancellation then lands on
-// the same charge as in the run that performed them.
-func (d *Disk) chargeRead(blocks int64) {
+// chargeStandIn charges blocks that no concrete window crosses the seam for,
+// booking them on the given side of the seam ledger: ReplayedReads and
+// ReplayedWrites for ReplayIO (blocks that bill the cost of I/O a memoized
+// run already performed), UnreadReads for Reader.Bill (a scan whose tuples
+// nobody looks at). Either way Stats == performed + replayed + unread stays
+// exact on both backends. Concrete transfers go through
+// chargeReadWindow/chargeWriteWindow (backend.go) instead. A model fault plan
+// fires at an exact I/O number, so while one is armed the blocks are charged
+// one at a time, each checked like the transfer it stands in for; a fault or
+// cancellation then lands on the same charge as in a run that performed them.
+func (d *Disk) chargeStandIn(op string, blocks int64, side *int64) {
 	d.live()
 	if d.suspended != 0 {
 		return
 	}
 	for blocks > 0 {
 		k := d.replayBatch(blocks)
-		d.preCharge(opRead, d.stats.IOs())
+		d.preCharge(op, d.stats.IOs())
 		n := d.budgetAllowance(k)
 		if n > 0 {
-			d.xfer.ReplayedReads += n
+			*side += n
 		}
-		d.applyRead(n)
-		blocks -= k
-	}
-}
-
-func (d *Disk) chargeWrite(blocks int64) {
-	d.live()
-	if d.suspended != 0 {
-		return
-	}
-	for blocks > 0 {
-		k := d.replayBatch(blocks)
-		d.preCharge(opWrite, d.stats.IOs())
-		n := d.budgetAllowance(k)
-		if n > 0 {
-			d.xfer.ReplayedWrites += n
+		if op == opRead {
+			d.applyRead(n)
+		} else {
+			d.applyWrite(n)
 		}
-		d.applyWrite(n)
 		blocks -= k
 	}
 }
@@ -470,10 +458,10 @@ func (d *Disk) CatchBudgetExceeded(fn func() error) (aborted bool, err error) {
 // replay a recorded operator's cost on a hit (see ReplayTape).
 func (d *Disk) ReplayIO(reads, writes int64) {
 	if reads > 0 {
-		d.chargeRead(reads)
+		d.chargeStandIn(opRead, reads, &d.xfer.ReplayedReads)
 	}
 	if writes > 0 {
-		d.chargeWrite(writes)
+		d.chargeStandIn(opWrite, writes, &d.xfer.ReplayedWrites)
 	}
 }
 
@@ -922,6 +910,25 @@ func (r *Reader) Skip(n int) {
 	}
 	r.pos += n
 	r.remaining -= n
+}
+
+// Bill charges the block windows left in the reader's range exactly as a loop
+// of Block and Skip over them would — the same count, in the same order, under
+// the same budget clamp, fault and cancellation checks — and consumes the
+// range, but transfers nothing: no window crosses the backend seam, and the
+// seam ledger books the charges as UnreadReads. As with Block, the rest of a
+// window already charged is free. Only a caller that never looks at the tuples
+// may bill them instead of reading them (a planning-only dry run).
+func (r *Reader) Bill() {
+	if r.pos >= r.end {
+		return
+	}
+	d := r.f.d
+	b := d.cfg.B
+	if next := r.pos + r.remaining; next < r.end {
+		d.chargeStandIn(opRead, int64((r.end-1)/b-next/b+1), &d.xfer.UnreadReads)
+	}
+	r.pos, r.remaining = r.end, 0
 }
 
 // Cells returns the cells of the tuples left in the reader's range, Slot

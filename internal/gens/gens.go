@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"acyclicjoin/internal/cover"
@@ -30,13 +31,18 @@ import (
 // Subset is a sorted set of edge IDs.
 type Subset []int
 
-// Key returns a canonical string form of the subset.
+// Key returns a canonical string form of the subset: its edge IDs joined
+// by commas.
 func (s Subset) Key() string {
-	parts := make([]string, len(s))
+	var buf [64]byte
+	b := buf[:0]
 	for i, id := range s {
-		parts[i] = fmt.Sprint(id)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // Family is a deduplicated set of subsets, kept sorted for determinism.

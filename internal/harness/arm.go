@@ -134,8 +134,8 @@ func runArm(p Params, w int, a arm) (out armRun, err error) {
 	out.stats, out.xfer, out.dev = d.Stats(), d.Transfers(), d.DeviceStats()
 	if err == nil {
 		out.rows = out.res.Emitted
-		// The seam invariant: charged stats equal performed plus replayed
-		// transfers, on every backend.
+		// The seam invariant: charged stats equal performed, replayed and
+		// unread transfers, on every backend.
 		if out.stats.Reads != out.xfer.TotalReads() || out.stats.Writes != out.xfer.TotalWrites() {
 			err = fmt.Errorf("seam parity broken: stats %v vs transfers %+v", out.stats, out.xfer)
 		}

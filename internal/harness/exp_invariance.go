@@ -147,11 +147,11 @@ var armGroups = []armGroup{
 			return nil
 		},
 		ledger: func(got, _ armRun) string {
-			return fmt.Sprintf("xfer %d/%d, replayed %d/%d, preads %d, pwrites %d",
+			return fmt.Sprintf("xfer %d/%d, replayed %d/%d, unread %d, preads %d, pwrites %d",
 				got.xfer.Reads, got.xfer.Writes, got.xfer.ReplayedReads, got.xfer.ReplayedWrites,
-				got.dev.ReadCalls, got.dev.WriteCalls)
+				got.xfer.UnreadReads, got.dev.ReadCalls, got.dev.WriteCalls)
 		},
-		note: "file vs sim: identical = rows and order, policy, exec stats, full stats and seam ledger; the engine bills exactly the performed transfers, each billed read one pread (or a backfill), each byte-verified against the in-memory image",
+		note: "file vs sim: identical = rows and order, policy, exec stats, full stats and seam ledger; the engine bills exactly the performed transfers, each billed read one pread (or a backfill), each byte-verified against the in-memory image; unread reads (the dry branches' base-case scans) reach no device",
 	},
 	{
 		id: "E30", workloads: 2, refName: "fault-free file", ref: deviceArm(extmem.FaultPlan{}),
@@ -176,7 +176,7 @@ var armGroups = []armGroup{
 			return nil
 		},
 		ledger: func(got, _ armRun) string { return faultLedger(got.faults) },
-		note:   "device arms inject under every pread/pwrite of the file engine (transient EIO, torn writes at half the rate), load writes, backfills and repair rewrites included; retries and torn-frame repairs are billed to the fault ledger, never the main stats; ENOSPC and the dead device abort typed (ErrNoSpace, ErrDevice)",
+		note:   "device arms inject under every pread/pwrite of the file engine (transient EIO, torn writes at half the rate), load writes, backfills and repair rewrites included; retries and torn-frame repairs are billed to the fault ledger, never the main stats; a torn frame is repaired only when a performed read next verifies it, so repairs can trail torn writes; ENOSPC and the dead device abort typed (ErrNoSpace, ErrDevice)",
 	},
 }
 

@@ -92,14 +92,15 @@ type Options struct {
 	// the recorded charges. On by default.
 	// Every simulated figure — Stats, PlanningStats, counts — is
 	// bit-identical with the memo on or off; only host wall-clock time and
-	// the split of Transfers into performed and replayed transfers change.
+	// the split of Transfers into performed and replayed transfers change
+	// (the unread side does not move).
 	// Set MemoOff to force every operator to run for real.
 	Memo MemoMode
 	// Backend selects the storage engine behind the simulated disk: "sim"
 	// (or empty — the default) counts block transfers in memory; "file" runs
-	// every performed transfer (every charge a memo hit does not replay)
-	// against a real os.File, one syscall each, byte-verifying performed
-	// reads against the in-memory image. The
+	// every performed transfer (every charge neither a memo hit replays nor
+	// a planning branch bills unread) against a real os.File, one syscall
+	// each, byte-verifying performed reads against the in-memory image. The
 	// model sits entirely above the seam, so Count, Stats, the winning plan,
 	// and the emitted rows are bit-identical across backends; Result.Device
 	// reports the file engine's syscall-level telemetry. An empty value
@@ -228,16 +229,19 @@ type Result struct {
 	// "file").
 	Backend string
 	// Transfers is the backend-seam ledger for the whole run (reduction and
-	// planning included): every charge in PlanningStats is either a
-	// performed transfer (a concrete block window crossed the seam) or a
-	// replayed one (a memo hit billing recorded charges). On both backends
-	// PlanningStats.Reads == Transfers.Reads + Transfers.ReplayedReads, and
-	// likewise for writes — on the file backend the performed side was
-	// physically executed and verified against the image.
+	// planning included): every charge in PlanningStats is a performed
+	// transfer (a concrete block window crossed the seam), a replayed one (a
+	// memo hit billing recorded charges), or an unread one (a planning
+	// branch's base-case scan, billed without moving a block). On both
+	// backends PlanningStats.Reads == Transfers.Reads +
+	// Transfers.ReplayedReads + Transfers.UnreadReads, and PlanningStats.Writes
+	// == Transfers.Writes + Transfers.ReplayedWrites — on the file backend
+	// the performed side was physically executed and verified against the
+	// image.
 	Transfers TransferStats
 	// Device is the file engine's syscall-level telemetry (preads, pwrites,
-	// backfills; every performed transfer is one syscall, and a replayed one
-	// none); all zero on the sim backend.
+	// backfills; every performed transfer is one syscall, and a replayed or
+	// unread one none); all zero on the sim backend.
 	Device DeviceStats
 }
 
