@@ -38,8 +38,19 @@ func main() {
 		families = flag.Bool("families", false, "print every GenS family (can be large)")
 	)
 	flag.Parse()
+	sc := shortcuts{line: -1, star: -1, lollipop: -1, dumbbell: *dumbbell}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "line":
+			sc.line = *line
+		case "star":
+			sc.star = *star
+		case "lollipop":
+			sc.lollipop = *lollipop
+		}
+	})
 
-	g, sizes, err := buildQuery(flag.Args(), *line, *star, *lollipop, *dumbbell, *size)
+	g, sizes, err := buildQuery(flag.Args(), sc, *size)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -122,16 +133,37 @@ func coverNames(g *hypergraph.Graph, ids []int) []string {
 	return out
 }
 
-func buildQuery(args []string, line, star, lollipop int, dumbbell string, n float64) (*hypergraph.Graph, cover.Sizes, error) {
+// shortcuts holds the shortcut shape flags given on the command line: -1
+// ("" for dumbbell) marks one not given.
+type shortcuts struct {
+	line, star, lollipop int
+	dumbbell             string
+}
+
+// buildQuery returns the query of the first shortcut given, or else the one
+// the relation specs in args describe. A shortcut's argument is checked
+// against the smallest shape its constructor builds, so a bad one is a usage
+// error.
+func buildQuery(args []string, sc shortcuts, n float64) (*hypergraph.Graph, cover.Sizes, error) {
 	var g *hypergraph.Graph
 	switch {
-	case line > 0:
-		g = hypergraph.Line(line)
-	case star > 0:
-		g = hypergraph.StarQuery(star)
-	case lollipop > 0:
-		g = hypergraph.Lollipop(lollipop)
-	case dumbbell != "":
+	case sc.line >= 0:
+		if sc.line < 1 {
+			return nil, nil, fmt.Errorf("genplan: -line needs n >= 1, got %d", sc.line)
+		}
+		g = hypergraph.Line(sc.line)
+	case sc.star >= 0:
+		if sc.star < 1 {
+			return nil, nil, fmt.Errorf("genplan: -star needs k >= 1 petals, got %d", sc.star)
+		}
+		g = hypergraph.StarQuery(sc.star)
+	case sc.lollipop >= 0:
+		if sc.lollipop < 2 {
+			return nil, nil, fmt.Errorf("genplan: -lollipop needs n >= 2 petals, got %d", sc.lollipop)
+		}
+		g = hypergraph.Lollipop(sc.lollipop)
+	case sc.dumbbell != "":
+		dumbbell := sc.dumbbell
 		parts := strings.SplitN(dumbbell, ",", 2)
 		if len(parts) != 2 {
 			return nil, nil, fmt.Errorf("genplan: -dumbbell needs 'n,m'")
@@ -140,6 +172,9 @@ func buildQuery(args []string, line, star, lollipop int, dumbbell string, n floa
 		b, err2 := strconv.Atoi(parts[1])
 		if err1 != nil || err2 != nil {
 			return nil, nil, fmt.Errorf("genplan: bad -dumbbell %q", dumbbell)
+		}
+		if a < 2 || b-a < 2 {
+			return nil, nil, fmt.Errorf("genplan: -dumbbell %q needs n >= 2 and m-n >= 2: each star has at least 2 petals", dumbbell)
 		}
 		g = hypergraph.Dumbbell(a, b)
 	}

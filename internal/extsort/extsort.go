@@ -10,6 +10,8 @@
 // repeated identical sorts cost near-zero host time while charging exactly
 // the same simulated I/O. Sort/SortDedup accept an arbitrary comparator
 // function and are never memoized (a function cannot be part of a memo key).
+// StreamCols (stream.go) is SortCols handing its rows to the caller instead
+// of writing them to a file.
 package extsort
 
 import (

@@ -135,6 +135,34 @@ type runScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
+// getScratch takes run scratch from the pool, sized for M-tuple loads of
+// width w and output slots of width slot.
+func getScratch(m, w, slot int) *runScratch {
+	sc := scratchPool.Get().(*runScratch)
+	sc.buf, sc.out = slices.Grow(sc.buf[:0], m*w)[:m*w], slices.Grow(sc.out[:0], m*slot)[:m*slot]
+	sc.idx, sc.keys = slices.Grow(sc.idx[:0], 2*m)[:2*m], slices.Grow(sc.keys[:0], m)[:m]
+	return sc
+}
+
+// loadRun reads the next n ≤ m tuples of r into sc.buf and returns their
+// stable sorted order as row indices into it.
+func loadRun[C rowCmp](sc *runScratch, r *extmem.Reader, cmp C, n, w, m int) []int32 {
+	buf, idx := sc.buf, sc.idx
+	for i := 0; i < n; {
+		cells, k := r.Block()
+		k = min(k, n-i)
+		copy(buf[i*w:(i+k)*w], cells)
+		r.Skip(k)
+		i += k
+	}
+	perm := idx[:n]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	cmp.sortRun(perm, idx[m:m+n], sc.keys, buf, w)
+	return perm
+}
+
 // sortKernel runs the full external sort. Its memory peak is run
 // formation's grab, at most M+B: every merge holds (fanIn+1)·B = (M/B)·B ≤ M
 // tuples.
@@ -148,15 +176,21 @@ func sortKernel[C rowCmp](f *extmem.File, cmp C, dedup bool) (*extmem.File, erro
 		return d.NewFile(f.Arity()), nil
 	}
 
+	if runs, err = mergeDown(runs, cmp, dedup, 1); err != nil {
+		return nil, err
+	}
+	return runs[0], nil
+}
+
+// mergeDown merges runs in passes of M/B − 1 fan-in, left to right, until at
+// most keep remain.
+func mergeDown[C rowCmp](runs []*extmem.File, cmp C, dedup bool, keep int) ([]*extmem.File, error) {
+	d := runs[0].Disk()
 	fanIn := d.M()/d.B() - 1 // >= 2, enforced by extmem.Config.Validate
-	for len(runs) > 1 {
+	for len(runs) > keep {
 		var next []*extmem.File
 		for lo := 0; lo < len(runs); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			merged, err := mergeRuns(runs[lo:hi], cmp, dedup)
+			merged, err := mergeRuns(runs[lo:min(lo+fanIn, len(runs))], cmp, dedup)
 			if err != nil {
 				return nil, err
 			}
@@ -164,7 +198,7 @@ func sortKernel[C rowCmp](f *extmem.File, cmp C, dedup bool) (*extmem.File, erro
 		}
 		runs = next
 	}
-	return runs[0], nil
+	return runs, nil
 }
 
 // formRuns reads the file in M-tuple loads, stable-sorts each in memory, and
@@ -178,11 +212,9 @@ func formRuns[C rowCmp](f *extmem.File, cmp C, dedup bool) ([]*extmem.File, erro
 	d := f.Disk()
 	m, w, slot := d.M(), f.Arity(), f.Slot()
 	r := f.NewReader()
-	sc := scratchPool.Get().(*runScratch)
+	sc := getScratch(m, w, slot)
 	defer scratchPool.Put(sc)
-	sc.buf, sc.out = slices.Grow(sc.buf[:0], m*w)[:m*w], slices.Grow(sc.out[:0], m*slot)[:m*slot]
-	sc.idx, sc.keys = slices.Grow(sc.idx[:0], 2*m)[:2*m], slices.Grow(sc.keys[:0], m)[:m]
-	buf, out, idx, keys := sc.buf, sc.out, sc.idx, sc.keys
+	buf, out := sc.buf, sc.out
 
 	var runs []*extmem.File
 	for r.Remaining() > 0 {
@@ -192,18 +224,7 @@ func formRuns[C rowCmp](f *extmem.File, cmp C, dedup bool) ([]*extmem.File, erro
 			d.Release(grab)
 			return nil, err
 		}
-		for i := 0; i < n; {
-			cells, k := r.Block()
-			k = min(k, n-i)
-			copy(buf[i*w:(i+k)*w], cells)
-			r.Skip(k)
-			i += k
-		}
-		perm := idx[:n]
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		cmp.sortRun(perm, idx[m:m+n], keys, buf, w)
+		perm := loadRun(sc, r, cmp, n, w, m)
 
 		k, prev := 0, -1
 		for _, pi := range perm {
@@ -276,6 +297,10 @@ type loserTree[C rowCmp] struct {
 	node []int32 // node[0] = winner, node[1..K-1] = internal losers
 	done []bool  // per leaf; virtual leaves start done
 	runs []runHead
+	// sortDisk, when set, charges each block refill under the "sort" phase
+	// of that disk: a streamed merge's reads interleave with its consumer's
+	// charges, which stay under the caller's phase.
+	sortDisk *extmem.Disk
 }
 
 // runHead is one run's read position: its reader, the charged block window
@@ -381,7 +406,11 @@ func (t *loserTree[C]) fill(i int) {
 		return
 	}
 	h.rd.Skip(h.n)
-	h.cells, h.n = h.rd.Block()
+	if t.sortDisk == nil {
+		h.cells, h.n = h.rd.Block()
+	} else {
+		t.sortDisk.WithPhase("sort", func() { h.cells, h.n = h.rd.Block() })
+	}
 	h.i = 0
 	t.done[i] = h.n == 0
 }

@@ -7,7 +7,10 @@
 // projections, materializations, pairwise joins, and each chunk step of a
 // chunk load by value (relation.LoadChunksBy), which writes no file and is
 // kept for its read charges alone — has simulated cost and output that are
-// a pure function of its inputs' contents and its parameters:
+// a pure function of its inputs' contents and its parameters (one is not
+// memoized: relation.Semijoin on a left side it must sort first, whose sort
+// streams into the merge and leaves no file to record; the full reducer, its
+// one caller, runs it once per query):
 // run boundaries, merge grouping, and every block charge follow mechanically
 // from the tuple counts and values. So once such an operator has run, an
 // identical later run can be answered by cloning the recorded output files

@@ -230,8 +230,12 @@ func TestFullReduceProperty(t *testing.T) {
 
 // TestFullReduceSortsEachRelationOnce pins the reducer's exact charge on a
 // two-relation line: each relation is sorted by the shared attribute once,
-// though both sweeps semijoin through it, so FullReduce charges exactly
-// what the two sorts and the two semijoins charge when run by hand.
+// though both sweeps semijoin through it. The child's sort is written and
+// kept for the downward sweep; the parent's streams into the upward
+// semijoin. So FullReduce charges exactly what the child's sort and the two
+// semijoins, the first on the unsorted parent, charge when run by hand, and
+// that is the parent's blocks read and written fewer than with the parent
+// sorted by hand.
 func TestFullReduceSortsEachRelationOnce(t *testing.T) {
 	g := hypergraph.Line(2) // R1{0,1} R2{1,2}
 	instance := func(d *extmem.Disk) relation.Instance {
@@ -281,11 +285,20 @@ func TestFullReduceSortsEachRelationOnce(t *testing.T) {
 		}
 		return out
 	}
-	sp, su := by(hin[p]), by(hin[u])
-	rp := semi(sp, su)     // upward: the child reduces the parent
+	su := by(hin[u])
+	rp := semi(hin[p], su) // upward: the child reduces the parent, sorting it
 	ru := semi(su, by(rp)) // downward: the parent reduces the child
 	if want := hd.Stats(); got != want {
 		t.Fatalf("FullReduce charged %+v, want %+v for one sort per relation and two semijoins", got, want)
+	}
+
+	wd := disk()
+	win := instance(wd)
+	wd.ResetStats()
+	wsu := by(win[u])
+	semi(wsu, by(semi(by(win[p]), wsu)))
+	if w, blocks := wd.Stats(), win[p].Blocks(); w.Reads-got.Reads != blocks || w.Writes-got.Writes != blocks {
+		t.Fatalf("FullReduce charged %+v, want %d reads and writes fewer than %+v with the parent's sort written", got, blocks, w)
 	}
 	for id, want := range map[int]*relation.Relation{p: rp, u: ru} {
 		if got, want := relation.Contents(red[id]), relation.Contents(want); !reflect.DeepEqual(got, want) {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"acyclicjoin/internal/extmem"
+	"acyclicjoin/internal/extsort"
 	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/tuple"
 )
@@ -49,13 +50,20 @@ func (r *Relation) File() *extmem.File {
 	return r.file
 }
 
-// Semijoin computes r ⋉ s on the shared attribute a by a merge scan. Both
-// views must be sorted by a. The result is a new relation with r's schema,
-// sorted the same way as r. Cost: one scan of each input plus the output
-// writes.
+// Semijoin computes r ⋉ s on the shared attribute a by a merge scan. s must
+// be sorted by a. The result is a new relation with r's schema. When r is
+// sorted by a, the result is sorted the same way, and the cost is one scan of
+// each input plus the output writes. Otherwise r is sorted as r.SortBy(a)
+// would sort it, and the sort streams straight into the merge
+// (extsort.StreamCols): the result is what SortBy followed by Semijoin
+// returns, rows, order and SortCols alike, and the cost is theirs less the
+// write and the re-read of the sorted copy, 2⌈|r|/B⌉.
 func Semijoin(r, s *Relation, a tuple.Attr) (*Relation, error) {
-	if !r.SortedByAttr(a) || !s.SortedByAttr(a) {
-		return nil, fmt.Errorf("relation: Semijoin on views not sorted by v%d", a)
+	if !s.SortedByAttr(a) {
+		return nil, fmt.Errorf("relation: Semijoin on a right side not sorted by v%d", a)
+	}
+	if !r.SortedByAttr(a) {
+		return semijoinSorting(r, s, a)
 	}
 	rc, sc := r.Col(a), s.Col(a)
 	outs, _, err := opcache.Do(r.Disk(), opcache.Op{
@@ -97,6 +105,38 @@ func Semijoin(r, s *Relation, a tuple.Attr) (*Relation, error) {
 		return nil, err
 	}
 	return &Relation{schema: r.schema, file: outs[0], n: outs[0].Len(), sortCols: r.sortCols}, nil
+}
+
+// semijoinSorting is Semijoin on an r not sorted by a. Not memoized: its
+// one caller, the full reducer, runs once per query, so an entry would cost
+// memory and never be hit.
+func semijoinSorting(r, s *Relation, a tuple.Attr) (*Relation, error) {
+	order := r.keyOrder([]tuple.Attr{a})
+	src, err := r.ownFile()
+	if err != nil {
+		return nil, err
+	}
+	st, err := extsort.StreamCols(src, order)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	rc, sc := order[0], s.Col(a)
+	out := r.Disk().NewFile(len(r.schema))
+	out.Grow(r.n) // a filter's output is never larger than its input
+	w, sr := out.NewWriter(), s.Reader()
+	srow := sr.Next()
+	for row := st.Next(); row != nil; row = st.Next() {
+		v := row[rc]
+		for srow != nil && srow[sc] < v {
+			srow = sr.Next()
+		}
+		if srow != nil && srow[sc] == v {
+			w.Append(row)
+		}
+	}
+	w.Close()
+	return &Relation{schema: r.schema, file: out, n: out.Len(), sortCols: order}, nil
 }
 
 // valueProbe answers membership in a sorted, distinct value set for a stream

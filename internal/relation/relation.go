@@ -190,17 +190,11 @@ func (r *Relation) sortBy(attrs []tuple.Attr, dedup bool) (*Relation, error) {
 			return r, nil
 		}
 	}
-	// Materialize the view into its own file via the sorter.
-	src := r.file
-	if r.off != 0 || r.n != r.file.Len() {
-		var err error
-		src, err = r.copyRange()
-		if err != nil {
-			return nil, err
-		}
+	src, err := r.ownFile()
+	if err != nil {
+		return nil, err
 	}
 	var out *extmem.File
-	var err error
 	if dedup {
 		out, err = extsort.SortDedupCols(src, order)
 	} else {
@@ -210,6 +204,15 @@ func (r *Relation) sortBy(attrs []tuple.Attr, dedup bool) (*Relation, error) {
 		return nil, err
 	}
 	return &Relation{schema: r.schema, file: out, off: 0, n: out.Len(), sortCols: order}, nil
+}
+
+// ownFile returns the file the view covers whole: its backing file, or a
+// copy of its window for a partial view.
+func (r *Relation) ownFile() (*extmem.File, error) {
+	if r.off == 0 && r.n == r.file.Len() {
+		return r.file, nil
+	}
+	return r.copyRange()
 }
 
 // copyRange materializes the view window into a fresh file (scan + write).
