@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 )
 
 func buildL2(t *testing.T) *Query {
@@ -275,6 +277,24 @@ func TestExplain(t *testing.T) {
 	// Missing size errors.
 	if _, err := Explain(q, map[string]float64{"R1": 10}, Options{}); err == nil {
 		t.Fatal("missing sizes accepted")
+	}
+}
+
+// TestExplainRejectsQueriesBeyond64Relations: GenS keeps a subset of
+// relations in one 64-bit word, so Explain must refuse a 65-relation line,
+// which Run accepts, at once rather than enumerate branches without end.
+func TestExplainRejectsQueriesBeyond64Relations(t *testing.T) {
+	q, inst, sizes := deepQuery(t, false, 65, [][2]int{{0, 0}})
+	if res, err := Count(q, inst, Options{Memory: 64, Block: 8, Strategy: StrategyGreedy}); err != nil || res.Count != 1 {
+		t.Fatalf("Count on a 65-relation line: %v (err %v), want 1", res, err)
+	}
+	start := time.Now()
+	_, err := Explain(q, sizes, Options{Memory: 64, Block: 8})
+	if err == nil || !strings.Contains(err.Error(), "65 relations") {
+		t.Fatalf("Explain on a 65-relation line: err %v, want one naming the 65 relations", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("Explain took %v to refuse a 65-relation line", d)
 	}
 }
 

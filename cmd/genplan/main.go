@@ -86,7 +86,11 @@ func main() {
 	fmt.Printf("AGM bound: 2^%.2f (max join size)\n", agm)
 	fmt.Printf("minimum edge cover (Algorithm 6): %v\n", coverNames(g, cover.GreedyMinCover(g)))
 
-	fams := gens.Branches(g)
+	fams, err := gens.Branches(g)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("\nGenS branches (Algorithm 3): %d famil", len(fams))
 	if len(fams) == 1 {
 		fmt.Println("y")
@@ -100,7 +104,7 @@ func main() {
 	}
 	fmt.Printf("Theorem 3 worst-case I/O bound (M=%d, B=%d): 2^%.2f ≈ %.3g I/Os\n",
 		*m, *b, boundLog, math.Pow(2, boundLog))
-	fmt.Printf("binding subjoin: %v\n", coverNames(g, arg))
+	fmt.Printf("binding subjoin: %v\n", coverNames(g, arg.IDs()))
 	ranked, err := gens.RankSubsets(g, sizes, bestFam, *m, *b)
 	if err == nil {
 		fmt.Println("top subjoin terms of the best family:")
@@ -109,7 +113,7 @@ func main() {
 				fmt.Printf("  ... (%d more)\n", len(ranked)-6)
 				break
 			}
-			fmt.Printf("  Psi_wc(%v) = 2^%.2f\n", coverNames(g, r.S), r.Log2)
+			fmt.Printf("  Psi_wc(%v) = 2^%.2f\n", coverNames(g, r.S.IDs()), r.Log2)
 		}
 	}
 	if *families {
@@ -117,7 +121,7 @@ func main() {
 		for i, f := range fams {
 			var parts []string
 			for _, s := range f {
-				parts = append(parts, fmt.Sprint(coverNames(g, s)))
+				parts = append(parts, fmt.Sprint(coverNames(g, s.IDs())))
 			}
 			fmt.Printf("  S%d: %s\n", i+1, strings.Join(parts, " "))
 		}

@@ -75,14 +75,17 @@ func Explain(q *Query, sizes map[string]float64, opts Options) (*Explanation, er
 	}
 	sort.Strings(ex.MinCover)
 
-	fams := gens.Branches(q.graph)
+	fams, err := gens.Branches(q.graph)
+	if err != nil {
+		return nil, err
+	}
 	ex.Branches = len(fams)
 	bound, _, arg, err := gens.BestBound(q.graph, fams, sz, opts.Memory, opts.Block)
 	if err != nil {
 		return nil, err
 	}
 	ex.BoundLog2 = bound
-	for _, id := range arg {
+	for _, id := range arg.IDs() {
 		ex.BindingSubjoin = append(ex.BindingSubjoin, q.graph.Edge(id).Name)
 	}
 	sort.Strings(ex.BindingSubjoin)

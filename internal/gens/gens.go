@@ -18,9 +18,11 @@
 package gens
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,25 +30,69 @@ import (
 	"acyclicjoin/internal/hypergraph"
 )
 
-// Subset is a sorted set of edge IDs.
-type Subset []int
+// maxEdges is the largest query GenS takes: a Subset has one bit per edge.
+const maxEdges = 64
 
-// Key returns a canonical string form of the subset: its edge IDs joined
-// by commas.
-func (s Subset) Key() string {
-	var buf [64]byte
-	b := buf[:0]
-	for i, id := range s {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(id), 10)
+// Subset is a set of the query's edges as a bit mask: bit i stands for the
+// edge with ID i.
+type Subset uint64
+
+// IDs returns the subset's edge IDs in ascending order.
+func (s Subset) IDs() []int {
+	ids := make([]int, 0, s.Len())
+	for r := uint64(s); r != 0; r &= r - 1 {
+		ids = append(ids, bits.TrailingZeros64(r))
 	}
-	return string(b)
+	return ids
 }
 
-// Family is a deduplicated set of subsets, kept sorted for determinism.
+// Len returns the number of edges in s.
+func (s Subset) Len() int { return bits.OnesCount64(uint64(s)) }
+
+// Family is a deduplicated set of subsets. Branches lists each family's
+// subsets by size, then by ID list (cmpIDs); inside the recursion they are
+// kept in ascending numeric order.
 type Family []Subset
+
+// cmpIDs compares two subsets as their ascending ID lists compare
+// lexicographically, a prefix first. On equal sizes the subset holding the
+// lowest ID of the two's difference comes first.
+func cmpIDs(a, b Subset) int {
+	d := a ^ b
+	if d == 0 {
+		return 0
+	}
+	low := d & -d
+	above := ^(low | (low - 1))
+	if a&low != 0 { // a comes first unless b's list ends before low
+		if b&above != 0 {
+			return -1
+		}
+		return 1
+	}
+	if a&above != 0 {
+		return 1
+	}
+	return -1
+}
+
+func cmpListed(a, b Subset) int { return cmp.Or(cmp.Compare(a.Len(), b.Len()), cmpIDs(a, b)) }
+
+// edgeMask returns the subset of all of g's edges, or an error when an edge
+// ID does not fit in a Subset (always so beyond maxEdges relations).
+func edgeMask(g *hypergraph.Graph) (Subset, error) {
+	if n := g.NumEdges(); n > maxEdges {
+		return 0, fmt.Errorf("gens: %d relations; GenS takes at most %d", n, maxEdges)
+	}
+	var all Subset
+	for _, e := range g.Edges() {
+		if e.ID < 0 || e.ID >= maxEdges {
+			return 0, fmt.Errorf("gens: edge %s has ID %d outside 0..%d", e.Name, e.ID, maxEdges-1)
+		}
+		all |= 1 << e.ID
+	}
+	return all, nil
+}
 
 // Branches enumerates the families generatable by every branch of GenS(Q),
 // keeping only the inclusion-minimal ones: if one branch's family is a
@@ -54,221 +100,181 @@ type Family []Subset
 // dropping it never changes min-over-branches. Pruning applies at every
 // recursion level (the composition operators preserve inclusion), which
 // keeps the enumeration tractable on longer lines where the raw branch
-// count explodes combinatorially. The query must be Berge-acyclic.
-func Branches(g *hypergraph.Graph) []Family {
-	memo := map[string][]Family{}
-	fams := pruneFamilies(branches(g, memo))
-	sort.Slice(fams, func(i, j int) bool { return familyKey(fams[i]) < familyKey(fams[j]) })
-	return fams
+// count explodes combinatorially. The families come ordered by their
+// decimal listing. The query must be Berge-acyclic; one of more than 64
+// relations is refused with an error.
+func Branches(g *hypergraph.Graph) ([]Family, error) {
+	all, err := edgeMask(g)
+	if err != nil {
+		return nil, err
+	}
+	gs := &genS{g: g, memo: map[Subset][]Family{}}
+	type listed struct {
+		key string
+		f   Family
+	}
+	fams := gs.branches(all)
+	ls := make([]listed, len(fams))
+	for i, f := range fams {
+		f = slices.Clone(f)
+		slices.SortFunc(f, cmpListed)
+		ls[i] = listed{listing(f), f}
+	}
+	slices.SortFunc(ls, func(a, b listed) int { return strings.Compare(a.key, b.key) })
+	out := make([]Family, len(ls))
+	for i, l := range ls {
+		out[i] = l.f
+	}
+	return out, nil
 }
 
-// pruneFamilies removes duplicates and any family that is a superset of
-// another retained family.
-func pruneFamilies(fams []Family) []Family {
-	// Dedup first.
-	seen := map[string]bool{}
-	var uniq []Family
-	for _, f := range fams {
-		k := familyKey(f)
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, f)
-		}
-	}
-	// Sort by size so potential subsets come first.
-	sort.Slice(uniq, func(i, j int) bool {
-		if len(uniq[i]) != len(uniq[j]) {
-			return len(uniq[i]) < len(uniq[j])
-		}
-		return familyKey(uniq[i]) < familyKey(uniq[j])
-	})
-	keysOf := make([]map[string]bool, len(uniq))
-	for i, f := range uniq {
-		m := make(map[string]bool, len(f))
-		for _, s := range f {
-			m[s.Key()] = true
-		}
-		keysOf[i] = m
-	}
-	var out []Family
-	var outKeys []map[string]bool
-	for i, f := range uniq {
-		dominated := false
-		for j := range out {
-			// out[j] ⊆ f?
-			sub := true
-			for k := range outKeys[j] {
-				if !keysOf[i][k] {
-					sub = false
-					break
-				}
-			}
-			if sub {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, f)
-			outKeys = append(outKeys, keysOf[i])
-		}
-	}
-	return out
-}
-
-func graphKey(g *hypergraph.Graph) string {
-	es := g.Edges()
-	parts := make([]string, len(es))
-	for i, e := range es {
-		a := make([]string, len(e.Attrs))
-		for j, x := range e.Attrs {
-			a[j] = fmt.Sprint(x)
-		}
-		parts[i] = fmt.Sprintf("%d:%s", e.ID, strings.Join(a, "."))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
-}
-
-func familyKey(f Family) string {
-	parts := make([]string, len(f))
+// listing renders f as its subsets' comma-joined IDs joined by "|".
+func listing(f Family) string {
+	var b []byte
 	for i, s := range f {
-		parts[i] = s.Key()
-	}
-	return strings.Join(parts, "|")
-}
-
-func normalize(f Family) Family {
-	seen := map[string]bool{}
-	var out Family
-	for _, s := range f {
-		c := make(Subset, len(s))
-		copy(c, s)
-		sort.Ints(c)
-		k := c.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, c)
+		if i > 0 {
+			b = append(b, '|')
+		}
+		for j, id := range s.IDs() {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(id), 10)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
-		}
-		return out[i].Key() < out[j].Key()
-	})
-	return out
+	return string(b)
 }
 
-func branches(g *hypergraph.Graph, memo map[string][]Family) []Family {
-	key := graphKey(g)
-	if got, ok := memo[key]; ok {
+// genS runs the recursion on g. GenS only removes edges and never drops
+// attributes, so the mask of the edges left identifies each subquery.
+type genS struct {
+	g    *hypergraph.Graph
+	memo map[Subset][]Family
+}
+
+func (gs *genS) branches(rest Subset) []Family {
+	if got, ok := gs.memo[rest]; ok {
 		return got
 	}
-	var result []Family
-	switch {
-	case g.NumEdges() == 0:
-		result = []Family{{Subset{}}}
-	default:
-		// Bud rule (line 3-4): drop a bud deterministically.
-		var bud *hypergraph.Edge
-		for _, e := range g.Edges() {
-			if g.KindOf(e) == hypergraph.Bud {
-				bud = e
-				break
-			}
-		}
-		if bud != nil {
-			result = branches(g.Without([]int{bud.ID}, nil), memo)
-			break
-		}
-		stars := g.Stars()
-		if len(stars) > 0 {
-			for _, x := range stars {
-				petalIDs := hypergraph.EdgeIDs(x.Petals)
-				core := x.Core.ID
-				xAll := append(append([]int{}, petalIDs...), core)
-				// GenS(Q − X) and GenS(Q − X + {e0}).
-				noStar := branches(g.Without(xAll, nil), memo)
-				withCore := branches(g.Without(petalIDs, nil), memo)
-				pow := powerSet(petalIDs)
-				powProper := properSubsets(petalIDs)
-				powX := powerSet(xAll)
-				for _, f2 := range noStar {
-					for _, f1 := range withCore {
-						var fam Family
-						fam = append(fam, powX...)
-						fam = append(fam, compose(pow, f2)...)
-						fam = append(fam, compose(powProper, f1)...)
-						result = append(result, normalize(fam))
-					}
-				}
-			}
-			break
-		}
-		// Island or leaf rule (lines 13-16), nondeterministic over choices.
-		var picks []*hypergraph.Edge
-		for _, e := range g.Edges() {
-			k := g.KindOf(e)
-			if k == hypergraph.Island || k == hypergraph.Leaf {
-				picks = append(picks, e)
-			}
-		}
-		if len(picks) == 0 {
-			// Should not happen on acyclic inputs (Lemma 1); treat every
-			// edge as peelable to stay total.
-			picks = g.Edges()
-		}
-		for _, e := range picks {
-			subs := branches(g.Without([]int{e.ID}, nil), memo)
-			for _, f := range subs {
-				var fam Family
-				fam = append(fam, f...)
-				for _, s := range f {
-					fam = append(fam, append(append(Subset{}, s...), e.ID))
-				}
-				result = append(result, normalize(fam))
-			}
-		}
+	result := []Family{{0}}
+	if rest != 0 {
+		result = gs.expand(rest)
 	}
-	for i := range result {
-		result[i] = normalize(result[i])
-	}
-	result = pruneFamilies(result)
-	memo[key] = result
+	gs.memo[rest] = result
 	return result
 }
 
-// compose returns {p ∪ s | p ∈ ps, s ∈ f}.
-func compose(ps []Subset, f Family) Family {
-	var out Family
-	for _, p := range ps {
-		for _, s := range f {
-			out = append(out, append(append(Subset{}, p...), s...))
+// expand applies one GenS rule to the subquery on the edges of rest and
+// returns its pruned families.
+func (gs *genS) expand(rest Subset) []Family {
+	h := gs.g.Subgraph(rest.IDs())
+	// Bud rule (lines 3-4): drop a bud deterministically.
+	for _, e := range h.Edges() {
+		if h.KindOf(e) == hypergraph.Bud {
+			return gs.branches(rest &^ (1 << e.ID))
 		}
 	}
-	return normalize(out)
-}
-
-func powerSet(ids []int) []Subset {
-	n := len(ids)
-	out := make([]Subset, 0, 1<<n)
-	for m := 0; m < 1<<n; m++ {
-		var s Subset
-		for i := 0; i < n; i++ {
-			if m&(1<<i) != 0 {
-				s = append(s, ids[i])
+	var result []Family
+	if stars := h.Stars(); len(stars) > 0 {
+		for _, x := range stars {
+			var petals Subset
+			for _, p := range x.Petals {
+				petals |= 1 << p.ID
+			}
+			star := petals | 1<<x.Core.ID
+			// GenS(Q − X) and GenS(Q − X + {e0}).
+			noStar := gs.branches(rest &^ star)
+			withCore := gs.branches(rest &^ petals)
+			for _, f2 := range noStar {
+				for _, f1 := range withCore {
+					// Equation (13): every subset of X, every petal subset
+					// with each set of f2, every proper one with each of f1.
+					var fam Family
+					for p := star; ; p = (p - 1) & star {
+						fam = append(fam, p)
+						if p == 0 {
+							break
+						}
+					}
+					for p := petals; ; p = (p - 1) & petals {
+						for _, s := range f2 {
+							fam = append(fam, s|p)
+						}
+						if p != petals {
+							for _, s := range f1 {
+								fam = append(fam, s|p)
+							}
+						}
+						if p == 0 {
+							break
+						}
+					}
+					result = append(result, normalize(fam))
+				}
 			}
 		}
-		sort.Ints(s)
-		out = append(out, s)
+		return prune(result)
+	}
+	// Island or leaf rule (lines 13-16), nondeterministic over choices.
+	var picks []*hypergraph.Edge
+	for _, e := range h.Edges() {
+		k := h.KindOf(e)
+		if k == hypergraph.Island || k == hypergraph.Leaf {
+			picks = append(picks, e)
+		}
+	}
+	if len(picks) == 0 {
+		// Should not happen on acyclic inputs (Lemma 1); treat every
+		// edge as peelable to stay total.
+		picks = h.Edges()
+	}
+	for _, e := range picks {
+		bit := Subset(1) << e.ID
+		for _, f := range gs.branches(rest &^ bit) {
+			fam := append(make(Family, 0, 2*len(f)), f...)
+			for _, s := range f {
+				fam = append(fam, s|bit)
+			}
+			result = append(result, normalize(fam))
+		}
+	}
+	return prune(result)
+}
+
+func normalize(f Family) Family {
+	slices.Sort(f)
+	return slices.Compact(f)
+}
+
+// prune removes duplicate families and every family that contains another
+// retained one. fams is reordered in place.
+func prune(fams []Family) []Family {
+	slices.SortFunc(fams, func(a, b Family) int {
+		return cmp.Or(cmp.Compare(len(a), len(b)), slices.Compare(a, b))
+	})
+	fams = slices.CompactFunc(fams, slices.Equal)
+	out := fams[:0]
+	for _, f := range fams {
+		if !slices.ContainsFunc(out, func(o Family) bool { return within(o, f) }) {
+			out = append(out, f)
+		}
 	}
 	return out
 }
 
-func properSubsets(ids []int) []Subset {
-	all := powerSet(ids)
-	return all[:len(all)-1] // power set enumerates the full set last
+// within reports whether a ⊆ b, both in ascending order.
+func within(a, b Family) bool {
+	j := 0
+	for _, s := range a {
+		for j < len(b) && b[j] < s {
+			j++
+		}
+		if j == len(b) || b[j] != s {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // WorstCasePsi returns the worst-case value of Ψ(R,S) over fully reduced
@@ -282,12 +288,12 @@ func properSubsets(ids []int) []Subset {
 //
 //	log2 Ψ_wc(S) = Σ_components cover_log2(attrs) − (|S|−1)·log2 M − log2 B.
 func WorstCasePsi(g *hypergraph.Graph, sizes cover.Sizes, s Subset, m, b int) (float64, error) {
-	if len(s) == 0 {
+	if s == 0 {
 		return math.Inf(-1), nil
 	}
-	sub := g.Subgraph(s)
-	if sub.NumEdges() != len(s) {
-		return 0, fmt.Errorf("gens: unknown edge in subset %v", s)
+	sub := g.Subgraph(s.IDs())
+	if sub.NumEdges() != s.Len() {
+		return 0, fmt.Errorf("gens: unknown edge in subset %v", s.IDs())
 	}
 	total := 0.0
 	for _, comp := range sub.Components() {
@@ -302,46 +308,38 @@ func WorstCasePsi(g *hypergraph.Graph, sizes cover.Sizes, s Subset, m, b int) (f
 		}
 		total += lg
 	}
-	return total - float64(len(s)-1)*math.Log2(float64(m)) - math.Log2(float64(b)), nil
-}
-
-// FamilyBound returns log2 of max_{S∈f} Ψ_wc(R,S) plus the arg max.
-func FamilyBound(g *hypergraph.Graph, sizes cover.Sizes, f Family, m, b int) (float64, Subset, error) {
-	best := math.Inf(-1)
-	var arg Subset
-	for _, s := range f {
-		v, err := WorstCasePsi(g, sizes, s, m, b)
-		if err != nil {
-			return 0, nil, err
-		}
-		if v > best {
-			best = v
-			arg = s
-		}
-	}
-	return best, arg, nil
+	return total - float64(s.Len()-1)*math.Log2(float64(m)) - math.Log2(float64(b)), nil
 }
 
 // BestBound evaluates Theorem 3's worst-case cost expression
 // min over branches of max_{S} Ψ_wc(R,S) over g's GenS families fams (as
 // Branches returns them), returning log2 of the bound, the winning family,
-// and its arg-max subset.
+// and its arg-max subset. Ψ is computed once per distinct subset.
 func BestBound(g *hypergraph.Graph, fams []Family, sizes cover.Sizes, m, b int) (float64, Family, Subset, error) {
 	if len(fams) == 0 {
-		return 0, nil, nil, fmt.Errorf("gens: no branches for %v", g)
+		return 0, nil, 0, fmt.Errorf("gens: no branches for %v", g)
 	}
+	psi := map[Subset]float64{}
 	best := math.Inf(1)
 	var bestFam Family
 	var bestArg Subset
 	for _, f := range fams {
-		v, arg, err := FamilyBound(g, sizes, f, m, b)
-		if err != nil {
-			return 0, nil, nil, err
+		worst, arg := math.Inf(-1), Subset(0)
+		for _, s := range f {
+			v, ok := psi[s]
+			if !ok {
+				var err error
+				if v, err = WorstCasePsi(g, sizes, s, m, b); err != nil {
+					return 0, nil, 0, err
+				}
+				psi[s] = v
+			}
+			if v > worst {
+				worst, arg = v, s
+			}
 		}
-		if v < best {
-			best = v
-			bestFam = f
-			bestArg = arg
+		if worst < best {
+			best, bestFam, bestArg = worst, f, arg
 		}
 	}
 	return best, bestFam, bestArg, nil
@@ -352,28 +350,23 @@ func BestBound(g *hypergraph.Graph, fams []Family, sizes cover.Sizes, m, b int) 
 // branch-wise bound is always at most this; the difference is what the star
 // observation (the core+all-petals exclusion) buys.
 func Theorem2Bound(g *hypergraph.Graph, sizes cover.Sizes, m, b int) (float64, Subset, error) {
-	edges := g.Edges()
-	n := len(edges)
-	if n > 20 {
-		return 0, nil, fmt.Errorf("gens: Theorem2Bound on %d edges", n)
+	if n := g.NumEdges(); n > 20 {
+		return 0, 0, fmt.Errorf("gens: Theorem2Bound on %d edges", n)
+	}
+	all, err := edgeMask(g)
+	if err != nil {
+		return 0, 0, err
 	}
 	best := math.Inf(-1)
 	var arg Subset
-	for mask := 1; mask < 1<<n; mask++ {
-		var s Subset
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				s = append(s, edges[i].ID)
-			}
-		}
-		sort.Ints(s)
+	// Every non-empty subset in ascending numeric order.
+	for s := -all & all; s != 0; s = (s - all) & all {
 		v, err := WorstCasePsi(g, sizes, s, m, b)
 		if err != nil {
-			return 0, nil, err
+			return 0, 0, err
 		}
 		if v > best {
-			best = v
-			arg = s
+			best, arg = v, s
 		}
 	}
 	return best, arg, nil
@@ -386,13 +379,13 @@ type Ranked struct {
 }
 
 // RankSubsets returns the non-empty subsets of a family ordered by
-// decreasing worst-case Ψ given concrete relation sizes. This is the
-// numeric analogue of the paper's "dominated subjoins are omitted"
-// presentation: the head of the list is the family's binding term.
+// decreasing worst-case Ψ given concrete relation sizes, ties by ID list.
+// This is the numeric analogue of the paper's "dominated subjoins are
+// omitted" presentation: the head of the list is the family's binding term.
 func RankSubsets(g *hypergraph.Graph, sizes cover.Sizes, f Family, m, b int) ([]Ranked, error) {
 	out := make([]Ranked, 0, len(f))
 	for _, s := range f {
-		if len(s) == 0 {
+		if s == 0 {
 			continue
 		}
 		v, err := WorstCasePsi(g, sizes, s, m, b)
@@ -401,11 +394,8 @@ func RankSubsets(g *hypergraph.Graph, sizes cover.Sizes, f Family, m, b int) ([]
 		}
 		out = append(out, Ranked{S: s, Log2: v})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Log2 != out[j].Log2 {
-			return out[i].Log2 > out[j].Log2
-		}
-		return out[i].S.Key() < out[j].S.Key()
+	slices.SortFunc(out, func(x, y Ranked) int {
+		return cmp.Or(cmp.Compare(y.Log2, x.Log2), cmpIDs(x.S, y.S))
 	})
 	return out, nil
 }

@@ -2,28 +2,40 @@ package gens
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"acyclicjoin/internal/cover"
 	"acyclicjoin/internal/hypergraph"
 )
 
-func hasSubset(f Family, ids ...int) bool {
-	s := Subset(ids)
-	k := s.Key()
-	for _, x := range f {
-		if x.Key() == k {
-			return true
-		}
+// mask returns the subset of the given edge IDs.
+func mask(ids ...int) Subset {
+	var s Subset
+	for _, id := range ids {
+		s |= 1 << id
 	}
-	return false
+	return s
+}
+
+func hasSubset(f Family, ids ...int) bool {
+	return slices.Contains(f, mask(ids...))
+}
+
+func mustBranches(t *testing.T, g *hypergraph.Graph) []Family {
+	t.Helper()
+	fams, err := Branches(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fams
 }
 
 func TestBranchesL3MatchesPaper(t *testing.T) {
 	// Section 4.2: GenS on L3 generates (for the one-petal star branches)
 	// S = all subsets of {e1,e2,e3} except the full set.
 	g := hypergraph.Line(3)
-	fams := Branches(g)
+	fams := mustBranches(t, g)
 	if len(fams) == 0 {
 		t.Fatal("no branches")
 	}
@@ -45,7 +57,7 @@ func TestBranchesL3MatchesPaper(t *testing.T) {
 
 func TestBranchesSingleEdge(t *testing.T) {
 	g := hypergraph.Line(1)
-	fams := Branches(g)
+	fams := mustBranches(t, g)
 	if len(fams) != 1 {
 		t.Fatalf("families = %d, want 1", len(fams))
 	}
@@ -57,8 +69,8 @@ func TestBranchesSingleEdge(t *testing.T) {
 
 func TestBranchesEmpty(t *testing.T) {
 	g := hypergraph.MustNew(nil)
-	fams := Branches(g)
-	if len(fams) != 1 || len(fams[0]) != 1 || len(fams[0][0]) != 0 {
+	fams := mustBranches(t, g)
+	if len(fams) != 1 || len(fams[0]) != 1 || fams[0][0] != 0 {
 		t.Fatalf("fams = %v", fams)
 	}
 }
@@ -70,12 +82,10 @@ func TestBudDropped(t *testing.T) {
 		{ID: 1, Name: "L1", Attrs: []int{0, 1}},
 		{ID: 2, Name: "L2", Attrs: []int{0, 2}},
 	})
-	for _, f := range Branches(g) {
+	for _, f := range mustBranches(t, g) {
 		for _, s := range f {
-			for _, id := range s {
-				if id == 0 {
-					t.Fatalf("bud appears in %v", s)
-				}
+			if s&mask(0) != 0 {
+				t.Fatalf("bud appears in %v", s.IDs())
 			}
 		}
 	}
@@ -86,7 +96,7 @@ func TestStarFamilyExcludesCoreWithAllPetals(t *testing.T) {
 	// never produce {core} ∪ all-petals except through 2^X. There exists a
 	// branch whose family omits the full set {0,1,2,3}.
 	g := hypergraph.StarQuery(3)
-	fams := Branches(g)
+	fams := mustBranches(t, g)
 	foundWithout := false
 	for _, f := range fams {
 		if !hasSubset(f, 0, 1, 2, 3) {
@@ -109,7 +119,7 @@ func TestL4TwoPeelingsGiveDifferentBounds(t *testing.T) {
 	g := hypergraph.Line(4)
 	m, b := 64, 8
 	check := func(sizes cover.Sizes, wantLog float64) {
-		got, fam, arg, err := BestBound(g, Branches(g), sizes, m, b)
+		got, fam, arg, err := BestBound(g, mustBranches(t, g), sizes, m, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +156,7 @@ func TestL5BalancedBoundMatchesPaper(t *testing.T) {
 		}
 	}
 	wantLog := math.Log2(want) - math.Log2(float64(b))
-	got, _, _, err := BestBound(g, Branches(g), sizes, m, b)
+	got, _, _, err := BestBound(g, mustBranches(t, g), sizes, m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +169,7 @@ func TestL5BranchCount(t *testing.T) {
 	// Section 4.2: "there are a total of 4 S's generatable by GenS(Q) on
 	// L5". After inclusion-minimal pruning our enumeration produces exactly
 	// those four.
-	fams := Branches(hypergraph.Line(5))
+	fams := mustBranches(t, hypergraph.Line(5))
 	if len(fams) != 4 {
 		t.Fatalf("L5 families = %d, want exactly 4 (paper, Section 4.2)", len(fams))
 	}
@@ -169,7 +179,7 @@ func TestL3SingleFamily(t *testing.T) {
 	// Section 4.2: both star choices on L3 generate the same S; after
 	// pruning a single family of 7 subsets (all except the full set)
 	// remains.
-	fams := Branches(hypergraph.Line(3))
+	fams := mustBranches(t, hypergraph.Line(3))
 	if len(fams) != 1 || len(fams[0]) != 7 {
 		t.Fatalf("L3 families = %v", fams)
 	}
@@ -180,7 +190,7 @@ func TestWorstCasePsi(t *testing.T) {
 	sizes := cover.Sizes{0: 1024, 1: 1 << 20, 2: 1024}
 	m, b := 64, 8
 	// {e1,e3}: disconnected, product N1*N3 / (M^1 * B).
-	v, err := WorstCasePsi(g, sizes, Subset{0, 2}, m, b)
+	v, err := WorstCasePsi(g, sizes, mask(0, 2), m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +199,14 @@ func TestWorstCasePsi(t *testing.T) {
 		t.Fatalf("psi = %v, want %v", v, want)
 	}
 	// Empty subset: -inf.
-	v, err = WorstCasePsi(g, sizes, Subset{}, m, b)
+	v, err = WorstCasePsi(g, sizes, 0, m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsInf(v, -1) {
 		t.Fatalf("empty psi = %v", v)
 	}
-	if _, err := WorstCasePsi(g, sizes, Subset{9}, m, b); err == nil {
+	if _, err := WorstCasePsi(g, sizes, mask(9), m, b); err == nil {
 		t.Fatal("unknown edge accepted")
 	}
 }
@@ -204,7 +214,7 @@ func TestWorstCasePsi(t *testing.T) {
 func TestRankSubsets(t *testing.T) {
 	g := hypergraph.Line(3)
 	sizes := cover.Sizes{0: 1024, 1: 64, 2: 1024}
-	fams := Branches(g)
+	fams := mustBranches(t, g)
 	r, err := RankSubsets(g, sizes, fams[0], 64, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +240,7 @@ func TestTheorem3AtMostTheorem2(t *testing.T) {
 	}
 	for _, g := range shapes {
 		sizes := cover.Equal(g, 4096)
-		t3, _, _, err := BestBound(g, Branches(g), sizes, m, b)
+		t3, _, _, err := BestBound(g, mustBranches(t, g), sizes, m, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +263,7 @@ func TestTheorem3AtMostTheorem2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arg2) == 0 {
+	if arg2 == 0 {
 		t.Fatal("no argmax")
 	}
 }
@@ -263,11 +273,11 @@ func TestBestBoundLollipopAndDumbbell(t *testing.T) {
 	// Section 7 shapes.
 	for _, g := range []*hypergraph.Graph{hypergraph.Lollipop(3), hypergraph.Dumbbell(2, 5)} {
 		sizes := cover.Equal(g, 4096)
-		v, fam, arg, err := BestBound(g, Branches(g), sizes, 64, 8)
+		v, fam, arg, err := BestBound(g, mustBranches(t, g), sizes, 64, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.IsInf(v, 0) || len(fam) == 0 || len(arg) == 0 {
+		if math.IsInf(v, 0) || len(fam) == 0 || arg == 0 {
 			t.Fatalf("degenerate bound on %v: v=%v fam=%v arg=%v", g, v, fam, arg)
 		}
 	}

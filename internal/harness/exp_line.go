@@ -15,11 +15,6 @@ import (
 	"acyclicjoin/internal/workload"
 )
 
-// fullReduce is a local alias keeping experiment code terse.
-func fullReduce(g *hypergraph.Graph, in relation.Instance) (relation.Instance, error) {
-	return reducer.FullReduce(g, in)
-}
-
 func init() {
 	Register(&Experiment{
 		ID:       "E5",
@@ -67,6 +62,23 @@ func sizesOf(g *hypergraph.Graph, in relation.Instance) []float64 {
 		out[i] = float64(in[e.ID].Len())
 	}
 	return out
+}
+
+// theorem3Bound returns Theorem 3's worst-case I/O bound for g on in's
+// relation sizes, min over GenS branches of max_S Ψ_wc(S), in log2, and the
+// linear term ΣN/B that the bound's O(·) suppresses.
+func theorem3Bound(g *hypergraph.Graph, in relation.Instance, m, b int) (log2, linear float64, err error) {
+	sizes := cover.Sizes{}
+	for _, e := range g.Edges() {
+		sizes[e.ID] = float64(in[e.ID].Len())
+		linear += sizes[e.ID]
+	}
+	fams, err := gens.Branches(g)
+	if err != nil {
+		return 0, 0, err
+	}
+	log2, _, _, err = gens.BestBound(g, fams, sizes, m, b)
+	return log2, linear / float64(b), err
 }
 
 func runE5(p Params) (_ *Table, err error) {
@@ -137,19 +149,11 @@ func runE6(p Params) (_ *Table, err error) {
 		if err != nil {
 			return nil, err
 		}
-		szMap := cover.Sizes{}
-		for i, s := range sizes {
-			szMap[i] = s
-		}
-		boundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, p.M, p.B)
+		boundLog, lin, err := theorem3Bound(g, in, p.M, p.B)
 		if err != nil {
 			return nil, err
 		}
-		lin := 0.0
-		for _, s := range sizes {
-			lin += s
-		}
-		bound := math.Pow(2, boundLog) + lin/float64(p.B)
+		bound := math.Pow(2, boundLog) + lin
 		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 		if err != nil {
 			return nil, err
@@ -163,21 +167,15 @@ func runE6(p Params) (_ *Table, err error) {
 		z := 8 * p.Scale
 		zs := []int{z, z, z, 1, z, z, z}
 		d := ms.disk(p)
-		g, in, sizes, err := workload.LineBalancedWorstCase(d, zs)
+		g, in, _, err := workload.LineBalancedWorstCase(d, zs)
 		if err != nil {
 			return nil, err
 		}
-		szMap := cover.Sizes{}
-		lin := 0.0
-		for i, s := range sizes {
-			szMap[i] = s
-			lin += s
-		}
-		boundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, p.M, p.B)
+		boundLog, lin, err := theorem3Bound(g, in, p.M, p.B)
 		if err != nil {
 			return nil, err
 		}
-		bound := math.Pow(2, boundLog) + lin/float64(p.B)
+		bound := math.Pow(2, boundLog) + lin
 		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategySmallest, AssumeReduced: true})
 		if err != nil {
 			return nil, err
@@ -216,23 +214,14 @@ func runE7(p Params) (_ *Table, err error) {
 	if cover.IsBalancedOddLine(sizes) {
 		return nil, fmt.Errorf("E7: instance unexpectedly balanced: %v", sizes)
 	}
-	// Optimal unbalanced bound (Section 6.3): N1N3N5/(M² B) + ΣN/B.
-	lin := 0.0
-	for _, s := range sizes {
-		lin += s
-	}
-	bound := sizes[0]*sizes[2]*sizes[4]/(float64(mp.M)*float64(mp.M)*float64(mp.B)) +
-		lin/float64(mp.B)
 	// Algorithm 2's own worst-case bound for these sizes (Theorem 3) is
 	// dominated by N2·N4-type terms and is strictly larger.
-	szMap := cover.Sizes{}
-	for i, s := range sizes {
-		szMap[i] = s
-	}
-	alg2BoundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, mp.M, mp.B)
+	alg2BoundLog, lin, err := theorem3Bound(g, in, mp.M, mp.B)
 	if err != nil {
 		return nil, err
 	}
+	// Optimal unbalanced bound (Section 6.3): N1N3N5/(M² B) + ΣN/B.
+	bound := sizes[0]*sizes[2]*sizes[4]/(float64(mp.M)*float64(mp.M)*float64(mp.B)) + lin
 	label := fmt.Sprintf("%.0f,%.0f,%.0f,%.0f,%.0f", sizes[0], sizes[1], sizes[2], sizes[3], sizes[4])
 
 	var res4 int64
@@ -286,11 +275,7 @@ func runE8(p Params) (_ *Table, err error) {
 	if cover.IsBalancedOddLine(sizes[:5]) {
 		return nil, fmt.Errorf("E8: prefix unexpectedly balanced: %v", sizes)
 	}
-	szMap := cover.Sizes{}
-	for i, s := range sizes {
-		szMap[i] = s
-	}
-	alg2BoundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, mp.M, mp.B)
+	alg2BoundLog, _, err := theorem3Bound(g, in, mp.M, mp.B)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +325,7 @@ func runE9(p Params) (_ *Table, err error) {
 	for _, n := range []int{6, 8} {
 		d := ms.disk(p)
 		g, in := workload.LineUniform(d, rng, n, p.M*2*p.Scale, p.M/2*p.Scale+4)
-		red, err := fullReduce(g, in)
+		red, err := reducer.FullReduce(g, in)
 		if err != nil {
 			return nil, err
 		}

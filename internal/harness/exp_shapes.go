@@ -6,7 +6,6 @@ import (
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/cover"
-	"acyclicjoin/internal/gens"
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/workload"
 )
@@ -167,19 +166,11 @@ func runE12(p Params) (_ *Table, err error) {
 		if err != nil {
 			return nil, err
 		}
-		szMap := cover.Sizes{}
-		for _, e := range g.Edges() {
-			szMap[e.ID] = float64(in[e.ID].Len())
-		}
-		boundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, p.M, p.B)
+		boundLog, lin, err := theorem3Bound(g, in, p.M, p.B)
 		if err != nil {
 			return nil, err
 		}
-		lin := 0.0
-		for _, s := range szMap {
-			lin += s
-		}
-		bound := math.Pow(2, boundLog) + lin/float64(p.B)
+		bound := math.Pow(2, boundLog) + lin
 		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 		if err != nil {
 			return nil, err
@@ -233,19 +224,11 @@ func runE13(p Params) (_ *Table, err error) {
 		if err != nil {
 			return nil, err
 		}
-		szMap := cover.Sizes{}
-		for _, e := range g.Edges() {
-			szMap[e.ID] = float64(in[e.ID].Len())
-		}
-		boundLog, _, _, err := gens.BestBound(g, gens.Branches(g), szMap, p.M, p.B)
+		boundLog, lin, err := theorem3Bound(g, in, p.M, p.B)
 		if err != nil {
 			return nil, err
 		}
-		lin := 0.0
-		for _, s := range szMap {
-			lin += s
-		}
-		bound := math.Pow(2, boundLog) + lin/float64(p.B)
+		bound := math.Pow(2, boundLog) + lin
 		r, err := core.Run(g, in, nil, core.Options{Strategy: core.StrategyExhaustive, AssumeReduced: true, NoPrune: p.NoPrune})
 		if err != nil {
 			return nil, err

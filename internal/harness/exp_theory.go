@@ -9,7 +9,6 @@ import (
 	"acyclicjoin/internal/cover"
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/relation"
-	"acyclicjoin/internal/tuple"
 	"acyclicjoin/internal/workload"
 )
 
@@ -162,5 +161,3 @@ func runE18(p Params) (_ *Table, err error) {
 	)
 	return t, nil
 }
-
-var _ = tuple.Unset

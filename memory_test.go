@@ -69,9 +69,7 @@ func TestDeepQueriesFitTheDerivedAllowance(t *testing.T) {
 		if hw := res.PlanningStats.MemHiWater; hw > allowance || res.Stats.MemHiWater > hw {
 			t.Fatalf("%s: hi-water %d (exec %d) over the allowance %d", label, hw, res.Stats.MemHiWater, allowance)
 		}
-		// Explain's bound analysis grows too fast with the query to run on
-		// every size; on small queries its allowance is the 16·M floor.
-		if n <= 4 {
+		if n <= 8 {
 			if ex, err := Explain(q, sizes, opts); err != nil || ex.MemoryAllowance != allowance {
 				t.Fatalf("%s: Explain reports an allowance of %v (err %v), want %d", label, ex, err, allowance)
 			}
